@@ -3,8 +3,9 @@
 Interval vectors/grids are represented as (lo, hi) float64 ndarray pairs.
 All operations nudge endpoints outward with ``np.nextafter``; transcendental
 functions get extra ulps because numpy's SIMD kernels are faithful rather
-than correctly rounded.  Sums use ``math.fsum`` (exactly rounded) plus one
-outward nudge, so long reductions stay rigorous.
+than correctly rounded.  Reductions (``iv_dot``) carry the exact rounding
+error of every running sum (TwoSum), so they stay rigorous, nearly exactly
+rounded and vectorized over any leading axes.
 
 These helpers mirror the semantics of :mod:`greenbound.interval`; the test
 suite cross-checks the two paths against each other.
@@ -21,6 +22,7 @@ from .errors import DomainError
 
 _INF = np.inf
 _NP_LIBM_ULPS = 4
+_ETA = 5e-324  # smallest positive subnormal
 
 
 def next_down(x: np.ndarray) -> np.ndarray:
@@ -110,16 +112,65 @@ def iv_sqrt(lo, hi):
     return np.maximum(0.0, next_down(np.sqrt(lo))), next_up(np.sqrt(hi))
 
 
-def iv_sum(lo, hi) -> _iv.Interval:
-    """Rigorous interval sum of an interval array."""
-    s_lo = math.fsum(map(float, np.ravel(lo)))
-    s_hi = math.fsum(map(float, np.ravel(hi)))
-    return _iv.Interval(_iv._next_down(s_lo), _iv._next_up(s_hi))
+def iv_div(alo, ahi, blo, bhi):
+    """Interval quotient; no divisor interval may contain zero."""
+    if np.any((blo <= 0.0) & (bhi >= 0.0)):
+        raise DomainError("division by interval array containing zero")
+    q1 = alo / blo
+    q2 = alo / bhi
+    q3 = ahi / blo
+    q4 = ahi / bhi
+    lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
+    hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
+    return next_down(lo), next_up(hi)
 
 
-def iv_dot(weights: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _iv.Interval:
-    """Rigorous enclosure of sum_i w_i * [lo_i, hi_i] for exact float weights."""
+def _sum_error_factor(n: int) -> float:
+    """Upper bound of x (1 + 3 x) for x = (n - 1) 2^-53.
+
+    For n floats y_k, any summation order gives |fl(sum y_k) - sum y_k|
+    <= gamma_(n-1) sum |y_k| (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 4.2), and sum |y_k| <= fl(sum |y_k|) /
+    (1 - x).  With x <= 0.1 the error is therefore at most
+    x / (1 - x)^2 fl(sum |y_k|) <= x (1 + 3 x) fl(sum |y_k|).
+    """
+    x = max(n - 1, 0) * 2.0**-53  # exact
+    if x > 0.1:
+        raise DomainError(f"too many terms ({n}) for the a-priori sum bound")
+    return math.nextafter(x * math.nextafter(1.0 + 3.0 * x, _INF), _INF)
+
+
+def _row_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float bounds (lower, upper) of the exact sum of each row of x.
+
+    ``np.cumsum`` forms the running sums c_i = fl(c_(i-1) + x_i) in order
+    (ufunc accumulate semantics); the TwoSum errors e_i = c_(i-1) + x_i -
+    c_i are computed exactly, so sum x = c_n + sum e_i exactly.  Only the
+    sum of the tiny e_i is bounded a priori (``_sum_error_factor``), plus
+    one smallest subnormal in case that bound's product underflows.
+    """
+    if not x.shape[-1]:
+        z = np.zeros(x.shape[:-1])
+        return z, z
+    c = np.cumsum(x, axis=-1)
+    a, b, s = c[..., :-1], x[..., 1:], c[..., 1:]
+    bv = s - a
+    err = (a - (s - bv)) + (b - bv)
+    top, es = c[..., -1], np.sum(err, axis=-1)
+    if not _iv._outward_rounding:
+        return top + es, top + es
+    eb = next_up(_sum_error_factor(err.shape[-1]) * np.sum(np.abs(err), axis=-1)) + _ETA
+    return _sum_down(top, next_down(es - eb)), _sum_up(top, next_up(es + eb))
+
+
+def iv_dot(weights, lo, hi):
+    """Rigorous enclosure of sum_k w_k [lo_k, hi_k] over the last axis.
+
+    ``weights`` are exact floats broadcasting against ``lo``/``hi``; the
+    result has the shape of ``lo`` without its last axis.  The products
+    are rounded outward and each row is summed by ``_row_sums``.
+    """
     pos = weights >= 0.0
-    out_lo = next_down(np.where(pos, weights * lo, weights * hi))
-    out_hi = next_up(np.where(pos, weights * hi, weights * lo))
-    return iv_sum(out_lo, out_hi)
+    tlo = next_down(np.where(pos, weights * lo, weights * hi))
+    thi = next_up(np.where(pos, weights * hi, weights * lo))
+    return _row_sums(tlo)[0], _row_sums(thi)[1]

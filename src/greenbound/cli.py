@@ -115,7 +115,7 @@ PROBLEM_SCHEMA = {
                     "minItems": 2,
                     "maxItems": 2,
                 },
-                "tol": {"type": "number"},
+                "tol": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
         },
@@ -133,9 +133,9 @@ PROBLEM_SCHEMA = {
         "oned": {
             "type": "object",
             "properties": {
-                "h": {"type": "number"},
-                "c": {"type": "number"},
-                "eps_factor": {"type": "number"},
+                "h": {"type": "number", "exclusiveMinimum": 0},
+                "c": {"type": "number", "minimum": 0},
+                "eps_factor": {"type": "number", "exclusiveMinimum": 0},
                 "sweep_h": {"type": "array", "items": {"type": "number"}},
             },
             "additionalProperties": False,
@@ -223,6 +223,8 @@ def _cmd_enclose1d(args) -> int:
     h = args.h if args.h is not None else cfg.get("h", 2.0**-5)
     _validate_mesh(h)
     c = args.c if args.c is not None else cfg.get("c", 0.2 * supf * h * h)
+    if c < 0.0:
+        raise InputError(f"boundary shift c must be nonnegative, got {c}")
     eps = eps_factor * h * supf
     upper = _oned.build_super(f, h, c, eps=eps)
     lower = _oned.build_sub(f, h, c, eps=eps)

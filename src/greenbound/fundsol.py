@@ -105,7 +105,7 @@ class TestFunction2D:
             raise DomainError("evaluation region touches an exterior source point")
         llo, lhi = dr.iv_log(d2lo, d2hi)
         glo, ghi = dr.iv_mul(llo, lhi, NEG_INV_4PI.lo, NEG_INV_4PI.hi)
-        return dr.iv_dot(self.coeffs, glo, ghi)
+        return Interval(*map(float, dr.iv_dot(self.coeffs, glo, ghi)))
 
     def phi0_box(self, bx: Interval, by: Interval) -> Interval:
         """Enclosure of phi^0 = a_int Gamma(s_int, .) + sum a_i Gamma(s_i, .)."""
@@ -136,15 +136,9 @@ class TestFunction2D:
         pxlo, pxhi = dr.iv_mul(dxlo, dxhi, vx.lo, vx.hi)
         pylo, pyhi = dr.iv_mul(dylo, dyhi, vy.lo, vy.hi)
         nlo, nhi = dr.iv_add(pxlo, pxhi, pylo, pyhi)
-        # interval division num / den with den > 0
-        q1 = nlo / d2lo
-        q2 = nlo / d2hi
-        q3 = nhi / d2lo
-        q4 = nhi / d2hi
-        qlo = dr.next_down(np.minimum(np.minimum(q1, q2), np.minimum(q3, q4)))
-        qhi = dr.next_up(np.maximum(np.maximum(q1, q2), np.maximum(q3, q4)))
+        qlo, qhi = dr.iv_div(nlo, nhi, d2lo, d2hi)
         glo, ghi = dr.iv_mul(qlo, qhi, NEG_INV_2PI.lo, NEG_INV_2PI.hi)
-        return dr.iv_dot(weights, glo, ghi)
+        return Interval(*map(float, dr.iv_dot(weights, glo, ghi)))
 
     # -- approximate evaluations (candidate quality only) ---------------
 

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -40,6 +42,7 @@ __all__ = [
     "intersect",
     "subdivide_min_max",
     "MinMaxResult",
+    "BoxEvaluator",
 ]
 
 _INF = math.inf
@@ -411,140 +414,206 @@ class MinMaxResult:
     depth: int
 
 
-@dataclass(slots=True)
-class _BoxState:
-    lo: float
-    hi: float
-    glo: float
-    ghi: float
+class BoxEvaluator:
+    """Interval extension of g, and optionally of g', over arrays of boxes.
+
+    ``self(root, lo, hi, deriv)`` receives, per box, the index of the root
+    interval it came from and its endpoints (``lo == hi`` for a point).
+    It returns ``(glo, ghi)`` enclosing g over each box, followed by
+    ``(dlo, dhi)`` enclosing g' when ``deriv`` is true.  ``deriv`` is only
+    requested when ``has_derivative`` is set.
+    """
+
+    has_derivative = False
+
+    def __call__(self, root, lo, hi, deriv: bool):
+        raise NotImplementedError
+
+
+class _ScalarEvaluator(BoxEvaluator):
+    """Scalar interval functions g (and g') as a BoxEvaluator, box by box."""
+
+    def __init__(self, g, g_prime):
+        self.g, self.g_prime = g, g_prime
+        self.has_derivative = g_prime is not None
+
+    def __call__(self, root, lo, hi, deriv: bool):
+        boxes = [Interval(float(a), float(b)) for a, b in zip(lo, hi)]
+        fns = (self.g, self.g_prime) if deriv else (self.g,)
+        out = ()
+        for fn in fns:
+            vals = [fn(t) for t in boxes]
+            out += (np.array([v.lo for v in vals]), np.array([v.hi for v in vals]))
+        return out
+
+
+def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Interval.mid of every box, vectorized."""
+    with np.errstate(over="ignore"):
+        m = 0.5 * (lo + hi)
+    m = np.where(np.isfinite(m), m, 0.5 * lo + 0.5 * hi)
+    return np.minimum(np.maximum(m, lo), hi)
+
+
+class _Search:
+    """Certified witnesses and finalized bounds shared by all roots.
+
+    ``sup_wit``/``inf_wit`` are values g provably reaches (some point has
+    g >= sup_wit, some point has g <= inf_wit); ``final_sup``/``final_inf``
+    bound g over boxes that left the search without being split.
+    """
+
+    def __init__(self, g: BoxEvaluator):
+        self.g = g
+        self.evals = 0
+        self.sup_wit, self.inf_wit = -_INF, _INF
+        self.final_sup, self.final_inf = -_INF, _INF
+
+    def finalize(self, glo: np.ndarray, ghi: np.ndarray) -> None:
+        if glo.size:
+            self.final_sup = max(self.final_sup, float(ghi.max()))
+            self.final_inf = min(self.final_inf, float(glo.min()))
+
+    def points(self, root: np.ndarray, t: np.ndarray):
+        """Values at points; every one is a witness."""
+        if not t.size:
+            return t, t
+        self.evals += t.size
+        vlo, vhi = self.g(root, t, t, False)
+        self.sup_wit = max(self.sup_wit, float(vlo.max()))
+        self.inf_wit = min(self.inf_wit, float(vhi.min()))
+        return vlo, vhi
+
+    def boxes(self, root, lo, hi, extra_root, extra_t):
+        """Evaluate boxes (lo < hi), plus extra witness points.
+
+        With a derivative, a box on which g is strictly monotone is
+        finalized by its endpoint values; every other box gets a witness
+        at its midpoint and the mean-value form as a second enclosure.
+        Returns the boxes still open as (root, lo, hi, glo, ghi).
+        """
+        if not root.size:
+            self.points(extra_root, extra_t)
+            return root, lo, hi, lo, hi
+        self.evals += root.size
+        if not self.g.has_derivative:
+            glo, ghi = self.g(root, lo, hi, False)
+            self.points(extra_root, extra_t)
+            return root, lo, hi, glo, ghi
+        glo, ghi, dlo, dhi = self.g(root, lo, hi, True)
+        mono = (dlo > 0.0) | (dhi < 0.0)
+        rm = root[mono]
+        keep = ~mono
+        root, lo_m, hi_m = root[keep], lo[mono], hi[mono]
+        lo, hi, glo, ghi = lo[keep], hi[keep], glo[keep], ghi[keep]
+        dlo, dhi = dlo[keep], dhi[keep]
+        mid = _midpoints(lo, hi)
+        vlo, vhi = self.points(np.concatenate((extra_root, rm, rm, root)),
+                               np.concatenate((extra_t, lo_m, hi_m, mid)))
+        k, n = extra_t.size, rm.size
+        self.finalize(vlo[k:k + 2 * n], vhi[k:k + 2 * n])
+        vmlo, vmhi = vlo[k + 2 * n:], vhi[k + 2 * n:]
+        # mean-value form g(mid) + g'(box) (box - mid)
+        wlo, whi = dr.iv_sub(lo, hi, mid, mid)
+        mvlo, mvhi = dr.iv_add(vmlo, vmhi, *dr.iv_mul(dlo, dhi, wlo, whi))
+        tlo, thi = np.maximum(glo, mvlo), np.minimum(ghi, mvhi)
+        ok = tlo <= thi  # both enclose the same nonempty range
+        return root, lo, hi, np.where(ok, tlo, glo), np.where(ok, thi, ghi)
 
 
 def subdivide_min_max(
-    g: Callable[[Interval], Interval],
-    domain: Interval,
+    g: BoxEvaluator | Callable[[Interval], Interval],
+    domain: Interval | Sequence[Interval],
     tol: float = 1e-12,
     max_depth: int = 40,
     g_prime: Optional[Callable[[Interval], Interval]] = None,
     max_boxes: int = 20000,
 ) -> MinMaxResult:
-    """Rigorous enclosures of inf g and sup g over ``domain``.
+    """Rigorous enclosures of inf g and sup g over the union of the roots.
 
-    Branch-and-bound over subintervals of the domain with interval
-    evaluation.  When ``g_prime`` (an interval extension of g') is given,
-    two accelerations apply: sign-definite derivative finalizes a box by
-    its endpoint values, and a mean-value-form evaluation tightens the
-    natural extension.  Both the true infimum and supremum are contained
-    in the returned ``m`` and ``M``; ``converged`` reports whether both
-    widths reached ``tol`` within the depth/box budget.
+    ``domain`` is one root Interval or a sequence of them.  ``g`` is either
+    a :class:`BoxEvaluator` or a scalar interval function, in which case
+    ``g_prime`` may give a scalar interval extension of g'.
+
+    Level-synchronous branch-and-bound: each level halves every open box
+    of every root and evaluates all children in one evaluator call.  A box
+    is dropped when it can move neither bound past the global witnesses.
+    With a derivative, a sign-definite derivative finalizes a box by its
+    endpoint values and a mean-value form tightens the natural extension.
+    Both the true infimum and supremum are contained in the returned ``m``
+    and ``M``; ``converged`` reports whether both widths reached ``tol``
+    within ``max_depth`` levels, with at most ``max_boxes`` boxes kept open
+    per level (the least promising excess is finalized as it stands).
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    evals = 0
+    if not isinstance(g, BoxEvaluator):
+        g = _ScalarEvaluator(g, g_prime)
+    roots = [domain] if isinstance(domain, Interval) else list(domain)
+    rlo = np.array([r.lo for r in roots], dtype=float)
+    rhi = np.array([r.hi for r in roots], dtype=float)
+    ridx = np.arange(len(roots))
+    S = _Search(g)
 
-    def eval_box(lo: float, hi: float) -> Interval:
-        nonlocal evals
-        evals += 1
-        return g(Interval(lo, hi))
+    S.points(np.concatenate((ridx, ridx, ridx)),
+             np.concatenate((rlo, rhi, _midpoints(rlo, rhi))))
+    flat = rlo == rhi
+    if flat.any():  # a point root is finalized by its value
+        S.finalize(*S.points(ridx[flat], rlo[flat]))
+    empty = np.empty(0)
+    root, lo, hi, glo, ghi = S.boxes(ridx[~flat], rlo[~flat], rhi[~flat],
+                                     empty.astype(int), empty)
 
-    # point-evaluation bounds: best certified function values
-    best_lo_of_sup = -_INF  # some point with g >= this
-    best_hi_of_inf = _INF  # some point with g <= this
+    def bounds():
+        sup_hi = max(S.final_sup, S.sup_wit, float(ghi.max()) if ghi.size else -_INF)
+        inf_lo = min(S.final_inf, S.inf_wit, float(glo.min()) if glo.size else _INF)
+        return sup_hi, inf_lo
 
-    def eval_point(t: float) -> None:
-        nonlocal best_lo_of_sup, best_hi_of_inf
-        v = eval_box(t, t)
-        best_lo_of_sup = max(best_lo_of_sup, v.lo)
-        best_hi_of_inf = min(best_hi_of_inf, v.hi)
+    def useful(glo, ghi):
+        return (ghi > S.sup_wit) | (glo < S.inf_wit)
 
-    # contributions of finalized (monotone or dropped) boxes
-    final_sup = -_INF
-    final_inf = _INF
-
-    def make_state(lo: float, hi: float) -> Optional[_BoxState]:
-        """Evaluate a box; return None when it was finalized in place."""
-        nonlocal best_lo_of_sup, best_hi_of_inf, final_sup, final_inf
-        v = eval_box(lo, hi)
-        glo, ghi = v.lo, v.hi
-        if g_prime is not None and lo < hi:
-            dv = g_prime(Interval(lo, hi))
-            if dv.lo > 0.0 or dv.hi < 0.0:
-                # strictly monotone: extrema sit at the box endpoints
-                va = eval_box(lo, lo)
-                vb = eval_box(hi, hi)
-                best_lo_of_sup = max(best_lo_of_sup, va.lo, vb.lo)
-                best_hi_of_inf = min(best_hi_of_inf, va.hi, vb.hi)
-                final_sup = max(final_sup, va.hi, vb.hi)
-                final_inf = min(final_inf, va.lo, vb.lo)
-                return None
-            mid = Interval(lo, hi).mid()
-            vm = eval_box(mid, mid)
-            best_lo_of_sup = max(best_lo_of_sup, vm.lo)
-            best_hi_of_inf = min(best_hi_of_inf, vm.hi)
-            mv = vm + dv * Interval(lo - mid, hi - mid)
-            glo = max(glo, mv.lo)
-            ghi = min(ghi, mv.hi)
-            if glo > ghi:  # both enclose the same nonempty range
-                glo, ghi = v.lo, v.hi
-        return _BoxState(lo, hi, glo, ghi)
-
-    eval_point(domain.lo)
-    eval_point(domain.hi)
-    eval_point(domain.mid())
-
-    if domain.lo == domain.hi:
-        v = eval_box(domain.lo, domain.hi)
-        return MinMaxResult(m=v, M=v, converged=True, evaluations=evals, depth=0)
-
-    root = make_state(domain.lo, domain.hi)
-    active = [] if root is None else [root]
     depth = 0
     converged = False
-
     while depth < max_depth:
-        sup_hi = max([final_sup, best_lo_of_sup] + [s.ghi for s in active])
-        inf_lo = min([final_inf, best_hi_of_inf] + [s.glo for s in active])
-        if (sup_hi - best_lo_of_sup) <= tol and (best_hi_of_inf - inf_lo) <= tol:
+        sup_hi, inf_lo = bounds()
+        if sup_hi - S.sup_wit <= tol and S.inf_wit - inf_lo <= tol:
             converged = True
             break
-        if not active:
+        if not root.size:
             break
         depth += 1
-        nxt: list[_BoxState] = []
-        for s in active:
-            # prune: box cannot sharpen either bound
-            if s.ghi <= best_lo_of_sup and s.glo >= best_hi_of_inf:
-                continue
-            mid = Interval(s.lo, s.hi).mid()
-            if mid <= s.lo or mid >= s.hi:
-                final_sup = max(final_sup, s.ghi)
-                final_inf = min(final_inf, s.glo)
-                continue
-            eval_point(mid)
-            for a, b in ((s.lo, mid), (mid, s.hi)):
-                child = make_state(a, b)
-                if child is None:
-                    continue
-                if child.ghi <= best_lo_of_sup and child.glo >= best_hi_of_inf:
-                    continue
-                nxt.append(child)
-        if len(nxt) > max_boxes:
-            nxt.sort(key=lambda s: max(s.ghi - best_lo_of_sup, best_hi_of_inf - s.glo))
-            for s in nxt[: len(nxt) - max_boxes]:
-                final_sup = max(final_sup, s.ghi)
-                final_inf = min(final_inf, s.glo)
-            nxt = nxt[len(nxt) - max_boxes :]
-        active = nxt
+        live = useful(glo, ghi)
+        root, lo, hi, glo, ghi = root[live], lo[live], hi[live], glo[live], ghi[live]
+        mid = _midpoints(lo, hi)
+        split = (lo < mid) & (mid < hi)
+        S.finalize(glo[~split], ghi[~split])
+        root, lo, hi, mid = root[split], lo[split], hi[split], mid[split]
+        # children (lo, mid) and (mid, hi) of each parent, side by side
+        root, lo, hi, glo, ghi = S.boxes(
+            np.repeat(root, 2),
+            np.stack((lo, mid), axis=1).ravel(),
+            np.stack((mid, hi), axis=1).ravel(),
+            root, mid,
+        )
+        live = useful(glo, ghi)
+        root, lo, hi, glo, ghi = root[live], lo[live], hi[live], glo[live], ghi[live]
+        if root.size > max_boxes:
+            gain = np.maximum(ghi - S.sup_wit, S.inf_wit - glo)
+            order = np.argsort(gain, kind="stable")
+            drop, keep = order[: root.size - max_boxes], order[root.size - max_boxes:]
+            S.finalize(glo[drop], ghi[drop])
+            root, lo, hi, glo, ghi = root[keep], lo[keep], hi[keep], glo[keep], ghi[keep]
 
-    sup_hi = max([final_sup, best_lo_of_sup] + [s.ghi for s in active])
-    inf_lo = min([final_inf, best_hi_of_inf] + [s.glo for s in active])
+    sup_hi, inf_lo = bounds()
     if not converged:
-        converged = (sup_hi - best_lo_of_sup) <= tol and (
-            best_hi_of_inf - inf_lo
-        ) <= tol
+        converged = sup_hi - S.sup_wit <= tol and S.inf_wit - inf_lo <= tol
     return MinMaxResult(
-        m=Interval(inf_lo, best_hi_of_inf),
-        M=Interval(best_lo_of_sup, sup_hi),
+        m=Interval(inf_lo, S.inf_wit),
+        M=Interval(S.sup_wit, sup_hi),
         converged=converged,
-        evaluations=evals,
+        evaluations=S.evals,
         depth=depth,
     )
+
+
+from . import _directed as dr  # noqa: E402  (_directed builds on this module)

@@ -2,10 +2,11 @@
 
 The collocation solve is plain binary64 LU: it only produces a *candidate*
 test function, so no rigor is needed there and none is claimed.  All rigor
-enters through ``boundary_extrema``, which bounds the candidate over every
-polygon edge with interval branch-and-bound; the enclosure built from the
-resulting m and M stays mathematically sound no matter how badly the MFS
-system was conditioned (bad conditioning only costs sharpness).
+enters through ``boundary_extrema``, which bounds the candidate over all
+polygon edges at once with one interval branch-and-bound in the edge
+parameter; the enclosure built from the resulting m and M stays
+mathematically sound no matter how badly the MFS system was conditioned
+(bad conditioning only costs sharpness).
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolveError
-from .fundsol import TestFunction2D
+from . import _directed as dr
+from .errors import DomainError, SolveError
+from .fundsol import NEG_INV_2PI, NEG_INV_4PI, TestFunction2D
 from .geometry import Polygon
-from .interval import Interval, subdivide_min_max
+from .interval import (BoxEvaluator, Interval, MinMaxResult, _next_down, _next_up,
+                       subdivide_min_max)
 
-__all__ = ["MfsSolution", "solve_coefficients", "boundary_extrema",
+__all__ = ["MfsSolution", "EdgeKernel", "solve_coefficients", "boundary_extrema",
            "make_enclosure_pair", "solve"]
 
 
@@ -66,6 +69,93 @@ class MfsSolution:
     M: Interval
     cond_estimate: float
     extrema_converged: bool
+    extrema_evaluations: int
+    extrema_depth: int
+
+
+class EdgeKernel(BoxEvaluator):
+    """phi^0 and its t-derivative along every edge a + v t, t in [0, 1].
+
+    Root e of the search is edge e.  For a kernel point s,
+
+        |a + v t - s|^2 = |v|^2 (t - t*)^2 + delta^2,
+        t* = ((s - a) . v) / |v|^2,   delta^2 = ((s - a) x v)^2 / |v|^2,
+
+    so a t-box T costs one interval square per kernel and no bounding box
+    of the edge enters: the form is exact for slanted edges too.  |v|^2,
+    t* and delta^2 are computed once per candidate in exact integer
+    arithmetic and rounded outward once, so T - t* loses nothing to
+    rounding of t* beyond one ulp.  Value and derivative share T - t* and
+    d^2:
+
+        phi^0 = -(1/(4 pi)) sum_k w_k log d_k^2,
+        dphi^0/dt = -(1/(2 pi)) |v|^2 sum_k w_k (T - t*_k) / d_k^2.
+
+    Boxes are evaluated in chunks of about ``CHUNK_ELEMS`` (box, kernel)
+    elements so the temporaries stay small.
+    """
+
+    has_derivative = True
+    CHUNK_ELEMS = 2048
+
+    def __init__(self, tf0: TestFunction2D, poly: Polygon):
+        self.weights = np.concatenate(([tf0.a_int], tf0.coeffs))
+        self.roots = [Interval(0.0, 1.0)] * len(poly.vertices)
+        self.chunk = max(1, self.CHUNK_ELEMS // len(self.weights))
+        # exact geometry in integers (every float times 2^k), each
+        # quantity rounded outward once
+        pts = np.vstack((poly.vertices, [tf0.s_int], tf0.sources))
+        ints, k = _scaled_ints(pts.ravel())
+        xy = list(zip(ints[0::2], ints[1::2]))
+        a, s = xy[: len(poly.vertices)], xy[len(poly.vertices):]
+        v2, tstar, delta2 = [], [], []
+        for (ax, ay), (bx, by) in zip(a, a[1:] + a[:1]):
+            vx, vy = bx - ax, by - ay
+            n2 = vx * vx + vy * vy
+            v2.append(_round_out(n2, 1 << 2 * k))
+            tstar.append([_round_out((sx - ax) * vx + (sy - ay) * vy, n2)
+                          for sx, sy in s])
+            delta2.append([_round_out(((sx - ax) * vy - (sy - ay) * vx) ** 2, n2 << 2 * k)
+                           for sx, sy in s])
+        self.v2, self.tstar, self.delta2 = (
+            tuple(np.moveaxis(np.array(q), -1, 0)) for q in (v2, tstar, delta2))
+        self.dscale = dr.iv_mul(*self.v2, NEG_INV_2PI.lo, NEG_INV_2PI.hi)
+
+    def __call__(self, root, lo, hi, deriv: bool):
+        c = self.chunk
+        parts = [self._eval(root[i:i + c], lo[i:i + c], hi[i:i + c], deriv)
+                 for i in range(0, len(root), c)]
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+    def _eval(self, e, lo, hi, deriv: bool):
+        tlo, thi = self.tstar
+        tau = dr.iv_sub(lo[:, None], hi[:, None], tlo[e], thi[e])
+        v2lo, v2hi = self.v2[0][e, None], self.v2[1][e, None]
+        d2lo, d2hi = dr.iv_add(*dr.iv_mul(v2lo, v2hi, *dr.iv_sqr(*tau)),
+                               self.delta2[0][e], self.delta2[1][e])
+        if np.any(d2lo <= 0.0):
+            raise DomainError("a polygon edge passes through a kernel point")
+        sums = dr.iv_dot(self.weights, *dr.iv_log(d2lo, d2hi))
+        out = dr.iv_mul(*sums, NEG_INV_4PI.lo, NEG_INV_4PI.hi)
+        if not deriv:
+            return out
+        sums = dr.iv_dot(self.weights, *dr.iv_div(*tau, d2lo, d2hi))
+        return out + dr.iv_mul(*sums, self.dscale[0][e], self.dscale[1][e])
+
+
+def _scaled_ints(values) -> tuple[list, int]:
+    """Integers X_i and one k >= 0 with X_i = x_i 2^k exactly."""
+    ratios = [float(x).as_integer_ratio() for x in values]
+    k = max(d.bit_length() - 1 for _n, d in ratios)  # every d is a power of 2
+    return [n << (k - d.bit_length() + 1) for n, d in ratios], k
+
+
+def _round_out(p: int, q: int) -> tuple[float, float]:
+    """Tightest float interval (lo, hi) around the rational p / q, q > 0."""
+    f = p / q  # int true division is correctly rounded
+    a, b = f.as_integer_ratio()
+    above = a * q - p * b  # sign of f - p / q
+    return (_next_down(f) if above > 0 else f, _next_up(f) if above < 0 else f)
 
 
 def boundary_extrema(
@@ -73,34 +163,15 @@ def boundary_extrema(
     poly: Polygon,
     tol: float = 1e-9,
     max_depth: int = 48,
-) -> tuple[Interval, Interval, bool]:
+) -> MinMaxResult:
     """Rigorous enclosures (m, M) of min/max of phi^0 over the boundary.
 
-    Each edge is parameterized linearly by t in [0, 1] and bounded by
-    interval branch-and-bound; the directional derivative of phi^0 along
-    the edge provides monotonicity pruning and mean-value tightening.
+    One branch-and-bound runs over all edges together, each parameterized
+    by t in [0, 1] through :class:`EdgeKernel`; the derivative of phi^0
+    along the edge provides monotonicity pruning and mean-value tightening.
     """
-    m: Interval | None = None
-    M: Interval | None = None
-    converged = True
-    for a, b in poly.edges():
-        ax, ay = Interval.point(float(a[0])), Interval.point(float(a[1]))
-        vx = Interval.point(float(b[0])) - ax
-        vy = Interval.point(float(b[1])) - ay
-
-        def g(t: Interval) -> Interval:
-            return tf0.phi0_box(ax + vx * t, ay + vy * t)
-
-        def gp(t: Interval) -> Interval:
-            return tf0.phi0_dir_deriv(ax + vx * t, ay + vy * t, vx, vy)
-
-        res = subdivide_min_max(
-            g, Interval(0.0, 1.0), tol=tol, max_depth=max_depth, g_prime=gp
-        )
-        converged = converged and res.converged
-        m = res.m if m is None else Interval(min(m.lo, res.m.lo), min(m.hi, res.m.hi))
-        M = res.M if M is None else Interval(max(M.lo, res.M.lo), max(M.hi, res.M.hi))
-    return m, M, converged
+    kernel = EdgeKernel(tf0, poly)
+    return subdivide_min_max(kernel, kernel.roots, tol=tol, max_depth=max_depth)
 
 
 def make_enclosure_pair(sol: MfsSolution) -> tuple[TestFunction2D, TestFunction2D]:
@@ -129,12 +200,14 @@ def solve(
         sources=sources,
         coeffs=coeffs,
     )
-    m, M, converged = boundary_extrema(tf0, poly, tol=tol)
+    res = boundary_extrema(tf0, poly, tol=tol)
     return MfsSolution(
         tf0=tf0,
         residual_report=residual,
-        m=m,
-        M=M,
+        m=res.m,
+        M=res.M,
         cond_estimate=cond,
-        extrema_converged=converged,
+        extrema_converged=res.converged,
+        extrema_evaluations=res.evaluations,
+        extrema_depth=res.depth,
     )

@@ -534,7 +534,9 @@ def build_super(
     increments the discrete source next to every subinterval where the
     rigorous check fails (undecided counts as failed), until every
     subinterval certifies.  All increments of a sweep are applied before
-    the re-solve.
+    the re-solve.  With eps = 0 a failed sweep would only repeat itself,
+    so it raises at once; a source with sup |f| = 0 then gets the exact
+    constant super-solution c.
     """
     if c < 0.0:
         raise DomainError("boundary shift c must be nonnegative")
@@ -542,6 +544,9 @@ def build_super(
     ev = GreenEvaluator(f)
     if eps is None:
         eps = 0.25 * h * ev.sup_abs_source()
+    if eps == 0.0 and ev.sup_abs_source() == 0.0:
+        grid = GridFunction1D(h, np.full(n + 2, float(c)), c)
+        return BuildResult(grid=grid, iterations=0, eps=eps, c=c)
     nodes = np.arange(1, n + 1) * h
     fbar = _point_source_values(f, nodes)
     for it in range(max_iters):
@@ -554,6 +559,11 @@ def build_super(
         ]
         if not bad:
             return BuildResult(grid=grid, iterations=it, eps=eps, c=c)
+        if eps == 0.0:
+            raise CertificationError(
+                f"{len(bad)} subintervals fail with eps = 0 (h={h}, c={c}); "
+                "every further sweep would re-solve the same grid"
+            )
         for i in bad:
             if 1 <= i <= n:
                 fbar[i - 1] += eps

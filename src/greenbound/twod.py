@@ -269,6 +269,8 @@ def enclose_point(
         "m": (sol.m.lo, sol.m.hi),
         "M": (sol.M.lo, sol.M.hi),
         "extrema_converged": sol.extrema_converged,
+        "extrema_evaluations": sol.extrema_evaluations,
+        "extrema_depth": sol.extrema_depth,
         "n_collocation": mfs_cfg.n,
         "sign": verdict.value if verdict is not None else "split",
     }

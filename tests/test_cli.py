@@ -89,6 +89,30 @@ class TestEnclose1D:
         path = write(tmp_path, "p.json", interval_problem(oned={"h": 1.0 / 49.0}))
         assert main(["enclose1d", path]) == 2
 
+    @pytest.mark.parametrize("oned", [
+        {"h": 0.0}, {"h": -0.25}, {"c": -1.0}, {"eps_factor": 0.0}, {"eps_factor": -0.5},
+    ])
+    def test_out_of_range_config_rejected_at_load(self, tmp_path, capsys, oned):
+        path = write(tmp_path, "p.json", interval_problem(oned=oned))
+        assert main(["enclose1d", path]) == 2
+        assert "problem file rejected" in capsys.readouterr().err
+
+    def test_negative_c_flag_is_input_error(self, tmp_path):
+        path = write(tmp_path, "p.json", interval_problem())
+        assert main(["enclose1d", path, "--c", "-0.01"]) == 2
+
+    def test_zero_source_gives_zero_table_quickly(self, tmp_path):
+        import time
+
+        path = write(tmp_path, "p.json", interval_problem(source="0"))
+        out = tmp_path / "zero.csv"
+        t0 = time.perf_counter()
+        assert main(["enclose1d", path, "--out", str(out)]) == 0
+        assert time.perf_counter() - t0 < 5.0
+        for line in out.read_text().strip().splitlines()[1:]:
+            _x, lo, hi = map(float, line.split(","))
+            assert lo == 0.0 == hi
+
 
 class TestEnclose2D:
     def test_square_row(self, tmp_path):
@@ -127,6 +151,12 @@ class TestEnclose2D:
         payload["unexpected"] = 1
         path = write(tmp_path, "p.json", payload)
         assert main(["enclose2d", path]) == 2
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    def test_nonpositive_mfs_tol_rejected_at_load(self, tmp_path, capsys, tol):
+        path = write(tmp_path, "p.json", square_problem(mfs={"n": 33, "tol": tol}))
+        assert main(["enclose2d", path]) == 2
+        assert "problem file rejected" in capsys.readouterr().err
 
     def test_missing_schema_version(self, tmp_path):
         payload = square_problem()

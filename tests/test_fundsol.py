@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from greenbound import _directed as dr
 from greenbound.errors import DomainError
 from greenbound.fundsol import (
     Kernel,
@@ -160,3 +162,67 @@ def test_harmonicity_five_point_laplacian():
     # second-order decrease: the h^2-scaled defect stays bounded and small
     assert defects[1] < 1e-4
     assert defects[0] < 1e-6 or defects[1] <= defects[0] * 1.5
+
+
+class TestRowSum:
+    """iv_dot reduces the last axis; each row must contain the exact sum."""
+
+    ROWS = {
+        "cancellation": ([1e16, 1.0, -1e16, 3.0, -2.0, 0.1, -0.1],
+                         [1.0, 0.7, 1.0, 0.3, 1.1, 3.0, 3.0]),
+        "magnitudes": ([1e300, 1e-300, -1e300, 2.5e-200, 7.0, -3e150, 3e150],
+                       [0.5, 3.0, 0.5, -1.25, 0.1, 1.0, 1.0]),
+        "subnormal": ([5e-324, 1e-310, -3e-320, 2e-308, -1e-315, 4e-323, 1e-300],
+                      [1.0, -0.75, 0.3, 1e-8, 3.0, -0.5, -1e-10]),
+    }
+
+    @staticmethod
+    def exact(weights, lo, hi):
+        lower = sum(min(Fraction(w) * Fraction(a), Fraction(w) * Fraction(b))
+                    for w, a, b in zip(weights, lo, hi))
+        upper = sum(max(Fraction(w) * Fraction(a), Fraction(w) * Fraction(b))
+                    for w, a, b in zip(weights, lo, hi))
+        return lower, upper
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_point_rows_contain_exact_sum(self, name):
+        values, weights = (np.array(x) for x in self.ROWS[name])
+        rng = np.random.default_rng(7)
+        rows = np.array([values[rng.permutation(len(values))] for _ in range(20)])
+        w = weights  # the same weights for every row, broadcast
+        lo, hi = dr.iv_dot(w, rows, rows)
+        assert lo.shape == (20,)
+        for k in range(20):
+            want, _ = self.exact(w, rows[k], rows[k])
+            assert Fraction(lo[k]) <= want <= Fraction(hi[k])
+
+    def test_interval_rows_contain_exact_range(self):
+        rng = np.random.default_rng(8)
+        mid = rng.normal(size=(50, 40)) * 10.0 ** rng.integers(-30, 30, (50, 40))
+        rad = np.abs(mid) * 10.0 ** rng.integers(-16, 0, (50, 40))
+        w = rng.normal(size=40) * 10.0 ** rng.integers(-5, 5, 40)
+        lo, hi = dr.iv_dot(w, mid - rad, mid + rad)
+        for k in range(50):
+            want_lo, want_hi = self.exact(w, mid[k] - rad[k], mid[k] + rad[k])
+            assert Fraction(lo[k]) <= want_lo and want_hi <= Fraction(hi[k])
+
+    def test_cancelling_row_sum_stays_a_few_ulps_of_the_result(self):
+        """The summation adds no gamma_n sum |terms| slop: only the outward
+        rounding of the products widens iv_dot under cancellation."""
+        row = np.array([[1e16, 1.0, -1e16, 0.5, 3e-17, -3e-17, 0.1, -0.1]])
+        lo, hi = dr._row_sums(row)
+        assert lo[0] <= 1.5 <= hi[0]
+        assert hi[0] - lo[0] <= 8 * np.spacing(1.5)  # gamma_n sum |terms| would be ~15
+
+    def test_add_and_sub_round_outward(self):
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=200) * 10.0 ** rng.integers(-20, 20, 200)
+        b = rng.normal(size=200) * 10.0 ** rng.integers(-20, 20, 200)
+        for (lo, hi), sign in ((dr.iv_add(a, a, b, b), 1), (dr.iv_sub(a, a, b, b), -1)):
+            for k in range(200):
+                exact = Fraction(a[k]) + sign * Fraction(b[k])
+                assert Fraction(lo[k]) <= exact <= Fraction(hi[k])
+
+    def test_empty_rows_sum_to_zero(self):
+        lo, hi = dr.iv_dot(np.ones(0), np.zeros((3, 0)), np.zeros((3, 0)))
+        assert np.all(lo == 0.0) and np.all(hi == 0.0)

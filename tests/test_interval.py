@@ -1,14 +1,17 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from greenbound import _directed as dr
 from greenbound.errors import DomainError
 from greenbound.interval import (
     HALF_PI,
     PI,
+    BoxEvaluator,
     Interval,
     arith,
     elem,
@@ -139,12 +142,23 @@ def test_containment_random(a, b):
         assert mp.mpf(r.lo) <= mp.sqrt(x) <= mp.mpf(r.hi)
 
 
+def _sub_interval(a: Interval, s: float, t: float) -> Interval:
+    """Sub-interval of a with endpoints at fractions s and t of its width,
+    clamped into a and ordered, so rounding can never leave a."""
+    p, q = (min(max(a.lo + f * (a.hi - a.lo), a.lo), a.hi) for f in (s, t))
+    return Interval(min(p, q), max(p, q))
+
+
+_frac = st.floats(0, 1)
+
+
 @settings(max_examples=200, deadline=None)
-@given(intervals(), intervals(), st.floats(0, 1), st.floats(0, 1))
-def test_inclusion_monotonicity(a, b, s, t):
+@given(intervals(), intervals(), _frac, _frac, _frac, _frac)
+@example(Interval(0.0, 0.0), Interval(-9.49, 23.0), 0.5, 0.5, 0.5, 0.5)
+def test_inclusion_monotonicity(a, b, s1, s2, t1, t2):
     """a in a', b in b' implies op(a, b) in op(a', b')."""
-    sub_a = Interval(a.lo + s * (a.mid() - a.lo), a.hi - s * (a.hi - a.mid()))
-    sub_b = Interval(b.lo + t * (b.mid() - b.lo), b.hi - t * (b.hi - b.mid()))
+    sub_a = _sub_interval(a, s1, s2)
+    sub_b = _sub_interval(b, t1, t2)
     for op in ("add", "sub", "mul"):
         big = arith(op, a, b)
         small = arith(op, sub_a, sub_b)
@@ -204,6 +218,78 @@ class TestSubdivideMinMax:
     def test_tol_validation(self):
         with pytest.raises(DomainError):
             subdivide_min_max(lambda t: t, Interval(0, 1), tol=0.0)
+
+
+class _Parabolas(BoxEvaluator):
+    """g_r(t) = (t - c_r)^2 + e_r on root r, in directed array arithmetic."""
+
+    has_derivative = True
+
+    def __init__(self, centers, offsets):
+        self.c = np.asarray(centers, dtype=float)
+        self.e = np.asarray(offsets, dtype=float)
+        self.calls = 0
+
+    def __call__(self, root, lo, hi, deriv):
+        self.calls += 1
+        c, e = self.c[root], self.e[root]
+        dlo, dhi = dr.iv_sub(lo, hi, c, c)
+        out = dr.iv_add(*dr.iv_sqr(dlo, dhi), e, e)
+        if deriv:
+            out += (2.0 * dlo, 2.0 * dhi)
+        return out
+
+
+class TestBatchedMinMax:
+    ROOTS = [Interval(0, 1), Interval(-2, 0.5), Interval(3, 3.5)]
+    CENTERS = [0.3, -1.0, 3.1]
+    OFFSETS = [0.5, -0.25, 0.0]
+
+    def test_global_extrema_over_all_roots(self):
+        g = _Parabolas(self.CENTERS, self.OFFSETS)
+        res = subdivide_min_max(g, self.ROOTS, tol=1e-12, max_depth=60)
+        assert res.converged
+        assert_contains(res.m, -0.25)  # vertex of root 1
+        assert_contains(res.M, 2.0)  # t = 0.5 on root 1
+        assert res.m.width() <= 1e-12 and res.M.width() <= 1e-12
+
+    def test_matches_hull_of_single_root_runs(self):
+        whole = subdivide_min_max(_Parabolas(self.CENTERS, self.OFFSETS), self.ROOTS,
+                                  tol=1e-10)
+        for r, (c, e) in enumerate(zip(self.CENTERS, self.OFFSETS)):
+            single = subdivide_min_max(lambda t: (t - c).sqr() + e, self.ROOTS[r],
+                                       tol=1e-10, g_prime=lambda t: (t - c) * 2.0)
+            assert whole.m.lo <= single.m.hi and whole.M.hi >= single.M.lo
+        # one evaluator call per level (boxes, then points), not per box
+        g = _Parabolas(self.CENTERS, self.OFFSETS)
+        res = subdivide_min_max(g, self.ROOTS, tol=1e-10)
+        assert g.calls <= 2 * res.depth + 3
+
+    def test_root_inside_the_range_stops_refining(self):
+        """A root whose values cannot move m or M is dropped at once."""
+
+        class Humps(BoxEvaluator):  # s_r (t - t^2) + e_r, natural extension
+            def __init__(self, scale, offset):
+                self.s, self.e = np.asarray(scale), np.asarray(offset)
+
+            def __call__(self, root, lo, hi, deriv):
+                q = dr.iv_sub(lo, hi, *dr.iv_mul(lo, hi, lo, hi))
+                return dr.iv_add(*dr.iv_mul(*q, self.s[root], self.s[root]),
+                                 self.e[root], self.e[root])
+
+        lone = subdivide_min_max(Humps([1.0], [0.0]), [Interval(0, 1)], tol=1e-9)
+        both = subdivide_min_max(Humps([1.0, 0.1], [0.0, 0.1]),
+                                 [Interval(0, 1), Interval(0.3, 0.7)], tol=1e-9)
+        assert lone.depth > 10
+        assert both.evaluations <= lone.evaluations + 4  # 3 points and the root box
+        assert both.M.encloses(lone.M) and both.m.encloses(lone.m)
+        assert_contains(both.M, 0.25)
+
+    def test_scalar_and_point_roots_mix(self):
+        res = subdivide_min_max(lambda t: t.sqr(), [Interval(2, 2), Interval(-1, 1)],
+                                g_prime=lambda t: t * 2.0, tol=1e-12)
+        assert_contains(res.M, 4.0)
+        assert_contains(res.m, 0.0)
 
 
 def test_hull_intersect():

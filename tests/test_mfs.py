@@ -4,10 +4,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from greenbound.errors import DomainError
+
 from greenbound.fundsol import TestFunction2D
 from greenbound.geometry import discretize_boundary, amano_sources
 from greenbound.interval import Interval
+from greenbound.geometry import Polygon
 from greenbound.mfs import (
+    EdgeKernel,
     boundary_extrema,
     make_enclosure_pair,
     solve,
@@ -56,7 +60,8 @@ class TestBoundaryExtrema:
         tf0 = TestFunction2D(
             (0.0, 0.0), 1.0, np.zeros((0, 2)), np.zeros(0)
         )
-        m, M, converged = boundary_extrema(tf0, centered_square, tol=1e-10)
+        res = boundary_extrema(tf0, centered_square, tol=1e-10)
+        m, M, converged = res.m, res.M, res.converged
         want_max = float(-mp.log(0.5) / (2 * mp.pi))
         want_min = float(-mp.log(mp.sqrt(2) / 2) / (2 * mp.pi))
         assert converged
@@ -124,3 +129,96 @@ class TestEnclosurePair:
         span_coarse = coarse.M.hi - coarse.m.lo
         span_fine = fine.M.hi - fine.m.lo
         assert span_fine <= span_coarse + 1e-15
+
+
+def _edge_boxes(poly, rng, n):
+    """n random t-boxes (a quarter of them points) on random edges."""
+    e = rng.integers(0, len(poly.vertices), n)
+    t = rng.random(n)
+    w = np.where(rng.random(n) < 0.25, 0.0, 10.0 ** rng.integers(-12, 0, n))
+    return e, np.maximum(0.0, t - w), np.minimum(1.0, t + w)
+
+
+def _edge_point_boxes(poly, e, lo, hi):
+    """The box a + v T of each t-box, in scalar interval arithmetic."""
+    for k in range(len(e)):
+        a, b = poly.edges()[e[k]]
+        ax, ay = Interval.point(a[0]), Interval.point(a[1])
+        vx, vy = Interval.point(b[0]) - ax, Interval.point(b[1]) - ay
+        t = Interval(lo[k], hi[k])
+        yield ax + vx * t, ay + vy * t, vx, vy
+
+
+class TestEdgeKernel:
+    def test_axis_aligned_overlaps_and_no_wider_than_box_forms(self, centered_square):
+        pts, src = square_setup(centered_square, n=33)
+        tf0 = solve(centered_square, pts, src, (0.1, -0.2)).tf0
+        kernel = EdgeKernel(tf0, centered_square)
+        e, lo, hi = _edge_boxes(centered_square, np.random.default_rng(3), 200)
+        glo, ghi, dlo, dhi = kernel(e, lo, hi, True)
+        for k, (bx, by, vx, vy) in enumerate(_edge_point_boxes(centered_square, e, lo, hi)):
+            val, der = tf0.phi0_box(bx, by), tf0.phi0_dir_deriv(bx, by, vx, vy)
+            new_val, new_der = Interval(glo[k], ghi[k]), Interval(dlo[k], dhi[k])
+            assert new_val.intersects(val) and new_der.intersects(der)
+            assert new_val.width() <= val.width() + 4 * np.spacing(val.mag())
+            assert new_der.width() <= der.width() + 4 * np.spacing(der.mag())
+
+    def test_slanted_edges_contain_mpmath_values(self):
+        hexagon = Polygon([[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)]
+                           for k in range(6)])
+        pts = discretize_boundary(hexagon, 24)
+        src = amano_sources(hexagon, pts, lambda p: 1.2)
+        tf0 = solve(hexagon, pts, src, (0.2, -0.1)).tf0
+        kernel = EdgeKernel(tf0, hexagon)
+        rng = np.random.default_rng(4)
+        e = rng.integers(0, 6, 200)
+        t = rng.random(200)
+        box_lo, box_hi = np.maximum(0.0, t - 1e-3), np.minimum(1.0, t + 1e-3)
+        kernels = [(tf0.a_int, tf0.s_int)] + list(zip(tf0.coeffs, tf0.sources))
+        for lo, hi in ((t, t), (box_lo, box_hi)):
+            glo, ghi, dlo, dhi = kernel(e, lo, hi, True)
+            for k in range(200):
+                a, b = (np.asarray(p, dtype=float) for p in hexagon.edges()[e[k]])
+                vx, vy = mp.mpf(b[0]) - mp.mpf(a[0]), mp.mpf(b[1]) - mp.mpf(a[1])
+                x = mp.mpf(a[0]) + vx * mp.mpf(t[k])
+                y = mp.mpf(a[1]) + vy * mp.mpf(t[k])
+                val = der = mp.mpf(0)
+                for w, (sx, sy) in kernels:
+                    dx, dy = x - mp.mpf(sx), y - mp.mpf(sy)
+                    d2 = dx * dx + dy * dy
+                    val += mp.mpf(w) * mp.log(d2) / (-4 * mp.pi)
+                    der += mp.mpf(w) * (dx * vx + dy * vy) / d2 / (-2 * mp.pi)
+                assert mp.mpf(glo[k]) <= val <= mp.mpf(ghi[k])
+                assert mp.mpf(dlo[k]) <= der <= mp.mpf(dhi[k])
+
+    def test_source_on_an_edge_is_a_domain_error(self, centered_square):
+        tf0 = TestFunction2D((0.0, 0.0), 1.0, np.array([[0.5, 0.1]]), np.array([0.3]))
+        kernel = EdgeKernel(tf0, centered_square)
+        e = np.arange(4)
+        with pytest.raises(DomainError):
+            kernel(e, np.zeros(4), np.ones(4), True)
+
+    def test_exact_geometry_is_rounded_outward_once(self):
+        from fractions import Fraction
+
+        from greenbound.mfs import _round_out, _scaled_ints
+
+        ints, k = _scaled_ints([0.1, -3.0, 2.0**-60, 0.0])
+        assert [Fraction(n, 2**k) for n in ints] == [
+            Fraction(0.1), Fraction(-3), Fraction(2.0**-60), 0]
+        assert _round_out(1, 4) == (0.25, 0.25)
+        for p, q in ((1, 3), (-2, 7), (10**40 + 1, 3**80)):
+            lo, hi = _round_out(p, q)
+            assert Fraction(lo) < Fraction(p, q) < Fraction(hi)
+            assert hi == np.nextafter(lo, np.inf)
+
+    def test_chunked_evaluation_is_bit_identical(self, centered_square):
+        pts, src = square_setup(centered_square, n=33)
+        tf0 = solve(centered_square, pts, src, (0.0, 0.0)).tf0
+        e, lo, hi = _edge_boxes(centered_square, np.random.default_rng(5), 300)
+        whole = EdgeKernel(tf0, centered_square)
+        whole.chunk = 300
+        chunked = EdgeKernel(tf0, centered_square)
+        assert chunked.chunk < 300
+        for x, y in zip(whole(e, lo, hi, True), chunked(e, lo, hi, True)):
+            assert np.array_equal(x, y)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -234,6 +235,22 @@ class TestBuild:
     def test_iteration_cap_raises(self):
         with pytest.raises(CertificationError):
             build_super(ONE, 2.0**-4, 0.0, max_iters=1)
+
+    def test_zero_source_exact_zero_pair_quickly(self):
+        t0 = time.perf_counter()
+        zero = parse("0")
+        up = build_super(zero, 2.0**-9, 0.0)
+        lo = build_sub(zero, 2.0**-9, 0.0)
+        assert time.perf_counter() - t0 < 5.0
+        assert up.iterations == 0 and lo.iterations == 0
+        assert up.eps == 0.0
+        assert np.all(up.grid.values == 0.0) and np.all(lo.grid.values == 0.0)
+
+    def test_eps_zero_failed_sweep_raises_at_once(self):
+        t0 = time.perf_counter()
+        with pytest.raises(CertificationError, match="eps = 0"):
+            build_super(ONE, 2.0**-3, 0.0, eps=0.0)
+        assert time.perf_counter() - t0 < 5.0
 
 
 class TestSweep:
