@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedError,
 )
 from .expr import PiecewiseSource1D, SourceExpr, parse
-from .fundsol import Kernel, TestFunction2D, eval_phi, gamma, phi_minus_singular
+from .fundsol import TestFunction2D, gamma
 from .geometry import (
     CornerRefine,
     PointSet,
@@ -28,13 +28,11 @@ from .geometry import (
     Triangle,
     amano_sources,
     discretize_boundary,
-    triangulate_from,
 )
 from .interval import Box2, Interval, subdivide_min_max
-from .mfs import MfsSolution, boundary_extrema, make_enclosure_pair, solve_coefficients
+from .mfs import MfsSolution, boundary_extrema, solve_coefficients
 from .oned import (
     BuildResult,
-    TestFunction1D,
     GreenEvaluator,
     GridFunction1D,
     Verdict,
@@ -46,8 +44,8 @@ from .oned import (
     optimal_constant_bounds,
     sweep,
 )
-from .quad import QuadConfig, log_moment, pair_f_phi, regular_triangle, singular_triangle
-from .taylor import TaylorModel2, tm_arith, tm_compose_elem, tm_from_expr
+from .quad import QuadConfig, log_moment, pair_f_phi, singular_triangle
+from .taylor import TaylorModel2, tm_compose_elem, tm_from_expr
 from .twod import (
     EnclosureResult,
     MfsConfig,

@@ -82,13 +82,6 @@ def iv_mul(alo, ahi, blo, bhi):
     return next_down(lo), next_up(hi)
 
 
-def iv_scale(lo, hi, c: float):
-    """Multiply an interval array by an exact float scalar."""
-    if c >= 0.0:
-        return next_down(lo * c), next_up(hi * c)
-    return next_down(hi * c), next_up(lo * c)
-
-
 def iv_sqr(lo, hi):
     a = np.abs(lo)
     b = np.abs(hi)
@@ -104,12 +97,6 @@ def iv_log(lo, hi):
     if np.any(lo <= 0.0):
         raise DomainError("log of interval array touching nonpositive reals")
     return _down_n(np.log(lo), _NP_LIBM_ULPS), _up_n(np.log(hi), _NP_LIBM_ULPS)
-
-
-def iv_sqrt(lo, hi):
-    if np.any(lo < 0.0):
-        raise DomainError("sqrt of interval array with negative part")
-    return np.maximum(0.0, next_down(np.sqrt(lo))), next_up(np.sqrt(hi))
 
 
 def iv_div(alo, ahi, blo, bhi):

@@ -7,14 +7,16 @@ Subcommands
     nodal table (x, lower, upper) and a gap summary.  ``--sweep`` runs the
     mesh study instead and writes (h, c, eps, iterations, max_gap) rows.
 
-``greenbound enclose2d problem.json [--out PATH] [--threads N] [--emit-plot]``
+``greenbound enclose2d problem.json [--out PATH] [--threads N]``
     Pointwise enclosures on a polygon; writes CSV rows
-    point_x, point_y, lower, upper, width, rel_error.
+    point_x, point_y, lower, upper, width, rel_error.  ``--threads`` runs
+    the points in that many worker processes.
 
 ``greenbound selftest``
     Fast containment/identity checks; nonzero exit on any failure.
 
-Exit codes: 0 ok, 2 invalid input, 3 engine failure, 4 sign-indefinite
+Exit codes: 0 ok, 2 invalid input (also any problem-file key or flag not
+listed in ``PROBLEM_SCHEMA`` or here), 3 engine failure, 4 sign-indefinite
 source without a supplied split.
 """
 
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from typing import Optional
@@ -32,7 +33,7 @@ import jsonschema
 from . import oned as _oned
 from . import twod as _twod
 from .errors import GreenboundError, InputError, NeedsSplitError
-from .expr import PiecewiseSource1D, SourceExpr, parse
+from .expr import PiecewiseSource1D, parse
 from .geometry import Polygon
 from .interval import Interval
 from .quad import QuadConfig
@@ -107,8 +108,8 @@ PROBLEM_SCHEMA = {
             "type": "object",
             "properties": {
                 "n": {"type": "integer", "minimum": 3},
-                "R_far": {"type": "number"},
-                "R_near": {"type": "number"},
+                "R_far": {"type": "number", "exclusiveMinimum": 1},
+                "R_near": {"type": "number", "exclusiveMinimum": 1},
                 "corner": {
                     "type": "array",
                     "items": {"type": "number"},
@@ -124,9 +125,7 @@ PROBLEM_SCHEMA = {
             "properties": {
                 "deg_u": {"type": "integer", "minimum": 1},
                 "deg_k": {"type": "integer", "minimum": 1},
-                "subdiv": {"type": "integer", "minimum": 1},
                 "fan_splits": {"type": "integer", "minimum": 1},
-                "tol": {"type": "number"},
             },
             "additionalProperties": False,
         },
@@ -272,8 +271,6 @@ def _cmd_enclose2d(args) -> int:
     quad_raw = problem.get("quad", {})
     quad_cfg = QuadConfig(
         tm_degrees=(quad_raw.get("deg_k", 8), quad_raw.get("deg_u", 8)),
-        regular_subdiv=quad_raw.get("subdiv", 16),
-        tol=quad_raw.get("tol", 1e-10),
         fan_splits=quad_raw.get("fan_splits", 1),
     )
     t0 = time.time()
@@ -282,9 +279,6 @@ def _cmd_enclose2d(args) -> int:
         threads=args.threads,
     )
     _write_out(_twod.batch_csv(items), args.out)
-    if args.emit_plot:
-        plot_path = (args.out or "enclosure") + ".plot.csv"
-        _write_out(_twod.batch_csv(items), plot_path)
     failures = [item for item in items if item.result is None]
     for item in failures:
         print(f"point {item.point}: {item.error}", file=sys.stderr)
@@ -379,15 +373,12 @@ def main(argv=None) -> int:
     p1.add_argument("--c", type=float, default=None, help="boundary shift override")
     p1.add_argument("--sweep", action="store_true", help="run the mesh study")
     p1.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p1.add_argument("--threads", type=int, default=1)
-    p1.add_argument("--emit-plot", action="store_true")
     p1.set_defaults(fn=_cmd_enclose1d)
 
     p2 = sub.add_parser("enclose2d", help="pointwise 2D enclosures")
     p2.add_argument("problem", help="problem file (JSON, schema 1)")
     p2.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p2.add_argument("--threads", type=int, default=1)
-    p2.add_argument("--emit-plot", action="store_true")
     p2.set_defaults(fn=_cmd_enclose2d)
 
     p3 = sub.add_parser("selftest", help="fast verification subset")

@@ -1,24 +1,20 @@
-"""Fundamental solutions and the combined test-function object.
+"""Fundamental solutions and the MFS candidate test function.
 
-The Laplace kernels are -|x-s|/2 in 1D and -(1/(2 pi)) log |x-s| in 2D; the
-2D kernel is evaluated internally as -(1/(4 pi)) log |x-s|^2 so no square
-root enters the hot path.  A 2D test function is
+The 2D Laplace kernel is -(1/(2 pi)) log |x-s|, evaluated internally as
+-(1/(4 pi)) log |x-s|^2 so no square root enters the hot path.  A test
+function is
 
-    phi(x) = a_int * Gamma(s_int, x) + sum_i a_i Gamma(s_i, x) + C,
+    phi^0(x) = a_int * Gamma(s_int, x) + sum_i a_i Gamma(s_i, x),
 
-with the exterior sources and the constant shift forming the harmonic part.
-Box evaluations over all sources are vectorized with directed rounding; the
-shift is carried as an interval so rigorous boundary bounds propagate
-without premature rounding.
-
-The N >= 3 kernel 1 / ((N-2) omega_N |x-s|^(N-2)) is intentionally not
-implemented; constructing a Kernel with dim >= 3 is rejected.
+with the exterior sources forming the harmonic part.  Box evaluations over
+all sources are vectorized with directed rounding.  The enclosure pair
+phi^0 - m and phi^0 - M differs from phi^0 only by a constant, which the
+pairing applies as shift * integral(f) (:func:`greenbound.quad.pair_f_phi`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +22,7 @@ from . import _directed as dr
 from .errors import DomainError
 from .interval import PI, Interval
 
-__all__ = ["Kernel", "TestFunction2D", "gamma", "eval_phi", "phi_minus_singular",
-           "INV_2PI", "INV_4PI"]
+__all__ = ["TestFunction2D", "gamma", "INV_2PI", "INV_4PI"]
 
 INV_2PI = Interval(1.0, 1.0) / (PI * 2.0)
 INV_4PI = Interval(1.0, 1.0) / (PI * 4.0)
@@ -35,24 +30,12 @@ NEG_INV_2PI = -INV_2PI
 NEG_INV_4PI = -INV_4PI
 
 
-@dataclass(frozen=True, slots=True)
-class Kernel:
-    dim: int
-
-    def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise DomainError(f"only dimensions 1 and 2 are supported, got {self.dim}")
-
-
 def _as_interval(v) -> Interval:
     return v if isinstance(v, Interval) else Interval.point(float(v))
 
 
-def gamma(kernel: Kernel, s, x) -> Interval:
+def gamma(s, x) -> Interval:
     """Rigorous enclosure of Gamma(s, x); x may be a point or a box."""
-    if kernel.dim == 1:
-        dx = _as_interval(x) - float(s)
-        return abs(dx) * (-0.5)
     sx, sy = float(s[0]), float(s[1])
     bx, by = x
     dx = _as_interval(bx) - sx
@@ -67,13 +50,12 @@ def gamma(kernel: Kernel, s, x) -> Interval:
 
 @dataclass(frozen=True)
 class TestFunction2D:
-    """a_int * Gamma(s_int, .) + sum_i a_i Gamma(s_i, .) + shift."""
+    """a_int * Gamma(s_int, .) + sum_i a_i Gamma(s_i, .)."""
 
     s_int: tuple
     a_int: float
     sources: np.ndarray  # (n, 2)
     coeffs: np.ndarray  # (n,)
-    shift: Interval = field(default_factory=lambda: Interval(0.0, 0.0))
 
     def __post_init__(self):
         if self.a_int == 0.0:
@@ -85,9 +67,6 @@ class TestFunction2D:
         object.__setattr__(self, "sources", src)
         object.__setattr__(self, "coeffs", cof)
         object.__setattr__(self, "s_int", (float(self.s_int[0]), float(self.s_int[1])))
-
-    def with_shift(self, shift: Interval) -> "TestFunction2D":
-        return TestFunction2D(self.s_int, self.a_int, self.sources, self.coeffs, shift)
 
     # -- rigorous evaluations -----------------------------------------
 
@@ -109,12 +88,8 @@ class TestFunction2D:
 
     def phi0_box(self, bx: Interval, by: Interval) -> Interval:
         """Enclosure of phi^0 = a_int Gamma(s_int, .) + sum a_i Gamma(s_i, .)."""
-        k2 = Kernel(2)
-        total = gamma(k2, self.s_int, (bx, by)) * self.a_int
+        total = gamma(self.s_int, (bx, by)) * self.a_int
         return total + self._sources_term(bx, by)
-
-    def phi_box(self, bx: Interval, by: Interval) -> Interval:
-        return self.phi0_box(bx, by) + self.shift
 
     def phi0_dir_deriv(
         self, bx: Interval, by: Interval, vx: Interval, vy: Interval
@@ -153,14 +128,3 @@ class TestFunction2D:
             vals = vals + (-0.25 / np.pi) * (np.log(d2) @ self.coeffs)
         return vals
 
-
-def eval_phi(tf: TestFunction2D, x) -> Interval:
-    """Rigorous phi(x) at a point (x, y) or box (Interval, Interval)."""
-    bx, by = x
-    return tf.phi_box(_as_interval(bx), _as_interval(by))
-
-
-def phi_minus_singular(tf: TestFunction2D, x) -> Interval:
-    """Rigorous enclosure of the smooth part sum a_i Gamma(s_i, .) + shift."""
-    bx, by = x
-    return tf._sources_term(_as_interval(bx), _as_interval(by)) + tf.shift

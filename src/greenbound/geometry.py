@@ -7,9 +7,8 @@ Exterior sources follow the Amano arrangement
     s_k = x_k - (i r_k / 2) (x_{k+1} - x_{k-1}),   r_k = (R_k - 1) / sin(2 pi / n),
 
 i.e. each collocation point is pushed outward along the neighbor chord
-rotated by -90 degrees.  Triangulation fans from the evaluation point when
-the polygon is star-shaped with respect to it, and falls back to ear
-clipping plus a local split otherwise.
+rotated by -90 degrees.  Ear clipping triangulates the polygon for the
+sign certification of sources.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, PlacementError
+from .errors import GeometryError, PlacementError
 
 __all__ = [
     "Polygon",
@@ -29,7 +28,6 @@ __all__ = [
     "CornerRefine",
     "discretize_boundary",
     "amano_sources",
-    "triangulate_from",
 ]
 
 
@@ -135,19 +133,6 @@ class Polygon:
             best = min(best, math.hypot(dx, dy))
         return best
 
-    def is_star_from(self, p) -> bool:
-        """All fan triangles (p, v_i, v_{i+1}) positively oriented.
-
-        Because the signed fan areas always sum to the polygon area, an
-        all-positive fan is automatically an exact partition.
-        """
-        scale = self.diameter() ** 2
-        v = self.vertices
-        for i in range(len(v)):
-            if _cross(p, v[i], v[(i + 1) % len(v)]) <= 1e-14 * scale:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class PointSet:
@@ -186,17 +171,6 @@ class Triangle:
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
 
-    def area(self) -> float:
-        v = self.vertices
-        return 0.5 * _cross(v[0], v[1], v[2])
-
-    def contains(self, p, tol: float = 0.0) -> bool:
-        v = self.vertices
-        a = self.area()
-        return all(
-            _cross(v[i], v[(i + 1) % 3], p) >= -tol * a for i in range(3)
-        )
-
 
 @dataclass(frozen=True)
 class CornerRefine:
@@ -204,7 +178,6 @@ class CornerRefine:
 
     corner: tuple
     ratio: float = 0.7
-    min_spacing_frac: float = 0.02
 
 
 def _edge_points_uniform(a, b, k: int) -> np.ndarray:
@@ -332,53 +305,3 @@ def _ear_clip(poly: Polygon) -> list:
             raise GeometryError("no ear found; polygon may be degenerate")
     tris.append(tuple(idx))
     return tris
-
-
-def triangulate_from(poly: Polygon, s_int) -> list:
-    """Conforming triangulation of the polygon with s_int as a vertex.
-
-    Star-shaped case: a fan from s_int (every triangle flags it as the
-    singular vertex).  Otherwise: ear-clip, then split the triangle(s)
-    whose closure contains s_int so that s_int becomes a vertex there.
-    """
-    p = np.asarray(s_int, dtype=float)
-    if poly.locate(p) != 1:
-        raise GeometryError(f"evaluation point {tuple(p)} must be strictly interior")
-    v = poly.vertices
-    if poly.is_star_from(p):
-        tris = []
-        for i in range(len(v)):
-            tris.append(
-                Triangle(np.array([p, v[i], v[(i + 1) % len(v)]]), singular_vertex=0)
-            )
-        return tris
-    out = []
-    scale = poly.diameter() ** 2
-    eps = 1e-13 * scale
-    for i0, i1, i2 in _ear_clip(poly):
-        corners = (v[i0], v[i1], v[i2])
-        d = [_cross(corners[j], corners[(j + 1) % 3], p) for j in range(3)]
-        if min(d) < -eps or max(d) <= eps:
-            # s_int clearly outside (or degenerate contact): keep as is
-            out.append(Triangle(np.array(corners)))
-            continue
-        if min(d) > eps:
-            # strictly inside: split into three
-            for j in range(3):
-                out.append(
-                    Triangle(
-                        np.array([p, corners[j], corners[(j + 1) % 3]]),
-                        singular_vertex=0,
-                    )
-                )
-        else:
-            # on one edge: split the two non-degenerate sub-triangles
-            for j in range(3):
-                if d[j] > eps:
-                    out.append(
-                        Triangle(
-                            np.array([p, corners[j], corners[(j + 1) % 3]]),
-                            singular_vertex=0,
-                        )
-                    )
-    return out

@@ -36,8 +36,6 @@ __all__ = [
     "PI",
     "TWO_PI",
     "HALF_PI",
-    "arith",
-    "elem",
     "hull",
     "intersect",
     "subdivide_min_max",
@@ -357,47 +355,6 @@ class Box2:
 
     u: Interval
     k: Interval
-
-
-# ---------------------------------------------------------------------------
-# String-dispatch front ends
-# ---------------------------------------------------------------------------
-
-_ARITH_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "neg": lambda a, _b: -a,
-}
-
-
-def arith(op: str, a: Interval, b: Optional[Interval] = None) -> Interval:
-    try:
-        fn = _ARITH_OPS[op]
-    except KeyError:
-        raise DomainError(f"unknown arithmetic op {op!r}") from None
-    return fn(a, b)
-
-
-def elem(fn: str, a: Interval, n: Optional[int] = None) -> Interval:
-    if fn == "log":
-        return a.log()
-    if fn == "sqrt":
-        return a.sqrt()
-    if fn == "sin":
-        return a.sin()
-    if fn == "cos":
-        return a.cos()
-    if fn == "exp":
-        return a.exp()
-    if fn == "abs":
-        return abs(a)
-    if fn == "pow_int":
-        if n is None:
-            raise DomainError("pow_int requires an exponent")
-        return a.pow_int(n)
-    raise DomainError(f"unknown elementary function {fn!r}")
 
 
 # ---------------------------------------------------------------------------

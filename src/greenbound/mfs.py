@@ -23,7 +23,7 @@ from .interval import (BoxEvaluator, Interval, MinMaxResult, _next_down, _next_u
                        subdivide_min_max)
 
 __all__ = ["MfsSolution", "EdgeKernel", "solve_coefficients", "boundary_extrema",
-           "make_enclosure_pair", "solve"]
+           "solve"]
 
 
 def solve_coefficients(
@@ -61,7 +61,11 @@ def solve_coefficients(
 
 @dataclass(frozen=True)
 class MfsSolution:
-    """Candidate phi^0 (zero shift) with rigorous boundary extrema."""
+    """Candidate phi^0 with rigorous boundary extrema m and M.
+
+    The enclosure pair is phi^0 - m.lo (nonnegative on the boundary) and
+    phi^0 - M.hi (nonpositive there); it is paired as shifts of phi^0.
+    """
 
     tf0: TestFunction2D
     residual_report: float
@@ -172,17 +176,6 @@ def boundary_extrema(
     """
     kernel = EdgeKernel(tf0, poly)
     return subdivide_min_max(kernel, kernel.roots, tol=tol, max_depth=max_depth)
-
-
-def make_enclosure_pair(sol: MfsSolution) -> tuple[TestFunction2D, TestFunction2D]:
-    """Shifted test functions (phi_upper, phi_lower).
-
-    phi_upper = phi^0 - m uses the outward endpoint m.lo so phi_upper >= 0
-    on the boundary is guaranteed; phi_lower = phi^0 - M uses M.hi.
-    """
-    phi_upper = sol.tf0.with_shift(Interval.point(-sol.m.lo))
-    phi_lower = sol.tf0.with_shift(Interval.point(-sol.M.hi))
-    return phi_upper, phi_lower
 
 
 def solve(

@@ -39,7 +39,6 @@ from .taylor import TaylorModel2
 
 __all__ = [
     "Verdict",
-    "TestFunction1D",
     "GridFunction1D",
     "BuildResult",
     "GreenEvaluator",
@@ -62,48 +61,6 @@ class Verdict(enum.Enum):
     HOLDS = "holds"
     VIOLATED = "violated"
     UNDECIDED = "undecided"
-
-
-@dataclass(frozen=True)
-class TestFunction1D:
-    """The hat kernel of the 1D representation: piecewise linear on (0, s)
-    and (s, 1) with value 1 at s and zero boundary values.  The interior
-    weight 1/(s(1-s)) is carried as an interval so downstream scalings
-    stay rigorous."""
-
-    s: float
-    a_int: Interval
-
-    def __post_init__(self):
-        if not (0.0 < self.s < 1.0):
-            raise DomainError("the peak s must lie strictly inside (0, 1)")
-        check = self.a_int * self.s * (1.0 - self.s)
-        if not check.contains(1.0):
-            raise DomainError("a_int must enclose 1/(s(1-s))")
-
-    @staticmethod
-    def at(s: float) -> "TestFunction1D":
-        s = float(s)
-        denom = Interval.point(s) * Interval.point(1.0 - s)
-        return TestFunction1D(s, Interval(1.0, 1.0) / denom)
-
-    def hat(self, x: Interval) -> Interval:
-        """Rigorous value of the hat at x (clipped to [0, 1])."""
-        x = Interval(min(max(x.lo, 0.0), 1.0), min(max(x.hi, 0.0), 1.0))
-        s = Interval.point(self.s)
-        pieces = []
-        if x.lo < self.s:
-            left = Interval(x.lo, min(x.hi, self.s))
-            pieces.append(left / s)
-        if x.hi > self.s:
-            right = Interval(max(x.lo, self.s), x.hi)
-            pieces.append((1.0 - right) / (1.0 - s))
-        if not pieces:
-            pieces.append(Interval(1.0, 1.0))
-        out = pieces[0]
-        for p in pieces[1:]:
-            out = hull(out, p)
-        return out
 
 
 def _negated(f: Source1D) -> Source1D:
@@ -515,12 +472,6 @@ def _fd_solve(fbar: np.ndarray, h: float) -> np.ndarray:
     return x
 
 
-def _point_source_values(f: Source1D, nodes: np.ndarray) -> np.ndarray:
-    if isinstance(f, PiecewiseSource1D):
-        return np.array([f.eval_point(x) for x in nodes])
-    return np.array([f.eval_point(x) for x in nodes])
-
-
 def build_super(
     f: Source1D,
     h: float,
@@ -548,7 +499,7 @@ def build_super(
         grid = GridFunction1D(h, np.full(n + 2, float(c)), c)
         return BuildResult(grid=grid, iterations=0, eps=eps, c=c)
     nodes = np.arange(1, n + 1) * h
-    fbar = _point_source_values(f, nodes)
+    fbar = np.array([f.eval_point(x) for x in nodes])
     for it in range(max_iters):
         interior = _fd_solve(fbar, h)
         grid = GridFunction1D(h, np.concatenate(([c], interior + c, [c])), c)

@@ -27,10 +27,9 @@ exterior-source kernels with one code path.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,11 +37,11 @@ from . import expr as _expr
 from .errors import DomainError, UnsupportedError
 from .fundsol import NEG_INV_4PI, TestFunction2D
 from .geometry import Polygon, Triangle
-from .interval import Box2, Interval, intersect
+from .interval import PI, Box2, Interval, intersect
 from .taylor import TaylorModel2
 
-__all__ = ["QuadConfig", "log_moment", "singular_triangle", "regular_triangle",
-           "pair_f_phi", "integrate_source"]
+__all__ = ["QuadConfig", "log_moment", "singular_triangle", "pair_f_phi",
+           "integrate_source"]
 
 
 @dataclass(frozen=True)
@@ -50,17 +49,14 @@ class QuadConfig:
     """Free parameters of the verified integration engine."""
 
     tm_degrees: tuple = (8, 8)
-    regular_subdiv: int = 16
-    tol: float = 1e-10
     fan_splits: int = 1  # angular subdivisions per fan triangle
-    max_cells: int = 20000
 
     def __post_init__(self):
         m, n = self.tm_degrees
         if m < 1 or n < 1:
             raise DomainError("tm_degrees must be at least (1, 1)")
-        if self.regular_subdiv < 1 or self.fan_splits < 1:
-            raise DomainError("subdivision counts must be >= 1")
+        if self.fan_splits < 1:
+            raise DomainError("fan_splits must be >= 1")
 
 
 def log_moment(a: Interval, j: int) -> Interval:
@@ -300,119 +296,6 @@ def singular_triangle(
     return out
 
 
-def triangle_source_integral(
-    f: _expr.SourceExpr, tri: Triangle, cfg: Optional[QuadConfig] = None
-) -> Interval:
-    """Enclosure of the plain integral of f over a triangle (moment route)."""
-    cfg = cfg or QuadConfig()
-    v = tri.vertices
-    _, out = _fan_moments(f, v[0], v[1], v[2], cfg, want_log=False, want_plain=True)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Verified integration of a generic box-evaluable integrand over a triangle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(order=True)
-class _Cell:
-    neg_score: float
-    corners: tuple = field(compare=False)  # ((ia, ib, ic) integer barycentric) x 3
-    den: int = field(compare=False, default=1)
-    value: Interval = field(compare=False, default=None)
-    area: Interval = field(compare=False, default=None)
-
-
-def regular_triangle(
-    g: Callable[[Interval, Interval], Interval],
-    tri: Triangle,
-    cfg: Optional[QuadConfig] = None,
-) -> Interval:
-    """Enclosure of the integral of g over the triangle for any interval-
-    evaluable g.
-
-    Uniform barycentric subdivision into ``regular_subdiv**2`` congruent
-    cells, then adaptive 4-way refinement of the worst cells until the
-    accumulated width drops under ``tol`` or the cell budget is reached.
-    Cell corners carry exact integer barycentric weights, so the rational
-    cells tile the triangle exactly and interval corner evaluation makes
-    every bounding box a true superset of its cell.
-    """
-    cfg = cfg or QuadConfig()
-    v = tri.vertices
-    a, b, c = v[0], v[1], v[2]
-    ax, ay = Interval.point(float(a[0])), Interval.point(float(a[1]))
-    bx_, by_ = Interval.point(float(b[0])), Interval.point(float(b[1]))
-    cx_, cy_ = Interval.point(float(c[0])), Interval.point(float(c[1]))
-    cross = (bx_ - ax) * (cy_ - ay) - (by_ - ay) * (cx_ - ax)
-    total_area = cross * 0.5
-
-    def cell_value(corners, den: int) -> Interval:
-        xs, ys = [], []
-        for ia, ib, ic in corners:
-            x = (ax * float(ia) + bx_ * float(ib) + cx_ * float(ic)) / float(den)
-            y = (ay * float(ia) + by_ * float(ib) + cy_ * float(ic)) / float(den)
-            xs.append(x)
-            ys.append(y)
-        box_x = Interval(min(x.lo for x in xs), max(x.hi for x in xs))
-        box_y = Interval(min(y.lo for y in ys), max(y.hi for y in ys))
-        return g(box_x, box_y)
-
-    n = cfg.regular_subdiv
-    base_area = total_area / float(n * n)
-    heap: list[_Cell] = []
-    gap = 0.0
-
-    def push(corners, den: int, area: Interval):
-        nonlocal gap
-        val = cell_value(corners, den)
-        score = val.width() * area.hi
-        gap += score
-        heapq.heappush(heap, _Cell(-score, corners, den, val, area))
-
-    for i in range(n):
-        for j in range(n - i):
-            k = n - i - j
-            push(((k, i, j), (k - 1, i + 1, j), (k - 1, i, j + 1)), n, base_area)
-            if i + j < n - 1:
-                push(
-                    ((k - 1, i + 1, j), (k - 2, i + 1, j + 1), (k - 1, i, j + 1)),
-                    n,
-                    base_area,
-                )
-
-    while len(heap) < cfg.max_cells and gap > cfg.tol:
-        worst = heapq.heappop(heap)
-        gap -= -worst.neg_score
-        if -worst.neg_score <= 0.0:
-            heapq.heappush(heap, worst)
-            break
-        p0, p1, p2 = (tuple(2 * w for w in p) for p in worst.corners)
-        den = worst.den * 2
-        m01 = tuple((p0[t] + p1[t]) // 2 for t in range(3))
-        m12 = tuple((p1[t] + p2[t]) // 2 for t in range(3))
-        m20 = tuple((p2[t] + p0[t]) // 2 for t in range(3))
-        child_area = worst.area / 4.0
-        for corners in (
-            (p0, m01, m20),
-            (m01, p1, m12),
-            (m20, m12, p2),
-            (m01, m12, m20),
-        ):
-            push(corners, den, child_area)
-
-    los, his = [], []
-    for cell in heap:
-        contrib = cell.value * cell.area
-        los.append(contrib.lo)
-        his.append(contrib.hi)
-    return Interval(
-        math.nextafter(math.fsum(los), -math.inf),
-        math.nextafter(math.fsum(his), math.inf),
-    )
-
-
 # ---------------------------------------------------------------------------
 # The pairing <f, phi> over a polygon
 # ---------------------------------------------------------------------------
@@ -457,30 +340,41 @@ def integrate_source(
 
 def pair_f_phi(
     f: _expr.SourceExpr,
-    tf: TestFunction2D,
+    tf0: TestFunction2D,
     poly: Polygon,
     cfg: Optional[QuadConfig] = None,
-) -> Interval:
-    """Rigorous enclosure of the pairing integral of f * phi over the polygon.
+    shifts: Sequence[float] = (0.0,),
+) -> list:
+    """Rigorous enclosures of the pairings of f with phi^0 + c over the
+    polygon, one for each shift c in ``shifts``.
 
     Assembled per kernel: the evaluation-point kernel and every exterior
     source kernel are integrated by the signed singular fan (each kernel's
-    own point is a fan vertex, where the machinery is exact), and the
-    constant shift contributes shift * integral(f).
+    own point is a fan vertex, where the machinery is exact), and a shift
+    c contributes c * integral(f).  Every fan is integrated once for all
+    shifts; each result sums the interior term plus its shift term first,
+    then the source terms in index order.
     """
     cfg = cfg or QuadConfig()
     if f.has_nonsmooth():
         raise UnsupportedError("source uses abs/min/max: use a smooth split")
     log_int, plain_int = _fan_over_polygon(
-        f, tf.s_int, poly, cfg, want_log=True, want_plain=True
+        f, tf0.s_int, poly, cfg, want_log=True, want_plain=True
     )
-    total = log_int * NEG_INV_4PI * tf.a_int + tf.shift * plain_int
-    for idx in range(tf.sources.shape[0]):
-        coeff = float(tf.coeffs[idx])
+    interior = log_int * NEG_INV_4PI * tf0.a_int
+    source_terms = []
+    for idx in range(tf0.sources.shape[0]):
+        coeff = float(tf0.coeffs[idx])
         if coeff == 0.0:
             continue
         src_log, _ = _fan_over_polygon(
-            f, tf.sources[idx], poly, cfg, want_log=True, want_plain=False
+            f, tf0.sources[idx], poly, cfg, want_log=True, want_plain=False
         )
-        total = total + src_log * NEG_INV_4PI * coeff
-    return total
+        source_terms.append(src_log * NEG_INV_4PI * coeff)
+    out = []
+    for shift in shifts:
+        total = interior + Interval.point(shift) * plain_int
+        for term in source_terms:
+            total = total + term
+        out.append(total)
+    return out

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import _directed as dr
 from .errors import DomainError, UnsupportedError
-from .interval import Box2, Interval, hull, intersect
+from .interval import Box2, Interval, intersect
 
-__all__ = ["TaylorModel2", "tm_from_expr", "tm_arith", "tm_compose_elem"]
+__all__ = ["TaylorModel2", "tm_from_expr", "tm_compose_elem"]
 
 _DEFAULT_DEGREES = (8, 8)
 
@@ -100,9 +100,6 @@ class TaylorModel2:
         mask = ~((self.clo == 0.0) & (self.chi == 0.0))
         for i, j in zip(*np.nonzero(mask)):
             yield int(i), int(j), Interval(float(self.clo[i, j]), float(self.chi[i, j]))
-
-    def monomial_range(self, i: int, j: int) -> Interval:
-        return _monomial_range(self.box, i, j)
 
     def range_enclosure(self) -> Interval:
         """Interval containing every value of the model over its box."""
@@ -304,7 +301,9 @@ def _series_and_remainder(fn: str, t0: float, r: Interval, order: int):
             raise DomainError(f"sqrt composition on range touching zero: {r}")
         coeffs.append(t0_iv.sqrt())
         for p in range(1, order + 1):
-            c = coeffs[-1] * ((0.5 - (p - 1)) / p)
+            # binom(1/2, p) = binom(1/2, p - 1) (1/2 - (p - 1)) / p; the
+            # quotient is inexact for most p, so it is enclosed, not rounded
+            c = coeffs[-1] * (Interval.point(0.5 - (p - 1)) / float(p))
             coeffs.append(c / t0_iv)
         # |f^(p1)(xi)| / p1! <= |prod (1/2 - q)| / p1! * xi^(1/2 - p1)
         fac = Interval(1.0, 1.0)
@@ -363,23 +362,6 @@ def tm_from_expr(f, box: Box2, degrees=_DEFAULT_DEGREES) -> TaylorModel2:
     x = TaylorModel2.variable_u(box, degrees)
     y = TaylorModel2.variable_ku(box, degrees)
     return _expr.eval_tm(f, x, y)
-
-
-_TM_ARITH = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "neg": lambda a, _b: -a,
-}
-
-
-def tm_arith(op: str, a: TaylorModel2, b: TaylorModel2 | None = None) -> TaylorModel2:
-    try:
-        fn = _TM_ARITH[op]
-    except KeyError:
-        raise DomainError(f"unknown Taylor-model op {op!r}") from None
-    return fn(a, b)
 
 
 def tm_compose_elem(fn: str, a: TaylorModel2) -> TaylorModel2:

@@ -4,8 +4,12 @@ For a certified-nonnegative source the enclosure at an interior point s is
 
     pair(f, phi_lower) / a_int  <=  u(s)  <=  pair(f, phi_upper) / a_int,
 
-with the shifted test-function pair built from one MFS candidate per
-evaluation point.  Mixed-sign sources are handled through a user-supplied
+with phi_upper = phi^0 - m and phi_lower = phi^0 - M built from one MFS
+candidate phi^0 per evaluation point.  The two differ from phi^0 only by a
+constant, so one pairing pass gives both:
+pair(f, phi^0 - c) = pair(f, phi^0) - c * integral(f).
+
+Mixed-sign sources are handled through a user-supplied
 decomposition f = f_plus - f_minus into certified-nonnegative parts; the
 two sub-problems share the same test functions (they depend only on the
 geometry and the evaluation point), and linearity combines the bounds.
@@ -17,7 +21,7 @@ import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -42,6 +46,9 @@ __all__ = [
 ]
 
 
+CORNER_RADIUS = 0.1  # sup-norm radius around the corner where R_near applies
+
+
 @dataclass(frozen=True)
 class MfsConfig:
     """Collocation/source placement and boundary-bounding parameters."""
@@ -50,8 +57,6 @@ class MfsConfig:
     R_far: float = 1.2
     R_near: float = 1.05
     corner: Optional[tuple] = None  # reentrant corner getting refined spacing
-    corner_radius: float = 0.1  # sup-norm radius of the near-corner R rule
-    refine_ratio: float = 0.7
     tol: float = 1e-9
 
     def r_rule(self):
@@ -59,8 +64,8 @@ class MfsConfig:
 
         def rule(x) -> float:
             if corner is not None and (
-                abs(x[0] - corner[0]) <= self.corner_radius
-                and abs(x[1] - corner[1]) <= self.corner_radius
+                abs(x[0] - corner[0]) <= CORNER_RADIUS
+                and abs(x[1] - corner[1]) <= CORNER_RADIUS
             ):
                 return self.R_near
             return self.R_far
@@ -209,24 +214,24 @@ class EnclosureResult:
         )
 
 
-def _build_test_functions(poly: Polygon, s_int, cfg: MfsConfig):
-    refine = None
-    if cfg.corner is not None:
-        refine = CornerRefine(corner=cfg.corner, ratio=cfg.refine_ratio)
+def _solve_candidate(poly: Polygon, s_int, cfg: MfsConfig) -> _mfs.MfsSolution:
+    refine = None if cfg.corner is None else CornerRefine(corner=cfg.corner)
     collocation = discretize_boundary(poly, cfg.n, refine)
     sources = amano_sources(poly, collocation, cfg.r_rule())
     pts = PointSet(collocation, sources)
     pts.validate(poly)
-    sol = _mfs.solve(poly, pts.collocation, pts.sources, s_int, tol=cfg.tol)
-    phi_upper, phi_lower = _mfs.make_enclosure_pair(sol)
-    return sol, phi_upper, phi_lower
+    return _mfs.solve(poly, pts.collocation, pts.sources, s_int, tol=cfg.tol)
 
 
-def _bounds_nonneg(f, phi_upper, phi_lower, poly, quad_cfg, a_int) -> Interval:
-    """Enclosure of u(s) for certified f >= 0."""
-    a = Interval.point(float(a_int))
-    upper = pair_f_phi(f, phi_upper, poly, quad_cfg) / a
-    lower = pair_f_phi(f, phi_lower, poly, quad_cfg) / a
+def _bounds_nonneg(f, sol: _mfs.MfsSolution, poly, quad_cfg) -> Interval:
+    """Enclosure of u(s) for certified f >= 0.
+
+    phi^0 - m.lo is nonnegative on the boundary and phi^0 - M.hi is
+    nonpositive there, so their pairings bound u(s) from above and below.
+    """
+    a = Interval.point(float(sol.tf0.a_int))
+    upper, lower = pair_f_phi(f, sol.tf0, poly, quad_cfg, (-sol.m.lo, -sol.M.hi))
+    upper, lower = upper / a, lower / a
     if lower.lo > upper.hi:
         raise DomainError("crossed enclosure; rigor violated upstream")
     return Interval(lower.lo, upper.hi)
@@ -262,7 +267,7 @@ def enclose_point(
                 "(e.g. shift_split(f, K) with f + K >= 0)"
             )
 
-    sol, phi_upper, phi_lower = _build_test_functions(poly, s_int, mfs_cfg)
+    sol = _solve_candidate(poly, s_int, mfs_cfg)
     diagnostics = {
         "mfs_residual": sol.residual_report,
         "mfs_condition": sol.cond_estimate,
@@ -274,18 +279,15 @@ def enclose_point(
         "n_collocation": mfs_cfg.n,
         "sign": verdict.value if verdict is not None else "split",
     }
-    a_int = sol.tf0.a_int
     if split is not None:
-        u_plus = _bounds_nonneg(split.f_plus, phi_upper, phi_lower, poly,
-                                quad_cfg, a_int)
-        u_minus = _bounds_nonneg(split.f_minus, phi_upper, phi_lower, poly,
-                                 quad_cfg, a_int)
+        u_plus = _bounds_nonneg(split.f_plus, sol, poly, quad_cfg)
+        u_minus = _bounds_nonneg(split.f_minus, sol, poly, quad_cfg)
         bound = u_plus - u_minus
     elif verdict is SignVerdict.NONNEGATIVE:
-        bound = _bounds_nonneg(f, phi_upper, phi_lower, poly, quad_cfg, a_int)
+        bound = _bounds_nonneg(f, sol, poly, quad_cfg)
     else:  # nonpositive: u = -(solution for -f)
         neg = SourceExpr(Neg(f.root), f"-({f.text})")
-        bound = -_bounds_nonneg(neg, phi_upper, phi_lower, poly, quad_cfg, a_int)
+        bound = -_bounds_nonneg(neg, sol, poly, quad_cfg)
     return EnclosureResult.from_bound(s_int, bound, diagnostics)
 
 

@@ -131,11 +131,17 @@ class TestEnclose2D:
         assert main(["enclose2d", path, "--out", str(out2)]) == 0
         assert out1.read_text() == out2.read_text()
 
-    def test_emit_plot(self, tmp_path):
-        path = write(tmp_path, "p.json", square_problem())
-        out = tmp_path / "r.csv"
-        assert main(["enclose2d", path, "--out", str(out), "--emit-plot"]) == 0
-        assert (tmp_path / "r.csv.plot.csv").exists()
+    @pytest.mark.parametrize("argv", [
+        ["enclose2d", "square.json", "--emit-plot"],
+        ["enclose1d", "interval.json", "--emit-plot"],
+        ["enclose1d", "interval.json", "--threads", "2"],
+    ])
+    def test_unknown_flag_rejected(self, tmp_path, argv):
+        write(tmp_path, "square.json", square_problem())
+        write(tmp_path, "interval.json", interval_problem())
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], str(tmp_path / argv[1]), *argv[2:]])
+        assert exc.value.code == 2
 
     def test_boundary_point_rejected(self, tmp_path):
         path = write(tmp_path, "p.json", square_problem(points=[[0.5, 0.0]]))
@@ -155,6 +161,19 @@ class TestEnclose2D:
     @pytest.mark.parametrize("tol", [0.0, -1e-9])
     def test_nonpositive_mfs_tol_rejected_at_load(self, tmp_path, capsys, tol):
         path = write(tmp_path, "p.json", square_problem(mfs={"n": 33, "tol": tol}))
+        assert main(["enclose2d", path]) == 2
+        assert "problem file rejected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("R", [1.0, 0.9, -1.0])
+    @pytest.mark.parametrize("key", ["R_far", "R_near"])
+    def test_R_at_most_one_rejected_at_load(self, tmp_path, capsys, key, R):
+        path = write(tmp_path, "p.json", square_problem(mfs={"n": 33, key: R}))
+        assert main(["enclose2d", path]) == 2
+        assert "problem file rejected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quad", [{"subdiv": 16}, {"tol": 1e-10}])
+    def test_unknown_quad_key_rejected(self, tmp_path, capsys, quad):
+        path = write(tmp_path, "p.json", square_problem(quad=quad))
         assert main(["enclose2d", path]) == 2
         assert "problem file rejected" in capsys.readouterr().err
 

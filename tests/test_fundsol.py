@@ -7,13 +7,7 @@ import pytest
 
 from greenbound import _directed as dr
 from greenbound.errors import DomainError
-from greenbound.fundsol import (
-    Kernel,
-    TestFunction2D,
-    eval_phi,
-    gamma,
-    phi_minus_singular,
-)
+from greenbound.fundsol import TestFunction2D, gamma
 from greenbound.interval import Interval
 
 from conftest import assert_contains
@@ -26,38 +20,28 @@ def tf_single(a1=1.0, src=(3.0, 0.0)):
 
 
 class TestGamma:
-    def test_dim1(self):
-        r = gamma(Kernel(1), 0.3, 0.7)
-        assert_contains(r, -0.2)
-        assert r.width() < 1e-15
-
     def test_dim2_unit_distance(self):
-        r = gamma(Kernel(2), (0.0, 0.0), (1.0, 0.0))
+        r = gamma((0.0, 0.0), (1.0, 0.0))
         assert_contains(r, 0.0)
         assert r.width() < 1e-15
 
     def test_dim2_at_e(self):
-        r = gamma(Kernel(2), (0.0, 0.0), (float(mp.e), 0.0))
+        r = gamma((0.0, 0.0), (float(mp.e), 0.0))
         assert_contains(r, float(-1 / (2 * mp.pi)))
 
     def test_singularity_rejected(self):
         with pytest.raises(DomainError):
-            gamma(Kernel(2), (0.5, 0.5), (Interval(0, 1), Interval(0, 1)))
-
-    def test_dim3_rejected(self):
-        with pytest.raises(DomainError):
-            Kernel(3)
+            gamma((0.5, 0.5), (Interval(0, 1), Interval(0, 1)))
 
     def test_symmetry_sampled(self):
-        k2 = Kernel(2)
         rng = np.random.default_rng(3)
         for _ in range(50):
             s = rng.uniform(-2, 2, 2)
             x = rng.uniform(-2, 2, 2)
             if np.hypot(*(s - x)) < 1e-3:
                 continue
-            a = gamma(k2, s, tuple(x))
-            b = gamma(k2, x, tuple(s))
+            a = gamma(s, tuple(x))
+            b = gamma(x, tuple(s))
             assert a.intersects(b)
 
 
@@ -67,16 +51,9 @@ class TestEvalPhi:
             s_int=(0.0, 0.0), a_int=1.0, sources=np.zeros((0, 2)),
             coeffs=np.zeros(0),
         )
-        got = eval_phi(tf, (0.5, 0.5))
-        want = gamma(Kernel(2), (0.0, 0.0), (0.5, 0.5))
+        got = tf.phi0_box(Interval.point(0.5), Interval.point(0.5))
+        want = gamma((0.0, 0.0), (0.5, 0.5))
         assert got.intersects(want)
-
-    def test_shift_additivity(self):
-        tf0 = tf_single()
-        tf_c = tf0.with_shift(Interval(0.7, 0.7))
-        a = eval_phi(tf0, (0.2, 0.1)) + 0.7
-        b = eval_phi(tf_c, (0.2, 0.1))
-        assert a.intersects(b)
 
     def test_a_int_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -85,36 +62,12 @@ class TestEvalPhi:
             )
 
 
-class TestPhiMinusSingular:
-    def test_shift_only(self):
-        tf = TestFunction2D(
-            s_int=(0, 0), a_int=1.0, sources=np.zeros((0, 2)), coeffs=np.zeros(0),
-            shift=Interval(2.0, 2.0),
-        )
-        r = phi_minus_singular(tf, (Interval(0, 0), Interval(0, 0)))
-        assert r == Interval(2.0, 2.0)
-
-    def test_single_source_log3(self):
-        tf = tf_single(a1=1.0, src=(3.0, 0.0))
-        r = phi_minus_singular(tf, (Interval(0, 0), Interval(0, 0)))
-        want = float(-mp.log(3) / (2 * mp.pi))
-        assert_contains(r, want)
-        assert r.width() < 1e-12
-
-    def test_monotone_widening(self):
-        tf = tf_single()
-        small = phi_minus_singular(tf, (Interval(0, 0.1), Interval(0, 0.1)))
-        large = phi_minus_singular(tf, (Interval(-0.2, 0.3), Interval(-0.2, 0.3)))
-        assert large.encloses(small)
-
-
 class TestVectorAgainstScalar:
     def test_phi0_box_matches_scalar_sum(self):
         rng = np.random.default_rng(11)
         sources = rng.uniform(2, 3, (7, 2))
         coeffs = rng.uniform(-2, 2, 7)
         tf = TestFunction2D((0.1, -0.2), 1.0, sources, coeffs)
-        k2 = Kernel(2)
         checked = 0
         while checked < 20:
             c = rng.uniform(-0.5, 0.5, 2)
@@ -124,9 +77,9 @@ class TestVectorAgainstScalar:
             bx = Interval(c[0] - 0.05, c[0] + 0.05)
             by = Interval(c[1] - 0.05, c[1] + 0.05)
             got = tf.phi0_box(bx, by)
-            want = gamma(k2, (0.1, -0.2), (bx, by))
+            want = gamma((0.1, -0.2), (bx, by))
             for s, a in zip(sources, coeffs):
-                want = want + gamma(k2, tuple(s), (bx, by)) * float(a)
+                want = want + gamma(tuple(s), (bx, by)) * float(a)
             assert got.intersects(want)
             # the true range is inside both enclosures
             mid = tf.phi0_points(np.array([c]))[0]

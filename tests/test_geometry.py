@@ -11,7 +11,6 @@ from greenbound.geometry import (
     Triangle,
     amano_sources,
     discretize_boundary,
-    triangulate_from,
 )
 
 
@@ -42,11 +41,6 @@ class TestPolygon:
         assert abs(lshape.area() - 3.0) < 1e-12
         assert abs(unit_square.area() - 1.0) < 1e-12
         assert abs(unit_square.diameter() - math.sqrt(2)) < 1e-12
-
-    def test_star_membership(self, lshape, unit_square):
-        assert unit_square.is_star_from((0.5, 0.5))
-        assert lshape.is_star_from((-0.5, -0.5))
-        assert not lshape.is_star_from((0.5, -0.5))
 
 
 class TestDiscretize:
@@ -151,49 +145,6 @@ class TestPointSet:
 
 
 class TestTriangulate:
-    def test_square_fan(self, unit_square):
-        tris = triangulate_from(unit_square, (0.5, 0.5))
-        assert len(tris) == 4
-        assert all(t.singular_vertex == 0 for t in tris)
-        total = sum(t.area() for t in tris)
-        assert abs(total - unit_square.area()) < 1e-12
-
-    def test_lshape_star_fan(self, lshape):
-        tris = triangulate_from(lshape, (-0.5, -0.5))
-        assert len(tris) == 6
-        assert all(t.singular_vertex == 0 for t in tris)
-        for t in tris:
-            v = t.vertices[t.singular_vertex]
-            assert tuple(v) == (-0.5, -0.5)
-
-    def test_lshape_nonstar_partition(self, lshape):
-        s = (0.5, -0.5)
-        tris = triangulate_from(lshape, s)
-        total = sum(t.area() for t in tris)
-        assert abs(total - lshape.area()) < 1e-12 * lshape.area()
-        flagged = [t for t in tris if t.singular_vertex is not None]
-        assert flagged, "the evaluation point must be a vertex somewhere"
-        for t in flagged:
-            v = t.vertices[t.singular_vertex]
-            assert tuple(v) == s
-        # partition property: random interior points lie in exactly one triangle
-        rng = np.random.default_rng(7)
-        checked = 0
-        while checked < 300:
-            p = rng.uniform((-1, -1), (1, 1))
-            if lshape.locate(p) != 1:
-                continue
-            hits = sum(1 for t in tris if t.contains(p, tol=-1e-12))
-            strict_hits = sum(1 for t in tris if t.contains(p, tol=1e-12))
-            assert hits <= 1 <= strict_hits
-            checked += 1
-
-    def test_boundary_point_rejected(self, unit_square):
-        with pytest.raises(GeometryError):
-            triangulate_from(unit_square, (0.0, 0.5))
-        with pytest.raises(GeometryError):
-            triangulate_from(unit_square, (2.0, 2.0))
-
     def test_triangle_validation(self):
         with pytest.raises(GeometryError):
             Triangle(np.array([[0, 0], [1, 0], [2, 0]]))

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import mpmath as mp
 import numpy as np
@@ -13,8 +14,6 @@ from greenbound.interval import (
     PI,
     BoxEvaluator,
     Interval,
-    arith,
-    elem,
     hull,
     intersect,
     subdivide_min_max,
@@ -25,20 +24,20 @@ from conftest import assert_contains
 
 class TestArith:
     def test_add_exact_endpoints(self):
-        assert arith("add", Interval(1, 2), Interval(3, 4)) == Interval(4, 6)
+        assert Interval(1, 2) + Interval(3, 4) == Interval(4, 6)
 
     def test_mul_sign_cases(self):
-        r = arith("mul", Interval(-1, 2), Interval(3, 3))
+        r = Interval(-1, 2) * Interval(3, 3)
         assert_contains(r, -3.0)
         assert_contains(r, 6.0)
         assert r.lo >= -3.0000000001 and r.hi <= 6.0000000001
 
     def test_div_by_zero_interval(self):
         with pytest.raises(DomainError):
-            arith("div", Interval(1, 1), Interval(0, 1))
+            Interval(1, 1) / Interval(0, 1)
 
     def test_neg(self):
-        assert arith("neg", Interval(-1, 2)) == Interval(-2, 1)
+        assert -Interval(-1, 2) == Interval(-2, 1)
 
     def test_sub_anticommutes(self):
         a, b = Interval(0.1, 0.2), Interval(0.4, 0.9)
@@ -59,47 +58,47 @@ class TestArith:
 
 class TestElem:
     def test_log_one(self):
-        r = elem("log", Interval(1, 1))
+        r = Interval(1, 1).log()
         assert_contains(r, 0.0)
         assert r.width() < 1e-300
 
     def test_log_domain(self):
         with pytest.raises(DomainError):
-            elem("log", Interval(0, 1))
+            Interval(0, 1).log()
 
     def test_abs(self):
-        assert elem("abs", Interval(-2, 1)) == Interval(0, 2)
+        assert abs(Interval(-2, 1)) == Interval(0, 2)
 
     def test_sin_quadrant_max(self):
-        r = elem("sin", Interval(0.0, PI.hi))
+        r = Interval(0.0, PI.hi).sin()
         assert r.hi >= 1.0
         assert r.lo <= 0.0
 
     def test_cos_quadrant_min(self):
-        r = elem("cos", Interval(3.0, 3.3))
+        r = Interval(3.0, 3.3).cos()
         assert r.lo <= -1.0 + 1e-15
 
     def test_sqrt(self):
-        r = elem("sqrt", Interval(4, 9))
+        r = Interval(4, 9).sqrt()
         assert_contains(r, 2.0)
         assert_contains(r, 3.0)
         with pytest.raises(DomainError):
-            elem("sqrt", Interval(-1, 1))
+            Interval(-1, 1).sqrt()
 
     def test_pow_int(self):
-        r = elem("pow_int", Interval(-2, 1), n=2)
+        r = Interval(-2, 1).pow_int(2)
         assert r.lo == 0.0
         assert_contains(r, 4.0)
-        r = elem("pow_int", Interval(-2, 1), n=3)
+        r = Interval(-2, 1).pow_int(3)
         assert_contains(r, -8.0)
         assert_contains(r, 1.0)
-        assert elem("pow_int", Interval(-2, 1), n=0) == Interval(1, 1)
-        r = elem("pow_int", Interval(2, 2), n=-1)
+        assert Interval(-2, 1).pow_int(0) == Interval(1, 1)
+        r = Interval(2, 2).pow_int(-1)
         assert_contains(r, 0.5)
 
     def test_exp_overflow(self):
         with pytest.raises(DomainError):
-            elem("exp", Interval(0, 1e6))
+            Interval(0, 1e6).exp()
 
     def test_pi_enclosure(self):
         assert_contains(PI, float(mp.pi))
@@ -159,9 +158,9 @@ def test_inclusion_monotonicity(a, b, s1, s2, t1, t2):
     """a in a', b in b' implies op(a, b) in op(a', b')."""
     sub_a = _sub_interval(a, s1, s2)
     sub_b = _sub_interval(b, t1, t2)
-    for op in ("add", "sub", "mul"):
-        big = arith(op, a, b)
-        small = arith(op, sub_a, sub_b)
+    for op in (operator.add, operator.sub, operator.mul):
+        big = op(a, b)
+        small = op(sub_a, sub_b)
         assert big.encloses(small), (op, a, b, sub_a, sub_b)
 
 
@@ -169,8 +168,8 @@ def test_inclusion_monotonicity(a, b, s1, s2, t1, t2):
 @given(intervals())
 def test_elem_inclusion_monotonicity(a):
     mid = Interval.point(a.mid())
-    for fn in ("sin", "cos", "abs"):
-        assert elem(fn, a).encloses(elem(fn, mid))
+    for fn in (Interval.sin, Interval.cos, abs):
+        assert fn(a).encloses(fn(mid))
 
 
 class TestSubdivideMinMax:

@@ -4,8 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from greenbound import twod
 from greenbound.errors import DomainError
-
+from greenbound.expr import parse
 from greenbound.fundsol import TestFunction2D
 from greenbound.geometry import discretize_boundary, amano_sources
 from greenbound.interval import Interval
@@ -13,7 +14,6 @@ from greenbound.geometry import Polygon
 from greenbound.mfs import (
     EdgeKernel,
     boundary_extrema,
-    make_enclosure_pair,
     solve,
     solve_coefficients,
 )
@@ -88,39 +88,47 @@ class TestBoundaryExtrema:
 
 
 class TestEnclosurePair:
-    def test_shift_sign_logic(self, centered_square):
-        pts, src = square_setup(centered_square, n=17)
-        sol = solve(centered_square, pts, src, (0.0, 0.0))
-        phi_up, phi_lo = make_enclosure_pair(sol)
-        assert phi_up.shift.lo == -sol.m.lo
-        assert phi_lo.shift.lo == -sol.M.hi
+    def test_shift_sign_logic(self, centered_square, monkeypatch):
+        """The pairing gets phi^0 - m.lo (upper) and phi^0 - M.hi (lower)."""
+        seen = []
+
+        def spy(f, tf0, poly, cfg, shifts):
+            seen.append(shifts)
+            return real(f, tf0, poly, cfg, shifts)
+
+        real = twod.pair_f_phi
+        monkeypatch.setattr(twod, "pair_f_phi", spy)
+        res = twod.enclose_point(centered_square, parse("1"), (0.0, 0.0),
+                                 mfs_cfg=twod.MfsConfig(n=17))
+        m, M = res.diagnostics["m"], res.diagnostics["M"]
+        assert seen == [(-m[0], -M[1])]
 
     def test_boundary_signs_sampled(self, centered_square):
         pts, src = square_setup(centered_square, n=33)
         sol = solve(centered_square, pts, src, (0.2, -0.1), tol=1e-9)
-        phi_up, phi_lo = make_enclosure_pair(sol)
         rng = np.random.default_rng(6)
         edges = centered_square.edges()
         for _ in range(1000):
             a, b = edges[rng.integers(0, len(edges))]
             t = rng.random()
             p = a + t * (b - a)
-            up = phi_up.phi_box(Interval.point(p[0]), Interval.point(p[1]))
-            lo = phi_lo.phi_box(Interval.point(p[0]), Interval.point(p[1]))
+            phi0 = sol.tf0.phi0_box(Interval.point(p[0]), Interval.point(p[1]))
+            up = phi0 - sol.m.lo
+            lo = phi0 - sol.M.hi
             assert up.hi >= 0.0 and up.lo >= -1e-10
             assert lo.lo <= 0.0 and lo.hi <= 1e-10
 
     def test_edgewise_interval_sign_guarantee(self, centered_square):
         pts, src = square_setup(centered_square, n=33)
         sol = solve(centered_square, pts, src, (0.0, 0.0), tol=1e-9)
-        phi_up, phi_lo = make_enclosure_pair(sol)
         slack_up = sol.m.width()
         slack_lo = sol.M.width()
         for a, b in centered_square.edges():
             bx = Interval(min(a[0], b[0]), max(a[0], b[0]))
             by = Interval(min(a[1], b[1]), max(a[1], b[1]))
-            assert phi_up.phi_box(bx, by).hi >= -slack_up
-            assert phi_lo.phi_box(bx, by).lo <= slack_lo
+            phi0 = sol.tf0.phi0_box(bx, by)
+            assert (phi0 - sol.m.lo).hi >= -slack_up
+            assert (phi0 - sol.M.hi).lo <= slack_lo
 
     def test_sharper_tolerance_never_widens(self, centered_square):
         pts, src = square_setup(centered_square, n=33)

@@ -11,7 +11,6 @@ from greenbound.interval import Interval
 from greenbound.oned import (
     GreenEvaluator,
     GridFunction1D,
-    TestFunction1D,
     Verdict,
     build_sub,
     build_super,
@@ -90,28 +89,6 @@ class TestGreenValue:
             want = float(expr.subs(s, sympy.Float(sv, 30)))
             got = ev.u(Interval.point(sv))
             assert got.lo - 1e-13 <= want <= got.hi + 1e-13
-
-
-class TestHatFunction:
-    def test_weight_encloses_inverse(self):
-        tf = TestFunction1D.at(0.25)
-        assert_contains(tf.a_int, 1.0 / (0.25 * 0.75))
-
-    def test_hat_values(self):
-        tf = TestFunction1D.at(0.25)
-        assert_contains(tf.hat(Interval.point(0.25)), 1.0)
-        assert_contains(tf.hat(Interval.point(0.0)), 0.0)
-        assert_contains(tf.hat(Interval.point(1.0)), 0.0)
-        assert_contains(tf.hat(Interval.point(0.125)), 0.5)
-        spanning = tf.hat(Interval(0.2, 0.3))
-        assert_contains(spanning, 1.0)
-        assert_contains(spanning, 0.8)
-
-    def test_invariants(self):
-        with pytest.raises(DomainError):
-            TestFunction1D.at(0.0)
-        with pytest.raises(DomainError):
-            TestFunction1D(0.5, Interval(3.0, 3.5))  # does not enclose 4
 
 
 class TestOptimalConstants:

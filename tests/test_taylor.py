@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from greenbound.errors import DomainError, UnsupportedError
 from greenbound.expr import parse
 from greenbound.interval import Box2, Interval
-from greenbound.taylor import TaylorModel2, tm_arith, tm_compose_elem, tm_from_expr
+from greenbound.taylor import (TaylorModel2, _series_and_remainder, tm_compose_elem,
+                              tm_from_expr)
 
 from conftest import assert_contains
 
@@ -55,7 +56,7 @@ class TestArith:
         f, g = parse("x^2"), parse("sin(y)")
         a = tm_from_expr(f, box(), (6, 6))
         b = tm_from_expr(g, box(), (6, 6))
-        s = tm_arith("add", a, b)
+        s = a + b
         sample_ok(s, lambda u, k: u * u + float(mp.sin(k * u)))
 
     def test_mul_truncation_sound(self):
@@ -72,7 +73,7 @@ class TestArith:
         a = tm_from_expr(parse("x"), box(0.5), (4, 4))
         b = tm_from_expr(parse("x"), box(0.25), (4, 4))
         with pytest.raises(DomainError):
-            tm_arith("add", a, b)
+            a + b
 
 
 class TestCompose:
@@ -98,6 +99,16 @@ class TestCompose:
             "sqrt", TaylorModel2.variable_u(box(1.0), (8, 8)) + Interval(4.0, 4.0)
         )
         sample_ok(tm, lambda u, k: math.sqrt(4.0 + u))
+
+    @pytest.mark.parametrize("t0", [0.3, 1.7, 4.0 + 1.0 / 3.0, 10.1])
+    def test_sqrt_series_coefficients_exact(self, t0):
+        """Every coefficient encloses binom(1/2, p) t0^(1/2 - p) exactly."""
+        coeffs, _ = _series_and_remainder("sqrt", t0, Interval(t0 * 0.9, t0 * 1.1), 12)
+        with mp.workdps(60):
+            t = mp.mpf(t0)
+            for p, c in enumerate(coeffs):
+                want = mp.binomial(mp.mpf(1) / 2, p) * t ** (mp.mpf(1) / 2 - p)
+                assert mp.mpf(c.lo) <= want <= mp.mpf(c.hi), (p, c, want)
 
 
 _EXPRS = [

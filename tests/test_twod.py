@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from greenbound import twod
 from greenbound.errors import GeometryError, InputError, NeedsSplitError
 from greenbound.expr import parse
 from greenbound.geometry import Polygon
@@ -108,6 +109,26 @@ class TestEnclosePoint:
             split=SignedSplit(parse("1"), parse("0")), mfs_cfg=FAST_MFS,
         )
         assert direct.bound.intersects(via_split.bound)
+
+    @pytest.mark.parametrize("source, split, passes", [
+        ("1", None, 1),
+        ("-1", None, 1),
+        ("x+1", ("x+1", "0"), 2),
+    ])
+    def test_one_pairing_pass_per_part(self, centered_square, monkeypatch,
+                                       source, split, passes):
+        """Both test functions of the pair come from one pass per
+        nonnegative part."""
+        calls = []
+        real = twod.pair_f_phi
+        monkeypatch.setattr(twod, "pair_f_phi",
+                            lambda *args: calls.append(args) or real(*args))
+        if split is not None:
+            split = SignedSplit(parse(split[0]), parse(split[1]))
+        enclose_point(centered_square, parse(source), (0.1, 0.0), split=split,
+                      mfs_cfg=FAST_MFS)
+        assert len(calls) == passes
+        assert all(len(args[4]) == 2 for args in calls)
 
     def test_monotone_sharpening_in_n(self, centered_square):
         coarse = enclose_point(centered_square, parse("1"), (0.0, 0.0),
