@@ -37,16 +37,47 @@ def next_up(x: np.ndarray) -> np.ndarray:
     return np.nextafter(x, _INF)
 
 
+_INF_BITS = 0x7FF0_0000_0000_0000  # +inf viewed as int64
+_SIGN_BITS = -(1 << 63)  # -0.0 viewed as int64
+_NEG_INF_BITS = _SIGN_BITS + _INF_BITS
+
+
+def _step_n(x: np.ndarray, n: int, down: bool) -> np.ndarray:
+    """x moved n ulps toward -inf (``down``) or +inf, bit-identical to n
+    ``np.nextafter`` passes.
+
+    Viewed as int64, a positive float moves by -n (down) or +n (up) and a
+    negative one by +n or -n.  Elements where that integer step would
+    cross zero or pass an infinity, and NaNs, take the nextafter loop.
+    """
+    x = np.asarray(x, dtype=float)
+    if not _iv._outward_rounding or n == 0:
+        return x
+    b = x.view(np.int64)
+    pos = b >= 0
+    if down:
+        r = b + np.where(pos, -n, n)
+        ok = np.where(pos, (b >= n) & (b <= _INF_BITS), b <= _NEG_INF_BITS - n)
+    else:
+        r = b + np.where(pos, n, -n)
+        ok = np.where(pos, b <= _INF_BITS - n,
+                      (b >= _SIGN_BITS + n) & (b <= _NEG_INF_BITS))
+    out = np.where(ok, r, b).view(np.float64)
+    bad = ~ok
+    if bad.any():
+        y, target = x[bad], -_INF if down else _INF
+        for _ in range(n):
+            y = np.nextafter(y, target)
+        out[bad] = y
+    return out
+
+
 def _down_n(x: np.ndarray, n: int) -> np.ndarray:
-    for _ in range(n):
-        x = next_down(x)
-    return x
+    return _step_n(x, n, down=True)
 
 
 def _up_n(x: np.ndarray, n: int) -> np.ndarray:
-    for _ in range(n):
-        x = next_up(x)
-    return x
+    return _step_n(x, n, down=False)
 
 
 def _sum_down(a, b):

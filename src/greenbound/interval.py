@@ -478,6 +478,12 @@ class _Search:
         return root, lo, hi, np.where(ok, tlo, glo), np.where(ok, thi, ghi)
 
 
+# Default total of box and point evaluations of one search: more than 10x
+# the 948,062 of the largest search the tests make (an evaluator that never
+# converges and keeps max_boxes boxes open per level).
+MAX_EVALS = 10_000_000
+
+
 def subdivide_min_max(
     g: BoxEvaluator | Callable[[Interval], Interval],
     domain: Interval | Sequence[Interval],
@@ -485,6 +491,7 @@ def subdivide_min_max(
     max_depth: int = 40,
     g_prime: Optional[Callable[[Interval], Interval]] = None,
     max_boxes: int = 20000,
+    max_evals: int = MAX_EVALS,
 ) -> MinMaxResult:
     """Rigorous enclosures of inf g and sup g over the union of the roots.
 
@@ -500,7 +507,9 @@ def subdivide_min_max(
     Both the true infimum and supremum are contained in the returned ``m``
     and ``M``; ``converged`` reports whether both widths reached ``tol``
     within ``max_depth`` levels, with at most ``max_boxes`` boxes kept open
-    per level (the least promising excess is finalized as it stands).
+    per level (the least promising excess is finalized as it stands).  No
+    new level starts once ``max_evals`` box and point evaluations are
+    spent; the bounds reached so far are returned, still sound.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
@@ -536,7 +545,7 @@ def subdivide_min_max(
         if sup_hi - S.sup_wit <= tol and S.inf_wit - inf_lo <= tol:
             converged = True
             break
-        if not root.size:
+        if not root.size or S.evals >= max_evals:
             break
         depth += 1
         live = useful(glo, ghi)

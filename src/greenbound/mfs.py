@@ -22,18 +22,15 @@ from .geometry import Polygon
 from .interval import (BoxEvaluator, Interval, MinMaxResult, _next_down, _next_up,
                        subdivide_min_max)
 
-__all__ = ["MfsSolution", "EdgeKernel", "solve_coefficients", "boundary_extrema",
-           "solve"]
+__all__ = ["MfsSolution", "EdgeKernel", "collocation_system", "solve_coefficients",
+           "boundary_extrema", "solve"]
 
 
-def solve_coefficients(
-    collocation: np.ndarray, sources: np.ndarray, s_int
-) -> tuple[np.ndarray, float, float]:
-    """Solve the square collocation system for the source coefficients.
+def collocation_system(collocation: np.ndarray, sources: np.ndarray) -> tuple:
+    """The collocation matrix Gamma(s_j, x_i) and its condition estimate.
 
-    Matrix entries Gamma(s_j, x_i), right-hand side -Gamma(s_int, x_i).
-    Returns (coefficients, max collocation residual, condition estimate).
-    """
+    Both depend on the geometry only, so one matrix serves every
+    evaluation point of a domain."""
     x = np.asarray(collocation, dtype=float).reshape(-1, 2)
     s = np.asarray(sources, dtype=float).reshape(-1, 2)
     if x.shape[0] != s.shape[0]:
@@ -43,6 +40,25 @@ def solve_coefficients(
     if np.any(d2 <= 0.0):
         raise SolveError("a source point coincides with a collocation point")
     G = (-0.25 / np.pi) * np.log(d2)
+    try:
+        cond = float(np.linalg.cond(G))
+    except np.linalg.LinAlgError:
+        cond = float("inf")
+    return G, cond
+
+
+def solve_coefficients(
+    collocation: np.ndarray, sources: np.ndarray, s_int, system=None
+) -> tuple[np.ndarray, float, float]:
+    """Solve the square collocation system for the source coefficients.
+
+    Matrix entries Gamma(s_j, x_i), right-hand side -Gamma(s_int, x_i);
+    ``system`` is the :func:`collocation_system` of the same points when
+    the caller already has it.  Returns (coefficients, max collocation
+    residual, condition estimate).
+    """
+    G, cond = system or collocation_system(collocation, sources)
+    x = np.asarray(collocation, dtype=float).reshape(-1, 2)
     d2_int = np.sum((x - np.asarray(s_int, dtype=float)) ** 2, axis=1)
     rhs = -(-0.25 / np.pi) * np.log(d2_int)
     try:
@@ -52,10 +68,6 @@ def solve_coefficients(
     if not np.all(np.isfinite(a)):
         raise SolveError("collocation solve produced non-finite coefficients")
     residual = float(np.max(np.abs(G @ a - rhs)))
-    try:
-        cond = float(np.linalg.cond(G))
-    except np.linalg.LinAlgError:
-        cond = float("inf")
     return a, residual, cond
 
 
@@ -162,6 +174,12 @@ def _round_out(p: int, q: int) -> tuple[float, float]:
     return (_next_down(f) if above > 0 else f, _next_up(f) if above < 0 else f)
 
 
+# Total evaluations of one boundary search: more than 10x the 11,858 of the
+# largest search any problem file, test or benchmark input makes, so only
+# searches that would run for minutes stop early (unconverged, still sound).
+MAX_EVALS = 150_000
+
+
 def boundary_extrema(
     tf0: TestFunction2D,
     poly: Polygon,
@@ -175,7 +193,8 @@ def boundary_extrema(
     along the edge provides monotonicity pruning and mean-value tightening.
     """
     kernel = EdgeKernel(tf0, poly)
-    return subdivide_min_max(kernel, kernel.roots, tol=tol, max_depth=max_depth)
+    return subdivide_min_max(kernel, kernel.roots, tol=tol, max_depth=max_depth,
+                             max_evals=MAX_EVALS)
 
 
 def solve(
@@ -184,9 +203,12 @@ def solve(
     sources: np.ndarray,
     s_int,
     tol: float = 1e-9,
+    system=None,
 ) -> MfsSolution:
-    """Full candidate construction: solve, then bound the boundary values."""
-    coeffs, residual, cond = solve_coefficients(collocation, sources, s_int)
+    """Full candidate construction: solve, then bound the boundary values.
+
+    ``system`` is passed on to :func:`solve_coefficients`."""
+    coeffs, residual, cond = solve_coefficients(collocation, sources, s_int, system)
     tf0 = TestFunction2D(
         s_int=(float(s_int[0]), float(s_int[1])),
         a_int=1.0,

@@ -27,7 +27,6 @@ exterior-source kernels with one code path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,7 +40,7 @@ from .interval import PI, Box2, Interval, intersect
 from .taylor import TaylorModel2
 
 __all__ = ["QuadConfig", "log_moment", "singular_triangle", "pair_f_phi",
-           "integrate_source"]
+           "source_kernel_terms", "integrate_source"]
 
 
 @dataclass(frozen=True)
@@ -141,27 +140,41 @@ def _fan_frame(center, v1, v2) -> Optional[_FanFrame]:
     return _FanFrame(d, y1, y2, nx, ny, ex, ey, sign, cross)
 
 
-def _sliver_bounds(f: _expr.SourceExpr, center, v1, v2, cross: Interval):
-    """Crude but rigorous bounds for a numerically degenerate fan triangle."""
+def _sliver_bounds(f: _expr.SourceExpr, center, v1, v2):
+    """Crude but rigorous bounds for a numerically degenerate fan triangle.
+
+    |integral f log r^2| <= |f|_inf (int over {r < 1} of |log r^2|
+    + area * max(0, log rmax^2)).  The triangle lies in the sector spanned
+    by w1 = v1 - center and w2 = v2 - center; when w1 . w2 > 0 its angle
+    theta <= (pi/2) |w1 x w2| / (|w1| |w2|) (Jordan's inequality) and the
+    first part is at most (theta/2) r^2 (1 - log r^2) with r = min(rmax, 1),
+    otherwise the whole disc's pi r^2 (1 - log r^2).
+    """
+    cx, cy = Interval.point(float(center[0])), Interval.point(float(center[1]))
+    w1x = Interval.point(float(v1[0])) - cx
+    w1y = Interval.point(float(v1[1])) - cy
+    w2x = Interval.point(float(v2[0])) - cx
+    w2y = Interval.point(float(v2[1])) - cy
+    cross = w1x * w2y - w1y * w2x
+    if cross.lo == 0.0 and cross.hi == 0.0:
+        return Interval(0.0, 0.0), Interval(0.0, 0.0)
     pts = np.array([center, v1, v2], dtype=float)
     bx = Interval(float(pts[:, 0].min()), float(pts[:, 0].max()))
     by = Interval(float(pts[:, 1].min()), float(pts[:, 1].max()))
     fmag = Interval(0.0, abs(f.eval_interval(bx, by)).hi)
     area = abs(cross) * 0.5
-    rmax = math.sqrt(
-        max(
-            (v1[0] - center[0]) ** 2 + (v1[1] - center[1]) ** 2,
-            (v2[0] - center[0]) ** 2 + (v2[1] - center[1]) ** 2,
-        )
-    )
-    if rmax == 0.0:
-        return Interval(0.0, 0.0), Interval(0.0, 0.0)
-    # |integral f log r^2| <= |f|_inf ( int_{r<1 sector} |log r^2|
-    #                                  + area * max(0, log rmax^2) )
-    r_cap = Interval.point(min(rmax, 1.0))
-    bound = PI * r_cap.sqr() * (1.0 - r_cap.sqr().log())
-    if rmax > 1.0:
-        bound = bound + area * Interval.point(rmax).sqr().log()
+    n1 = w1x.sqr() + w1y.sqr()
+    n2 = w2x.sqr() + w2y.sqr()
+    rmax2 = max(n1.hi, n2.hi)  # upper bound of rmax^2
+    r2 = Interval.point(min(rmax2, 1.0))
+    n12 = n1 * n2
+    if (w1x * w2x + w1y * w2y).lo > 0.0 and n12.lo > 0.0:
+        theta = PI * 0.5 * abs(cross) / n12.sqrt()
+        bound = theta * 0.5 * r2 * (1.0 - r2.log())
+    else:
+        bound = PI * r2 * (1.0 - r2.log())
+    if rmax2 > 1.0:
+        bound = bound + area * Interval.point(rmax2).log()
     w = (fmag * bound).hi
     w_plain = (fmag * area).hi
     return Interval(-w, w), Interval(-w_plain, w_plain)
@@ -180,15 +193,7 @@ def _fan_moments(
     f * log |x - center|^2 (``log``) and of f itself (``plain``)."""
     frame = _fan_frame(center, v1, v2)
     if frame is None:
-        cx, cy = Interval.point(float(center[0])), Interval.point(float(center[1]))
-        w1x = Interval.point(float(v1[0])) - cx
-        w1y = Interval.point(float(v1[1])) - cy
-        w2x = Interval.point(float(v2[0])) - cx
-        w2y = Interval.point(float(v2[1])) - cy
-        cross = w1x * w2y - w1y * w2x
-        if cross.lo == 0.0 and cross.hi == 0.0:
-            return Interval(0.0, 0.0), Interval(0.0, 0.0)
-        return _sliver_bounds(f, center, v1, v2, cross)
+        return _sliver_bounds(f, center, v1, v2)
 
     d = frame.d
     logd = d.log()
@@ -338,12 +343,31 @@ def integrate_source(
     return plain
 
 
+def source_kernel_terms(
+    f: _expr.SourceExpr, sources, poly: Polygon, cfg: Optional[QuadConfig] = None
+) -> list:
+    """Enclosures of -(1/(4 pi)) integral f log|x - s_k|^2 over the polygon,
+    one per exterior source s_k.
+
+    They depend on f, the polygon and the sources only, so a caller pairing
+    several candidates on one domain computes them once."""
+    cfg = cfg or QuadConfig()
+    if f.has_nonsmooth():
+        raise UnsupportedError("source uses abs/min/max: use a smooth split")
+    return [
+        _fan_over_polygon(f, s, poly, cfg, want_log=True, want_plain=False)[0]
+        * NEG_INV_4PI
+        for s in np.asarray(sources, dtype=float).reshape(-1, 2)
+    ]
+
+
 def pair_f_phi(
     f: _expr.SourceExpr,
     tf0: TestFunction2D,
     poly: Polygon,
     cfg: Optional[QuadConfig] = None,
     shifts: Sequence[float] = (0.0,),
+    source_terms: Optional[Sequence[Interval]] = None,
 ) -> list:
     """Rigorous enclosures of the pairings of f with phi^0 + c over the
     polygon, one for each shift c in ``shifts``.
@@ -351,9 +375,11 @@ def pair_f_phi(
     Assembled per kernel: the evaluation-point kernel and every exterior
     source kernel are integrated by the signed singular fan (each kernel's
     own point is a fan vertex, where the machinery is exact), and a shift
-    c contributes c * integral(f).  Every fan is integrated once for all
-    shifts; each result sums the interior term plus its shift term first,
-    then the source terms in index order.
+    c contributes c * integral(f).  ``source_terms`` are the
+    :func:`source_kernel_terms` of f and ``tf0.sources``, computed here
+    when the caller does not already have them.  Each result sums the
+    interior term plus its shift term first, then the source terms times
+    their nonzero coefficients in index order.
     """
     cfg = cfg or QuadConfig()
     if f.has_nonsmooth():
@@ -362,19 +388,14 @@ def pair_f_phi(
         f, tf0.s_int, poly, cfg, want_log=True, want_plain=True
     )
     interior = log_int * NEG_INV_4PI * tf0.a_int
-    source_terms = []
-    for idx in range(tf0.sources.shape[0]):
-        coeff = float(tf0.coeffs[idx])
-        if coeff == 0.0:
-            continue
-        src_log, _ = _fan_over_polygon(
-            f, tf0.sources[idx], poly, cfg, want_log=True, want_plain=False
-        )
-        source_terms.append(src_log * NEG_INV_4PI * coeff)
+    if source_terms is None:
+        source_terms = source_kernel_terms(f, tf0.sources, poly, cfg)
+    weighted = [term * coeff for term, coeff in zip(source_terms, tf0.coeffs.tolist())
+                if coeff != 0.0]
     out = []
     for shift in shifts:
         total = interior + Interval.point(shift) * plain_int
-        for term in source_terms:
+        for term in weighted:
             total = total + term
         out.append(total)
     return out

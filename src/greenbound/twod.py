@@ -13,6 +13,11 @@ Mixed-sign sources are handled through a user-supplied
 decomposition f = f_plus - f_minus into certified-nonnegative parts; the
 two sub-problems share the same test functions (they depend only on the
 geometry and the evaluation point), and linearity combines the bounds.
+
+Only the candidate's weights depend on the evaluation point: the sign
+certificate, the collocation system and the exterior source-kernel terms
+of the pairing are computed once per call by ``_DomainPlan`` and shared
+by every point of a batch.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .expr import Bin, Neg, Num, SourceExpr
 from .geometry import CornerRefine, PointSet, Polygon, Triangle, \
     amano_sources, discretize_boundary, _ear_clip
 from .interval import Interval
-from .quad import QuadConfig, pair_f_phi
+from .quad import QuadConfig, pair_f_phi, source_kernel_terms
 
 __all__ = [
     "MfsConfig",
@@ -214,27 +219,87 @@ class EnclosureResult:
         )
 
 
-def _solve_candidate(poly: Polygon, s_int, cfg: MfsConfig) -> _mfs.MfsSolution:
-    refine = None if cfg.corner is None else CornerRefine(corner=cfg.corner)
-    collocation = discretize_boundary(poly, cfg.n, refine)
-    sources = amano_sources(poly, collocation, cfg.r_rule())
-    pts = PointSet(collocation, sources)
-    pts.validate(poly)
-    return _mfs.solve(poly, pts.collocation, pts.sources, s_int, tol=cfg.tol)
+class _DomainPlan:
+    """The work of one ``enclose_point``/``enclose_batch`` call that depends
+    on (polygon, source or split, configs) but not on the evaluation point.
 
-
-def _bounds_nonneg(f, sol: _mfs.MfsSolution, poly, quad_cfg) -> Interval:
-    """Enclosure of u(s) for certified f >= 0.
-
-    phi^0 - m.lo is nonnegative on the boundary and phi^0 - M.hi is
-    nonpositive there, so their pairings bound u(s) from above and below.
+    Built once per call and shipped to the worker processes: the sign
+    certificate or split verification, the collocation points and sources,
+    the collocation matrix with its condition estimate, and per
+    nonnegative part the source-kernel terms of the pairing.  Per point,
+    ``enclose`` solves for the coefficients, bounds the candidate on the
+    boundary and integrates the interior-kernel fan.
     """
-    a = Interval.point(float(sol.tf0.a_int))
-    upper, lower = pair_f_phi(f, sol.tf0, poly, quad_cfg, (-sol.m.lo, -sol.M.hi))
-    upper, lower = upper / a, lower / a
-    if lower.lo > upper.hi:
-        raise DomainError("crossed enclosure; rigor violated upstream")
-    return Interval(lower.lo, upper.hi)
+
+    def __init__(self, poly: Polygon, f: SourceExpr, split: Optional[SignedSplit],
+                 mfs_cfg: MfsConfig, quad_cfg: QuadConfig):
+        self.poly, self.mfs_cfg, self.quad_cfg = poly, mfs_cfg, quad_cfg
+        if split is not None:
+            split.verify(f, poly)
+            self.sign = "split"
+            parts = (split.f_plus, split.f_minus)
+        else:
+            verdict = certify_sign(f, poly)
+            if verdict in (SignVerdict.MIXED, SignVerdict.UNDECIDED):
+                raise NeedsSplitError(
+                    f"source sign is {verdict.value}; supply a SignedSplit "
+                    "(e.g. shift_split(f, K) with f + K >= 0)"
+                )
+            self.sign = verdict.value
+            if verdict is SignVerdict.NONPOSITIVE:
+                parts = (SourceExpr(Neg(f.root), f"-({f.text})"),)
+            else:
+                parts = (f,)
+        refine = None if mfs_cfg.corner is None else CornerRefine(corner=mfs_cfg.corner)
+        collocation = discretize_boundary(poly, mfs_cfg.n, refine)
+        sources = amano_sources(poly, collocation, mfs_cfg.r_rule())
+        pts = PointSet(collocation, sources)
+        pts.validate(poly)
+        self.collocation, self.sources = pts.collocation, pts.sources
+        self.system = _mfs.collocation_system(self.collocation, self.sources)
+        self.parts = tuple(
+            (part, source_kernel_terms(part, self.sources, poly, quad_cfg))
+            for part in parts
+        )
+
+    def enclose(self, s_int) -> EnclosureResult:
+        sol = _mfs.solve(self.poly, self.collocation, self.sources, s_int,
+                         tol=self.mfs_cfg.tol, system=self.system)
+        diagnostics = {
+            "mfs_residual": sol.residual_report,
+            "mfs_condition": sol.cond_estimate,
+            "m": (sol.m.lo, sol.m.hi),
+            "M": (sol.M.lo, sol.M.hi),
+            "extrema_converged": sol.extrema_converged,
+            "extrema_evaluations": sol.extrema_evaluations,
+            "extrema_depth": sol.extrema_depth,
+            "n_collocation": self.mfs_cfg.n,
+            "sign": self.sign,
+        }
+        bounds = [self._bounds_nonneg(part, terms, sol) for part, terms in self.parts]
+        bound = bounds[0] - bounds[1] if len(bounds) == 2 else bounds[0]
+        if self.sign == SignVerdict.NONPOSITIVE.value:  # u = -(solution for -f)
+            bound = -bound
+        return EnclosureResult.from_bound(s_int, bound, diagnostics)
+
+    def _bounds_nonneg(self, f, source_terms, sol: _mfs.MfsSolution) -> Interval:
+        """Enclosure of u(s) for certified f >= 0.
+
+        phi^0 - m.lo is nonnegative on the boundary and phi^0 - M.hi is
+        nonpositive there, so their pairings bound u(s) from above and below.
+        """
+        a = Interval.point(float(sol.tf0.a_int))
+        upper, lower = pair_f_phi(f, sol.tf0, self.poly, self.quad_cfg,
+                                  (-sol.m.lo, -sol.M.hi), source_terms)
+        upper, lower = upper / a, lower / a
+        if lower.lo > upper.hi:
+            raise DomainError("crossed enclosure; rigor violated upstream")
+        return Interval(lower.lo, upper.hi)
+
+
+def _check_interior(poly: Polygon, s_int) -> None:
+    if poly.locate(s_int) != 1:
+        raise GeometryError(f"evaluation point {tuple(s_int)} must be interior")
 
 
 def enclose_point(
@@ -244,51 +309,20 @@ def enclose_point(
     split: Optional[SignedSplit] = None,
     mfs_cfg: Optional[MfsConfig] = None,
     quad_cfg: Optional[QuadConfig] = None,
+    plan: Optional[_DomainPlan] = None,
 ) -> EnclosureResult:
     """Rigorous enclosure of u(s_int) for -Laplace(u) = f, zero boundary data.
 
     f must be certified nonnegative or nonpositive, or a verified
-    SignedSplit must be supplied; each evaluation point triggers its own
-    MFS solve.
+    SignedSplit must be supplied.  ``plan`` is the domain plan
+    ``enclose_batch`` built from these same arguments; without it the
+    call builds its own.
     """
-    mfs_cfg = mfs_cfg or MfsConfig()
-    quad_cfg = quad_cfg or QuadConfig()
-    if poly.locate(s_int) != 1:
-        raise GeometryError(f"evaluation point {tuple(s_int)} must be interior")
-
-    verdict = None
-    if split is not None:
-        split.verify(f, poly)
-    else:
-        verdict = certify_sign(f, poly)
-        if verdict in (SignVerdict.MIXED, SignVerdict.UNDECIDED):
-            raise NeedsSplitError(
-                f"source sign is {verdict.value}; supply a SignedSplit "
-                "(e.g. shift_split(f, K) with f + K >= 0)"
-            )
-
-    sol = _solve_candidate(poly, s_int, mfs_cfg)
-    diagnostics = {
-        "mfs_residual": sol.residual_report,
-        "mfs_condition": sol.cond_estimate,
-        "m": (sol.m.lo, sol.m.hi),
-        "M": (sol.M.lo, sol.M.hi),
-        "extrema_converged": sol.extrema_converged,
-        "extrema_evaluations": sol.extrema_evaluations,
-        "extrema_depth": sol.extrema_depth,
-        "n_collocation": mfs_cfg.n,
-        "sign": verdict.value if verdict is not None else "split",
-    }
-    if split is not None:
-        u_plus = _bounds_nonneg(split.f_plus, sol, poly, quad_cfg)
-        u_minus = _bounds_nonneg(split.f_minus, sol, poly, quad_cfg)
-        bound = u_plus - u_minus
-    elif verdict is SignVerdict.NONNEGATIVE:
-        bound = _bounds_nonneg(f, sol, poly, quad_cfg)
-    else:  # nonpositive: u = -(solution for -f)
-        neg = SourceExpr(Neg(f.root), f"-({f.text})")
-        bound = -_bounds_nonneg(neg, sol, poly, quad_cfg)
-    return EnclosureResult.from_bound(s_int, bound, diagnostics)
+    _check_interior(poly, s_int)
+    if plan is None:
+        plan = _DomainPlan(poly, f, split, mfs_cfg or MfsConfig(),
+                           quad_cfg or QuadConfig())
+    return plan.enclose(s_int)
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +339,14 @@ class BatchItem:
 
 
 def _batch_worker(args) -> BatchItem:
-    (vertices, f_text, split_texts, point, mfs_cfg, quad_cfg) = args
-    from .expr import parse
-
-    poly = Polygon(vertices)
-    f = parse(f_text)
-    split = None
-    if split_texts is not None:
-        split = SignedSplit(parse(split_texts[0]), parse(split_texts[1]))
+    """One point; ``plan`` is the domain plan or the error building it
+    raised, which every interior point reports."""
+    poly, f, point, split, mfs_cfg, quad_cfg, plan = args
     try:
-        res = enclose_point(poly, f, point, split=split, mfs_cfg=mfs_cfg,
-                            quad_cfg=quad_cfg)
+        if isinstance(plan, Exception):
+            _check_interior(poly, point)
+            raise plan.with_traceback(None)
+        res = enclose_point(poly, f, point, split, mfs_cfg, quad_cfg, plan=plan)
         return BatchItem(point=tuple(point), result=res)
     except NeedsSplitError as e:
         return BatchItem(point=tuple(point), result=None, error=str(e),
@@ -335,27 +366,25 @@ def enclose_batch(
 ) -> list:
     """Independent enclosures for a list of interior points.
 
-    Each point runs the full pipeline (the candidate test function depends
-    on the evaluation point); per-point errors are recorded and the batch
-    continues.  Results keep the input order regardless of thread count.
+    The domain plan (sign certificate or split check, collocation system,
+    source-kernel terms) is built once; each point then solves for its own
+    candidate test function, bounds it on the boundary and pairs it.
+    Worker processes receive the plan.  Per-point errors are recorded and
+    the batch continues; a failure to build the plan is recorded on every
+    interior point.  Results keep the input order regardless of thread
+    count.
     """
+    points = [(float(p[0]), float(p[1])) for p in points]
+    if not points:
+        return []
     mfs_cfg = mfs_cfg or MfsConfig()
     quad_cfg = quad_cfg or QuadConfig()
-    split_texts = None
-    if split is not None:
-        split_texts = (split.f_plus.text, split.f_minus.text)
-    jobs = [
-        (
-            np.asarray(poly.vertices).tolist(),
-            f.text,
-            split_texts,
-            (float(p[0]), float(p[1])),
-            mfs_cfg,
-            quad_cfg,
-        )
-        for p in points
-    ]
-    if threads <= 1 or len(jobs) <= 1:
+    try:
+        plan = _DomainPlan(poly, f, split, mfs_cfg, quad_cfg)
+    except Exception as e:
+        plan = e
+    jobs = [(poly, f, p, split, mfs_cfg, quad_cfg, plan) for p in points]
+    if threads <= 1 or len(jobs) <= 1 or isinstance(plan, Exception):
         return [_batch_worker(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(_batch_worker, jobs))

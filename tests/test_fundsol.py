@@ -179,3 +179,32 @@ class TestRowSum:
     def test_empty_rows_sum_to_zero(self):
         lo, hi = dr.iv_dot(np.ones(0), np.zeros((3, 0)), np.zeros((3, 0)))
         assert np.all(lo == 0.0) and np.all(hi == 0.0)
+
+
+class TestUlpSteps:
+    """The one-pass n-ulp nudges equal n np.nextafter passes bit for bit."""
+
+    TINY = np.finfo(float).tiny
+    BIG = np.finfo(float).max
+    SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323, TINY, -TINY,
+                        BIG, -BIG, np.inf, -np.inf, np.nan])
+
+    @staticmethod
+    def loop(x, n, target):
+        with np.errstate(over="ignore"):
+            for _ in range(n):
+                x = np.nextafter(x, target)
+        return x
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_bit_identical_to_nextafter_loop(self, n):
+        rng = np.random.default_rng(10)
+        size = 10**5
+        rand = np.exp(rng.uniform(-745.0, 709.0, size)) * rng.choice([-1.0, 1.0], size)
+        for x in (self.SPECIAL, rand):
+            with np.errstate(over="ignore"):
+                down, up = dr._down_n(x, n), dr._up_n(x, n)
+            assert np.array_equal(down.view(np.int64),
+                                  self.loop(x, n, -np.inf).view(np.int64))
+            assert np.array_equal(up.view(np.int64),
+                                  self.loop(x, n, np.inf).view(np.int64))

@@ -284,6 +284,17 @@ class TestBatchedMinMax:
         assert both.M.encloses(lone.M) and both.m.encloses(lone.m)
         assert_contains(both.M, 0.25)
 
+    def test_evaluation_budget_stops_soundly(self):
+        """A spent budget ends the search with converged=False and bounds
+        that still enclose those of the unlimited search."""
+        full = subdivide_min_max(_Parabolas(self.CENTERS, self.OFFSETS), self.ROOTS,
+                                 tol=1e-12, max_depth=60)
+        capped = subdivide_min_max(_Parabolas(self.CENTERS, self.OFFSETS), self.ROOTS,
+                                   tol=1e-12, max_depth=60, max_evals=20)
+        assert full.converged and not capped.converged
+        assert 20 <= capped.evaluations < full.evaluations
+        assert capped.m.encloses(full.m) and capped.M.encloses(full.M)
+
     def test_scalar_and_point_roots_mix(self):
         res = subdivide_min_max(lambda t: t.sqr(), [Interval(2, 2), Interval(-1, 1)],
                                 g_prime=lambda t: t * 2.0, tol=1e-12)

@@ -9,7 +9,7 @@ from greenbound.errors import DomainError
 from greenbound.expr import parse
 from greenbound.fundsol import TestFunction2D
 from greenbound.geometry import discretize_boundary, amano_sources
-from greenbound.interval import Interval
+from greenbound.interval import Interval, subdivide_min_max
 from greenbound.geometry import Polygon
 from greenbound.mfs import (
     EdgeKernel,
@@ -81,6 +81,19 @@ class TestBoundaryExtrema:
             val = sol.tf0.phi0_points(np.array([p]))[0]
             assert sol.m.lo - 1e-12 <= val <= sol.M.hi + 1e-12
 
+    def test_evaluation_budget(self, centered_square):
+        """A search stopped by its budget is unconverged and its m, M
+        enclose those of the unlimited search."""
+        pts, src = square_setup(centered_square, n=33)
+        tf0 = solve(centered_square, pts, src, (0.1, -0.2), tol=1e-9).tf0
+        full = boundary_extrema(tf0, centered_square)
+        kernel = EdgeKernel(tf0, centered_square)
+        capped = subdivide_min_max(kernel, kernel.roots, tol=1e-9, max_depth=48,
+                                   max_evals=300)
+        assert full.converged and not capped.converged
+        assert 300 <= capped.evaluations < full.evaluations
+        assert capped.m.encloses(full.m) and capped.M.encloses(full.M)
+
     def test_square_extrema_gap_small(self, centered_square):
         pts, src = square_setup(centered_square, n=69)
         sol = solve(centered_square, pts, src, (0.0, 0.0), tol=1e-9)
@@ -92,9 +105,9 @@ class TestEnclosurePair:
         """The pairing gets phi^0 - m.lo (upper) and phi^0 - M.hi (lower)."""
         seen = []
 
-        def spy(f, tf0, poly, cfg, shifts):
+        def spy(f, tf0, poly, cfg, shifts, source_terms):
             seen.append(shifts)
-            return real(f, tf0, poly, cfg, shifts)
+            return real(f, tf0, poly, cfg, shifts, source_terms)
 
         real = twod.pair_f_phi
         monkeypatch.setattr(twod, "pair_f_phi", spy)

@@ -228,8 +228,8 @@ class TestPairing:
 
     def test_kernel_point_on_edge_line(self):
         """s_int on the line of a slanted edge makes a fan triangle whose
-        orientation is numerically ambiguous; it is bounded crudely, not
-        skipped.  Oracle: the square [-1, 1]^2 (eight canonical triangles)
+        orientation is numerically ambiguous; it is bounded by the sector
+        it spans, not skipped.  Oracle: the square [-1, 1]^2 (eight canonical triangles)
         minus the notch."""
         poly = Polygon([(-1, -1), (1, -1), (1, 1), (0.2, 0.6), (0.1, 0.3), (-1, 1)])
         tf = TestFunction2D((0.0, 0.0), 1.0, np.zeros((0, 2)), np.zeros(0))
@@ -247,6 +247,7 @@ class TestPairing:
         want = -(square - notch) / (4 * math.pi)
         tol = 10 * max(err, 1e-8)
         assert got.lo - tol <= want <= got.hi + tol
+        assert got.width() < 1e-12  # the sliver is bounded by its tiny sector
 
     def test_rejects_nonsmooth(self, centered_square):
         tf = TestFunction2D((0.0, 0.0), 1.0, np.zeros((0, 2)), np.zeros(0))

@@ -156,12 +156,16 @@ class TestBatch:
         assert rows[0] == rows[1]
 
     def test_per_point_error_recorded(self, centered_square):
+        """A boundary point fails alone; the other point is unaffected."""
         items = enclose_batch(
             centered_square, parse("1"), [(0.0, 0.0), (0.5, 0.0)],
             mfs_cfg=FAST_MFS,
         )
         assert items[0].result is not None
         assert items[1].result is None and items[1].error
+        assert "must be interior" in items[1].error and not items[1].needs_split
+        single = enclose_point(centered_square, parse("1"), (0.0, 0.0), mfs_cfg=FAST_MFS)
+        assert items[0].result.bound == single.bound
         csv = batch_csv(items)
         assert len(csv.strip().splitlines()) == 2  # header + one good row
 
@@ -172,6 +176,59 @@ class TestBatch:
         parallel = enclose_batch(centered_square, parse("1"), pts,
                                  mfs_cfg=FAST_MFS, threads=2)
         assert batch_csv(serial) == batch_csv(parallel)
+        for a, b in zip(serial, parallel):
+            assert a.result.bound == b.result.bound
+            assert a.result.diagnostics == b.result.diagnostics
+
+    @pytest.mark.parametrize("domain, corner, points", [
+        ("centered_square", None, [(0.0, 0.0), (0.25, 0.25), (-0.2, 0.1)]),
+        ("lshape", (0.0, 0.0), [(-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5)]),
+    ])
+    def test_batch_matches_single_points(self, request, domain, corner, points):
+        """The shared domain plan changes no bit of any bound or of m, M."""
+        poly = request.getfixturevalue(domain)
+        cfg = MfsConfig(n=69, corner=corner)
+        items = enclose_batch(poly, parse("1"), points, mfs_cfg=cfg)
+        for p, item in zip(points, items):
+            single = enclose_point(poly, parse("1"), p, mfs_cfg=cfg)
+            assert item.result.bound == single.bound
+            assert item.result.diagnostics["m"] == single.diagnostics["m"]
+            assert item.result.diagnostics["M"] == single.diagnostics["M"]
+
+    @pytest.mark.parametrize("split", [None, ("x+1", "0")])
+    def test_exterior_fans_once_per_batch(self, centered_square, monkeypatch, split):
+        """Each exterior source kernel is integrated once per part and batch,
+        however many points share the domain."""
+        from greenbound import quad
+
+        exterior = []
+        real = quad._fan_over_polygon
+
+        def spy(f, center, poly, cfg, want_log, want_plain):
+            if not want_plain:  # only the source kernels skip integral(f)
+                exterior.append(tuple(center))
+            return real(f, center, poly, cfg, want_log, want_plain)
+
+        monkeypatch.setattr(quad, "_fan_over_polygon", spy)
+        cfg = MfsConfig(n=17, tol=1e-8)
+        parts = 1 if split is None else 2
+        if split is not None:
+            split = SignedSplit(parse(split[0]), parse(split[1]))
+        for points in ([(0.1, 0.0)], [(0.1, 0.0), (0.0, 0.2), (-0.2, -0.1)]):
+            exterior.clear()
+            items = enclose_batch(centered_square, parse("x+1"), points,
+                                  split=split, mfs_cfg=cfg)
+            assert all(item.result is not None for item in items)
+            assert len(exterior) == cfg.n * parts
+            assert len(set(exterior)) == cfg.n
+
+    def test_needs_split_on_every_point(self, centered_square):
+        items = enclose_batch(centered_square, parse("(x-0.125)^2+(y-0.25)^3"),
+                              [(0.0, 0.0), (0.1, 0.2), (0.5, 0.0)], mfs_cfg=FAST_MFS)
+        assert [item.needs_split for item in items] == [True, True, False]
+        assert "must be interior" in items[2].error
+        assert all(item.result is None for item in items)
+
 
 
 def test_rel_error_inf_sentinel():
