@@ -113,6 +113,17 @@ def iv_mul(alo, ahi, blo, bhi):
     return next_down(lo), next_up(hi)
 
 
+def _iv_mul_exact01(alo, ahi, blo, bhi):
+    """``iv_mul``, except that a product by an exact point 0 or 1 is exact,
+    as ``Interval.__mul__`` keeps it."""
+    lo, hi = iv_mul(alo, ahi, blo, bhi)
+    zero = ((alo == 0.0) & (ahi == 0.0)) | ((blo == 0.0) & (bhi == 0.0))
+    a1, b1 = (alo == 1.0) & (ahi == 1.0), (blo == 1.0) & (bhi == 1.0)
+    lo = np.where(zero, 0.0, np.where(b1, alo, np.where(a1, blo, lo)))
+    hi = np.where(zero, 0.0, np.where(b1, ahi, np.where(a1, bhi, hi)))
+    return lo, hi
+
+
 def iv_sqr(lo, hi):
     a = np.abs(lo)
     b = np.abs(hi)
@@ -158,14 +169,16 @@ def _sum_error_factor(n: int) -> float:
     return math.nextafter(x * math.nextafter(1.0 + 3.0 * x, _INF), _INF)
 
 
-def _row_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_sums(x: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Float bounds (lower, upper) of the exact sum of each row of x.
 
     ``np.cumsum`` forms the running sums c_i = fl(c_(i-1) + x_i) in order
     (ufunc accumulate semantics); the TwoSum errors e_i = c_(i-1) + x_i -
     c_i are computed exactly, so sum x = c_n + sum e_i exactly.  Only the
     sum of the tiny e_i is bounded a priori (``_sum_error_factor``), plus
-    one smallest subnormal in case that bound's product underflows.
+    one smallest subnormal in case that bound's product underflows.  With
+    ``exact``, a row whose e_i are all zero returns its sum c_n as both
+    bounds, so a row with a single nonzero entry stays that entry.
     """
     if not x.shape[-1]:
         z = np.zeros(x.shape[:-1])
@@ -177,8 +190,19 @@ def _row_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     top, es = c[..., -1], np.sum(err, axis=-1)
     if not _iv._outward_rounding:
         return top + es, top + es
-    eb = next_up(_sum_error_factor(err.shape[-1]) * np.sum(np.abs(err), axis=-1)) + _ETA
-    return _sum_down(top, next_down(es - eb)), _sum_up(top, next_up(es + eb))
+    abs_err = np.sum(np.abs(err), axis=-1)
+    eb = next_up(_sum_error_factor(err.shape[-1]) * abs_err) + _ETA
+    lo, hi = _sum_down(top, next_down(es - eb)), _sum_up(top, next_up(es + eb))
+    if exact:
+        return np.where(abs_err == 0.0, top, lo), np.where(abs_err == 0.0, top, hi)
+    return lo, hi
+
+
+def _iv_dot_exact01(alo, ahi, blo, bhi) -> tuple[float, float]:
+    """Float bounds of sum_t [a_t] [b_t] over a 1-D term axis: products by
+    ``_iv_mul_exact01``, one ``_row_sums(..., exact=True)`` per side."""
+    lo, hi = _iv_mul_exact01(alo, ahi, blo, bhi)
+    return float(_row_sums(lo, exact=True)[0]), float(_row_sums(hi, exact=True)[1])
 
 
 def iv_dot(weights, lo, hi):

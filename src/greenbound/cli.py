@@ -38,6 +38,8 @@ from .geometry import Polygon
 from .interval import Interval
 from .quad import QuadConfig
 
+_POINT = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+
 PROBLEM_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -57,16 +59,7 @@ PROBLEM_SCHEMA = {
                     "required": ["type", "vertices"],
                     "properties": {
                         "type": {"const": "polygon"},
-                        "vertices": {
-                            "type": "array",
-                            "minItems": 3,
-                            "items": {
-                                "type": "array",
-                                "items": {"type": "number"},
-                                "minItems": 2,
-                                "maxItems": 2,
-                            },
-                        },
+                        "vertices": {"type": "array", "minItems": 3, "items": _POINT},
                     },
                     "additionalProperties": False,
                 },
@@ -95,27 +88,14 @@ PROBLEM_SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "points": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
+        "points": {"type": "array", "items": _POINT},
         "mfs": {
             "type": "object",
             "properties": {
                 "n": {"type": "integer", "minimum": 3},
                 "R_far": {"type": "number", "exclusiveMinimum": 1},
                 "R_near": {"type": "number", "exclusiveMinimum": 1},
-                "corner": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
+                "corner": _POINT,
                 "tol": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
@@ -162,15 +142,11 @@ def _load_problem(path: str) -> dict:
 
 
 def _parse_source_1d(spec):
+    pieces = tuple(parse(p) for p in ([spec] if isinstance(spec, str) else spec["pieces"]))
+    if any("y" in p.variables() for p in pieces):
+        raise InputError("1D source must not use the variable y")
     if isinstance(spec, str):
-        f = parse(spec)
-        if "y" in f.variables():
-            raise InputError("1D source must not use the variable y")
-        return f
-    pieces = tuple(parse(p) for p in spec["pieces"])
-    for p in pieces:
-        if "y" in p.variables():
-            raise InputError("1D source must not use the variable y")
+        return pieces[0]
     return PiecewiseSource1D(tuple(spec["breakpoints"]), pieces)
 
 
@@ -299,6 +275,7 @@ def _cmd_selftest(_args) -> int:
     from .oned import green_value
     from .quad import log_moment, singular_triangle
     from .geometry import Triangle
+    from .taylor import TaylorModel2, tm_from_expr
     import numpy as np
     import random
 
@@ -355,6 +332,24 @@ def _cmd_selftest(_args) -> int:
 
     s = Interval(0.0, iv.PI.hi).sin()
     report("sin-quadrant-max", s.hi >= 1.0 and s.lo <= 0.0)
+
+    # Taylor-model products (exact rational coefficients) and compositions
+    bx = iv.Box2(Interval(0.0, 0.5), Interval(-2.0, 2.0))
+    a, b = (1 / 3, 1 / 7, 1 / 11), (1 / 5, 1 / 13, 1 / 17)
+    prod = (TaylorModel2.affine(bx, (4, 4), *map(Interval.point, a))
+            * TaylorModel2.affine(bx, (4, 4), *map(Interval.point, b)))
+    a, b = [mp.mpf(v) for v in a], [mp.mpf(v) for v in b]
+    checks = [(prod.coefficient(i, j), want) for i, j, want in [
+        (0, 0, a[0] * b[0]), (0, 1, a[0] * b[1] + a[1] * b[0]), (0, 2, a[1] * b[1]),
+        (1, 1, a[0] * b[2] + a[2] * b[0]), (1, 2, a[1] * b[2] + a[2] * b[1]),
+        (2, 2, a[2] * b[2])]]
+    comp = tm_from_expr(parse("sin(x*y) * exp(x - y)"), bx, (6, 6))
+    for u, k in [(p / 8.0, q - 2.0) for p in range(5) for q in range(5)]:
+        ku = mp.mpf(k) * u
+        checks.append((comp.eval(Interval.point(u), Interval.point(k)),
+                       mp.sin(u * ku) * mp.exp(u - ku)))
+    report("taylor-product-compose-containment",
+           all(mp.mpf(got.lo) <= want <= mp.mpf(got.hi) for got, want in checks))
 
     print(f"{'FAIL' if failures else 'PASS'}: {len(failures)} failing checks")
     return 1 if failures else 0

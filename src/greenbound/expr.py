@@ -438,7 +438,7 @@ def eval_tm(
 def _ev_tm(node: Node, x: TaylorModel2, y: Optional[TaylorModel2]) -> TaylorModel2:
     if isinstance(node, Num):
         return TaylorModel2.constant(
-            Interval(node.ilo, node.ihi), x.box, (x.deg_k, x.deg_u)
+            Interval(node.ilo, node.ihi), x.box, (x.deg_k, x.deg_u), x.ranges
         )
     if isinstance(node, Var):
         if node.name == "y":

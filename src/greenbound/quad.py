@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _directed as dr
 from . import expr as _expr
 from .errors import DomainError, UnsupportedError
 from .fundsol import NEG_INV_4PI, TestFunction2D
@@ -91,7 +92,9 @@ def _log_poly_moments(a: Interval, t: Interval, top: int) -> list:
     out = []
     for i in range(top + 1):
         i1 = float(i + 1)
-        out.append(t.pow_int(i + 1) * log_term / i1 - ks[i + 2] * (2.0 / i1))
+        # 2 / (i+1) is a float only when i + 1 is a power of two
+        two_i1 = Interval.point(2.0 / i1) if i & (i + 1) == 0 else Interval.point(2.0) / i1
+        out.append(t.pow_int(i + 1) * log_term / i1 - ks[i + 2] * two_i1)
     return out
 
 
@@ -108,16 +111,21 @@ class _FanFrame:
     ex: Interval
     ey: Interval
     sign: float
-    cross: Interval
 
 
-def _fan_frame(center, v1, v2) -> Optional[_FanFrame]:
+def _edge_vectors(center, v1, v2):
+    """Enclosures of w1 = v1 - center, w2 = v2 - center and w1 x w2."""
     cx, cy = Interval.point(float(center[0])), Interval.point(float(center[1]))
     w1x = Interval.point(float(v1[0])) - cx
     w1y = Interval.point(float(v1[1])) - cy
     w2x = Interval.point(float(v2[0])) - cx
     w2y = Interval.point(float(v2[1])) - cy
     cross = w1x * w2y - w1y * w2x
+    return w1x, w1y, w2x, w2y, cross
+
+
+def _fan_frame(center, v1, v2) -> Optional[_FanFrame]:
+    w1x, w1y, w2x, w2y, cross = _edge_vectors(center, v1, v2)
     if cross.lo <= 0.0 <= cross.hi:
         return None  # degenerate or numerically ambiguous orientation
     sign = 1.0 if cross.lo > 0.0 else -1.0
@@ -137,7 +145,7 @@ def _fan_frame(center, v1, v2) -> Optional[_FanFrame]:
         return None
     y1 = ex * w1x + ey * w1y
     y2 = ex * w2x + ey * w2y
-    return _FanFrame(d, y1, y2, nx, ny, ex, ey, sign, cross)
+    return _FanFrame(d, y1, y2, nx, ny, ex, ey, sign)
 
 
 def _sliver_bounds(f: _expr.SourceExpr, center, v1, v2):
@@ -150,12 +158,7 @@ def _sliver_bounds(f: _expr.SourceExpr, center, v1, v2):
     first part is at most (theta/2) r^2 (1 - log r^2) with r = min(rmax, 1),
     otherwise the whole disc's pi r^2 (1 - log r^2).
     """
-    cx, cy = Interval.point(float(center[0])), Interval.point(float(center[1]))
-    w1x = Interval.point(float(v1[0])) - cx
-    w1y = Interval.point(float(v1[1])) - cy
-    w2x = Interval.point(float(v2[0])) - cx
-    w2y = Interval.point(float(v2[1])) - cy
-    cross = w1x * w2y - w1y * w2x
+    w1x, w1y, w2x, w2y, cross = _edge_vectors(center, v1, v2)
     if cross.lo == 0.0 and cross.hi == 0.0:
         return Interval(0.0, 0.0), Interval(0.0, 0.0)
     pts = np.array([center, v1, v2], dtype=float)
@@ -180,15 +183,13 @@ def _sliver_bounds(f: _expr.SourceExpr, center, v1, v2):
     return Interval(-w, w), Interval(-w_plain, w_plain)
 
 
-def _fan_moments(
-    f: _expr.SourceExpr,
-    center,
-    v1,
-    v2,
-    cfg: QuadConfig,
-    want_log: bool = True,
-    want_plain: bool = False,
-):
+def _ends(ivs: list, idx: np.ndarray):
+    """Endpoint arrays of the intervals ivs[idx]."""
+    return np.array([v.lo for v in ivs])[idx], np.array([v.hi for v in ivs])[idx]
+
+
+def _fan_moments(f: _expr.SourceExpr, center, v1, v2, cfg: QuadConfig,
+                 want_log: bool = True, want_plain: bool = False):
     """Signed enclosures over the triangle (center, v1, v2) of
     f * log |x - center|^2 (``log``) and of f itself (``plain``)."""
     frame = _fan_frame(center, v1, v2)
@@ -203,82 +204,63 @@ def _fan_moments(
 
     # angular (k-range) subdivision: exact because the frame is shared
     span = frame.y2 - frame.y1
-    cuts = [frame.y1]
-    for q in range(1, cfg.fan_splits):
-        cuts.append(frame.y1 + span * (q / cfg.fan_splits))
-    cuts.append(frame.y2)
+    cuts = [frame.y1] + [frame.y1 + span * (q / cfg.fan_splits)
+                         for q in range(1, cfg.fan_splits)] + [frame.y2]
 
     dpow = [Interval(1.0, 1.0)]
-    for _ in range(n_deg + 2):
-        dpow.append(dpow[-1] * d)
-
     for ya, yb in zip(cuts[:-1], cuts[1:]):
         ka = ya / d
         kb = yb / d
-        box = Box2(
-            u=Interval(0.0, d.hi),
-            k=Interval(min(ka.lo, kb.lo), max(ka.hi, kb.hi)),
-        )
-        x_tm = TaylorModel2.affine(
-            box,
-            (m_deg, n_deg),
-            const=Interval.point(float(center[0])),
-            coef_u=frame.nx,
-            coef_ku=frame.ex,
-        )
-        y_tm = TaylorModel2.affine(
-            box,
-            (m_deg, n_deg),
-            const=Interval.point(float(center[1])),
-            coef_u=frame.ny,
-            coef_ku=frame.ey,
-        )
-        tm = _expr.eval_tm(f, x_tm, y_tm)
-
-        # per-i quantities shared across j
-        ypow_a = [ya]
-        ypow_b = [yb]
-        for _ in range(m_deg + 1):
+        box = Box2(u=Interval(0.0, d.hi), k=Interval(min(ka.lo, kb.lo), max(ka.hi, kb.hi)))
+        # x = cx + nx u + ex (k u), y likewise; y shares x's monomial ranges
+        x_tm = TaylorModel2.affine(box, (m_deg, n_deg), Interval.point(float(center[0])),
+                                   frame.nx, frame.ex)
+        y_tm = TaylorModel2.affine(box, (m_deg, n_deg), Interval.point(float(center[1])),
+                                   frame.ny, frame.ey, x_tm.ranges)
+        # one dot over the nonzero coefficients; the (u, k u) substitution
+        # keeps i <= j in every product, composition and truncation
+        i, j, clo, chi = _expr.eval_tm(f, x_tm, y_tm)._nonzero()
+        if not i.size:
+            continue
+        if np.any(i > j + 1):
+            raise DomainError("fan moments need coefficients with i <= j + 1")
+        top = int(i.max())  # moments above the top k power are not needed
+        while len(dpow) <= int((j + 1 - i).max()):
+            dpow.append(dpow[-1] * d)
+        ypow_a, ypow_b = [ya], [yb]
+        for _ in range(top):
             ypow_a.append(ypow_a[-1] * ya)
             ypow_b.append(ypow_b[-1] * yb)
-        s_i = [
-            (ypow_b[i] - ypow_a[i]) / float(i + 1) for i in range(m_deg + 1)
-        ]
+        s_i = [(ypow_b[q] - ypow_a[q]) / float(q + 1) for q in range(top + 1)]
+        dq = _ends(dpow, j + 1 - i)
+        base = dr.iv_mul(*_ends(s_i, i), *dq)
+        j2 = (j + 2).astype(float)
+        if want_plain:
+            total_plain = total_plain + Interval(
+                *dr._iv_dot_exact01(clo, chi, *dr.iv_div(*base, j2, j2)))
         if want_log:
-            la = _log_poly_moments(d, ya, m_deg)
-            lb = _log_poly_moments(d, yb, m_deg)
-            da_i = [lb[i] - la[i] for i in range(m_deg + 1)]
-
-        for i, j, c in tm.nonzero_terms():
-            q = j + 1 - i
-            if q >= 0:
-                dq = dpow[q]
-                base = s_i[i] * dq
-            else:
-                # fall back to raw k powers (only possible for hand-built models)
-                ka_p = ka.pow_int(i + 1)
-                kb_p = kb.pow_int(i + 1)
-                base = (kb_p - ka_p) / float(i + 1) * dpow[j + 2]
-                dq = None
-            j2 = float(j + 2)
-            if want_plain:
-                total_plain = total_plain + c * (base / j2)
-            if want_log:
-                part1 = base * ((logd * j2 - 1.0) * (2.0 / (j2 * j2)))
-                if dq is not None:
-                    part2 = (da_i[i] * dq - (logd * base) * 2.0) / j2
-                else:
-                    part2 = (da_i[i] * dpow[j + 2] / d.pow_int(i + 1)
-                             - (logd * base) * 2.0) / j2
-                total_log = total_log + c * (part1 + part2)
+            la = _log_poly_moments(d, ya, top)
+            lb = _log_poly_moments(d, yb, top)
+            da_i = [lb[q] - la[q] for q in range(top + 1)]
+            # 2 / (j+2)^2 is a float only when j + 2 is a power of two
+            w, exact = 2.0 / (j2 * j2), ((j + 2) & (j + 1)) == 0
+            w_iv = np.where(exact, w, dr.next_down(w)), np.where(exact, w, dr.next_up(w))
+            # base ((j+2) log d - 1) 2/(j+2)^2 + (dA_i d^q - 2 base log d)/(j+2)
+            lg = (logd.lo, logd.hi)
+            t = dr.iv_sub(*dr.iv_mul(*lg, j2, j2), 1.0, 1.0)
+            part1 = dr.iv_mul(*base, *dr.iv_mul(*t, *w_iv))
+            t = dr.iv_sub(*dr.iv_mul(*_ends(da_i, i), *dq),
+                          *dr.iv_mul(*dr.iv_mul(*lg, *base), 2.0, 2.0))
+            part2 = dr.iv_div(*t, j2, j2)
+            total_log = total_log + Interval(
+                *dr._iv_dot_exact01(clo, chi, *dr.iv_add(*part1, *part2)))
 
     sgn = frame.sign
     return total_log * sgn, total_plain * sgn
 
 
-def singular_triangle(
-    f: _expr.SourceExpr, tri: Triangle, cfg: Optional[QuadConfig] = None
-) -> Interval:
+def singular_triangle(f: _expr.SourceExpr, tri: Triangle,
+                      cfg: Optional[QuadConfig] = None) -> Interval:
     """Enclosure of the integral of f(x,y) log((x-x0)^2 + (y-y0)^2) over a
     triangle whose flagged vertex is the singular point (x0, y0).
 
@@ -289,9 +271,7 @@ def singular_triangle(
     if tri.singular_vertex is None:
         raise DomainError("triangle does not flag a singular vertex")
     if f.has_nonsmooth():
-        raise UnsupportedError(
-            "source uses abs/min/max: not smooth on the triangle"
-        )
+        raise UnsupportedError("source uses abs/min/max: not smooth on the triangle")
     sv = tri.singular_vertex
     v = tri.vertices
     center = v[sv]
@@ -306,14 +286,8 @@ def singular_triangle(
 # ---------------------------------------------------------------------------
 
 
-def _fan_over_polygon(
-    f: _expr.SourceExpr,
-    center,
-    poly: Polygon,
-    cfg: QuadConfig,
-    want_log: bool,
-    want_plain: bool,
-):
+def _fan_over_polygon(f: _expr.SourceExpr, center, poly: Polygon, cfg: QuadConfig,
+                      want_log: bool, want_plain: bool):
     """Signed fan of the polygon edges around an arbitrary center point.
 
     The signed triangle sum reproduces the polygon integral exactly for any

@@ -12,18 +12,23 @@ The intended use keeps u as a radial-like variable and k as a slope, with
 the physical coordinates affine in u and k*u.  Monomial ranges are therefore
 bounded in the coupled form (k*u)^i * u^(j-i) whenever j >= i, which stays
 bounded even when the k side of the box is huge (grazing triangles).
+
+Coefficients are (lo, hi) grids: a product is one outer interval product
+of the nonzero coefficients, every sum of terms one TwoSum-compensated row
+sum, and each box's monomial ranges one table shared by derived models.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from . import _directed as dr
 from .errors import DomainError, UnsupportedError
-from .interval import Box2, Interval, intersect
+from .interval import Box2, Interval
 
 __all__ = ["TaylorModel2", "tm_from_expr", "tm_compose_elem"]
 
@@ -34,18 +39,58 @@ def _zero_grids(m: int, n: int):
     return np.zeros((m + 1, n + 1)), np.zeros((m + 1, n + 1))
 
 
+def _powers(x: Interval, top: int):
+    ps = [x.pow_int(e) for e in range(top + 1)]
+    return np.array([p.lo for p in ps]), np.array([p.hi for p in ps])
+
+
+def _monomial_table(box: Box2, mi: int, nj: int):
+    """Ranges of k^i u^j over the box for i <= mi, j <= nj: the coupled form
+    (k u)^i u^(j-i), or (k u)^j k^(i-j), intersected with k^i u^j.  Powers
+    are scalar ``pow_int`` values and products follow ``Interval.__mul__``,
+    so each entry equals the scalar bound bit for bit."""
+    (klo, khi), (ulo, uhi) = _powers(box.k, mi), _powers(box.u, nj)
+    wlo, whi = _powers(box.k * box.u, min(mi, nj))
+    i, j = np.arange(mi + 1)[:, None], np.arange(nj + 1)[None, :]
+    w, eu, ek = np.minimum(i, j), np.clip(j - i, 0, nj), np.clip(i - j, 0, mi)
+    up = j >= i
+    clo, chi = dr._iv_mul_exact01(wlo[w], whi[w], np.where(up, ulo[eu], klo[ek]),
+                                  np.where(up, uhi[eu], khi[ek]))
+    dlo, dhi = dr._iv_mul_exact01(klo[i], khi[i], ulo[j], uhi[j])
+    lo, hi = np.maximum(clo, dlo), np.minimum(chi, dhi)
+    if np.any(lo > hi):
+        raise DomainError("disjoint monomial enclosures: rigor violated upstream")
+    return lo, hi
+
+
+def _cell_sums(cell: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int):
+    """Rigorous sums of the terms [lo_t, hi_t] per cell index < size: one
+    zero-padded row per cell and endpoint, all through one compensated
+    row sum."""
+    counts = np.bincount(cell, minlength=size)
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    pos = np.arange(cell.size) - (np.cumsum(counts) - counts)[cell]
+    g = np.zeros((2, size, max(int(counts.max()), 1)))
+    g[0, cell, pos], g[1, cell, pos] = lo[order], hi[order]
+    lower, upper = dr._row_sums(g, exact=True)
+    return lower[0], upper[1]
+
+
 @dataclass(slots=True, eq=False)
 class TaylorModel2:
     """Interval-coefficient polynomial enclosure over a (u, k) box.
 
     ``clo[i, j]``/``chi[i, j]`` bound the coefficient of k^i u^j; the model
     asserts g(u, k) in sum [c_ij] k^i u^j for every (u, k) in ``box``.
-    Instances are treated as immutable values.
+    ``ranges`` holds the monomial-range tables by (box, m, n) and is passed
+    on to every derived model.  Instances are treated as immutable values.
     """
 
     clo: np.ndarray
     chi: np.ndarray
     box: Box2
+    ranges: dict = field(default_factory=dict)
 
     @property
     def deg_k(self) -> int:
@@ -55,15 +100,26 @@ class TaylorModel2:
     def deg_u(self) -> int:
         return self.clo.shape[1] - 1
 
+    def _like(self, clo, chi) -> "TaylorModel2":
+        return TaylorModel2(clo, chi, self.box, self.ranges)
+
+    def _table(self, m: int, n: int):
+        """Monomial ranges of the box up to the degrees of a product of two
+        degree-(m, n) models, built on first use."""
+        key = (self.box, m, n)
+        if key not in self.ranges:
+            self.ranges[key] = _monomial_table(self.box, 2 * m, 2 * n)
+        return self.ranges[key]
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def constant(c: Interval, box: Box2, degrees=_DEFAULT_DEGREES) -> "TaylorModel2":
+    def constant(c: Interval, box: Box2, degrees=_DEFAULT_DEGREES,
+                 ranges: Optional[dict] = None) -> "TaylorModel2":
         m, n = degrees
         clo, chi = _zero_grids(m, n)
-        clo[0, 0] = c.lo
-        chi[0, 0] = c.hi
-        return TaylorModel2(clo, chi, box)
+        clo[0, 0], chi[0, 0] = c.lo, c.hi
+        return TaylorModel2(clo, chi, box, {} if ranges is None else ranges)
 
     @staticmethod
     def affine(
@@ -72,6 +128,7 @@ class TaylorModel2:
         const: Interval = Interval(0.0, 0.0),
         coef_u: Interval = Interval(0.0, 0.0),
         coef_ku: Interval = Interval(0.0, 0.0),
+        ranges: Optional[dict] = None,
     ) -> "TaylorModel2":
         """Model of const + coef_u * u + coef_ku * (k u)."""
         m, n = degrees
@@ -81,32 +138,35 @@ class TaylorModel2:
         clo[0, 0], chi[0, 0] = const.lo, const.hi
         clo[0, 1], chi[0, 1] = coef_u.lo, coef_u.hi
         clo[1, 1], chi[1, 1] = coef_ku.lo, coef_ku.hi
-        return TaylorModel2(clo, chi, box)
+        return TaylorModel2(clo, chi, box, {} if ranges is None else ranges)
 
     @staticmethod
     def variable_u(box: Box2, degrees=_DEFAULT_DEGREES) -> "TaylorModel2":
         return TaylorModel2.affine(box, degrees, coef_u=Interval(1.0, 1.0))
 
     @staticmethod
-    def variable_ku(box: Box2, degrees=_DEFAULT_DEGREES) -> "TaylorModel2":
-        return TaylorModel2.affine(box, degrees, coef_ku=Interval(1.0, 1.0))
+    def variable_ku(box: Box2, degrees=_DEFAULT_DEGREES, ranges=None) -> "TaylorModel2":
+        return TaylorModel2.affine(box, degrees, coef_ku=Interval(1.0, 1.0), ranges=ranges)
 
     # -- queries ----------------------------------------------------------
 
     def coefficient(self, i: int, j: int) -> Interval:
         return Interval(float(self.clo[i, j]), float(self.chi[i, j]))
 
+    def _nonzero(self):
+        """Indices (i, j) and endpoints of the nonzero coefficients."""
+        i, j = np.nonzero((self.clo != 0.0) | (self.chi != 0.0))
+        return i, j, self.clo[i, j], self.chi[i, j]
+
     def nonzero_terms(self):
-        mask = ~((self.clo == 0.0) & (self.chi == 0.0))
-        for i, j in zip(*np.nonzero(mask)):
-            yield int(i), int(j), Interval(float(self.clo[i, j]), float(self.chi[i, j]))
+        for i, j, lo, hi in zip(*self._nonzero()):
+            yield int(i), int(j), Interval(float(lo), float(hi))
 
     def range_enclosure(self) -> Interval:
         """Interval containing every value of the model over its box."""
-        total = Interval(0.0, 0.0)
-        for i, j, c in self.nonzero_terms():
-            total = total + c * _monomial_range(self.box, i, j)
-        return total
+        i, j, lo, hi = self._nonzero()
+        rlo, rhi = self._table(self.deg_k, self.deg_u)
+        return Interval(*dr._iv_dot_exact01(lo, hi, rlo[i, j], rhi[i, j]))
 
     def eval(self, u: Interval, k: Interval) -> Interval:
         """Natural evaluation at (sub)interval arguments inside the box."""
@@ -126,33 +186,29 @@ class TaylorModel2:
         if self.box != other.box:
             raise DomainError("TaylorModel2 operands must share a validity box")
 
-    def _padded_to(self, m: int, n: int) -> "TaylorModel2":
-        if self.deg_k == m and self.deg_u == n:
-            return self
+    def _padded_to(self, m: int, n: int):
         clo, chi = _zero_grids(m, n)
-        clo[: self.clo.shape[0], : self.clo.shape[1]] = self.clo
-        chi[: self.chi.shape[0], : self.chi.shape[1]] = self.chi
-        return TaylorModel2(clo, chi, self.box)
+        clo[: self.deg_k + 1, : self.deg_u + 1] = self.clo
+        chi[: self.deg_k + 1, : self.deg_u + 1] = self.chi
+        return clo, chi
 
     def __add__(self, other) -> "TaylorModel2":
         if isinstance(other, Interval):
             clo, chi = self.clo.copy(), self.chi.copy()
             lo, hi = dr.iv_add(clo[0, 0], chi[0, 0], other.lo, other.hi)
             clo[0, 0], chi[0, 0] = lo, hi
-            return TaylorModel2(clo, chi, self.box)
+            return self._like(clo, chi)
         if isinstance(other, (int, float)):
             return self + Interval.point(float(other))
         self._check_compatible(other)
         m = max(self.deg_k, other.deg_k)
         n = max(self.deg_u, other.deg_u)
-        a, b = self._padded_to(m, n), other._padded_to(m, n)
-        lo, hi = dr.iv_add(a.clo, a.chi, b.clo, b.chi)
-        return TaylorModel2(lo, hi, self.box)
+        return self._like(*dr.iv_add(*self._padded_to(m, n), *other._padded_to(m, n)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TaylorModel2":
-        return TaylorModel2(-self.chi, -self.clo, self.box)
+        return self._like(-self.chi, -self.clo)
 
     def __sub__(self, other) -> "TaylorModel2":
         if isinstance(other, (int, float, Interval)):
@@ -163,16 +219,13 @@ class TaylorModel2:
         return (-self) + other
 
     def scale(self, c: Interval) -> "TaylorModel2":
-        if c.lo == 0.0 and c.hi == 0.0:
-            lo, hi = _zero_grids(self.deg_k, self.deg_u)
-            return TaylorModel2(lo, hi, self.box)
-        lo, hi = dr.iv_mul(self.clo, self.chi, c.lo, c.hi)
-        zero = (self.clo == 0.0) & (self.chi == 0.0)
-        lo[zero] = 0.0
-        hi[zero] = 0.0
-        return TaylorModel2(lo, hi, self.box)
+        return self._like(*dr._iv_mul_exact01(self.clo, self.chi, c.lo, c.hi))
 
     def __mul__(self, other) -> "TaylorModel2":
+        """Product truncated at the larger degrees (m, n): one outer product
+        of the nonzero coefficients; products of degree <= (m, n) are summed
+        per coefficient, the rest bounded by their monomial ranges and
+        summed into the constant coefficient."""
         if isinstance(other, Interval):
             return self.scale(other)
         if isinstance(other, (int, float)):
@@ -180,37 +233,20 @@ class TaylorModel2:
         self._check_compatible(other)
         m = max(self.deg_k, other.deg_k)
         n = max(self.deg_u, other.deg_u)
-        a, b = self._padded_to(m, n), other._padded_to(m, n)
-        out_lo, out_hi = _zero_grids(m, n)
-        overflow = Interval(0.0, 0.0)
-        for i2, j2, cb in b.nonzero_terms():
-            # in-range block of a shifted by (i2, j2)
-            mi, nj = m - i2, n - j2
-            if mi >= 0 and nj >= 0:
-                blk_lo, blk_hi = dr.iv_mul(
-                    a.clo[: mi + 1, : nj + 1], a.chi[: mi + 1, : nj + 1], cb.lo, cb.hi
-                )
-                zero = (a.clo[: mi + 1, : nj + 1] == 0.0) & (
-                    a.chi[: mi + 1, : nj + 1] == 0.0
-                )
-                blk_lo[zero] = 0.0
-                blk_hi[zero] = 0.0
-                tgt_lo = out_lo[i2:, j2:]
-                tgt_hi = out_hi[i2:, j2:]
-                new_lo, new_hi = dr.iv_add(tgt_lo, tgt_hi, blk_lo, blk_hi)
-                exact = (tgt_lo == 0.0) & (tgt_hi == 0.0)
-                out_lo[i2:, j2:] = np.where(exact, blk_lo, new_lo)
-                out_hi[i2:, j2:] = np.where(exact, blk_hi, new_hi)
-            # out-of-range terms: bound over the box, absorb later
-            for i1, j1, ca in a.nonzero_terms():
-                ti, tj = i1 + i2, j1 + j2
-                if ti <= m and tj <= n:
-                    continue
-                overflow = overflow + (ca * cb) * _monomial_range(self.box, ti, tj)
-        if overflow.lo != 0.0 or overflow.hi != 0.0:
-            lo, hi = dr.iv_add(out_lo[0, 0], out_hi[0, 0], overflow.lo, overflow.hi)
-            out_lo[0, 0], out_hi[0, 0] = lo, hi
-        return TaylorModel2(out_lo, out_hi, self.box)
+        ia, ja, alo, ahi = self._nonzero()
+        ib, jb, blo, bhi = other._nonzero()
+        plo, phi = (t.ravel() for t in dr._iv_mul_exact01(alo[:, None], ahi[:, None], blo, bhi))
+        ti, tj = (ia[:, None] + ib).ravel(), (ja[:, None] + jb).ravel()
+        over, size = (ti > m) | (tj > n), (m + 1) * (n + 1)
+        if over.any():
+            rlo, rhi = self._table(m, n)
+            ri, rj = ti[over], tj[over]
+            plo[over], phi[over] = dr._iv_mul_exact01(plo[over], phi[over], rlo[ri, rj], rhi[ri, rj])
+        # cell `size` collects the truncated terms, bounded over the box
+        lo, hi = _cell_sums(np.where(over, size, ti * (n + 1) + tj), plo, phi, size + 1)
+        if lo[size] != 0.0 or hi[size] != 0.0:
+            lo[0], hi[0] = dr.iv_add(lo[0], hi[0], lo[size], hi[size])
+        return self._like(lo[:size].reshape(m + 1, n + 1), hi[:size].reshape(m + 1, n + 1))
 
     __rmul__ = __mul__
 
@@ -231,9 +267,8 @@ class TaylorModel2:
         if n < 0:
             return 1.0 / self.pow_int(-n)
         if n == 0:
-            return TaylorModel2.constant(
-                Interval(1.0, 1.0), self.box, (self.deg_k, self.deg_u)
-            )
+            return TaylorModel2.constant(Interval(1.0, 1.0), self.box,
+                                         (self.deg_k, self.deg_u), self.ranges)
         result = None
         base = self
         while n > 0:
@@ -245,30 +280,17 @@ class TaylorModel2:
         return result
 
 
-def _monomial_range(box: Box2, i: int, j: int) -> Interval:
-    """Range of k^i u^j over the box, bounded in coupled form.
-
-    Writing the monomial as (ku)^a * u^b or (ku)^a * k^b keeps the bound
-    proportional to physical extents even when the k interval is wide.
-    """
-    if i == 0 and j == 0:
-        return Interval(1.0, 1.0)
-    ku = box.k * box.u
-    if j >= i:
-        coupled = ku.pow_int(i) * box.u.pow_int(j - i)
-    else:
-        coupled = ku.pow_int(j) * box.k.pow_int(i - j)
-    decoupled = box.k.pow_int(i) * box.u.pow_int(j)
-    return intersect(coupled, decoupled)
-
-
 # ---------------------------------------------------------------------------
 # Elementary composition via truncated Taylor series + Lagrange remainder
 # ---------------------------------------------------------------------------
 
 
-def _factorial(p: int) -> float:
-    return float(math.factorial(p))
+def _factorial(p: int) -> Interval:
+    """p! enclosed outward (a point for p <= 22, where it is a float)."""
+    f = math.factorial(p)
+    x = float(f)
+    return Interval(x if int(x) <= f else math.nextafter(x, -math.inf),
+                    x if int(x) >= f else math.nextafter(x, math.inf))
 
 
 def _series_and_remainder(fn: str, t0: float, r: Interval, order: int):
@@ -310,16 +332,11 @@ def _series_and_remainder(fn: str, t0: float, r: Interval, order: int):
         for q in range(p1):
             fac = fac * abs(Interval.point(0.5 - q))
         lo_iv = Interval.point(r.lo)
-        rem_mag = (
-            fac / _factorial(p1) * lo_iv.sqrt() / lo_iv.pow_int(p1)
-            * dev_mag.pow_int(p1)
-        ).hi
+        rem_mag = (fac / _factorial(p1) * lo_iv.sqrt() / lo_iv.pow_int(p1)
+                   * dev_mag.pow_int(p1)).hi
     elif fn in ("sin", "cos"):
-        cycle = (
-            [t0_iv.sin(), t0_iv.cos(), -t0_iv.sin(), -t0_iv.cos()]
-            if fn == "sin"
-            else [t0_iv.cos(), -t0_iv.sin(), -t0_iv.cos(), t0_iv.sin()]
-        )
+        s, c = t0_iv.sin(), t0_iv.cos()
+        cycle = [s, c, -s, -c] if fn == "sin" else [c, -s, -c, s]
         for p in range(order + 1):
             coeffs.append(cycle[p % 4] / _factorial(p))
         rem_mag = (dev_mag.pow_int(p1) / _factorial(p1)).hi
@@ -330,9 +347,7 @@ def _series_and_remainder(fn: str, t0: float, r: Interval, order: int):
             c = Interval(1.0, 1.0) / t0_iv.pow_int(p + 1)
             coeffs.append(c if p % 2 == 0 else -c)
         near = min(abs(r.lo), abs(r.hi))
-        rem_mag = (
-            (dev_mag / Interval.point(near)).pow_int(p1) / Interval.point(near)
-        ).hi
+        rem_mag = ((dev_mag / Interval.point(near)).pow_int(p1) / Interval.point(near)).hi
     else:
         raise UnsupportedError(f"no Taylor-model composition for {fn!r}")
     return coeffs, Interval(-rem_mag, rem_mag)
@@ -344,7 +359,8 @@ def _compose_series(model: TaylorModel2, fn: str) -> TaylorModel2:
     order = max(model.deg_k, model.deg_u)
     coeffs, remainder = _series_and_remainder(fn, t0, r, order)
     shifted = model - Interval.point(t0)
-    acc = TaylorModel2.constant(coeffs[order], model.box, (model.deg_k, model.deg_u))
+    acc = TaylorModel2.constant(coeffs[order], model.box, (model.deg_k, model.deg_u),
+                                model.ranges)
     for p in range(order - 1, -1, -1):
         acc = acc * shifted + coeffs[p]
     return acc + remainder
@@ -360,7 +376,7 @@ def tm_from_expr(f, box: Box2, degrees=_DEFAULT_DEGREES) -> TaylorModel2:
     from . import expr as _expr
 
     x = TaylorModel2.variable_u(box, degrees)
-    y = TaylorModel2.variable_ku(box, degrees)
+    y = TaylorModel2.variable_ku(box, degrees, x.ranges)
     return _expr.eval_tm(f, x, y)
 
 

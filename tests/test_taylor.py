@@ -1,16 +1,19 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenbound import interval as iv
 from greenbound.errors import DomainError, UnsupportedError
 from greenbound.expr import parse
-from greenbound.interval import Box2, Interval
-from greenbound.taylor import (TaylorModel2, _series_and_remainder, tm_compose_elem,
-                              tm_from_expr)
+from greenbound.interval import Box2, Interval, intersect
+from greenbound.taylor import (TaylorModel2, _factorial, _monomial_table,
+                              _series_and_remainder, tm_compose_elem, tm_from_expr)
 
 from conftest import assert_contains
 
@@ -147,3 +150,129 @@ def test_degree_increase_keeps_enclosure_and_shrinks():
         sample_ok(tm, lambda u, k: float(mp.sin(mp.mpf(u) * k * u) + mp.exp(mp.mpf(u))), n=40)
         widths.append(tm.range_enclosure().width())
     assert widths[2] <= widths[0] + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Independent oracles for the array core
+# ---------------------------------------------------------------------------
+
+GRAZING = Box2(Interval(0.0, 1e-3), Interval(-1e3, 1e3))
+
+
+def _monomial_range_ref(b, i, j):
+    """Scalar coupled-and-decoupled range of k^i u^j (the per-monomial form)."""
+    if i == 0 and j == 0:
+        return Interval(1.0, 1.0)
+    ku = b.k * b.u
+    if j >= i:
+        coupled = ku.pow_int(i) * b.u.pow_int(j - i)
+    else:
+        coupled = ku.pow_int(j) * b.k.pow_int(i - j)
+    return intersect(coupled, b.k.pow_int(i) * b.u.pow_int(j))
+
+
+def _point_model(rng, b, deg, top):
+    """Model of degrees ``deg`` with random point coefficients up to ``top``."""
+    clo = np.zeros((deg[0] + 1, deg[1] + 1))
+    for i in range(top[0] + 1):
+        for j in range(top[1] + 1):
+            if rng.random() < 0.8:
+                clo[i, j] = rng.uniform(-2.0, 2.0)
+    return TaylorModel2(clo, clo.copy(), b)
+
+
+def _convolution_violations(seed, b, top):
+    """Coefficients of products of point models that miss the exact
+    rational convolution (the constant term only when nothing overflows)."""
+    rng = random.Random(seed)
+    deg, bad = (4, 4), 0
+    for _ in range(20):
+        p, q = _point_model(rng, b, deg, top), _point_model(rng, b, deg, top)
+        prod = p * q
+        exact = {}
+        for i1, j1, a in p.nonzero_terms():
+            for i2, j2, c in q.nonzero_terms():
+                key = (i1 + i2, j1 + j2)
+                exact[key] = exact.get(key, Fraction(0)) + Fraction(a.lo) * Fraction(c.lo)
+        overflow = any(i > deg[0] or j > deg[1] for i, j in exact)
+        for (i, j), want in exact.items():
+            if i > deg[0] or j > deg[1] or ((i, j) == (0, 0) and overflow):
+                continue
+            got = prod.coefficient(i, j)
+            bad += not (Fraction(got.lo) <= want <= Fraction(got.hi))
+    return bad
+
+
+def _grid_violations(b):
+    """Product and composition models against 30-digit values on a 30x30 grid."""
+    f, g = parse("sin(x*y) + x - 0.3"), parse("exp(x - y) * (1 + x*y)")
+    a, c = tm_from_expr(f, b, (6, 6)), tm_from_expr(g, b, (6, 6))
+    models = [(a * c, lambda u, y: (mp.sin(u * y) + u - mp.mpf("0.3"))
+               * mp.exp(u - y) * (1 + u * y)),
+              (tm_compose_elem("cos", a * a), lambda u, y: mp.cos(
+                  (mp.sin(u * y) + u - mp.mpf("0.3")) ** 2))]
+    bad = 0
+    with mp.workdps(30):
+        for tm, fn in models:
+            for p in range(30):
+                for q in range(30):
+                    u = b.u.lo + (b.u.hi - b.u.lo) * p / 29
+                    k = b.k.lo + (b.k.hi - b.k.lo) * q / 29
+                    enc = tm.eval(Interval.point(u), Interval.point(k))
+                    want = fn(mp.mpf(u), mp.mpf(k) * u)
+                    bad += not (mp.mpf(enc.lo) <= want <= mp.mpf(enc.hi))
+    return bad
+
+
+class TestArrayCore:
+    @pytest.mark.parametrize("b", [box(0.5, -1.0, 1.0), GRAZING])
+    @pytest.mark.parametrize("top", [(2, 2), (3, 4)])
+    def test_product_encloses_exact_convolution(self, b, top):
+        assert _convolution_violations(0, b, top) == 0
+
+    @pytest.mark.parametrize("b", [box(0.5, -1.0, 1.0), GRAZING])
+    def test_product_and_compose_enclose_mpmath_grid(self, b):
+        assert _grid_violations(b) == 0
+
+    def test_grazing_box_overflows_most_products(self):
+        c = tm_from_expr(parse("exp(x - y) * (1 + x*y)"), GRAZING, (6, 6))
+        i, j = np.nonzero((c.clo != 0.0) | (c.chi != 0.0))
+        over = (i[:, None] + i > 6) | (j[:, None] + j > 6)
+        assert over.mean() > 0.5
+
+    @pytest.mark.parametrize("b", [box(0.5, -1.0, 1.0), GRAZING,
+                                   Box2(Interval(0.0, 0.25), Interval(0.0, 0.0))])
+    def test_table_matches_scalar_ranges(self, b):
+        lo, hi = _monomial_table(b, 12, 12)
+        for i in range(13):
+            for j in range(13):
+                assert Interval(lo[i, j], hi[i, j]) == _monomial_range_ref(b, i, j)
+
+    @pytest.mark.parametrize("text", _EXPRS)
+    @pytest.mark.parametrize("b", [box(0.5, -1.0, 1.0), GRAZING])
+    def test_range_no_wider_than_per_monomial_sum(self, text, b):
+        tm = tm_from_expr(parse(text), b, (6, 6))
+        ref = Interval(0.0, 0.0)
+        for i, j, c in tm.nonzero_terms():
+            ref = ref + c * _monomial_range_ref(b, i, j)
+        got = tm.range_enclosure()
+        assert got.width() <= ref.width()
+        for u, k in [(b.u.lo, b.k.lo), (b.u.hi, b.k.hi), (b.u.hi / 3, b.k.lo / 7)]:
+            assert_contains(got, parse(text).eval_point(u, k * u))
+
+    def test_outward_rounding_is_what_makes_products_contain(self):
+        iv._set_outward_rounding(False)
+        try:
+            bad = _convolution_violations(0, box(0.5, -1.0, 1.0), (3, 4))
+        finally:
+            iv._set_outward_rounding(True)
+        assert bad > 0
+
+
+@pytest.mark.parametrize("p", range(20, 31))
+def test_factorial_encloses_exact_integer(p):
+    fac = _factorial(p)
+    exact = math.factorial(p)
+    assert Fraction(fac.lo) <= exact <= Fraction(fac.hi)
+    assert (fac.lo == fac.hi) == (p <= 22)
+    assert (float(exact) == exact) == (p <= 22)
