@@ -16,14 +16,15 @@ Subcommands
     Fast containment/identity checks; nonzero exit on any failure.
 
 Exit codes: 0 ok, 2 invalid input (also any problem-file key or flag not
-listed in ``PROBLEM_SCHEMA`` or here), 3 engine failure, 4 sign-indefinite
-source without a supplied split.
+listed in ``PROBLEM_SCHEMA`` or here, and any non-finite number), 3 engine
+failure, 4 sign-indefinite source without a supplied split.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -32,7 +33,7 @@ import jsonschema
 
 from . import oned as _oned
 from . import twod as _twod
-from .errors import GreenboundError, InputError, NeedsSplitError
+from .errors import DomainError, GreenboundError, InputError, NeedsSplitError
 from .expr import PiecewiseSource1D, parse
 from .geometry import Polygon
 from .interval import Interval
@@ -126,10 +127,18 @@ PROBLEM_SCHEMA = {
 _DEFAULT_SWEEP_H = [2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8, 2.0**-9]
 
 
+def _finite(text: str) -> float:
+    """JSON number hook: NaN, Infinity and overflowing literals are input errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise InputError(f"non-finite number {text} in problem file")
+    return value
+
+
 def _load_problem(path: str) -> dict:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as e:
         raise InputError(f"cannot read problem file: {e}") from None
     except json.JSONDecodeError as e:
@@ -158,14 +167,6 @@ def _write_out(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _validate_mesh(h: float) -> None:
-    n1 = round(1.0 / h) if h > 0 else 0
-    if h <= 0 or n1 < 2 or abs(1.0 / h - n1) > 1e-9 or n1 * h != 1.0:
-        raise InputError(
-            f"mesh width {h} must tile [0, 1] exactly in binary64 (dyadic h works)"
-        )
-
-
 def _cmd_enclose1d(args) -> int:
     problem = _load_problem(args.problem)
     if problem["domain"]["type"] != "interval":
@@ -178,8 +179,15 @@ def _cmd_enclose1d(args) -> int:
 
     if args.sweep:
         h_list = cfg.get("sweep_h", _DEFAULT_SWEEP_H)
-        for h in h_list:
-            _validate_mesh(h)
+    else:
+        h_list = [args.h if args.h is not None else cfg.get("h", 2.0**-5)]
+    for h in h_list:
+        try:
+            _oned._node_count(h)
+        except DomainError as e:
+            raise InputError(str(e)) from None
+
+    if args.sweep:
         rows = _oned.sweep(
             f,
             h_list,
@@ -195,11 +203,10 @@ def _cmd_enclose1d(args) -> int:
             )
         return 0
 
-    h = args.h if args.h is not None else cfg.get("h", 2.0**-5)
-    _validate_mesh(h)
+    (h,) = h_list
     c = args.c if args.c is not None else cfg.get("c", 0.2 * supf * h * h)
-    if c < 0.0:
-        raise InputError(f"boundary shift c must be nonnegative, got {c}")
+    if not 0.0 <= c < math.inf:
+        raise InputError(f"boundary shift c must be nonnegative and finite, got {c}")
     eps = eps_factor * h * supf
     upper = _oned.build_super(f, h, c, eps=eps)
     lower = _oned.build_sub(f, h, c, eps=eps)

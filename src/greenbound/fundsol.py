@@ -4,12 +4,13 @@ The 2D Laplace kernel is -(1/(2 pi)) log |x-s|, evaluated internally as
 -(1/(4 pi)) log |x-s|^2 so no square root enters the hot path.  A test
 function is
 
-    phi^0(x) = a_int * Gamma(s_int, x) + sum_i a_i Gamma(s_i, x),
+    phi^0(x) = Gamma(s_int, x) + sum_i a_i Gamma(s_i, x),
 
 with the exterior sources forming the harmonic part.  Box evaluations over
-all sources are vectorized with directed rounding.  The enclosure pair
-phi^0 - m and phi^0 - M differs from phi^0 only by a constant, which the
-pairing applies as shift * integral(f) (:func:`greenbound.quad.pair_f_phi`).
+all sources are vectorized with directed rounding.  The boundary
+extrema m and M of phi^0 enter the enclosure only as constants, which the
+pairing applies as offsets c * integral(f) + d
+(:func:`greenbound.quad.pair_f_phi`).
 """
 
 from __future__ import annotations
@@ -50,16 +51,13 @@ def gamma(s, x) -> Interval:
 
 @dataclass(frozen=True)
 class TestFunction2D:
-    """a_int * Gamma(s_int, .) + sum_i a_i Gamma(s_i, .)."""
+    """Gamma(s_int, .) + sum_i a_i Gamma(s_i, .)."""
 
     s_int: tuple
-    a_int: float
     sources: np.ndarray  # (n, 2)
     coeffs: np.ndarray  # (n,)
 
     def __post_init__(self):
-        if self.a_int == 0.0:
-            raise DomainError("interior weight a_int must be nonzero")
         src = np.asarray(self.sources, dtype=float).reshape(-1, 2)
         cof = np.asarray(self.coeffs, dtype=float).reshape(-1)
         if src.shape[0] != cof.shape[0]:
@@ -87,9 +85,8 @@ class TestFunction2D:
         return Interval(*map(float, dr.iv_dot(self.coeffs, glo, ghi)))
 
     def phi0_box(self, bx: Interval, by: Interval) -> Interval:
-        """Enclosure of phi^0 = a_int Gamma(s_int, .) + sum a_i Gamma(s_i, .)."""
-        total = gamma(self.s_int, (bx, by)) * self.a_int
-        return total + self._sources_term(bx, by)
+        """Enclosure of phi^0 = Gamma(s_int, .) + sum a_i Gamma(s_i, .)."""
+        return gamma(self.s_int, (bx, by)) + self._sources_term(bx, by)
 
     def phi0_dir_deriv(
         self, bx: Interval, by: Interval, vx: Interval, vy: Interval
@@ -100,7 +97,7 @@ class TestFunction2D:
         """
         sx = np.concatenate(([self.s_int[0]], self.sources[:, 0]))
         sy = np.concatenate(([self.s_int[1]], self.sources[:, 1]))
-        weights = np.concatenate(([self.a_int], self.coeffs))
+        weights = np.concatenate(([1.0], self.coeffs))
         dxlo, dxhi = dr.iv_sub(bx.lo, bx.hi, sx, sx)
         dylo, dyhi = dr.iv_sub(by.lo, by.hi, sy, sy)
         x2lo, x2hi = dr.iv_sqr(dxlo, dxhi)
@@ -121,7 +118,7 @@ class TestFunction2D:
         """Plain float64 phi^0 at an (m, 2) array of points."""
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         d2_int = np.sum((pts - np.asarray(self.s_int)) ** 2, axis=1)
-        vals = self.a_int * (-0.25 / np.pi) * np.log(d2_int)
+        vals = (-0.25 / np.pi) * np.log(d2_int)
         if self.sources.shape[0]:
             diff = pts[:, None, :] - self.sources[None, :, :]
             d2 = np.sum(diff**2, axis=2)

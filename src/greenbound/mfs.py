@@ -75,8 +75,9 @@ def solve_coefficients(
 class MfsSolution:
     """Candidate phi^0 with rigorous boundary extrema m and M.
 
-    The enclosure pair is phi^0 - m.lo (nonnegative on the boundary) and
-    phi^0 - M.hi (nonpositive there); it is paired as shifts of phi^0.
+    phi^0 - m.lo is nonnegative on the boundary and phi^0 - M.hi
+    nonpositive there; the enclosure pairs f with phi^0 and applies m and
+    M as constant offsets.
     """
 
     tf0: TestFunction2D
@@ -115,7 +116,7 @@ class EdgeKernel(BoxEvaluator):
     CHUNK_ELEMS = 2048
 
     def __init__(self, tf0: TestFunction2D, poly: Polygon):
-        self.weights = np.concatenate(([tf0.a_int], tf0.coeffs))
+        self.weights = np.concatenate(([1.0], tf0.coeffs))
         self.roots = [Interval(0.0, 1.0)] * len(poly.vertices)
         self.chunk = max(1, self.CHUNK_ELEMS // len(self.weights))
         # exact geometry in integers (every float times 2^k), each
@@ -211,7 +212,6 @@ def solve(
     coeffs, residual, cond = solve_coefficients(collocation, sources, s_int, system)
     tf0 = TestFunction2D(
         s_int=(float(s_int[0]), float(s_int[1])),
-        a_int=1.0,
         sources=sources,
         coeffs=coeffs,
     )

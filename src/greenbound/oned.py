@@ -20,7 +20,8 @@ c = 0 the condition degenerates at the boundary (D -> 0); the boundary
 subintervals are then decided through the exactly factored forms D/s and
 D/(1-s), whose antiderivative factors divide out symbolically.  The
 sub-solution check is the mirror image: sub(f) holds for v iff super(-f)
-holds for -v, which the implementation uses verbatim.
+holds for -v, so it decides -D >= 0 on the same evaluator of f (negation
+is exact), and the sub-solution is the negated super-solution build of -f.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import CertificationError, DomainError
-from .expr import Neg, PiecewiseSource1D, SourceExpr
+from .expr import PiecewiseSource1D, SourceExpr
 from .interval import Box2, Interval, hull, subdivide_min_max
 from .taylor import TaylorModel2
 
@@ -61,15 +62,6 @@ class Verdict(enum.Enum):
     HOLDS = "holds"
     VIOLATED = "violated"
     UNDECIDED = "undecided"
-
-
-def _negated(f: Source1D) -> Source1D:
-    if isinstance(f, PiecewiseSource1D):
-        return PiecewiseSource1D(
-            f.breakpoints,
-            tuple(SourceExpr(Neg(p.root), f"-({p.text})") for p in f.pieces),
-        )
-    return SourceExpr(Neg(f.root), f"-({f.text})")
 
 
 def _source_segments(f: Source1D):
@@ -331,18 +323,21 @@ def _check(
     hi = min(grid.node(i + 1), 1.0)
     n_last = grid.n_intervals - 1
 
+    def signed(v: Interval) -> Interval:
+        return v if sign > 0 else -v  # exact; a product by -1 would nudge
+
     def plain(s: Interval) -> Interval:
         gs = grid.value_at(s, i)
         one_minus = Interval(1.0, 1.0) - s
         L = one_minus * (gs - v0) - s * (v1 - gs)
-        return (L - ev.u(s)) * sign + c
+        return signed(L - ev.u(s)) + c
 
     def plain_deriv(s: Interval) -> Interval:
         # d/ds of L(s): slope - (g(s) - g(0)) - (g(1) - g(s)); u' = B - A
         gs = grid.value_at(s, i)
         slope = grid.slope(i)
         dL = slope - (gs - v0) - (v1 - gs)
-        return (dL - ev.du(s)) * sign
+        return signed(dL - ev.du(s))
 
     def plain_mvf(s: Interval) -> Interval:
         # mean value form: kills the first-order dependency overestimate
@@ -361,12 +356,12 @@ def _check(
         # D/s on the first subinterval (only sound combined with D(0) = c >= 0)
         gs = grid.value_at(s, i)
         L_over = (Interval(1.0, 1.0) - s) * grid.slope(i) - (v1 - gs)
-        return (L_over - ev.u_over_s(s)) * sign
+        return signed(L_over - ev.u_over_s(s))
 
     def factored_right(s: Interval) -> Interval:
         gs = grid.value_at(s, i)
         L_over = (gs - v0) - s * grid.slope(i)
-        return (L_over - ev.u_over_1ms(s)) * sign
+        return signed(L_over - ev.u_over_1ms(s))
 
     use_left = c == 0.0 and i == 0
     use_right = c == 0.0 and i == n_last
@@ -437,8 +432,9 @@ class BuildResult:
 
 
 def _node_count(h: float) -> int:
-    inv = 1.0 / h
-    n_plus_1 = round(inv)
+    """Interior node count n of the uniform grid with (n + 1) h = 1."""
+    inv = 1.0 / h if 0.0 < h < math.inf else math.nan
+    n_plus_1 = round(inv) if math.isfinite(inv) else 0
     if n_plus_1 < 2 or abs(inv - n_plus_1) > 1e-9:
         raise DomainError(f"mesh width {h} must divide the unit interval")
     # the last node (n+1) h must land exactly on 1.0 so the certification
@@ -472,6 +468,48 @@ def _fd_solve(fbar: np.ndarray, h: float) -> np.ndarray:
     return x
 
 
+def _build(f: Source1D, h: float, c: float, eps: Optional[float],
+           max_iters: int, sign: float) -> BuildResult:
+    """Certified super- (sign +1) or sub-solution (sign -1) on the uniform
+    grid; the sub-solution is the negated super-solution of -f, checked
+    against the evaluator of f."""
+    n = _node_count(h)
+    if c < 0.0:
+        raise DomainError("boundary shift c must be nonnegative")
+    ev = GreenEvaluator(f)
+    if eps is None:
+        eps = 0.25 * h * ev.sup_abs_source()
+    if eps == 0.0 and ev.sup_abs_source() == 0.0:
+        grid = GridFunction1D(h, np.full(n + 2, sign * c), c)
+        return BuildResult(grid=grid, iterations=0, eps=eps, c=c)
+    nodes = np.arange(1, n + 1) * h
+    fbar = sign * np.array([f.eval_point(x) for x in nodes])
+    for it in range(max_iters):
+        interior = _fd_solve(fbar, h)
+        grid = GridFunction1D(h, sign * np.concatenate(([c], interior + c, [c])), c)
+        bad = [
+            i
+            for i in range(grid.n_intervals)
+            if _check(grid, ev, c, i, sign) is not Verdict.HOLDS
+        ]
+        if not bad:
+            return BuildResult(grid=grid, iterations=it, eps=eps, c=c)
+        if eps == 0.0:
+            raise CertificationError(
+                f"{len(bad)} subintervals fail with eps = 0 (h={h}, c={c}); "
+                "every further sweep would re-solve the same grid"
+            )
+        for i in bad:
+            if 1 <= i <= n:
+                fbar[i - 1] += eps
+            if 1 <= i + 1 <= n:
+                fbar[i] += eps
+    raise CertificationError(
+        f"no certified {'super' if sign > 0 else 'sub'}-solution after {max_iters} sweeps "
+        f"(h={h}, c={c}, eps={eps}); raise c or the iteration budget"
+    )
+
+
 def build_super(
     f: Source1D,
     h: float,
@@ -489,41 +527,7 @@ def build_super(
     so it raises at once; a source with sup |f| = 0 then gets the exact
     constant super-solution c.
     """
-    if c < 0.0:
-        raise DomainError("boundary shift c must be nonnegative")
-    n = _node_count(h)
-    ev = GreenEvaluator(f)
-    if eps is None:
-        eps = 0.25 * h * ev.sup_abs_source()
-    if eps == 0.0 and ev.sup_abs_source() == 0.0:
-        grid = GridFunction1D(h, np.full(n + 2, float(c)), c)
-        return BuildResult(grid=grid, iterations=0, eps=eps, c=c)
-    nodes = np.arange(1, n + 1) * h
-    fbar = np.array([f.eval_point(x) for x in nodes])
-    for it in range(max_iters):
-        interior = _fd_solve(fbar, h)
-        grid = GridFunction1D(h, np.concatenate(([c], interior + c, [c])), c)
-        bad = [
-            i
-            for i in range(grid.n_intervals)
-            if _check(grid, ev, c, i, +1.0) is not Verdict.HOLDS
-        ]
-        if not bad:
-            return BuildResult(grid=grid, iterations=it, eps=eps, c=c)
-        if eps == 0.0:
-            raise CertificationError(
-                f"{len(bad)} subintervals fail with eps = 0 (h={h}, c={c}); "
-                "every further sweep would re-solve the same grid"
-            )
-        for i in bad:
-            if 1 <= i <= n:
-                fbar[i - 1] += eps
-            if 1 <= i + 1 <= n:
-                fbar[i] += eps
-    raise CertificationError(
-        f"no certified super-solution after {max_iters} sweeps "
-        f"(h={h}, c={c}, eps={eps}); raise c or the iteration budget"
-    )
+    return _build(f, h, c, eps, max_iters, +1.0)
 
 
 def build_sub(
@@ -533,10 +537,8 @@ def build_sub(
     eps: Optional[float] = None,
     max_iters: int = 500,
 ) -> BuildResult:
-    """Certified sub-solution via the exact mirror build_super(-f)."""
-    res = build_super(_negated(f), h, c, eps=eps, max_iters=max_iters)
-    grid = GridFunction1D(h, -np.asarray(res.grid.values), c)
-    return BuildResult(grid=grid, iterations=res.iterations, eps=res.eps, c=c)
+    """Certified sub-solution: the negated :func:`build_super` of -f."""
+    return _build(f, h, c, eps, max_iters, -1.0)
 
 
 @dataclass(frozen=True)

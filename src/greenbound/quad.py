@@ -311,7 +311,7 @@ def integrate_source(
     """Enclosure of the integral of f over the polygon."""
     cfg = cfg or QuadConfig()
     if f.has_nonsmooth():
-        raise UnsupportedError("source uses abs/min/max: use a smooth split")
+        raise UnsupportedError("source uses abs/min/max: not smooth over the polygon")
     center = poly.vertices.mean(axis=0)
     _, plain = _fan_over_polygon(f, center, poly, cfg, want_log=False, want_plain=True)
     return plain
@@ -327,7 +327,7 @@ def source_kernel_terms(
     several candidates on one domain computes them once."""
     cfg = cfg or QuadConfig()
     if f.has_nonsmooth():
-        raise UnsupportedError("source uses abs/min/max: use a smooth split")
+        raise UnsupportedError("source uses abs/min/max: not smooth over the polygon")
     return [
         _fan_over_polygon(f, s, poly, cfg, want_log=True, want_plain=False)[0]
         * NEG_INV_4PI
@@ -340,35 +340,36 @@ def pair_f_phi(
     tf0: TestFunction2D,
     poly: Polygon,
     cfg: Optional[QuadConfig] = None,
-    shifts: Sequence[float] = (0.0,),
+    offsets: Sequence[tuple] = ((0.0, 0.0),),
     source_terms: Optional[Sequence[Interval]] = None,
 ) -> list:
     """Rigorous enclosures of the pairings of f with phi^0 + c over the
-    polygon, one for each shift c in ``shifts``.
+    polygon, plus d, one for each offset (c, d) in ``offsets``.
 
     Assembled per kernel: the evaluation-point kernel and every exterior
     source kernel are integrated by the signed singular fan (each kernel's
-    own point is a fan vertex, where the machinery is exact), and a shift
-    c contributes c * integral(f).  ``source_terms`` are the
+    own point is a fan vertex, where the machinery is exact), and c
+    contributes c * integral(f), with integral(f) from the evaluation
+    point's fan.  d is a float or an Interval.  ``source_terms`` are the
     :func:`source_kernel_terms` of f and ``tf0.sources``, computed here
     when the caller does not already have them.  Each result sums the
-    interior term plus its shift term first, then the source terms times
-    their nonzero coefficients in index order.
+    interior term, c * integral(f) and d first, then the source terms
+    times their nonzero coefficients in index order.
     """
     cfg = cfg or QuadConfig()
     if f.has_nonsmooth():
-        raise UnsupportedError("source uses abs/min/max: use a smooth split")
+        raise UnsupportedError("source uses abs/min/max: not smooth over the polygon")
     log_int, plain_int = _fan_over_polygon(
         f, tf0.s_int, poly, cfg, want_log=True, want_plain=True
     )
-    interior = log_int * NEG_INV_4PI * tf0.a_int
+    interior = log_int * NEG_INV_4PI
     if source_terms is None:
         source_terms = source_kernel_terms(f, tf0.sources, poly, cfg)
     weighted = [term * coeff for term, coeff in zip(source_terms, tf0.coeffs.tolist())
                 if coeff != 0.0]
     out = []
-    for shift in shifts:
-        total = interior + Interval.point(shift) * plain_int
+    for c, d in offsets:
+        total = interior + Interval.point(c) * plain_int + d
         for term in weighted:
             total = total + term
         out.append(total)

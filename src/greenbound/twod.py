@@ -1,23 +1,27 @@
 """2D pointwise enclosure engine: sign handling, pipeline orchestration.
 
-For a certified-nonnegative source the enclosure at an interior point s is
+At an interior point s, one MFS candidate phi^0 = Gamma(s, .) + (exterior
+kernels) differs from the Green's function by a harmonic H with
+m <= H <= M on the boundary, hence in the domain, so
 
-    pair(f, phi_lower) / a_int  <=  u(s)  <=  pair(f, phi_upper) / a_int,
+    u(s) = <f, phi^0> - <f, H>.
 
-with phi_upper = phi^0 - m and phi_lower = phi^0 - M built from one MFS
-candidate phi^0 per evaluation point.  The two differ from phi^0 only by a
-constant, so one pairing pass gives both:
-pair(f, phi^0 - c) = pair(f, phi^0) - c * integral(f).
+Let P = <f, phi^0>, I = integral(f), and f = f_plus - f_minus with both
+parts nonnegative (f_minus = 0 for f >= 0, -f for f <= 0, a verified
+SignedSplit otherwise), I_minus = integral(f_minus) and
+G = M.hi - m.lo.  Then
 
-Mixed-sign sources are handled through a user-supplied
-decomposition f = f_plus - f_minus into certified-nonnegative parts; the
-two sub-problems share the same test functions (they depend only on the
-geometry and the evaluation point), and linearity combines the bounds.
+    P - M.hi I - G I_minus  <=  u(s)  <=  P - m.lo I + G I_minus,
+
+a width of G (integral(f_plus) + integral(f_minus)) plus quadrature
+error.  For f >= 0 these are the pairings of f with phi^0 - M.hi and
+phi^0 - m.lo.  P and I come from one pairing pass of f itself; the split
+parts are only certified and f_minus integrated once.
 
 Only the candidate's weights depend on the evaluation point: the sign
-certificate, the collocation system and the exterior source-kernel terms
-of the pairing are computed once per call by ``_DomainPlan`` and shared
-by every point of a batch.
+certificate, I_minus, the collocation system and the exterior
+source-kernel terms of the pairing are computed once per call by
+``_DomainPlan`` and shared by every point of a batch.
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ import numpy as np
 
 from . import mfs as _mfs
 from .errors import DomainError, GeometryError, InputError, NeedsSplitError
-from .expr import Bin, Neg, Num, SourceExpr
+from .expr import Bin, Num, SourceExpr
 from .geometry import CornerRefine, PointSet, Polygon, Triangle, \
     amano_sources, discretize_boundary, _ear_clip
 from .interval import Interval
-from .quad import QuadConfig, pair_f_phi, source_kernel_terms
+from .quad import QuadConfig, integrate_source, pair_f_phi, source_kernel_terms
 
 __all__ = [
     "MfsConfig",
@@ -224,20 +228,20 @@ class _DomainPlan:
     on (polygon, source or split, configs) but not on the evaluation point.
 
     Built once per call and shipped to the worker processes: the sign
-    certificate or split verification, the collocation points and sources,
-    the collocation matrix with its condition estimate, and per
-    nonnegative part the source-kernel terms of the pairing.  Per point,
+    certificate or split verification with I_minus = integral(f_minus),
+    the collocation points and sources, the collocation matrix with its
+    condition estimate, and the source-kernel terms of f.  Per point,
     ``enclose`` solves for the coefficients, bounds the candidate on the
     boundary and integrates the interior-kernel fan.
     """
 
     def __init__(self, poly: Polygon, f: SourceExpr, split: Optional[SignedSplit],
                  mfs_cfg: MfsConfig, quad_cfg: QuadConfig):
-        self.poly, self.mfs_cfg, self.quad_cfg = poly, mfs_cfg, quad_cfg
+        self.poly, self.f, self.mfs_cfg, self.quad_cfg = poly, f, mfs_cfg, quad_cfg
         if split is not None:
             split.verify(f, poly)
             self.sign = "split"
-            parts = (split.f_plus, split.f_minus)
+            self.minus_mass = integrate_source(split.f_minus, poly, quad_cfg)
         else:
             verdict = certify_sign(f, poly)
             if verdict in (SignVerdict.MIXED, SignVerdict.UNDECIDED):
@@ -246,10 +250,9 @@ class _DomainPlan:
                     "(e.g. shift_split(f, K) with f + K >= 0)"
                 )
             self.sign = verdict.value
-            if verdict is SignVerdict.NONPOSITIVE:
-                parts = (SourceExpr(Neg(f.root), f"-({f.text})"),)
-            else:
-                parts = (f,)
+            self.minus_mass = (-integrate_source(f, poly, quad_cfg)
+                               if verdict is SignVerdict.NONPOSITIVE
+                               else Interval(0.0, 0.0))
         refine = None if mfs_cfg.corner is None else CornerRefine(corner=mfs_cfg.corner)
         collocation = discretize_boundary(poly, mfs_cfg.n, refine)
         sources = amano_sources(poly, collocation, mfs_cfg.r_rule())
@@ -257,10 +260,7 @@ class _DomainPlan:
         pts.validate(poly)
         self.collocation, self.sources = pts.collocation, pts.sources
         self.system = _mfs.collocation_system(self.collocation, self.sources)
-        self.parts = tuple(
-            (part, source_kernel_terms(part, self.sources, poly, quad_cfg))
-            for part in parts
-        )
+        self.source_terms = source_kernel_terms(f, self.sources, poly, quad_cfg)
 
     def enclose(self, s_int) -> EnclosureResult:
         sol = _mfs.solve(self.poly, self.collocation, self.sources, s_int,
@@ -276,25 +276,16 @@ class _DomainPlan:
             "n_collocation": self.mfs_cfg.n,
             "sign": self.sign,
         }
-        bounds = [self._bounds_nonneg(part, terms, sol) for part, terms in self.parts]
-        bound = bounds[0] - bounds[1] if len(bounds) == 2 else bounds[0]
-        if self.sign == SignVerdict.NONPOSITIVE.value:  # u = -(solution for -f)
-            bound = -bound
-        return EnclosureResult.from_bound(s_int, bound, diagnostics)
-
-    def _bounds_nonneg(self, f, source_terms, sol: _mfs.MfsSolution) -> Interval:
-        """Enclosure of u(s) for certified f >= 0.
-
-        phi^0 - m.lo is nonnegative on the boundary and phi^0 - M.hi is
-        nonpositive there, so their pairings bound u(s) from above and below.
-        """
-        a = Interval.point(float(sol.tf0.a_int))
-        upper, lower = pair_f_phi(f, sol.tf0, self.poly, self.quad_cfg,
-                                  (-sol.m.lo, -sol.M.hi), source_terms)
-        upper, lower = upper / a, lower / a
+        # <f, H> = <f_plus, H> - <f_minus, H> lies in
+        # [m.lo I - G I_minus, M.hi I + G I_minus]
+        gap = Interval.point((sol.M - sol.m).hi) * self.minus_mass
+        upper, lower = pair_f_phi(self.f, sol.tf0, self.poly, self.quad_cfg,
+                                  ((-sol.m.lo, gap), (-sol.M.hi, -gap)),
+                                  self.source_terms)
         if lower.lo > upper.hi:
             raise DomainError("crossed enclosure; rigor violated upstream")
-        return Interval(lower.lo, upper.hi)
+        return EnclosureResult.from_bound(s_int, Interval(lower.lo, upper.hi),
+                                          diagnostics)
 
 
 def _check_interior(poly: Polygon, s_int) -> None:

@@ -101,6 +101,26 @@ class TestEnclose1D:
         path = write(tmp_path, "p.json", interval_problem())
         assert main(["enclose1d", path, "--c", "-0.01"]) == 2
 
+    @pytest.mark.parametrize("c", ["inf", "nan"])
+    def test_non_finite_c_flag_is_input_error(self, tmp_path, capsys, c):
+        path = write(tmp_path, "p.json", interval_problem())
+        assert main(["enclose1d", path, "--c", c]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h", ["0", "nan", "inf", "-0.25", "0.3"])
+    def test_invalid_h_flag_is_input_error(self, tmp_path, capsys, h):
+        path = write(tmp_path, "p.json", interval_problem())
+        assert main(["enclose1d", path, "--h", h]) == 2
+        assert "mesh width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_c_rejected_at_load(self, tmp_path, capsys, number):
+        path = tmp_path / "p.json"
+        payload = json.dumps(interval_problem(oned={"c": "C"}))
+        path.write_text(payload.replace('"C"', number))
+        assert main(["enclose1d", str(path)]) == 2
+        assert "non-finite number" in capsys.readouterr().err
+
     def test_zero_source_gives_zero_table_quickly(self, tmp_path):
         import time
 
@@ -170,6 +190,14 @@ class TestEnclose2D:
         path = write(tmp_path, "p.json", square_problem(mfs={"n": 33, key: R}))
         assert main(["enclose2d", path]) == 2
         assert "problem file rejected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_R_rejected_at_load(self, tmp_path, capsys, number):
+        path = tmp_path / "p.json"
+        payload = json.dumps(square_problem(mfs={"n": 33, "R_far": "R"}))
+        path.write_text(payload.replace('"R"', number))
+        assert main(["enclose2d", str(path)]) == 2
+        assert "non-finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("quad", [{"subdiv": 16}, {"tol": 1e-10}])
     def test_unknown_quad_key_rejected(self, tmp_path, capsys, quad):

@@ -15,7 +15,7 @@ from conftest import assert_contains
 
 def tf_single(a1=1.0, src=(3.0, 0.0)):
     return TestFunction2D(
-        s_int=(0.0, 0.0), a_int=1.0, sources=np.array([src]), coeffs=np.array([a1])
+        s_int=(0.0, 0.0), sources=np.array([src]), coeffs=np.array([a1])
     )
 
 
@@ -48,18 +48,12 @@ class TestGamma:
 class TestEvalPhi:
     def test_pure_kernel(self):
         tf = TestFunction2D(
-            s_int=(0.0, 0.0), a_int=1.0, sources=np.zeros((0, 2)),
+            s_int=(0.0, 0.0), sources=np.zeros((0, 2)),
             coeffs=np.zeros(0),
         )
         got = tf.phi0_box(Interval.point(0.5), Interval.point(0.5))
         want = gamma((0.0, 0.0), (0.5, 0.5))
         assert got.intersects(want)
-
-    def test_a_int_zero_rejected(self):
-        with pytest.raises(DomainError):
-            TestFunction2D(
-                s_int=(0, 0), a_int=0.0, sources=np.zeros((0, 2)), coeffs=np.zeros(0)
-            )
 
 
 class TestVectorAgainstScalar:
@@ -67,7 +61,7 @@ class TestVectorAgainstScalar:
         rng = np.random.default_rng(11)
         sources = rng.uniform(2, 3, (7, 2))
         coeffs = rng.uniform(-2, 2, 7)
-        tf = TestFunction2D((0.1, -0.2), 1.0, sources, coeffs)
+        tf = TestFunction2D((0.1, -0.2), sources, coeffs)
         checked = 0
         while checked < 20:
             c = rng.uniform(-0.5, 0.5, 2)

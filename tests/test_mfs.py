@@ -58,7 +58,7 @@ class TestBoundaryExtrema:
         """phi0 = Gamma(center, .) on the centered square boundary: the max
         sits at edge midpoints (r = 1/2), the min at corners (r = sqrt2/2)."""
         tf0 = TestFunction2D(
-            (0.0, 0.0), 1.0, np.zeros((0, 2)), np.zeros(0)
+            (0.0, 0.0), np.zeros((0, 2)), np.zeros(0)
         )
         res = boundary_extrema(tf0, centered_square, tol=1e-10)
         m, M, converged = res.m, res.M, res.converged
@@ -102,19 +102,21 @@ class TestBoundaryExtrema:
 
 class TestEnclosurePair:
     def test_shift_sign_logic(self, centered_square, monkeypatch):
-        """The pairing gets phi^0 - m.lo (upper) and phi^0 - M.hi (lower)."""
+        """The pairing gets phi^0 - m.lo (upper) and phi^0 - M.hi (lower);
+        a nonnegative source adds no f_minus term."""
         seen = []
 
-        def spy(f, tf0, poly, cfg, shifts, source_terms):
-            seen.append(shifts)
-            return real(f, tf0, poly, cfg, shifts, source_terms)
+        def spy(f, tf0, poly, cfg, offsets, source_terms):
+            seen.append(offsets)
+            return real(f, tf0, poly, cfg, offsets, source_terms)
 
         real = twod.pair_f_phi
         monkeypatch.setattr(twod, "pair_f_phi", spy)
         res = twod.enclose_point(centered_square, parse("1"), (0.0, 0.0),
                                  mfs_cfg=twod.MfsConfig(n=17))
         m, M = res.diagnostics["m"], res.diagnostics["M"]
-        assert seen == [(-m[0], -M[1])]
+        zero = Interval(0.0, 0.0)
+        assert seen == [((-m[0], zero), (-M[1], zero))]
 
     def test_boundary_signs_sampled(self, centered_square):
         pts, src = square_setup(centered_square, n=33)
@@ -195,7 +197,7 @@ class TestEdgeKernel:
         e = rng.integers(0, 6, 200)
         t = rng.random(200)
         box_lo, box_hi = np.maximum(0.0, t - 1e-3), np.minimum(1.0, t + 1e-3)
-        kernels = [(tf0.a_int, tf0.s_int)] + list(zip(tf0.coeffs, tf0.sources))
+        kernels = [(1.0, tf0.s_int)] + list(zip(tf0.coeffs, tf0.sources))
         for lo, hi in ((t, t), (box_lo, box_hi)):
             glo, ghi, dlo, dhi = kernel(e, lo, hi, True)
             for k in range(200):
@@ -213,7 +215,7 @@ class TestEdgeKernel:
                 assert mp.mpf(dlo[k]) <= der <= mp.mpf(dhi[k])
 
     def test_source_on_an_edge_is_a_domain_error(self, centered_square):
-        tf0 = TestFunction2D((0.0, 0.0), 1.0, np.array([[0.5, 0.1]]), np.array([0.3]))
+        tf0 = TestFunction2D((0.0, 0.0), np.array([[0.5, 0.1]]), np.array([0.3]))
         kernel = EdgeKernel(tf0, centered_square)
         e = np.arange(4)
         with pytest.raises(DomainError):

@@ -150,6 +150,13 @@ class TestChecks:
         with pytest.raises(DomainError):
             build_super(ONE, 1.0 / 49.0, 0.01)
 
+    @pytest.mark.parametrize("h", [0.0, math.nan, math.inf, -0.25, 0.3])
+    def test_invalid_mesh_is_domain_error(self, h):
+        with pytest.raises(DomainError, match="mesh width"):
+            build_super(ONE, h, 0.01)
+        with pytest.raises(DomainError, match="mesh width"):
+            sweep(ONE, [h])
+
 
 class TestBuild:
     def test_super_dominates_exact(self):
@@ -171,7 +178,8 @@ class TestBuild:
         h, c = 2.0**-4, 0.2 * 2.0**-8
         sub = build_sub(ONE, h, c)
         neg_super = build_super(parse("-(1)"), h, c)
-        assert np.allclose(sub.grid.values, -neg_super.grid.values)
+        assert np.array_equal(sub.grid.values, -neg_super.grid.values)
+        assert sub.iterations == neg_super.iterations
 
     def test_post_hoc_certification(self):
         h = 2.0**-5

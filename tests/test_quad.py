@@ -158,7 +158,7 @@ class TestPairing:
     def test_pure_gamma_square(self, centered_square):
         """<1, Gamma(center, .)> over the centered square via the symmetry
         oracle: 8 canonical triangles scaled by 1/2."""
-        tf = TestFunction2D((0.0, 0.0), 1.0, np.zeros((0, 2)), np.zeros(0))
+        tf = TestFunction2D((0.0, 0.0), np.zeros((0, 2)), np.zeros(0))
         (got,) = pair_f_phi(parse("1"), tf, centered_square)
         lam = mp.mpf("0.5")
         tri_val = lam**2 * mp.mpf(CANONICAL_LOG_INTEGRAL) + lam**2 * mp.log(
@@ -169,14 +169,15 @@ class TestPairing:
         assert got.width() < 1e-12
 
     def test_linearity(self, centered_square):
-        tf = TestFunction2D((0.1, 0.0), 1.0, np.array([[2.0, 2.0]]), np.array([0.7]))
-        (one,) = pair_f_phi(parse("x+1"), tf, centered_square, shifts=(0.01,))
-        (two,) = pair_f_phi(parse("2*(x+1)"), tf, centered_square, shifts=(0.01,))
+        tf = TestFunction2D((0.1, 0.0), np.array([[2.0, 2.0]]), np.array([0.7]))
+        (one,) = pair_f_phi(parse("x+1"), tf, centered_square, offsets=((0.01, 0.0),))
+        (two,) = pair_f_phi(parse("2*(x+1)"), tf, centered_square,
+                            offsets=((0.01, 0.0),))
         scaled = one * 2.0
         assert two.intersects(scaled)
 
     def test_fan_split_refinement_overlaps(self, centered_square):
-        tf = TestFunction2D((0.0, 0.0), 1.0, np.zeros((0, 2)), np.zeros(0))
+        tf = TestFunction2D((0.0, 0.0), np.zeros((0, 2)), np.zeros(0))
         f = parse("x + sin((x+0.5)*y^2)")
         (coarse,) = pair_f_phi(f, tf, centered_square, QuadConfig(fan_splits=1))
         (fine,) = pair_f_phi(f, tf, centered_square, QuadConfig(fan_splits=3))
@@ -184,7 +185,7 @@ class TestPairing:
         assert fine.width() <= coarse.width() + 1e-15
 
     def test_degree_refinement_overlaps(self, centered_square):
-        tf = TestFunction2D((0.2, -0.1), 1.0, np.array([[0.0, 2.0]]),
+        tf = TestFunction2D((0.2, -0.1), np.array([[0.0, 2.0]]),
                             np.array([-1.2]))
         f = parse("exp(x*y)")
         (coarse,) = pair_f_phi(f, tf, centered_square, QuadConfig(tm_degrees=(5, 5)))
@@ -194,7 +195,7 @@ class TestPairing:
 
     def test_agreement_with_dblquad_random(self, centered_square):
         """Non-verified adaptive quadrature lands inside every enclosure,
-        for each of two shifts paired in one call."""
+        for each of two offsets (shift c, added d) paired in one call."""
         rng = np.random.default_rng(42)
         rng_shift = np.random.default_rng(43)
         sources = ["1", "x+1", "y^2+x", "2+x*y", "exp(x)"]
@@ -204,8 +205,11 @@ class TestPairing:
             src = rng.uniform(1.0, 2.0, (2, 2)) * rng.choice([-1, 1], (2, 2))
             coeffs = rng.uniform(-1, 1, 2)
             shifts = (float(rng.uniform(-0.1, 0.1)), float(rng_shift.uniform(-0.1, 0.1)))
-            tf = TestFunction2D(s_int, 1.0, src, coeffs)
-            enclosures = pair_f_phi(f, tf, centered_square, shifts=shifts)
+            tf = TestFunction2D(s_int, src, coeffs)
+            adds = (0.0, 0.01)
+            enclosures = pair_f_phi(f, tf, centered_square,
+                                    offsets=((shifts[0], adds[0]),
+                                             (shifts[1], Interval.point(adds[1]))))
             assert len(enclosures) == 2
 
             def integrand(y, x):
@@ -221,8 +225,8 @@ class TestPairing:
                                       epsabs=1e-9)
             mass, err_mass = sci.dblquad(lambda y, x: f.eval_point(x, y),
                                          -0.5, 0.5, -0.5, 0.5, epsabs=1e-9)
-            for got, shift in zip(enclosures, shifts):
-                want = paired + shift * mass
+            for got, shift, add in zip(enclosures, shifts, adds):
+                want = paired + shift * mass + add
                 tol = 10 * max(err + abs(shift) * err_mass, 1e-8)
                 assert got.lo - tol <= want <= got.hi + tol, (trial, shift, got, want)
 
@@ -232,7 +236,7 @@ class TestPairing:
         it spans, not skipped.  Oracle: the square [-1, 1]^2 (eight canonical triangles)
         minus the notch."""
         poly = Polygon([(-1, -1), (1, -1), (1, 1), (0.2, 0.6), (0.1, 0.3), (-1, 1)])
-        tf = TestFunction2D((0.0, 0.0), 1.0, np.zeros((0, 2)), np.zeros(0))
+        tf = TestFunction2D((0.0, 0.0), np.zeros((0, 2)), np.zeros(0))
         (got,) = pair_f_phi(parse("1"), tf, poly)
 
         def log_r2(x, y):
@@ -250,6 +254,6 @@ class TestPairing:
         assert got.width() < 1e-12  # the sliver is bounded by its tiny sector
 
     def test_rejects_nonsmooth(self, centered_square):
-        tf = TestFunction2D((0.0, 0.0), 1.0, np.zeros((0, 2)), np.zeros(0))
+        tf = TestFunction2D((0.0, 0.0), np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(UnsupportedError):
             pair_f_phi(parse("abs(x)"), tf, centered_square)

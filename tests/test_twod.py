@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,12 +114,12 @@ class TestEnclosePoint:
     @pytest.mark.parametrize("source, split, passes", [
         ("1", None, 1),
         ("-1", None, 1),
-        ("x+1", ("x+1", "0"), 2),
+        ("x+1", ("x+1", "0"), 1),
     ])
     def test_one_pairing_pass_per_part(self, centered_square, monkeypatch,
                                        source, split, passes):
-        """Both test functions of the pair come from one pass per
-        nonnegative part."""
+        """Both bounds come from one pass of f itself, whatever its sign
+        or split."""
         calls = []
         real = twod.pair_f_phi
         monkeypatch.setattr(twod, "pair_f_phi",
@@ -197,8 +198,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("split", [None, ("x+1", "0")])
     def test_exterior_fans_once_per_batch(self, centered_square, monkeypatch, split):
-        """Each exterior source kernel is integrated once per part and batch,
-        however many points share the domain."""
+        """Each exterior source kernel is integrated once per batch, with or
+        without a split, however many points share the domain."""
         from greenbound import quad
 
         exterior = []
@@ -211,7 +212,6 @@ class TestBatch:
 
         monkeypatch.setattr(quad, "_fan_over_polygon", spy)
         cfg = MfsConfig(n=17, tol=1e-8)
-        parts = 1 if split is None else 2
         if split is not None:
             split = SignedSplit(parse(split[0]), parse(split[1]))
         for points in ([(0.1, 0.0)], [(0.1, 0.0), (0.0, 0.2), (-0.2, -0.1)]):
@@ -219,7 +219,7 @@ class TestBatch:
             items = enclose_batch(centered_square, parse("x+1"), points,
                                   split=split, mfs_cfg=cfg)
             assert all(item.result is not None for item in items)
-            assert len(exterior) == cfg.n * parts
+            assert len(exterior) == cfg.n
             assert len(set(exterior)) == cfg.n
 
     def test_needs_split_on_every_point(self, centered_square):
@@ -229,6 +229,36 @@ class TestBatch:
         assert "must be interior" in items[2].error
         assert all(item.result is None for item in items)
 
+
+class TestMixedSignExactOracle:
+    """Split sources whose solutions are polynomials; containment is
+    decided in exact rational arithmetic.  Doubling the shift K of the
+    split adds 2 G K |domain| to the width, so it must keep containment
+    and not narrow the enclosure."""
+
+    @pytest.mark.parametrize("domain, source, K, corner, truths", [
+        # u = x (x^2 - 1/4)(y^2 - 1/4)
+        ("centered_square", "2*x - 2*x^3 - 6*x*y^2", 1, None,
+         {(0.25, 0.1): Fraction(9, 800)}),
+        # u = (x^3 - x)(y^3 - y) vanishes on all six edges; K = 4 because
+        # f + 3 touches 0 inside the domain
+        ("lshape", "6*x*y*(2 - x^2 - y^2)", 4, (0.0, 0.0),
+         {(-0.5, -0.5): Fraction(9, 64), (0.5, -0.5): Fraction(-9, 64)}),
+    ])
+    def test_split_contains_closed_form(self, request, domain, source, K, corner,
+                                        truths):
+        poly = request.getfixturevalue(domain)
+        f = parse(source)
+        cfg = MfsConfig(n=69, tol=1e-8, corner=corner)
+        widths = []
+        for k in (K, 2 * K):
+            items = enclose_batch(poly, f, list(truths), split=shift_split(f, k),
+                                  mfs_cfg=cfg)
+            for item, want in zip(items, truths.values()):
+                bound = item.result.bound
+                assert Fraction(bound.lo) <= want <= Fraction(bound.hi), (k, bound)
+            widths.append([item.result.width for item in items])
+        assert all(wide >= narrow for narrow, wide in zip(*widths))
 
 
 def test_rel_error_inf_sentinel():
