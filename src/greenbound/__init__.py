@@ -23,7 +23,6 @@ from .expr import PiecewiseSource1D, SourceExpr, parse
 from .fundsol import TestFunction2D, gamma
 from .geometry import (
     CornerRefine,
-    PointSet,
     Polygon,
     Triangle,
     amano_sources,

@@ -5,7 +5,9 @@ Subcommands
 ``greenbound enclose1d problem.json [--h H] [--c C] [--sweep] [--out PATH]``
     Certified sub/super-solution pair on the unit interval; writes the
     nodal table (x, lower, upper) and a gap summary.  ``--sweep`` runs the
-    mesh study instead and writes (h, c, eps, iterations, max_gap) rows.
+    mesh study over ``oned.sweep_h`` instead and writes (h, c, eps,
+    iterations, max_gap) rows; there ``--c`` fixes c for every mesh and
+    ``--h`` is an input error.
 
 ``greenbound enclose2d problem.json [--out PATH] [--threads N]``
     Pointwise enclosures on a polygon; writes CSV rows
@@ -178,6 +180,8 @@ def _cmd_enclose1d(args) -> int:
     eps_factor = cfg.get("eps_factor", 0.25)
 
     if args.sweep:
+        if args.h is not None:
+            raise InputError("--h does not apply to --sweep; set oned.sweep_h instead")
         h_list = cfg.get("sweep_h", _DEFAULT_SWEEP_H)
     else:
         h_list = [args.h if args.h is not None else cfg.get("h", 2.0**-5)]
@@ -186,12 +190,17 @@ def _cmd_enclose1d(args) -> int:
             _oned._node_count(h)
         except DomainError as e:
             raise InputError(str(e)) from None
+    c = args.c if args.c is not None else cfg.get("c")
+    if c is None and not args.sweep:
+        c = 0.2 * supf * h * h
+    if c is not None and not 0.0 <= c < math.inf:
+        raise InputError(f"boundary shift c must be nonnegative and finite, got {c}")
 
     if args.sweep:
         rows = _oned.sweep(
             f,
             h_list,
-            c_rule=(lambda h, sf: cfg["c"]) if "c" in cfg else None,
+            c_rule=(lambda h, sf: c) if c is not None else None,
             eps_rule=lambda h, sf: eps_factor * h * sf,
         )
         _write_out(_oned.sweep_csv(rows), args.out)
@@ -204,9 +213,6 @@ def _cmd_enclose1d(args) -> int:
         return 0
 
     (h,) = h_list
-    c = args.c if args.c is not None else cfg.get("c", 0.2 * supf * h * h)
-    if not 0.0 <= c < math.inf:
-        raise InputError(f"boundary shift c must be nonnegative and finite, got {c}")
     eps = eps_factor * h * supf
     upper = _oned.build_super(f, h, c, eps=eps)
     lower = _oned.build_sub(f, h, c, eps=eps)

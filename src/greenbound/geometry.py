@@ -23,7 +23,6 @@ from .errors import GeometryError, PlacementError
 
 __all__ = [
     "Polygon",
-    "PointSet",
     "Triangle",
     "CornerRefine",
     "discretize_boundary",
@@ -121,40 +120,6 @@ class Polygon:
 
     def contains_strict(self, p) -> bool:
         return self.locate(p) == 1
-
-    def distance_to_boundary(self, p) -> float:
-        px, py = float(p[0]), float(p[1])
-        best = math.inf
-        for a, b in self.edges():
-            ex, ey = b[0] - a[0], b[1] - a[1]
-            L2 = ex * ex + ey * ey
-            t = max(0.0, min(1.0, ((px - a[0]) * ex + (py - a[1]) * ey) / L2))
-            dx, dy = px - (a[0] + t * ex), py - (a[1] + t * ey)
-            best = min(best, math.hypot(dx, dy))
-        return best
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """Boundary collocation points paired with exterior source points."""
-
-    collocation: np.ndarray
-    sources: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.collocation, dtype=float).reshape(-1, 2)
-        s = np.asarray(self.sources, dtype=float).reshape(-1, 2)
-        object.__setattr__(self, "collocation", c)
-        object.__setattr__(self, "sources", s)
-
-    def validate(self, poly: Polygon) -> None:
-        tol = 1e-12 * poly.diameter()
-        for p in self.collocation:
-            if poly.distance_to_boundary(p) > tol:
-                raise GeometryError(f"collocation point {tuple(p)} is off the boundary")
-        for s in self.sources:
-            if poly.locate(s) != -1:
-                raise PlacementError(f"source {tuple(s)} is not strictly exterior")
 
 
 @dataclass(frozen=True)

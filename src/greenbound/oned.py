@@ -7,21 +7,25 @@ zero at the ends) and a_int = 1/(s(1-s)), the solution of -u'' = f satisfies
     u(s) = (1-s) A(s) + s B(s),   A(s) = int_0^s x f(x) dx,
                                   B(s) = int_s^1 (1-x) f(x) dx,
 
-which this module evaluates rigorously from per-segment Taylor models of
-the integrands (piecewise sources split additionally at their breakpoints).
+which this module evaluates rigorously from one Taylor model of f per
+segment, shared by both integrands (piecewise sources split additionally
+at their breakpoints).
 
-Certification.  For a grid function with boundary values +-c the scaled
-super-solution condition is, after multiplying by s(1-s) > 0,
+Certification.  Every grid function g the builder makes has equal end
+values sign * c with c >= 0 (sign +1 for super-, -1 for sub-solutions).
+Multiplying the super-solution condition by s(1-s) > 0 and using
+u_f(s) = (1-s) A(s) + s B(s) then reduces it exactly to
 
-    D(s) = (1-s)(ubar(s) - ubar(0)) - s(ubar(1) - ubar(s)) + c - u_f(s) >= 0
+    sign * (g(s) - u_f(s)) >= 0   for all s in (0,1),
 
-for all s in (0,1), decided per subinterval by interval bisection.  When
-c = 0 the condition degenerates at the boundary (D -> 0); the boundary
-subintervals are then decided through the exactly factored forms D/s and
-D/(1-s), whose antiderivative factors divide out symbolically.  The
-sub-solution check is the mirror image: sub(f) holds for v iff super(-f)
-holds for -v, so it decides -D >= 0 on the same evaluator of f (negation
-is exact), and the sub-solution is the negated super-solution build of -f.
+decided per subinterval by interval bisection with the mean-value form,
+whose derivative is sign * (slope - u_f'(s)).  When c = 0 the condition
+degenerates at the boundary; the boundary subintervals are then decided
+through the exactly factored forms sign * (slope - u_f(s)/s) and
+sign * (-slope - u_f(s)/(1-s)), whose antiderivative factors divide out
+symbolically.  The sub-solution check decides the negated condition on the
+same evaluator of f (negation is exact), and the sub-solution is the
+negated super-solution build of -f.
 """
 
 from __future__ import annotations
@@ -79,11 +83,8 @@ def _polyval(coeffs: list, t: Interval) -> Interval:
 
 
 def _model_on(expr: SourceExpr, const: float, slope: float, width: float) -> list:
-    """Antiderivative coefficients of t -> t_weighting handled by caller.
-
-    Builds the Taylor model of expr(const + slope * t) on t in [0, width]
-    and returns its plain coefficient list c_0..c_DEG (intervals).
-    """
+    """Coefficients c_0..c_DEG (intervals) of the Taylor model of
+    expr(const + slope * t) on t in [0, width]."""
     box = Box2(Interval(0.0, width), Interval(0.0, 0.0))
     x = TaylorModel2.affine(
         box, (1, _DEG), const=Interval.point(const), coef_u=Interval.point(slope)
@@ -146,23 +147,23 @@ class _Cumulative:
         return _polyval(self.polys[0][1:], s)
 
 
-def _build_cumulative(segments, weight: str) -> _Cumulative:
-    """weight 'x' gives integral of x f(x); weight '1-x' gives (1-x) f(x)."""
-    bounds = [0.0]
-    polys = []
-    cums = [Interval(0.0, 0.0)]
+def _build_cumulatives(segments) -> tuple:
+    """Evaluators of s -> int_0^s x f(x) dx and s -> int_0^s (1-x) f(x) dx,
+    both from one Taylor model of f per segment."""
+    one = Interval(1.0, 1.0)
+    polys = ([], [])
+    cums = ([Interval(0.0, 0.0)], [Interval(0.0, 0.0)])
     for lo, hi, piece in segments:
-        w = hi - lo
-        coeffs = _model_on(piece, lo, 1.0, w)
-        if weight == "x":
-            wc, ws = Interval.point(lo), Interval(1.0, 1.0)
-        else:
-            wc, ws = Interval(1.0, 1.0) - Interval.point(lo), Interval(-1.0, -1.0)
-        anti = _weighted_antiderivative(coeffs, wc, ws)
-        polys.append(anti)
-        cums.append(cums[-1] + _polyval(anti, Interval.point(w)))
-        bounds.append(hi)
-    return _Cumulative(tuple(bounds), tuple(polys), tuple(cums))
+        x0 = Interval.point(lo)
+        w = Interval.point(hi) - x0  # encloses the exact width hi - lo
+        coeffs = _model_on(piece, lo, 1.0, w.hi)
+        # with x = lo + t the weights are x = x0 + t and 1 - x = (1 - x0) - t
+        for k, (wc, ws) in enumerate(((x0, one), (one - x0, -one))):
+            anti = _weighted_antiderivative(coeffs, wc, ws)
+            polys[k].append(anti)
+            cums[k].append(cums[k][-1] + _polyval(anti, w))
+    bounds = (0.0,) + tuple(hi for _lo, hi, _piece in segments)
+    return tuple(_Cumulative(bounds, tuple(p), tuple(c)) for p, c in zip(polys, cums))
 
 
 def _build_reversed_tail(segments) -> tuple:
@@ -171,14 +172,9 @@ def _build_reversed_tail(segments) -> tuple:
     Valid for tau in [0, w'] with w' covering the last source segment; used
     to evaluate B(s)/(1-s) exactly factored at the right boundary.
     """
-    lo, hi, piece = segments[-1]
+    lo, _hi, piece = segments[-1]
     w = math.nextafter(1.0 - lo, math.inf)
-    box = Box2(Interval(0.0, w), Interval(0.0, 0.0))
-    x = TaylorModel2.affine(
-        box, (1, _DEG), const=Interval(1.0, 1.0), coef_u=Interval(-1.0, -1.0)
-    )
-    tm = piece.eval_tm(x)
-    coeffs = [tm.coefficient(0, j) for j in range(_DEG + 1)]
+    coeffs = _model_on(piece, 1.0, -1.0, w)
     anti = _weighted_antiderivative(coeffs, Interval(0.0, 0.0), Interval(1.0, 1.0))
     return anti, w
 
@@ -190,10 +186,8 @@ class GreenEvaluator:
     def __init__(self, f: Source1D):
         self.source = f
         segments = _source_segments(f)
-        self._A = _build_cumulative(segments, "x")
-        self._C = _build_cumulative(segments, "1-x")
+        self._A, self._C = _build_cumulatives(segments)
         self._tail, self._tail_width = _build_reversed_tail(segments)
-        self._last_seg_lo = segments[-1][0]
         self._first_seg_hi = segments[0][1]
         self._sup_abs: Optional[float] = None
 
@@ -273,7 +267,6 @@ class GridFunction1D:
 
     h: float
     values: np.ndarray
-    c: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -291,12 +284,6 @@ class GridFunction1D:
     def node(self, i: int) -> float:
         return i * self.h
 
-    def value_at(self, s: Interval, i: int) -> Interval:
-        """Linear interpolant on subinterval i, rigorous in s."""
-        vi = Interval.point(float(self.values[i]))
-        slope = self.slope(i)
-        return vi + slope * (s - Interval.point(self.node(i)))
-
     def slope(self, i: int) -> Interval:
         # divide by the actual float node spacing so the interpolant is
         # exactly continuous across nodes
@@ -310,34 +297,33 @@ class GridFunction1D:
 def _check(
     grid: GridFunction1D,
     ev: GreenEvaluator,
-    c: float,
     i: int,
     sign: float,
     max_evals: int = 6000,
 ) -> Verdict:
-    """Decide sign * (L(s) - u_f(s)) + c >= 0 on the i-th subinterval, where
-    L(s) = (1-s)(g(s)-g(0)) - s(g(1)-g(s)) for the interpolant g."""
-    v0 = Interval.point(float(grid.values[0]))
-    v1 = Interval.point(float(grid.values[-1]))
+    """Decide sign * (g(s) - u_f(s)) >= 0 on the i-th subinterval for the
+    interpolant g, whose nodes must end at 1 and whose end values must be
+    one value sign * c, c >= 0."""
+    last = grid.node(grid.n_intervals)
+    if last != 1.0:
+        raise DomainError(f"grid must end at node 1.0, not {last!r}")
+    end = float(grid.values[0])
+    if float(grid.values[-1]) != end or sign * end < 0.0:
+        raise DomainError(
+            f"grid end values must be equal and {'>=' if sign > 0 else '<='} 0, "
+            f"got {end!r} and {float(grid.values[-1])!r}"
+        )
     lo = grid.node(i)
-    hi = min(grid.node(i + 1), 1.0)
-    n_last = grid.n_intervals - 1
+    hi = grid.node(i + 1)
+    slope = grid.slope(i)
+    g_lo = Interval.point(float(grid.values[i]))
+    x_lo = Interval.point(lo)
 
     def signed(v: Interval) -> Interval:
         return v if sign > 0 else -v  # exact; a product by -1 would nudge
 
     def plain(s: Interval) -> Interval:
-        gs = grid.value_at(s, i)
-        one_minus = Interval(1.0, 1.0) - s
-        L = one_minus * (gs - v0) - s * (v1 - gs)
-        return signed(L - ev.u(s)) + c
-
-    def plain_deriv(s: Interval) -> Interval:
-        # d/ds of L(s): slope - (g(s) - g(0)) - (g(1) - g(s)); u' = B - A
-        gs = grid.value_at(s, i)
-        slope = grid.slope(i)
-        dL = slope - (gs - v0) - (v1 - gs)
-        return signed(dL - ev.du(s))
+        return signed(g_lo + slope * (s - x_lo) - ev.u(s))
 
     def plain_mvf(s: Interval) -> Interval:
         # mean value form: kills the first-order dependency overestimate
@@ -345,26 +331,18 @@ def _check(
         if s.lo == s.hi:
             return val
         mid = s.mid()
-        centered = plain(Interval.point(mid)) + plain_deriv(s) * (
+        centered = plain(Interval.point(mid)) + signed(slope - ev.du(s)) * (
             s - Interval.point(mid)
         )
         lo = max(val.lo, centered.lo)
         hi = min(val.hi, centered.hi)
         return Interval(lo, hi) if lo <= hi else val
 
-    def factored_left(s: Interval) -> Interval:
-        # D/s on the first subinterval (only sound combined with D(0) = c >= 0)
-        gs = grid.value_at(s, i)
-        L_over = (Interval(1.0, 1.0) - s) * grid.slope(i) - (v1 - gs)
-        return signed(L_over - ev.u_over_s(s))
-
-    def factored_right(s: Interval) -> Interval:
-        gs = grid.value_at(s, i)
-        L_over = (gs - v0) - s * grid.slope(i)
-        return signed(L_over - ev.u_over_1ms(s))
-
-    use_left = c == 0.0 and i == 0
-    use_right = c == 0.0 and i == n_last
+    # at c = 0 the condition vanishes at the end node; there g = slope * s
+    # (first subinterval) or g = -slope * (1-s) (last), so the condition
+    # divided by s or 1-s is decided instead
+    use_left = end == 0.0 and i == 0
+    use_right = end == 0.0 and i == grid.n_intervals - 1
     evals = 0
     stack = [(lo, hi)]
     while stack:
@@ -380,13 +358,13 @@ def _check(
         elif val.hi < 0.0:
             return Verdict.VIOLATED
         if not decided and use_left and a == lo and b <= ev._first_seg_hi:
-            fv = factored_left(s)
+            fv = signed(slope - ev.u_over_s(s))
             if fv.lo >= 0.0:
                 decided = True
             elif fv.hi < 0.0:
                 return Verdict.VIOLATED
         if not decided and use_right and b == hi and 1.0 - a <= ev._tail_width:
-            fv = factored_right(s)
+            fv = signed(-slope - ev.u_over_1ms(s))
             if fv.lo >= 0.0:
                 decided = True
             elif fv.hi < 0.0:
@@ -402,25 +380,23 @@ def _check(
 
 
 def check_super(
-    ubar: GridFunction1D, f: Source1D, c: float, i: int,
+    ubar: GridFunction1D, f: Source1D, i: int,
     evaluator: Optional[GreenEvaluator] = None,
 ) -> Verdict:
-    """Super-solution condition on the i-th subinterval, decided rigorously."""
-    if c < 0.0:
-        raise DomainError("boundary shift c must be nonnegative")
-    ev = evaluator or GreenEvaluator(f)
-    return _check(ubar, ev, c, i, +1.0)
+    """Super-solution condition on the i-th subinterval, decided rigorously.
+
+    The grid's end values must be one value c >= 0."""
+    return _check(ubar, evaluator or GreenEvaluator(f), i, +1.0)
 
 
 def check_sub(
-    usub: GridFunction1D, f: Source1D, c: float, i: int,
+    usub: GridFunction1D, f: Source1D, i: int,
     evaluator: Optional[GreenEvaluator] = None,
 ) -> Verdict:
-    """Sub-solution condition on the i-th subinterval (mirror sign)."""
-    if c < 0.0:
-        raise DomainError("boundary shift c must be nonnegative")
-    ev = evaluator or GreenEvaluator(f)
-    return _check(usub, ev, c, i, -1.0)
+    """Sub-solution condition on the i-th subinterval (mirror sign).
+
+    The grid's end values must be one value -c <= 0."""
+    return _check(usub, evaluator or GreenEvaluator(f), i, -1.0)
 
 
 @dataclass(frozen=True)
@@ -480,17 +456,17 @@ def _build(f: Source1D, h: float, c: float, eps: Optional[float],
     if eps is None:
         eps = 0.25 * h * ev.sup_abs_source()
     if eps == 0.0 and ev.sup_abs_source() == 0.0:
-        grid = GridFunction1D(h, np.full(n + 2, sign * c), c)
+        grid = GridFunction1D(h, np.full(n + 2, sign * c))
         return BuildResult(grid=grid, iterations=0, eps=eps, c=c)
     nodes = np.arange(1, n + 1) * h
     fbar = sign * np.array([f.eval_point(x) for x in nodes])
     for it in range(max_iters):
         interior = _fd_solve(fbar, h)
-        grid = GridFunction1D(h, sign * np.concatenate(([c], interior + c, [c])), c)
+        grid = GridFunction1D(h, sign * np.concatenate(([c], interior + c, [c])))
         bad = [
             i
             for i in range(grid.n_intervals)
-            if _check(grid, ev, c, i, sign) is not Verdict.HOLDS
+            if _check(grid, ev, i, sign) is not Verdict.HOLDS
         ]
         if not bad:
             return BuildResult(grid=grid, iterations=it, eps=eps, c=c)

@@ -37,7 +37,7 @@ import numpy as np
 from . import mfs as _mfs
 from .errors import DomainError, GeometryError, InputError, NeedsSplitError
 from .expr import Bin, Num, SourceExpr
-from .geometry import CornerRefine, PointSet, Polygon, Triangle, \
+from .geometry import CornerRefine, Polygon, Triangle, \
     amano_sources, discretize_boundary, _ear_clip
 from .interval import Interval
 from .quad import QuadConfig, integrate_source, pair_f_phi, source_kernel_terms
@@ -146,14 +146,18 @@ def certify_sign(
 class SignedSplit:
     """Decomposition f = f_plus - f_minus with both parts >= 0 on the domain.
 
-    The library verifies a user-supplied split (sign certification of both
-    parts plus a sampled identity check) but never invents one."""
+    The bound pairs f itself and integrates only f_minus, so it needs
+    exactly f_minus >= 0 and f + f_minus >= 0; ``verify`` certifies these
+    two and checks the given f_plus against f + f_minus at sample points.
+    The library never invents a split."""
 
     f_plus: SourceExpr
     f_minus: SourceExpr
 
     def verify(self, f: SourceExpr, poly: Polygon, samples: int = 400) -> None:
-        for part, name in ((self.f_plus, "plus"), (self.f_minus, "minus")):
+        shifted = SourceExpr(Bin("+", f.root, self.f_minus.root),
+                             f"({f.text})+({self.f_minus.text})")
+        for part, name in ((shifted, "f + minus"), (self.f_minus, "minus")):
             verdict = certify_sign(part, poly)
             if verdict is not SignVerdict.NONNEGATIVE:
                 raise InputError(
@@ -254,11 +258,8 @@ class _DomainPlan:
                                if verdict is SignVerdict.NONPOSITIVE
                                else Interval(0.0, 0.0))
         refine = None if mfs_cfg.corner is None else CornerRefine(corner=mfs_cfg.corner)
-        collocation = discretize_boundary(poly, mfs_cfg.n, refine)
-        sources = amano_sources(poly, collocation, mfs_cfg.r_rule())
-        pts = PointSet(collocation, sources)
-        pts.validate(poly)
-        self.collocation, self.sources = pts.collocation, pts.sources
+        self.collocation = discretize_boundary(poly, mfs_cfg.n, refine)
+        self.sources = amano_sources(poly, self.collocation, mfs_cfg.r_rule())
         self.system = _mfs.collocation_system(self.collocation, self.sources)
         self.source_terms = source_kernel_terms(f, self.sources, poly, quad_cfg)
 

@@ -84,11 +84,11 @@ def test_criterion_2_algorithm_certification():
             n = upper.grid.n_intervals
             # (a) post-hoc certification with an independent evaluator
             assert all(
-                check_super(upper.grid, f, c, i, evaluator=ev) is Verdict.HOLDS
+                check_super(upper.grid, f, i, evaluator=ev) is Verdict.HOLDS
                 for i in range(n)
             )
             assert all(
-                check_sub(lower.grid, f, c, i, evaluator=ev) is Verdict.HOLDS
+                check_sub(lower.grid, f, i, evaluator=ev) is Verdict.HOLDS
                 for i in range(n)
             )
             # (b) the exact solution x(1-x)/2 sits inside at every node

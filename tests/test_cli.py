@@ -72,6 +72,21 @@ class TestEnclose1D:
         gaps = [float(line.split(",")[-1]) for line in lines[1:]]
         assert gaps[1] < gaps[0]
 
+    def test_sweep_c_flag_sets_c(self, tmp_path):
+        path = write(tmp_path, "p.json",
+                     interval_problem(oned={"sweep_h": [2.0**-3, 2.0**-4]}))
+        out = tmp_path / "sweep.csv"
+        assert main(["enclose1d", path, "--sweep", "--c", "0.05",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == [0.05, 0.05]
+        assert main(["enclose1d", path, "--sweep", "--c", "-0.05"]) == 2
+
+    def test_sweep_h_flag_is_input_error(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", interval_problem(oned={"sweep_h": [0.25]}))
+        assert main(["enclose1d", path, "--sweep", "--h", "0.25"]) == 2
+        assert "--h" in capsys.readouterr().err
+
     def test_piecewise_source(self, tmp_path):
         path = write(
             tmp_path, "p.json",

@@ -6,7 +6,6 @@ import pytest
 from greenbound.errors import GeometryError, PlacementError
 from greenbound.geometry import (
     CornerRefine,
-    PointSet,
     Polygon,
     Triangle,
     amano_sources,
@@ -120,28 +119,6 @@ class TestAmano:
         pts = discretize_boundary(c_shape, 24)
         with pytest.raises(PlacementError):
             amano_sources(c_shape, pts, lambda p: 1.0 + 1.5 * math.sin(2 * math.pi / 24))
-
-
-class TestPointSet:
-    def test_valid_pair(self, centered_square):
-        pts = discretize_boundary(centered_square, 12)
-        src = amano_sources(centered_square, pts, lambda p: 1.2)
-        PointSet(pts, src).validate(centered_square)
-
-    def test_off_boundary_collocation_rejected(self, centered_square):
-        pts = discretize_boundary(centered_square, 12)
-        src = amano_sources(centered_square, pts, lambda p: 1.2)
-        bad = pts.copy()
-        bad[0] += 0.01
-        with pytest.raises(GeometryError):
-            PointSet(bad, src).validate(centered_square)
-
-    def test_interior_source_rejected(self, centered_square):
-        pts = discretize_boundary(centered_square, 12)
-        src = amano_sources(centered_square, pts, lambda p: 1.2).copy()
-        src[0] = (0.0, 0.0)
-        with pytest.raises(PlacementError):
-            PointSet(pts, src).validate(centered_square)
 
 
 class TestTriangulate:

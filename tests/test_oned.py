@@ -1,10 +1,13 @@
+import hashlib
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
+from greenbound import expr as expr_module
 from greenbound.errors import CertificationError, DomainError
 from greenbound.expr import PiecewiseSource1D, parse
 from greenbound.interval import Interval
@@ -21,6 +24,7 @@ from greenbound.oned import (
     sweep,
     sweep_csv,
 )
+from greenbound.taylor import TaylorModel2
 
 from conftest import assert_contains
 
@@ -91,6 +95,28 @@ class TestGreenValue:
             assert got.lo - 1e-13 <= want <= got.hi + 1e-13
 
 
+class TestSegmentModels:
+    def test_one_taylor_model_per_segment(self, monkeypatch):
+        calls = []
+        real = expr_module.eval_tm
+        monkeypatch.setattr(expr_module, "eval_tm",
+                            lambda *args: calls.append(args) or real(*args))
+        GreenEvaluator(JUMP)
+        assert len(calls) == 2 + 1  # two segments plus the right-end tail
+
+    def test_segment_box_covers_exact_width(self, monkeypatch):
+        boxes = []
+        real = TaylorModel2.affine
+        monkeypatch.setattr(
+            TaylorModel2, "affine",
+            staticmethod(lambda box, *a, **k: boxes.append(box) or real(box, *a, **k)),
+        )
+        GreenEvaluator(PiecewiseSource1D((0.3,), (parse("1"), parse("2"))))
+        # fl(1 - 0.3) lies 2^-54 below the exact width of [0.3, 1]
+        assert Fraction(boxes[0].u.hi) >= Fraction(0.3)
+        assert Fraction(boxes[1].u.hi) >= 1 - Fraction(0.3)
+
+
 class TestOptimalConstants:
     def test_f1(self):
         m, M = optimal_constant_bounds(ONE, tol=1e-10)
@@ -107,9 +133,9 @@ class TestOptimalConstants:
     def test_no_smaller_constant_passes(self):
         _, M = optimal_constant_bounds(ONE, tol=1e-10)
         c_bad = M.lo - 1e-6
-        grid = GridFunction1D(2.0**-3, np.full(9, c_bad), c_bad)
+        grid = GridFunction1D(2.0**-3, np.full(9, c_bad))
         ev = GreenEvaluator(ONE)
-        verdicts = [check_super(grid, ONE, c_bad, i, evaluator=ev) for i in range(8)]
+        verdicts = [check_super(grid, ONE, i, evaluator=ev) for i in range(8)]
         assert Verdict.VIOLATED in verdicts
 
 
@@ -119,31 +145,40 @@ class TestChecks:
         c = 0.2 * h * h
         n = round(1 / h)
         xs = np.arange(n + 1) * h
-        grid = GridFunction1D(h, xs * (1 - xs) / 2 + c, c)
+        grid = GridFunction1D(h, xs * (1 - xs) / 2 + c)
         ev = GreenEvaluator(ONE)
         assert all(
-            check_super(grid, ONE, c, i, evaluator=ev) is Verdict.HOLDS
+            check_super(grid, ONE, i, evaluator=ev) is Verdict.HOLDS
             for i in range(n)
         )
 
     def test_zero_grid_violated(self):
-        grid = GridFunction1D(2.0**-3, np.zeros(9), 0.0)
+        grid = GridFunction1D(2.0**-3, np.zeros(9))
         ev = GreenEvaluator(ONE)
         for i in range(8):
-            assert check_super(grid, ONE, 0.0, i, evaluator=ev) is Verdict.VIOLATED
+            assert check_super(grid, ONE, i, evaluator=ev) is Verdict.VIOLATED
 
     def test_constant_above_sup_holds(self):
-        grid = GridFunction1D(2.0**-3, np.full(9, 0.2), 0.2)
+        grid = GridFunction1D(2.0**-3, np.full(9, 0.2))
         ev = GreenEvaluator(ONE)
         assert all(
-            check_super(grid, ONE, 0.2, i, evaluator=ev) is Verdict.HOLDS
+            check_super(grid, ONE, i, evaluator=ev) is Verdict.HOLDS
             for i in range(8)
         )
 
-    def test_negative_c_rejected(self):
-        grid = GridFunction1D(0.5, np.zeros(3), 0.0)
-        with pytest.raises(DomainError):
-            check_super(grid, ONE, -0.1, 0)
+    @pytest.mark.parametrize("check, h, values", [
+        (check_super, 0.5, (-0.1, 0.0, -0.1)),
+        (check_super, 0.5, (0.0, 0.0, 0.1)),
+        (check_sub, 0.5, (0.1, 0.0, 0.1)),
+        (check_sub, 0.5, (-0.1, 0.0, 0.0)),
+        # last node 0.9: every subinterval held although g(0.9) = 0 < u(0.9)
+        (check_super, 0.3, (0.0, 0.3, 0.3, 0.0)),
+    ], ids=["super-negative", "super-unequal", "sub-positive", "sub-unequal",
+            "super-short"])
+    def test_grid_ends_rejected(self, check, h, values):
+        grid = GridFunction1D(h, np.array(values))
+        with pytest.raises(DomainError, match="end"):
+            check(grid, ONE, 0)
 
     def test_untileable_mesh_rejected(self):
         # 49 * (1/49) rounds below 1.0, so the subintervals cannot tile (0,1)
@@ -189,11 +224,11 @@ class TestBuild:
         ev = GreenEvaluator(ONE)
         n = up.grid.n_intervals
         assert all(
-            check_super(up.grid, ONE, c, i, evaluator=ev) is Verdict.HOLDS
+            check_super(up.grid, ONE, i, evaluator=ev) is Verdict.HOLDS
             for i in range(n)
         )
         assert all(
-            check_sub(lo.grid, ONE, c, i, evaluator=ev) is Verdict.HOLDS
+            check_sub(lo.grid, ONE, i, evaluator=ev) is Verdict.HOLDS
             for i in range(n)
         )
 
@@ -216,6 +251,26 @@ class TestBuild:
         exact = np.array([jump_exact(x) for x in xs])
         assert np.all(lo.grid.values <= exact + 1e-14)
         assert np.all(up.grid.values >= exact - 1e-14)
+
+    @pytest.mark.parametrize("f, digests", [
+        (ONE,
+         ("9d9485141e525bccd0d7823125f58a3a13d672141fa02f031482e68fa237bfe8",
+          "944a1ddda3983df25cf526ca992dc88bb09aee9d42110cdb7b7b3cb04b51f0e3")),
+        (JUMP,
+         ("a0a56524fe71316b0ccc397d1f6a47579529275e25be758efd257a25a033d992",
+          "26b454bc2d0e4fd6e1730093a6476550707ae5041be3e98847e5d63a4f150a32")),
+    ], ids=["one", "jump"])
+    def test_nodal_values_pinned(self, f, digests):
+        """sha256 of repr(tuple(values)) of the super and sub builds at the
+        enclose1d default c = 0.2 sup|f| h^2 and eps = 0.25 h sup|f|."""
+        h = 2.0**-5
+        c = 0.2 * GreenEvaluator(f).sup_abs_source() * h * h
+        got = tuple(
+            hashlib.sha256(repr(tuple(float(v) for v in res.grid.values)).encode())
+            .hexdigest()
+            for res in (build_super(f, h, c), build_sub(f, h, c))
+        )
+        assert got == digests
 
     def test_iteration_cap_raises(self):
         with pytest.raises(CertificationError):

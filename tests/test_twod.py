@@ -66,6 +66,13 @@ class TestSignedSplit:
         with pytest.raises(InputError):
             bad.verify(f, centered_square)
 
+    def test_shifted_source_must_be_nonnegative(self, centered_square):
+        """f + f_minus < 0 on the strip x < -0.499, which the sampled
+        identity check misses; the certificate of f + f_minus does not."""
+        bad = SignedSplit(parse("max(x+0.499, 0)"), parse("0.499"))
+        with pytest.raises(InputError, match="f \\+ minus"):
+            bad.verify(parse("x"), centered_square)
+
     def test_negative_offset_rejected(self):
         with pytest.raises(InputError):
             shift_split(parse("x"), -1.0)
