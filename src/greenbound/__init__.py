@@ -29,7 +29,7 @@ from .geometry import (
     discretize_boundary,
 )
 from .interval import Box2, Interval, subdivide_min_max
-from .mfs import MfsSolution, boundary_extrema, solve_coefficients
+from .mfs import boundary_extrema, solve_coefficients
 from .oned import (
     BuildResult,
     GreenEvaluator,

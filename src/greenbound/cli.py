@@ -17,14 +17,17 @@ Subcommands
 ``greenbound selftest``
     Fast containment/identity checks; nonzero exit on any failure.
 
-Exit codes: 0 ok, 2 invalid input (also any problem-file key or flag not
-listed in ``PROBLEM_SCHEMA`` or here, and any non-finite number), 3 engine
-failure, 4 sign-indefinite source without a supplied split.
+Exit codes: 0 ok, 2 invalid input (also a source or split that does not
+parse, a degenerate polygon, bad breakpoints, any problem-file key or flag
+not listed in ``PROBLEM_SCHEMA`` or here or not read by the subcommand,
+and any non-finite number), 3 engine failure, 4 sign-indefinite source
+without a supplied split.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -35,7 +38,7 @@ import jsonschema
 
 from . import oned as _oned
 from . import twod as _twod
-from .errors import DomainError, GreenboundError, InputError, NeedsSplitError
+from .errors import GreenboundError, InputError, NeedsSplitError
 from .expr import PiecewiseSource1D, parse
 from .geometry import Polygon
 from .interval import Interval
@@ -101,6 +104,7 @@ PROBLEM_SCHEMA = {
                 "corner": _POINT,
                 "tol": {"type": "number", "exclusiveMinimum": 0},
             },
+            "dependentRequired": {"R_near": ["corner"]},  # R_near applies near the corner
             "additionalProperties": False,
         },
         "quad": {
@@ -126,6 +130,12 @@ PROBLEM_SCHEMA = {
     "additionalProperties": False,
 }
 
+# the problem-file keys each command reads, by domain type
+_COMMAND_KEYS = {
+    "interval": ("enclose1d", {"schema", "domain", "source", "oned"}),
+    "polygon": ("enclose2d", {"schema", "domain", "source", "split", "points", "mfs", "quad"}),
+}
+
 _DEFAULT_SWEEP_H = [2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8, 2.0**-9]
 
 
@@ -137,7 +147,9 @@ def _finite(text: str) -> float:
     return value
 
 
-def _load_problem(path: str) -> dict:
+def _load_problem(path: str, domain: str) -> dict:
+    """The validated problem file of the command for ``domain``; a key that
+    command does not read is an input error."""
     try:
         with open(path) as fh:
             data = json.load(fh, parse_float=_finite, parse_constant=_finite)
@@ -149,7 +161,24 @@ def _load_problem(path: str) -> dict:
         jsonschema.validate(data, PROBLEM_SCHEMA)
     except jsonschema.ValidationError as e:
         raise InputError(f"problem file rejected: {e.message}") from None
+    command, keys = _COMMAND_KEYS[domain]
+    if data["domain"]["type"] != domain:
+        raise InputError(f"{command} needs a domain of type {domain!r}")
+    unused = sorted(set(data) - keys)
+    if unused:
+        raise InputError(f"{command} does not use the problem-file key(s) {', '.join(unused)}")
     return data
+
+
+@contextlib.contextmanager
+def _problem_input():
+    """Errors raised while the problem is built from its file (a source or
+    split that does not parse, a degenerate polygon, bad breakpoints or mesh
+    widths) are input errors; the engine's errors come later."""
+    try:
+        yield
+    except GreenboundError as e:
+        raise InputError(str(e)) from None
 
 
 def _parse_source_1d(spec):
@@ -170,26 +199,20 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_enclose1d(args) -> int:
-    problem = _load_problem(args.problem)
-    if problem["domain"]["type"] != "interval":
-        raise InputError("enclose1d needs a domain of type 'interval'")
-    f = _parse_source_1d(problem["source"])
+    problem = _load_problem(args.problem, "interval")
     cfg = problem.get("oned", {})
-    ev = _oned.GreenEvaluator(f)
-    supf = ev.sup_abs_source()
-    eps_factor = cfg.get("eps_factor", 0.25)
-
-    if args.sweep:
-        if args.h is not None:
-            raise InputError("--h does not apply to --sweep; set oned.sweep_h instead")
-        h_list = cfg.get("sweep_h", _DEFAULT_SWEEP_H)
-    else:
-        h_list = [args.h if args.h is not None else cfg.get("h", 2.0**-5)]
-    for h in h_list:
-        try:
+    with _problem_input():
+        f = _parse_source_1d(problem["source"])
+        if args.sweep:
+            if args.h is not None:
+                raise InputError("--h does not apply to --sweep; set oned.sweep_h instead")
+            h_list = cfg.get("sweep_h", _DEFAULT_SWEEP_H)
+        else:
+            h_list = [args.h if args.h is not None else cfg.get("h", 2.0**-5)]
+        for h in h_list:
             _oned._node_count(h)
-        except DomainError as e:
-            raise InputError(str(e)) from None
+    supf = _oned.GreenEvaluator(f).sup_abs_source()
+    eps_factor = cfg.get("eps_factor", 0.25)
     c = args.c if args.c is not None else cfg.get("c")
     if c is None and not args.sweep:
         c = 0.2 * supf * h * h
@@ -231,24 +254,23 @@ def _cmd_enclose1d(args) -> int:
 
 
 def _cmd_enclose2d(args) -> int:
-    problem = _load_problem(args.problem)
-    if problem["domain"]["type"] != "polygon":
-        raise InputError("enclose2d needs a domain of type 'polygon'")
-    poly = Polygon(problem["domain"]["vertices"])
+    problem = _load_problem(args.problem, "polygon")
     if not isinstance(problem["source"], str):
         raise InputError("2D sources must be a single expression string")
-    f = parse(problem["source"])
     points = problem.get("points", [])
+    with _problem_input():
+        poly = Polygon(problem["domain"]["vertices"])
+        f = parse(problem["source"])
+        split = None
+        if "split" in problem:
+            split = _twod.SignedSplit(parse(problem["split"]["plus"]),
+                                      parse(problem["split"]["minus"]))
+        for p in points:
+            if poly.locate(p) != 1:
+                raise InputError(f"evaluation point {p} is not strictly interior")
     if not points:
         _write_out("point_x,point_y,lower,upper,width,rel_error\n", args.out)
         return 0
-    for p in points:
-        if poly.locate(p) != 1:
-            raise InputError(f"evaluation point {p} is not strictly interior")
-    split = None
-    if "split" in problem:
-        split = _twod.SignedSplit(parse(problem["split"]["plus"]),
-                                  parse(problem["split"]["minus"]))
     mfs_raw = problem.get("mfs", {})
     mfs_cfg = _twod.MfsConfig(
         n=mfs_raw.get("n", 69),

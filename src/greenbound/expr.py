@@ -9,8 +9,11 @@ The grammar is a small infix language over the variables ``x`` and ``y``::
     atom   := NUMBER | 'x' | 'y' | FUNC '(' expr (',' expr)* ')' | '(' expr ')'
     FUNC   := sin | cos | exp | log | sqrt | abs | min | max
 
-A parsed tree evaluates over three backends that are consistent by
-construction: binary64 points, intervals, and bivariate Taylor models.
+A parsed tree evaluates over three backends through one walk: binary64
+points, intervals, and bivariate Taylor models.  The walk applies each
+operand type's own +, -, *, / and negation, and a backend supplies only
+its literal leaf, integer power and function call, so all three evaluate
+the same f; abs, min and max have no Taylor-model call and raise there.
 Decimal literals that are not exactly representable are widened one ulp
 each way for the rigorous backends.  Piecewise behaviour in 2D is limited
 to min/max (no branching), which keeps interval evaluation sound; genuinely
@@ -20,6 +23,7 @@ discontinuous 1D sources use :class:`PiecewiseSource1D`.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,12 +94,7 @@ class SourceExpr:
         return f"SourceExpr({self.text!r})"
 
     def variables(self) -> set:
-        out: set = set()
-        _collect_vars(self.root, out)
-        return out
-
-    def has_nonsmooth(self) -> bool:
-        return _has_nonsmooth(self.root)
+        return {node.name for node in _nodes(self.root) if isinstance(node, Var)}
 
     def eval_point(self, x: float, y: Optional[float] = None) -> float:
         return eval_point(self, x, y)
@@ -171,11 +170,7 @@ def _tokenize(text: str):
 
 def _literal_interval(text: str, value: float):
     """Exact decimal literals stay degenerate; others widen one ulp each way."""
-    try:
-        exact = Fraction(text) == Fraction(value)
-    except (ValueError, OverflowError):
-        exact = False
-    if exact:
+    if Fraction(text) == Fraction(value):
         return value, value
     return math.nextafter(value, -math.inf), math.nextafter(value, math.inf)
 
@@ -251,7 +246,7 @@ class _Parser:
         if kind != "num":
             raise ParseError("exponent must be an integer literal", pos)
         f = float(val)
-        if f != int(f):
+        if not math.isfinite(f) or f != int(f):
             raise ParseError(f"exponent must be an integer, got {val}", pos)
         return sign * int(f)
 
@@ -259,6 +254,8 @@ class _Parser:
         kind, val, pos = self.next()
         if kind == "num":
             value = float(val)
+            if not math.isfinite(value):
+                raise ParseError(f"literal {val} overflows binary64", pos)
             ilo, ihi = _literal_interval(val, value)
             return Num(value, ilo, ihi)
         if kind == "ident":
@@ -295,173 +292,118 @@ def parse(text: str) -> SourceExpr:
     return SourceExpr(_Parser(text).parse(), text)
 
 
-def _collect_vars(node: Node, out: set) -> None:
-    if isinstance(node, Var):
-        out.add(node.name)
-    elif isinstance(node, Bin):
-        _collect_vars(node.left, out)
-        _collect_vars(node.right, out)
-    elif isinstance(node, Neg):
-        _collect_vars(node.arg, out)
-    elif isinstance(node, Pow):
-        _collect_vars(node.base, out)
-    elif isinstance(node, Call):
-        for a in node.args:
-            _collect_vars(a, out)
-
-
-def _has_nonsmooth(node: Node) -> bool:
-    if isinstance(node, Call):
-        if node.fn in ("abs", "min", "max"):
-            return True
-        return any(_has_nonsmooth(a) for a in node.args)
+def _nodes(node: Node):
+    """Every node of the tree, parents before children."""
+    yield node
     if isinstance(node, Bin):
-        return _has_nonsmooth(node.left) or _has_nonsmooth(node.right)
-    if isinstance(node, Neg):
-        return _has_nonsmooth(node.arg)
-    if isinstance(node, Pow):
-        return _has_nonsmooth(node.base)
-    return False
+        children = (node.left, node.right)
+    elif isinstance(node, Neg):
+        children = (node.arg,)
+    elif isinstance(node, Pow):
+        children = (node.base,)
+    else:
+        children = node.args if isinstance(node, Call) else ()
+    for child in children:
+        yield from _nodes(child)
 
 
-# -- evaluation backends -----------------------------------------------------
+# -- evaluation: one walk, three backends ------------------------------------
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+class _Walk:
+    """One evaluation of a tree at (x, y).  The operators +, -, *, / and
+    unary minus are the operand type's own, so every backend computes the
+    same f; a backend supplies only ``const`` (the leaf of a literal),
+    ``power`` (integer exponent) and ``call`` (a named function)."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        self.x, self.y = x, y
+
+    def walk(self, node: Node):
+        kind = type(node)
+        if kind is Bin:
+            return _BINARY[node.op](self.walk(node.left), self.walk(node.right))
+        if kind is Var:
+            if node.name == "x":
+                return self.x
+            if self.y is None:
+                raise DomainError("expression uses y but no y argument was given")
+            return self.y
+        if kind is Num:
+            return self.const(node)
+        if kind is Neg:
+            return -self.walk(node.arg)
+        if kind is Pow:
+            return self.power(self.walk(node.base), node.exponent)
+        return self.call(node.fn, *[self.walk(arg) for arg in node.args])
+
+
+_POINT_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
+                    "sqrt": math.sqrt, "abs": abs, "min": min, "max": max}
+
+
+class _PointWalk(_Walk):
+    __slots__ = ()
+
+    def const(self, node: Num) -> float:
+        return node.value
+
+    def power(self, base: float, n: int) -> float:
+        return base ** n
+
+    def call(self, fn: str, *args: float) -> float:
+        return _POINT_FUNCTIONS[fn](*args)
+
+
+class _IntervalWalk(_Walk):
+    __slots__ = ()
+
+    def const(self, node: Num) -> Interval:
+        return Interval(node.ilo, node.ihi)
+
+    def power(self, base: Interval, n: int) -> Interval:
+        return base.pow_int(n)
+
+    def call(self, fn: str, *args: Interval) -> Interval:
+        if fn in ("min", "max"):
+            pick = min if fn == "min" else max
+            return Interval(pick(a.lo for a in args), pick(a.hi for a in args))
+        return abs(args[0]) if fn == "abs" else getattr(args[0], fn)()
+
+
+class _TaylorWalk(_Walk):
+    __slots__ = ()
+
+    def const(self, node: Num) -> TaylorModel2:
+        x = self.x
+        return TaylorModel2.constant(Interval(node.ilo, node.ihi), x.box,
+                                     (x.deg_k, x.deg_u), x.ranges)
+
+    def power(self, base: TaylorModel2, n: int) -> TaylorModel2:
+        return base.pow_int(n)
+
+    def call(self, fn: str, *args: TaylorModel2) -> TaylorModel2:
+        if fn in ("abs", "min", "max"):
+            raise UnsupportedError(f"{fn} has no Taylor-model backend (not smooth)")
+        return tm_compose_elem(fn, args[0])
 
 
 def eval_point(f: SourceExpr, x: float, y: Optional[float] = None) -> float:
-    return _ev_point(f.root, float(x), None if y is None else float(y))
-
-
-def _ev_point(node: Node, x: float, y: Optional[float]) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        if node.name == "y":
-            if y is None:
-                raise DomainError("expression uses y but no y value was given")
-            return y
-        return x
-    if isinstance(node, Neg):
-        return -_ev_point(node.arg, x, y)
-    if isinstance(node, Bin):
-        a = _ev_point(node.left, x, y)
-        b = _ev_point(node.right, x, y)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0.0:
-            raise DomainError("division by zero in point evaluation")
-        return a / b
-    if isinstance(node, Pow):
-        base = _ev_point(node.base, x, y)
-        if node.exponent < 0 and base == 0.0:
-            raise DomainError("zero raised to a negative power")
-        return base ** node.exponent
-    a = [_ev_point(arg, x, y) for arg in node.args]
     try:
-        if node.fn == "sin":
-            return math.sin(a[0])
-        if node.fn == "cos":
-            return math.cos(a[0])
-        if node.fn == "exp":
-            return math.exp(a[0])
-        if node.fn == "log":
-            return math.log(a[0])
-        if node.fn == "sqrt":
-            return math.sqrt(a[0])
-        if node.fn == "abs":
-            return abs(a[0])
-        if node.fn == "min":
-            return min(a)
-        return max(a)
-    except (ValueError, OverflowError) as e:
-        raise DomainError(f"{node.fn}: {e}") from None
+        return _PointWalk(float(x), None if y is None else float(y)).walk(f.root)
+    except (ArithmeticError, ValueError) as e:  # division by zero, overflow, log(-1)
+        raise DomainError(f"point evaluation: {e}") from None
 
 
 def eval_interval(f: SourceExpr, x: Interval, y: Optional[Interval] = None) -> Interval:
-    return _ev_interval(f.root, x, y)
-
-
-def _ev_interval(node: Node, x: Interval, y: Optional[Interval]) -> Interval:
-    if isinstance(node, Num):
-        return Interval(node.ilo, node.ihi)
-    if isinstance(node, Var):
-        if node.name == "y":
-            if y is None:
-                raise DomainError("expression uses y but no y interval was given")
-            return y
-        return x
-    if isinstance(node, Neg):
-        return -_ev_interval(node.arg, x, y)
-    if isinstance(node, Bin):
-        a = _ev_interval(node.left, x, y)
-        b = _ev_interval(node.right, x, y)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
-    if isinstance(node, Pow):
-        return _ev_interval(node.base, x, y).pow_int(node.exponent)
-    a = [_ev_interval(arg, x, y) for arg in node.args]
-    if node.fn == "sin":
-        return a[0].sin()
-    if node.fn == "cos":
-        return a[0].cos()
-    if node.fn == "exp":
-        return a[0].exp()
-    if node.fn == "log":
-        return a[0].log()
-    if node.fn == "sqrt":
-        return a[0].sqrt()
-    if node.fn == "abs":
-        return abs(a[0])
-    if node.fn == "min":
-        lo = min(v.lo for v in a)
-        hi = min(v.hi for v in a)
-        return Interval(lo, hi)
-    lo = max(v.lo for v in a)
-    hi = max(v.hi for v in a)
-    return Interval(lo, hi)
+    return _IntervalWalk(x, y).walk(f.root)
 
 
 def eval_tm(
     f: SourceExpr, x: TaylorModel2, y: Optional[TaylorModel2] = None
 ) -> TaylorModel2:
-    return _ev_tm(f.root, x, y)
-
-
-def _ev_tm(node: Node, x: TaylorModel2, y: Optional[TaylorModel2]) -> TaylorModel2:
-    if isinstance(node, Num):
-        return TaylorModel2.constant(
-            Interval(node.ilo, node.ihi), x.box, (x.deg_k, x.deg_u), x.ranges
-        )
-    if isinstance(node, Var):
-        if node.name == "y":
-            if y is None:
-                raise DomainError("expression uses y but no y model was given")
-            return y
-        return x
-    if isinstance(node, Neg):
-        return -_ev_tm(node.arg, x, y)
-    if isinstance(node, Bin):
-        a = _ev_tm(node.left, x, y)
-        b = _ev_tm(node.right, x, y)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
-    if isinstance(node, Pow):
-        return _ev_tm(node.base, x, y).pow_int(node.exponent)
-    if node.fn in ("abs", "min", "max"):
-        raise UnsupportedError(
-            f"{node.fn} has no Taylor-model backend (not smooth)"
-        )
-    return tm_compose_elem(node.fn, _ev_tm(node.args[0], x, y))
+    return _TaylorWalk(x, y).walk(f.root)

@@ -22,6 +22,7 @@ Rounding policy
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -41,6 +42,7 @@ __all__ = [
     "subdivide_min_max",
     "MinMaxResult",
     "BoxEvaluator",
+    "rational",
 ]
 
 _INF = math.inf
@@ -56,6 +58,7 @@ _outward_rounding = True
 def _set_outward_rounding(enabled: bool) -> None:
     global _outward_rounding
     _outward_rounding = bool(enabled)
+    rational.cache_clear()
 
 
 def _next_down(x: float) -> float:
@@ -103,6 +106,18 @@ def _add_up(a: float, b: float) -> float:
     if err > 0.0:
         return _next_up(s)
     return s
+
+
+@functools.lru_cache(maxsize=4096)
+def rational(p: int, q: int) -> tuple[float, float]:
+    """Tightest float interval (lo, hi) around the rational p / q, q > 0:
+    a point when p / q is a float, else one ulp wide.  Memoized, because
+    the rigorous paths ask for the same few constants (2 / (j + 2)^2, p!,
+    ...) once per fan or series."""
+    f = p / q  # int true division is correctly rounded
+    a, b = f.as_integer_ratio()
+    above = a * q - p * b  # sign of f - p / q
+    return (_next_down(f) if above > 0 else f, _next_up(f) if above < 0 else f)
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,19 +11,15 @@ mathematically sound no matter how badly the MFS system was conditioned
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _directed as dr
 from .errors import DomainError, SolveError
 from .fundsol import NEG_INV_2PI, NEG_INV_4PI, TestFunction2D
 from .geometry import Polygon
-from .interval import (BoxEvaluator, Interval, MinMaxResult, _next_down, _next_up,
-                       subdivide_min_max)
+from .interval import BoxEvaluator, Interval, MinMaxResult, rational, subdivide_min_max
 
-__all__ = ["MfsSolution", "EdgeKernel", "collocation_system", "solve_coefficients",
-           "boundary_extrema", "solve"]
+__all__ = ["EdgeKernel", "collocation_system", "solve_coefficients", "boundary_extrema"]
 
 
 def collocation_system(collocation: np.ndarray, sources: np.ndarray) -> tuple:
@@ -71,25 +67,6 @@ def solve_coefficients(
     return a, residual, cond
 
 
-@dataclass(frozen=True)
-class MfsSolution:
-    """Candidate phi^0 with rigorous boundary extrema m and M.
-
-    phi^0 - m.lo is nonnegative on the boundary and phi^0 - M.hi
-    nonpositive there; the enclosure pairs f with phi^0 and applies m and
-    M as constant offsets.
-    """
-
-    tf0: TestFunction2D
-    residual_report: float
-    m: Interval
-    M: Interval
-    cond_estimate: float
-    extrema_converged: bool
-    extrema_evaluations: int
-    extrema_depth: int
-
-
 class EdgeKernel(BoxEvaluator):
     """phi^0 and its t-derivative along every edge a + v t, t in [0, 1].
 
@@ -129,10 +106,10 @@ class EdgeKernel(BoxEvaluator):
         for (ax, ay), (bx, by) in zip(a, a[1:] + a[:1]):
             vx, vy = bx - ax, by - ay
             n2 = vx * vx + vy * vy
-            v2.append(_round_out(n2, 1 << 2 * k))
-            tstar.append([_round_out((sx - ax) * vx + (sy - ay) * vy, n2)
+            v2.append(rational(n2, 1 << 2 * k))
+            tstar.append([rational((sx - ax) * vx + (sy - ay) * vy, n2)
                           for sx, sy in s])
-            delta2.append([_round_out(((sx - ax) * vy - (sy - ay) * vx) ** 2, n2 << 2 * k)
+            delta2.append([rational(((sx - ax) * vy - (sy - ay) * vx) ** 2, n2 << 2 * k)
                            for sx, sy in s])
         self.v2, self.tstar, self.delta2 = (
             tuple(np.moveaxis(np.array(q), -1, 0)) for q in (v2, tstar, delta2))
@@ -167,14 +144,6 @@ def _scaled_ints(values) -> tuple[list, int]:
     return [n << (k - d.bit_length() + 1) for n, d in ratios], k
 
 
-def _round_out(p: int, q: int) -> tuple[float, float]:
-    """Tightest float interval (lo, hi) around the rational p / q, q > 0."""
-    f = p / q  # int true division is correctly rounded
-    a, b = f.as_integer_ratio()
-    above = a * q - p * b  # sign of f - p / q
-    return (_next_down(f) if above > 0 else f, _next_up(f) if above < 0 else f)
-
-
 # Total evaluations of one boundary search: more than 10x the 11,858 of the
 # largest search any problem file, test or benchmark input makes, so only
 # searches that would run for minutes stop early (unconverged, still sound).
@@ -196,33 +165,3 @@ def boundary_extrema(
     kernel = EdgeKernel(tf0, poly)
     return subdivide_min_max(kernel, kernel.roots, tol=tol, max_depth=max_depth,
                              max_evals=MAX_EVALS)
-
-
-def solve(
-    poly: Polygon,
-    collocation: np.ndarray,
-    sources: np.ndarray,
-    s_int,
-    tol: float = 1e-9,
-    system=None,
-) -> MfsSolution:
-    """Full candidate construction: solve, then bound the boundary values.
-
-    ``system`` is passed on to :func:`solve_coefficients`."""
-    coeffs, residual, cond = solve_coefficients(collocation, sources, s_int, system)
-    tf0 = TestFunction2D(
-        s_int=(float(s_int[0]), float(s_int[1])),
-        sources=sources,
-        coeffs=coeffs,
-    )
-    res = boundary_extrema(tf0, poly, tol=tol)
-    return MfsSolution(
-        tf0=tf0,
-        residual_report=residual,
-        m=res.m,
-        M=res.M,
-        cond_estimate=cond,
-        extrema_converged=res.converged,
-        extrema_evaluations=res.evaluations,
-        extrema_depth=res.depth,
-    )

@@ -34,10 +34,10 @@ import numpy as np
 
 from . import _directed as dr
 from . import expr as _expr
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError
 from .fundsol import NEG_INV_4PI, TestFunction2D
 from .geometry import Polygon, Triangle
-from .interval import PI, Box2, Interval, intersect
+from .interval import PI, Box2, Interval, intersect, rational
 from .taylor import TaylorModel2
 
 __all__ = ["QuadConfig", "log_moment", "singular_triangle", "pair_f_phi",
@@ -91,10 +91,8 @@ def _log_poly_moments(a: Interval, t: Interval, top: int) -> list:
     log_term = (a.sqr() + t.sqr()).log()
     out = []
     for i in range(top + 1):
-        i1 = float(i + 1)
-        # 2 / (i+1) is a float only when i + 1 is a power of two
-        two_i1 = Interval.point(2.0 / i1) if i & (i + 1) == 0 else Interval.point(2.0) / i1
-        out.append(t.pow_int(i + 1) * log_term / i1 - ks[i + 2] * two_i1)
+        out.append(t.pow_int(i + 1) * log_term / float(i + 1)
+                   - ks[i + 2] * Interval(*rational(2, i + 1)))
     return out
 
 
@@ -242,9 +240,7 @@ def _fan_moments(f: _expr.SourceExpr, center, v1, v2, cfg: QuadConfig,
             la = _log_poly_moments(d, ya, top)
             lb = _log_poly_moments(d, yb, top)
             da_i = [lb[q] - la[q] for q in range(top + 1)]
-            # 2 / (j+2)^2 is a float only when j + 2 is a power of two
-            w, exact = 2.0 / (j2 * j2), ((j + 2) & (j + 1)) == 0
-            w_iv = np.where(exact, w, dr.next_down(w)), np.where(exact, w, dr.next_up(w))
+            w_iv = np.array([rational(2, (q + 2) ** 2) for q in range(j.max() + 1)]).T[:, j]
             # base ((j+2) log d - 1) 2/(j+2)^2 + (dA_i d^q - 2 base log d)/(j+2)
             lg = (logd.lo, logd.hi)
             t = dr.iv_sub(*dr.iv_mul(*lg, j2, j2), 1.0, 1.0)
@@ -270,8 +266,6 @@ def singular_triangle(f: _expr.SourceExpr, tri: Triangle,
     cfg = cfg or QuadConfig()
     if tri.singular_vertex is None:
         raise DomainError("triangle does not flag a singular vertex")
-    if f.has_nonsmooth():
-        raise UnsupportedError("source uses abs/min/max: not smooth on the triangle")
     sv = tri.singular_vertex
     v = tri.vertices
     center = v[sv]
@@ -310,8 +304,6 @@ def integrate_source(
 ) -> Interval:
     """Enclosure of the integral of f over the polygon."""
     cfg = cfg or QuadConfig()
-    if f.has_nonsmooth():
-        raise UnsupportedError("source uses abs/min/max: not smooth over the polygon")
     center = poly.vertices.mean(axis=0)
     _, plain = _fan_over_polygon(f, center, poly, cfg, want_log=False, want_plain=True)
     return plain
@@ -326,8 +318,6 @@ def source_kernel_terms(
     They depend on f, the polygon and the sources only, so a caller pairing
     several candidates on one domain computes them once."""
     cfg = cfg or QuadConfig()
-    if f.has_nonsmooth():
-        raise UnsupportedError("source uses abs/min/max: not smooth over the polygon")
     return [
         _fan_over_polygon(f, s, poly, cfg, want_log=True, want_plain=False)[0]
         * NEG_INV_4PI
@@ -357,8 +347,6 @@ def pair_f_phi(
     times their nonzero coefficients in index order.
     """
     cfg = cfg or QuadConfig()
-    if f.has_nonsmooth():
-        raise UnsupportedError("source uses abs/min/max: not smooth over the polygon")
     log_int, plain_int = _fan_over_polygon(
         f, tf0.s_int, poly, cfg, want_log=True, want_plain=True
     )

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _directed as dr
 from .errors import DomainError, UnsupportedError
-from .interval import Box2, Interval
+from .interval import Box2, Interval, rational
 
 __all__ = ["TaylorModel2", "tm_from_expr", "tm_compose_elem"]
 
@@ -287,10 +287,7 @@ class TaylorModel2:
 
 def _factorial(p: int) -> Interval:
     """p! enclosed outward (a point for p <= 22, where it is a float)."""
-    f = math.factorial(p)
-    x = float(f)
-    return Interval(x if int(x) <= f else math.nextafter(x, -math.inf),
-                    x if int(x) >= f else math.nextafter(x, math.inf))
+    return Interval(*rational(math.factorial(p), 1))
 
 
 def _series_and_remainder(fn: str, t0: float, r: Interval, order: int):
@@ -323,9 +320,8 @@ def _series_and_remainder(fn: str, t0: float, r: Interval, order: int):
             raise DomainError(f"sqrt composition on range touching zero: {r}")
         coeffs.append(t0_iv.sqrt())
         for p in range(1, order + 1):
-            # binom(1/2, p) = binom(1/2, p - 1) (1/2 - (p - 1)) / p; the
-            # quotient is inexact for most p, so it is enclosed, not rounded
-            c = coeffs[-1] * (Interval.point(0.5 - (p - 1)) / float(p))
+            # binom(1/2, p) = binom(1/2, p - 1) (3 - 2p) / (2p)
+            c = coeffs[-1] * Interval(*rational(3 - 2 * p, 2 * p))
             coeffs.append(c / t0_iv)
         # |f^(p1)(xi)| / p1! <= |prod (1/2 - q)| / p1! * xi^(1/2 - p1)
         fac = Interval(1.0, 1.0)
@@ -381,8 +377,4 @@ def tm_from_expr(f, box: Box2, degrees=_DEFAULT_DEGREES) -> TaylorModel2:
 
 
 def tm_compose_elem(fn: str, a: TaylorModel2) -> TaylorModel2:
-    if fn == "abs" or fn in ("min", "max"):
-        raise UnsupportedError(f"{fn} is not smooth; Taylor models unsupported")
-    if fn == "pow_int":
-        raise DomainError("use TaylorModel2.pow_int for integer powers")
     return _compose_series(a, fn)

@@ -37,6 +37,7 @@ import numpy as np
 from . import mfs as _mfs
 from .errors import DomainError, GeometryError, InputError, NeedsSplitError
 from .expr import Bin, Num, SourceExpr
+from .fundsol import TestFunction2D
 from .geometry import CornerRefine, Polygon, Triangle, \
     amano_sources, discretize_boundary, _ear_clip
 from .interval import Interval
@@ -264,25 +265,27 @@ class _DomainPlan:
         self.source_terms = source_kernel_terms(f, self.sources, poly, quad_cfg)
 
     def enclose(self, s_int) -> EnclosureResult:
-        sol = _mfs.solve(self.poly, self.collocation, self.sources, s_int,
-                         tol=self.mfs_cfg.tol, system=self.system)
+        coeffs, residual, cond = _mfs.solve_coefficients(
+            self.collocation, self.sources, s_int, system=self.system)
+        tf0 = TestFunction2D(s_int, self.sources, coeffs)
+        ext = _mfs.boundary_extrema(tf0, self.poly, tol=self.mfs_cfg.tol)
+        m, M = ext.m, ext.M
         diagnostics = {
-            "mfs_residual": sol.residual_report,
-            "mfs_condition": sol.cond_estimate,
-            "m": (sol.m.lo, sol.m.hi),
-            "M": (sol.M.lo, sol.M.hi),
-            "extrema_converged": sol.extrema_converged,
-            "extrema_evaluations": sol.extrema_evaluations,
-            "extrema_depth": sol.extrema_depth,
+            "mfs_residual": residual,
+            "mfs_condition": cond,
+            "m": (m.lo, m.hi),
+            "M": (M.lo, M.hi),
+            "extrema_converged": ext.converged,
+            "extrema_evaluations": ext.evaluations,
+            "extrema_depth": ext.depth,
             "n_collocation": self.mfs_cfg.n,
             "sign": self.sign,
         }
         # <f, H> = <f_plus, H> - <f_minus, H> lies in
         # [m.lo I - G I_minus, M.hi I + G I_minus]
-        gap = Interval.point((sol.M - sol.m).hi) * self.minus_mass
-        upper, lower = pair_f_phi(self.f, sol.tf0, self.poly, self.quad_cfg,
-                                  ((-sol.m.lo, gap), (-sol.M.hi, -gap)),
-                                  self.source_terms)
+        gap = Interval.point((M - m).hi) * self.minus_mass
+        upper, lower = pair_f_phi(self.f, tf0, self.poly, self.quad_cfg,
+                                  ((-m.lo, gap), (-M.hi, -gap)), self.source_terms)
         if lower.lo > upper.hi:
             raise DomainError("crossed enclosure; rigor violated upstream")
         return EnclosureResult.from_bound(s_int, Interval(lower.lo, upper.hi),

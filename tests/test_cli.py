@@ -202,7 +202,8 @@ class TestEnclose2D:
     @pytest.mark.parametrize("R", [1.0, 0.9, -1.0])
     @pytest.mark.parametrize("key", ["R_far", "R_near"])
     def test_R_at_most_one_rejected_at_load(self, tmp_path, capsys, key, R):
-        path = write(tmp_path, "p.json", square_problem(mfs={"n": 33, key: R}))
+        mfs = {"n": 33, key: R, "corner": [0.5, 0.5]}
+        path = write(tmp_path, "p.json", square_problem(mfs=mfs))
         assert main(["enclose2d", path]) == 2
         assert "problem file rejected" in capsys.readouterr().err
 
@@ -250,6 +251,41 @@ class TestEnclose2D:
 
     def test_missing_file(self):
         assert main(["enclose2d", "/nonexistent/problem.json"]) == 2
+
+
+@pytest.mark.parametrize("command, problem", [
+    ("enclose2d", square_problem(source="x +")),
+    ("enclose2d", square_problem(source="foo(x)")),
+    ("enclose1d", interval_problem(source="x^0.5")),
+    ("enclose1d", interval_problem(source="1e400")),
+    ("enclose2d", square_problem(split={"plus": "1", "minus": "sin("})),
+    ("enclose2d", square_problem(
+        domain={"type": "polygon", "vertices": [[0, 0], [1, 1], [1, 0], [0, 1]]})),
+    ("enclose1d", interval_problem(
+        source={"breakpoints": [0.5, 0.25], "pieces": ["1", "2", "3"]})),
+], ids=["dangling-op", "unknown-function", "fractional-power", "overflowing-literal",
+        "split-parse", "zero-area-polygon", "unordered-breakpoints"])
+def test_invalid_problem_content_is_input_error(tmp_path, capsys, command, problem):
+    """Sources that do not parse (an overflowing literal included), a
+    zero-area polygon and unordered breakpoints exit 2, not 3."""
+    path = write(tmp_path, "p.json", problem)
+    assert main([command, path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, problem, key", [
+    ("enclose1d", interval_problem(points=[[0.5, 0.5]]), "points"),
+    ("enclose1d", interval_problem(split={"plus": "1", "minus": "0"}), "split"),
+    ("enclose1d", interval_problem(mfs={"n": 33}), "mfs"),
+    ("enclose1d", interval_problem(quad={"fan_splits": 2}), "quad"),
+    ("enclose2d", square_problem(oned={"h": 0.3, "c": 5}), "oned"),
+    ("enclose2d", square_problem(mfs={"n": 33, "R_near": 1.5}), "R_near"),
+], ids=["1d-points", "1d-split", "1d-mfs", "1d-quad", "2d-oned", "2d-R_near-without-corner"])
+def test_unread_problem_key_is_input_error(tmp_path, capsys, command, problem, key):
+    """A key the command would ignore is rejected by name."""
+    path = write(tmp_path, "p.json", problem)
+    assert main([command, path]) == 2
+    assert key in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -1,5 +1,6 @@
 import math
 import operator
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -14,8 +15,10 @@ from greenbound.interval import (
     PI,
     BoxEvaluator,
     Interval,
+    _set_outward_rounding,
     hull,
     intersect,
+    rational,
     subdivide_min_max,
 )
 
@@ -300,6 +303,35 @@ class TestBatchedMinMax:
                                 g_prime=lambda t: t * 2.0, tol=1e-12)
         assert_contains(res.M, 4.0)
         assert_contains(res.m, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**40, 10**40), st.integers(1, 10**40))
+@example(1, 4)
+@example(-5, 8)
+@example(2, 9)
+@example(math.factorial(25), 1)
+@example(10**40 + 1, 3**80)
+@example(-1, 10**400)
+def test_rational_is_tightest_enclosure(p, q):
+    """[lo, hi] contains p/q, is a point when p/q is a float, else one ulp."""
+    lo, hi = rational(p, q)
+    exact = Fraction(p, q)
+    assert Fraction(lo) <= exact <= Fraction(hi)
+    if Fraction(lo) == exact or Fraction(hi) == exact:
+        assert lo == hi
+    else:
+        assert hi == math.nextafter(lo, math.inf)
+
+
+def test_rational_memo_follows_outward_rounding():
+    assert rational(1, 3)[0] < rational(1, 3)[1]
+    _set_outward_rounding(False)
+    try:
+        assert rational(1, 3)[0] == rational(1, 3)[1]
+    finally:
+        _set_outward_rounding(True)
+    assert rational(1, 3)[0] < rational(1, 3)[1]
 
 
 def test_hull_intersect():

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -11,12 +12,7 @@ from greenbound.fundsol import TestFunction2D
 from greenbound.geometry import discretize_boundary, amano_sources
 from greenbound.interval import Interval, subdivide_min_max
 from greenbound.geometry import Polygon
-from greenbound.mfs import (
-    EdgeKernel,
-    boundary_extrema,
-    solve,
-    solve_coefficients,
-)
+from greenbound.mfs import EdgeKernel, boundary_extrema, solve_coefficients
 
 from conftest import assert_contains
 
@@ -25,6 +21,14 @@ def square_setup(centered_square, n=33, R=1.2):
     pts = discretize_boundary(centered_square, n)
     src = amano_sources(centered_square, pts, lambda p: R)
     return pts, src
+
+
+def solve(poly, pts, src, s_int, tol=1e-9):
+    """The candidate phi^0 for s_int with its boundary extrema m and M."""
+    coeffs, _, _ = solve_coefficients(pts, src, s_int)
+    tf0 = TestFunction2D(s_int, src, coeffs)
+    res = boundary_extrema(tf0, poly, tol=tol)
+    return SimpleNamespace(tf0=tf0, m=res.m, M=res.M)
 
 
 class TestSolve:
@@ -224,14 +228,15 @@ class TestEdgeKernel:
     def test_exact_geometry_is_rounded_outward_once(self):
         from fractions import Fraction
 
-        from greenbound.mfs import _round_out, _scaled_ints
+        from greenbound.interval import rational
+        from greenbound.mfs import _scaled_ints
 
         ints, k = _scaled_ints([0.1, -3.0, 2.0**-60, 0.0])
         assert [Fraction(n, 2**k) for n in ints] == [
             Fraction(0.1), Fraction(-3), Fraction(2.0**-60), 0]
-        assert _round_out(1, 4) == (0.25, 0.25)
+        assert rational(1, 4) == (0.25, 0.25)
         for p, q in ((1, 3), (-2, 7), (10**40 + 1, 3**80)):
-            lo, hi = _round_out(p, q)
+            lo, hi = rational(p, q)
             assert Fraction(lo) < Fraction(p, q) < Fraction(hi)
             assert hi == np.nextafter(lo, np.inf)
 

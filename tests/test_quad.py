@@ -168,6 +168,19 @@ class TestPairing:
         assert_contains(got, want)
         assert got.width() < 1e-12
 
+    @pytest.mark.parametrize("text, degrees, lo, hi", [
+        ("x + sin((x+0.5)*y^2)", (6, 6), 0.004885182638034694, 0.005380716956915346),
+        ("sqrt(x + 2)", (8, 8), 0.23838195615663818, 0.2383820709319374),
+    ])
+    def test_rational_constants_pinned(self, centered_square, text, degrees, lo, hi):
+        """The interior-kernel pairing with every rational constant of the
+        fan moments and the series (2/(i+1), 2/(j+2)^2, p!, (3-2p)/(2p))
+        enclosed to its tightest float interval, bit for bit: a constant
+        rounded to nearest, or widened by another ulp, moves an endpoint."""
+        tf = TestFunction2D((0.0, 0.0), np.zeros((0, 2)), np.zeros(0))
+        (got,) = pair_f_phi(parse(text), tf, centered_square, QuadConfig(tm_degrees=degrees))
+        assert (got.lo, got.hi) == (lo, hi)
+
     def test_linearity(self, centered_square):
         tf = TestFunction2D((0.1, 0.0), np.array([[2.0, 2.0]]), np.array([0.7]))
         (one,) = pair_f_phi(parse("x+1"), tf, centered_square, offsets=((0.01, 0.0),))
