@@ -203,6 +203,9 @@ def _cmd_enclose1d(args) -> int:
     cfg = problem.get("oned", {})
     with _problem_input():
         f = _parse_source_1d(problem["source"])
+        # each mode reads one of oned.h and oned.sweep_h; both are checked
+        for h in cfg.get("sweep_h", []) + ([cfg["h"]] if "h" in cfg else []):
+            _oned._node_count(h)
         if args.sweep:
             if args.h is not None:
                 raise InputError("--h does not apply to --sweep; set oned.sweep_h instead")
@@ -271,14 +274,10 @@ def _cmd_enclose2d(args) -> int:
     if not points:
         _write_out("point_x,point_y,lower,upper,width,rel_error\n", args.out)
         return 0
-    mfs_raw = problem.get("mfs", {})
-    mfs_cfg = _twod.MfsConfig(
-        n=mfs_raw.get("n", 69),
-        R_far=mfs_raw.get("R_far", 1.2),
-        R_near=mfs_raw.get("R_near", 1.05),
-        corner=tuple(mfs_raw["corner"]) if "corner" in mfs_raw else None,
-        tol=mfs_raw.get("tol", 1e-9),
-    )
+    mfs_raw = dict(problem.get("mfs", {}))  # the schema admits MfsConfig fields only
+    if "corner" in mfs_raw:
+        mfs_raw["corner"] = tuple(mfs_raw["corner"])
+    mfs_cfg = _twod.MfsConfig(**mfs_raw)
     quad_raw = problem.get("quad", {})
     quad_cfg = QuadConfig(
         tm_degrees=(quad_raw.get("deg_k", 8), quad_raw.get("deg_u", 8)),

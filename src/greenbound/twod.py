@@ -67,7 +67,7 @@ class MfsConfig:
     R_far: float = 1.2
     R_near: float = 1.05
     corner: Optional[tuple] = None  # reentrant corner getting refined spacing
-    tol: float = 1e-9
+    tol: float = 1e-11
 
     def r_rule(self):
         corner = self.corner
@@ -278,6 +278,8 @@ class _DomainPlan:
             "extrema_converged": ext.converged,
             "extrema_evaluations": ext.evaluations,
             "extrema_depth": ext.depth,
+            "extrema_expanded_boxes": ext.expanded_boxes,
+            "extrema_natural_boxes": ext.natural_boxes,
             "n_collocation": self.mfs_cfg.n,
             "sign": self.sign,
         }

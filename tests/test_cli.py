@@ -87,6 +87,15 @@ class TestEnclose1D:
         assert main(["enclose1d", path, "--sweep", "--h", "0.25"]) == 2
         assert "--h" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, oned", [
+        (["--sweep"], {"h": 0.3, "sweep_h": [0.125]}),
+        ([], {"h": 0.125, "sweep_h": [0.125, 0.3]}),
+    ])
+    def test_mesh_key_of_the_other_mode_is_checked(self, tmp_path, capsys, flags, oned):
+        path = write(tmp_path, "p.json", interval_problem(oned=oned))
+        assert main(["enclose1d", path, *flags]) == 2
+        assert "mesh width 0.3" in capsys.readouterr().err
+
     def test_piecewise_source(self, tmp_path):
         path = write(
             tmp_path, "p.json",

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from greenbound import twod
+from greenbound import mfs, twod
 from greenbound.errors import DomainError
 from greenbound.expr import parse
 from greenbound.fundsol import TestFunction2D
@@ -90,12 +90,12 @@ class TestBoundaryExtrema:
         enclose those of the unlimited search."""
         pts, src = square_setup(centered_square, n=33)
         tf0 = solve(centered_square, pts, src, (0.1, -0.2), tol=1e-9).tf0
-        full = boundary_extrema(tf0, centered_square)
+        full = boundary_extrema(tf0, centered_square, tol=1e-9)
         kernel = EdgeKernel(tf0, centered_square)
         capped = subdivide_min_max(kernel, kernel.roots, tol=1e-9, max_depth=48,
-                                   max_evals=300)
+                                   max_evals=100)
         assert full.converged and not capped.converged
-        assert 300 <= capped.evaluations < full.evaluations
+        assert 100 <= capped.evaluations < full.evaluations
         assert capped.m.encloses(full.m) and capped.M.encloses(full.M)
 
     def test_square_extrema_gap_small(self, centered_square):
@@ -191,30 +191,17 @@ class TestEdgeKernel:
             assert new_der.width() <= der.width() + 4 * np.spacing(der.mag())
 
     def test_slanted_edges_contain_mpmath_values(self):
-        hexagon = Polygon([[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)]
-                           for k in range(6)])
-        pts = discretize_boundary(hexagon, 24)
-        src = amano_sources(hexagon, pts, lambda p: 1.2)
-        tf0 = solve(hexagon, pts, src, (0.2, -0.1)).tf0
+        hexagon, tf0 = _candidate("hexagon", None)
         kernel = EdgeKernel(tf0, hexagon)
         rng = np.random.default_rng(4)
         e = rng.integers(0, 6, 200)
         t = rng.random(200)
         box_lo, box_hi = np.maximum(0.0, t - 1e-3), np.minimum(1.0, t + 1e-3)
-        kernels = [(1.0, tf0.s_int)] + list(zip(tf0.coeffs, tf0.sources))
+        kernels = _mp_kernels(tf0)
         for lo, hi in ((t, t), (box_lo, box_hi)):
             glo, ghi, dlo, dhi = kernel(e, lo, hi, True)
             for k in range(200):
-                a, b = (np.asarray(p, dtype=float) for p in hexagon.edges()[e[k]])
-                vx, vy = mp.mpf(b[0]) - mp.mpf(a[0]), mp.mpf(b[1]) - mp.mpf(a[1])
-                x = mp.mpf(a[0]) + vx * mp.mpf(t[k])
-                y = mp.mpf(a[1]) + vy * mp.mpf(t[k])
-                val = der = mp.mpf(0)
-                for w, (sx, sy) in kernels:
-                    dx, dy = x - mp.mpf(sx), y - mp.mpf(sy)
-                    d2 = dx * dx + dy * dy
-                    val += mp.mpf(w) * mp.log(d2) / (-4 * mp.pi)
-                    der += mp.mpf(w) * (dx * vx + dy * vy) / d2 / (-2 * mp.pi)
+                val, der = _mp_phi(kernels, _mp_edge(hexagon, e[k]), mp.mpf(t[k]))
                 assert mp.mpf(glo[k]) <= val <= mp.mpf(ghi[k])
                 assert mp.mpf(dlo[k]) <= der <= mp.mpf(dhi[k])
 
@@ -250,3 +237,173 @@ class TestEdgeKernel:
         assert chunked.chunk < 300
         for x, y in zip(whole(e, lo, hi, True), chunked(e, lo, hi, True)):
             assert np.array_equal(x, y)
+
+
+HEXAGON = Polygon([[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)] for k in range(6)])
+
+
+def _candidate(name, lshape):
+    """A slanted hexagon, or the L-shape with R_near sources at its corner."""
+    if name == "hexagon":
+        pts = discretize_boundary(HEXAGON, 24)
+        src = amano_sources(HEXAGON, pts, lambda p: 1.2)
+        return HEXAGON, solve(HEXAGON, pts, src, (0.2, -0.1)).tf0
+    cfg = twod.MfsConfig(n=69, corner=(0.0, 0.0))
+    pts = discretize_boundary(lshape, cfg.n, twod.CornerRefine(corner=cfg.corner))
+    src = amano_sources(lshape, pts, cfg.r_rule())
+    return lshape, solve(lshape, pts, src, (0.5, -0.5)).tf0
+
+
+def _mp_kernels(tf0):
+    return [(mp.mpf(w), mp.mpf(sx), mp.mpf(sy))
+            for w, (sx, sy) in [(1.0, tf0.s_int)] + list(zip(tf0.coeffs, tf0.sources))]
+
+
+def _mp_edge(poly, e):
+    a, b = poly.edges()[e]
+    ax, ay = mp.mpf(float(a[0])), mp.mpf(float(a[1]))
+    return ax, ay, mp.mpf(float(b[0])) - ax, mp.mpf(float(b[1])) - ay
+
+
+def _mp_phi(kernels, edge, t):
+    """phi^0 and its t-derivative at a + v t, in mpmath."""
+    ax, ay, vx, vy = edge
+    x, y = ax + vx * t, ay + vy * t
+    val = der = mp.mpf(0)
+    for w, sx, sy in kernels:
+        dx, dy = x - sx, y - sy
+        d2 = dx * dx + dy * dy
+        val += w * mp.log(d2) / (-4 * mp.pi)
+        der += w * (dx * vx + dy * vy) / d2 / (-2 * mp.pi)
+    return val, der
+
+
+def _mp_centres(kernels, edge):
+    """(w_k, t*_k, sqrt(q_k)) per kernel: it sits at t*_k + i sqrt(q_k) in t units."""
+    ax, ay, vx, vy = edge
+    v2 = vx * vx + vy * vy
+    return [(w, ((sx - ax) * vx + (sy - ay) * vy) / v2,
+             abs((sx - ax) * vy - (sy - ay) * vx) / v2) for w, sx, sy in kernels]
+
+
+def _boxes_at_half_rho(poly, tf0, rng, n):
+    """n t-boxes whose largest rho_k = r / |t_m - t*_k + i sqrt(q_k)| is just
+    under 1/2 (a few are clipped to [0, 1], which only lowers it)."""
+    kernels = _mp_kernels(tf0)
+    e = rng.integers(0, len(poly.vertices), n)
+    tm = rng.uniform(0.05, 0.95, n)
+    lo, hi = np.empty(n), np.empty(n)
+    for i in range(n):
+        centres = _mp_centres(kernels, _mp_edge(poly, e[i]))
+        dist = min(abs(mp.mpc(mp.mpf(tm[i]) - ts, dl)) for _w, ts, dl in centres)
+        r = 0.499 * float(dist)
+        lo[i], hi[i] = max(0.0, tm[i] - r), min(1.0, tm[i] + r)
+    return e, lo, hi
+
+
+class TestExpansion:
+    @pytest.mark.parametrize("name", ["hexagon", "lshape"])
+    def test_contains_mpmath_values_across_each_box(self, name, lshape):
+        poly, tf0 = _candidate(name, lshape)
+        kernel = EdgeKernel(tf0, poly)
+        e, lo, hi = _boxes_at_half_rho(poly, tf0, np.random.default_rng(7), 12)
+        glo, ghi, dlo, dhi = kernel(e, lo, hi, True)
+        assert kernel.expanded_boxes == len(e) and kernel.natural_boxes == 0
+        kernels = _mp_kernels(tf0)
+        for k in range(len(e)):
+            edge = _mp_edge(poly, e[k])
+            for t in np.linspace(lo[k], hi[k], 20):
+                val, der = _mp_phi(kernels, edge, mp.mpf(float(t)))
+                assert mp.mpf(glo[k]) <= val <= mp.mpf(ghi[k])
+                assert mp.mpf(dlo[k]) <= der <= mp.mpf(dhi[k])
+
+    @pytest.mark.parametrize("name", ["hexagon", "lshape"])
+    def test_tail_bounds_the_truncation_error(self, name, lshape):
+        """|phi^0 - (c_0 + sum_j c_j h^j)| and the derivative's error, with
+        the c_j from complex powers in mpmath, stay below the tails."""
+        poly, tf0 = _candidate(name, lshape)
+        kernel = EdgeKernel(tf0, poly)
+        e, lo, hi = _boxes_at_half_rho(poly, tf0, np.random.default_rng(8), 6)
+        kernels = _mp_kernels(tf0)
+        p = mfs.EXPANSION_DEGREE
+        for k in range(len(e)):
+            edge = _mp_edge(poly, e[k])
+            tm = mp.mpf(0.5 * (lo[k] + hi[k]))
+            z = [(w, tm - ts + 1j * dl) for w, ts, dl in _mp_centres(kernels, edge)]
+            c = [sum(w * mp.re(zk ** -j) for w, zk in z) * (-1) ** j / (2 * mp.pi * j)
+                 for j in range(1, p + 1)]
+            s = np.array([float(abs(zk) ** 2) for _w, zk in z])
+            r = max(float(tm) - lo[k], hi[k] - float(tm))
+            val_tail, der_tail = kernel._tails(np.array([r]), np.nextafter(s, 0)[None])
+            c0 = _mp_phi(kernels, edge, tm)[0]
+            for t in np.linspace(lo[k], hi[k], 20):
+                h = mp.mpf(float(t)) - tm
+                val, der = _mp_phi(kernels, edge, mp.mpf(float(t)))
+                poly_val = c0 + sum(c[j - 1] * h**j for j in range(1, p + 1))
+                poly_der = sum(j * c[j - 1] * h ** (j - 1) for j in range(1, p + 1))
+                assert abs(val - poly_val) <= val_tail[0]
+                assert abs(der - poly_der) <= der_tail[0]
+
+    def test_tails_close_the_gap_of_one_signed_coefficients(self, centered_square):
+        """A kernel on the line of edge 0, at t* = 1.2: from t_m = 0.6 every
+        c_j is positive, so at h = r the truncated polynomial falls short
+        of phi^0 and phi^0' by nearly the whole tail."""
+        tf0 = TestFunction2D((0.7, -0.5), np.zeros((0, 2)), np.zeros(0))
+        kernel = EdgeKernel(tf0, centered_square)
+        r = 0.499 * 0.6
+        lo, hi = np.array([0.6 - r]), np.array([0.6 + r])
+        glo, ghi, dlo, dhi = kernel(np.zeros(1, dtype=int), lo, hi, True)
+        assert kernel.expanded_boxes == 1
+        edge = _mp_edge(centered_square, 0)
+        kernels = _mp_kernels(tf0)
+        for t in np.linspace(lo[0], hi[0], 20):
+            val, der = _mp_phi(kernels, edge, mp.mpf(float(t)))
+            assert mp.mpf(glo[0]) <= val <= mp.mpf(ghi[0])
+            assert mp.mpf(dlo[0]) <= der <= mp.mpf(dhi[0])
+
+    @pytest.mark.parametrize("flip", [
+        lambda x, y: (-y, x),  # rotation by 90 degrees
+        lambda x, y: (-x, y),  # reflection in the y axis
+    ])
+    def test_rotated_or_reflected_square_keeps_extrema(self, centered_square, flip):
+        tol = twod.MfsConfig().tol
+        pts, src = square_setup(centered_square, n=69)
+        tf0 = solve(centered_square, pts, src, (0.1, -0.2)).tf0
+        moved = TestFunction2D(flip(*tf0.s_int), np.array([flip(*p) for p in tf0.sources]),
+                               tf0.coeffs)
+        square = Polygon([flip(*v) for v in centered_square.vertices])
+        base = boundary_extrema(tf0, centered_square, tol=tol)
+        other = boundary_extrema(moved, square, tol=tol)
+        assert base.converged and other.converged
+        assert base.expanded_boxes > 0 and other.expanded_boxes > 0
+        for a, b in ((base.m, other.m), (base.M, other.M)):
+            assert a.intersects(b)
+            assert abs(a.lo - b.lo) <= tol and abs(a.hi - b.hi) <= tol
+
+    def test_point_witnesses_keep_the_natural_form(self, lshape):
+        """Points are evaluated exactly as by the natural form alone."""
+        poly, tf0 = _candidate("lshape", lshape)
+        kernel = EdgeKernel(tf0, poly)
+        rng = np.random.default_rng(9)
+        e = rng.integers(0, len(poly.vertices), 300)
+        t = rng.random(300)
+        got = kernel(e, t, t, True)
+        assert kernel.expanded_boxes == kernel.natural_boxes == 0
+        for x, y in zip(got, _natural_reference(kernel, e, t, t)):
+            assert np.array_equal(x, y)
+
+
+def _natural_reference(kernel, e, lo, hi):
+    """The natural interval form of phi^0 and dphi^0/dt, written out."""
+    from greenbound import _directed as dr
+    from greenbound.fundsol import NEG_INV_4PI
+
+    tau = dr.iv_sub(lo[:, None], hi[:, None], kernel.tstar[0][e], kernel.tstar[1][e])
+    d2 = dr.iv_add(*dr.iv_mul(kernel.v2[0][e, None], kernel.v2[1][e, None],
+                              *dr.iv_sqr(*tau)),
+                   kernel.delta2[0][e], kernel.delta2[1][e])
+    val = dr.iv_mul(*dr.iv_dot(kernel.weights, *dr.iv_log(*d2)),
+                    NEG_INV_4PI.lo, NEG_INV_4PI.hi)
+    der = dr.iv_mul(*dr.iv_dot(kernel.weights, *dr.iv_div(*tau, *d2)),
+                    kernel.dscale[0][e], kernel.dscale[1][e])
+    return val + der

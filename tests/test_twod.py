@@ -87,6 +87,15 @@ class TestEnclosePoint:
         assert res.width > 0.0
         assert res.rel_error == res.width / abs(res.bound.mid())
 
+    def test_extrema_box_counts_in_diagnostics(self, centered_square):
+        """Scalar counts of the boxes each bounding form took."""
+        d = enclose_point(centered_square, parse("1"), (0.1, -0.2),
+                          mfs_cfg=FAST_MFS).diagnostics
+        expanded, natural = d["extrema_expanded_boxes"], d["extrema_natural_boxes"]
+        assert type(expanded) is int and type(natural) is int
+        assert expanded > 0 and natural > 0
+        assert expanded + natural < d["extrema_evaluations"]
+
     def test_needs_split(self, centered_square):
         with pytest.raises(NeedsSplitError):
             enclose_point(centered_square, parse("(x-0.125)^2+(y-0.25)^3"),
