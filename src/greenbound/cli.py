@@ -308,8 +308,10 @@ def _cmd_selftest(_args) -> int:
     from . import interval as iv
     from .oned import green_value
     from .quad import log_moment, singular_triangle
-    from .geometry import Triangle
+    from .geometry import Triangle, amano_sources, discretize_boundary
     from .taylor import TaylorModel2, tm_from_expr
+    from .fundsol import TestFunction2D
+    from .mfs import boundary_extrema, solve_coefficients
     import numpy as np
     import random
 
@@ -384,6 +386,20 @@ def _cmd_selftest(_args) -> int:
                        mp.sin(u * ku) * mp.exp(u - ku)))
     report("taylor-product-compose-containment",
            all(mp.mpf(got.lo) <= want <= mp.mpf(got.hi) for got, want in checks))
+
+    # rigorous boundary extrema of an MFS candidate on the centred unit square
+    square = Polygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+    cfg = _twod.MfsConfig(n=33)
+    pts = discretize_boundary(square, cfg.n)
+    src = amano_sources(square, pts, cfg.r_rule())
+    tf0 = TestFunction2D((0.1, -0.2), src, solve_coefficients(pts, src, (0.1, -0.2))[0])
+    ext = boundary_extrema(tf0, square, tol=cfg.tol)
+    sample = np.random.default_rng(5)
+    e, t = sample.integers(0, 4, 1000), sample.random((1000, 1))
+    a, b = square.vertices[e], square.vertices[(e + 1) % 4]
+    vals = tf0.phi0_points(a + t * (b - a))
+    report("boundary-extrema-sandwich", ext.converged and ext.m.lo - 1e-12 <= vals.min()
+           and vals.max() <= ext.M.hi + 1e-12)
 
     print(f"{'FAIL' if failures else 'PASS'}: {len(failures)} failing checks")
     return 1 if failures else 0

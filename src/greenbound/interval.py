@@ -42,6 +42,7 @@ __all__ = [
     "subdivide_min_max",
     "MinMaxResult",
     "BoxEvaluator",
+    "mean_value_form",
     "rational",
 ]
 
@@ -387,36 +388,49 @@ class MinMaxResult:
 
 
 class BoxEvaluator:
-    """Interval extension of g, and optionally of g', over arrays of boxes.
+    """Interval extension of g over arrays of boxes.
 
-    ``self(root, lo, hi, deriv)`` receives, per box, the index of the root
+    ``self(root, lo, hi)`` receives, per box, the index of the root
     interval it came from and its endpoints (``lo == hi`` for a point).
-    It returns ``(glo, ghi)`` enclosing g over each box, followed by
-    ``(dlo, dhi)`` enclosing g' when ``deriv`` is true.  ``deriv`` is only
-    requested when ``has_derivative`` is set.
-    """
+    It returns ``(glo, ghi, clo, chi, dlo, dhi)`` enclosing g over the box
+    (in whatever bounding form the evaluator owns), g at the centre
+    ``_midpoints(lo, hi)`` (a point is its own centre) and g' over the
+    box, ``(-inf, inf)`` where no slope is known."""
 
-    has_derivative = False
-
-    def __call__(self, root, lo, hi, deriv: bool):
+    def __call__(self, root, lo, hi):
         raise NotImplementedError
 
 
+def mean_value_form(g, g_prime, s: Interval) -> tuple[Interval, Interval, Interval]:
+    """The mean-value (centred) form of a scalar interval function g over s.
+
+    With m = s.mid(), returns g(s) intersected with g(m) + g'(s) (s - m)
+    (g(s) alone should the two not meet), followed by g(m) and g'(s); at
+    a point s = m that is g(s), g(s), g'(s).  The form kills the
+    first-order dependency overestimate of g(s) (Neumaier, *Interval
+    Methods for Systems of Equations*, 1990).
+    """
+    val = g(s)
+    m = Interval.point(s.mid())
+    centre, slope = g(m), g_prime(s)
+    centred = centre + slope * (s - m)
+    lo, hi = max(val.lo, centred.lo), min(val.hi, centred.hi)
+    return (Interval(lo, hi) if lo <= hi else val), centre, slope
+
+
 class _ScalarEvaluator(BoxEvaluator):
-    """Scalar interval functions g (and g') as a BoxEvaluator, box by box."""
+    """Scalar interval functions g and g' as a BoxEvaluator: the mean-value
+    form of every box, point by point."""
 
     def __init__(self, g, g_prime):
+        if g_prime is None:
+            raise DomainError("a scalar g needs g_prime, an interval extension of g'")
         self.g, self.g_prime = g, g_prime
-        self.has_derivative = g_prime is not None
 
-    def __call__(self, root, lo, hi, deriv: bool):
-        boxes = [Interval(float(a), float(b)) for a, b in zip(lo, hi)]
-        fns = (self.g, self.g_prime) if deriv else (self.g,)
-        out = ()
-        for fn in fns:
-            vals = [fn(t) for t in boxes]
-            out += (np.array([v.lo for v in vals]), np.array([v.hi for v in vals]))
-        return out
+    def __call__(self, root, lo, hi):
+        forms = [mean_value_form(self.g, self.g_prime, Interval(a, b))
+                 for a, b in zip(lo.tolist(), hi.tolist())]
+        return tuple(np.array([[v.lo, v.hi] for f in forms for v in f]).reshape(-1, 6).T)
 
 
 def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -446,57 +460,44 @@ class _Search:
             self.final_sup = max(self.final_sup, float(ghi.max()))
             self.final_inf = min(self.final_inf, float(glo.min()))
 
+    def witness(self, vlo: np.ndarray, vhi: np.ndarray) -> None:
+        if vlo.size:
+            self.sup_wit = max(self.sup_wit, float(vlo.max()))
+            self.inf_wit = min(self.inf_wit, float(vhi.min()))
+
     def points(self, root: np.ndarray, t: np.ndarray):
         """Values at points; every one is a witness."""
-        if not t.size:
-            return t, t
         self.evals += t.size
-        vlo, vhi = self.g(root, t, t, False)
-        self.sup_wit = max(self.sup_wit, float(vlo.max()))
-        self.inf_wit = min(self.inf_wit, float(vhi.min()))
+        vlo, vhi = self.g(root, t, t)[:2]
+        self.witness(vlo, vhi)
         return vlo, vhi
 
-    def boxes(self, root, lo, hi, extra_root, extra_t):
-        """Evaluate boxes (lo < hi), plus extra witness points.
+    def boxes(self, root, lo, hi):
+        """Evaluate boxes (lo < hi).
 
-        With a derivative, a box on which g is strictly monotone is
-        finalized by its endpoint values; every other box gets a witness
-        at its midpoint and the mean-value form as a second enclosure.
+        A box on which g is strictly monotone is finalized by its endpoint
+        values; every other box gives the value at its centre as a witness.
         Returns the boxes still open as (root, lo, hi, glo, ghi).
         """
         if not root.size:
-            self.points(extra_root, extra_t)
             return root, lo, hi, lo, hi
         self.evals += root.size
-        if not self.g.has_derivative:
-            glo, ghi = self.g(root, lo, hi, False)
-            self.points(extra_root, extra_t)
-            return root, lo, hi, glo, ghi
-        glo, ghi, dlo, dhi = self.g(root, lo, hi, True)
+        glo, ghi, clo, chi, dlo, dhi = self.g(root, lo, hi)
         mono = (dlo > 0.0) | (dhi < 0.0)
-        rm = root[mono]
+        if mono.any():
+            rm = root[mono]
+            self.finalize(*self.points(np.concatenate((rm, rm)),
+                                       np.concatenate((lo[mono], hi[mono]))))
         keep = ~mono
-        root, lo_m, hi_m = root[keep], lo[mono], hi[mono]
-        lo, hi, glo, ghi = lo[keep], hi[keep], glo[keep], ghi[keep]
-        dlo, dhi = dlo[keep], dhi[keep]
-        mid = _midpoints(lo, hi)
-        vlo, vhi = self.points(np.concatenate((extra_root, rm, rm, root)),
-                               np.concatenate((extra_t, lo_m, hi_m, mid)))
-        k, n = extra_t.size, rm.size
-        self.finalize(vlo[k:k + 2 * n], vhi[k:k + 2 * n])
-        vmlo, vmhi = vlo[k + 2 * n:], vhi[k + 2 * n:]
-        # mean-value form g(mid) + g'(box) (box - mid)
-        wlo, whi = dr.iv_sub(lo, hi, mid, mid)
-        mvlo, mvhi = dr.iv_add(vmlo, vmhi, *dr.iv_mul(dlo, dhi, wlo, whi))
-        tlo, thi = np.maximum(glo, mvlo), np.minimum(ghi, mvhi)
-        ok = tlo <= thi  # both enclose the same nonempty range
-        return root, lo, hi, np.where(ok, tlo, glo), np.where(ok, thi, ghi)
+        self.witness(clo[keep], chi[keep])
+        return root[keep], lo[keep], hi[keep], glo[keep], ghi[keep]
 
 
-# Default total of box and point evaluations of one search: more than 10x
-# the 948,062 of the largest search the tests make (an evaluator that never
-# converges and keeps max_boxes boxes open per level).
+# Total of box and point evaluations of one search when the caller sets
+# no budget of its own (mfs and oned do): the largest such search of the
+# tests takes 240, the largest budgeted one 6,663.
 MAX_EVALS = 10_000_000
+MAX_BOXES = 20_000  # open boxes per level; the least promising excess is finalized
 
 
 def subdivide_min_max(
@@ -505,26 +506,26 @@ def subdivide_min_max(
     tol: float = 1e-12,
     max_depth: int = 40,
     g_prime: Optional[Callable[[Interval], Interval]] = None,
-    max_boxes: int = 20000,
     max_evals: int = MAX_EVALS,
 ) -> MinMaxResult:
     """Rigorous enclosures of inf g and sup g over the union of the roots.
 
     ``domain`` is one root Interval or a sequence of them.  ``g`` is either
     a :class:`BoxEvaluator` or a scalar interval function, in which case
-    ``g_prime`` may give a scalar interval extension of g'.
+    ``g_prime`` must give a scalar interval extension of g' and boxes are
+    bounded by :func:`mean_value_form`.
 
     Level-synchronous branch-and-bound: each level halves every open box
     of every root and evaluates all children in one evaluator call.  A box
-    is dropped when it can move neither bound past the global witnesses.
-    With a derivative, a sign-definite derivative finalizes a box by its
-    endpoint values and a mean-value form tightens the natural extension.
-    Both the true infimum and supremum are contained in the returned ``m``
-    and ``M``; ``converged`` reports whether both widths reached ``tol``
-    within ``max_depth`` levels, with at most ``max_boxes`` boxes kept open
-    per level (the least promising excess is finalized as it stands).  No
-    new level starts once ``max_evals`` box and point evaluations are
-    spent; the bounds reached so far are returned, still sound.
+    whose slope has one strict sign is finalized by its endpoint values;
+    every other box's centre value is a witness, and the box is dropped
+    when it can move neither bound past the global witnesses.  Both the
+    true infimum and supremum are contained in the returned ``m`` and
+    ``M``; ``converged`` reports whether both widths reached ``tol``
+    within ``max_depth`` levels, with at most ``MAX_BOXES`` boxes kept
+    open per level.  No new level starts once ``max_evals`` box and point
+    evaluations are spent; the bounds reached so far are returned, still
+    sound.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
@@ -536,14 +537,11 @@ def subdivide_min_max(
     ridx = np.arange(len(roots))
     S = _Search(g)
 
-    S.points(np.concatenate((ridx, ridx, ridx)),
-             np.concatenate((rlo, rhi, _midpoints(rlo, rhi))))
     flat = rlo == rhi
-    if flat.any():  # a point root is finalized by its value
-        S.finalize(*S.points(ridx[flat], rlo[flat]))
-    empty = np.empty(0)
-    root, lo, hi, glo, ghi = S.boxes(ridx[~flat], rlo[~flat], rhi[~flat],
-                                     empty.astype(int), empty)
+    vlo, vhi = S.points(np.concatenate((ridx, ridx[~flat])),
+                        np.concatenate((rlo, rhi[~flat])))
+    S.finalize(vlo[:len(roots)][flat], vhi[:len(roots)][flat])  # point roots
+    root, lo, hi, glo, ghi = S.boxes(ridx[~flat], rlo[~flat], rhi[~flat])
 
     def bounds():
         sup_hi = max(S.final_sup, S.sup_wit, float(ghi.max()) if ghi.size else -_INF)
@@ -574,14 +572,13 @@ def subdivide_min_max(
             np.repeat(root, 2),
             np.stack((lo, mid), axis=1).ravel(),
             np.stack((mid, hi), axis=1).ravel(),
-            root, mid,
         )
         live = useful(glo, ghi)
         root, lo, hi, glo, ghi = root[live], lo[live], hi[live], glo[live], ghi[live]
-        if root.size > max_boxes:
+        if root.size > MAX_BOXES:
             gain = np.maximum(ghi - S.sup_wit, S.inf_wit - glo)
             order = np.argsort(gain, kind="stable")
-            drop, keep = order[: root.size - max_boxes], order[root.size - max_boxes:]
+            drop, keep = order[: root.size - MAX_BOXES], order[root.size - MAX_BOXES:]
             S.finalize(glo[drop], ghi[drop])
             root, lo, hi, glo, ghi = root[keep], lo[keep], hi[keep], glo[keep], ghi[keep]
 
@@ -596,5 +593,3 @@ def subdivide_min_max(
         depth=depth,
     )
 
-
-from . import _directed as dr  # noqa: E402  (_directed builds on this module)

@@ -22,7 +22,8 @@ from . import _directed as dr
 from .errors import DomainError, SolveError
 from .fundsol import INV_2PI, NEG_INV_2PI, NEG_INV_4PI, TestFunction2D
 from .geometry import Polygon
-from .interval import BoxEvaluator, Interval, MinMaxResult, rational, subdivide_min_max
+from .interval import (BoxEvaluator, Interval, MinMaxResult, _midpoints, rational,
+                       subdivide_min_max)
 
 __all__ = ["EdgeKernel", "BoundaryExtrema", "collocation_system", "solve_coefficients",
            "boundary_extrema"]
@@ -95,9 +96,11 @@ _DERIV_COEFS = _endpoints([NEG_INV_2PI if j % 2 else INV_2PI
 
 
 class EdgeKernel(BoxEvaluator):
-    """phi^0 and its t-derivative along every edge a + v t, t in [0, 1].
+    """phi^0 along every edge a + v t, t in [0, 1], as a BoxEvaluator.
 
-    Root e of the search is edge e.  For a kernel point s,
+    Root e of the search is edge e.  Each call returns, per box, its
+    enclosure, the value at its centre t_m and, on expanded boxes, its
+    t-derivative (``(-inf, inf)`` elsewhere).  For a kernel point s,
 
         |a + v t - s|^2 = |v|^2 ((t - t*)^2 + q),
         t* = ((s - a) . v) / |v|^2,   q = delta^2 / |v|^2,
@@ -115,8 +118,8 @@ class EdgeKernel(BoxEvaluator):
         phi^0 = c_0 + sum_{j=1..p} c_j h^j + E,
         c_j = ((-1)^j / (2 pi j)) sum_k w_k a_kj / s_k^j,
 
-    with c_0 the point value at t_m and a_kj = Re((tau_k + i sqrt(q_k))^j)
-    from a_0 = 1, a_1 = tau, a_(j+1) = 2 tau a_j - s a_(j-1): the local
+    with c_0 the centre value and a_kj = Re((tau_k + i sqrt(q_k))^j) from
+    a_0 = 1, a_1 = tau, a_(j+1) = 2 tau a_j - s a_(j-1): the local
     expansion of the log kernel (Greengard & Rokhlin, J. Comput. Phys. 73,
     1987).  The kernels are summed in the point-valued coefficients, so
     their alternating weights cancel there instead of adding up their
@@ -125,18 +128,17 @@ class EdgeKernel(BoxEvaluator):
     and, for the derivative sum_j j c_j h^(j-1), (1/(2 pi)) sum_k |w_k|
     s_k^(-1/2) rho_k^p / (1 - rho_k).
 
-    Wider boxes, and points (``lo == hi``), take the *natural form*, with
-    value and derivative sharing T - t* and d^2 = |a + v T - s|^2:
+    Wider boxes, points (``lo == hi``) and every centre take the *natural
+    form* with d^2 = |a + v T - s|^2 = |v|^2 (T - t*)^2 + delta^2,
 
         phi^0 = -(1/(4 pi)) sum_k w_k log d_k^2,
-        dphi^0/dt = -(1/(2 pi)) |v|^2 sum_k w_k (T - t*_k) / d_k^2.
 
-    ``expanded_boxes`` and ``natural_boxes`` count the boxes (not the
-    points) each form bounded.  Boxes are evaluated in chunks of about
-    ``CHUNK_ELEMS`` (box, kernel) elements so the temporaries stay small.
+    all of them in one kernel sum per chunk.  ``expanded_boxes`` and
+    ``natural_boxes`` count the boxes (not the points) each form bounded.
+    Boxes are evaluated in chunks of about ``CHUNK_ELEMS`` (box, kernel)
+    elements so the temporaries stay small.
     """
 
-    has_derivative = True
     CHUNK_ELEMS = 2048
 
     def __init__(self, tf0: TestFunction2D, poly: Polygon):
@@ -162,57 +164,55 @@ class EdgeKernel(BoxEvaluator):
             q.append([rational(c2, n2 * n2) for c2 in cross2])
         self.v2, self.tstar, self.delta2, self.q = (
             tuple(np.moveaxis(np.array(x), -1, 0)) for x in (v2, tstar, delta2, q))
-        self.dscale = dr.iv_mul(*self.v2, NEG_INV_2PI.lo, NEG_INV_2PI.hi)
 
-    def __call__(self, root, lo, hi, deriv: bool):
+    def __call__(self, root, lo, hi):
         c = self.chunk
-        parts = [self._eval(root[i:i + c], lo[i:i + c], hi[i:i + c], deriv)
+        parts = [self._eval(root[i:i + c], lo[i:i + c], hi[i:i + c])
                  for i in range(0, len(root), c)]
         return tuple(np.concatenate(col) for col in zip(*parts))
 
-    def _eval(self, e, lo, hi, deriv: bool):
-        box = np.flatnonzero(lo < hi)
-        eb = e[box]
-        tm = 0.5 * (lo[box] + hi[box])
-        h = dr.iv_sub(lo[box], hi[box], tm, tm)
+    def _eval(self, e, lo, hi):
+        tm = _midpoints(lo, hi)  # a point is its own centre
+        h = dr.iv_sub(lo, hi, tm, tm)
         r = np.maximum(-h[0], h[1])
-        tau = dr.iv_sub(tm[:, None], tm[:, None], self.tstar[0][eb], self.tstar[1][eb])
+        tau = dr.iv_sub(tm[:, None], tm[:, None], self.tstar[0][e], self.tstar[1][e])
         tau2 = dr.iv_sqr(*tau)
-        s = dr.iv_add(*tau2, self.q[0][eb], self.q[1][eb])
+        s = dr.iv_add(*tau2, self.q[0][e], self.q[1][e])
         # selects the form only: the tails use a rigorous rho_k, which this
         # float test keeps within a few ulps of EXPANSION_RHO < 1
-        ok = np.all(r[:, None] <= EXPANSION_RHO * np.sqrt(s[0]), axis=1)
-        self.expanded_boxes += int(ok.sum())
-        self.natural_boxes += int(ok.size - ok.sum())
-        near = np.zeros(len(e), dtype=bool)
-        near[box[ok]] = True
-        out = np.empty((4 if deriv else 2, len(e)))
-        if ok.any():
-            parts = [(x[0][ok], x[1][ok]) for x in (h, tau, tau2, s)]
-            out[:, near] = self._expansion(eb[ok], r[ok], *parts, deriv)
-        if not near.all():
-            far = ~near
-            out[:, far] = self._natural(e[far], lo[far], hi[far], deriv)
+        box = lo < hi
+        near = box & np.all(r[:, None] <= EXPANSION_RHO * np.sqrt(s[0]), axis=1)
+        wide = box & ~near
+        self.expanded_boxes += int(near.sum())
+        self.natural_boxes += int(wide.sum())
+        # the natural form at every centre and over every wide box, in one sum
+        tw2 = dr.iv_sqr(*dr.iv_sub(lo[wide, None], hi[wide, None],
+                                   self.tstar[0][e[wide]], self.tstar[1][e[wide]]))
+        nat = self._log_sum(np.concatenate((e, e[wide])),
+                            *(np.concatenate(x) for x in zip(tau2, tw2)))
+        n = len(e)
+        out = np.empty((6, n))
+        out[0:2] = out[2:4] = nat[0][:n], nat[1][:n]
+        out[0:2, wide] = nat[0][n:], nat[1][n:]
+        out[4], out[5] = -np.inf, np.inf  # the natural form gives no slope
+        if near.any():
+            val, der = self._expansion(r[near], (out[2, near], out[3, near]),
+                                       *((x[0][near], x[1][near]) for x in (h, tau, s)))
+            out[0:2, near], out[4:6, near] = val, der
         return tuple(out)
 
-    def _log_sum(self, e, tau2):
-        """-(1/(4 pi)) sum_k w_k log d_k^2 from (T - t*)^2, and d^2."""
-        d2lo, d2hi = dr.iv_add(*dr.iv_mul(self.v2[0][e, None], self.v2[1][e, None], *tau2),
+    def _log_sum(self, e, tau2_lo, tau2_hi):
+        """-(1/(4 pi)) sum_k w_k log d_k^2 from (T - t*)^2."""
+        d2lo, d2hi = dr.iv_add(*dr.iv_mul(self.v2[0][e, None], self.v2[1][e, None],
+                                          tau2_lo, tau2_hi),
                                self.delta2[0][e], self.delta2[1][e])
         if np.any(d2lo <= 0.0):
             raise DomainError("a polygon edge passes through a kernel point")
         sums = dr.iv_dot(self.weights, *dr.iv_log(d2lo, d2hi))
-        return dr.iv_mul(*sums, NEG_INV_4PI.lo, NEG_INV_4PI.hi), (d2lo, d2hi)
+        return dr.iv_mul(*sums, NEG_INV_4PI.lo, NEG_INV_4PI.hi)
 
-    def _natural(self, e, lo, hi, deriv: bool):
-        tau = dr.iv_sub(lo[:, None], hi[:, None], self.tstar[0][e], self.tstar[1][e])
-        out, d2 = self._log_sum(e, dr.iv_sqr(*tau))
-        if not deriv:
-            return out
-        sums = dr.iv_dot(self.weights, *dr.iv_div(*tau, *d2))
-        return out + dr.iv_mul(*sums, self.dscale[0][e], self.dscale[1][e])
-
-    def _expansion(self, e, r, h, tau, tau2, s, deriv: bool):
+    def _expansion(self, r, c0, h, tau, s):
+        """Value and slope of each box from its centre value c_0."""
         p = EXPANSION_DEGREE
         # u_j = a_j / s^j: u_0 = 1, u_1 = tau / s, u_(j+1) = (2 tau u_j - u_(j-1)) / s
         inv_s = dr.iv_div(1.0, 1.0, *s)
@@ -228,15 +228,12 @@ class EdgeKernel(BoxEvaluator):
             hp.append(dr.iv_sqr(*hp[j // 2]) if j % 2 == 0 else dr.iv_mul(*hp[j - 1], *h))
         ones = np.ones(p)
         val_tail, der_tail = self._tails(r, s[0])
-        val, _ = self._log_sum(e, tau2)  # c_0
         terms = dr.iv_mul(*dr.iv_mul(*sums, *_VALUE_COEFS), *_stack(hp[1:]))
-        val = dr.iv_add(*dr.iv_add(*val, *dr.iv_dot(ones, *terms)), -val_tail, val_tail)
-        if not deriv:
-            return val
+        val = dr.iv_add(*dr.iv_add(*c0, *dr.iv_dot(ones, *terms)), -val_tail, val_tail)
         d = dr.iv_mul(*sums, *_DERIV_COEFS)  # j c_j
         terms = dr.iv_mul(d[0][:, 1:], d[1][:, 1:], *_stack(hp[1:p]))
         der = dr.iv_add(*dr.iv_dot(ones[1:], *terms), d[0][:, 0], d[1][:, 0])
-        return val + dr.iv_add(*der, -der_tail, der_tail)
+        return val, dr.iv_add(*der, -der_tail, der_tail)
 
     def _tails(self, r, s_lo):
         """Upper bounds of the value and derivative tails of each box, from
@@ -266,10 +263,10 @@ def _scaled_ints(values) -> tuple[list, int]:
     return [n << (k - d.bit_length() + 1) for n, d in ratios], k
 
 
-# Total evaluations of one boundary search: more than 200x the 664 of the
-# largest search any problem file, test or benchmark input makes (11,858
-# before boxes used the local expansion), so only searches far beyond any
-# measured one stop early (unconverged, still sound).
+# Total evaluations of one boundary search: 400x the 372 of the largest
+# search any problem file, test or benchmark input makes (664 while box
+# centres were evaluated twice, 11,858 before the local expansion), so
+# only searches far beyond any measured one stop early (still sound).
 MAX_EVALS = 150_000
 
 
@@ -282,20 +279,18 @@ class BoundaryExtrema(MinMaxResult):
     natural_boxes: int = 0
 
 
-def boundary_extrema(
-    tf0: TestFunction2D,
-    poly: Polygon,
-    tol: float,
-    max_depth: int = 48,
-) -> BoundaryExtrema:
+MAX_DEPTH = 48  # halvings of [0, 1]: far below any box a tol needs
+
+
+def boundary_extrema(tf0: TestFunction2D, poly: Polygon, tol: float) -> BoundaryExtrema:
     """Rigorous enclosures (m, M) of min/max of phi^0 over the boundary.
 
     One branch-and-bound runs over all edges together, each parameterized
-    by t in [0, 1] through :class:`EdgeKernel`; the derivative of phi^0
-    along the edge provides monotonicity pruning and mean-value tightening.
+    by t in [0, 1] through :class:`EdgeKernel`; the slope of phi^0 along
+    the edge on expanded boxes finalizes monotone ones by their endpoints.
     """
     kernel = EdgeKernel(tf0, poly)
-    res = subdivide_min_max(kernel, kernel.roots, tol=tol, max_depth=max_depth,
+    res = subdivide_min_max(kernel, kernel.roots, tol=tol, max_depth=MAX_DEPTH,
                             max_evals=MAX_EVALS)
     return BoundaryExtrema(res.m, res.M, res.converged, res.evaluations, res.depth,
                            kernel.expanded_boxes, kernel.natural_boxes)

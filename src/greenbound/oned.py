@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import CertificationError, DomainError
 from .expr import PiecewiseSource1D, SourceExpr
-from .interval import Box2, Interval, hull, subdivide_min_max
+from .interval import Box2, Interval, hull, mean_value_form, subdivide_min_max
 from .taylor import TaylorModel2
 
 __all__ = [
@@ -58,6 +58,20 @@ __all__ = [
 ]
 
 _DEG = 12  # Taylor degree for per-segment source models
+
+# Equal parts per source segment in sup |f|.  c and eps only need some
+# upper bound; 256 parts give the exact sup of constant and jump sources
+# and of 2 + sin(3x), and 0.2% above it for exp(x) sin(3x) + 2.
+SUP_PARTS = 256
+
+# Box and point evaluations of one optimal-constant search.  A converged
+# search of 1, 5, exp(x), x(1 - x) or -3 at tol 1e-10 takes at most 141;
+# 2 + sin(3x), whose degree-12 model has a width floor above that tol,
+# would run to interval.MAX_EVALS and stops (unconverged, still sound)
+# after 6,663 in about 3 s.
+MAX_EVALS = 5_000
+
+CHECK_EVALS = 6_000  # subintervals one check may try before it answers UNDECIDED
 
 Source1D = Union[SourceExpr, PiecewiseSource1D]
 
@@ -189,7 +203,6 @@ class GreenEvaluator:
         self._A, self._C = _build_cumulatives(segments)
         self._tail, self._tail_width = _build_reversed_tail(segments)
         self._first_seg_hi = segments[0][1]
-        self._sup_abs: Optional[float] = None
 
     # A(s) = int_0^s x f;  B(s) = int_s^1 (1-x) f = C(1) - C(s)
     def A(self, s: Interval) -> Interval:
@@ -220,20 +233,16 @@ class GreenEvaluator:
         b_over = _polyval(self._tail[1:], tau)
         return self.A(s) + s * b_over
 
-    def sup_abs_source(self, tol: float = 1e-9) -> float:
-        """Rigorous upper bound of sup |f| over (0,1)."""
-        if self._sup_abs is None:
-            worst = 0.0
-            for lo, hi, piece in _source_segments(self.source):
-                res = subdivide_min_max(
-                    lambda t, p=piece: p.eval_interval(t),
-                    Interval(lo, hi),
-                    tol=tol,
-                    max_depth=40,
-                )
-                worst = max(worst, abs(res.m.lo), abs(res.M.hi))
-            self._sup_abs = worst
-        return self._sup_abs
+    def sup_abs_source(self) -> float:
+        """Rigorous upper bound of sup |f| over (0,1): the largest magnitude
+        of the natural interval extension of each source piece over
+        ``SUP_PARTS`` equal parts of its segment."""
+        worst = 0.0
+        for lo, hi, piece in _source_segments(self.source):
+            cuts = [lo + (hi - lo) * k / SUP_PARTS for k in range(SUP_PARTS)] + [hi]
+            for a, b in zip(cuts, cuts[1:]):
+                worst = max(worst, piece.eval_interval(Interval(a, b)).mag())
+        return worst
 
 
 def green_value(f: Source1D, s) -> Interval:
@@ -250,9 +259,8 @@ def optimal_constant_bounds(
     """Enclosures of inf u and sup u over the domain: the optimal constant
     sub- and super-solution levels."""
     ev = GreenEvaluator(f)
-    res = subdivide_min_max(
-        ev.u, Interval(0.0, 1.0), tol=tol, max_depth=60, g_prime=ev.du
-    )
+    res = subdivide_min_max(ev.u, Interval(0.0, 1.0), tol=tol, max_depth=60,
+                            g_prime=ev.du, max_evals=MAX_EVALS)
     return res.m, res.M
 
 
@@ -299,7 +307,6 @@ def _check(
     ev: GreenEvaluator,
     i: int,
     sign: float,
-    max_evals: int = 6000,
 ) -> Verdict:
     """Decide sign * (g(s) - u_f(s)) >= 0 on the i-th subinterval for the
     interpolant g, whose nodes must end at 1 and whose end values must be
@@ -325,57 +332,40 @@ def _check(
     def plain(s: Interval) -> Interval:
         return signed(g_lo + slope * (s - x_lo) - ev.u(s))
 
-    def plain_mvf(s: Interval) -> Interval:
-        # mean value form: kills the first-order dependency overestimate
-        val = plain(s)
-        if s.lo == s.hi:
-            return val
-        mid = s.mid()
-        centered = plain(Interval.point(mid)) + signed(slope - ev.du(s)) * (
-            s - Interval.point(mid)
-        )
-        lo = max(val.lo, centered.lo)
-        hi = min(val.hi, centered.hi)
-        return Interval(lo, hi) if lo <= hi else val
+    def plain_prime(s: Interval) -> Interval:
+        return signed(slope - ev.du(s))
 
     # at c = 0 the condition vanishes at the end node; there g = slope * s
     # (first subinterval) or g = -slope * (1-s) (last), so the condition
     # divided by s or 1-s is decided instead
     use_left = end == 0.0 and i == 0
     use_right = end == 0.0 and i == grid.n_intervals - 1
+
+    def forms(s: Interval):
+        yield mean_value_form(plain, plain_prime, s)[0]
+        if use_left and s.lo == lo and s.hi <= ev._first_seg_hi:
+            yield signed(slope - ev.u_over_s(s))
+        if use_right and s.hi == hi and 1.0 - s.lo <= ev._tail_width:
+            yield signed(-slope - ev.u_over_1ms(s))
+
     evals = 0
     stack = [(lo, hi)]
     while stack:
         a, b = stack.pop()
-        if evals >= max_evals:
+        if evals >= CHECK_EVALS:
             return Verdict.UNDECIDED
         evals += 1
-        s = Interval(a, b)
-        decided = False
-        val = plain_mvf(s)
-        if val.lo >= 0.0:
-            decided = True
-        elif val.hi < 0.0:
-            return Verdict.VIOLATED
-        if not decided and use_left and a == lo and b <= ev._first_seg_hi:
-            fv = signed(slope - ev.u_over_s(s))
-            if fv.lo >= 0.0:
-                decided = True
-            elif fv.hi < 0.0:
+        for val in forms(Interval(a, b)):  # until one decides
+            if val.hi < 0.0:
                 return Verdict.VIOLATED
-        if not decided and use_right and b == hi and 1.0 - a <= ev._tail_width:
-            fv = signed(-slope - ev.u_over_1ms(s))
-            if fv.lo >= 0.0:
-                decided = True
-            elif fv.hi < 0.0:
-                return Verdict.VIOLATED
-        if decided:
-            continue
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            return Verdict.UNDECIDED
-        stack.append((a, mid))
-        stack.append((mid, b))
+            if val.lo >= 0.0:
+                break
+        else:
+            mid = 0.5 * (a + b)
+            if not (a < mid < b):
+                return Verdict.UNDECIDED
+            stack.append((a, mid))
+            stack.append((mid, b))
     return Verdict.HOLDS
 
 

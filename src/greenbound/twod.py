@@ -90,9 +90,11 @@ class SignVerdict(enum.Enum):
     UNDECIDED = "undecided"
 
 
-def certify_sign(
-    f: SourceExpr, poly: Polygon, max_boxes: int = 4000
-) -> SignVerdict:
+SIGN_MAX_CELLS = 4000  # cells one certify_sign bounds before it gives up
+SPLIT_SAMPLES = 400  # points at which SignedSplit.verify checks f = f_plus - f_minus
+
+
+def certify_sign(f: SourceExpr, poly: Polygon) -> SignVerdict:
     """Rigorous sign verdict of f over the polygon.
 
     Bounds f over a recursive subdivision of a triangulation, using the
@@ -124,7 +126,7 @@ def certify_sign(
             all_nonneg = all_nonneg and rng.lo >= 0.0
             all_nonpos = all_nonpos and rng.hi <= 0.0
             continue
-        if boxes >= max_boxes:
+        if boxes >= SIGN_MAX_CELLS:
             exhausted = True
             break
         m01 = ((ax + bx) / 2, (ay + by) / 2)
@@ -155,7 +157,7 @@ class SignedSplit:
     f_plus: SourceExpr
     f_minus: SourceExpr
 
-    def verify(self, f: SourceExpr, poly: Polygon, samples: int = 400) -> None:
+    def verify(self, f: SourceExpr, poly: Polygon) -> None:
         shifted = SourceExpr(Bin("+", f.root, self.f_minus.root),
                              f"({f.text})+({self.f_minus.text})")
         for part, name in ((shifted, "f + minus"), (self.f_minus, "minus")):
@@ -170,7 +172,7 @@ class SignedSplit:
         hi = v.max(axis=0)
         scale = max(1.0, _magnitude_scale(f, poly))
         checked = 0
-        while checked < samples:
+        while checked < SPLIT_SAMPLES:
             p = lo + rng.random(2) * (hi - lo)
             if not poly.contains_strict(p):
                 continue

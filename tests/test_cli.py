@@ -306,6 +306,7 @@ class TestSelftest:
         assert time.perf_counter() - t0 < 30.0
         out = capsys.readouterr().out
         assert "PASS interval-containment-2000-random" in out
+        assert "PASS boundary-extrema-sandwich" in out
         assert "FAIL" not in out.replace("FAIL'", "")
 
     def test_detects_corrupted_rounding(self, capsys):

@@ -16,8 +16,10 @@ from greenbound.interval import (
     BoxEvaluator,
     Interval,
     _set_outward_rounding,
+    _midpoints,
     hull,
     intersect,
+    mean_value_form,
     rational,
     subdivide_min_max,
 )
@@ -177,7 +179,8 @@ def test_elem_inclusion_monotonicity(a):
 
 class TestSubdivideMinMax:
     def test_constant(self):
-        res = subdivide_min_max(lambda t: Interval(5, 5), Interval(0, 1))
+        res = subdivide_min_max(lambda t: Interval(5, 5), Interval(0, 1),
+                                g_prime=lambda t: Interval(0, 0))
         assert res.m == Interval(5, 5) and res.M == Interval(5, 5)
         assert res.converged
 
@@ -203,7 +206,8 @@ class TestSubdivideMinMax:
 
     def test_sandwich_property(self):
         g = lambda t: (t * 3.0).sin() + t.sqr()
-        res = subdivide_min_max(g, Interval(0, 2), tol=1e-8, max_depth=30)
+        dg = lambda t: (t * 3.0).cos() * 3.0 + t * 2.0
+        res = subdivide_min_max(g, Interval(0, 2), tol=1e-8, max_depth=30, g_prime=dg)
         for k in range(101):
             t = 2.0 * k / 100
             v = g(Interval.point(t))
@@ -211,35 +215,39 @@ class TestSubdivideMinMax:
 
     def test_domain_error_propagates(self):
         with pytest.raises(DomainError):
-            subdivide_min_max(lambda t: t.log(), Interval(0, 1))
+            subdivide_min_max(lambda t: t.log(), Interval(0, 1), g_prime=lambda t: 1.0 / t)
 
     def test_degenerate_domain(self):
-        res = subdivide_min_max(lambda t: t.sqr(), Interval(2, 2))
+        res = subdivide_min_max(lambda t: t.sqr(), Interval(2, 2),
+                                g_prime=lambda t: t * 2.0)
         assert_contains(res.M, 4.0)
 
     def test_tol_validation(self):
         with pytest.raises(DomainError):
-            subdivide_min_max(lambda t: t, Interval(0, 1), tol=0.0)
+            subdivide_min_max(lambda t: t, Interval(0, 1), tol=0.0,
+                              g_prime=lambda t: Interval(1, 1))
+
+    def test_scalar_g_without_derivative_is_rejected(self):
+        with pytest.raises(DomainError, match="g_prime"):
+            subdivide_min_max(lambda t: t.sqr(), Interval(0, 1))
 
 
 class _Parabolas(BoxEvaluator):
     """g_r(t) = (t - c_r)^2 + e_r on root r, in directed array arithmetic."""
-
-    has_derivative = True
 
     def __init__(self, centers, offsets):
         self.c = np.asarray(centers, dtype=float)
         self.e = np.asarray(offsets, dtype=float)
         self.calls = 0
 
-    def __call__(self, root, lo, hi, deriv):
+    def __call__(self, root, lo, hi):
         self.calls += 1
         c, e = self.c[root], self.e[root]
+        mid = _midpoints(lo, hi)
         dlo, dhi = dr.iv_sub(lo, hi, c, c)
         out = dr.iv_add(*dr.iv_sqr(dlo, dhi), e, e)
-        if deriv:
-            out += (2.0 * dlo, 2.0 * dhi)
-        return out
+        out += dr.iv_add(*dr.iv_sqr(*dr.iv_sub(mid, mid, c, c)), e, e)
+        return out + (2.0 * dlo, 2.0 * dhi)
 
 
 class TestBatchedMinMax:
@@ -274,16 +282,22 @@ class TestBatchedMinMax:
             def __init__(self, scale, offset):
                 self.s, self.e = np.asarray(scale), np.asarray(offset)
 
-            def __call__(self, root, lo, hi, deriv):
+            def value(self, root, lo, hi):
                 q = dr.iv_sub(lo, hi, *dr.iv_mul(lo, hi, lo, hi))
                 return dr.iv_add(*dr.iv_mul(*q, self.s[root], self.s[root]),
                                  self.e[root], self.e[root])
+
+            def __call__(self, root, lo, hi):
+                mid = _midpoints(lo, hi)
+                s = self.s[root]
+                slope = dr.iv_mul(*dr.iv_sub(1.0, 1.0, 2.0 * lo, 2.0 * hi), s, s)
+                return self.value(root, lo, hi) + self.value(root, mid, mid) + slope
 
         lone = subdivide_min_max(Humps([1.0], [0.0]), [Interval(0, 1)], tol=1e-9)
         both = subdivide_min_max(Humps([1.0, 0.1], [0.0, 0.1]),
                                  [Interval(0, 1), Interval(0.3, 0.7)], tol=1e-9)
         assert lone.depth > 10
-        assert both.evaluations <= lone.evaluations + 4  # 3 points and the root box
+        assert both.evaluations <= lone.evaluations + 4  # 2 points and the root box
         assert both.M.encloses(lone.M) and both.m.encloses(lone.m)
         assert_contains(both.M, 0.25)
 
@@ -303,6 +317,32 @@ class TestBatchedMinMax:
                                 g_prime=lambda t: t * 2.0, tol=1e-12)
         assert_contains(res.M, 4.0)
         assert_contains(res.m, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(intervals())
+def test_mean_value_form_encloses_and_never_widens(s):
+    """exp(t) sin(3t) - t^2 over s: the form lies inside g(s) and contains
+    mpmath values at the ends, the centre and inside."""
+    g = lambda t: t.exp() * (t * 3.0).sin() - t.sqr()
+    dg = lambda t: t.exp() * ((t * 3.0).sin() + (t * 3.0).cos() * 3.0) - t * 2.0
+    form, centre, slope = mean_value_form(g, dg, s)
+    assert g(s).encloses(form)
+    assert centre == g(Interval.point(s.mid())) and slope == dg(s)
+    for t in (s.lo, s.hi, s.mid(), s.lo + 0.3 * (s.hi - s.lo)):
+        t = min(max(t, s.lo), s.hi)
+        exact = mp.exp(t) * mp.sin(3 * mp.mpf(t)) - mp.mpf(t) ** 2
+        assert mp.mpf(form.lo) <= exact <= mp.mpf(form.hi)
+
+
+def test_mean_value_form_removes_the_dependency_at_a_vertex():
+    """t (1 - t) near 1/2: the natural form is about as wide as the box,
+    the centred form about as wide as its square."""
+    g = lambda t: t * (1.0 - t)
+    s = Interval(0.49999, 0.50001)
+    form = mean_value_form(g, lambda t: 1.0 - t * 2.0, s)[0]
+    assert form.width() < 1e-4 * g(s).width()
+    assert_contains(form, 0.25)
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,7 +10,7 @@ from greenbound.errors import DomainError
 from greenbound.expr import parse
 from greenbound.fundsol import TestFunction2D
 from greenbound.geometry import discretize_boundary, amano_sources
-from greenbound.interval import Interval, subdivide_min_max
+from greenbound.interval import Interval, _midpoints, subdivide_min_max
 from greenbound.geometry import Polygon
 from greenbound.mfs import EdgeKernel, boundary_extrema, solve_coefficients
 
@@ -98,6 +98,28 @@ class TestBoundaryExtrema:
         assert 100 <= capped.evaluations < full.evaluations
         assert capped.m.encloses(full.m) and capped.M.encloses(full.M)
 
+    @pytest.mark.parametrize("name, want, parent_evals", [
+        ("square", (-5.9828823786165595e-05, -5.982882378574441e-05,
+                    1.1054929720437686e-05, 1.1054929831065557e-05), 656),
+        ("lshape", (-0.0005529813033274671, -0.0005529812961921781,
+                    0.0018599701342633642, 0.0018599701342750033), 434),
+    ])
+    def test_extrema_and_cost_pinned(self, name, want, parent_evals, centered_square,
+                                     lshape):
+        """m and M at the default tol as recorded when the search still put
+        its own mean-value form and midpoint witnesses on every box (that
+        search took parent_evals evaluations), now in at most 55% of them:
+        the square at (0, 0) with n = 69, and the L-shape with ``corner``."""
+        if name == "square":
+            pts, src = square_setup(centered_square, n=69)
+            poly, tf0 = centered_square, solve(centered_square, pts, src, (0.0, 0.0)).tf0
+        else:
+            poly, tf0 = _candidate("lshape", lshape)
+        res = boundary_extrema(tf0, poly, tol=twod.MfsConfig().tol)
+        assert res.converged
+        assert (res.m.lo, res.m.hi, res.M.lo, res.M.hi) == want
+        assert res.evaluations <= 0.55 * parent_evals
+
     def test_square_extrema_gap_small(self, centered_square):
         pts, src = square_setup(centered_square, n=69)
         sol = solve(centered_square, pts, src, (0.0, 0.0), tol=1e-9)
@@ -182,13 +204,18 @@ class TestEdgeKernel:
         tf0 = solve(centered_square, pts, src, (0.1, -0.2)).tf0
         kernel = EdgeKernel(tf0, centered_square)
         e, lo, hi = _edge_boxes(centered_square, np.random.default_rng(3), 200)
-        glo, ghi, dlo, dhi = kernel(e, lo, hi, True)
+        glo, ghi, _clo, _chi, dlo, dhi = kernel(e, lo, hi)
+        sloped = np.isfinite(dlo)  # expanded boxes; points and wide boxes have none
+        assert sloped.sum() == kernel.expanded_boxes > 0
         for k, (bx, by, vx, vy) in enumerate(_edge_point_boxes(centered_square, e, lo, hi)):
-            val, der = tf0.phi0_box(bx, by), tf0.phi0_dir_deriv(bx, by, vx, vy)
-            new_val, new_der = Interval(glo[k], ghi[k]), Interval(dlo[k], dhi[k])
-            assert new_val.intersects(val) and new_der.intersects(der)
+            val = tf0.phi0_box(bx, by)
+            new_val = Interval(glo[k], ghi[k])
+            assert new_val.intersects(val)
             assert new_val.width() <= val.width() + 4 * np.spacing(val.mag())
-            assert new_der.width() <= der.width() + 4 * np.spacing(der.mag())
+            if sloped[k]:
+                der, new_der = tf0.phi0_dir_deriv(bx, by, vx, vy), Interval(dlo[k], dhi[k])
+                assert new_der.intersects(der)
+                assert new_der.width() <= der.width() + 4 * np.spacing(der.mag())
 
     def test_slanted_edges_contain_mpmath_values(self):
         hexagon, tf0 = _candidate("hexagon", None)
@@ -199,18 +226,20 @@ class TestEdgeKernel:
         box_lo, box_hi = np.maximum(0.0, t - 1e-3), np.minimum(1.0, t + 1e-3)
         kernels = _mp_kernels(tf0)
         for lo, hi in ((t, t), (box_lo, box_hi)):
-            glo, ghi, dlo, dhi = kernel(e, lo, hi, True)
+            glo, ghi, _clo, _chi, dlo, dhi = kernel(e, lo, hi)
             for k in range(200):
                 val, der = _mp_phi(kernels, _mp_edge(hexagon, e[k]), mp.mpf(t[k]))
                 assert mp.mpf(glo[k]) <= val <= mp.mpf(ghi[k])
-                assert mp.mpf(dlo[k]) <= der <= mp.mpf(dhi[k])
+                if np.isfinite(dlo[k]):  # expanded boxes only
+                    assert mp.mpf(dlo[k]) <= der <= mp.mpf(dhi[k])
+        assert kernel.expanded_boxes > 0
 
     def test_source_on_an_edge_is_a_domain_error(self, centered_square):
         tf0 = TestFunction2D((0.0, 0.0), np.array([[0.5, 0.1]]), np.array([0.3]))
         kernel = EdgeKernel(tf0, centered_square)
         e = np.arange(4)
         with pytest.raises(DomainError):
-            kernel(e, np.zeros(4), np.ones(4), True)
+            kernel(e, np.zeros(4), np.ones(4))
 
     def test_exact_geometry_is_rounded_outward_once(self):
         from fractions import Fraction
@@ -235,7 +264,7 @@ class TestEdgeKernel:
         whole.chunk = 300
         chunked = EdgeKernel(tf0, centered_square)
         assert chunked.chunk < 300
-        for x, y in zip(whole(e, lo, hi, True), chunked(e, lo, hi, True)):
+        for x, y in zip(whole(e, lo, hi), chunked(e, lo, hi)):
             assert np.array_equal(x, y)
 
 
@@ -307,7 +336,7 @@ class TestExpansion:
         poly, tf0 = _candidate(name, lshape)
         kernel = EdgeKernel(tf0, poly)
         e, lo, hi = _boxes_at_half_rho(poly, tf0, np.random.default_rng(7), 12)
-        glo, ghi, dlo, dhi = kernel(e, lo, hi, True)
+        glo, ghi, _clo, _chi, dlo, dhi = kernel(e, lo, hi)
         assert kernel.expanded_boxes == len(e) and kernel.natural_boxes == 0
         kernels = _mp_kernels(tf0)
         for k in range(len(e)):
@@ -352,7 +381,7 @@ class TestExpansion:
         kernel = EdgeKernel(tf0, centered_square)
         r = 0.499 * 0.6
         lo, hi = np.array([0.6 - r]), np.array([0.6 + r])
-        glo, ghi, dlo, dhi = kernel(np.zeros(1, dtype=int), lo, hi, True)
+        glo, ghi, _clo, _chi, dlo, dhi = kernel(np.zeros(1, dtype=int), lo, hi)
         assert kernel.expanded_boxes == 1
         edge = _mp_edge(centered_square, 0)
         kernels = _mp_kernels(tf0)
@@ -387,14 +416,27 @@ class TestExpansion:
         rng = np.random.default_rng(9)
         e = rng.integers(0, len(poly.vertices), 300)
         t = rng.random(300)
-        got = kernel(e, t, t, True)
+        got = kernel(e, t, t)
         assert kernel.expanded_boxes == kernel.natural_boxes == 0
-        for x, y in zip(got, _natural_reference(kernel, e, t, t)):
+        for x, y in zip(got[:2], _natural_reference(kernel, e, t, t)):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("name", ["hexagon", "lshape"])
+    def test_expanded_box_centre_is_the_point_value(self, name, lshape):
+        """The c_0 an expanded box returns as its centre equals the value of
+        a separate evaluation at _midpoints(lo, hi), bit for bit."""
+        poly, tf0 = _candidate(name, lshape)
+        e, lo, hi = _boxes_at_half_rho(poly, tf0, np.random.default_rng(10), 12)
+        kernel = EdgeKernel(tf0, poly)
+        _glo, _ghi, clo, chi, _dlo, _dhi = kernel(e, lo, hi)
+        assert kernel.expanded_boxes == len(e)
+        tm = _midpoints(lo, hi)
+        vlo, vhi = EdgeKernel(tf0, poly)(e, tm, tm)[:2]
+        assert np.array_equal(clo, vlo) and np.array_equal(chi, vhi)
 
 
 def _natural_reference(kernel, e, lo, hi):
-    """The natural interval form of phi^0 and dphi^0/dt, written out."""
+    """The natural interval form of phi^0, written out."""
     from greenbound import _directed as dr
     from greenbound.fundsol import NEG_INV_4PI
 
@@ -404,6 +446,4 @@ def _natural_reference(kernel, e, lo, hi):
                    kernel.delta2[0][e], kernel.delta2[1][e])
     val = dr.iv_mul(*dr.iv_dot(kernel.weights, *dr.iv_log(*d2)),
                     NEG_INV_4PI.lo, NEG_INV_4PI.hi)
-    der = dr.iv_mul(*dr.iv_dot(kernel.weights, *dr.iv_div(*tau, *d2)),
-                    kernel.dscale[0][e], kernel.dscale[1][e])
-    return val + der
+    return val

@@ -3,6 +3,7 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy
@@ -137,6 +138,49 @@ class TestOptimalConstants:
         ev = GreenEvaluator(ONE)
         verdicts = [check_super(grid, ONE, i, evaluator=ev) for i in range(8)]
         assert Verdict.VIOLATED in verdicts
+
+    def test_unconverged_search_ends_in_bounded_time(self):
+        """The degree-12 model of 2 + sin(3x) has a width floor above tol,
+        so only the search budget ends the search; M still holds max u, for
+        u = x(1 - x) + (sin 3x - x sin 3)/9."""
+        u = lambda x: x * (1 - x) + (mp.sin(3 * x) - x * mp.sin(3)) / 9
+        umax = u(mp.findroot(lambda x: mp.diff(u, x), 0.5))
+        t0 = time.perf_counter()
+        _, M = optimal_constant_bounds(parse("2+sin(3*x)"), tol=1e-10)
+        assert time.perf_counter() - t0 < 10.0
+        assert mp.mpf(M.lo) <= umax <= mp.mpf(M.hi)
+
+
+def _mp_sup_abs(f):
+    """max |f| over [0, 1] in mpmath: the best of a 2001-point grid,
+    refined where f' vanishes next to it."""
+    xs = [mp.mpf(k) / 2000 for k in range(2001)]
+    best = max(xs, key=lambda x: abs(f(x)))
+    if 0 < best < 1:
+        best = mp.findroot(lambda x: mp.diff(f, x), best)
+    return max(abs(f(best)), max(abs(f(x)) for x in xs))
+
+
+class TestSupAbsSource:
+    @pytest.mark.parametrize("f, want", [
+        (ONE, 1.0),
+        (PiecewiseSource1D((0.25,), (parse("1"), parse("1.125"))), 1.125),
+        (PiecewiseSource1D((0.75,), (parse("1"), parse("1.5"))), 1.5),
+        (parse("2+sin(3*x)"), 3.0),
+    ])
+    def test_exact_for_benchmark_sources(self, f, want):
+        assert GreenEvaluator(f).sup_abs_source() == want
+
+    @pytest.mark.parametrize("text, f", [
+        ("exp(x)*sin(3*x)+2", lambda x: mp.exp(x) * mp.sin(3 * x) + 2),
+        ("cos(7*x)-x^3", lambda x: mp.cos(7 * x) - x**3),
+    ])
+    def test_smooth_sources_within_one_percent(self, text, f):
+        t0 = time.perf_counter()
+        got = GreenEvaluator(parse(text)).sup_abs_source()
+        assert time.perf_counter() - t0 < 0.1
+        want = _mp_sup_abs(f)
+        assert want <= got <= 1.01 * want
 
 
 class TestChecks:
