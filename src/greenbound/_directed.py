@@ -124,6 +124,16 @@ def _iv_mul_exact01(alo, ahi, blo, bhi):
     return lo, hi
 
 
+def _iv_add_exact0(alo, ahi, blo, bhi):
+    """``iv_add``, except that an exact point 0 operand returns the other
+    operand unchanged (zero signs included), as ``Interval.__add__`` does."""
+    lo, hi = iv_add(alo, ahi, blo, bhi)
+    az = (alo == 0.0) & (ahi == 0.0)
+    bz = (blo == 0.0) & (bhi == 0.0)
+    return (np.where(bz, alo, np.where(az, blo, lo)),
+            np.where(bz, ahi, np.where(az, bhi, hi)))
+
+
 def iv_sqr(lo, hi):
     a = np.abs(lo)
     b = np.abs(hi)
@@ -139,6 +149,24 @@ def iv_log(lo, hi):
     if np.any(lo <= 0.0):
         raise DomainError("log of interval array touching nonpositive reals")
     return _down_n(np.log(lo), _NP_LIBM_ULPS), _up_n(np.log(hi), _NP_LIBM_ULPS)
+
+
+def _iv_sqrt(lo, hi):
+    """``Interval.sqrt`` on arrays (IEEE sqrt is correctly rounded)."""
+    if np.any(lo < 0.0):
+        raise DomainError("sqrt of interval array with negative part")
+    return np.maximum(0.0, next_down(np.sqrt(lo))), next_up(np.sqrt(hi))
+
+
+def _iv_libm(fn, lo, hi):
+    """Image of the increasing libm function ``fn`` (``math.log``,
+    ``math.atan``) per element of 1-D arrays, padded by ``Interval``'s libm
+    ulps, so that it equals the scalar ``Interval`` method bit for bit."""
+    if fn is math.log and np.any(lo <= 0.0):
+        raise DomainError("log of interval array touching nonpositive reals")
+    n = _iv._LIBM_ULPS
+    return (_down_n(np.array([fn(v) for v in lo.tolist()], dtype=float), n),
+            _up_n(np.array([fn(v) for v in hi.tolist()], dtype=float), n))
 
 
 def iv_div(alo, ahi, blo, bhi):

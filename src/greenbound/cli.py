@@ -43,6 +43,7 @@ from .expr import PiecewiseSource1D, parse
 from .geometry import Polygon
 from .interval import Interval
 from .quad import QuadConfig
+from .taylor import MAX_DEGREE
 
 _POINT = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
 
@@ -110,8 +111,8 @@ PROBLEM_SCHEMA = {
         "quad": {
             "type": "object",
             "properties": {
-                "deg_u": {"type": "integer", "minimum": 1},
-                "deg_k": {"type": "integer", "minimum": 1},
+                "deg_u": {"type": "integer", "minimum": 1, "maximum": MAX_DEGREE},
+                "deg_k": {"type": "integer", "minimum": 1, "maximum": MAX_DEGREE},
                 "fan_splits": {"type": "integer", "minimum": 1},
             },
             "additionalProperties": False,

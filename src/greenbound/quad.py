@@ -22,11 +22,13 @@ stays bounded for grazing triangles where the raw k range is huge.  A fan
 of such triangles over the polygon edges, signed by orientation, evaluates
 integrals over the whole polygon for an arbitrary vertex point (inside or
 outside), which covers both the evaluation-point kernel and the smooth
-exterior-source kernels with one code path.
+exterior-source kernels with one code path, ``_fans``: every fan of a call
+(all exterior sources of a domain, say) is one pass over endpoint arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -37,8 +39,8 @@ from . import expr as _expr
 from .errors import DomainError
 from .fundsol import NEG_INV_4PI, TestFunction2D
 from .geometry import Polygon, Triangle
-from .interval import PI, Box2, Interval, intersect, rational
-from .taylor import TaylorModel2
+from .interval import PI, Box2, Interval, rational
+from .taylor import MAX_DEGREE, TaylorModel2
 
 __all__ = ["QuadConfig", "log_moment", "singular_triangle", "pair_f_phi",
            "source_kernel_terms", "integrate_source"]
@@ -55,6 +57,8 @@ class QuadConfig:
         m, n = self.tm_degrees
         if m < 1 or n < 1:
             raise DomainError("tm_degrees must be at least (1, 1)")
+        if m > MAX_DEGREE or n > MAX_DEGREE:
+            raise DomainError(f"tm_degrees must be at most ({MAX_DEGREE}, {MAX_DEGREE})")
         if self.fan_splits < 1:
             raise DomainError("fan_splits must be >= 1")
 
@@ -70,84 +74,123 @@ def log_moment(a: Interval, j: int) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form k-moments of log(1 + k^2) through y = k d rescaling
+# Interval arrays with the scalar Interval's rounding and exact 0/1 rules
 # ---------------------------------------------------------------------------
+# Each helper takes and returns (lo, hi) endpoint arrays.  Sums and products
+# keep Interval's exact-0 and exact-1 shortcuts, so a value does not depend
+# on which other fans share its array pass.
 
 
-def _k_rational_moments(a: Interval, t: Interval, top: int) -> list:
-    """K_i = int_0^t y^i / (a^2 + y^2) dy for i = 0..top (signed in t)."""
-    a2 = a.sqr()
-    out = [(t / a).atan() / a]
-    if top >= 1:
-        out.append((a2 + t.sqr()).log() * 0.5 - a.log())
-    for i in range(2, top + 1):
-        out.append(t.pow_int(i - 1) / float(i - 1) - a2 * out[i - 2])
+def _add(a, b):
+    return dr._iv_add_exact0(*a, *b)
+
+
+def _sub(a, b):
+    return dr._iv_add_exact0(*a, -b[1], -b[0])
+
+
+def _mul(a, b):
+    return dr._iv_mul_exact01(*a, *b)
+
+
+def _div(a, b):
+    return dr.iv_div(*a, *b)
+
+
+def _take(a, idx):
+    return a[0][idx], a[1][idx]
+
+
+def _join(a, b):
+    return np.concatenate((a[0], b[0])), np.concatenate((a[1], b[1]))
+
+
+def _stack(ivs: list):
+    """(rows, len(ivs)) endpoint arrays of a list of interval arrays."""
+    return np.stack([v[0] for v in ivs], axis=1), np.stack([v[1] for v in ivs], axis=1)
+
+
+def _point(x: float):
+    return x, x
+
+
+_CHUNK_TERMS = 1024  # fan-part terms per array pass of the moments
+
+# 2 / (q + 1) and 2 / (q + 2)^2 for q = 0..MAX_DEGREE, each enclosed by
+# ``rational`` (a point exactly when the rational is a float).
+_TWO_OVER = [rational(2, q + 1) for q in range(MAX_DEGREE + 1)]
+_W_LO, _W_HI = np.array([rational(2, (q + 2) ** 2) for q in range(MAX_DEGREE + 1)]).T
+
+
+def _powers(t, top: int) -> list:
+    """[None, t, t^2, ..., t^top] as ``Interval.pow_int`` forms each power:
+    t^e = t^(e - 2^h) * t^(2^h) for the top bit h of e, from the chain of
+    tight squares t^(2^h)."""
+    squares, out = [t], [None, t]
+    for e in range(2, top + 1):
+        h = e.bit_length() - 1
+        while len(squares) <= h:
+            squares.append(dr.iv_sqr(*squares[-1]))
+        rest = e - (1 << h)
+        out.append(squares[h] if rest == 0 else _mul(out[rest], squares[h]))
     return out
 
 
-def _log_poly_moments(a: Interval, t: Interval, top: int) -> list:
-    """A_i = int_0^t y^i log(a^2 + y^2) dy for i = 0..top (signed in t)."""
-    ks = _k_rational_moments(a, t, top + 2)
-    log_term = (a.sqr() + t.sqr()).log()
-    out = []
-    for i in range(top + 1):
-        out.append(t.pow_int(i + 1) * log_term / float(i + 1)
-                   - ks[i + 2] * Interval(*rational(2, i + 1)))
-    return out
+def _log_poly_moments(a, log_a, t, top: int) -> list:
+    """A_q = int_0^t y^q log(a^2 + y^2) dy for q = 0..top (signed in t),
+    over arrays of a > 0 (with log a) and t.
+
+    Through K_q = int_0^t y^q / (a^2 + y^2) dy, in closed form for q <= 1
+    and by K_q = t^(q-1) / (q-1) - a^2 K_(q-2) above:
+    A_q = t^(q+1) log(a^2 + t^2) / (q+1) - 2/(q+1) K_(q+2)."""
+    a2 = dr.iv_sqr(*a)
+    tp = _powers(t, top + 1)
+    log_r2 = dr._iv_libm(math.log, *_add(a2, dr.iv_sqr(*t)))
+    ks = [_div(dr._iv_libm(math.atan, *_div(t, a)), a),
+          _sub(_mul(log_r2, _point(0.5)), log_a)]
+    for q in range(2, top + 3):
+        ks.append(_sub(_div(tp[q - 1], _point(q - 1.0)), _mul(a2, ks[q - 2])))
+    return [_sub(_div(_mul(tp[q + 1], log_r2), _point(q + 1.0)), _mul(ks[q + 2], _TWO_OVER[q]))
+            for q in range(top + 1)]
 
 
-@dataclass(frozen=True)
-class _FanFrame:
-    """Rotated frame of a triangle (center, v1, v2): the edge (v1, v2) lies
-    on the vertical line x' = d and the center at the origin."""
-
-    d: Interval
-    y1: Interval
-    y2: Interval
-    nx: Interval
-    ny: Interval
-    ex: Interval
-    ey: Interval
-    sign: float
-
-
-def _edge_vectors(center, v1, v2):
-    """Enclosures of w1 = v1 - center, w2 = v2 - center and w1 x w2."""
-    cx, cy = Interval.point(float(center[0])), Interval.point(float(center[1]))
-    w1x = Interval.point(float(v1[0])) - cx
-    w1y = Interval.point(float(v1[1])) - cy
-    w2x = Interval.point(float(v2[0])) - cx
-    w2y = Interval.point(float(v2[1])) - cy
-    cross = w1x * w2y - w1y * w2x
+def _edge_vectors(c, v1, v2):
+    """Enclosures of w1 = v1 - c, w2 = v2 - c and w1 x w2 for (F, 2) point
+    arrays."""
+    w1x, w1y = _sub(_point(v1[:, 0]), _point(c[:, 0])), _sub(_point(v1[:, 1]), _point(c[:, 1]))
+    w2x, w2y = _sub(_point(v2[:, 0]), _point(c[:, 0])), _sub(_point(v2[:, 1]), _point(c[:, 1]))
+    cross = _sub(_mul(w1x, w2y), _mul(w1y, w2x))
     return w1x, w1y, w2x, w2y, cross
 
 
-def _fan_frame(center, v1, v2) -> Optional[_FanFrame]:
-    w1x, w1y, w2x, w2y, cross = _edge_vectors(center, v1, v2)
-    if cross.lo <= 0.0 <= cross.hi:
-        return None  # degenerate or numerically ambiguous orientation
-    sign = 1.0 if cross.lo > 0.0 else -1.0
-    gx = w2x - w1x
-    gy = w2y - w1y
-    glen = (gx.sqr() + gy.sqr()).sqrt()
-    ex = gx / glen
-    ey = gy / glen
-    # normal candidate (ey, -ex); distance from center to the edge line
-    d1 = ey * w1x - ex * w1y
-    d2 = ey * w2x - ex * w2y
-    d = intersect(d1, d2)
-    nx, ny = ey, -ex
-    if d.hi < 0.0:
-        d, nx, ny = -d, -nx, -ny
-    elif d.lo <= 0.0:
-        return None
-    y1 = ex * w1x + ey * w1y
-    y2 = ex * w2x + ey * w2y
-    return _FanFrame(d, y1, y2, nx, ny, ex, ey, sign)
+def _frames(w1x, w1y, w2x, w2y):
+    """Rotated frames of triangles (c, v1, v2) with a certain orientation:
+    the edge (v1, v2) on the vertical line x' = d, c at the origin.
+
+    Returns d, the unit normal (nx, ny) and direction (ex, ey) of the edge
+    line and the edge ends y1, y2 along it; d.lo <= 0 marks a fan too
+    thin to frame."""
+    gx, gy = _sub(w2x, w1x), _sub(w2y, w1y)
+    glen = dr._iv_sqrt(*_add(dr.iv_sqr(*gx), dr.iv_sqr(*gy)))
+    ex, ey = _div(gx, glen), _div(gy, glen)
+    d1 = _sub(_mul(ey, w1x), _mul(ex, w1y))
+    d2 = _sub(_mul(ey, w2x), _mul(ex, w2y))
+    d = np.maximum(d1[0], d2[0]), np.minimum(d1[1], d2[1])
+    if np.any(d[0] > d[1]):
+        raise DomainError("disjoint enclosures of a fan's edge distance: rigor violated upstream")
+    # normal candidate (ey, -ex), flipped to point at the edge
+    flip = d[1] < 0.0
+    d = np.where(flip, -d[1], d[0]), np.where(flip, -d[0], d[1])
+    nx = np.where(flip, -ey[1], ey[0]), np.where(flip, -ey[0], ey[1])
+    ny = np.where(flip, ex[0], -ex[1]), np.where(flip, ex[1], -ex[0])
+    y1 = _add(_mul(ex, w1x), _mul(ey, w1y))
+    y2 = _add(_mul(ex, w2x), _mul(ey, w2y))
+    return d, nx, ny, ex, ey, y1, y2
 
 
-def _sliver_bounds(f: _expr.SourceExpr, center, v1, v2):
-    """Crude but rigorous bounds for a numerically degenerate fan triangle.
+def _sliver_bounds(f: _expr.SourceExpr, center, v1, v2, w1x, w1y, w2x, w2y, cross):
+    """Crude but rigorous bounds for a numerically degenerate fan triangle
+    (center, v1, v2), given the Intervals of its edge vectors.
 
     |integral f log r^2| <= |f|_inf (int over {r < 1} of |log r^2|
     + area * max(0, log rmax^2)).  The triangle lies in the sector spanned
@@ -156,7 +199,6 @@ def _sliver_bounds(f: _expr.SourceExpr, center, v1, v2):
     first part is at most (theta/2) r^2 (1 - log r^2) with r = min(rmax, 1),
     otherwise the whole disc's pi r^2 (1 - log r^2).
     """
-    w1x, w1y, w2x, w2y, cross = _edge_vectors(center, v1, v2)
     if cross.lo == 0.0 and cross.hi == 0.0:
         return Interval(0.0, 0.0), Interval(0.0, 0.0)
     pts = np.array([center, v1, v2], dtype=float)
@@ -181,78 +223,169 @@ def _sliver_bounds(f: _expr.SourceExpr, center, v1, v2):
     return Interval(-w, w), Interval(-w_plain, w_plain)
 
 
-def _ends(ivs: list, idx: np.ndarray):
-    """Endpoint arrays of the intervals ivs[idx]."""
-    return np.array([v.lo for v in ivs])[idx], np.array([v.hi for v in ivs])[idx]
+def _row_dot(clo, chi, term):
+    """Float bounds of sum_t [c_t] [term_t] per row of (rows, T) arrays."""
+    lo, hi = dr._iv_mul_exact01(clo, chi, *term)
+    return dr._row_sums(lo, exact=True)[0].tolist(), dr._row_sums(hi, exact=True)[1].tolist()
 
 
-def _fan_moments(f: _expr.SourceExpr, center, v1, v2, cfg: QuadConfig,
-                 want_log: bool = True, want_plain: bool = False):
-    """Signed enclosures over the triangle (center, v1, v2) of
-    f * log |x - center|^2 (``log``) and of f itself (``plain``)."""
-    frame = _fan_frame(center, v1, v2)
-    if frame is None:
-        return _sliver_bounds(f, center, v1, v2)
+def _part_moments(i, j, clo, chi, d, log_d, ya, yb, want_log: bool, want_plain: bool):
+    """Enclosures of the integrals of f log|x - c|^2 and of f over the fan
+    parts whose models of f share the nonzero pattern (i, j): with
+    coefficients [c_ij] (rows clo, chi), the parts' frame distance d (and
+    log d) and their edge ends ya, yb, all arrays over the parts.
 
-    d = frame.d
-    logd = d.log()
-    m_deg, n_deg = cfg.tm_degrees
-    total_log = Interval(0.0, 0.0)
-    total_plain = Interval(0.0, 0.0)
+    In the frame, sum c_ij k^i u^j integrates over u in (0, d), k u in
+    (ya, yb) through the moments (yb^(i+1) - ya^(i+1)) / (i+1) d^(j+1-i)
+    / (j+2) (``plain``) and their log-weighted forms."""
+    top = int(i.max())  # moments above the top k power are not needed
+    at_i, at_q = (slice(None), i), (slice(None), j + 1 - i)
+    dpow = [(np.ones_like(d[0]), np.ones_like(d[1]))]
+    for _ in range(int((j + 1 - i).max())):
+        dpow.append(_mul(dpow[-1], d))
+    dq = _take(_stack(dpow), at_q)
+    # ya and yb side by side: rows :n are the ya ends, n: the yb ends
+    n = len(d[0])
+    at_a, at_b = slice(None, n), slice(n, None)
+    y = _join(ya, yb)
+    ypow = [y]
+    for _ in range(top):
+        ypow.append(_mul(ypow[-1], y))
+    s_q = [_div(_sub(_take(p, at_b), _take(p, at_a)), _point(q + 1.0))
+           for q, p in enumerate(ypow)]
+    base = dr.iv_mul(*_take(_stack(s_q), at_i), *dq)
+    j2 = (j + 2).astype(float)
+    plain = _row_dot(clo, chi, dr.iv_div(*base, j2, j2)) if want_plain else None
+    if not want_log:
+        return None, plain
+    mom = _log_poly_moments(_join(d, d), _join(log_d, log_d), y, top)
+    da_i = _take(_stack([_sub(_take(m, at_b), _take(m, at_a)) for m in mom]), at_i)
+    # base ((j+2) log d - 1) 2/(j+2)^2 + (dA_i d^q - 2 base log d)/(j+2)
+    lg = (log_d[0][:, None], log_d[1][:, None])
+    t = dr.iv_sub(*dr.iv_mul(*lg, j2, j2), 1.0, 1.0)
+    part1 = dr.iv_mul(*base, *dr.iv_mul(*t, _W_LO[j], _W_HI[j]))
+    t = dr.iv_sub(*dr.iv_mul(*da_i, *dq), *dr.iv_mul(*dr.iv_mul(*lg, *base), 2.0, 2.0))
+    part2 = dr.iv_div(*t, j2, j2)
+    return _row_dot(clo, chi, dr.iv_add(*part1, *part2)), plain
 
-    # angular (k-range) subdivision: exact because the frame is shared
-    span = frame.y2 - frame.y1
-    cuts = [frame.y1] + [frame.y1 + span * (q / cfg.fan_splits)
-                         for q in range(1, cfg.fan_splits)] + [frame.y2]
 
-    dpow = [Interval(1.0, 1.0)]
-    for ya, yb in zip(cuts[:-1], cuts[1:]):
-        ka = ya / d
-        kb = yb / d
-        box = Box2(u=Interval(0.0, d.hi), k=Interval(min(ka.lo, kb.lo), max(ka.hi, kb.hi)))
+def _part_integrals(f: _expr.SourceExpr, cfg: QuadConfig, c, d, nx, ny, ex, ey, y1, y2,
+                    want_log: bool, want_plain: bool):
+    """Unsigned integrals of f log|x - c|^2 and of f over the angular parts
+    of framed fans (arrays over the fans, c their (F, 2) centres): two
+    lists over the parts, fan-major, with None where f's model is zero.
+
+    Each part gets its own (u, k) box and Taylor model of f; the parts
+    whose models share their nonzero (i, j) pattern then go through
+    ``_part_moments`` together, in chunks of about ``_CHUNK_TERMS`` terms."""
+    # angular (k-range) cuts: exact because the frame is shared
+    splits = cfg.fan_splits
+    span = _sub(y2, y1)
+    cuts = [y1] + [_add(y1, _mul(span, _point(q / splits))) for q in range(1, splits)] + [y2]
+    ya, yb = (tuple(e.ravel() for e in _stack(ends)) for ends in (cuts[:-1], cuts[1:]))
+    part_fan = np.repeat(np.arange(len(c)), splits)
+    d_part = _take(d, part_fan)
+    ka, kb = _div(ya, d_part), _div(yb, d_part)
+    klo, khi = np.minimum(ka[0], kb[0]).tolist(), np.maximum(ka[1], kb[1]).tolist()
+    dhi, cx, cy = d[1].tolist(), c[:, 0].tolist(), c[:, 1].tolist()
+    nx, ny, ex, ey = ([Interval(lo, hi) for lo, hi in zip(v[0].tolist(), v[1].tolist())]
+                      for v in (nx, ny, ex, ey))
+
+    groups = {}  # nonzero pattern -> (i, j, parts, coefficient rows)
+    for p, r in enumerate(part_fan.tolist()):
+        box = Box2(u=Interval(0.0, dhi[r]), k=Interval(klo[p], khi[p]))
         # x = cx + nx u + ex (k u), y likewise; y shares x's monomial ranges
-        x_tm = TaylorModel2.affine(box, (m_deg, n_deg), Interval.point(float(center[0])),
-                                   frame.nx, frame.ex)
-        y_tm = TaylorModel2.affine(box, (m_deg, n_deg), Interval.point(float(center[1])),
-                                   frame.ny, frame.ey, x_tm.ranges)
-        # one dot over the nonzero coefficients; the (u, k u) substitution
-        # keeps i <= j in every product, composition and truncation
+        x_tm = TaylorModel2.affine(box, cfg.tm_degrees, Interval.point(cx[r]), nx[r], ex[r])
+        y_tm = TaylorModel2.affine(box, cfg.tm_degrees, Interval.point(cy[r]), ny[r], ey[r],
+                                   x_tm.ranges)
+        # the (u, k u) substitution keeps i <= j + 1 in every product,
+        # composition and truncation
         i, j, clo, chi = _expr.eval_tm(f, x_tm, y_tm)._nonzero()
-        if not i.size:
-            continue
+        if i.size:
+            group = groups.setdefault((i.tobytes(), j.tobytes()), (i, j, [], [], []))
+            group[2].append(p)
+            group[3].append(clo)
+            group[4].append(chi)
+
+    part_log, part_plain = [None] * len(part_fan), [None] * len(part_fan)
+    log_d = dr._iv_libm(math.log, *d) if want_log else None
+    for i, j, parts, clo, chi in groups.values():
         if np.any(i > j + 1):
             raise DomainError("fan moments need coefficients with i <= j + 1")
-        top = int(i.max())  # moments above the top k power are not needed
-        while len(dpow) <= int((j + 1 - i).max()):
-            dpow.append(dpow[-1] * d)
-        ypow_a, ypow_b = [ya], [yb]
-        for _ in range(top):
-            ypow_a.append(ypow_a[-1] * ya)
-            ypow_b.append(ypow_b[-1] * yb)
-        s_i = [(ypow_b[q] - ypow_a[q]) / float(q + 1) for q in range(top + 1)]
-        dq = _ends(dpow, j + 1 - i)
-        base = dr.iv_mul(*_ends(s_i, i), *dq)
-        j2 = (j + 2).astype(float)
-        if want_plain:
-            total_plain = total_plain + Interval(
-                *dr._iv_dot_exact01(clo, chi, *dr.iv_div(*base, j2, j2)))
-        if want_log:
-            la = _log_poly_moments(d, ya, top)
-            lb = _log_poly_moments(d, yb, top)
-            da_i = [lb[q] - la[q] for q in range(top + 1)]
-            w_iv = np.array([rational(2, (q + 2) ** 2) for q in range(j.max() + 1)]).T[:, j]
-            # base ((j+2) log d - 1) 2/(j+2)^2 + (dA_i d^q - 2 base log d)/(j+2)
-            lg = (logd.lo, logd.hi)
-            t = dr.iv_sub(*dr.iv_mul(*lg, j2, j2), 1.0, 1.0)
-            part1 = dr.iv_mul(*base, *dr.iv_mul(*t, *w_iv))
-            t = dr.iv_sub(*dr.iv_mul(*_ends(da_i, i), *dq),
-                          *dr.iv_mul(*dr.iv_mul(*lg, *base), 2.0, 2.0))
-            part2 = dr.iv_div(*t, j2, j2)
-            total_log = total_log + Interval(
-                *dr._iv_dot_exact01(clo, chi, *dr.iv_add(*part1, *part2)))
+        parts, clo, chi = np.array(parts), np.array(clo), np.array(chi)
+        step = max(1, _CHUNK_TERMS // i.size)
+        for s0 in range(0, len(parts), step):
+            chunk = parts[s0:s0 + step]
+            fans = part_fan[chunk]
+            log, plain = _part_moments(
+                i, j, clo[s0:s0 + step], chi[s0:s0 + step], _take(d, fans),
+                _take(log_d, fans) if want_log else None,
+                _take(ya, chunk), _take(yb, chunk), want_log, want_plain)
+            for k, p in enumerate(chunk.tolist()):
+                if want_log:
+                    part_log[p] = Interval(log[0][k], log[1][k])
+                if want_plain:
+                    part_plain[p] = Interval(plain[0][k], plain[1][k])
+    return part_log, part_plain
 
-    sgn = frame.sign
-    return total_log * sgn, total_plain * sgn
+
+def _fans(f: _expr.SourceExpr, centers, edges, cfg: QuadConfig,
+          want_log: bool = True, want_plain: bool = False):
+    """Per centre c, the signed enclosures of the integrals of
+    f log|x - c|^2 (``want_log``) and of f (``want_plain``) over the fan of
+    triangles (c, a, b), one per edge (a, b) of ``edges``, summed in edge
+    order; two lists of Intervals (zero where not wanted).
+
+    The signed triangle sum over the edges of a simple polygon reproduces
+    the polygon integral exactly for any centre (winding-number argument),
+    so this serves interior points and exterior sources alike.
+
+    All fans of the call are one array pass: the frames of every fan at
+    once, then ``_part_integrals``.  A fan without a certain orientation or
+    a frame gets ``_sliver_bounds``.
+    """
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    edges = np.asarray(edges, dtype=float).reshape(-1, 2, 2)
+    n_e = len(edges)
+    c = np.repeat(centers, n_e, axis=0)  # fan r: centre r // n_e, edge r % n_e
+    v1, v2 = np.tile(edges[:, 0], (len(centers), 1)), np.tile(edges[:, 1], (len(centers), 1))
+    fan_log = [Interval(0.0, 0.0)] * len(c)
+    fan_plain = [Interval(0.0, 0.0)] * len(c)
+
+    w = _edge_vectors(c, v1, v2)
+    cross = w[4]
+    reg = np.flatnonzero((cross[0] > 0.0) | (cross[1] < 0.0))
+    frame = _frames(*(_take(v, reg) for v in w[:4]))
+    framed = frame[0][0] > 0.0  # d.lo > 0
+    reg = reg[framed]
+    sliver = np.ones(len(c), dtype=bool)
+    sliver[reg] = False
+    for r in np.flatnonzero(sliver).tolist():
+        wr = [Interval(float(v[0][r]), float(v[1][r])) for v in w]
+        fan_log[r], fan_plain[r] = _sliver_bounds(f, c[r], v1[r], v2[r], *wr)
+
+    part_log, part_plain = _part_integrals(
+        f, cfg, c[reg], *(_take(v, framed) for v in frame), want_log, want_plain)
+    splits = cfg.fan_splits
+    signs = np.where(cross[0][reg] > 0.0, 1.0, -1.0).tolist()
+    for r, (fan, sign) in enumerate(zip(reg.tolist(), signs)):
+        total_log = total_plain = Interval(0.0, 0.0)
+        for p in range(r * splits, (r + 1) * splits):
+            if part_log[p] is not None:
+                total_log = total_log + part_log[p]
+            if part_plain[p] is not None:
+                total_plain = total_plain + part_plain[p]
+        fan_log[fan], fan_plain[fan] = total_log * sign, total_plain * sign
+
+    logs, plains = [], []
+    for k in range(len(centers)):
+        total_log = total_plain = Interval(0.0, 0.0)
+        for fan in range(k * n_e, (k + 1) * n_e):
+            total_log = total_log + fan_log[fan]
+            total_plain = total_plain + fan_plain[fan]
+        logs.append(total_log)
+        plains.append(total_plain)
+    return logs, plains
 
 
 def singular_triangle(f: _expr.SourceExpr, tri: Triangle,
@@ -268,35 +401,13 @@ def singular_triangle(f: _expr.SourceExpr, tri: Triangle,
         raise DomainError("triangle does not flag a singular vertex")
     sv = tri.singular_vertex
     v = tri.vertices
-    center = v[sv]
-    v1 = v[(sv + 1) % 3]
-    v2 = v[(sv + 2) % 3]
-    out, _ = _fan_moments(f, center, v1, v2, cfg, want_log=True, want_plain=False)
-    return out
+    edge = [(v[(sv + 1) % 3], v[(sv + 2) % 3])]
+    return _fans(f, [v[sv]], edge, cfg, want_log=True, want_plain=False)[0][0]
 
 
 # ---------------------------------------------------------------------------
 # The pairing <f, phi> over a polygon
 # ---------------------------------------------------------------------------
-
-
-def _fan_over_polygon(f: _expr.SourceExpr, center, poly: Polygon, cfg: QuadConfig,
-                      want_log: bool, want_plain: bool):
-    """Signed fan of the polygon edges around an arbitrary center point.
-
-    The signed triangle sum reproduces the polygon integral exactly for any
-    simple polygon and any center (winding-number argument), so this serves
-    interior evaluation points and exterior source points alike.
-    """
-    total_log = Interval(0.0, 0.0)
-    total_plain = Interval(0.0, 0.0)
-    for va, vb in poly.edges():
-        part_log, part_plain = _fan_moments(
-            f, center, va, vb, cfg, want_log=want_log, want_plain=want_plain
-        )
-        total_log = total_log + part_log
-        total_plain = total_plain + part_plain
-    return total_log, total_plain
 
 
 def integrate_source(
@@ -305,8 +416,7 @@ def integrate_source(
     """Enclosure of the integral of f over the polygon."""
     cfg = cfg or QuadConfig()
     center = poly.vertices.mean(axis=0)
-    _, plain = _fan_over_polygon(f, center, poly, cfg, want_log=False, want_plain=True)
-    return plain
+    return _fans(f, [center], poly.edges(), cfg, want_log=False, want_plain=True)[1][0]
 
 
 def source_kernel_terms(
@@ -318,11 +428,8 @@ def source_kernel_terms(
     They depend on f, the polygon and the sources only, so a caller pairing
     several candidates on one domain computes them once."""
     cfg = cfg or QuadConfig()
-    return [
-        _fan_over_polygon(f, s, poly, cfg, want_log=True, want_plain=False)[0]
-        * NEG_INV_4PI
-        for s in np.asarray(sources, dtype=float).reshape(-1, 2)
-    ]
+    logs, _ = _fans(f, sources, poly.edges(), cfg, want_log=True, want_plain=False)
+    return [term * NEG_INV_4PI for term in logs]
 
 
 def pair_f_phi(
@@ -347,9 +454,8 @@ def pair_f_phi(
     times their nonzero coefficients in index order.
     """
     cfg = cfg or QuadConfig()
-    log_int, plain_int = _fan_over_polygon(
-        f, tf0.s_int, poly, cfg, want_log=True, want_plain=True
-    )
+    (log_int,), (plain_int,) = _fans(f, [tf0.s_int], poly.edges(), cfg,
+                                     want_log=True, want_plain=True)
     interior = log_int * NEG_INV_4PI
     if source_terms is None:
         source_terms = source_kernel_terms(f, tf0.sources, poly, cfg)

@@ -34,6 +34,15 @@ __all__ = ["TaylorModel2", "tm_from_expr", "tm_compose_elem"]
 
 _DEFAULT_DEGREES = (8, 8)
 
+# Largest series order of an elementary composition (the larger degree of
+# the model), which sizes the constant tables below.
+MAX_DEGREE = 32
+
+# The sqrt series ratios binom(1/2, p) / binom(1/2, p - 1) = (3 - 2p) / (2p),
+# indexed by p = 1..MAX_DEGREE, each enclosed by ``rational``.
+_SQRT_RATIOS = [None] + [Interval(*rational(3 - 2 * p, 2 * p))
+                         for p in range(1, MAX_DEGREE + 1)]
+
 
 def _zero_grids(m: int, n: int):
     return np.zeros((m + 1, n + 1)), np.zeros((m + 1, n + 1))
@@ -297,6 +306,8 @@ def _series_and_remainder(fn: str, t0: float, r: Interval, order: int):
     remainder an interval containing fn^(order+1)(xi)/(order+1)! * (t-t0)^(order+1)
     for all t, xi in r.
     """
+    if order > MAX_DEGREE:
+        raise DomainError(f"series order {order} exceeds MAX_DEGREE = {MAX_DEGREE}")
     t0_iv = Interval.point(t0)
     dev = r - t0_iv
     dev_mag = Interval(0.0, dev.mag())
@@ -321,7 +332,7 @@ def _series_and_remainder(fn: str, t0: float, r: Interval, order: int):
         coeffs.append(t0_iv.sqrt())
         for p in range(1, order + 1):
             # binom(1/2, p) = binom(1/2, p - 1) (3 - 2p) / (2p)
-            c = coeffs[-1] * Interval(*rational(3 - 2 * p, 2 * p))
+            c = coeffs[-1] * _SQRT_RATIOS[p]
             coeffs.append(c / t0_iv)
         # |f^(p1)(xi)| / p1! <= |prod (1/2 - q)| / p1! * xi^(1/2 - p1)
         fac = Interval(1.0, 1.0)

@@ -202,6 +202,12 @@ class TestEnclose2D:
         path = write(tmp_path, "p.json", payload)
         assert main(["enclose2d", path]) == 2
 
+    @pytest.mark.parametrize("key", ["deg_k", "deg_u"])
+    def test_degree_above_the_constant_tables_rejected_at_load(self, tmp_path, capsys, key):
+        path = write(tmp_path, "p.json", square_problem(quad={key: 33}))
+        assert main(["enclose2d", path]) == 2
+        assert "problem file rejected" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", [0.0, -1e-9])
     def test_nonpositive_mfs_tol_rejected_at_load(self, tmp_path, capsys, tol):
         path = write(tmp_path, "p.json", square_problem(mfs={"n": 33, "tol": tol}))

@@ -1,14 +1,18 @@
+import hashlib
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate as sci
 
+from greenbound import quad, taylor
 from greenbound.errors import DomainError, UnsupportedError
 from greenbound.expr import parse
 from greenbound.fundsol import TestFunction2D
-from greenbound.geometry import Polygon, Triangle
+from greenbound.geometry import (CornerRefine, Polygon, Triangle, amano_sources,
+                                 discretize_boundary)
 from greenbound.interval import Interval
 from greenbound.quad import (
     QuadConfig,
@@ -16,7 +20,9 @@ from greenbound.quad import (
     log_moment,
     pair_f_phi,
     singular_triangle,
+    source_kernel_terms,
 )
+from greenbound.twod import MfsConfig
 
 from conftest import assert_contains
 
@@ -270,3 +276,112 @@ class TestPairing:
         tf = TestFunction2D((0.0, 0.0), np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(UnsupportedError):
             pair_f_phi(parse("abs(x)"), tf, centered_square)
+
+
+def _plan_sources(poly, corner):
+    """The n = 69 exterior sources a domain plan places on ``poly``."""
+    cfg = MfsConfig(n=69, corner=corner)
+    refine = None if corner is None else CornerRefine(corner=corner)
+    return amano_sources(poly, discretize_boundary(poly, cfg.n, refine), cfg.r_rule())
+
+
+def _sha(intervals) -> str:
+    text = "\n".join(repr((v.lo, v.hi)) for v in intervals)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+TRIG = "x + sin((x+0.5)*y^2)"
+
+
+class TestBatchedFans:
+    """The fans of every centre of a call are one array pass.  The pinned
+    sha256 hashes of the (lo, hi) reprs fix its enclosures bit for bit."""
+
+    @pytest.mark.parametrize("text, degrees, domain, corner, digest", [
+        ("1", (8, 8), "centered_square", None,
+         "d6dc8b614239d08a1166cce488c691156bd023b28d64edbe42df90e8fd81b001"),
+        ("1", (8, 8), "lshape", (0.0, 0.0),
+         "7a24fafb7e4fd539edbd5cff3b5720bcc063f4e0d5d7df7e46ed83c65b726898"),
+        (TRIG, (6, 6), "centered_square", None,
+         "d4655fdf5a94afb5cdd999e799b23ceacf1d27d75ffafc4e02f29fcbee25b838"),
+        (TRIG, (6, 6), "lshape", (0.0, 0.0),
+         "e756088876f69fe7e5e368b8db138406855cc3a321b7d5ee744b1372b95a4dfe"),
+    ])
+    def test_source_kernel_terms_pinned(self, request, text, degrees, domain, corner, digest):
+        poly = request.getfixturevalue(domain)
+        terms = source_kernel_terms(parse(text), _plan_sources(poly, corner), poly,
+                                    QuadConfig(tm_degrees=degrees))
+        assert len(terms) == 69
+        assert _sha(terms) == digest
+
+    def test_interior_pairing_pinned(self, centered_square):
+        """Both the log and the plain integral of the interior fan, with
+        three angular parts per fan triangle."""
+        tf = TestFunction2D((0.1, -0.2), np.zeros((0, 2)), np.zeros(0))
+        got = pair_f_phi(parse(TRIG), tf, centered_square,
+                         QuadConfig(tm_degrees=(6, 6), fan_splits=3),
+                         offsets=((0.0, 0.0), (0.25, 0.0)))
+        assert _sha(got) == "179d79e889601a38de8fa83bc7edb3d9e6b3c3018009a44642e43f387c2c5e23"
+
+    # regular exterior sources, and sources on the lines of the bottom and
+    # left edges, whose fans to those edges are degenerate slivers
+    SOURCES = [(1.3, 0.2), (0.9, -0.5), (-0.9, -1.1), (-0.5, 0.8), (0.2, 1.7)]
+
+    @pytest.mark.parametrize("text, degrees", [("x+1", (8, 8)), (TRIG, (6, 6))])
+    def test_slivers_and_batch_composition(self, centered_square, monkeypatch, text, degrees):
+        """Every term encloses adaptive quadrature, and equals bit for bit
+        the term of a one-source call and of a pass cut into one-part
+        chunks: groups and chunks never change a bit."""
+        f, cfg = parse(text), QuadConfig(tm_degrees=degrees)
+        slivers = []
+        real_sliver = quad._sliver_bounds
+
+        def spy(*args):
+            slivers.append(tuple(args[1]))
+            return real_sliver(*args)
+
+        monkeypatch.setattr(quad, "_sliver_bounds", spy)
+        batch = source_kernel_terms(f, self.SOURCES, centered_square, cfg)
+        assert sorted(set(slivers)) == [(-0.5, 0.8), (0.9, -0.5)]
+        for s, term in zip(self.SOURCES, batch):
+            (single,) = source_kernel_terms(f, [s], centered_square, cfg)
+            assert (single.lo, single.hi) == (term.lo, term.hi)
+            want, err = sci.dblquad(
+                lambda y, x: -f.eval_point(x, y) * math.log((x - s[0]) ** 2 + (y - s[1]) ** 2)
+                / (4 * math.pi), -0.5, 0.5, -0.5, 0.5, epsabs=1e-12)
+            tol = 10 * max(err, 1e-12)
+            assert term.lo - tol <= want <= term.hi + tol, (s, term, want)
+        monkeypatch.setattr(quad, "_CHUNK_TERMS", 1)
+        chunked = source_kernel_terms(f, self.SOURCES, centered_square, cfg)
+        assert [(t.lo, t.hi) for t in chunked] == [(t.lo, t.hi) for t in batch]
+
+
+def _rational_tables():
+    """(lo, hi, p, q) for every entry of the constant tables of the fan
+    moments and the sqrt series."""
+    rows = [(lo, hi, 2, q + 1) for q, (lo, hi) in enumerate(quad._TWO_OVER)]
+    rows += [(lo, hi, 2, (q + 2) ** 2)
+             for q, (lo, hi) in enumerate(zip(quad._W_LO.tolist(), quad._W_HI.tolist()))]
+    rows += [(c.lo, c.hi, 3 - 2 * p, 2 * p)
+             for p, c in enumerate(taylor._SQRT_RATIOS) if c is not None]
+    return rows
+
+
+def test_rational_tables_are_tight_enclosures():
+    """Each constant contains p/q, is a point exactly when p/q is a float
+    and is otherwise one ulp wide: a constant rounded to nearest or widened
+    by an ulp fails here, although later outward roundings absorb it."""
+    rows = _rational_tables()
+    assert len(rows) == 3 * (taylor.MAX_DEGREE + 1) - 1
+    for lo, hi, p, q in rows:
+        exact = Fraction(p, q)
+        assert Fraction(lo) <= exact <= Fraction(hi), (p, q)
+        is_float = Fraction(p / q) == exact
+        assert (lo == hi) == is_float, (p, q)
+        if not is_float:
+            assert hi == math.nextafter(lo, math.inf), (p, q)
+
+
+def test_degrees_above_the_tables_are_rejected():
+    with pytest.raises(DomainError):
+        QuadConfig(tm_degrees=(taylor.MAX_DEGREE + 1, 8))

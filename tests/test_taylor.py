@@ -12,7 +12,7 @@ from greenbound import interval as iv
 from greenbound.errors import DomainError, UnsupportedError
 from greenbound.expr import parse
 from greenbound.interval import Box2, Interval, intersect
-from greenbound.taylor import (TaylorModel2, _factorial, _monomial_table,
+from greenbound.taylor import (MAX_DEGREE, TaylorModel2, _factorial, _monomial_table,
                               _series_and_remainder, tm_compose_elem, tm_from_expr)
 
 from conftest import assert_contains
@@ -96,6 +96,11 @@ class TestCompose:
         tm = TaylorModel2.variable_u(box(1.0), (4, 4))
         with pytest.raises(DomainError):
             tm_compose_elem("log", tm)
+
+    def test_order_above_the_series_tables_rejected(self):
+        tm = TaylorModel2.variable_u(box(1.0), (1, MAX_DEGREE + 1)) + 2.0
+        with pytest.raises(DomainError, match="MAX_DEGREE"):
+            tm_compose_elem("sqrt", tm)
 
     def test_sqrt(self):
         tm = tm_compose_elem(

@@ -215,26 +215,29 @@ class TestBatch:
     @pytest.mark.parametrize("split", [None, ("x+1", "0")])
     def test_exterior_fans_once_per_batch(self, centered_square, monkeypatch, split):
         """Each exterior source kernel is integrated once per batch, with or
-        without a split, however many points share the domain."""
+        without a split, however many points share the domain: all of them
+        in one call of the batched fan kernel."""
         from greenbound import quad
 
-        exterior = []
-        real = quad._fan_over_polygon
+        calls = []
+        real = quad._fans
 
-        def spy(f, center, poly, cfg, want_log, want_plain):
+        def spy(f, centers, edges, cfg, want_log=True, want_plain=False):
             if not want_plain:  # only the source kernels skip integral(f)
-                exterior.append(tuple(center))
-            return real(f, center, poly, cfg, want_log, want_plain)
+                calls.append([tuple(c) for c in np.asarray(centers).reshape(-1, 2)])
+            return real(f, centers, edges, cfg, want_log, want_plain)
 
-        monkeypatch.setattr(quad, "_fan_over_polygon", spy)
+        monkeypatch.setattr(quad, "_fans", spy)
         cfg = MfsConfig(n=17, tol=1e-8)
         if split is not None:
             split = SignedSplit(parse(split[0]), parse(split[1]))
         for points in ([(0.1, 0.0)], [(0.1, 0.0), (0.0, 0.2), (-0.2, -0.1)]):
-            exterior.clear()
+            calls.clear()
             items = enclose_batch(centered_square, parse("x+1"), points,
                                   split=split, mfs_cfg=cfg)
             assert all(item.result is not None for item in items)
+            assert len(calls) == 1
+            exterior = calls[0]
             assert len(exterior) == cfg.n
             assert len(set(exterior)) == cfg.n
 
