@@ -114,9 +114,12 @@ def iv_mul(alo, ahi, blo, bhi):
 
 
 def _iv_mul_exact01(alo, ahi, blo, bhi):
-    """``iv_mul``, except that a product by an exact point 0 or 1 is exact,
-    as ``Interval.__mul__`` keeps it."""
+    """``iv_mul``, except that a product by an exact point 0 or 1 is exact
+    and the lower end of a product of two factors of one sign is at least
+    0, as ``Interval.__mul__`` keeps them."""
     lo, hi = iv_mul(alo, ahi, blo, bhi)
+    same_sign = ((alo >= 0.0) & (blo >= 0.0)) | ((ahi <= 0.0) & (bhi <= 0.0))
+    lo = np.where(same_sign, np.maximum(lo, 0.0), lo)
     zero = ((alo == 0.0) & (ahi == 0.0)) | ((blo == 0.0) & (bhi == 0.0))
     a1, b1 = (alo == 1.0) & (ahi == 1.0), (blo == 1.0) & (bhi == 1.0)
     lo = np.where(zero, 0.0, np.where(b1, alo, np.where(a1, blo, lo)))
@@ -132,6 +135,20 @@ def _iv_add_exact0(alo, ahi, blo, bhi):
     bz = (blo == 0.0) & (bhi == 0.0)
     return (np.where(bz, alo, np.where(az, blo, lo)),
             np.where(bz, ahi, np.where(az, bhi, hi)))
+
+
+def _iv_powers(t, top: int) -> list:
+    """[1, t, t^2, ..., t^top] as ``Interval.pow_int`` forms each power:
+    t^e = t^(e - 2^h) * t^(2^h) for the top bit h of e, from the chain of
+    tight squares t^(2^h)."""
+    squares, out = [t], [(np.ones_like(t[0]), np.ones_like(t[1])), t]
+    for e in range(2, top + 1):
+        h = e.bit_length() - 1
+        while len(squares) <= h:
+            squares.append(iv_sqr(*squares[-1]))
+        rest = e - (1 << h)
+        out.append(squares[h] if rest == 0 else _iv_mul_exact01(*out[rest], *squares[h]))
+    return out[:top + 1]
 
 
 def iv_sqr(lo, hi):
@@ -169,6 +186,34 @@ def _iv_libm(fn, lo, hi):
             _up_n(np.array([fn(v) for v in hi.tolist()], dtype=float), n))
 
 
+def _crit_points(t, base):
+    """``interval._crit_in`` for the points t: whether some point of
+    {base + 2 pi k : k integer} may equal t_i, per element."""
+    two_pi = _iv.TWO_PI
+    k_lo = np.floor((t - base.hi) / two_pi.lo) - 1.0
+    k_hi = np.ceil((t - base.lo) / two_pi.lo) + 1.0
+    hit = np.zeros(t.shape, dtype=bool)
+    for d in range(int(np.max(k_hi - k_lo, initial=-1.0)) + 1):
+        k = k_lo + d
+        clo, chi = _iv_add_exact0(base.lo, base.hi, *_iv_mul_exact01(two_pi.lo, two_pi.hi, k, k))
+        hit |= (k <= k_hi) & (chi >= t) & (clo <= t)
+    return hit
+
+
+def _iv_trig_points(fn, t):
+    """``Interval.point(t_i).sin()`` (``fn`` math.sin) or ``.cos()``
+    (math.cos) per element of the 1-D array t, bit for bit: the libm value
+    padded by ``Interval``'s libm ulps, widened to 1 or -1 where a maximum
+    or minimum of fn may sit at t_i."""
+    max_at, min_at = (_iv.HALF_PI, -_iv.HALF_PI) if fn is math.sin else (_iv._ZERO, _iv.PI)
+    n = _iv._LIBM_ULPS
+    v = np.array([fn(x) for x in t.tolist()], dtype=float)
+    lo, hi = _down_n(v, n), _up_n(v, n)
+    hi = np.where(_crit_points(t, max_at), 1.0, hi)
+    lo = np.where(_crit_points(t, min_at), -1.0, lo)
+    return np.maximum(-1.0, lo), np.minimum(1.0, hi)
+
+
 def iv_div(alo, ahi, blo, bhi):
     """Interval quotient; no divisor interval may contain zero."""
     if np.any((blo <= 0.0) & (bhi >= 0.0)):
@@ -197,7 +242,8 @@ def _sum_error_factor(n: int) -> float:
     return math.nextafter(x * math.nextafter(1.0 + 3.0 * x, _INF), _INF)
 
 
-def _row_sums(x: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _row_sums(x: np.ndarray, exact: bool = False,
+              n=None) -> tuple[np.ndarray, np.ndarray]:
     """Float bounds (lower, upper) of the exact sum of each row of x.
 
     ``np.cumsum`` forms the running sums c_i = fl(c_(i-1) + x_i) in order
@@ -207,6 +253,11 @@ def _row_sums(x: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarra
     one smallest subnormal in case that bound's product underflows.  With
     ``exact``, a row whose e_i are all zero returns its sum c_n as both
     bounds, so a row with a single nonzero entry stays that entry.
+
+    ``n`` (one per row, at least the width) gives each row the bounds of
+    that row padded with zeros to n entries: the a-priori factor of n
+    entries and the sign of zero that the padding gives c_n.  The width
+    must sum the errors in n's grouping (``_sum_width``).
     """
     if not x.shape[-1]:
         z = np.zeros(x.shape[:-1])
@@ -216,21 +267,75 @@ def _row_sums(x: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarra
     bv = s - a
     err = (a - (s - bv)) + (b - bv)
     top, es = c[..., -1], np.sum(err, axis=-1)
+    if n is None:
+        factor = _sum_error_factor(err.shape[-1])
+    else:
+        top = np.where(n > x.shape[-1], top + 0.0, top)
+        lengths = sorted(set(n.tolist()))
+        factor = np.array([_sum_error_factor(v - 1) for v in lengths])[np.searchsorted(lengths, n)]
     if not _iv._outward_rounding:
         return top + es, top + es
     abs_err = np.sum(np.abs(err), axis=-1)
-    eb = next_up(_sum_error_factor(err.shape[-1]) * abs_err) + _ETA
+    eb = next_up(factor * abs_err) + _ETA
     lo, hi = _sum_down(top, next_down(es - eb)), _sum_up(top, next_up(es + eb))
     if exact:
         return np.where(abs_err == 0.0, top, lo), np.where(abs_err == 0.0, top, hi)
     return lo, hi
 
 
-def _iv_dot_exact01(alo, ahi, blo, bhi) -> tuple[float, float]:
-    """Float bounds of sum_t [a_t] [b_t] over a 1-D term axis: products by
-    ``_iv_mul_exact01``, one ``_row_sums(..., exact=True)`` per side."""
-    lo, hi = _iv_mul_exact01(alo, ahi, blo, bhi)
-    return float(_row_sums(lo, exact=True)[0]), float(_row_sums(hi, exact=True)[1])
+def _sum_width(n, k):
+    """Narrowest widths w >= k at which ``np.sum`` over a row whose entries
+    past the first k are zero groups those k entries as at width n >= k
+    (arrays of n and k).
+
+    numpy sums a row as 0.0 plus a pairwise sum: under 8 entries in order;
+    up to 128 entries in eight interleaved partial sums combined as a tree,
+    then the entries past the last multiple of 8 in order; above 128 as
+    the sum of two parts, the first the largest multiple of 8 not above
+    half.  Trailing zeros change no nonzero partial sum, and the leading
+    0.0 makes a zero result +0.0 at every width."""
+    n, k = np.asarray(n), np.asarray(k)
+    full = np.zeros(n.shape, dtype=bool)  # rows that need their whole n
+    while np.any((n > 128) & ~full):
+        half = n // 2 - (n // 2) % 8
+        split = (n > 128) & ~full
+        full |= split & (k > half)
+        n = np.where(split & (k <= half), half, n)
+    full |= (n < 8) | (k > n - n % 8)
+    return np.where(full, n, np.maximum(8, -(-k // 8) * 8))
+
+
+def _ragged_row_sums(lo, hi, row, counts, lengths, budget: int):
+    """``_row_sums(..., exact=True)`` of ragged rows: the lower bound of
+    the sum of ``lo`` and the upper bound of the sum of ``hi`` per row.
+
+    Terms come grouped by row, in summation order (``row`` nondecreasing),
+    and row r holds ``counts[r]`` of them.  Row r is summed as if padded
+    with zeros to ``lengths[r]`` entries, at the narrowest width that sums
+    alike (``_sum_width``), in passes of at most ``budget`` elements.
+    Empty rows sum to 0.0."""
+    rank = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
+    out_lo, out_hi = np.zeros(len(counts)), np.zeros(len(counts))
+    busy = np.flatnonzero(counts)
+    if not busy.size:
+        return out_lo, out_hi
+    widths = _sum_width(lengths[busy] - 1, counts[busy] - 1) + 1
+    local = np.zeros(len(counts), dtype=np.int64)
+    for w in sorted(set(widths.tolist())):
+        rows = busy[widths == w]
+        step = max(1, budget // (2 * w + 2))  # (2, rows, w) grids, (2, rows) sums
+        for s0 in range(0, len(rows), step):
+            chunk = rows[s0:s0 + step]
+            pick = np.zeros(len(counts), dtype=bool)
+            pick[chunk] = True
+            local[chunk] = np.arange(len(chunk))
+            mine = np.flatnonzero(pick[row])
+            g = np.zeros((2, len(chunk), w))
+            at = (local[row[mine]], rank[mine])
+            g[(0,) + at], g[(1,) + at] = lo[mine], hi[mine]
+            lower, upper = _row_sums(g, exact=True, n=lengths[chunk])
+            out_lo[chunk], out_hi[chunk] = lower[0], upper[1]
+    return out_lo, out_hi
 
 
 def iv_dot(weights, lo, hi):

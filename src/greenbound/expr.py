@@ -380,8 +380,8 @@ class _TaylorWalk(_Walk):
 
     def const(self, node: Num) -> TaylorModel2:
         x = self.x
-        return TaylorModel2.constant(Interval(node.ilo, node.ihi), x.box,
-                                     (x.deg_k, x.deg_u), x.ranges)
+        return TaylorModel2.constant(Interval(node.ilo, node.ihi), x.boxes,
+                                     (x.deg_k, x.deg_u))
 
     def power(self, base: TaylorModel2, n: int) -> TaylorModel2:
         return base.pow_int(n)

@@ -220,7 +220,10 @@ class Interval:
         p2 = self.lo * o.hi
         p3 = self.hi * o.lo
         p4 = self.hi * o.hi
-        return Interval(_next_down(min(p1, p2, p3, p4)), _next_up(max(p1, p2, p3, p4)))
+        lo = _next_down(min(p1, p2, p3, p4))
+        if (self.lo >= 0.0 and o.lo >= 0.0) or (self.hi <= 0.0 and o.hi <= 0.0):
+            lo = max(lo, 0.0)  # the factors prove the product nonnegative
+        return Interval(lo, _next_up(max(p1, p2, p3, p4)))
 
     __rmul__ = __mul__
 

@@ -8,8 +8,11 @@ zero at the ends) and a_int = 1/(s(1-s)), the solution of -u'' = f satisfies
                                   B(s) = int_s^1 (1-x) f(x) dx,
 
 which this module evaluates rigorously from one Taylor model of f per
-segment, shared by both integrands (piecewise sources split additionally
-at their breakpoints).
+segment, shared by both integrands.  Segments are the source's pieces
+(split at their breakpoints), halved until each segment's model is
+narrower than a small share of the boundary shift c the values are
+checked against; all models of a piece at one halving depth come from
+one batched Taylor-model evaluation.
 
 Certification.  Every grid function g the builder makes has equal end
 values sign * c with c >= 0 (sign +1 for super-, -1 for sub-solutions).
@@ -39,8 +42,8 @@ import numpy as np
 
 from .errors import CertificationError, DomainError
 from .expr import PiecewiseSource1D, SourceExpr
-from .interval import Box2, Interval, hull, mean_value_form, subdivide_min_max
-from .taylor import TaylorModel2
+from .interval import Interval, hull, mean_value_form, subdivide_min_max
+from .taylor import Boxes, TaylorModel2
 
 __all__ = [
     "Verdict",
@@ -58,6 +61,13 @@ __all__ = [
 ]
 
 _DEG = 12  # Taylor degree for per-segment source models
+
+# A smooth segment is halved while its model is wider than this share of
+# the boundary shift c, at most MAX_SPLIT_DEPTH times.  2 + sin(3x) keeps
+# one segment for c >= 1.0e-6 (its model is 6.3e-8 wide on [0, 1]);
+# exp(x) sin(3x) + 2 needs two at the c = 7.4e-4 of h = 2^-5.
+SPLIT_FRACTION = 1.0 / 16.0
+MAX_SPLIT_DEPTH = 6
 
 # Equal parts per source segment in sup |f|.  c and eps only need some
 # upper bound; 256 parts give the exact sup of constant and jump sources
@@ -89,6 +99,34 @@ def _source_segments(f: Source1D):
     return [(0.0, 1.0, f)]
 
 
+def _width(lo: float, hi: float) -> float:
+    """Upper end of the enclosure of the exact width hi - lo."""
+    return (Interval.point(hi) - Interval.point(lo)).hi
+
+
+def _segment_models(f: Source1D, c: float) -> list:
+    """(lo, hi, piece, coefficients) per segment, in order: each piece of
+    f on its own segment, halved while its model is wider than
+    SPLIT_FRACTION * c (c = 0 keeps one segment per piece)."""
+    out = []
+    for lo, hi, piece in _source_segments(f):
+        todo = [(lo, hi)]
+        for depth in range(MAX_SPLIT_DEPTH + 1):
+            widths = [_width(a, b) for a, b in todo]
+            models = _models_on(piece, [a for a, _b in todo], 1.0, widths)
+            split = []
+            for (a, b), w, coeffs in zip(todo, widths, models):
+                spread = sum((cf.hi - cf.lo) * w**j for j, cf in enumerate(coeffs))
+                if depth < MAX_SPLIT_DEPTH and c > 0.0 and spread > SPLIT_FRACTION * c:
+                    split += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
+                else:
+                    out.append((a, b, piece, coeffs))
+            if not split:
+                break
+            todo = split
+    return sorted(out, key=lambda seg: seg[0])
+
+
 def _polyval(coeffs: list, t: Interval) -> Interval:
     acc = Interval(0.0, 0.0)
     for c in reversed(coeffs):
@@ -96,15 +134,16 @@ def _polyval(coeffs: list, t: Interval) -> Interval:
     return acc
 
 
-def _model_on(expr: SourceExpr, const: float, slope: float, width: float) -> list:
-    """Coefficients c_0..c_DEG (intervals) of the Taylor model of
-    expr(const + slope * t) on t in [0, width]."""
-    box = Box2(Interval(0.0, width), Interval(0.0, 0.0))
-    x = TaylorModel2.affine(
-        box, (1, _DEG), const=Interval.point(const), coef_u=Interval.point(slope)
-    )
-    tm = expr.eval_tm(x)
-    return [tm.coefficient(0, j) for j in range(_DEG + 1)]
+def _models_on(expr: SourceExpr, consts: list, slope: float, widths: list) -> list:
+    """Per segment, the coefficients c_0..c_DEG (intervals) of the Taylor
+    model of expr(const + slope * t) on t in [0, width]: one batched
+    Taylor-model evaluation for all segments."""
+    consts, zeros = np.array(consts, dtype=float), np.zeros(len(consts))
+    boxes = Boxes(zeros, widths, zeros, zeros)
+    x = TaylorModel2.affine(boxes, (1, _DEG), const=(consts, consts), coef_u=(slope, slope))
+    lo, hi = expr.eval_tm(x).grids()
+    return [[Interval(a, b) for a, b in zip(lo[p, 0].tolist(), hi[p, 0].tolist())]
+            for p in range(len(consts))]
 
 
 def _weighted_antiderivative(coeffs_f: list, weight_const: Interval,
@@ -163,20 +202,19 @@ class _Cumulative:
 
 def _build_cumulatives(segments) -> tuple:
     """Evaluators of s -> int_0^s x f(x) dx and s -> int_0^s (1-x) f(x) dx,
-    both from one Taylor model of f per segment."""
+    both from the one Taylor model of f per segment."""
     one = Interval(1.0, 1.0)
     polys = ([], [])
     cums = ([Interval(0.0, 0.0)], [Interval(0.0, 0.0)])
-    for lo, hi, piece in segments:
+    for lo, hi, _piece, coeffs in segments:
         x0 = Interval.point(lo)
         w = Interval.point(hi) - x0  # encloses the exact width hi - lo
-        coeffs = _model_on(piece, lo, 1.0, w.hi)
         # with x = lo + t the weights are x = x0 + t and 1 - x = (1 - x0) - t
         for k, (wc, ws) in enumerate(((x0, one), (one - x0, -one))):
             anti = _weighted_antiderivative(coeffs, wc, ws)
             polys[k].append(anti)
             cums[k].append(cums[k][-1] + _polyval(anti, w))
-    bounds = (0.0,) + tuple(hi for _lo, hi, _piece in segments)
+    bounds = (0.0,) + tuple(seg[1] for seg in segments)
     return tuple(_Cumulative(bounds, tuple(p), tuple(c)) for p, c in zip(polys, cums))
 
 
@@ -186,20 +224,22 @@ def _build_reversed_tail(segments) -> tuple:
     Valid for tau in [0, w'] with w' covering the last source segment; used
     to evaluate B(s)/(1-s) exactly factored at the right boundary.
     """
-    lo, _hi, piece = segments[-1]
+    lo, _hi, piece, _coeffs = segments[-1]
     w = math.nextafter(1.0 - lo, math.inf)
-    coeffs = _model_on(piece, 1.0, -1.0, w)
+    (coeffs,) = _models_on(piece, [1.0], -1.0, [w])
     anti = _weighted_antiderivative(coeffs, Interval(0.0, 0.0), Interval(1.0, 1.0))
     return anti, w
 
 
 class GreenEvaluator:
     """Shared rigorous evaluator for u(s), u'(s) and the factored boundary
-    forms, built once per source term."""
+    forms, built once per source term.  ``c`` is the boundary shift its
+    values are checked against, which sets how finely smooth sources are
+    split (``_segment_models``)."""
 
-    def __init__(self, f: Source1D):
+    def __init__(self, f: Source1D, c: float = 0.0):
         self.source = f
-        segments = _source_segments(f)
+        segments = _segment_models(f, c)
         self._A, self._C = _build_cumulatives(segments)
         self._tail, self._tail_width = _build_reversed_tail(segments)
         self._first_seg_hi = segments[0][1]
@@ -376,7 +416,7 @@ def check_super(
     """Super-solution condition on the i-th subinterval, decided rigorously.
 
     The grid's end values must be one value c >= 0."""
-    return _check(ubar, evaluator or GreenEvaluator(f), i, +1.0)
+    return _check(ubar, evaluator or GreenEvaluator(f, float(ubar.values[0])), i, +1.0)
 
 
 def check_sub(
@@ -386,7 +426,7 @@ def check_sub(
     """Sub-solution condition on the i-th subinterval (mirror sign).
 
     The grid's end values must be one value -c <= 0."""
-    return _check(usub, evaluator or GreenEvaluator(f), i, -1.0)
+    return _check(usub, evaluator or GreenEvaluator(f, -float(usub.values[0])), i, -1.0)
 
 
 @dataclass(frozen=True)
@@ -442,7 +482,7 @@ def _build(f: Source1D, h: float, c: float, eps: Optional[float],
     n = _node_count(h)
     if c < 0.0:
         raise DomainError("boundary shift c must be nonnegative")
-    ev = GreenEvaluator(f)
+    ev = GreenEvaluator(f, c)
     if eps is None:
         eps = 0.25 * h * ev.sup_abs_source()
     if eps == 0.0 and ev.sup_abs_source() == 0.0:

@@ -24,6 +24,9 @@ integrals over the whole polygon for an arbitrary vertex point (inside or
 outside), which covers both the evaluation-point kernel and the smooth
 exterior-source kernels with one code path, ``_fans``: every fan of a call
 (all exterior sources of a domain, say) is one pass over endpoint arrays.
+The Taylor models of f on the fans' angular parts are batches
+(``taylor.TaylorModel2``): one tree walk of f per nonzero pattern of the
+parts' models of x and y, not one per part.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from . import expr as _expr
 from .errors import DomainError
 from .fundsol import NEG_INV_4PI, TestFunction2D
 from .geometry import Polygon, Triangle
-from .interval import PI, Box2, Interval, rational
-from .taylor import MAX_DEGREE, TaylorModel2
+from .interval import PI, Interval, rational
+from .taylor import MAX_DEGREE, Boxes, TaylorModel2
 
 __all__ = ["QuadConfig", "log_moment", "singular_triangle", "pair_f_phi",
            "source_kernel_terms", "integrate_source"]
@@ -122,20 +125,6 @@ _TWO_OVER = [rational(2, q + 1) for q in range(MAX_DEGREE + 1)]
 _W_LO, _W_HI = np.array([rational(2, (q + 2) ** 2) for q in range(MAX_DEGREE + 1)]).T
 
 
-def _powers(t, top: int) -> list:
-    """[None, t, t^2, ..., t^top] as ``Interval.pow_int`` forms each power:
-    t^e = t^(e - 2^h) * t^(2^h) for the top bit h of e, from the chain of
-    tight squares t^(2^h)."""
-    squares, out = [t], [None, t]
-    for e in range(2, top + 1):
-        h = e.bit_length() - 1
-        while len(squares) <= h:
-            squares.append(dr.iv_sqr(*squares[-1]))
-        rest = e - (1 << h)
-        out.append(squares[h] if rest == 0 else _mul(out[rest], squares[h]))
-    return out
-
-
 def _log_poly_moments(a, log_a, t, top: int) -> list:
     """A_q = int_0^t y^q log(a^2 + y^2) dy for q = 0..top (signed in t),
     over arrays of a > 0 (with log a) and t.
@@ -144,7 +133,7 @@ def _log_poly_moments(a, log_a, t, top: int) -> list:
     and by K_q = t^(q-1) / (q-1) - a^2 K_(q-2) above:
     A_q = t^(q+1) log(a^2 + t^2) / (q+1) - 2/(q+1) K_(q+2)."""
     a2 = dr.iv_sqr(*a)
-    tp = _powers(t, top + 1)
+    tp = dr._iv_powers(t, top + 1)
     log_r2 = dr._iv_libm(math.log, *_add(a2, dr.iv_sqr(*t)))
     ks = [_div(dr._iv_libm(math.atan, *_div(t, a)), a),
           _sub(_mul(log_r2, _point(0.5)), log_a)]
@@ -275,9 +264,11 @@ def _part_integrals(f: _expr.SourceExpr, cfg: QuadConfig, c, d, nx, ny, ex, ey, 
     of framed fans (arrays over the fans, c their (F, 2) centres): two
     lists over the parts, fan-major, with None where f's model is zero.
 
-    Each part gets its own (u, k) box and Taylor model of f; the parts
-    whose models share their nonzero (i, j) pattern then go through
-    ``_part_moments`` together, in chunks of about ``_CHUNK_TERMS`` terms."""
+    Each part gets its own (u, k) box and Taylor model of f, built in one
+    ``expr.eval_tm`` batch per nonzero pattern of the parts' models of x
+    and y; the parts whose models of f share their nonzero (i, j) pattern
+    then go through ``_part_moments`` together, in chunks of about
+    ``_CHUNK_TERMS`` terms."""
     # angular (k-range) cuts: exact because the frame is shared
     splits = cfg.fan_splits
     span = _sub(y2, y1)
@@ -286,26 +277,36 @@ def _part_integrals(f: _expr.SourceExpr, cfg: QuadConfig, c, d, nx, ny, ex, ey, 
     part_fan = np.repeat(np.arange(len(c)), splits)
     d_part = _take(d, part_fan)
     ka, kb = _div(ya, d_part), _div(yb, d_part)
-    klo, khi = np.minimum(ka[0], kb[0]).tolist(), np.maximum(ka[1], kb[1]).tolist()
-    dhi, cx, cy = d[1].tolist(), c[:, 0].tolist(), c[:, 1].tolist()
-    nx, ny, ex, ey = ([Interval(lo, hi) for lo, hi in zip(v[0].tolist(), v[1].tolist())]
-                      for v in (nx, ny, ex, ey))
+    klo, khi = np.minimum(ka[0], kb[0]), np.maximum(ka[1], kb[1])
+
+    # one batch of models per nonzero pattern of (x, y): x = cx + nx u + ex
+    # (k u), y = cy + ny u + ey (k u), on the parts' (u, k) boxes
+    boxes = Boxes(np.zeros(len(part_fan)), d[1][part_fan], klo, khi)
+    xy = [_point(c[part_fan, 0]), _take(nx, part_fan), _take(ex, part_fan),
+          _point(c[part_fan, 1]), _take(ny, part_fan), _take(ey, part_fan)]
+    pattern = sum(((lo != 0.0) | (hi != 0.0)) << q for q, (lo, hi) in enumerate(xy))
+    models = []
+    for key in sorted(set(pattern.tolist())):
+        batch = np.flatnonzero(pattern == key)
+        ends = [_take(v, batch) for v in xy]
+        on = boxes.take(batch)
+        models.append((batch, _expr.eval_tm(f, TaylorModel2.affine(on, cfg.tm_degrees, *ends[:3]),
+                                            TaylorModel2.affine(on, cfg.tm_degrees, *ends[3:]))))
+    m, n = cfg.tm_degrees
+    flo, fhi = np.empty((2, len(part_fan), m + 1, n + 1))
+    for batch, tm in models:
+        flo[batch], fhi[batch] = tm.grids()
 
     groups = {}  # nonzero pattern -> (i, j, parts, coefficient rows)
-    for p, r in enumerate(part_fan.tolist()):
-        box = Box2(u=Interval(0.0, dhi[r]), k=Interval(klo[p], khi[p]))
-        # x = cx + nx u + ex (k u), y likewise; y shares x's monomial ranges
-        x_tm = TaylorModel2.affine(box, cfg.tm_degrees, Interval.point(cx[r]), nx[r], ex[r])
-        y_tm = TaylorModel2.affine(box, cfg.tm_degrees, Interval.point(cy[r]), ny[r], ey[r],
-                                   x_tm.ranges)
+    for p in range(len(part_fan)):
         # the (u, k u) substitution keeps i <= j + 1 in every product,
         # composition and truncation
-        i, j, clo, chi = _expr.eval_tm(f, x_tm, y_tm)._nonzero()
+        i, j = np.nonzero((flo[p] != 0.0) | (fhi[p] != 0.0))
         if i.size:
             group = groups.setdefault((i.tobytes(), j.tobytes()), (i, j, [], [], []))
             group[2].append(p)
-            group[3].append(clo)
-            group[4].append(chi)
+            group[3].append(flo[p, i, j])
+            group[4].append(fhi[p, i, j])
 
     part_log, part_plain = [None] * len(part_fan), [None] * len(part_fan)
     log_d = dr._iv_libm(math.log, *d) if want_log else None

@@ -1,7 +1,8 @@
-"""Bivariate power-series arithmetic with interval coefficients.
+"""Bivariate power-series arithmetic with interval coefficients, in batches.
 
-A :class:`TaylorModel2` encloses a function g(u, k) on a box by a polynomial
-sum_{i<=m, j<=n} [c_ij] k^i u^j whose coefficients are intervals.  All
+A :class:`TaylorModel2` is a batch of P models.  Member p encloses a
+function g_p(u, k) on its own box by a polynomial
+sum_{i<=m, j<=n} [c_pij] k^i u^j whose coefficients are intervals.  All
 operations preserve the enclosure property: products truncate above the
 declared degrees with the excess range-bounded over the box and folded into
 the constant coefficient, and elementary functions are applied by truncated
@@ -13,15 +14,27 @@ the physical coordinates affine in u and k*u.  Monomial ranges are therefore
 bounded in the coupled form (k*u)^i * u^(j-i) whenever j >= i, which stays
 bounded even when the k side of the box is huge (grazing triangles).
 
-Coefficients are (lo, hi) grids: a product is one outer interval product
-of the nonzero coefficients, every sum of terms one TwoSum-compensated row
-sum, and each box's monomial ranges one table shared by derived models.
+The batch axis comes first: coefficients are (lo, hi) grids of shape
+(P, a+1, b+1) for truncation degrees (m, n), a <= m and b <= n (past the
+highest degrees an operation can make nonzero every coefficient is 0 and
+is not stored), and the boxes are endpoint arrays of length P
+(:class:`Boxes`, which also holds the powers that bound their monomial
+ranges).  Every operation is a few array passes over the batch, each over
+at most ``_BATCH_ELEMS`` elements.  Each member's result equals, bit for
+bit, the same model built alone (a batch of one): a member keeps its own
+nonzero coefficients, and a product sums that member's terms per
+coefficient, in the same order, by one TwoSum-compensated row sum per
+coefficient.  The truncated terms, each bounded by its monomial range,
+form a row of their own, folded into the constant coefficient.  Every row
+of a member's product is summed with the a-priori error factor of that
+product's longest row, the row length the member has alone, and at a
+width at which numpy groups its rounding errors as at that length.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,7 +43,7 @@ from . import _directed as dr
 from .errors import DomainError, UnsupportedError
 from .interval import Box2, Interval, rational
 
-__all__ = ["TaylorModel2", "tm_from_expr", "tm_compose_elem"]
+__all__ = ["TaylorModel2", "Boxes", "tm_from_expr", "tm_compose_elem"]
 
 _DEFAULT_DEGREES = (8, 8)
 
@@ -43,139 +56,243 @@ MAX_DEGREE = 32
 _SQRT_RATIOS = [None] + [Interval(*rational(3 - 2 * p, 2 * p))
                          for p in range(1, MAX_DEGREE + 1)]
 
+# Elements per array pass over a batch.  Longer passes save numpy calls,
+# but every live temporary of a pass raises the heap's high-water mark.
+_BATCH_ELEMS = 1 << 12
 
-def _zero_grids(m: int, n: int):
-    return np.zeros((m + 1, n + 1)), np.zeros((m + 1, n + 1))
-
-
-def _powers(x: Interval, top: int):
-    ps = [x.pow_int(e) for e in range(top + 1)]
-    return np.array([p.lo for p in ps]), np.array([p.hi for p in ps])
+_ONE = (1.0, 1.0)
 
 
-def _monomial_table(box: Box2, mi: int, nj: int):
-    """Ranges of k^i u^j over the box for i <= mi, j <= nj: the coupled form
-    (k u)^i u^(j-i), or (k u)^j k^(i-j), intersected with k^i u^j.  Powers
-    are scalar ``pow_int`` values and products follow ``Interval.__mul__``,
-    so each entry equals the scalar bound bit for bit."""
-    (klo, khi), (ulo, uhi) = _powers(box.k, mi), _powers(box.u, nj)
-    wlo, whi = _powers(box.k * box.u, min(mi, nj))
-    i, j = np.arange(mi + 1)[:, None], np.arange(nj + 1)[None, :]
-    w, eu, ek = np.minimum(i, j), np.clip(j - i, 0, nj), np.clip(i - j, 0, mi)
-    up = j >= i
-    clo, chi = dr._iv_mul_exact01(wlo[w], whi[w], np.where(up, ulo[eu], klo[ek]),
-                                  np.where(up, uhi[eu], khi[ek]))
-    dlo, dhi = dr._iv_mul_exact01(klo[i], khi[i], ulo[j], uhi[j])
-    lo, hi = np.maximum(clo, dlo), np.minimum(chi, dhi)
-    if np.any(lo > hi):
-        raise DomainError("disjoint monomial enclosures: rigor violated upstream")
-    return lo, hi
+def _ends(c):
+    """(lo, hi) of an Interval, or the (lo, hi) pair of arrays itself."""
+    return (c.lo, c.hi) if isinstance(c, Interval) else c
 
 
-def _cell_sums(cell: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int):
-    """Rigorous sums of the terms [lo_t, hi_t] per cell index < size: one
-    zero-padded row per cell and endpoint, all through one compensated
-    row sum."""
-    counts = np.bincount(cell, minlength=size)
-    order = np.argsort(cell, kind="stable")
-    cell = cell[order]
-    pos = np.arange(cell.size) - (np.cumsum(counts) - counts)[cell]
-    g = np.zeros((2, size, max(int(counts.max()), 1)))
-    g[0, cell, pos], g[1, cell, pos] = lo[order], hi[order]
-    lower, upper = dr._row_sums(g, exact=True)
-    return lower[0], upper[1]
+def _stacked(ivs: list):
+    """(P, len(ivs)) endpoint arrays of a list of (lo, hi) arrays over P."""
+    return np.stack([v[0] for v in ivs], axis=1), np.stack([v[1] for v in ivs], axis=1)
+
+
+class Boxes:
+    """The (u, k) boxes of a batch of models as endpoint arrays, one entry
+    per member, with the powers of k, u and k u that bound their monomial
+    ranges, built on first use and shared by every model on these boxes."""
+
+    __slots__ = ("ulo", "uhi", "klo", "khi", "_powers")
+
+    def __init__(self, ulo, uhi, klo, khi):
+        self.ulo, self.uhi, self.klo, self.khi = (
+            np.asarray(v, dtype=float).reshape(-1) for v in (ulo, uhi, klo, khi))
+        ends = np.concatenate((self.ulo, self.uhi, self.klo, self.khi))
+        if not (np.all(np.isfinite(ends)) and np.all(self.ulo <= self.uhi)
+                and np.all(self.klo <= self.khi)):
+            raise DomainError("every box needs finite endpoints lo <= hi")
+        self._powers = {}
+
+    @staticmethod
+    def of(box: Box2) -> "Boxes":
+        return Boxes(box.u.lo, box.u.hi, box.k.lo, box.k.hi)
+
+    def __len__(self) -> int:
+        return len(self.ulo)
+
+    def box(self, p: int) -> Box2:
+        return Box2(Interval(float(self.ulo[p]), float(self.uhi[p])),
+                    Interval(float(self.klo[p]), float(self.khi[p])))
+
+    def take(self, idx) -> "Boxes":
+        return Boxes(self.ulo[idx], self.uhi[idx], self.klo[idx], self.khi[idx])
+
+    def matches(self, other: "Boxes") -> bool:
+        return self is other or all(
+            np.array_equal(a, b) for a, b in zip((self.ulo, self.uhi, self.klo, self.khi),
+                                                  (other.ulo, other.uhi, other.klo, other.khi)))
+
+    def _power_table(self, var: str, top: int):
+        """(P, at least top + 1) endpoint arrays of the powers 0, 1, ... of
+        var ('k', 'u' or 'ku'), as ``Interval.pow_int`` forms them."""
+        have = self._powers.get(var)
+        if have is None or have[0].shape[1] <= top:
+            k, u = (self.klo, self.khi), (self.ulo, self.uhi)
+            base = k if var == "k" else u if var == "u" else dr._iv_mul_exact01(*k, *u)
+            have = self._powers[var] = _stacked(dr._iv_powers(base, top))
+        return have
+
+    def ranges(self, at, i, j):
+        """Ranges of k^i u^j over the boxes of members ``at`` (a slice), for
+        index arrays i, j: the coupled form (k u)^i u^(j-i), or
+        (k u)^j k^(i-j), intersected with k^i u^j.  Powers follow
+        ``Interval.pow_int`` and products ``Interval.__mul__``, so each
+        entry equals the scalar bound bit for bit."""
+        w = np.minimum(i, j)
+        up, eu, ek = j >= i, np.maximum(j - i, 0), np.maximum(i - j, 0)
+        klo, khi = (a[at] for a in self._power_table("k", int(i.max(initial=0))))
+        ulo, uhi = (a[at] for a in self._power_table("u", int(j.max(initial=0))))
+        wlo, whi = (a[at] for a in self._power_table("ku", int(w.max(initial=0))))
+        clo, chi = dr._iv_mul_exact01(wlo[:, w], whi[:, w], np.where(up, ulo[:, eu], klo[:, ek]),
+                                      np.where(up, uhi[:, eu], khi[:, ek]))
+        dlo, dhi = dr._iv_mul_exact01(klo[:, i], khi[:, i], ulo[:, j], uhi[:, j])
+        lo, hi = np.maximum(clo, dlo), np.minimum(chi, dhi)
+        if np.any(lo > hi):
+            raise DomainError("disjoint monomial enclosures: rigor violated upstream")
+        return lo, hi
+
+
+def _as_boxes(box) -> Boxes:
+    return box if isinstance(box, Boxes) else Boxes.of(box)
+
+
+def _cell_sums(act, cell, plo, phi, cells: int):
+    """Rigorous sums of each member's active terms (``act``, (P, T)) per
+    cell: terms [plo, phi] (P, T) sorted by ``cell`` (T,) < ``cells``.
+
+    Each row gets the a-priori factor of its member's longest row, so a
+    member's sums do not depend on the other members of the batch."""
+    p, t = np.nonzero(act)
+    row = p * cells + cell[t]
+    counts = np.bincount(row, minlength=len(act) * cells)
+    longest = np.maximum(counts.reshape(-1, cells).max(axis=1), 1)
+    lo, hi = dr._ragged_row_sums(plo[p, t], phi[p, t], row, counts,
+                                 np.repeat(longest, cells), _BATCH_ELEMS)
+    return lo.reshape(-1, cells), hi.reshape(-1, cells)
 
 
 @dataclass(slots=True, eq=False)
 class TaylorModel2:
-    """Interval-coefficient polynomial enclosure over a (u, k) box.
+    """A batch of interval-coefficient polynomial enclosures, one per (u, k)
+    box of ``boxes``.
 
-    ``clo[i, j]``/``chi[i, j]`` bound the coefficient of k^i u^j; the model
-    asserts g(u, k) in sum [c_ij] k^i u^j for every (u, k) in ``box``.
-    ``ranges`` holds the monomial-range tables by (box, m, n) and is passed
-    on to every derived model.  Instances are treated as immutable values.
+    ``clo[p, i, j]``/``chi[p, i, j]`` bound the coefficient of k^i u^j of
+    member p; the batch asserts g_p(u, k) in sum [c_pij] k^i u^j for every
+    (u, k) in box p.  ``degrees`` (m, n) are the truncation degrees; the
+    grids stop at the highest (i, j) an operation can make nonzero, and
+    every coefficient past them is 0 (default: the grids' own extents).
+    Instances are treated as immutable values.  A single model is a batch
+    of one; the scalar queries (``box``, ``coefficient``,
+    ``nonzero_terms``, ``eval``) need one, and ``member`` takes one out of
+    a batch.
     """
 
     clo: np.ndarray
     chi: np.ndarray
-    box: Box2
-    ranges: dict = field(default_factory=dict)
+    boxes: Boxes
+    degrees: Optional[tuple] = None
+
+    def __post_init__(self):
+        if self.degrees is None:
+            self.degrees = (self.clo.shape[1] - 1, self.clo.shape[2] - 1)
 
     @property
     def deg_k(self) -> int:
-        return self.clo.shape[0] - 1
+        return self.degrees[0]
 
     @property
     def deg_u(self) -> int:
-        return self.clo.shape[1] - 1
+        return self.degrees[1]
 
-    def _like(self, clo, chi) -> "TaylorModel2":
-        return TaylorModel2(clo, chi, self.box, self.ranges)
+    def __len__(self) -> int:
+        return self.clo.shape[0]
 
-    def _table(self, m: int, n: int):
-        """Monomial ranges of the box up to the degrees of a product of two
-        degree-(m, n) models, built on first use."""
-        key = (self.box, m, n)
-        if key not in self.ranges:
-            self.ranges[key] = _monomial_table(self.box, 2 * m, 2 * n)
-        return self.ranges[key]
+    def _like(self, clo, chi, degrees=None) -> "TaylorModel2":
+        return TaylorModel2(clo, chi, self.boxes, degrees or self.degrees)
+
+    def member(self, p: int) -> "TaylorModel2":
+        return TaylorModel2(self.clo[p:p + 1], self.chi[p:p + 1], self.boxes.take([p]),
+                            self.degrees)
+
+    def grids(self):
+        """(lo, hi) coefficient grids of shape (P, m+1, n+1)."""
+        (m, n), (a, b) = self.degrees, self.clo.shape[1:]
+        lo, hi = np.zeros((2, len(self), m + 1, n + 1))
+        lo[:, :a, :b], hi[:, :a, :b] = self.clo, self.chi
+        return lo, hi
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def constant(c: Interval, box: Box2, degrees=_DEFAULT_DEGREES,
-                 ranges: Optional[dict] = None) -> "TaylorModel2":
-        m, n = degrees
-        clo, chi = _zero_grids(m, n)
-        clo[0, 0], chi[0, 0] = c.lo, c.hi
-        return TaylorModel2(clo, chi, box, {} if ranges is None else ranges)
+    def constant(c, box, degrees=_DEFAULT_DEGREES) -> "TaylorModel2":
+        """The constant c (an Interval, or (lo, hi) arrays over the batch)
+        on ``box``: a Box2 (a batch of one) or :class:`Boxes`."""
+        boxes = _as_boxes(box)
+        clo, chi = np.zeros((2, len(boxes), 1, 1))
+        clo[:, 0, 0], chi[:, 0, 0] = _ends(c)
+        return TaylorModel2(clo, chi, boxes, tuple(degrees))
 
     @staticmethod
-    def affine(
-        box: Box2,
-        degrees=_DEFAULT_DEGREES,
-        const: Interval = Interval(0.0, 0.0),
-        coef_u: Interval = Interval(0.0, 0.0),
-        coef_ku: Interval = Interval(0.0, 0.0),
-        ranges: Optional[dict] = None,
-    ) -> "TaylorModel2":
-        """Model of const + coef_u * u + coef_ku * (k u)."""
+    def affine(box, degrees=_DEFAULT_DEGREES, const=Interval(0.0, 0.0),
+               coef_u=Interval(0.0, 0.0), coef_ku=Interval(0.0, 0.0)) -> "TaylorModel2":
+        """Model of const + coef_u * u + coef_ku * (k u); each coefficient
+        an Interval or (lo, hi) arrays over the batch."""
         m, n = degrees
         if m < 1 or n < 1:
             raise DomainError("affine models need degrees >= (1, 1)")
-        clo, chi = _zero_grids(m, n)
-        clo[0, 0], chi[0, 0] = const.lo, const.hi
-        clo[0, 1], chi[0, 1] = coef_u.lo, coef_u.hi
-        clo[1, 1], chi[1, 1] = coef_ku.lo, coef_ku.hi
-        return TaylorModel2(clo, chi, box, {} if ranges is None else ranges)
+        boxes = _as_boxes(box)
+        clo, chi = np.zeros((2, len(boxes), 2, 2))
+        for (i, j), c in (((0, 0), const), ((0, 1), coef_u), ((1, 1), coef_ku)):
+            clo[:, i, j], chi[:, i, j] = _ends(c)
+        return TaylorModel2(clo, chi, boxes, tuple(degrees))
 
     @staticmethod
-    def variable_u(box: Box2, degrees=_DEFAULT_DEGREES) -> "TaylorModel2":
+    def variable_u(box, degrees=_DEFAULT_DEGREES) -> "TaylorModel2":
         return TaylorModel2.affine(box, degrees, coef_u=Interval(1.0, 1.0))
 
     @staticmethod
-    def variable_ku(box: Box2, degrees=_DEFAULT_DEGREES, ranges=None) -> "TaylorModel2":
-        return TaylorModel2.affine(box, degrees, coef_ku=Interval(1.0, 1.0), ranges=ranges)
+    def variable_ku(box, degrees=_DEFAULT_DEGREES) -> "TaylorModel2":
+        return TaylorModel2.affine(box, degrees, coef_ku=Interval(1.0, 1.0))
 
     # -- queries ----------------------------------------------------------
 
-    def coefficient(self, i: int, j: int) -> Interval:
-        return Interval(float(self.clo[i, j]), float(self.chi[i, j]))
+    def _single(self) -> None:
+        if len(self) != 1:
+            raise DomainError(f"a query of one model on a batch of {len(self)}; take member(p)")
 
-    def _nonzero(self):
-        """Indices (i, j) and endpoints of the nonzero coefficients."""
-        i, j = np.nonzero((self.clo != 0.0) | (self.chi != 0.0))
-        return i, j, self.clo[i, j], self.chi[i, j]
+    @property
+    def box(self) -> Box2:
+        self._single()
+        return self.boxes.box(0)
+
+    def coefficient(self, i: int, j: int) -> Interval:
+        self._single()
+        if i >= self.clo.shape[1] or j >= self.clo.shape[2]:
+            return Interval(0.0, 0.0)
+        return Interval(float(self.clo[0, i, j]), float(self.chi[0, i, j]))
 
     def nonzero_terms(self):
-        for i, j, lo, hi in zip(*self._nonzero()):
-            yield int(i), int(j), Interval(float(lo), float(hi))
+        self._single()
+        for i, j in zip(*np.nonzero((self.clo[0] != 0.0) | (self.chi[0] != 0.0))):
+            yield int(i), int(j), self.coefficient(i, j)
 
-    def range_enclosure(self) -> Interval:
-        """Interval containing every value of the model over its box."""
-        i, j, lo, hi = self._nonzero()
-        rlo, rhi = self._table(self.deg_k, self.deg_u)
-        return Interval(*dr._iv_dot_exact01(lo, hi, rlo[i, j], rhi[i, j]))
+    def _support(self):
+        """(mask, lo, hi) flat over the coefficients, shape (P, K), and the
+        flat indices of the coefficients nonzero in some member, in
+        row-major order."""
+        lo, hi = self.clo.reshape(len(self), -1), self.chi.reshape(len(self), -1)
+        mask = (lo != 0.0) | (hi != 0.0)
+        return mask, lo, hi, np.flatnonzero(mask.any(axis=0))
+
+    def _ij(self, flat):
+        """(i, j) of flat coefficient indices."""
+        return np.divmod(flat, self.clo.shape[2])
+
+    def range_bounds(self):
+        """(lo, hi) arrays over the batch: per member, an interval containing
+        every value of the model over its box."""
+        mask, clo, chi, nz = self._support()
+        i, j = self._ij(nz)
+        lo, hi = np.empty(len(self)), np.empty(len(self))
+        step = max(1, _BATCH_ELEMS // max(len(i), 1))
+        for s0 in range(0, len(self), step):
+            at = slice(s0, s0 + step)
+            plo, phi = dr._iv_mul_exact01(clo[at][:, nz], chi[at][:, nz],
+                                          *self.boxes.ranges(at, i, j))
+            p, t = np.nonzero(mask[at][:, nz])
+            counts = np.bincount(p, minlength=len(plo))
+            lo[at], hi[at] = dr._ragged_row_sums(plo[p, t], phi[p, t], p, counts, counts,
+                                                 _BATCH_ELEMS)
+        bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)))
+        if bad.size:
+            raise DomainError(f"invalid range enclosure [{lo[bad[0]]}, {hi[bad[0]]}]")
+        return lo, hi
 
     def eval(self, u: Interval, k: Interval) -> Interval:
         """Natural evaluation at (sub)interval arguments inside the box."""
@@ -192,27 +309,32 @@ class TaylorModel2:
     # -- arithmetic -------------------------------------------------------
 
     def _check_compatible(self, other: "TaylorModel2") -> None:
-        if self.box != other.box:
-            raise DomainError("TaylorModel2 operands must share a validity box")
+        if not self.boxes.matches(other.boxes):
+            raise DomainError("TaylorModel2 operands must share their validity boxes")
 
-    def _padded_to(self, m: int, n: int):
-        clo, chi = _zero_grids(m, n)
-        clo[: self.deg_k + 1, : self.deg_u + 1] = self.clo
-        chi[: self.deg_k + 1, : self.deg_u + 1] = self.chi
+    def _padded_to(self, shape):
+        clo, chi = np.zeros((2, len(self)) + shape)
+        a, b = self.clo.shape[1:]
+        clo[:, :a, :b], chi[:, :a, :b] = self.clo, self.chi
         return clo, chi
+
+    def _shift(self, lo, hi) -> "TaylorModel2":
+        """The model plus [lo, hi] (floats, or arrays over the batch)."""
+        clo, chi = self.clo.copy(), self.chi.copy()
+        clo[:, 0, 0], chi[:, 0, 0] = dr.iv_add(clo[:, 0, 0], chi[:, 0, 0], lo, hi)
+        return self._like(clo, chi)
 
     def __add__(self, other) -> "TaylorModel2":
         if isinstance(other, Interval):
-            clo, chi = self.clo.copy(), self.chi.copy()
-            lo, hi = dr.iv_add(clo[0, 0], chi[0, 0], other.lo, other.hi)
-            clo[0, 0], chi[0, 0] = lo, hi
-            return self._like(clo, chi)
+            return self._shift(other.lo, other.hi)
         if isinstance(other, (int, float)):
             return self + Interval.point(float(other))
         self._check_compatible(other)
-        m = max(self.deg_k, other.deg_k)
-        n = max(self.deg_u, other.deg_u)
-        return self._like(*dr.iv_add(*self._padded_to(m, n), *other._padded_to(m, n)))
+        degrees = (max(self.deg_k, other.deg_k), max(self.deg_u, other.deg_u))
+        if self.clo.shape == other.clo.shape:
+            return self._like(*dr.iv_add(self.clo, self.chi, other.clo, other.chi), degrees)
+        shape = tuple(np.maximum(self.clo.shape[1:], other.clo.shape[1:]).tolist())
+        return self._like(*dr.iv_add(*self._padded_to(shape), *other._padded_to(shape)), degrees)
 
     __radd__ = __add__
 
@@ -231,10 +353,10 @@ class TaylorModel2:
         return self._like(*dr._iv_mul_exact01(self.clo, self.chi, c.lo, c.hi))
 
     def __mul__(self, other) -> "TaylorModel2":
-        """Product truncated at the larger degrees (m, n): one outer product
-        of the nonzero coefficients; products of degree <= (m, n) are summed
-        per coefficient, the rest bounded by their monomial ranges and
-        summed into the constant coefficient."""
+        """Product truncated at the larger degrees (m, n): per member, the
+        outer product of its nonzero coefficients; products of degree
+        <= (m, n) are summed per coefficient, the rest bounded by their
+        monomial ranges and summed into the constant coefficient."""
         if isinstance(other, Interval):
             return self.scale(other)
         if isinstance(other, (int, float)):
@@ -242,20 +364,36 @@ class TaylorModel2:
         self._check_compatible(other)
         m = max(self.deg_k, other.deg_k)
         n = max(self.deg_u, other.deg_u)
-        ia, ja, alo, ahi = self._nonzero()
-        ib, jb, blo, bhi = other._nonzero()
-        plo, phi = (t.ravel() for t in dr._iv_mul_exact01(alo[:, None], ahi[:, None], blo, bhi))
-        ti, tj = (ia[:, None] + ib).ravel(), (ja[:, None] + jb).ravel()
-        over, size = (ti > m) | (tj > n), (m + 1) * (n + 1)
-        if over.any():
-            rlo, rhi = self._table(m, n)
-            ri, rj = ti[over], tj[over]
-            plo[over], phi[over] = dr._iv_mul_exact01(plo[over], phi[over], rlo[ri, rj], rhi[ri, rj])
-        # cell `size` collects the truncated terms, bounded over the box
-        lo, hi = _cell_sums(np.where(over, size, ti * (n + 1) + tj), plo, phi, size + 1)
-        if lo[size] != 0.0 or hi[size] != 0.0:
-            lo[0], hi[0] = dr.iv_add(lo[0], hi[0], lo[size], hi[size])
-        return self._like(lo[:size].reshape(m + 1, n + 1), hi[:size].reshape(m + 1, n + 1))
+        amask, alo, ahi, ua = self._support()
+        bmask, blo, bhi, ub = other._support()
+        # term t multiplies coefficient ta of a by tb of b; terms go by cell,
+        # in (a, b) order within a cell; cell `size` collects the truncated
+        # terms, bounded over the box
+        ta, tb = np.repeat(ua, len(ub)), np.tile(ub, len(ua))
+        (ai, aj), (bi, bj) = self._ij(ta), other._ij(tb)
+        ti, tj = ai + bi, aj + bj
+        over = (ti > m) | (tj > n)
+        gk, gu = int(ti[~over].max(initial=0)) + 1, int(tj[~over].max(initial=0)) + 1
+        size = gk * gu
+        cell = np.where(over, size, ti * gu + tj)
+        order = np.argsort(cell, kind="stable")
+        ta, tb, ti, tj, over, cell = (v[order] for v in (ta, tb, ti, tj, over, cell))
+        ri, rj = ti[over], tj[over]
+        lo, hi = np.empty((2, len(self), gk, gu))
+        step = max(1, _BATCH_ELEMS // max(len(cell), size + 1))
+        for s0 in range(0, len(self), step):
+            at = slice(s0, s0 + step)
+            plo, phi = dr._iv_mul_exact01(alo[at][:, ta], ahi[at][:, ta], blo[at][:, tb],
+                                          bhi[at][:, tb])
+            if ri.size:
+                plo[:, over], phi[:, over] = dr._iv_mul_exact01(
+                    plo[:, over], phi[:, over], *self.boxes.ranges(at, ri, rj))
+            slo, shi = _cell_sums(amask[at][:, ta] & bmask[at][:, tb], cell, plo, phi, size + 1)
+            fold = (slo[:, size] != 0.0) | (shi[:, size] != 0.0)
+            flo, fhi = dr.iv_add(slo[:, 0], shi[:, 0], slo[:, size], shi[:, size])
+            slo[:, 0], shi[:, 0] = np.where(fold, flo, slo[:, 0]), np.where(fold, fhi, shi[:, 0])
+            lo[at], hi[at] = slo[:, :size].reshape(-1, gk, gu), shi[:, :size].reshape(-1, gk, gu)
+        return self._like(lo, hi, (m, n))
 
     __rmul__ = __mul__
 
@@ -276,8 +414,7 @@ class TaylorModel2:
         if n < 0:
             return 1.0 / self.pow_int(-n)
         if n == 0:
-            return TaylorModel2.constant(Interval(1.0, 1.0), self.box,
-                                         (self.deg_k, self.deg_u), self.ranges)
+            return TaylorModel2.constant(Interval(1.0, 1.0), self.boxes, (self.deg_k, self.deg_u))
         result = None
         base = self
         while n > 0:
@@ -292,6 +429,43 @@ class TaylorModel2:
 # ---------------------------------------------------------------------------
 # Elementary composition via truncated Taylor series + Lagrange remainder
 # ---------------------------------------------------------------------------
+# Interval arithmetic over (lo, hi) arrays with the scalar Interval's
+# rounding, exact 0/1 and sign rules, so that each member's series equals
+# the scalar series bit for bit.
+
+
+def _sub(a, b):
+    return dr._iv_add_exact0(*a, -b[1], -b[0])
+
+
+def _mul(a, b):
+    return dr._iv_mul_exact01(*a, *b)
+
+
+def _div(a, b):
+    return dr.iv_div(*a, *b)
+
+
+def _neg(a):
+    return -a[1], -a[0]
+
+
+def _pow(a, e: int):
+    return dr._iv_powers(a, e)[e]
+
+
+def _libm(method: str, a):
+    """The Interval method ``method`` (an image through libm) per member."""
+    ivs = [getattr(Interval(lo, hi), method)() for lo, hi in zip(a[0].tolist(), a[1].tolist())]
+    return np.array([v.lo for v in ivs]), np.array([v.hi for v in ivs])
+
+
+def _mid(lo, hi):
+    """``Interval.mid`` per member (numpy's max and min return their second
+    argument on ties, Python's their first)."""
+    m = 0.5 * (lo + hi)
+    m = np.where(np.isfinite(m), m, 0.5 * lo + 0.5 * hi)
+    return np.minimum(hi, np.maximum(lo, m))
 
 
 def _factorial(p: int) -> Interval:
@@ -299,78 +473,90 @@ def _factorial(p: int) -> Interval:
     return Interval(*rational(math.factorial(p), 1))
 
 
-def _series_and_remainder(fn: str, t0: float, r: Interval, order: int):
-    """Taylor coefficients of fn about t0 and a remainder bound over r.
+def _fact(p: int):
+    return _ends(_factorial(p))
 
-    Returns (coeffs, remainder) with coeffs[p] enclosing fn^(p)(t0)/p! and
-    remainder an interval containing fn^(order+1)(xi)/(order+1)! * (t-t0)^(order+1)
-    for all t, xi in r.
+
+def _series_and_remainder(fn: str, t0, r, order: int):
+    """Taylor coefficients of fn about t0 and a remainder bound over r, per
+    member: t0 an array over the batch, r its (lo, hi) ranges.
+
+    Returns (coeffs, remainder): coeffs[p] (lo, hi) arrays enclosing
+    fn^(p)(t0)/p!, and the array of bounds of
+    |fn^(order+1)(xi)/(order+1)! * (t-t0)^(order+1)| for all t, xi in r.
     """
     if order > MAX_DEGREE:
         raise DomainError(f"series order {order} exceeds MAX_DEGREE = {MAX_DEGREE}")
-    t0_iv = Interval.point(t0)
-    dev = r - t0_iv
-    dev_mag = Interval(0.0, dev.mag())
+    t0_iv = (t0, t0)
+    dev = _sub(r, t0_iv)
+    dev_mag = (np.zeros_like(t0), np.maximum(np.abs(dev[1]), np.abs(dev[0])))
     p1 = order + 1
-    coeffs: list[Interval] = []
+
+    def at_first(bad, what):
+        if bad.any():
+            p = int(np.flatnonzero(bad)[0])
+            raise DomainError(f"{what}: {Interval(float(r[0][p]), float(r[1][p]))}")
+
     if fn == "exp":
-        base = t0_iv.exp()
-        for p in range(order + 1):
-            coeffs.append(base / _factorial(p))
-        rem_mag = (r.exp() * dev_mag.pow_int(p1) / _factorial(p1)).hi
+        base = _libm("exp", t0_iv)
+        coeffs = [_div(base, _fact(p)) for p in range(order + 1)]
+        rem = _div(_mul(_libm("exp", r), _pow(dev_mag, p1)), _fact(p1))[1]
     elif fn == "log":
-        if r.lo <= 0.0:
-            raise DomainError(f"log composition on range touching zero: {r}")
-        coeffs.append(t0_iv.log())
+        at_first(r[0] <= 0.0, "log composition on range touching zero")
+        powers = dr._iv_powers(t0_iv, order)
+        coeffs = [_libm("log", t0_iv)]
         for p in range(1, order + 1):
-            c = Interval(1.0, 1.0) / (t0_iv.pow_int(p) * float(p))
-            coeffs.append(c if p % 2 == 1 else -c)
-        rem_mag = ((dev_mag / Interval.point(r.lo)).pow_int(p1) / float(p1)).hi
+            c = _div(_ONE, _mul(powers[p], (float(p), float(p))))
+            coeffs.append(c if p % 2 == 1 else _neg(c))
+        rem = _div(_pow(_div(dev_mag, (r[0], r[0])), p1), (float(p1), float(p1)))[1]
     elif fn == "sqrt":
-        if r.lo <= 0.0:
-            raise DomainError(f"sqrt composition on range touching zero: {r}")
-        coeffs.append(t0_iv.sqrt())
+        at_first(r[0] <= 0.0, "sqrt composition on range touching zero")
+        coeffs = [dr._iv_sqrt(*t0_iv)]
         for p in range(1, order + 1):
             # binom(1/2, p) = binom(1/2, p - 1) (3 - 2p) / (2p)
-            c = coeffs[-1] * _SQRT_RATIOS[p]
-            coeffs.append(c / t0_iv)
+            c = _mul(coeffs[-1], _ends(_SQRT_RATIOS[p]))
+            coeffs.append(_div(c, t0_iv))
         # |f^(p1)(xi)| / p1! <= |prod (1/2 - q)| / p1! * xi^(1/2 - p1)
         fac = Interval(1.0, 1.0)
         for q in range(p1):
             fac = fac * abs(Interval.point(0.5 - q))
-        lo_iv = Interval.point(r.lo)
-        rem_mag = (fac / _factorial(p1) * lo_iv.sqrt() / lo_iv.pow_int(p1)
-                   * dev_mag.pow_int(p1)).hi
+        lo_iv = (r[0], r[0])
+        rem = _mul(_div(_mul(_ends(fac / _factorial(p1)), dr._iv_sqrt(*lo_iv)), _pow(lo_iv, p1)),
+                   _pow(dev_mag, p1))[1]
     elif fn in ("sin", "cos"):
-        s, c = t0_iv.sin(), t0_iv.cos()
-        cycle = [s, c, -s, -c] if fn == "sin" else [c, -s, -c, s]
-        for p in range(order + 1):
-            coeffs.append(cycle[p % 4] / _factorial(p))
-        rem_mag = (dev_mag.pow_int(p1) / _factorial(p1)).hi
+        s, c = dr._iv_trig_points(math.sin, t0), dr._iv_trig_points(math.cos, t0)
+        cycle = [s, c, _neg(s), _neg(c)] if fn == "sin" else [c, _neg(s), _neg(c), s]
+        coeffs = [_div(cycle[p % 4], _fact(p)) for p in range(order + 1)]
+        rem = _div(_pow(dev_mag, p1), _fact(p1))[1]
     elif fn == "recip":
-        if r.contains(0.0):
-            raise DomainError(f"reciprocal of model whose range contains zero: {r}")
+        at_first((r[0] <= 0.0) & (r[1] >= 0.0), "reciprocal of model whose range contains zero")
+        powers = dr._iv_powers(t0_iv, order + 1)
+        coeffs = []
         for p in range(order + 1):
-            c = Interval(1.0, 1.0) / t0_iv.pow_int(p + 1)
-            coeffs.append(c if p % 2 == 0 else -c)
-        near = min(abs(r.lo), abs(r.hi))
-        rem_mag = ((dev_mag / Interval.point(near)).pow_int(p1) / Interval.point(near)).hi
+            c = _div(_ONE, powers[p + 1])
+            coeffs.append(c if p % 2 == 0 else _neg(c))
+        near = np.minimum(np.abs(r[1]), np.abs(r[0]))
+        rem = _div(_pow(_div(dev_mag, (near, near)), p1), (near, near))[1]
     else:
         raise UnsupportedError(f"no Taylor-model composition for {fn!r}")
-    return coeffs, Interval(-rem_mag, rem_mag)
+    ends = np.concatenate([np.ravel(e) for c in coeffs for e in c] + [rem])
+    if not np.all(np.isfinite(ends)):
+        raise DomainError(f"unbounded enclosure in the {fn} series")
+    return coeffs, rem
 
 
 def _compose_series(model: TaylorModel2, fn: str) -> TaylorModel2:
-    r = model.range_enclosure()
-    t0 = r.mid()
+    r = model.range_bounds()
+    t0 = _mid(*r)
     order = max(model.deg_k, model.deg_u)
     coeffs, remainder = _series_and_remainder(fn, t0, r, order)
-    shifted = model - Interval.point(t0)
-    acc = TaylorModel2.constant(coeffs[order], model.box, (model.deg_k, model.deg_u),
-                                model.ranges)
+    shifted = model._shift(-t0, -t0)
+    acc = TaylorModel2.constant(coeffs[order], model.boxes, (model.deg_k, model.deg_u))
     for p in range(order - 1, -1, -1):
-        acc = acc * shifted + coeffs[p]
-    return acc + remainder
+        acc = acc * shifted
+        acc.clo[:, 0, 0], acc.chi[:, 0, 0] = dr.iv_add(  # acc is a new product: add in place
+            acc.clo[:, 0, 0], acc.chi[:, 0, 0], *coeffs[p])
+    return acc._shift(-remainder, remainder)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +564,14 @@ def _compose_series(model: TaylorModel2, fn: str) -> TaylorModel2:
 # ---------------------------------------------------------------------------
 
 
-def tm_from_expr(f, box: Box2, degrees=_DEFAULT_DEGREES) -> TaylorModel2:
-    """Model of (u, k) -> f(u, k*u) over the box (substitution x=u, y=k*u)."""
+def tm_from_expr(f, box, degrees=_DEFAULT_DEGREES) -> TaylorModel2:
+    """Model of (u, k) -> f(u, k*u) over the box (substitution x=u, y=k*u):
+    a Box2 (a batch of one) or :class:`Boxes`."""
     from . import expr as _expr
 
-    x = TaylorModel2.variable_u(box, degrees)
-    y = TaylorModel2.variable_ku(box, degrees, x.ranges)
+    boxes = _as_boxes(box)
+    x = TaylorModel2.variable_u(boxes, degrees)
+    y = TaylorModel2.variable_ku(boxes, degrees)
     return _expr.eval_tm(f, x, y)
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from greenbound import interval as iv
@@ -36,6 +37,33 @@ def interval_problem(**overrides):
     }
     base.update(overrides)
     return base
+
+
+CENTRED = [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
+UNIT = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+
+
+def _sine_coefficients(g: str, m):
+    """int_0^1 g(X) sin(m pi X) dX for g = 1, X, X^2, X - X^2 or (X - 1/2)^2."""
+    one = (1 - (-1.0) ** m) / (m * np.pi)
+    lin = -(-1.0) ** m / (m * np.pi)
+    quad = lin + 2 * ((-1.0) ** m - 1) / (m * np.pi) ** 3
+    return {"1": one, "X": lin, "X-X2": lin - quad, "x2": quad - lin + one / 4}[g]
+
+
+def sine_series(terms, X, Y, n=2000):
+    """u(X, Y) for -Laplace u = sum g(X) h(Y) on [0, 1]^2, u = 0 on the
+    boundary: sum_mn 4 g_m h_n sin(m pi X) sin(n pi Y) / (pi^2 (m^2 + n^2))
+    over m, n <= 2000 (the tail is below 1e-6, the widths are near 1e-4)."""
+    m = np.arange(1, n + 1, dtype=float)
+    total = 0.0
+    for g, h in terms:
+        gx = _sine_coefficients(g, m) * np.sin(m * np.pi * X)
+        hy = _sine_coefficients(h, m) * np.sin(m * np.pi * Y)
+        for r in range(0, n, 200):  # 200 x n blocks keep the arrays small
+            den = np.pi**2 * (m[r:r + 200, None] ** 2 + m[None, :] ** 2)
+            total += 4.0 * np.sum(gx[r:r + 200, None] * hy[None, :] / den)
+    return total
 
 
 class TestEnclose1D:
@@ -266,6 +294,26 @@ class TestEnclose2D:
 
     def test_missing_file(self):
         assert main(["enclose2d", "/nonexistent/problem.json"]) == 2
+
+    @pytest.mark.parametrize("vertices, source, terms", [
+        (CENTRED, "x*x", [("x2", "1")]),
+        (CENTRED, "x*x+y*y", [("x2", "1"), ("1", "x2")]),
+        (UNIT, "x*y", [("X", "X")]),
+        (UNIT, "x*(1-x)", [("X-X2", "1")]),
+    ], ids=["x*x", "x*x+y*y", "x*y", "x*(1-x)"])
+    def test_nonnegative_product_sources_need_no_split(self, tmp_path, vertices, source, terms):
+        """Products whose factors prove them nonnegative certify their sign
+        (exit 0), and each enclosure contains the double sine series."""
+        points = [[0.5, 0.5], [0.3, 0.6]] if vertices is UNIT else [[0.0, 0.0], [0.2, -0.1]]
+        path = write(tmp_path, "p.json", square_problem(
+            domain={"type": "polygon", "vertices": vertices}, source=source, points=points))
+        out = tmp_path / "r.csv"
+        assert main(["enclose2d", path, "--out", str(out)]) == 0
+        shift = 0.0 if vertices is UNIT else 0.5
+        for line, (x, y) in zip(out.read_text().strip().splitlines()[1:], points):
+            lo, hi = map(float, line.split(",")[2:4])
+            assert lo <= sine_series(terms, x + shift, y + shift) <= hi
+
 
 
 @pytest.mark.parametrize("command, problem", [

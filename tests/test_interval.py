@@ -380,3 +380,79 @@ def test_hull_intersect():
     assert intersect(a, b) == Interval(1, 2)
     with pytest.raises(DomainError):
         intersect(Interval(0, 1), Interval(2, 3))
+
+
+class TestSignedProducts:
+    """A product of two factors of one sign keeps a zero lower end exact."""
+
+    def test_nonnegative_and_nonpositive_factors(self):
+        assert (Interval(0, 1) * Interval(0, 1)).lo == 0.0
+        assert (Interval(-1, 0) * Interval(-2, 0)).lo == 0.0
+        assert (Interval(0.1, 0.3) * Interval(0.7, 0.9)).lo == math.nextafter(0.1 * 0.7, -math.inf)
+        assert (Interval(-1, 1) * Interval(0, 1)).lo < -1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 2.5, 1e-300, -7e150]),
+                    min_size=4, max_size=4))
+    def test_array_products_match_scalar(self, ends):
+        a, b = Interval(*sorted(ends[:2])), Interval(*sorted(ends[2:]))
+        want = a * b
+        lo, hi = dr._iv_mul_exact01(*(np.array([v]) for v in (a.lo, a.hi, b.lo, b.hi)))
+        assert (lo[0], hi[0]) == (want.lo, want.hi)
+        assert (math.copysign(1, lo[0]), math.copysign(1, hi[0])) == (
+            math.copysign(1, want.lo), math.copysign(1, want.hi))
+
+
+def _padded_row_sums(terms, length):
+    """Reference: each row of terms zero-padded to ``length`` entries and
+    summed by ``_row_sums`` (the layout of one product's cell grid)."""
+    grid = np.zeros((2, len(terms), length))
+    for r, row in enumerate(terms):
+        grid[:, r, :len(row)] = row
+    lower, upper = dr._row_sums(grid, exact=True)
+    return lower[0], upper[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 9, 40, 129, 300, 1100]))
+def test_ragged_row_sums_match_padded_rows(seed, length):
+    """Compact rows summed at ``_sum_width`` equal, bit for bit, the same
+    rows zero-padded to their full length, also where a row's sum cancels
+    and numpy's pairwise grouping of the rounding errors shows."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, length + 1, 12)
+    counts[rng.integers(12)] = length
+    terms = []
+    for k in counts.tolist():
+        row = rng.standard_normal(k) * 10.0 ** rng.integers(-20, 20, k)
+        if rng.random() < 0.3:
+            row = np.where(rng.random(k) < 0.7, -0.0, row)
+        elif k > 1 and rng.random() < 0.5:  # the running sum cancels: errors decide
+            row[-1] = -np.cumsum(row[:-1])[-1]
+        terms.append(row)
+    row_of = np.repeat(np.arange(12), counts)
+    flat = np.concatenate(terms) if terms else np.zeros(0)
+    got = dr._ragged_row_sums(flat, flat, row_of, counts, np.full(12, length), 64)
+    want = _padded_row_sums(terms, length)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def test_trig_of_points_match_scalar():
+    t = np.concatenate([np.linspace(-20.0, 20.0, 401), [0.0, -0.0, 1e15, -3e8],
+                        HALF_PI.lo * np.arange(-12, 13), PI.hi * np.arange(-12, 13)])
+    for fn, name in ((math.sin, "sin"), (math.cos, "cos")):
+        lo, hi = dr._iv_trig_points(fn, t)
+        for x, a, b in zip(t.tolist(), lo.tolist(), hi.tolist()):
+            want = getattr(Interval.point(x), name)()
+            assert (a, b) == (want.lo, want.hi), (name, x)
+
+
+def test_ragged_row_of_negative_zeros_takes_the_padding_sign():
+    """Nine -0.0 terms sum to -0.0 at their compact width 9, but padding to
+    12 entries adds +0.0: the padded sign is the one kept."""
+    terms = [np.full(9, -0.0), np.array([1.0])]
+    got = dr._ragged_row_sums(np.concatenate(terms), np.concatenate(terms),
+                              np.repeat([0, 1], [9, 1]), np.array([9, 1]), np.array([12, 12]), 64)
+    want = _padded_row_sums(terms, 12)
+    assert np.signbit(want[0][0]) == np.signbit(got[0][0]) == False  # noqa: E712

@@ -114,8 +114,27 @@ class TestSegmentModels:
         )
         GreenEvaluator(PiecewiseSource1D((0.3,), (parse("1"), parse("2"))))
         # fl(1 - 0.3) lies 2^-54 below the exact width of [0.3, 1]
-        assert Fraction(boxes[0].u.hi) >= Fraction(0.3)
-        assert Fraction(boxes[1].u.hi) >= 1 - Fraction(0.3)
+        assert Fraction(float(boxes[0].uhi[0])) >= Fraction(0.3)
+        assert Fraction(float(boxes[1].uhi[0])) >= 1 - Fraction(0.3)
+
+
+    @pytest.mark.parametrize("text, c, segments", [
+        ("2+sin(3*x)", 0.2 * 3.0 * 2.0**-18, 1),  # the benchmark's h = 2^-9
+        ("exp(x)*sin(3*x)+2", 7.4e-4, 2),
+        ("x*sin(3*x)+2", 5.1e-4, 2),
+        ("exp(x)*sin(3*x)+2", 0.0, 1),
+    ])
+    def test_smooth_segments_halved_below_a_share_of_c(self, monkeypatch, text, c, segments):
+        calls = []
+        real = expr_module.eval_tm
+        monkeypatch.setattr(expr_module, "eval_tm",
+                            lambda *args: calls.append(len(args[1])) or real(*args))
+        ev = GreenEvaluator(parse(text), c)
+        assert len(ev._A.polys) == segments
+        # one batched model per halving depth, plus the right-end tail
+        assert calls == [2**d for d in range(segments.bit_length())] + [1]
+        if c > 0.0:
+            assert ev.u(Interval.point(0.9)).width() < c / 8
 
 
 class TestOptimalConstants:
@@ -315,6 +334,25 @@ class TestBuild:
             for res in (build_super(f, h, c), build_sub(f, h, c))
         )
         assert got == digests
+
+    @pytest.mark.parametrize("text, exact_f", [
+        ("exp(x)*sin(3*x)+2", lambda x: mp.exp(x) * mp.sin(3 * x) + 2),
+        ("x*sin(3*x)+2", lambda x: x * mp.sin(3 * x) + 2),
+    ], ids=["exp-sin", "x-sin"])
+    def test_smooth_product_source_certifies_quickly(self, text, exact_f):
+        """The enclose1d defaults at h = 2^-5 certify, and the pair encloses
+        u(s) = (1-s) int_0^s x f + s int_s^1 (1-x) f by mpmath quadrature."""
+        f, h = parse(text), 2.0**-5
+        t0 = time.perf_counter()
+        supf = GreenEvaluator(f).sup_abs_source()
+        c, eps = 0.2 * supf * h * h, 0.25 * h * supf
+        up, lo = build_super(f, h, c, eps=eps), build_sub(f, h, c, eps=eps)
+        assert time.perf_counter() - t0 < 5.0
+        for i in range(0, len(up.grid.values), 4):
+            s = mp.mpf(i * h)
+            u = ((1 - s) * mp.quad(lambda x: x * exact_f(x), [0, s])
+                 + s * mp.quad(lambda x: (1 - x) * exact_f(x), [s, 1]))
+            assert lo.grid.values[i] <= u <= up.grid.values[i], (i, u)
 
     def test_iteration_cap_raises(self):
         with pytest.raises(CertificationError):

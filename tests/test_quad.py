@@ -314,6 +314,19 @@ class TestBatchedFans:
         assert len(terms) == 69
         assert _sha(terms) == digest
 
+    def test_models_of_f_batched_per_pattern(self, centered_square, monkeypatch):
+        """The 276 fan parts of the plan's sources take one batched
+        Taylor-model evaluation per nonzero pattern of their x and y
+        models: at most 4, where each part once took its own."""
+        calls = []
+        real = quad._expr.eval_tm
+        monkeypatch.setattr(quad._expr, "eval_tm",
+                            lambda *args: calls.append(len(args[1])) or real(*args))
+        source_kernel_terms(parse(TRIG), _plan_sources(centered_square, None), centered_square,
+                            QuadConfig(tm_degrees=(6, 6)))
+        assert len(calls) <= 4
+        assert sum(calls) == 69 * 4
+
     def test_interior_pairing_pinned(self, centered_square):
         """Both the log and the plain integral of the interior fan, with
         three angular parts per fan triangle."""

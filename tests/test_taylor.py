@@ -12,14 +12,20 @@ from greenbound import interval as iv
 from greenbound.errors import DomainError, UnsupportedError
 from greenbound.expr import parse
 from greenbound.interval import Box2, Interval, intersect
-from greenbound.taylor import (MAX_DEGREE, TaylorModel2, _factorial, _monomial_table,
-                              _series_and_remainder, tm_compose_elem, tm_from_expr)
+from greenbound.taylor import (MAX_DEGREE, Boxes, TaylorModel2, _factorial, _series_and_remainder,
+                              tm_compose_elem, tm_from_expr)
 
 from conftest import assert_contains
 
 
 def box(u_hi=0.5, k_lo=0.0, k_hi=1.0):
     return Box2(Interval(0.0, u_hi), Interval(k_lo, k_hi))
+
+
+def range_of(tm):
+    """The range bound of a batch of one, as an Interval."""
+    lo, hi = tm.range_bounds()
+    return Interval(float(lo[0]), float(hi[0]))
 
 
 def sample_ok(tm, fn, n=100, seed=0):
@@ -83,7 +89,7 @@ class TestCompose:
     def test_exp_of_zero(self):
         zero = TaylorModel2.constant(Interval(0, 0), box(), (4, 4))
         e = tm_compose_elem("exp", zero)
-        assert_contains(e.range_enclosure(), 1.0)
+        assert_contains(range_of(e), 1.0)
 
     def test_sin_of_u(self):
         tm = tm_compose_elem("sin", TaylorModel2.variable_u(box(1.0), (8, 8)))
@@ -111,12 +117,13 @@ class TestCompose:
     @pytest.mark.parametrize("t0", [0.3, 1.7, 4.0 + 1.0 / 3.0, 10.1])
     def test_sqrt_series_coefficients_exact(self, t0):
         """Every coefficient encloses binom(1/2, p) t0^(1/2 - p) exactly."""
-        coeffs, _ = _series_and_remainder("sqrt", t0, Interval(t0 * 0.9, t0 * 1.1), 12)
+        coeffs, _ = _series_and_remainder("sqrt", np.array([t0]),
+                                          (np.array([t0 * 0.9]), np.array([t0 * 1.1])), 12)
         with mp.workdps(60):
             t = mp.mpf(t0)
-            for p, c in enumerate(coeffs):
+            for p, (lo, hi) in enumerate(coeffs):
                 want = mp.binomial(mp.mpf(1) / 2, p) * t ** (mp.mpf(1) / 2 - p)
-                assert mp.mpf(c.lo) <= want <= mp.mpf(c.hi), (p, c, want)
+                assert mp.mpf(lo[0]) <= want <= mp.mpf(hi[0]), (p, lo, hi, want)
 
 
 _EXPRS = [
@@ -153,7 +160,7 @@ def test_degree_increase_keeps_enclosure_and_shrinks():
     for deg in (4, 6, 8):
         tm = tm_from_expr(f, b, (deg, deg))
         sample_ok(tm, lambda u, k: float(mp.sin(mp.mpf(u) * k * u) + mp.exp(mp.mpf(u))), n=40)
-        widths.append(tm.range_enclosure().width())
+        widths.append(range_of(tm).width())
     assert widths[2] <= widths[0] + 1e-12
 
 
@@ -183,7 +190,7 @@ def _point_model(rng, b, deg, top):
         for j in range(top[1] + 1):
             if rng.random() < 0.8:
                 clo[i, j] = rng.uniform(-2.0, 2.0)
-    return TaylorModel2(clo, clo.copy(), b)
+    return TaylorModel2(clo[None], clo[None].copy(), Boxes.of(b))
 
 
 def _convolution_violations(seed, b, top):
@@ -241,17 +248,17 @@ class TestArrayCore:
 
     def test_grazing_box_overflows_most_products(self):
         c = tm_from_expr(parse("exp(x - y) * (1 + x*y)"), GRAZING, (6, 6))
-        i, j = np.nonzero((c.clo != 0.0) | (c.chi != 0.0))
+        i, j = np.nonzero((c.clo[0] != 0.0) | (c.chi[0] != 0.0))
         over = (i[:, None] + i > 6) | (j[:, None] + j > 6)
         assert over.mean() > 0.5
 
     @pytest.mark.parametrize("b", [box(0.5, -1.0, 1.0), GRAZING,
                                    Box2(Interval(0.0, 0.25), Interval(0.0, 0.0))])
     def test_table_matches_scalar_ranges(self, b):
-        lo, hi = _monomial_table(b, 12, 12)
-        for i in range(13):
-            for j in range(13):
-                assert Interval(lo[i, j], hi[i, j]) == _monomial_range_ref(b, i, j)
+        i, j = (v.ravel() for v in np.indices((13, 13)))
+        lo, hi = Boxes.of(b).ranges(slice(None), i, j)
+        for t in range(13 * 13):
+            assert Interval(lo[0, t], hi[0, t]) == _monomial_range_ref(b, i[t], j[t])
 
     @pytest.mark.parametrize("text", _EXPRS)
     @pytest.mark.parametrize("b", [box(0.5, -1.0, 1.0), GRAZING])
@@ -260,7 +267,7 @@ class TestArrayCore:
         ref = Interval(0.0, 0.0)
         for i, j, c in tm.nonzero_terms():
             ref = ref + c * _monomial_range_ref(b, i, j)
-        got = tm.range_enclosure()
+        got = range_of(tm)
         assert got.width() <= ref.width()
         for u, k in [(b.u.lo, b.k.lo), (b.u.hi, b.k.hi), (b.u.hi / 3, b.k.lo / 7)]:
             assert_contains(got, parse(text).eval_point(u, k * u))
@@ -281,3 +288,151 @@ def test_factorial_encloses_exact_integer(p):
     assert Fraction(fac.lo) <= exact <= Fraction(fac.hi)
     assert (fac.lo == fac.hi) == (p <= 22)
     assert (float(exact) == exact) == (p <= 22)
+
+
+# ---------------------------------------------------------------------------
+# Batches: every member equals the same model built alone
+# ---------------------------------------------------------------------------
+
+
+def _random_batch(rng, size, degrees, grazing, zero_share, cancel=False):
+    """A batch of ``size`` models with mixed nonzero patterns: each
+    coefficient is 0.0, -0.0, a point or an interval.  With ``cancel`` the
+    values come from a few inexact decimals of both signs, so that terms
+    of a product cancel and their rounding errors decide the sums."""
+    m, n = degrees
+    kind = rng.choice(4, size=(size, m + 1, n + 1),
+                      p=[zero_share / 2] * 2 + [(1 - zero_share) / 2] * 2)
+    if cancel:
+        mid = rng.choice([0.1, -0.1, 0.3, -0.3, 1.0 / 3.0, -1.0 / 3.0, 0.7, -0.7], kind.shape)
+    else:
+        mid = rng.uniform(-2.0, 2.0, kind.shape) * 10.0 ** rng.integers(-3, 1, kind.shape)
+    rad = np.where(kind == 3, rng.uniform(0.0, 1e-3, kind.shape), 0.0)
+    clo = np.where(kind == 0, 0.0, np.where(kind == 1, -0.0, mid - rad))
+    chi = np.where(kind == 0, 0.0, np.where(kind == 1, -0.0, mid + rad))
+    if grazing:  # long thin fans: huge k, tiny u, some boxes on k = 0
+        uhi = rng.uniform(1e-4, 1e-3, size)
+        klo = np.where(rng.random(size) < 0.3, 0.0, -rng.uniform(1.0, 1e3, size))
+        khi = klo + rng.uniform(0.0, 2e3, size)
+    else:
+        uhi = rng.uniform(0.1, 1.0, size)
+        klo = rng.uniform(-2.0, 0.0, size)
+        khi = klo + rng.uniform(0.0, 2.0, size)
+    return TaylorModel2(clo, chi, Boxes(np.zeros(size), uhi, klo, khi), degrees)
+
+
+def _same_member(batch, p, alone):
+    """Member p of ``batch`` has the coefficients of the batch of one
+    ``alone``: equal endpoints, with equal signs on nonzero coefficients."""
+    (blo, bhi), (alo, ahi) = batch.grids(), alone.grids()
+    blo, bhi = blo[p], bhi[p]
+    nonzero = (alo[0] != 0.0) | (ahi[0] != 0.0)
+    return (np.array_equal(blo, alo[0]) and np.array_equal(bhi, ahi[0])
+            and np.array_equal(np.signbit(blo[nonzero]), np.signbit(alo[0][nonzero]))
+            and np.array_equal(np.signbit(bhi[nonzero]), np.signbit(ahi[0][nonzero])))
+
+
+def _memberwise(op, *batches):
+    """op on the batches and on each member alone agree member by member;
+    when the batch raises DomainError, some member alone raises too."""
+    try:
+        got = op(*batches)
+    except DomainError:
+        raised = 0
+        for p in range(len(batches[0])):
+            try:
+                op(*(b.member(p) for b in batches))
+            except DomainError:
+                raised += 1
+        assert raised
+        return
+    for p in range(len(batches[0])):
+        alone = op(*(b.member(p) for b in batches))
+        if isinstance(got, TaylorModel2):
+            assert _same_member(got, p, alone), p
+        else:
+            want = (alone[0][0], alone[1][0])
+            assert (got[0][p], got[1][p]) == want, p
+            assert np.signbit([got[0][p], got[1][p]]).tolist() == np.signbit(want).tolist(), p
+
+
+_BATCH_OPS = {
+    "mul": lambda a, b: a * b,
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "pow2": lambda a, b: a.pow_int(2),
+    "pow3": lambda a, b: a.pow_int(3),
+    "range": lambda a, b: a.range_bounds(),
+    "exp": lambda a, b: tm_compose_elem("exp", a),
+    "sin": lambda a, b: tm_compose_elem("sin", a),
+    "cos": lambda a, b: tm_compose_elem("cos", a * b),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(sorted(_BATCH_OPS)),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    st.booleans(),
+    st.sampled_from([0.0, 0.3, 0.7]),
+    st.booleans(),
+)
+def test_batch_members_equal_models_built_alone(op, seed, size, deg_a, deg_b, grazing, zeros,
+                                                cancel):
+    rng = np.random.default_rng(seed)
+    a = _random_batch(rng, size, deg_a, grazing, zeros, cancel)
+    b = _random_batch(rng, size, deg_b, grazing, zeros, cancel)
+    b = TaylorModel2(b.clo, b.chi, a.boxes, b.degrees)  # on a's boxes
+    _memberwise(_BATCH_OPS[op], a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["log", "sqrt", "recip"]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    st.booleans(),
+    st.sampled_from([0.0, 0.3, 0.7]),
+)
+def test_batch_compositions_on_positive_ranges(fn, seed, size, degrees, grazing, zeros):
+    """log, sqrt and 1/x of models shifted to positive ranges (the shift is
+    one float for the batch and for every member alone)."""
+    rng = np.random.default_rng(seed)
+    a = _random_batch(rng, size, degrees, grazing, zeros)
+    lo, hi = a.range_bounds()
+    shifted = a + (float(np.max(np.abs(np.concatenate((lo, hi))))) + 1.0)
+    op = (lambda x: 1.0 / x) if fn == "recip" else (lambda x: tm_compose_elem(fn, x))
+    _memberwise(op, shifted)
+
+
+def test_batch_of_one_queries():
+    a = tm_from_expr(parse("x*y + 1"), box(), (4, 4))
+    batch = TaylorModel2(np.concatenate([a.clo] * 2), np.concatenate([a.chi] * 2),
+                         Boxes(*(np.repeat(v, 2) for v in (a.boxes.ulo, a.boxes.uhi,
+                                                          a.boxes.klo, a.boxes.khi))),
+                         a.degrees)
+    assert batch.member(1).coefficient(1, 2) == a.coefficient(1, 2)
+    with pytest.raises(DomainError, match="batch of 2"):
+        batch.coefficient(1, 2)
+
+
+def test_batch_rows_keep_their_members_error_factor():
+    """The running sums of 0.1 + 0.2 - fl(0.1 + 0.2) cancel to 0, so the
+    a-priori bound of the rounding errors, which grows with the row length,
+    sets the bounds.  Member 0 keeps the factor of its own longest row
+    next to a denser member 1."""
+    b0 = box(0.5, -1.0, 1.0)
+    clo = np.zeros((2, 3, 3))
+    clo[0, 0, :] = [0.1, 0.2, -(0.1 + 0.2)]
+    clo[1] = np.arange(1.0, 10.0).reshape(3, 3) / 7.0
+    ones = np.ones((2, 1, 3))  # b = 1 + u + u^2: products by an exact 1
+    boxes = Boxes(*(np.full(2, v) for v in (b0.u.lo, b0.u.hi, b0.k.lo, b0.k.hi)))
+    a, b = TaylorModel2(clo, clo.copy(), boxes), TaylorModel2(ones, ones.copy(), boxes)
+    prod = a * b
+    assert prod.clo[0, 0, 2] < prod.chi[0, 0, 2] < 0.0  # the cancelling cell
+    for p in range(2):
+        assert _same_member(prod, p, a.member(p) * b.member(p))
