@@ -1,14 +1,23 @@
-"""Directed-rounding helpers on numpy arrays of interval endpoints.
+"""Interval arrays: (lo, hi) float64 ndarray pairs, rounded outward.
 
-Interval vectors/grids are represented as (lo, hi) float64 ndarray pairs.
-All operations nudge endpoints outward with ``np.nextafter``; transcendental
-functions get extra ulps because numpy's SIMD kernels are faithful rather
-than correctly rounded.  Reductions (``iv_dot``) carry the exact rounding
-error of every running sum (TwoSum), so they stay rigorous, nearly exactly
-rounded and vectorized over any leading axes.
+The one module that knows how an interval array is stored and rounded:
+endpoints are nudged outward with ``np.nextafter``, and sums carry their
+exact TwoSum error, so exact arithmetic stays exact and reductions
+(``iv_dot``, ``_row_sums``) stay rigorous over any leading axes.  Callers
+use one of two families:
 
-These helpers mirror the semantics of :mod:`greenbound.interval`; the test
-suite cross-checks the two paths against each other.
+* the plain ops ``iv_add``, ``iv_sub``, ``iv_mul``, ``iv_div``, ``iv_sqr``,
+  ``iv_log`` and ``iv_dot`` take the endpoints as separate arrays and
+  nudge every inexact result.  The boundary search (``mfs``, ``fundsol``)
+  uses them: its bounds need only be sound, and it wants the fewest numpy
+  passes;
+* the parity ops, private ``_iv_*`` names on (lo, hi) pairs, equal the
+  scalar :class:`~greenbound.interval.Interval` operation bit for bit
+  (exact-0 and exact-1 rules, sign rules, libm per element; ``iv_sqr`` is
+  ``Interval.sqr`` too).  The Taylor models and the fan frames and sums
+  (``taylor``, ``quad``) use them, so a member of a batch, or a fan of an
+  array pass, gets the bits it would get alone.  ``_ends``, ``_take``,
+  ``_join`` and ``_stack`` move pairs around.
 """
 
 from __future__ import annotations
@@ -113,42 +122,17 @@ def iv_mul(alo, ahi, blo, bhi):
     return next_down(lo), next_up(hi)
 
 
-def _iv_mul_exact01(alo, ahi, blo, bhi):
-    """``iv_mul``, except that a product by an exact point 0 or 1 is exact
-    and the lower end of a product of two factors of one sign is at least
-    0, as ``Interval.__mul__`` keeps them."""
-    lo, hi = iv_mul(alo, ahi, blo, bhi)
-    same_sign = ((alo >= 0.0) & (blo >= 0.0)) | ((ahi <= 0.0) & (bhi <= 0.0))
-    lo = np.where(same_sign, np.maximum(lo, 0.0), lo)
-    zero = ((alo == 0.0) & (ahi == 0.0)) | ((blo == 0.0) & (bhi == 0.0))
-    a1, b1 = (alo == 1.0) & (ahi == 1.0), (blo == 1.0) & (bhi == 1.0)
-    lo = np.where(zero, 0.0, np.where(b1, alo, np.where(a1, blo, lo)))
-    hi = np.where(zero, 0.0, np.where(b1, ahi, np.where(a1, bhi, hi)))
-    return lo, hi
-
-
-def _iv_add_exact0(alo, ahi, blo, bhi):
-    """``iv_add``, except that an exact point 0 operand returns the other
-    operand unchanged (zero signs included), as ``Interval.__add__`` does."""
-    lo, hi = iv_add(alo, ahi, blo, bhi)
-    az = (alo == 0.0) & (ahi == 0.0)
-    bz = (blo == 0.0) & (bhi == 0.0)
-    return (np.where(bz, alo, np.where(az, blo, lo)),
-            np.where(bz, ahi, np.where(az, bhi, hi)))
-
-
-def _iv_powers(t, top: int) -> list:
-    """[1, t, t^2, ..., t^top] as ``Interval.pow_int`` forms each power:
-    t^e = t^(e - 2^h) * t^(2^h) for the top bit h of e, from the chain of
-    tight squares t^(2^h)."""
-    squares, out = [t], [(np.ones_like(t[0]), np.ones_like(t[1])), t]
-    for e in range(2, top + 1):
-        h = e.bit_length() - 1
-        while len(squares) <= h:
-            squares.append(iv_sqr(*squares[-1]))
-        rest = e - (1 << h)
-        out.append(squares[h] if rest == 0 else _iv_mul_exact01(*out[rest], *squares[h]))
-    return out[:top + 1]
+def iv_div(alo, ahi, blo, bhi):
+    """Interval quotient; no divisor interval may contain zero."""
+    if np.any((blo <= 0.0) & (bhi >= 0.0)):
+        raise DomainError("division by interval array containing zero")
+    q1 = alo / blo
+    q2 = alo / bhi
+    q3 = ahi / blo
+    q4 = ahi / bhi
+    lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
+    hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
+    return next_down(lo), next_up(hi)
 
 
 def iv_sqr(lo, hi):
@@ -168,22 +152,88 @@ def iv_log(lo, hi):
     return _down_n(np.log(lo), _NP_LIBM_ULPS), _up_n(np.log(hi), _NP_LIBM_ULPS)
 
 
-def _iv_sqrt(lo, hi):
-    """``Interval.sqrt`` on arrays (IEEE sqrt is correctly rounded)."""
+# -- parity ops on (lo, hi) pairs ---------------------------------------------
+
+
+def _iv_add_exact0(a, b):
+    """``Interval.__add__``: an exact point 0 operand returns the other
+    operand unchanged (zero signs included)."""
+    (alo, ahi), (blo, bhi) = a, b
+    lo, hi = iv_add(alo, ahi, blo, bhi)
+    az = (alo == 0.0) & (ahi == 0.0)
+    bz = (blo == 0.0) & (bhi == 0.0)
+    return (np.where(bz, alo, np.where(az, blo, lo)),
+            np.where(bz, ahi, np.where(az, bhi, hi)))
+
+
+def _iv_neg(a):
+    return -a[1], -a[0]
+
+
+def _iv_sub_exact0(a, b):
+    """``Interval.__sub__``: a plus the negation of b."""
+    return _iv_add_exact0(a, _iv_neg(b))
+
+
+def _iv_mul_exact01(a, b):
+    """``Interval.__mul__``: a product by an exact point 0 or 1 is exact,
+    and the lower end of a product of two factors of one sign is at least
+    0."""
+    (alo, ahi), (blo, bhi) = a, b
+    lo, hi = iv_mul(alo, ahi, blo, bhi)
+    same_sign = ((alo >= 0.0) & (blo >= 0.0)) | ((ahi <= 0.0) & (bhi <= 0.0))
+    lo = np.where(same_sign, np.maximum(lo, 0.0), lo)
+    zero = ((alo == 0.0) & (ahi == 0.0)) | ((blo == 0.0) & (bhi == 0.0))
+    a1, b1 = (alo == 1.0) & (ahi == 1.0), (blo == 1.0) & (bhi == 1.0)
+    lo = np.where(zero, 0.0, np.where(b1, alo, np.where(a1, blo, lo)))
+    hi = np.where(zero, 0.0, np.where(b1, ahi, np.where(a1, bhi, hi)))
+    return lo, hi
+
+
+def _iv_div(a, b):
+    """``Interval.__truediv__``; no divisor interval may contain zero."""
+    return iv_div(*a, *b)
+
+
+def _iv_powers(t, top: int) -> list:
+    """[1, t, t^2, ..., t^top] as ``Interval.pow_int`` forms each power:
+    t^e = t^(e - 2^h) * t^(2^h) for the top bit h of e, from the chain of
+    tight squares t^(2^h)."""
+    squares, out = [t], [(np.ones_like(t[0]), np.ones_like(t[1])), t]
+    for e in range(2, top + 1):
+        h = e.bit_length() - 1
+        while len(squares) <= h:
+            squares.append(iv_sqr(*squares[-1]))
+        rest = e - (1 << h)
+        out.append(squares[h] if rest == 0 else _iv_mul_exact01(out[rest], squares[h]))
+    return out[:top + 1]
+
+
+def _iv_sqrt(a):
+    """``Interval.sqrt`` (IEEE sqrt is correctly rounded)."""
+    lo, hi = a
     if np.any(lo < 0.0):
         raise DomainError("sqrt of interval array with negative part")
     return np.maximum(0.0, next_down(np.sqrt(lo))), next_up(np.sqrt(hi))
 
 
-def _iv_libm(fn, lo, hi):
-    """Image of the increasing libm function ``fn`` (``math.log``,
-    ``math.atan``) per element of 1-D arrays, padded by ``Interval``'s libm
-    ulps, so that it equals the scalar ``Interval`` method bit for bit."""
+def _iv_libm(fn, a):
+    """``Interval.log``, ``.exp`` or ``.atan`` (``fn`` math.log, math.exp
+    or math.atan) per element of 1-D arrays, domain errors included."""
+    lo, hi = a
     if fn is math.log and np.any(lo <= 0.0):
         raise DomainError("log of interval array touching nonpositive reals")
     n = _iv._LIBM_ULPS
-    return (_down_n(np.array([fn(v) for v in lo.tolist()], dtype=float), n),
-            _up_n(np.array([fn(v) for v in hi.tolist()], dtype=float), n))
+    try:
+        out_lo = _down_n(np.array([fn(v) for v in lo.tolist()], dtype=float), n)
+        out_hi = _up_n(np.array([fn(v) for v in hi.tolist()], dtype=float), n)
+    except OverflowError:
+        raise DomainError("exp overflow on an interval array") from None
+    if fn is math.exp:
+        if np.any(np.isinf(out_hi)):
+            raise DomainError("exp overflow on an interval array")
+        out_lo = np.maximum(0.0, out_lo)
+    return out_lo, out_hi
 
 
 def _crit_points(t, base):
@@ -195,16 +245,16 @@ def _crit_points(t, base):
     hit = np.zeros(t.shape, dtype=bool)
     for d in range(int(np.max(k_hi - k_lo, initial=-1.0)) + 1):
         k = k_lo + d
-        clo, chi = _iv_add_exact0(base.lo, base.hi, *_iv_mul_exact01(two_pi.lo, two_pi.hi, k, k))
+        clo, chi = _iv_add_exact0(_ends(base), _iv_mul_exact01(_ends(two_pi), (k, k)))
         hit |= (k <= k_hi) & (chi >= t) & (clo <= t)
     return hit
 
 
 def _iv_trig_points(fn, t):
     """``Interval.point(t_i).sin()`` (``fn`` math.sin) or ``.cos()``
-    (math.cos) per element of the 1-D array t, bit for bit: the libm value
-    padded by ``Interval``'s libm ulps, widened to 1 or -1 where a maximum
-    or minimum of fn may sit at t_i."""
+    (math.cos) per element of the 1-D array t: the libm value padded by
+    ``Interval``'s libm ulps, widened to 1 or -1 where a maximum or minimum
+    of fn may sit at t_i."""
     max_at, min_at = (_iv.HALF_PI, -_iv.HALF_PI) if fn is math.sin else (_iv._ZERO, _iv.PI)
     n = _iv._LIBM_ULPS
     v = np.array([fn(x) for x in t.tolist()], dtype=float)
@@ -214,17 +264,26 @@ def _iv_trig_points(fn, t):
     return np.maximum(-1.0, lo), np.minimum(1.0, hi)
 
 
-def iv_div(alo, ahi, blo, bhi):
-    """Interval quotient; no divisor interval may contain zero."""
-    if np.any((blo <= 0.0) & (bhi >= 0.0)):
-        raise DomainError("division by interval array containing zero")
-    q1 = alo / blo
-    q2 = alo / bhi
-    q3 = ahi / blo
-    q4 = ahi / bhi
-    lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
-    hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
-    return next_down(lo), next_up(hi)
+def _ends(c):
+    """(lo, hi) of an Interval, or the (lo, hi) pair itself."""
+    return (c.lo, c.hi) if isinstance(c, _iv.Interval) else c
+
+
+def _take(a, idx):
+    return a[0][idx], a[1][idx]
+
+
+def _join(a, b):
+    return np.concatenate((a[0], b[0])), np.concatenate((a[1], b[1]))
+
+
+def _stack(pairs: list):
+    """The (lo, hi) arrays of a list of pairs, each over n entries, stacked
+    along a new axis 1."""
+    return np.stack([v[0] for v in pairs], axis=1), np.stack([v[1] for v in pairs], axis=1)
+
+
+# -- rigorous row sums ---------------------------------------------------------
 
 
 def _sum_error_factor(n: int) -> float:

@@ -437,11 +437,13 @@ class _ScalarEvaluator(BoxEvaluator):
 
 
 def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Interval.mid of every box, vectorized."""
+    """``Interval.mid`` of every [lo_i, hi_i], bit for bit: numpy's minimum
+    and maximum return their second argument on ties, Python's min and max
+    their first, so m comes second here (-0.0 on [-5e-324, 0.0])."""
     with np.errstate(over="ignore"):
         m = 0.5 * (lo + hi)
     m = np.where(np.isfinite(m), m, 0.5 * lo + 0.5 * hi)
-    return np.minimum(np.maximum(m, lo), hi)
+    return np.minimum(hi, np.maximum(lo, m))
 
 
 class _Search:

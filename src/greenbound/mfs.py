@@ -83,16 +83,12 @@ EXPANSION_DEGREE = 6
 EXPANSION_RHO = 0.5
 
 
-def _endpoints(intervals):
-    return np.array([c.lo for c in intervals]), np.array([c.hi for c in intervals])
-
-
 # (-1)^j / (2 pi j) and (-1)^j / (2 pi) for j = 1..p as (lo, hi) arrays: the
 # factors turning sum_k w_k a_kj / s_k^j into c_j and j c_j
-_VALUE_COEFS = _endpoints([INV_2PI * Interval(*rational((-1) ** j, j))
-                           for j in range(1, EXPANSION_DEGREE + 1)])
-_DERIV_COEFS = _endpoints([NEG_INV_2PI if j % 2 else INV_2PI
-                           for j in range(1, EXPANSION_DEGREE + 1)])
+_VALUE_COEFS = tuple(np.array([dr._ends(INV_2PI * Interval(*rational((-1) ** j, j)))
+                               for j in range(1, EXPANSION_DEGREE + 1)]).T)
+_DERIV_COEFS = tuple(np.array([dr._ends(NEG_INV_2PI if j % 2 else INV_2PI)
+                               for j in range(1, EXPANSION_DEGREE + 1)]).T)
 
 
 class EdgeKernel(BoxEvaluator):
@@ -222,16 +218,16 @@ class EdgeKernel(BoxEvaluator):
         for _ in range(p - 1):  # one (box, kernel) array at a time keeps the peak small
             prev, u = u, dr.iv_mul(*dr.iv_sub(*dr.iv_mul(*two_tau, *u), *prev), *inv_s)
             sums.append(dr.iv_dot(self.weights, *u))
-        sums = _stack(sums)  # (box, j) for j = 1..p
+        sums = dr._stack(sums)  # (box, j) for j = 1..p
         hp = [None, h]  # H^j, even powers by squaring
         for j in range(2, p + 1):
             hp.append(dr.iv_sqr(*hp[j // 2]) if j % 2 == 0 else dr.iv_mul(*hp[j - 1], *h))
         ones = np.ones(p)
         val_tail, der_tail = self._tails(r, s[0])
-        terms = dr.iv_mul(*dr.iv_mul(*sums, *_VALUE_COEFS), *_stack(hp[1:]))
+        terms = dr.iv_mul(*dr.iv_mul(*sums, *_VALUE_COEFS), *dr._stack(hp[1:]))
         val = dr.iv_add(*dr.iv_add(*c0, *dr.iv_dot(ones, *terms)), -val_tail, val_tail)
         d = dr.iv_mul(*sums, *_DERIV_COEFS)  # j c_j
-        terms = dr.iv_mul(d[0][:, 1:], d[1][:, 1:], *_stack(hp[1:p]))
+        terms = dr.iv_mul(d[0][:, 1:], d[1][:, 1:], *dr._stack(hp[1:p]))
         der = dr.iv_add(*dr.iv_dot(ones[1:], *terms), d[0][:, 0], d[1][:, 0])
         return val, dr.iv_add(*der, -der_tail, der_tail)
 
@@ -249,11 +245,6 @@ class EdgeKernel(BoxEvaluator):
         der = dr.next_up(dr.next_up(rho_p / root_s) / one_minus)
         absw = np.abs(self.weights)
         return tuple(dr.next_up(dr.iv_dot(absw, x, x)[1] * INV_2PI.hi) for x in (val, der))
-
-
-def _stack(pairs):
-    """(lo, hi) arrays of shape (n, ...) stacked along a new axis 1."""
-    return tuple(np.stack([x[i] for x in pairs], axis=1) for i in (0, 1))
 
 
 def _scaled_ints(values) -> tuple[list, int]:

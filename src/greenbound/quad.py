@@ -76,47 +76,6 @@ def log_moment(a: Interval, j: int) -> Interval:
     return a.pow_int(j + 2) * (a.log() * j2 - 1.0) / (j2 * j2)
 
 
-# ---------------------------------------------------------------------------
-# Interval arrays with the scalar Interval's rounding and exact 0/1 rules
-# ---------------------------------------------------------------------------
-# Each helper takes and returns (lo, hi) endpoint arrays.  Sums and products
-# keep Interval's exact-0 and exact-1 shortcuts, so a value does not depend
-# on which other fans share its array pass.
-
-
-def _add(a, b):
-    return dr._iv_add_exact0(*a, *b)
-
-
-def _sub(a, b):
-    return dr._iv_add_exact0(*a, -b[1], -b[0])
-
-
-def _mul(a, b):
-    return dr._iv_mul_exact01(*a, *b)
-
-
-def _div(a, b):
-    return dr.iv_div(*a, *b)
-
-
-def _take(a, idx):
-    return a[0][idx], a[1][idx]
-
-
-def _join(a, b):
-    return np.concatenate((a[0], b[0])), np.concatenate((a[1], b[1]))
-
-
-def _stack(ivs: list):
-    """(rows, len(ivs)) endpoint arrays of a list of interval arrays."""
-    return np.stack([v[0] for v in ivs], axis=1), np.stack([v[1] for v in ivs], axis=1)
-
-
-def _point(x: float):
-    return x, x
-
-
 _CHUNK_TERMS = 1024  # fan-part terms per array pass of the moments
 
 # 2 / (q + 1) and 2 / (q + 2)^2 for q = 0..MAX_DEGREE, each enclosed by
@@ -134,21 +93,23 @@ def _log_poly_moments(a, log_a, t, top: int) -> list:
     A_q = t^(q+1) log(a^2 + t^2) / (q+1) - 2/(q+1) K_(q+2)."""
     a2 = dr.iv_sqr(*a)
     tp = dr._iv_powers(t, top + 1)
-    log_r2 = dr._iv_libm(math.log, *_add(a2, dr.iv_sqr(*t)))
-    ks = [_div(dr._iv_libm(math.atan, *_div(t, a)), a),
-          _sub(_mul(log_r2, _point(0.5)), log_a)]
+    log_r2 = dr._iv_libm(math.log, dr._iv_add_exact0(a2, dr.iv_sqr(*t)))
+    ks = [dr._iv_div(dr._iv_libm(math.atan, dr._iv_div(t, a)), a),
+          dr._iv_sub_exact0(dr._iv_mul_exact01(log_r2, (0.5, 0.5)), log_a)]
     for q in range(2, top + 3):
-        ks.append(_sub(_div(tp[q - 1], _point(q - 1.0)), _mul(a2, ks[q - 2])))
-    return [_sub(_div(_mul(tp[q + 1], log_r2), _point(q + 1.0)), _mul(ks[q + 2], _TWO_OVER[q]))
-            for q in range(top + 1)]
+        ks.append(dr._iv_sub_exact0(dr._iv_div(tp[q - 1], (q - 1.0, q - 1.0)),
+                                    dr._iv_mul_exact01(a2, ks[q - 2])))
+    return [dr._iv_sub_exact0(
+        dr._iv_div(dr._iv_mul_exact01(tp[q + 1], log_r2), (q + 1.0, q + 1.0)),
+        dr._iv_mul_exact01(ks[q + 2], _TWO_OVER[q])) for q in range(top + 1)]
 
 
 def _edge_vectors(c, v1, v2):
     """Enclosures of w1 = v1 - c, w2 = v2 - c and w1 x w2 for (F, 2) point
     arrays."""
-    w1x, w1y = _sub(_point(v1[:, 0]), _point(c[:, 0])), _sub(_point(v1[:, 1]), _point(c[:, 1]))
-    w2x, w2y = _sub(_point(v2[:, 0]), _point(c[:, 0])), _sub(_point(v2[:, 1]), _point(c[:, 1]))
-    cross = _sub(_mul(w1x, w2y), _mul(w1y, w2x))
+    w1x, w1y, w2x, w2y = (dr._iv_sub_exact0((v[:, q], v[:, q]), (c[:, q], c[:, q]))
+                          for v in (v1, v2) for q in (0, 1))
+    cross = dr._iv_sub_exact0(dr._iv_mul_exact01(w1x, w2y), dr._iv_mul_exact01(w1y, w2x))
     return w1x, w1y, w2x, w2y, cross
 
 
@@ -159,11 +120,11 @@ def _frames(w1x, w1y, w2x, w2y):
     Returns d, the unit normal (nx, ny) and direction (ex, ey) of the edge
     line and the edge ends y1, y2 along it; d.lo <= 0 marks a fan too
     thin to frame."""
-    gx, gy = _sub(w2x, w1x), _sub(w2y, w1y)
-    glen = dr._iv_sqrt(*_add(dr.iv_sqr(*gx), dr.iv_sqr(*gy)))
-    ex, ey = _div(gx, glen), _div(gy, glen)
-    d1 = _sub(_mul(ey, w1x), _mul(ex, w1y))
-    d2 = _sub(_mul(ey, w2x), _mul(ex, w2y))
+    gx, gy = dr._iv_sub_exact0(w2x, w1x), dr._iv_sub_exact0(w2y, w1y)
+    glen = dr._iv_sqrt(dr._iv_add_exact0(dr.iv_sqr(*gx), dr.iv_sqr(*gy)))
+    ex, ey = dr._iv_div(gx, glen), dr._iv_div(gy, glen)
+    d1 = dr._iv_sub_exact0(dr._iv_mul_exact01(ey, w1x), dr._iv_mul_exact01(ex, w1y))
+    d2 = dr._iv_sub_exact0(dr._iv_mul_exact01(ey, w2x), dr._iv_mul_exact01(ex, w2y))
     d = np.maximum(d1[0], d2[0]), np.minimum(d1[1], d2[1])
     if np.any(d[0] > d[1]):
         raise DomainError("disjoint enclosures of a fan's edge distance: rigor violated upstream")
@@ -172,8 +133,8 @@ def _frames(w1x, w1y, w2x, w2y):
     d = np.where(flip, -d[1], d[0]), np.where(flip, -d[0], d[1])
     nx = np.where(flip, -ey[1], ey[0]), np.where(flip, -ey[0], ey[1])
     ny = np.where(flip, ex[0], -ex[1]), np.where(flip, ex[1], -ex[0])
-    y1 = _add(_mul(ex, w1x), _mul(ey, w1y))
-    y2 = _add(_mul(ex, w2x), _mul(ey, w2y))
+    y1 = dr._iv_add_exact0(dr._iv_mul_exact01(ex, w1x), dr._iv_mul_exact01(ey, w1y))
+    y2 = dr._iv_add_exact0(dr._iv_mul_exact01(ex, w2x), dr._iv_mul_exact01(ey, w2y))
     return d, nx, ny, ex, ey, y1, y2
 
 
@@ -214,8 +175,8 @@ def _sliver_bounds(f: _expr.SourceExpr, center, v1, v2, w1x, w1y, w2x, w2y, cros
 
 def _row_dot(clo, chi, term):
     """Float bounds of sum_t [c_t] [term_t] per row of (rows, T) arrays."""
-    lo, hi = dr._iv_mul_exact01(clo, chi, *term)
-    return dr._row_sums(lo, exact=True)[0].tolist(), dr._row_sums(hi, exact=True)[1].tolist()
+    lo, hi = dr._iv_mul_exact01((clo, chi), term)
+    return dr._row_sums(lo, exact=True)[0], dr._row_sums(hi, exact=True)[1]
 
 
 def _part_moments(i, j, clo, chi, d, log_d, ya, yb, want_log: bool, want_plain: bool):
@@ -231,24 +192,25 @@ def _part_moments(i, j, clo, chi, d, log_d, ya, yb, want_log: bool, want_plain: 
     at_i, at_q = (slice(None), i), (slice(None), j + 1 - i)
     dpow = [(np.ones_like(d[0]), np.ones_like(d[1]))]
     for _ in range(int((j + 1 - i).max())):
-        dpow.append(_mul(dpow[-1], d))
-    dq = _take(_stack(dpow), at_q)
+        dpow.append(dr._iv_mul_exact01(dpow[-1], d))
+    dq = dr._take(dr._stack(dpow), at_q)
     # ya and yb side by side: rows :n are the ya ends, n: the yb ends
     n = len(d[0])
     at_a, at_b = slice(None, n), slice(n, None)
-    y = _join(ya, yb)
+    y = dr._join(ya, yb)
     ypow = [y]
     for _ in range(top):
-        ypow.append(_mul(ypow[-1], y))
-    s_q = [_div(_sub(_take(p, at_b), _take(p, at_a)), _point(q + 1.0))
+        ypow.append(dr._iv_mul_exact01(ypow[-1], y))
+    s_q = [dr._iv_div(dr._iv_sub_exact0(dr._take(p, at_b), dr._take(p, at_a)), (q + 1.0, q + 1.0))
            for q, p in enumerate(ypow)]
-    base = dr.iv_mul(*_take(_stack(s_q), at_i), *dq)
+    base = dr.iv_mul(*dr._take(dr._stack(s_q), at_i), *dq)
     j2 = (j + 2).astype(float)
     plain = _row_dot(clo, chi, dr.iv_div(*base, j2, j2)) if want_plain else None
     if not want_log:
         return None, plain
-    mom = _log_poly_moments(_join(d, d), _join(log_d, log_d), y, top)
-    da_i = _take(_stack([_sub(_take(m, at_b), _take(m, at_a)) for m in mom]), at_i)
+    mom = _log_poly_moments(dr._join(d, d), dr._join(log_d, log_d), y, top)
+    da_i = dr._take(dr._stack([dr._iv_sub_exact0(dr._take(m, at_b), dr._take(m, at_a))
+                               for m in mom]), at_i)
     # base ((j+2) log d - 1) 2/(j+2)^2 + (dA_i d^q - 2 base log d)/(j+2)
     lg = (log_d[0][:, None], log_d[1][:, None])
     t = dr.iv_sub(*dr.iv_mul(*lg, j2, j2), 1.0, 1.0)
@@ -262,7 +224,8 @@ def _part_integrals(f: _expr.SourceExpr, cfg: QuadConfig, c, d, nx, ny, ex, ey, 
                     want_log: bool, want_plain: bool):
     """Unsigned integrals of f log|x - c|^2 and of f over the angular parts
     of framed fans (arrays over the fans, c their (F, 2) centres): two
-    lists over the parts, fan-major, with None where f's model is zero.
+    (lo, hi) arrays over the parts, fan-major, 0 where f's model is zero
+    (None where not wanted).
 
     Each part gets its own (u, k) box and Taylor model of f, built in one
     ``expr.eval_tm`` batch per nonzero pattern of the parts' models of x
@@ -271,24 +234,26 @@ def _part_integrals(f: _expr.SourceExpr, cfg: QuadConfig, c, d, nx, ny, ex, ey, 
     ``_CHUNK_TERMS`` terms."""
     # angular (k-range) cuts: exact because the frame is shared
     splits = cfg.fan_splits
-    span = _sub(y2, y1)
-    cuts = [y1] + [_add(y1, _mul(span, _point(q / splits))) for q in range(1, splits)] + [y2]
-    ya, yb = (tuple(e.ravel() for e in _stack(ends)) for ends in (cuts[:-1], cuts[1:]))
+    span = dr._iv_sub_exact0(y2, y1)
+    cuts = [y1] + [dr._iv_add_exact0(y1, dr._iv_mul_exact01(span, (q / splits, q / splits)))
+                   for q in range(1, splits)] + [y2]
+    ya, yb = (tuple(e.ravel() for e in dr._stack(ends)) for ends in (cuts[:-1], cuts[1:]))
     part_fan = np.repeat(np.arange(len(c)), splits)
-    d_part = _take(d, part_fan)
-    ka, kb = _div(ya, d_part), _div(yb, d_part)
+    d_part = dr._take(d, part_fan)
+    ka, kb = dr._iv_div(ya, d_part), dr._iv_div(yb, d_part)
     klo, khi = np.minimum(ka[0], kb[0]), np.maximum(ka[1], kb[1])
 
     # one batch of models per nonzero pattern of (x, y): x = cx + nx u + ex
     # (k u), y = cy + ny u + ey (k u), on the parts' (u, k) boxes
     boxes = Boxes(np.zeros(len(part_fan)), d[1][part_fan], klo, khi)
-    xy = [_point(c[part_fan, 0]), _take(nx, part_fan), _take(ex, part_fan),
-          _point(c[part_fan, 1]), _take(ny, part_fan), _take(ey, part_fan)]
+    cx, cy = c[part_fan, 0], c[part_fan, 1]
+    xy = [(cx, cx), dr._take(nx, part_fan), dr._take(ex, part_fan),
+          (cy, cy), dr._take(ny, part_fan), dr._take(ey, part_fan)]
     pattern = sum(((lo != 0.0) | (hi != 0.0)) << q for q, (lo, hi) in enumerate(xy))
     models = []
     for key in sorted(set(pattern.tolist())):
         batch = np.flatnonzero(pattern == key)
-        ends = [_take(v, batch) for v in xy]
+        ends = [dr._take(v, batch) for v in xy]
         on = boxes.take(batch)
         models.append((batch, _expr.eval_tm(f, TaylorModel2.affine(on, cfg.tm_degrees, *ends[:3]),
                                             TaylorModel2.affine(on, cfg.tm_degrees, *ends[3:]))))
@@ -308,8 +273,9 @@ def _part_integrals(f: _expr.SourceExpr, cfg: QuadConfig, c, d, nx, ny, ex, ey, 
             group[3].append(flo[p, i, j])
             group[4].append(fhi[p, i, j])
 
-    part_log, part_plain = [None] * len(part_fan), [None] * len(part_fan)
-    log_d = dr._iv_libm(math.log, *d) if want_log else None
+    part_log, part_plain = (np.zeros((2, len(part_fan))) if want else None
+                            for want in (want_log, want_plain))
+    log_d = dr._iv_libm(math.log, d) if want_log else None
     for i, j, parts, clo, chi in groups.values():
         if np.any(i > j + 1):
             raise DomainError("fan moments need coefficients with i <= j + 1")
@@ -319,15 +285,22 @@ def _part_integrals(f: _expr.SourceExpr, cfg: QuadConfig, c, d, nx, ny, ex, ey, 
             chunk = parts[s0:s0 + step]
             fans = part_fan[chunk]
             log, plain = _part_moments(
-                i, j, clo[s0:s0 + step], chi[s0:s0 + step], _take(d, fans),
-                _take(log_d, fans) if want_log else None,
-                _take(ya, chunk), _take(yb, chunk), want_log, want_plain)
-            for k, p in enumerate(chunk.tolist()):
-                if want_log:
-                    part_log[p] = Interval(log[0][k], log[1][k])
-                if want_plain:
-                    part_plain[p] = Interval(plain[0][k], plain[1][k])
+                i, j, clo[s0:s0 + step], chi[s0:s0 + step], dr._take(d, fans),
+                dr._take(log_d, fans) if want_log else None,
+                dr._take(ya, chunk), dr._take(yb, chunk), want_log, want_plain)
+            for out, ends in ((part_log, log), (part_plain, plain)):
+                if out is not None:
+                    out[0][chunk], out[1][chunk] = ends
     return part_log, part_plain
+
+
+def _sum_columns(lo, hi):
+    """Sums of the columns of (rows, cols) endpoint arrays, from 0 in
+    column order, as repeated ``Interval.__add__`` forms them."""
+    total = np.zeros(len(lo)), np.zeros(len(lo))
+    for q in range(lo.shape[1]):
+        total = dr._iv_add_exact0(total, (lo[:, q], hi[:, q]))
+    return total
 
 
 def _fans(f: _expr.SourceExpr, centers, edges, cfg: QuadConfig,
@@ -342,51 +315,42 @@ def _fans(f: _expr.SourceExpr, centers, edges, cfg: QuadConfig,
     so this serves interior points and exterior sources alike.
 
     All fans of the call are one array pass: the frames of every fan at
-    once, then ``_part_integrals``.  A fan without a certain orientation or
-    a frame gets ``_sliver_bounds``.
+    once, then ``_part_integrals``, and the sums over parts and over edges
+    on endpoint arrays.  A fan without a certain orientation or a frame
+    gets ``_sliver_bounds``.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     edges = np.asarray(edges, dtype=float).reshape(-1, 2, 2)
     n_e = len(edges)
     c = np.repeat(centers, n_e, axis=0)  # fan r: centre r // n_e, edge r % n_e
     v1, v2 = np.tile(edges[:, 0], (len(centers), 1)), np.tile(edges[:, 1], (len(centers), 1))
-    fan_log = [Interval(0.0, 0.0)] * len(c)
-    fan_plain = [Interval(0.0, 0.0)] * len(c)
 
     w = _edge_vectors(c, v1, v2)
     cross = w[4]
     reg = np.flatnonzero((cross[0] > 0.0) | (cross[1] < 0.0))
-    frame = _frames(*(_take(v, reg) for v in w[:4]))
+    frame = _frames(*(dr._take(v, reg) for v in w[:4]))
     framed = frame[0][0] > 0.0  # d.lo > 0
     reg = reg[framed]
-    sliver = np.ones(len(c), dtype=bool)
-    sliver[reg] = False
-    for r in np.flatnonzero(sliver).tolist():
-        wr = [Interval(float(v[0][r]), float(v[1][r])) for v in w]
-        fan_log[r], fan_plain[r] = _sliver_bounds(f, c[r], v1[r], v2[r], *wr)
+    slivers = {r: _sliver_bounds(f, c[r], v1[r], v2[r],
+                                 *(Interval(float(v[0][r]), float(v[1][r])) for v in w))
+               for r in sorted(set(range(len(c))).difference(reg.tolist()))}
 
-    part_log, part_plain = _part_integrals(
-        f, cfg, c[reg], *(_take(v, framed) for v in frame), want_log, want_plain)
-    splits = cfg.fan_splits
-    signs = np.where(cross[0][reg] > 0.0, 1.0, -1.0).tolist()
-    for r, (fan, sign) in enumerate(zip(reg.tolist(), signs)):
-        total_log = total_plain = Interval(0.0, 0.0)
-        for p in range(r * splits, (r + 1) * splits):
-            if part_log[p] is not None:
-                total_log = total_log + part_log[p]
-            if part_plain[p] is not None:
-                total_plain = total_plain + part_plain[p]
-        fan_log[fan], fan_plain[fan] = total_log * sign, total_plain * sign
-
-    logs, plains = [], []
-    for k in range(len(centers)):
-        total_log = total_plain = Interval(0.0, 0.0)
-        for fan in range(k * n_e, (k + 1) * n_e):
-            total_log = total_log + fan_log[fan]
-            total_plain = total_plain + fan_plain[fan]
-        logs.append(total_log)
-        plains.append(total_plain)
-    return logs, plains
+    parts = _part_integrals(f, cfg, c[reg], *(dr._take(v, framed) for v in frame),
+                            want_log, want_plain)
+    signs = np.where(cross[0][reg] > 0.0, 1.0, -1.0)
+    out = []
+    for q, part in enumerate(parts):
+        if part is None:
+            out.append([Interval(0.0, 0.0)] * len(centers))
+            continue
+        fan = np.zeros((2, len(c)))
+        total = _sum_columns(*(e.reshape(-1, cfg.fan_splits) for e in part))
+        fan[0][reg], fan[1][reg] = dr._iv_mul_exact01(total, (signs, signs))
+        for r, bounds in slivers.items():
+            fan[0][r], fan[1][r] = bounds[q].lo, bounds[q].hi
+        lo, hi = _sum_columns(*(e.reshape(-1, n_e) for e in fan))
+        out.append([Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+    return out[0], out[1]
 
 
 def singular_triangle(f: _expr.SourceExpr, tri: Triangle,

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _directed as dr
 from .errors import DomainError, UnsupportedError
-from .interval import Box2, Interval, rational
+from .interval import Box2, Interval, _midpoints, rational
 
 __all__ = ["TaylorModel2", "Boxes", "tm_from_expr", "tm_compose_elem"]
 
@@ -61,16 +61,6 @@ _SQRT_RATIOS = [None] + [Interval(*rational(3 - 2 * p, 2 * p))
 _BATCH_ELEMS = 1 << 12
 
 _ONE = (1.0, 1.0)
-
-
-def _ends(c):
-    """(lo, hi) of an Interval, or the (lo, hi) pair of arrays itself."""
-    return (c.lo, c.hi) if isinstance(c, Interval) else c
-
-
-def _stacked(ivs: list):
-    """(P, len(ivs)) endpoint arrays of a list of (lo, hi) arrays over P."""
-    return np.stack([v[0] for v in ivs], axis=1), np.stack([v[1] for v in ivs], axis=1)
 
 
 class Boxes:
@@ -114,8 +104,8 @@ class Boxes:
         have = self._powers.get(var)
         if have is None or have[0].shape[1] <= top:
             k, u = (self.klo, self.khi), (self.ulo, self.uhi)
-            base = k if var == "k" else u if var == "u" else dr._iv_mul_exact01(*k, *u)
-            have = self._powers[var] = _stacked(dr._iv_powers(base, top))
+            base = k if var == "k" else u if var == "u" else dr._iv_mul_exact01(k, u)
+            have = self._powers[var] = dr._stack(dr._iv_powers(base, top))
         return have
 
     def ranges(self, at, i, j):
@@ -129,9 +119,10 @@ class Boxes:
         klo, khi = (a[at] for a in self._power_table("k", int(i.max(initial=0))))
         ulo, uhi = (a[at] for a in self._power_table("u", int(j.max(initial=0))))
         wlo, whi = (a[at] for a in self._power_table("ku", int(w.max(initial=0))))
-        clo, chi = dr._iv_mul_exact01(wlo[:, w], whi[:, w], np.where(up, ulo[:, eu], klo[:, ek]),
-                                      np.where(up, uhi[:, eu], khi[:, ek]))
-        dlo, dhi = dr._iv_mul_exact01(klo[:, i], khi[:, i], ulo[:, j], uhi[:, j])
+        clo, chi = dr._iv_mul_exact01((wlo[:, w], whi[:, w]),
+                                      (np.where(up, ulo[:, eu], klo[:, ek]),
+                                       np.where(up, uhi[:, eu], khi[:, ek])))
+        dlo, dhi = dr._iv_mul_exact01((klo[:, i], khi[:, i]), (ulo[:, j], uhi[:, j]))
         lo, hi = np.maximum(clo, dlo), np.minimum(chi, dhi)
         if np.any(lo > hi):
             raise DomainError("disjoint monomial enclosures: rigor violated upstream")
@@ -215,7 +206,7 @@ class TaylorModel2:
         on ``box``: a Box2 (a batch of one) or :class:`Boxes`."""
         boxes = _as_boxes(box)
         clo, chi = np.zeros((2, len(boxes), 1, 1))
-        clo[:, 0, 0], chi[:, 0, 0] = _ends(c)
+        clo[:, 0, 0], chi[:, 0, 0] = dr._ends(c)
         return TaylorModel2(clo, chi, boxes, tuple(degrees))
 
     @staticmethod
@@ -229,7 +220,7 @@ class TaylorModel2:
         boxes = _as_boxes(box)
         clo, chi = np.zeros((2, len(boxes), 2, 2))
         for (i, j), c in (((0, 0), const), ((0, 1), coef_u), ((1, 1), coef_ku)):
-            clo[:, i, j], chi[:, i, j] = _ends(c)
+            clo[:, i, j], chi[:, i, j] = dr._ends(c)
         return TaylorModel2(clo, chi, boxes, tuple(degrees))
 
     @staticmethod
@@ -283,8 +274,8 @@ class TaylorModel2:
         step = max(1, _BATCH_ELEMS // max(len(i), 1))
         for s0 in range(0, len(self), step):
             at = slice(s0, s0 + step)
-            plo, phi = dr._iv_mul_exact01(clo[at][:, nz], chi[at][:, nz],
-                                          *self.boxes.ranges(at, i, j))
+            plo, phi = dr._iv_mul_exact01((clo[at][:, nz], chi[at][:, nz]),
+                                          self.boxes.ranges(at, i, j))
             p, t = np.nonzero(mask[at][:, nz])
             counts = np.bincount(p, minlength=len(plo))
             lo[at], hi[at] = dr._ragged_row_sums(plo[p, t], phi[p, t], p, counts, counts,
@@ -350,7 +341,7 @@ class TaylorModel2:
         return (-self) + other
 
     def scale(self, c: Interval) -> "TaylorModel2":
-        return self._like(*dr._iv_mul_exact01(self.clo, self.chi, c.lo, c.hi))
+        return self._like(*dr._iv_mul_exact01((self.clo, self.chi), (c.lo, c.hi)))
 
     def __mul__(self, other) -> "TaylorModel2":
         """Product truncated at the larger degrees (m, n): per member, the
@@ -383,11 +374,11 @@ class TaylorModel2:
         step = max(1, _BATCH_ELEMS // max(len(cell), size + 1))
         for s0 in range(0, len(self), step):
             at = slice(s0, s0 + step)
-            plo, phi = dr._iv_mul_exact01(alo[at][:, ta], ahi[at][:, ta], blo[at][:, tb],
-                                          bhi[at][:, tb])
+            plo, phi = dr._iv_mul_exact01((alo[at][:, ta], ahi[at][:, ta]),
+                                          (blo[at][:, tb], bhi[at][:, tb]))
             if ri.size:
                 plo[:, over], phi[:, over] = dr._iv_mul_exact01(
-                    plo[:, over], phi[:, over], *self.boxes.ranges(at, ri, rj))
+                    (plo[:, over], phi[:, over]), self.boxes.ranges(at, ri, rj))
             slo, shi = _cell_sums(amask[at][:, ta] & bmask[at][:, tb], cell, plo, phi, size + 1)
             fold = (slo[:, size] != 0.0) | (shi[:, size] != 0.0)
             flo, fhi = dr.iv_add(slo[:, 0], shi[:, 0], slo[:, size], shi[:, size])
@@ -429,52 +420,10 @@ class TaylorModel2:
 # ---------------------------------------------------------------------------
 # Elementary composition via truncated Taylor series + Lagrange remainder
 # ---------------------------------------------------------------------------
-# Interval arithmetic over (lo, hi) arrays with the scalar Interval's
-# rounding, exact 0/1 and sign rules, so that each member's series equals
-# the scalar series bit for bit.
-
-
-def _sub(a, b):
-    return dr._iv_add_exact0(*a, -b[1], -b[0])
-
-
-def _mul(a, b):
-    return dr._iv_mul_exact01(*a, *b)
-
-
-def _div(a, b):
-    return dr.iv_div(*a, *b)
-
-
-def _neg(a):
-    return -a[1], -a[0]
-
-
-def _pow(a, e: int):
-    return dr._iv_powers(a, e)[e]
-
-
-def _libm(method: str, a):
-    """The Interval method ``method`` (an image through libm) per member."""
-    ivs = [getattr(Interval(lo, hi), method)() for lo, hi in zip(a[0].tolist(), a[1].tolist())]
-    return np.array([v.lo for v in ivs]), np.array([v.hi for v in ivs])
-
-
-def _mid(lo, hi):
-    """``Interval.mid`` per member (numpy's max and min return their second
-    argument on ties, Python's their first)."""
-    m = 0.5 * (lo + hi)
-    m = np.where(np.isfinite(m), m, 0.5 * lo + 0.5 * hi)
-    return np.minimum(hi, np.maximum(lo, m))
-
-
-def _factorial(p: int) -> Interval:
-    """p! enclosed outward (a point for p <= 22, where it is a float)."""
-    return Interval(*rational(math.factorial(p), 1))
-
-
-def _fact(p: int):
-    return _ends(_factorial(p))
+def _factorial(p: int):
+    """p! enclosed outward as (lo, hi) (a point for p <= 22, where it is a
+    float)."""
+    return rational(math.factorial(p), 1)
 
 
 def _series_and_remainder(fn: str, t0, r, order: int):
@@ -488,7 +437,7 @@ def _series_and_remainder(fn: str, t0, r, order: int):
     if order > MAX_DEGREE:
         raise DomainError(f"series order {order} exceeds MAX_DEGREE = {MAX_DEGREE}")
     t0_iv = (t0, t0)
-    dev = _sub(r, t0_iv)
+    dev = dr._iv_sub_exact0(r, t0_iv)
     dev_mag = (np.zeros_like(t0), np.maximum(np.abs(dev[1]), np.abs(dev[0])))
     p1 = order + 1
 
@@ -498,45 +447,50 @@ def _series_and_remainder(fn: str, t0, r, order: int):
             raise DomainError(f"{what}: {Interval(float(r[0][p]), float(r[1][p]))}")
 
     if fn == "exp":
-        base = _libm("exp", t0_iv)
-        coeffs = [_div(base, _fact(p)) for p in range(order + 1)]
-        rem = _div(_mul(_libm("exp", r), _pow(dev_mag, p1)), _fact(p1))[1]
+        base = dr._iv_libm(math.exp, t0_iv)
+        coeffs = [dr._iv_div(base, _factorial(p)) for p in range(order + 1)]
+        rem = dr._iv_mul_exact01(dr._iv_libm(math.exp, r), dr._iv_powers(dev_mag, p1)[p1])
+        rem = dr._iv_div(rem, _factorial(p1))[1]
     elif fn == "log":
         at_first(r[0] <= 0.0, "log composition on range touching zero")
         powers = dr._iv_powers(t0_iv, order)
-        coeffs = [_libm("log", t0_iv)]
+        coeffs = [dr._iv_libm(math.log, t0_iv)]
         for p in range(1, order + 1):
-            c = _div(_ONE, _mul(powers[p], (float(p), float(p))))
-            coeffs.append(c if p % 2 == 1 else _neg(c))
-        rem = _div(_pow(_div(dev_mag, (r[0], r[0])), p1), (float(p1), float(p1)))[1]
+            c = dr._iv_div(_ONE, dr._iv_mul_exact01(powers[p], (float(p), float(p))))
+            coeffs.append(c if p % 2 == 1 else dr._iv_neg(c))
+        rem = dr._iv_powers(dr._iv_div(dev_mag, (r[0], r[0])), p1)[p1]
+        rem = dr._iv_div(rem, (float(p1), float(p1)))[1]
     elif fn == "sqrt":
         at_first(r[0] <= 0.0, "sqrt composition on range touching zero")
-        coeffs = [dr._iv_sqrt(*t0_iv)]
+        coeffs = [dr._iv_sqrt(t0_iv)]
         for p in range(1, order + 1):
             # binom(1/2, p) = binom(1/2, p - 1) (3 - 2p) / (2p)
-            c = _mul(coeffs[-1], _ends(_SQRT_RATIOS[p]))
-            coeffs.append(_div(c, t0_iv))
+            c = dr._iv_mul_exact01(coeffs[-1], dr._ends(_SQRT_RATIOS[p]))
+            coeffs.append(dr._iv_div(c, t0_iv))
         # |f^(p1)(xi)| / p1! <= |prod (1/2 - q)| / p1! * xi^(1/2 - p1)
         fac = Interval(1.0, 1.0)
         for q in range(p1):
             fac = fac * abs(Interval.point(0.5 - q))
         lo_iv = (r[0], r[0])
-        rem = _mul(_div(_mul(_ends(fac / _factorial(p1)), dr._iv_sqrt(*lo_iv)), _pow(lo_iv, p1)),
-                   _pow(dev_mag, p1))[1]
+        rem = dr._iv_mul_exact01(dr._iv_div(dr._ends(fac), _factorial(p1)), dr._iv_sqrt(lo_iv))
+        rem = dr._iv_div(rem, dr._iv_powers(lo_iv, p1)[p1])
+        rem = dr._iv_mul_exact01(rem, dr._iv_powers(dev_mag, p1)[p1])[1]
     elif fn in ("sin", "cos"):
         s, c = dr._iv_trig_points(math.sin, t0), dr._iv_trig_points(math.cos, t0)
-        cycle = [s, c, _neg(s), _neg(c)] if fn == "sin" else [c, _neg(s), _neg(c), s]
-        coeffs = [_div(cycle[p % 4], _fact(p)) for p in range(order + 1)]
-        rem = _div(_pow(dev_mag, p1), _fact(p1))[1]
+        ms, mc = dr._iv_neg(s), dr._iv_neg(c)
+        cycle = [s, c, ms, mc] if fn == "sin" else [c, ms, mc, s]
+        coeffs = [dr._iv_div(cycle[p % 4], _factorial(p)) for p in range(order + 1)]
+        rem = dr._iv_div(dr._iv_powers(dev_mag, p1)[p1], _factorial(p1))[1]
     elif fn == "recip":
         at_first((r[0] <= 0.0) & (r[1] >= 0.0), "reciprocal of model whose range contains zero")
         powers = dr._iv_powers(t0_iv, order + 1)
         coeffs = []
         for p in range(order + 1):
-            c = _div(_ONE, powers[p + 1])
-            coeffs.append(c if p % 2 == 0 else _neg(c))
+            c = dr._iv_div(_ONE, powers[p + 1])
+            coeffs.append(c if p % 2 == 0 else dr._iv_neg(c))
         near = np.minimum(np.abs(r[1]), np.abs(r[0]))
-        rem = _div(_pow(_div(dev_mag, (near, near)), p1), (near, near))[1]
+        rem = dr._iv_powers(dr._iv_div(dev_mag, (near, near)), p1)[p1]
+        rem = dr._iv_div(rem, (near, near))[1]
     else:
         raise UnsupportedError(f"no Taylor-model composition for {fn!r}")
     ends = np.concatenate([np.ravel(e) for c in coeffs for e in c] + [rem])
@@ -547,7 +501,7 @@ def _series_and_remainder(fn: str, t0, r, order: int):
 
 def _compose_series(model: TaylorModel2, fn: str) -> TaylorModel2:
     r = model.range_bounds()
-    t0 = _mid(*r)
+    t0 = _midpoints(*r)
     order = max(model.deg_k, model.deg_u)
     coeffs, remainder = _series_and_remainder(fn, t0, r, order)
     shifted = model._shift(-t0, -t0)

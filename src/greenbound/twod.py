@@ -308,19 +308,14 @@ def enclose_point(
     split: Optional[SignedSplit] = None,
     mfs_cfg: Optional[MfsConfig] = None,
     quad_cfg: Optional[QuadConfig] = None,
-    plan: Optional[_DomainPlan] = None,
 ) -> EnclosureResult:
     """Rigorous enclosure of u(s_int) for -Laplace(u) = f, zero boundary data.
 
     f must be certified nonnegative or nonpositive, or a verified
-    SignedSplit must be supplied.  ``plan`` is the domain plan
-    ``enclose_batch`` built from these same arguments; without it the
-    call builds its own.
+    SignedSplit must be supplied.
     """
     _check_interior(poly, s_int)
-    if plan is None:
-        plan = _DomainPlan(poly, f, split, mfs_cfg or MfsConfig(),
-                           quad_cfg or QuadConfig())
+    plan = _DomainPlan(poly, f, split, mfs_cfg or MfsConfig(), quad_cfg or QuadConfig())
     return plan.enclose(s_int)
 
 
@@ -338,15 +333,15 @@ class BatchItem:
 
 
 def _batch_worker(args) -> BatchItem:
-    """One point; ``plan`` is the domain plan or the error building it
-    raised, which every interior point reports."""
-    poly, f, point, split, mfs_cfg, quad_cfg, plan = args
+    """One point; ``plan`` is the domain plan (which holds f, the split and
+    both configs) or the error building it raised, which every interior
+    point reports."""
+    poly, point, plan = args
     try:
+        _check_interior(poly, point)
         if isinstance(plan, Exception):
-            _check_interior(poly, point)
             raise plan.with_traceback(None)
-        res = enclose_point(poly, f, point, split, mfs_cfg, quad_cfg, plan=plan)
-        return BatchItem(point=tuple(point), result=res)
+        return BatchItem(point=tuple(point), result=plan.enclose(point))
     except NeedsSplitError as e:
         return BatchItem(point=tuple(point), result=None, error=str(e),
                          needs_split=True)
@@ -382,7 +377,7 @@ def enclose_batch(
         plan = _DomainPlan(poly, f, split, mfs_cfg, quad_cfg)
     except Exception as e:
         plan = e
-    jobs = [(poly, f, p, split, mfs_cfg, quad_cfg, plan) for p in points]
+    jobs = [(poly, p, plan) for p in points]
     if threads <= 1 or len(jobs) <= 1 or isinstance(plan, Exception):
         return [_batch_worker(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=threads) as pool:

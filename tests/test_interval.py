@@ -397,10 +397,70 @@ class TestSignedProducts:
     def test_array_products_match_scalar(self, ends):
         a, b = Interval(*sorted(ends[:2])), Interval(*sorted(ends[2:]))
         want = a * b
-        lo, hi = dr._iv_mul_exact01(*(np.array([v]) for v in (a.lo, a.hi, b.lo, b.hi)))
+        lo, hi = dr._iv_mul_exact01((np.array([a.lo]), np.array([a.hi])),
+                                    (np.array([b.lo]), np.array([b.hi])))
         assert (lo[0], hi[0]) == (want.lo, want.hi)
         assert (math.copysign(1, lo[0]), math.copysign(1, hi[0])) == (
             math.copysign(1, want.lo), math.copysign(1, want.hi))
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, 0.5, -3.25]
+_ends = st.one_of(st.sampled_from(_SPECIAL), st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def operands(draw):
+    """An interval over the special values and random floats, often an
+    exact point."""
+    a, b = draw(_ends), draw(_ends)
+    if draw(st.booleans()):
+        return Interval(a, a)
+    return Interval(min(a, b), max(a, b))
+
+
+def _bits(x) -> str:
+    return float(x).hex()  # tells -0.0 from 0.0
+
+
+def _assert_parity(scalar, pair):
+    """pair() (1-element (lo, hi) arrays) equals scalar() (an Interval) bit
+    for bit, or both fail: scalar() with a DomainError, pair() with one or
+    with an end that is not finite."""
+    with np.errstate(all="ignore"):
+        try:
+            got = [float(e[0]) for e in pair()]
+        except DomainError:
+            got = None
+    try:
+        want = scalar()
+    except DomainError:
+        assert got is None or not all(map(math.isfinite, got)), got
+        return
+    assert got is not None and list(map(_bits, got)) == [_bits(want.lo), _bits(want.hi)], (
+        want, got)
+
+
+@settings(max_examples=400, deadline=None)
+@given(operands(), operands())
+@example(Interval(-5e-324, 0.0), Interval(1.0, 1.0))
+@example(Interval(-0.0, -0.0), Interval(-1e308, 1e308))
+def test_pair_ops_match_scalar(a, b):
+    """Every parity op of ``_directed`` on (lo, hi) pairs, and
+    ``_midpoints``, equals the scalar Interval op bit for bit, zero signs
+    and errors included."""
+    pa, pb = (np.array([a.lo]), np.array([a.hi])), (np.array([b.lo]), np.array([b.hi]))
+    _assert_parity(lambda: a + b, lambda: dr._iv_add_exact0(pa, pb))
+    _assert_parity(lambda: a - b, lambda: dr._iv_sub_exact0(pa, pb))
+    _assert_parity(lambda: -a, lambda: dr._iv_neg(pa))
+    _assert_parity(lambda: a * b, lambda: dr._iv_mul_exact01(pa, pb))
+    _assert_parity(lambda: a / b, lambda: dr._iv_div(pa, pb))
+    _assert_parity(a.sqr, lambda: dr.iv_sqr(*pa))
+    _assert_parity(a.sqrt, lambda: dr._iv_sqrt(pa))
+    for e in range(6):
+        _assert_parity(lambda: a.pow_int(e), lambda: dr._iv_powers(pa, 5)[e])
+    for name, fn in (("log", math.log), ("exp", math.exp), ("atan", math.atan)):
+        _assert_parity(getattr(a, name), lambda: dr._iv_libm(fn, pa))
+    assert _bits(_midpoints(*pa)[0]) == _bits(a.mid())
 
 
 def _padded_row_sums(terms, length):

@@ -114,6 +114,22 @@ class TestCompose:
         )
         sample_ok(tm, lambda u, k: math.sqrt(4.0 + u))
 
+    @pytest.mark.parametrize("t0", [-800.0, -1.5, -0.0, 0.7, 700.0])
+    def test_exp_series_matches_scalar(self, t0):
+        """The exp series coefficients are the scalar Interval.exp(t0) / p!
+        bit for bit, the clamp of exp's lower end at 0 included."""
+        r = (np.array([t0]), np.array([t0 + 1.0]))
+        coeffs, _ = _series_and_remainder("exp", np.array([t0]), r, 6)
+        base = Interval.point(t0).exp()
+        for p, (lo, hi) in enumerate(coeffs):
+            want = base / Interval(*_factorial(p))
+            assert (lo[0].hex(), hi[0].hex()) == (want.lo.hex(), want.hi.hex())
+
+    def test_exp_overflow_rejected(self):
+        r = (np.array([709.0]), np.array([710.0]))
+        with pytest.raises(DomainError, match="overflow"):
+            _series_and_remainder("exp", np.array([709.5]), r, 4)
+
     @pytest.mark.parametrize("t0", [0.3, 1.7, 4.0 + 1.0 / 3.0, 10.1])
     def test_sqrt_series_coefficients_exact(self, t0):
         """Every coefficient encloses binom(1/2, p) t0^(1/2 - p) exactly."""
@@ -283,10 +299,10 @@ class TestArrayCore:
 
 @pytest.mark.parametrize("p", range(20, 31))
 def test_factorial_encloses_exact_integer(p):
-    fac = _factorial(p)
+    lo, hi = _factorial(p)
     exact = math.factorial(p)
-    assert Fraction(fac.lo) <= exact <= Fraction(fac.hi)
-    assert (fac.lo == fac.hi) == (p <= 22)
+    assert Fraction(lo) <= exact <= Fraction(hi)
+    assert (lo == hi) == (p <= 22)
     assert (float(exact) == exact) == (p <= 22)
 
 
