@@ -3,21 +3,17 @@
 The one module that knows how an interval array is stored and rounded:
 endpoints are nudged outward with ``np.nextafter``, and sums carry their
 exact TwoSum error, so exact arithmetic stays exact and reductions
-(``iv_dot``, ``_row_sums``) stay rigorous over any leading axes.  Callers
-use one of two families:
+(``iv_dot``, ``_row_sums``) stay rigorous over any leading axes.
 
-* the plain ops ``iv_add``, ``iv_sub``, ``iv_mul``, ``iv_div``, ``iv_sqr``,
-  ``iv_log`` and ``iv_dot`` take the endpoints as separate arrays and
-  nudge every inexact result.  The boundary search (``mfs``, ``fundsol``)
-  uses them: its bounds need only be sound, and it wants the fewest numpy
-  passes;
-* the parity ops, private ``_iv_*`` names on (lo, hi) pairs, equal the
-  scalar :class:`~greenbound.interval.Interval` operation bit for bit
-  (exact-0 and exact-1 rules, sign rules, libm per element; ``iv_sqr`` is
-  ``Interval.sqr`` too).  The Taylor models and the fan frames and sums
-  (``taylor``, ``quad``) use them, so a member of a batch, or a fan of an
-  array pass, gets the bits it would get alone.  ``_ends``, ``_take``,
-  ``_join`` and ``_stack`` move pairs around.
+* The plain ops ``iv_add``, ``iv_sub``, ``iv_mul``, ``iv_div``, ``iv_sqr``,
+  ``iv_log`` and ``iv_dot`` take the endpoints as separate arrays.  The
+  boundary search (``mfs``, ``fundsol``) calls them: its bounds need only
+  be sound, so it takes the fewest numpy passes.
+* The parity ops, private ``_iv_*`` names on (lo, hi) pairs (and
+  ``iv_sqr``), equal the scalar :class:`~greenbound.interval.Interval`
+  operation bit for bit: its exact-0 and exact-1 rules, sign rules and
+  libm per element.  ``taylor`` and ``quad`` call them, so that a member
+  of a batch, or a fan of an array pass, gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -227,13 +223,11 @@ def _iv_libm(fn, a):
     try:
         out_lo = _down_n(np.array([fn(v) for v in lo.tolist()], dtype=float), n)
         out_hi = _up_n(np.array([fn(v) for v in hi.tolist()], dtype=float), n)
+        if np.any(np.isinf(out_hi)):  # exp near the largest float, nudged past it
+            raise OverflowError
     except OverflowError:
         raise DomainError("exp overflow on an interval array") from None
-    if fn is math.exp:
-        if np.any(np.isinf(out_hi)):
-            raise DomainError("exp overflow on an interval array")
-        out_lo = np.maximum(0.0, out_lo)
-    return out_lo, out_hi
+    return (np.maximum(0.0, out_lo) if fn is math.exp else out_lo), out_hi
 
 
 def _crit_points(t, base):
@@ -252,9 +246,9 @@ def _crit_points(t, base):
 
 def _iv_trig_points(fn, t):
     """``Interval.point(t_i).sin()`` (``fn`` math.sin) or ``.cos()``
-    (math.cos) per element of the 1-D array t: the libm value padded by
-    ``Interval``'s libm ulps, widened to 1 or -1 where a maximum or minimum
-    of fn may sit at t_i."""
+    (math.cos) per element of the 1-D array t, bit for bit: the libm value
+    padded by ``Interval``'s libm ulps, widened to 1 or -1 where a maximum
+    or minimum of fn may sit at t_i."""
     max_at, min_at = (_iv.HALF_PI, -_iv.HALF_PI) if fn is math.sin else (_iv._ZERO, _iv.PI)
     n = _iv._LIBM_ULPS
     v = np.array([fn(x) for x in t.tolist()], dtype=float)
@@ -278,8 +272,7 @@ def _join(a, b):
 
 
 def _stack(pairs: list):
-    """The (lo, hi) arrays of a list of pairs, each over n entries, stacked
-    along a new axis 1."""
+    """The pairs of a list, each over n entries, stacked along axis 1."""
     return np.stack([v[0] for v in pairs], axis=1), np.stack([v[1] for v in pairs], axis=1)
 
 
@@ -402,9 +395,12 @@ def iv_dot(weights, lo, hi):
 
     ``weights`` are exact floats broadcasting against ``lo``/``hi``; the
     result has the shape of ``lo`` without its last axis.  The products
-    are rounded outward and each row is summed by ``_row_sums``.
+    are rounded outward, except those by a weight of exactly 0 or +-1,
+    which are exact, and each row is summed by ``_row_sums``.
     """
     pos = weights >= 0.0
-    tlo = next_down(np.where(pos, weights * lo, weights * hi))
-    thi = next_up(np.where(pos, weights * hi, weights * lo))
+    tlo = np.where(pos, weights * lo, weights * hi)
+    thi = np.where(pos, weights * hi, weights * lo)
+    exact = (weights == 0.0) | (np.abs(weights) == 1.0)
+    tlo, thi = np.where(exact, tlo, next_down(tlo)), np.where(exact, thi, next_up(thi))
     return _row_sums(tlo)[0], _row_sums(thi)[1]

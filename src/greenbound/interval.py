@@ -437,9 +437,9 @@ class _ScalarEvaluator(BoxEvaluator):
 
 
 def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``Interval.mid`` of every [lo_i, hi_i], bit for bit: numpy's minimum
-    and maximum return their second argument on ties, Python's min and max
-    their first, so m comes second here (-0.0 on [-5e-324, 0.0])."""
+    """``Interval.mid`` of every [lo_i, hi_i], bit for bit: m comes second,
+    as numpy's min and max return their second argument on ties (Python's
+    their first), so [-5e-324, 0.0] keeps -0.0."""
     with np.errstate(over="ignore"):
         m = 0.5 * (lo + hi)
     m = np.where(np.isfinite(m), m, 0.5 * lo + 0.5 * hi)

@@ -222,13 +222,14 @@ class EdgeKernel(BoxEvaluator):
         hp = [None, h]  # H^j, even powers by squaring
         for j in range(2, p + 1):
             hp.append(dr.iv_sqr(*hp[j // 2]) if j % 2 == 0 else dr.iv_mul(*hp[j - 1], *h))
-        ones = np.ones(p)
         val_tail, der_tail = self._tails(r, s[0])
         terms = dr.iv_mul(*dr.iv_mul(*sums, *_VALUE_COEFS), *dr._stack(hp[1:]))
-        val = dr.iv_add(*dr.iv_add(*c0, *dr.iv_dot(ones, *terms)), -val_tail, val_tail)
+        val = dr.iv_add(*c0, dr._row_sums(terms[0])[0], dr._row_sums(terms[1])[1])
+        val = dr.iv_add(*val, -val_tail, val_tail)
         d = dr.iv_mul(*sums, *_DERIV_COEFS)  # j c_j
         terms = dr.iv_mul(d[0][:, 1:], d[1][:, 1:], *dr._stack(hp[1:p]))
-        der = dr.iv_add(*dr.iv_dot(ones[1:], *terms), d[0][:, 0], d[1][:, 0])
+        der = dr.iv_add(dr._row_sums(terms[0])[0], dr._row_sums(terms[1])[1],
+                        d[0][:, 0], d[1][:, 0])
         return val, dr.iv_add(*der, -der_tail, der_tail)
 
     def _tails(self, r, s_lo):

@@ -337,7 +337,7 @@ def _fans(f: _expr.SourceExpr, centers, edges, cfg: QuadConfig,
 
     parts = _part_integrals(f, cfg, c[reg], *(dr._take(v, framed) for v in frame),
                             want_log, want_plain)
-    signs = np.where(cross[0][reg] > 0.0, 1.0, -1.0)
+    clockwise = cross[0][reg] <= 0.0  # these fans count negatively
     out = []
     for q, part in enumerate(parts):
         if part is None:
@@ -345,7 +345,7 @@ def _fans(f: _expr.SourceExpr, centers, edges, cfg: QuadConfig,
             continue
         fan = np.zeros((2, len(c)))
         total = _sum_columns(*(e.reshape(-1, cfg.fan_splits) for e in part))
-        fan[0][reg], fan[1][reg] = dr._iv_mul_exact01(total, (signs, signs))
+        fan[:, reg] = np.where(clockwise, dr._iv_neg(total), total)
         for r, bounds in slivers.items():
             fan[0][r], fan[1][r] = bounds[q].lo, bounds[q].hi
         lo, hi = _sum_columns(*(e.reshape(-1, n_e) for e in fan))

@@ -60,8 +60,6 @@ _SQRT_RATIOS = [None] + [Interval(*rational(3 - 2 * p, 2 * p))
 # but every live temporary of a pass raises the heap's high-water mark.
 _BATCH_ELEMS = 1 << 12
 
-_ONE = (1.0, 1.0)
-
 
 class Boxes:
     """The (u, k) boxes of a batch of models as endpoint arrays, one entry
@@ -421,8 +419,7 @@ class TaylorModel2:
 # Elementary composition via truncated Taylor series + Lagrange remainder
 # ---------------------------------------------------------------------------
 def _factorial(p: int):
-    """p! enclosed outward as (lo, hi) (a point for p <= 22, where it is a
-    float)."""
+    """p! enclosed outward as (lo, hi), a point for p <= 22 (a float)."""
     return rational(math.factorial(p), 1)
 
 
@@ -456,7 +453,7 @@ def _series_and_remainder(fn: str, t0, r, order: int):
         powers = dr._iv_powers(t0_iv, order)
         coeffs = [dr._iv_libm(math.log, t0_iv)]
         for p in range(1, order + 1):
-            c = dr._iv_div(_ONE, dr._iv_mul_exact01(powers[p], (float(p), float(p))))
+            c = dr._iv_div((1.0, 1.0), dr._iv_mul_exact01(powers[p], (float(p), float(p))))
             coeffs.append(c if p % 2 == 1 else dr._iv_neg(c))
         rem = dr._iv_powers(dr._iv_div(dev_mag, (r[0], r[0])), p1)[p1]
         rem = dr._iv_div(rem, (float(p1), float(p1)))[1]
@@ -486,7 +483,7 @@ def _series_and_remainder(fn: str, t0, r, order: int):
         powers = dr._iv_powers(t0_iv, order + 1)
         coeffs = []
         for p in range(order + 1):
-            c = dr._iv_div(_ONE, powers[p + 1])
+            c = dr._iv_div((1.0, 1.0), powers[p + 1])
             coeffs.append(c if p % 2 == 0 else dr._iv_neg(c))
         near = np.minimum(np.abs(r[1]), np.abs(r[0]))
         rem = dr._iv_powers(dr._iv_div(dev_mag, (near, near)), p1)[p1]

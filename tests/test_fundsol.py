@@ -161,6 +161,19 @@ class TestRowSum:
         assert lo[0] <= 1.5 <= hi[0]
         assert hi[0] - lo[0] <= 8 * np.spacing(1.5)  # gamma_n sum |terms| would be ~15
 
+    def test_exact_weights_keep_products_exact(self):
+        """Products by a weight of exactly 0 or +-1 are exact, so only the
+        row sum's error bound widens an exact sum (nudging every product
+        made [-2.5, 5.5] of the first row's 1.5)."""
+        row = np.array([1e16, 1.0, -1e16, 0.5])
+        for weights, want in (([1.0, 1.0, 1.0, 1.0], 1.5), ([-1.0, 1.0, -1.0, 0.0], 1.0)):
+            lo, hi = dr.iv_dot(np.array(weights), row, row)
+            assert lo <= want <= hi and hi - lo <= 4 * np.spacing(want), (weights, lo, hi)
+        # 3 * 0.5 is exact too, but only weights 0 and +-1 are trusted
+        exact, nudged = (dr.iv_dot(np.array([w]), np.array([x]), np.array([x]))
+                         for w, x in ((1.0, 1.5), (3.0, 0.5)))
+        assert nudged[0] < exact[0] <= 1.5 <= exact[1] < nudged[1]
+
     def test_add_and_sub_round_outward(self):
         rng = np.random.default_rng(9)
         a = rng.normal(size=200) * 10.0 ** rng.integers(-20, 20, 200)

@@ -99,17 +99,19 @@ class TestBoundaryExtrema:
         assert capped.m.encloses(full.m) and capped.M.encloses(full.M)
 
     @pytest.mark.parametrize("name, want, parent_evals", [
-        ("square", (-5.9828823786165595e-05, -5.982882378574441e-05,
-                    1.1054929720437686e-05, 1.1054929831065557e-05), 656),
-        ("lshape", (-0.0005529813033274671, -0.0005529812961921781,
-                    0.0018599701342633642, 0.0018599701342750033), 434),
+        ("square", (-5.982882378615676e-05, -5.982882378575324e-05,
+                    1.105492972044652e-05, 1.1054929831056723e-05), 656),
+        ("lshape", (-0.0005529813033274494, -0.0005529812961921958,
+                    0.0018599701342633728, 0.0018599701342749944), 434),
     ])
     def test_extrema_and_cost_pinned(self, name, want, parent_evals, centered_square,
                                      lshape):
-        """m and M at the default tol as recorded when the search still put
-        its own mean-value form and midpoint witnesses on every box (that
-        search took parent_evals evaluations), now in at most 55% of them:
-        the square at (0, 0) with n = 69, and the L-shape with ``corner``."""
+        """m and M at the default tol, the square at (0, 0) with n = 69 and
+        the L-shape with ``corner``, pinned since iv_dot keeps products by
+        the weight 1 exact; each lies inside the m or M of the search that
+        still put its own mean-value form and midpoint witnesses on every
+        box, which took parent_evals evaluations, and this one takes at
+        most 55% of them."""
         if name == "square":
             pts, src = square_setup(centered_square, n=69)
             poly, tf0 = centered_square, solve(centered_square, pts, src, (0.0, 0.0)).tf0

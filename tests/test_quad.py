@@ -299,20 +299,34 @@ class TestBatchedFans:
 
     @pytest.mark.parametrize("text, degrees, domain, corner, digest", [
         ("1", (8, 8), "centered_square", None,
-         "d6dc8b614239d08a1166cce488c691156bd023b28d64edbe42df90e8fd81b001"),
+         "37d7283a8ad12d7214fb356825c074fae1f177e668f9c6f9297273b3ae0ffc0f"),
         ("1", (8, 8), "lshape", (0.0, 0.0),
-         "7a24fafb7e4fd539edbd5cff3b5720bcc063f4e0d5d7df7e46ed83c65b726898"),
+         "ff052d708b79d38d3cd921584714473512d8e703cc44c13d0fce2b232929b39a"),
         (TRIG, (6, 6), "centered_square", None,
-         "d4655fdf5a94afb5cdd999e799b23ceacf1d27d75ffafc4e02f29fcbee25b838"),
+         "a75615f7561bfbe3b6f129a18e79268a217075c0864c34aed76301a04553cba2"),
         (TRIG, (6, 6), "lshape", (0.0, 0.0),
-         "e756088876f69fe7e5e368b8db138406855cc3a321b7d5ee744b1372b95a4dfe"),
-    ])
+         "c59a26dac7a980987f0d109991feeeec5587f968480f2d67cae7d510509fdf9c"),
+    ], ids=["1-square", "1-lshape", "trig-square", "trig-lshape"])
     def test_source_kernel_terms_pinned(self, request, text, degrees, domain, corner, digest):
         poly = request.getfixturevalue(domain)
         terms = source_kernel_terms(parse(text), _plan_sources(poly, corner), poly,
                                     QuadConfig(tm_degrees=degrees))
         assert len(terms) == 69
         assert _sha(terms) == digest
+
+    @pytest.mark.parametrize("text", ["1", TRIG])
+    def test_clockwise_fan_is_the_exact_negation(self, text):
+        """A fan taken clockwise (edge b -> a) is the exact negation of the
+        same fan taken counter-clockwise: the sign costs no rounding.  With
+        one angular part per fan both orientations frame the same moments."""
+        rng = np.random.default_rng(7)
+        f, cfg = parse(text), QuadConfig(tm_degrees=(6, 6))
+        for _ in range(12):
+            c, a, b = rng.uniform(-1.0, 1.0, (3, 2))
+            (ccw,), (ccw_plain,) = quad._fans(f, [c], [(a, b)], cfg, want_plain=True)
+            (cw,), (cw_plain,) = quad._fans(f, [c], [(b, a)], cfg, want_plain=True)
+            assert (cw.lo, cw.hi) == (-ccw.hi, -ccw.lo)
+            assert (cw_plain.lo, cw_plain.hi) == (-ccw_plain.hi, -ccw_plain.lo)
 
     def test_models_of_f_batched_per_pattern(self, centered_square, monkeypatch):
         """The 276 fan parts of the plan's sources take one batched
