@@ -43,7 +43,7 @@ from .oned import (
     optimal_constant_bounds,
     sweep,
 )
-from .quad import QuadConfig, log_moment, pair_f_phi, singular_triangle
+from .quad import QuadConfig, pair_f_phi, singular_triangle
 from .taylor import TaylorModel2, tm_compose_elem, tm_from_expr
 from .twod import (
     EnclosureResult,

@@ -1,9 +1,8 @@
 """Interval arrays: (lo, hi) float64 ndarray pairs, rounded outward.
 
 The one module that knows how an interval array is stored and rounded:
-endpoints are nudged outward with ``np.nextafter``, and sums carry their
-exact TwoSum error, so exact arithmetic stays exact and reductions
-(``iv_dot``, ``_row_sums``) stay rigorous over any leading axes.
+endpoints are nudged outward with ``np.nextafter``, so exact arithmetic
+stays exact.
 
 * The plain ops ``iv_add``, ``iv_sub``, ``iv_mul``, ``iv_div``, ``iv_sqr``,
   ``iv_log`` and ``iv_dot`` take the endpoints as separate arrays.  The
@@ -14,6 +13,12 @@ exact TwoSum error, so exact arithmetic stays exact and reductions
   operation bit for bit: its exact-0 and exact-1 rules, sign rules and
   libm per element.  ``taylor`` and ``quad`` call them, so that a member
   of a batch, or a fan of an array pass, gets the bits it would get alone.
+* Every sum of many terms is one rigorous row sum, ``_row_sums``: running
+  sums with their exact TwoSum errors, and an a-priori bound on the sum of
+  those errors.  A row's bounds depend only on its own terms, whatever
+  else shares the array: ``iv_dot`` (weighted rows), ``_iv_sums``
+  (interval rows) and ``_ragged_row_sums`` (rows of different lengths)
+  all go through it.
 """
 
 from __future__ import annotations
@@ -294,8 +299,7 @@ def _sum_error_factor(n: int) -> float:
     return math.nextafter(x * math.nextafter(1.0 + 3.0 * x, _INF), _INF)
 
 
-def _row_sums(x: np.ndarray, exact: bool = False,
-              n=None) -> tuple[np.ndarray, np.ndarray]:
+def _row_sums(x: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Float bounds (lower, upper) of the exact sum of each row of x.
 
     ``np.cumsum`` forms the running sums c_i = fl(c_(i-1) + x_i) in order
@@ -304,90 +308,62 @@ def _row_sums(x: np.ndarray, exact: bool = False,
     sum of the tiny e_i is bounded a priori (``_sum_error_factor``), plus
     one smallest subnormal in case that bound's product underflows.  With
     ``exact``, a row whose e_i are all zero returns its sum c_n as both
-    bounds, so a row with a single nonzero entry stays that entry.
-
-    ``n`` (one per row, at least the width) gives each row the bounds of
-    that row padded with zeros to n entries: the a-priori factor of n
-    entries and the sign of zero that the padding gives c_n.  The width
-    must sum the errors in n's grouping (``_sum_width``).
+    bounds, so a row with a single nonzero entry stays that entry.  Rows
+    are independent: a row's bounds are those it gets alone.
     """
     if not x.shape[-1]:
         z = np.zeros(x.shape[:-1])
         return z, z
-    c = np.cumsum(x, axis=-1)
+    if exact and x.shape[-1] == 1:  # a single term is its own sum
+        return x[..., 0], x[..., 0]
+    c = x.cumsum(axis=-1)
     a, b, s = c[..., :-1], x[..., 1:], c[..., 1:]
     bv = s - a
     err = (a - (s - bv)) + (b - bv)
-    top, es = c[..., -1], np.sum(err, axis=-1)
-    if n is None:
-        factor = _sum_error_factor(err.shape[-1])
-    else:
-        top = np.where(n > x.shape[-1], top + 0.0, top)
-        lengths = sorted(set(n.tolist()))
-        factor = np.array([_sum_error_factor(v - 1) for v in lengths])[np.searchsorted(lengths, n)]
+    top, es = c[..., -1], err.sum(axis=-1)
     if not _iv._outward_rounding:
         return top + es, top + es
-    abs_err = np.sum(np.abs(err), axis=-1)
-    eb = next_up(factor * abs_err) + _ETA
+    abs_err = np.abs(err).sum(axis=-1)
+    eb = next_up(_sum_error_factor(err.shape[-1]) * abs_err) + _ETA
     lo, hi = _sum_down(top, next_down(es - eb)), _sum_up(top, next_up(es + eb))
     if exact:
-        return np.where(abs_err == 0.0, top, lo), np.where(abs_err == 0.0, top, hi)
+        clean = abs_err == 0.0
+        return np.where(clean, top, lo), np.where(clean, top, hi)
     return lo, hi
 
 
-def _sum_width(n, k):
-    """Narrowest widths w >= k at which ``np.sum`` over a row whose entries
-    past the first k are zero groups those k entries as at width n >= k
-    (arrays of n and k).
-
-    numpy sums a row as 0.0 plus a pairwise sum: under 8 entries in order;
-    up to 128 entries in eight interleaved partial sums combined as a tree,
-    then the entries past the last multiple of 8 in order; above 128 as
-    the sum of two parts, the first the largest multiple of 8 not above
-    half.  Trailing zeros change no nonzero partial sum, and the leading
-    0.0 makes a zero result +0.0 at every width."""
-    n, k = np.asarray(n), np.asarray(k)
-    full = np.zeros(n.shape, dtype=bool)  # rows that need their whole n
-    while np.any((n > 128) & ~full):
-        half = n // 2 - (n // 2) % 8
-        split = (n > 128) & ~full
-        full |= split & (k > half)
-        n = np.where(split & (k <= half), half, n)
-    full |= (n < 8) | (k > n - n % 8)
-    return np.where(full, n, np.maximum(8, -(-k // 8) * 8))
+def _iv_sums(a):
+    """Bounds of the sums of the interval array a = (lo, hi) over its last
+    axis: ``_row_sums(..., exact=True)`` of the rows of lo and of hi."""
+    lower, upper = _row_sums(np.asarray(a), exact=True)
+    return lower[0], upper[1]
 
 
-def _ragged_row_sums(lo, hi, row, counts, lengths, budget: int):
+def _ragged_row_sums(lo, hi, row, counts, budget: int):
     """``_row_sums(..., exact=True)`` of ragged rows: the lower bound of
     the sum of ``lo`` and the upper bound of the sum of ``hi`` per row.
 
     Terms come grouped by row, in summation order (``row`` nondecreasing),
-    and row r holds ``counts[r]`` of them.  Row r is summed as if padded
-    with zeros to ``lengths[r]`` entries, at the narrowest width that sums
-    alike (``_sum_width``), in passes of at most ``budget`` elements.
-    Empty rows sum to 0.0."""
-    rank = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
-    out_lo, out_hi = np.zeros(len(counts)), np.zeros(len(counts))
-    busy = np.flatnonzero(counts)
-    if not busy.size:
-        return out_lo, out_hi
-    widths = _sum_width(lengths[busy] - 1, counts[busy] - 1) + 1
-    local = np.zeros(len(counts), dtype=np.int64)
-    for w in sorted(set(widths.tolist())):
-        rows = busy[widths == w]
-        step = max(1, budget // (2 * w + 2))  # (2, rows, w) grids, (2, rows) sums
-        for s0 in range(0, len(rows), step):
-            chunk = rows[s0:s0 + step]
-            pick = np.zeros(len(counts), dtype=bool)
-            pick[chunk] = True
-            local[chunk] = np.arange(len(chunk))
-            mine = np.flatnonzero(pick[row])
-            g = np.zeros((2, len(chunk), w))
-            at = (local[row[mine]], rank[mine])
-            g[(0,) + at], g[(1,) + at] = lo[mine], hi[mine]
-            lower, upper = _row_sums(g, exact=True, n=lengths[chunk])
-            out_lo[chunk], out_hi[chunk] = lower[0], upper[1]
-    return out_lo, out_hi
+    and row r holds ``counts[r]`` of them.  Rows of one count are summed
+    together at that width, in passes of at most ``budget`` elements, so
+    each row gets the bits it gets alone.  Empty rows sum to 0.0."""
+    order = np.argsort(counts[row], kind="stable")  # rows of one count side by side
+    terms = np.stack((lo[order], hi[order]))
+    rows = np.argsort(counts, kind="stable")
+    widths, first = np.unique(counts[rows], return_index=True)
+    ends = first.tolist()[1:] + [len(rows)]
+    out = np.zeros((2, len(counts)))
+    t0 = 0
+    for w, a, b in zip(widths.tolist(), first.tolist(), ends):
+        if not w:
+            continue  # empty rows sum to 0.0
+        step = max(1, budget // (2 * w))
+        for s0 in range(a, b, step):
+            chunk = rows[s0:min(s0 + step, b)]
+            t1 = t0 + len(chunk) * w
+            out[0, chunk], out[1, chunk] = _iv_sums(terms[:, t0:t1].reshape(2, len(chunk), w))
+            t0 = t1
+    return out[0], out[1]
 
 
 def iv_dot(weights, lo, hi):

@@ -308,7 +308,7 @@ def _cmd_selftest(_args) -> int:
 
     from . import interval as iv
     from .oned import green_value
-    from .quad import log_moment, singular_triangle
+    from .quad import singular_triangle
     from .geometry import Triangle, amano_sources, discretize_boundary
     from .taylor import TaylorModel2, tm_from_expr
     from .fundsol import TestFunction2D
@@ -347,11 +347,6 @@ def _cmd_selftest(_args) -> int:
             if not (mp.mpf(got.lo) <= want <= mp.mpf(got.hi)):
                 bad += 1
     report("interval-containment-2000-random", bad == 0, f"{bad} violations")
-
-    lm = log_moment(Interval(1.0, 1.0), 0)
-    report("log-moment-quarter", lm.lo <= -0.25 <= lm.hi and lm.width() < 1e-12)
-    lm = log_moment(Interval(1.0, 1.0), 1)
-    report("log-moment-ninth", lm.lo <= float(-mp.mpf(1) / 9) <= lm.hi)
 
     tri = Triangle(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
                    singular_vertex=0)

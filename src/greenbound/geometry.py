@@ -118,9 +118,6 @@ class Polygon:
                     inside = not inside
         return 1 if inside else -1
 
-    def contains_strict(self, p) -> bool:
-        return self.locate(p) == 1
-
 
 @dataclass(frozen=True)
 class Triangle:

@@ -45,8 +45,8 @@ from .geometry import Polygon, Triangle
 from .interval import PI, Interval, rational
 from .taylor import MAX_DEGREE, Boxes, TaylorModel2
 
-__all__ = ["QuadConfig", "log_moment", "singular_triangle", "pair_f_phi",
-           "source_kernel_terms", "integrate_source"]
+__all__ = ["QuadConfig", "singular_triangle", "pair_f_phi", "source_kernel_terms",
+           "integrate_source"]
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,6 @@ class QuadConfig:
             raise DomainError(f"tm_degrees must be at most ({MAX_DEGREE}, {MAX_DEGREE})")
         if self.fan_splits < 1:
             raise DomainError("fan_splits must be >= 1")
-
-
-def log_moment(a: Interval, j: int) -> Interval:
-    """Enclosure of int_0^a u^(j+1) log(u) du for a > 0, j >= 0."""
-    if j < 0:
-        raise DomainError("log_moment requires j >= 0")
-    if a.lo <= 0.0:
-        raise DomainError(f"log_moment requires a > 0, got {a}")
-    j2 = float(j + 2)
-    return a.pow_int(j + 2) * (a.log() * j2 - 1.0) / (j2 * j2)
 
 
 _CHUNK_TERMS = 1024  # fan-part terms per array pass of the moments
@@ -175,8 +165,7 @@ def _sliver_bounds(f: _expr.SourceExpr, center, v1, v2, w1x, w1y, w2x, w2y, cros
 
 def _row_dot(clo, chi, term):
     """Float bounds of sum_t [c_t] [term_t] per row of (rows, T) arrays."""
-    lo, hi = dr._iv_mul_exact01((clo, chi), term)
-    return dr._row_sums(lo, exact=True)[0], dr._row_sums(hi, exact=True)[1]
+    return dr._iv_sums(dr._iv_mul_exact01((clo, chi), term))
 
 
 def _part_moments(i, j, clo, chi, d, log_d, ya, yb, want_log: bool, want_plain: bool):
@@ -294,30 +283,21 @@ def _part_integrals(f: _expr.SourceExpr, cfg: QuadConfig, c, d, nx, ny, ex, ey, 
     return part_log, part_plain
 
 
-def _sum_columns(lo, hi):
-    """Sums of the columns of (rows, cols) endpoint arrays, from 0 in
-    column order, as repeated ``Interval.__add__`` forms them."""
-    total = np.zeros(len(lo)), np.zeros(len(lo))
-    for q in range(lo.shape[1]):
-        total = dr._iv_add_exact0(total, (lo[:, q], hi[:, q]))
-    return total
-
-
 def _fans(f: _expr.SourceExpr, centers, edges, cfg: QuadConfig,
           want_log: bool = True, want_plain: bool = False):
     """Per centre c, the signed enclosures of the integrals of
     f log|x - c|^2 (``want_log``) and of f (``want_plain``) over the fan of
-    triangles (c, a, b), one per edge (a, b) of ``edges``, summed in edge
-    order; two lists of Intervals (zero where not wanted).
+    triangles (c, a, b), one per edge (a, b) of ``edges``: two (lo, hi)
+    pairs of arrays over the centres (None where not wanted).
 
     The signed triangle sum over the edges of a simple polygon reproduces
     the polygon integral exactly for any centre (winding-number argument),
     so this serves interior points and exterior sources alike.
 
     All fans of the call are one array pass: the frames of every fan at
-    once, then ``_part_integrals``, and the sums over parts and over edges
-    on endpoint arrays.  A fan without a certain orientation or a frame
-    gets ``_sliver_bounds``.
+    once, then ``_part_integrals``, and one rigorous row sum over each
+    fan's parts and one over each centre's fans.  A fan without a certain
+    orientation or a frame gets ``_sliver_bounds``.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     edges = np.asarray(edges, dtype=float).reshape(-1, 2, 2)
@@ -341,16 +321,20 @@ def _fans(f: _expr.SourceExpr, centers, edges, cfg: QuadConfig,
     out = []
     for q, part in enumerate(parts):
         if part is None:
-            out.append([Interval(0.0, 0.0)] * len(centers))
+            out.append(None)
             continue
         fan = np.zeros((2, len(c)))
-        total = _sum_columns(*(e.reshape(-1, cfg.fan_splits) for e in part))
+        total = dr._iv_sums(part.reshape(2, -1, cfg.fan_splits))
         fan[:, reg] = np.where(clockwise, dr._iv_neg(total), total)
         for r, bounds in slivers.items():
-            fan[0][r], fan[1][r] = bounds[q].lo, bounds[q].hi
-        lo, hi = _sum_columns(*(e.reshape(-1, n_e) for e in fan))
-        out.append([Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+            fan[:, r] = bounds[q].lo, bounds[q].hi
+        out.append(dr._iv_sums(fan.reshape(2, -1, n_e)))
     return out[0], out[1]
+
+
+def _first(ends) -> Interval:
+    """The first entry of a (lo, hi) pair of arrays, as an Interval."""
+    return Interval(float(ends[0][0]), float(ends[1][0]))
 
 
 def singular_triangle(f: _expr.SourceExpr, tri: Triangle,
@@ -367,7 +351,7 @@ def singular_triangle(f: _expr.SourceExpr, tri: Triangle,
     sv = tri.singular_vertex
     v = tri.vertices
     edge = [(v[(sv + 1) % 3], v[(sv + 2) % 3])]
-    return _fans(f, [v[sv]], edge, cfg, want_log=True, want_plain=False)[0][0]
+    return _first(_fans(f, [v[sv]], edge, cfg, want_log=True, want_plain=False)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +365,7 @@ def integrate_source(
     """Enclosure of the integral of f over the polygon."""
     cfg = cfg or QuadConfig()
     center = poly.vertices.mean(axis=0)
-    return _fans(f, [center], poly.edges(), cfg, want_log=False, want_plain=True)[1][0]
+    return _first(_fans(f, [center], poly.edges(), cfg, want_log=False, want_plain=True)[1])
 
 
 def source_kernel_terms(
@@ -394,7 +378,8 @@ def source_kernel_terms(
     several candidates on one domain computes them once."""
     cfg = cfg or QuadConfig()
     logs, _ = _fans(f, sources, poly.edges(), cfg, want_log=True, want_plain=False)
-    return [term * NEG_INV_4PI for term in logs]
+    lo, hi = dr._iv_mul_exact01(logs, dr._ends(NEG_INV_4PI))
+    return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def pair_f_phi(
@@ -414,22 +399,15 @@ def pair_f_phi(
     contributes c * integral(f), with integral(f) from the evaluation
     point's fan.  d is a float or an Interval.  ``source_terms`` are the
     :func:`source_kernel_terms` of f and ``tf0.sources``, computed here
-    when the caller does not already have them.  Each result sums the
-    interior term, c * integral(f) and d first, then the source terms
-    times their nonzero coefficients in index order.
+    when the caller does not already have them; their weighted sum is one
+    rigorous dot product.  Each result sums the interior term,
+    c * integral(f), d and that weighted sum, in this order.
     """
     cfg = cfg or QuadConfig()
-    (log_int,), (plain_int,) = _fans(f, [tf0.s_int], poly.edges(), cfg,
-                                     want_log=True, want_plain=True)
-    interior = log_int * NEG_INV_4PI
+    log, plain = _fans(f, [tf0.s_int], poly.edges(), cfg, want_log=True, want_plain=True)
+    interior, plain_int = _first(log) * NEG_INV_4PI, _first(plain)
     if source_terms is None:
         source_terms = source_kernel_terms(f, tf0.sources, poly, cfg)
-    weighted = [term * coeff for term, coeff in zip(source_terms, tf0.coeffs.tolist())
-                if coeff != 0.0]
-    out = []
-    for c, d in offsets:
-        total = interior + Interval.point(c) * plain_int + d
-        for term in weighted:
-            total = total + term
-        out.append(total)
-    return out
+    ends = np.array([(term.lo, term.hi) for term in source_terms]).reshape(-1, 2)
+    weighted = Interval(*(float(e) for e in dr.iv_dot(tf0.coeffs, ends[:, 0], ends[:, 1])))
+    return [interior + Interval.point(c) * plain_int + d + weighted for c, d in offsets]

@@ -25,10 +25,9 @@ bit, the same model built alone (a batch of one): a member keeps its own
 nonzero coefficients, and a product sums that member's terms per
 coefficient, in the same order, by one TwoSum-compensated row sum per
 coefficient.  The truncated terms, each bounded by its monomial range,
-form a row of their own, folded into the constant coefficient.  Every row
-of a member's product is summed with the a-priori error factor of that
-product's longest row, the row length the member has alone, and at a
-width at which numpy groups its rounding errors as at that length.
+form a row of their own, folded into the constant coefficient.  A row's
+bounds depend only on its own terms: rows of one length are summed
+together, at that length (``_directed._ragged_row_sums``).
 """
 
 from __future__ import annotations
@@ -133,16 +132,11 @@ def _as_boxes(box) -> Boxes:
 
 def _cell_sums(act, cell, plo, phi, cells: int):
     """Rigorous sums of each member's active terms (``act``, (P, T)) per
-    cell: terms [plo, phi] (P, T) sorted by ``cell`` (T,) < ``cells``.
-
-    Each row gets the a-priori factor of its member's longest row, so a
-    member's sums do not depend on the other members of the batch."""
+    cell: terms [plo, phi] (P, T) sorted by ``cell`` (T,) < ``cells``."""
     p, t = np.nonzero(act)
     row = p * cells + cell[t]
     counts = np.bincount(row, minlength=len(act) * cells)
-    longest = np.maximum(counts.reshape(-1, cells).max(axis=1), 1)
-    lo, hi = dr._ragged_row_sums(plo[p, t], phi[p, t], row, counts,
-                                 np.repeat(longest, cells), _BATCH_ELEMS)
+    lo, hi = dr._ragged_row_sums(plo[p, t], phi[p, t], row, counts, _BATCH_ELEMS)
     return lo.reshape(-1, cells), hi.reshape(-1, cells)
 
 
@@ -276,8 +270,7 @@ class TaylorModel2:
                                           self.boxes.ranges(at, i, j))
             p, t = np.nonzero(mask[at][:, nz])
             counts = np.bincount(p, minlength=len(plo))
-            lo[at], hi[at] = dr._ragged_row_sums(plo[p, t], phi[p, t], p, counts, counts,
-                                                 _BATCH_ELEMS)
+            lo[at], hi[at] = dr._ragged_row_sums(plo[p, t], phi[p, t], p, counts, _BATCH_ELEMS)
         bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)))
         if bad.size:
             raise DomainError(f"invalid range enclosure [{lo[bad[0]]}, {hi[bad[0]]}]")

@@ -166,17 +166,19 @@ class SignedSplit:
                 raise InputError(
                     f"split part {name!r} not certified nonnegative ({verdict.value})"
                 )
+        # uniform points of the polygon: a triangle of its triangulation,
+        # chosen by area, then a uniform point of it (folded barycentric
+        # coordinates)
+        a, b, c = np.moveaxis(poly.vertices[np.array(_ear_clip(poly))], 1, 0)
+        u, w = b - a, c - a
+        area = np.abs(u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
         rng = np.random.default_rng(20240905)
-        v = poly.vertices
-        lo = v.min(axis=0)
-        hi = v.max(axis=0)
+        pick = rng.choice(len(area), SPLIT_SAMPLES, p=area / area.sum())
+        r = rng.random((SPLIT_SAMPLES, 2))
+        r = np.where(r.sum(axis=1, keepdims=True) > 1.0, 1.0 - r, r)
+        points = a[pick] + r[:, :1] * u[pick] + r[:, 1:] * w[pick]
         scale = max(1.0, _magnitude_scale(f, poly))
-        checked = 0
-        while checked < SPLIT_SAMPLES:
-            p = lo + rng.random(2) * (hi - lo)
-            if not poly.contains_strict(p):
-                continue
-            checked += 1
+        for p in points:
             lhs = f.eval_point(p[0], p[1])
             rhs = self.f_plus.eval_point(p[0], p[1]) - self.f_minus.eval_point(
                 p[0], p[1]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +363,13 @@ class TestSelftest:
         assert "PASS interval-containment-2000-random" in out
         assert "PASS boundary-extrema-sandwich" in out
         assert "FAIL" not in out.replace("FAIL'", "")
+
+    def test_plain_install_brings_mpmath(self):
+        """selftest checks against mpmath, so mpmath is a runtime
+        dependency, not only a test extra."""
+        tomllib = pytest.importorskip("tomllib")
+        meta = tomllib.loads((Path(__file__).parent.parent / "pyproject.toml").read_text())
+        assert any(dep.startswith("mpmath") for dep in meta["project"]["dependencies"])
 
     def test_detects_corrupted_rounding(self, capsys):
         iv._set_outward_rounding(False)

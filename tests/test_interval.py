@@ -463,25 +463,16 @@ def test_pair_ops_match_scalar(a, b):
     assert _bits(_midpoints(*pa)[0]) == _bits(a.mid())
 
 
-def _padded_row_sums(terms, length):
-    """Reference: each row of terms zero-padded to ``length`` entries and
-    summed by ``_row_sums`` (the layout of one product's cell grid)."""
-    grid = np.zeros((2, len(terms), length))
-    for r, row in enumerate(terms):
-        grid[:, r, :len(row)] = row
-    lower, upper = dr._row_sums(grid, exact=True)
-    return lower[0], upper[1]
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 9, 40, 129, 300, 1100]))
-def test_ragged_row_sums_match_padded_rows(seed, length):
-    """Compact rows summed at ``_sum_width`` equal, bit for bit, the same
-    rows zero-padded to their full length, also where a row's sum cancels
-    and numpy's pairwise grouping of the rounding errors shows."""
+def test_ragged_row_sums_match_each_row_alone(seed, longest):
+    """Each ragged row's bounds equal, bit for bit and sign of zero
+    included, those ``_row_sums(exact=True)`` gives that row alone, also
+    where a row's sum cancels and the rounding errors decide, and for rows
+    of -0.0; empty rows sum to 0.0."""
     rng = np.random.default_rng(seed)
-    counts = rng.integers(0, length + 1, 12)
-    counts[rng.integers(12)] = length
+    counts = rng.integers(0, longest + 1, 12)
+    counts[rng.integers(12)] = longest
     terms = []
     for k in counts.tolist():
         row = rng.standard_normal(k) * 10.0 ** rng.integers(-20, 20, k)
@@ -490,12 +481,14 @@ def test_ragged_row_sums_match_padded_rows(seed, length):
         elif k > 1 and rng.random() < 0.5:  # the running sum cancels: errors decide
             row[-1] = -np.cumsum(row[:-1])[-1]
         terms.append(row)
-    row_of = np.repeat(np.arange(12), counts)
-    flat = np.concatenate(terms) if terms else np.zeros(0)
-    got = dr._ragged_row_sums(flat, flat, row_of, counts, np.full(12, length), 64)
-    want = _padded_row_sums(terms, length)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+    terms[rng.integers(12)] = np.full(rng.integers(1, longest + 1), -0.0)
+    counts = np.array([len(row) for row in terms])
+    flat = np.concatenate(terms)
+    got = dr._ragged_row_sums(flat, -flat, np.repeat(np.arange(12), counts), counts, 64)
+    for r, row in enumerate(terms):
+        want = dr._row_sums(np.stack((row, -row)), exact=True)
+        for g, w in ((got[0][r], want[0][0]), (got[1][r], want[1][1])):
+            assert g == w and np.signbit(g) == np.signbit(w), (r, len(row))
 
 
 def test_trig_of_points_match_scalar():
@@ -506,13 +499,3 @@ def test_trig_of_points_match_scalar():
         for x, a, b in zip(t.tolist(), lo.tolist(), hi.tolist()):
             want = getattr(Interval.point(x), name)()
             assert (a, b) == (want.lo, want.hi), (name, x)
-
-
-def test_ragged_row_of_negative_zeros_takes_the_padding_sign():
-    """Nine -0.0 terms sum to -0.0 at their compact width 9, but padding to
-    12 entries adds +0.0: the padded sign is the one kept."""
-    terms = [np.full(9, -0.0), np.array([1.0])]
-    got = dr._ragged_row_sums(np.concatenate(terms), np.concatenate(terms),
-                              np.repeat([0, 1], [9, 1]), np.array([9, 1]), np.array([12, 12]), 64)
-    want = _padded_row_sums(terms, 12)
-    assert np.signbit(want[0][0]) == np.signbit(got[0][0]) == False  # noqa: E712

@@ -17,7 +17,6 @@ from greenbound.interval import Interval
 from greenbound.quad import (
     QuadConfig,
     integrate_source,
-    log_moment,
     pair_f_phi,
     singular_triangle,
     source_kernel_terms,
@@ -34,33 +33,6 @@ def canonical_triangle(scale=1.0):
     return Triangle(
         np.array([[0.0, 0.0], [scale, 0.0], [scale, scale]]), singular_vertex=0
     )
-
-
-class TestLogMoment:
-    def test_exact_values(self):
-        assert_contains(log_moment(Interval(1, 1), 0), -0.25)
-        assert_contains(log_moment(Interval(1, 1), 1), float(-mp.mpf(1) / 9))
-
-    def test_half(self):
-        got = log_moment(Interval(0.5, 0.5), 0)
-        want = float(mp.quad(lambda u: u * mp.log(u), [0, mp.mpf("0.5")]))
-        assert_contains(got, want)
-        assert got.width() < 1e-14
-
-    def test_against_quadrature_random(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            a = float(rng.uniform(0.05, 2.0))
-            j = int(rng.integers(0, 9))
-            want = mp.quad(lambda u: u ** (j + 1) * mp.log(u), [0, a])
-            got = log_moment(Interval.point(a), j)
-            assert mp.mpf(got.lo) <= want <= mp.mpf(got.hi)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_moment(Interval(0, 1), 0)
-        with pytest.raises(DomainError):
-            log_moment(Interval(1, 1), -1)
 
 
 class TestSingularTriangle:
@@ -175,7 +147,7 @@ class TestPairing:
         assert got.width() < 1e-12
 
     @pytest.mark.parametrize("text, degrees, lo, hi", [
-        ("x + sin((x+0.5)*y^2)", (6, 6), 0.004885182638034694, 0.005380716956915346),
+        ("x + sin((x+0.5)*y^2)", (6, 6), 0.004885182638034694, 0.005380716956915345),
         ("sqrt(x + 2)", (8, 8), 0.23838195615663818, 0.2383820709319374),
     ])
     def test_rational_constants_pinned(self, centered_square, text, degrees, lo, hi):
@@ -299,13 +271,13 @@ class TestBatchedFans:
 
     @pytest.mark.parametrize("text, degrees, domain, corner, digest", [
         ("1", (8, 8), "centered_square", None,
-         "37d7283a8ad12d7214fb356825c074fae1f177e668f9c6f9297273b3ae0ffc0f"),
+         "6534e6f452d6f9c7bd77ae7f0e57c392440577e1063a7a502e1603a2b783c687"),
         ("1", (8, 8), "lshape", (0.0, 0.0),
-         "ff052d708b79d38d3cd921584714473512d8e703cc44c13d0fce2b232929b39a"),
+         "5231d7f1856de4a8f626ebc9ab61ce59ec243109f3d4c1d5a3b2ab516a32177f"),
         (TRIG, (6, 6), "centered_square", None,
-         "a75615f7561bfbe3b6f129a18e79268a217075c0864c34aed76301a04553cba2"),
+         "383c8731f7d2a7cc8c52701f039d16fa42b4eb917c4eed0a39bc37e8b9fc6706"),
         (TRIG, (6, 6), "lshape", (0.0, 0.0),
-         "c59a26dac7a980987f0d109991feeeec5587f968480f2d67cae7d510509fdf9c"),
+         "3d57f787b684547a68e81a6f5f17bf86dc02add1ff47744264484dcca3422f25"),
     ], ids=["1-square", "1-lshape", "trig-square", "trig-lshape"])
     def test_source_kernel_terms_pinned(self, request, text, degrees, domain, corner, digest):
         poly = request.getfixturevalue(domain)
@@ -323,10 +295,10 @@ class TestBatchedFans:
         f, cfg = parse(text), QuadConfig(tm_degrees=(6, 6))
         for _ in range(12):
             c, a, b = rng.uniform(-1.0, 1.0, (3, 2))
-            (ccw,), (ccw_plain,) = quad._fans(f, [c], [(a, b)], cfg, want_plain=True)
-            (cw,), (cw_plain,) = quad._fans(f, [c], [(b, a)], cfg, want_plain=True)
-            assert (cw.lo, cw.hi) == (-ccw.hi, -ccw.lo)
-            assert (cw_plain.lo, cw_plain.hi) == (-ccw_plain.hi, -ccw_plain.lo)
+            ccw = quad._fans(f, [c], [(a, b)], cfg, want_plain=True)
+            cw = quad._fans(f, [c], [(b, a)], cfg, want_plain=True)
+            for (lo, hi), (ccw_lo, ccw_hi) in zip(cw, ccw):  # the log and the plain integral
+                assert (lo[0], hi[0]) == (-ccw_hi[0], -ccw_lo[0])
 
     def test_models_of_f_batched_per_pattern(self, centered_square, monkeypatch):
         """The 276 fan parts of the plan's sources take one batched
@@ -348,7 +320,7 @@ class TestBatchedFans:
         got = pair_f_phi(parse(TRIG), tf, centered_square,
                          QuadConfig(tm_degrees=(6, 6), fan_splits=3),
                          offsets=((0.0, 0.0), (0.25, 0.0)))
-        assert _sha(got) == "179d79e889601a38de8fa83bc7edb3d9e6b3c3018009a44642e43f387c2c5e23"
+        assert _sha(got) == "b5b64e4abfaa79bb7fd3321846cb5af5ca651eb72a6b7bcde08ca9b0b6d745da"
 
     # regular exterior sources, and sources on the lines of the bottom and
     # left edges, whose fans to those edges are degenerate slivers

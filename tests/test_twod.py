@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +73,19 @@ class TestSignedSplit:
         bad = SignedSplit(parse("max(x+0.499, 0)"), parse("0.499"))
         with pytest.raises(InputError, match="f \\+ minus"):
             bad.verify(parse("x"), centered_square)
+
+    def test_thin_polygon_samples_inside(self):
+        """The identity check draws its points inside the triangulation, so
+        a sliver of a polygon that bounding-box draws almost never hit
+        takes no longer than a square, and a wrong plus part is still
+        caught there."""
+        thin = Polygon(np.array([[0.0, 0.0], [1.0, 1.0], [1.0 - 1e-7, 1.0]]))
+        f = parse("x-0.5")
+        t0 = time.perf_counter()
+        shift_split(f, 1.0).verify(f, thin)
+        assert time.perf_counter() - t0 < 1.0
+        with pytest.raises(InputError, match="identity"):
+            SignedSplit(parse("x+0.5001"), parse("1")).verify(f, thin)
 
     def test_negative_offset_rejected(self):
         with pytest.raises(InputError):
