@@ -491,6 +491,38 @@ def test_ragged_row_sums_match_each_row_alone(seed, longest):
             assert g == w and np.signbit(g) == np.signbit(w), (r, len(row))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 9, 40, 129, 300, 1100]))
+def test_ragged_row_sums_match_padded_rows(seed, length):
+    """Trailing zeros add no rounding error, so a compact ragged row and
+    the same row zero-padded to ``length`` and summed by ``_iv_sums`` both
+    enclose the exact sum, and are equal wherever the sum is exact.  (Other
+    bits may differ: the a-priori factor and numpy's pairwise grouping of
+    the error sum depend on the row width.)"""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, length + 1, 12)
+    counts[rng.integers(12)] = length
+    terms = []
+    for k in counts.tolist():
+        row = rng.standard_normal(k) * 10.0 ** rng.integers(-20, 20, k)
+        if rng.random() < 0.3:
+            row = np.where(rng.random(k) < 0.7, -0.0, row)
+        elif k > 1 and rng.random() < 0.5:  # the running sum cancels: errors decide
+            row[-1] = -np.cumsum(row[:-1])[-1]
+        terms.append(row)
+    flat = np.concatenate(terms)
+    got = dr._ragged_row_sums(flat, flat, np.repeat(np.arange(12), counts), counts, 64)
+    grid = np.zeros((2, 12, length))
+    for r, row in enumerate(terms):
+        grid[:, r, :len(row)] = row
+    want = dr._iv_sums(grid)
+    for r, row in enumerate(terms):
+        s = math.fsum(row.tolist())  # correctly rounded, so lo <= s <= hi holds for bounds
+        assert got[0][r] <= s <= got[1][r] and want[0][r] <= s <= want[1][r], (r, len(row))
+        if want[0][r] == want[1][r]:
+            assert got[0][r] == got[1][r] == want[0][r], (r, len(row))
+
+
 def test_trig_of_points_match_scalar():
     t = np.concatenate([np.linspace(-20.0, 20.0, 401), [0.0, -0.0, 1e15, -3e8],
                         HALF_PI.lo * np.arange(-12, 13), PI.hi * np.arange(-12, 13)])
