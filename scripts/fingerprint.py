@@ -4,9 +4,11 @@
 For every seed in the range, runs one round of a perfbench workload
 (``perfbench/workloads.py``, imported and never modified) on this
 checkout's ``src/greenbound`` and prints one sha256 of the reprs of
-``OpResult.output()`` over all ops of the round.  Two checkouts whose
-hashes agree produce bit-identical bounds and nodal values, so every
-width metric of the benchmark agrees too.
+``OpResult.output()`` over all ops of the round, and of each 2D op's
+boundary-search diagnostics (``SEARCH_KEYS``: m, M, evaluations, depth
+and converged).  Two checkouts whose hashes agree produce bit-identical
+bounds and nodal values, so every width metric of the benchmark agrees
+too, and their boundary searches did the same work.
 
 Usage: python3 scripts/fingerprint.py --workload poly-const --seeds 0-3
 
@@ -39,12 +41,17 @@ def seed_range(text: str) -> range:
     return range(int(a), int(b or a) + 1)
 
 
+# EnclosureResult.diagnostics of a 2D op that the hash covers
+SEARCH_KEYS = ("m", "M", "extrema_evaluations", "extrema_depth", "extrema_converged")
+
+
 def fingerprint(gb, workload: str, seed: int) -> str:
     parsed = workloads.parse(gb, workloads.generate(workload, seed))
     results, _wall = workloads.run_round(gb, parsed)
     digest = hashlib.sha256()
     for r in results:
-        digest.update(repr(r.output()).encode())
+        search = tuple(r.diagnostics[k] for k in SEARCH_KEYS) if r.diagnostics else None
+        digest.update(repr((r.output(), search)).encode())
         digest.update(b"\n")
     return digest.hexdigest()
 

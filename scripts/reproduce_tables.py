@@ -5,7 +5,7 @@ Runs the full pipeline (n = 69 collocation/source points) for the constant,
 polynomial, and trigonometric sources at the tabulated evaluation points and
 prints one row per (domain, source, point).  Each case is one
 ``enclose_batch`` call; its rows show the case's seconds.  The whole script
-takes about 20 s on a 2-core Xeon host, 16 s of it for the trigonometric
+takes about 3 s on a 2-core Xeon host, 2 s of it for the trigonometric
 source, whose Taylor models need the angular fan subdivision.
 
 Usage: python scripts/reproduce_tables.py [--fast]

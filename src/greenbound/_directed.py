@@ -318,12 +318,17 @@ def _row_sums(x: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarra
         return x[..., 0], x[..., 0]
     c = x.cumsum(axis=-1)
     a, b, s = c[..., :-1], x[..., 1:], c[..., 1:]
+    # err = (a - (s - bv)) + (b - bv) with bv = s - a, in two buffers
     bv = s - a
-    err = (a - (s - bv)) + (b - bv)
+    err = s - bv
+    np.subtract(a, err, out=err)
+    np.subtract(b, bv, out=bv)
+    err += bv
+    del bv
     top, es = c[..., -1], err.sum(axis=-1)
     if not _iv._outward_rounding:
         return top + es, top + es
-    abs_err = np.abs(err).sum(axis=-1)
+    abs_err = np.abs(err, out=err).sum(axis=-1)
     eb = next_up(_sum_error_factor(err.shape[-1]) * abs_err) + _ETA
     lo, hi = _sum_down(top, next_down(es - eb)), _sum_up(top, next_up(es + eb))
     if exact:
@@ -332,10 +337,11 @@ def _row_sums(x: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarra
     return lo, hi
 
 
-def _iv_sums(a):
+def _iv_sums(a, exact: bool = True):
     """Bounds of the sums of the interval array a = (lo, hi) over its last
-    axis: ``_row_sums(..., exact=True)`` of the rows of lo and of hi."""
-    lower, upper = _row_sums(np.asarray(a), exact=True)
+    axis: ``_row_sums(..., exact)`` of the rows of lo and of hi, in one
+    pass."""
+    lower, upper = _row_sums(np.asarray(a), exact)
     return lower[0], upper[1]
 
 
@@ -372,11 +378,14 @@ def iv_dot(weights, lo, hi):
     ``weights`` are exact floats broadcasting against ``lo``/``hi``; the
     result has the shape of ``lo`` without its last axis.  The products
     are rounded outward, except those by a weight of exactly 0 or +-1,
-    which are exact, and each row is summed by ``_row_sums``.
+    which are exact, and the rows of lower and upper products are summed
+    in one ``_row_sums`` pass.
     """
     pos = weights >= 0.0
-    tlo = np.where(pos, weights * lo, weights * hi)
-    thi = np.where(pos, weights * hi, weights * lo)
+    wlo, whi = weights * lo, weights * hi
+    t = np.stack((np.where(pos, wlo, whi), np.where(pos, whi, wlo)))
+    del wlo, whi
     exact = (weights == 0.0) | (np.abs(weights) == 1.0)
-    tlo, thi = np.where(exact, tlo, next_down(tlo)), np.where(exact, thi, next_up(thi))
-    return _row_sums(tlo)[0], _row_sums(thi)[1]
+    t[0] = np.where(exact, t[0], next_down(t[0]))
+    t[1] = np.where(exact, t[1], next_up(t[1]))
+    return _iv_sums(t, exact=False)

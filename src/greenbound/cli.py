@@ -389,7 +389,9 @@ def _cmd_selftest(_args) -> int:
     pts = discretize_boundary(square, cfg.n)
     src = amano_sources(square, pts, cfg.r_rule())
     tf0 = TestFunction2D((0.1, -0.2), src, solve_coefficients(pts, src, (0.1, -0.2))[0])
-    ext = boundary_extrema(tf0, square, tol=cfg.tol)
+    (ext,) = boundary_extrema([tf0], square, tol=cfg.tol)
+    if isinstance(ext, Exception):
+        raise ext
     sample = np.random.default_rng(5)
     e, t = sample.integers(0, 4, 1000), sample.random((1000, 1))
     a, b = square.vertices[e], square.vertices[(e + 1) % 4]

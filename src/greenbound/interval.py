@@ -40,6 +40,7 @@ __all__ = [
     "hull",
     "intersect",
     "subdivide_min_max",
+    "lockstep_min_max",
     "MinMaxResult",
     "BoxEvaluator",
     "mean_value_form",
@@ -447,15 +448,21 @@ def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class _Search:
-    """Certified witnesses and finalized bounds shared by all roots.
+    """One branch-and-bound over the roots of one domain, as a generator.
 
-    ``sup_wit``/``inf_wit`` are values g provably reaches (some point has
-    g >= sup_wit, some point has g <= inf_wit); ``final_sup``/``final_inf``
-    bound g over boxes that left the search without being split.
+    ``run`` yields each evaluator request ``(root, lo, hi)``, with roots
+    numbered within this search, is sent back the evaluator's columns
+    for it, and returns the :class:`MinMaxResult`; :func:`lockstep_min_max`
+    steps any number of these together.  ``sup_wit``/``inf_wit`` are
+    values g provably reaches (some point has g >= sup_wit, some point
+    has g <= inf_wit); ``final_sup``/``final_inf`` bound g over boxes that
+    left the search without being split.
     """
 
-    def __init__(self, g: BoxEvaluator):
-        self.g = g
+    def __init__(self, roots: Sequence[Interval], tol: float, max_depth: int,
+                 max_evals: int):
+        self.roots = list(roots)
+        self.tol, self.max_depth, self.max_evals = tol, max_depth, max_evals
         self.evals = 0
         self.sup_wit, self.inf_wit = -_INF, _INF
         self.final_sup, self.final_inf = -_INF, _INF
@@ -473,7 +480,7 @@ class _Search:
     def points(self, root: np.ndarray, t: np.ndarray):
         """Values at points; every one is a witness."""
         self.evals += t.size
-        vlo, vhi = self.g(root, t, t)[:2]
+        vlo, vhi = (yield root, t, t)[:2]
         self.witness(vlo, vhi)
         return vlo, vhi
 
@@ -487,15 +494,77 @@ class _Search:
         if not root.size:
             return root, lo, hi, lo, hi
         self.evals += root.size
-        glo, ghi, clo, chi, dlo, dhi = self.g(root, lo, hi)
+        glo, ghi, clo, chi, dlo, dhi = yield root, lo, hi
         mono = (dlo > 0.0) | (dhi < 0.0)
         if mono.any():
             rm = root[mono]
-            self.finalize(*self.points(np.concatenate((rm, rm)),
-                                       np.concatenate((lo[mono], hi[mono]))))
+            self.finalize(*(yield from self.points(np.concatenate((rm, rm)),
+                                                   np.concatenate((lo[mono], hi[mono])))))
         keep = ~mono
         self.witness(clo[keep], chi[keep])
         return root[keep], lo[keep], hi[keep], glo[keep], ghi[keep]
+
+    def run(self):
+        """The level loop of :func:`subdivide_min_max`."""
+        rlo = np.array([r.lo for r in self.roots], dtype=float)
+        rhi = np.array([r.hi for r in self.roots], dtype=float)
+        ridx = np.arange(len(self.roots))
+        flat = rlo == rhi
+        vlo, vhi = yield from self.points(np.concatenate((ridx, ridx[~flat])),
+                                          np.concatenate((rlo, rhi[~flat])))
+        self.finalize(vlo[:len(self.roots)][flat], vhi[:len(self.roots)][flat])  # point roots
+        root, lo, hi, glo, ghi = yield from self.boxes(ridx[~flat], rlo[~flat], rhi[~flat])
+
+        def bounds():
+            sup_hi = max(self.final_sup, self.sup_wit, float(ghi.max()) if ghi.size else -_INF)
+            inf_lo = min(self.final_inf, self.inf_wit, float(glo.min()) if glo.size else _INF)
+            return sup_hi, inf_lo
+
+        def useful(glo, ghi):
+            return (ghi > self.sup_wit) | (glo < self.inf_wit)
+
+        tol = self.tol
+        depth = 0
+        converged = False
+        while depth < self.max_depth:
+            sup_hi, inf_lo = bounds()
+            if sup_hi - self.sup_wit <= tol and self.inf_wit - inf_lo <= tol:
+                converged = True
+                break
+            if not root.size or self.evals >= self.max_evals:
+                break
+            depth += 1
+            live = useful(glo, ghi)
+            root, lo, hi, glo, ghi = root[live], lo[live], hi[live], glo[live], ghi[live]
+            mid = _midpoints(lo, hi)
+            split = (lo < mid) & (mid < hi)
+            self.finalize(glo[~split], ghi[~split])
+            root, lo, hi, mid = root[split], lo[split], hi[split], mid[split]
+            # children (lo, mid) and (mid, hi) of each parent, side by side
+            root, lo, hi, glo, ghi = yield from self.boxes(
+                np.repeat(root, 2),
+                np.stack((lo, mid), axis=1).ravel(),
+                np.stack((mid, hi), axis=1).ravel(),
+            )
+            live = useful(glo, ghi)
+            root, lo, hi, glo, ghi = root[live], lo[live], hi[live], glo[live], ghi[live]
+            if root.size > MAX_BOXES:
+                gain = np.maximum(ghi - self.sup_wit, self.inf_wit - glo)
+                order = np.argsort(gain, kind="stable")
+                drop, keep = order[: root.size - MAX_BOXES], order[root.size - MAX_BOXES:]
+                self.finalize(glo[drop], ghi[drop])
+                root, lo, hi, glo, ghi = root[keep], lo[keep], hi[keep], glo[keep], ghi[keep]
+
+        sup_hi, inf_lo = bounds()
+        if not converged:
+            converged = sup_hi - self.sup_wit <= tol and self.inf_wit - inf_lo <= tol
+        return MinMaxResult(
+            m=Interval(inf_lo, self.inf_wit),
+            M=Interval(self.sup_wit, sup_hi),
+            converged=converged,
+            evaluations=self.evals,
+            depth=depth,
+        )
 
 
 # Total of box and point evaluations of one search when the caller sets
@@ -530,71 +599,75 @@ def subdivide_min_max(
     within ``max_depth`` levels, with at most ``MAX_BOXES`` boxes kept
     open per level.  No new level starts once ``max_evals`` box and point
     evaluations are spent; the bounds reached so far are returned, still
-    sound.
+    sound.  This is the one-search case of :func:`lockstep_min_max`, and
+    raises what the search raises.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
     if not isinstance(g, BoxEvaluator):
         g = _ScalarEvaluator(g, g_prime)
     roots = [domain] if isinstance(domain, Interval) else list(domain)
-    rlo = np.array([r.lo for r in roots], dtype=float)
-    rhi = np.array([r.hi for r in roots], dtype=float)
-    ridx = np.arange(len(roots))
-    S = _Search(g)
+    (res,) = lockstep_min_max(g, [roots], tol, max_depth, max_evals)
+    if isinstance(res, Exception):
+        raise res
+    return res
 
-    flat = rlo == rhi
-    vlo, vhi = S.points(np.concatenate((ridx, ridx[~flat])),
-                        np.concatenate((rlo, rhi[~flat])))
-    S.finalize(vlo[:len(roots)][flat], vhi[:len(roots)][flat])  # point roots
-    root, lo, hi, glo, ghi = S.boxes(ridx[~flat], rlo[~flat], rhi[~flat])
 
-    def bounds():
-        sup_hi = max(S.final_sup, S.sup_wit, float(ghi.max()) if ghi.size else -_INF)
-        inf_lo = min(S.final_inf, S.inf_wit, float(glo.min()) if glo.size else _INF)
-        return sup_hi, inf_lo
+def lockstep_min_max(g: BoxEvaluator, domains: Sequence[Sequence[Interval]],
+                     tol: float = 1e-12, max_depth: int = 40,
+                     max_evals: int = MAX_EVALS) -> list:
+    """:func:`subdivide_min_max` over each root sequence of ``domains``, all
+    searches stepped together.
 
-    def useful(glo, ghi):
-        return (ghi > S.sup_wit) | (glo < S.inf_wit)
+    Roots are numbered across the searches: root j of search i is root
+    j + (the root count of searches 0..i-1) to ``g``.  Each step makes one
+    ``g`` call over every unfinished search's next request (its boxes of
+    a level, or the points of its monotone boxes), so with an evaluator
+    whose boxes do not depend on the other boxes of a call, each search
+    gets the bits of its solo run.  Entry i is search i's
+    :class:`MinMaxResult`, or the exception it raised: when a merged call
+    raises, each request of the step is evaluated alone, and a search
+    whose own request raises ends with that exception while the others
+    go on.
+    """
+    if tol <= 0.0:
+        raise DomainError("tol must be positive")
+    searches = [_Search(d, tol, max_depth, max_evals) for d in domains]
+    offsets = np.cumsum([0] + [len(s.roots) for s in searches]).tolist()
+    runs = [s.run() for s in searches]
+    out: list = [None] * len(runs)
+    pending = {}
 
-    depth = 0
-    converged = False
-    while depth < max_depth:
-        sup_hi, inf_lo = bounds()
-        if sup_hi - S.sup_wit <= tol and S.inf_wit - inf_lo <= tol:
-            converged = True
-            break
-        if not root.size or S.evals >= max_evals:
-            break
-        depth += 1
-        live = useful(glo, ghi)
-        root, lo, hi, glo, ghi = root[live], lo[live], hi[live], glo[live], ghi[live]
-        mid = _midpoints(lo, hi)
-        split = (lo < mid) & (mid < hi)
-        S.finalize(glo[~split], ghi[~split])
-        root, lo, hi, mid = root[split], lo[split], hi[split], mid[split]
-        # children (lo, mid) and (mid, hi) of each parent, side by side
-        root, lo, hi, glo, ghi = S.boxes(
-            np.repeat(root, 2),
-            np.stack((lo, mid), axis=1).ravel(),
-            np.stack((mid, hi), axis=1).ravel(),
-        )
-        live = useful(glo, ghi)
-        root, lo, hi, glo, ghi = root[live], lo[live], hi[live], glo[live], ghi[live]
-        if root.size > MAX_BOXES:
-            gain = np.maximum(ghi - S.sup_wit, S.inf_wit - glo)
-            order = np.argsort(gain, kind="stable")
-            drop, keep = order[: root.size - MAX_BOXES], order[root.size - MAX_BOXES:]
-            S.finalize(glo[drop], ghi[drop])
-            root, lo, hi, glo, ghi = root[keep], lo[keep], hi[keep], glo[keep], ghi[keep]
+    def send(i, cols):
+        try:
+            root, lo, hi = runs[i].send(cols)
+            pending[i] = (root + offsets[i], lo, hi)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except Exception as e:
+            out[i] = e
 
-    sup_hi, inf_lo = bounds()
-    if not converged:
-        converged = sup_hi - S.sup_wit <= tol and S.inf_wit - inf_lo <= tol
-    return MinMaxResult(
-        m=Interval(inf_lo, S.inf_wit),
-        M=Interval(S.sup_wit, sup_hi),
-        converged=converged,
-        evaluations=S.evals,
-        depth=depth,
-    )
+    for i in range(len(runs)):
+        send(i, None)
+    while pending:
+        step, requests = list(pending), list(pending.values())
+        pending.clear()
+        try:
+            cols = g(*(np.concatenate(x) for x in zip(*requests)))
+            cuts = np.cumsum([len(r[0]) for r in requests])[:-1]
+            parts = list(zip(*(np.split(c, cuts) for c in cols)))
+        except Exception as e:
+            parts = [e] if len(step) == 1 else [_attempt(g, *r) for r in requests]
+        for i, part in zip(step, parts):
+            if isinstance(part, Exception):
+                out[i] = part
+            else:
+                send(i, part)
+    return out
 
+
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised: a failure that ends one search
+    (or one point of a batch), not the others."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return e

@@ -2,7 +2,7 @@
 
 The collocation solve is plain binary64 LU: it only produces a *candidate*
 test function, so no rigor is needed there and none is claimed.  All rigor
-enters through ``boundary_extrema``, which bounds the candidate over all
+enters through ``boundary_extrema``, which bounds each candidate over all
 polygon edges at once with one interval branch-and-bound in the edge
 parameter; the enclosure built from the resulting m and M stays
 mathematically sound no matter how badly the MFS system was conditioned
@@ -10,11 +10,18 @@ mathematically sound no matter how badly the MFS system was conditioned
 kernel are bounded by a local expansion of the kernel sum about the box
 centre, which keeps the cancellation between the candidate's alternating
 weights out of the box bound (:class:`EdgeKernel`).
+
+The candidates of one domain plan share their exterior sources, so one
+:class:`EdgeKernel` holds the exact source geometry once for all of them,
+and their searches are stepped together: each step is one kernel call
+over the pending boxes of every search, and each candidate's result is
+bit for bit that of its search alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +29,10 @@ from . import _directed as dr
 from .errors import DomainError, SolveError
 from .fundsol import INV_2PI, NEG_INV_2PI, NEG_INV_4PI, TestFunction2D
 from .geometry import Polygon
-from .interval import (BoxEvaluator, Interval, MinMaxResult, _midpoints, rational,
-                       subdivide_min_max)
+# subdivide_min_max is no longer called here; the name stays importable
+# from this module, where the benchmark tracer wraps it
+from .interval import (BoxEvaluator, Interval, MinMaxResult, _midpoints, lockstep_min_max,
+                       rational, subdivide_min_max)  # noqa: F401
 
 __all__ = ["EdgeKernel", "BoundaryExtrema", "collocation_system", "solve_coefficients",
            "boundary_extrema"]
@@ -92,19 +101,24 @@ _DERIV_COEFS = tuple(np.array([dr._ends(NEG_INV_2PI if j % 2 else INV_2PI)
 
 
 class EdgeKernel(BoxEvaluator):
-    """phi^0 along every edge a + v t, t in [0, 1], as a BoxEvaluator.
+    """phi^0 of candidates that share their exterior sources, along every
+    edge a + v t, t in [0, 1], as one BoxEvaluator.
 
-    Root e of the search is edge e.  Each call returns, per box, its
-    enclosure, the value at its centre t_m and, on expanded boxes, its
-    t-derivative (``(-inf, inf)`` elsewhere).  For a kernel point s,
+    The candidates are those of one domain plan: the same sources, each
+    with its own s_int and weights.  Root r of a call is edge r % E of
+    candidate r // E, for E edges; ``roots`` are the E roots of one
+    candidate's search.  Each call returns, per box, its enclosure, the
+    value at its centre t_m and, on expanded boxes, its t-derivative
+    (``(-inf, inf)`` elsewhere).  For a kernel point s,
 
         |a + v t - s|^2 = |v|^2 ((t - t*)^2 + q),
         t* = ((s - a) . v) / |v|^2,   q = delta^2 / |v|^2,
         delta^2 = ((s - a) x v)^2 / |v|^2,
 
     so no bounding box of the edge enters: both forms below are exact for
-    slanted edges too.  |v|^2, t*, delta^2 and q are computed once per
-    candidate in exact integer arithmetic and rounded outward once, so
+    slanted edges too.  |v|^2, and t*, delta^2 and q of every source, are
+    computed once for all candidates in exact integer arithmetic and
+    rounded outward once (each s_int adds one kernel row per edge), so
     T - t* loses nothing to rounding of t* beyond one ulp.
 
     A box T = [t_m - r, t_m + r] is bounded by a *local expansion* when
@@ -130,111 +144,125 @@ class EdgeKernel(BoxEvaluator):
         phi^0 = -(1/(4 pi)) sum_k w_k log d_k^2,
 
     all of them in one kernel sum per chunk.  ``expanded_boxes`` and
-    ``natural_boxes`` count the boxes (not the points) each form bounded.
-    Boxes are evaluated in chunks of about ``CHUNK_ELEMS`` (box, kernel)
-    elements so the temporaries stay small.
+    ``natural_boxes`` count, per candidate, the boxes (not the points)
+    each form bounded.  Boxes are evaluated in chunks of about
+    ``CHUNK_ELEMS`` (box, kernel) elements so the temporaries stay small;
+    every box's bounds depend only on its own root and endpoints, whatever
+    else a call or chunk holds.
     """
 
     CHUNK_ELEMS = 2048
 
-    def __init__(self, tf0: TestFunction2D, poly: Polygon):
-        self.weights = np.concatenate(([1.0], tf0.coeffs))
-        self.roots = [Interval(0.0, 1.0)] * len(poly.vertices)
-        self.chunk = max(1, self.CHUNK_ELEMS // len(self.weights))
-        self.expanded_boxes = self.natural_boxes = 0
+    def __init__(self, candidates: Sequence[TestFunction2D], poly: Polygon):
+        tfs = list(candidates)
+        sources = tfs[0].sources
+        if any(not np.array_equal(tf.sources, sources) for tf in tfs):
+            raise DomainError("the candidates of one EdgeKernel must share their sources")
+        self.edges = len(poly.vertices)
+        self.weights = np.array([np.concatenate(([1.0], tf.coeffs)) for tf in tfs])
+        self.roots = [Interval(0.0, 1.0)] * self.edges
+        self.chunk = max(1, self.CHUNK_ELEMS // self.weights.shape[1])
+        self.expanded_boxes = np.zeros(len(tfs), dtype=int)
+        self.natural_boxes = np.zeros(len(tfs), dtype=int)
         # exact geometry in integers (every float times 2^k), each
         # quantity rounded outward once
-        pts = np.vstack((poly.vertices, [tf0.s_int], tf0.sources))
+        pts = np.vstack((poly.vertices, [tf.s_int for tf in tfs], sources))
         ints, k = _scaled_ints(pts.ravel())
         xy = list(zip(ints[0::2], ints[1::2]))
-        a, s = xy[: len(poly.vertices)], xy[len(poly.vertices):]
-        v2, tstar, delta2, q = [], [], [], []
-        for (ax, ay), (bx, by) in zip(a, a[1:] + a[:1]):
-            vx, vy = bx - ax, by - ay
-            n2 = vx * vx + vy * vy
-            cross2 = [((sx - ax) * vy - (sy - ay) * vx) ** 2 for sx, sy in s]
-            v2.append(rational(n2, 1 << 2 * k))
-            tstar.append([rational((sx - ax) * vx + (sy - ay) * vy, n2)
-                          for sx, sy in s])
-            delta2.append([rational(c2, n2 << 2 * k) for c2 in cross2])
-            q.append([rational(c2, n2 * n2) for c2 in cross2])
+        a, own = xy[:self.edges], xy[self.edges:self.edges + len(tfs)]
+        shared = xy[self.edges + len(tfs):]
+        per_edge = [(rational((bx - ax) ** 2 + (by - ay) ** 2, 1 << 2 * k),
+                     _edge_geometry((ax, ay), (bx, by), k, own),
+                     _edge_geometry((ax, ay), (bx, by), k, shared))
+                    for (ax, ay), (bx, by) in zip(a, a[1:] + a[:1])]
+        # row p E + e: along edge e, the s_int of candidate p, then the sources
+        rows = [(v2, *(mine[p:p + 1] + theirs for mine, theirs in zip(own_g, shared_g)))
+                for p in range(len(tfs)) for v2, own_g, shared_g in per_edge]
         self.v2, self.tstar, self.delta2, self.q = (
-            tuple(np.moveaxis(np.array(x), -1, 0)) for x in (v2, tstar, delta2, q))
+            tuple(np.moveaxis(np.array(x), -1, 0)) for x in zip(*rows))
 
     def __call__(self, root, lo, hi):
         c = self.chunk
         parts = [self._eval(root[i:i + c], lo[i:i + c], hi[i:i + c])
                  for i in range(0, len(root), c)]
-        return tuple(np.concatenate(col) for col in zip(*parts))
+        out, near, wide = (np.concatenate(x, axis=-1) for x in zip(*parts))
+        # counted once the whole call succeeded
+        cand, n = root // self.edges, len(self.weights)
+        self.expanded_boxes += np.bincount(cand[near], minlength=n)
+        self.natural_boxes += np.bincount(cand[wide], minlength=n)
+        return tuple(out)
 
-    def _eval(self, e, lo, hi):
+    def _eval(self, root, lo, hi):
+        w = self.weights[root // self.edges]
         tm = _midpoints(lo, hi)  # a point is its own centre
         h = dr.iv_sub(lo, hi, tm, tm)
         r = np.maximum(-h[0], h[1])
-        tau = dr.iv_sub(tm[:, None], tm[:, None], self.tstar[0][e], self.tstar[1][e])
+        tau = dr.iv_sub(tm[:, None], tm[:, None], self.tstar[0][root], self.tstar[1][root])
         tau2 = dr.iv_sqr(*tau)
-        s = dr.iv_add(*tau2, self.q[0][e], self.q[1][e])
+        s = dr.iv_add(*tau2, self.q[0][root], self.q[1][root])
         # selects the form only: the tails use a rigorous rho_k, which this
         # float test keeps within a few ulps of EXPANSION_RHO < 1
         box = lo < hi
         near = box & np.all(r[:, None] <= EXPANSION_RHO * np.sqrt(s[0]), axis=1)
         wide = box & ~near
-        self.expanded_boxes += int(near.sum())
-        self.natural_boxes += int(wide.sum())
         # the natural form at every centre and over every wide box, in one sum
         tw2 = dr.iv_sqr(*dr.iv_sub(lo[wide, None], hi[wide, None],
-                                   self.tstar[0][e[wide]], self.tstar[1][e[wide]]))
-        nat = self._log_sum(np.concatenate((e, e[wide])),
+                                   self.tstar[0][root[wide]], self.tstar[1][root[wide]]))
+        nat = self._log_sum(np.concatenate((root, root[wide])), np.concatenate((w, w[wide])),
                             *(np.concatenate(x) for x in zip(tau2, tw2)))
-        n = len(e)
+        n = len(root)
         out = np.empty((6, n))
         out[0:2] = out[2:4] = nat[0][:n], nat[1][:n]
         out[0:2, wide] = nat[0][n:], nat[1][n:]
         out[4], out[5] = -np.inf, np.inf  # the natural form gives no slope
         if near.any():
             val, der = self._expansion(r[near], (out[2, near], out[3, near]),
-                                       *((x[0][near], x[1][near]) for x in (h, tau, s)))
+                                       *((x[0][near], x[1][near]) for x in (h, tau, s)),
+                                       w[near])
             out[0:2, near], out[4:6, near] = val, der
-        return tuple(out)
+        return out, near, wide
 
-    def _log_sum(self, e, tau2_lo, tau2_hi):
-        """-(1/(4 pi)) sum_k w_k log d_k^2 from (T - t*)^2."""
-        d2lo, d2hi = dr.iv_add(*dr.iv_mul(self.v2[0][e, None], self.v2[1][e, None],
+    def _log_sum(self, root, w, tau2_lo, tau2_hi):
+        """-(1/(4 pi)) sum_k w_k log d_k^2 from (T - t*)^2, with the weight
+        rows w of the boxes."""
+        d2lo, d2hi = dr.iv_add(*dr.iv_mul(self.v2[0][root, None], self.v2[1][root, None],
                                           tau2_lo, tau2_hi),
-                               self.delta2[0][e], self.delta2[1][e])
+                               self.delta2[0][root], self.delta2[1][root])
         if np.any(d2lo <= 0.0):
             raise DomainError("a polygon edge passes through a kernel point")
-        sums = dr.iv_dot(self.weights, *dr.iv_log(d2lo, d2hi))
+        sums = dr.iv_dot(w, *dr.iv_log(d2lo, d2hi))
         return dr.iv_mul(*sums, NEG_INV_4PI.lo, NEG_INV_4PI.hi)
 
-    def _expansion(self, r, c0, h, tau, s):
+    def _expansion(self, r, c0, h, tau, s, w):
         """Value and slope of each box from its centre value c_0."""
         p = EXPANSION_DEGREE
         # u_j = a_j / s^j: u_0 = 1, u_1 = tau / s, u_(j+1) = (2 tau u_j - u_(j-1)) / s
         inv_s = dr.iv_div(1.0, 1.0, *s)
         two_tau = (2.0 * tau[0], 2.0 * tau[1])
         prev, u = (1.0, 1.0), dr.iv_mul(*tau, *inv_s)
-        sums = [dr.iv_dot(self.weights, *u)]
-        for _ in range(p - 1):  # one (box, kernel) array at a time keeps the peak small
+        ulo, uhi = np.empty((2, len(r), p, w.shape[1]))  # u_1..u_p of every (box, kernel)
+        ulo[:, 0], uhi[:, 0] = u
+        for j in range(1, p):
             prev, u = u, dr.iv_mul(*dr.iv_sub(*dr.iv_mul(*two_tau, *u), *prev), *inv_s)
-            sums.append(dr.iv_dot(self.weights, *u))
-        sums = dr._stack(sums)  # (box, j) for j = 1..p
+            ulo[:, j], uhi[:, j] = u
+        sums = dr.iv_dot(w[:, None, :], ulo, uhi)  # (box, j) for j = 1..p
         hp = [None, h]  # H^j, even powers by squaring
         for j in range(2, p + 1):
             hp.append(dr.iv_sqr(*hp[j // 2]) if j % 2 == 0 else dr.iv_mul(*hp[j - 1], *h))
-        val_tail, der_tail = self._tails(r, s[0])
+        val_tail, der_tail = self._tails(r, s[0], np.abs(w))
         terms = dr.iv_mul(*dr.iv_mul(*sums, *_VALUE_COEFS), *dr._stack(hp[1:]))
-        val = dr.iv_add(*c0, dr._row_sums(terms[0])[0], dr._row_sums(terms[1])[1])
+        val = dr.iv_add(*c0, *dr._iv_sums(terms, exact=False))
         val = dr.iv_add(*val, -val_tail, val_tail)
         d = dr.iv_mul(*sums, *_DERIV_COEFS)  # j c_j
         terms = dr.iv_mul(d[0][:, 1:], d[1][:, 1:], *dr._stack(hp[1:p]))
-        der = dr.iv_add(dr._row_sums(terms[0])[0], dr._row_sums(terms[1])[1],
-                        d[0][:, 0], d[1][:, 0])
+        der = dr.iv_add(*dr._iv_sums(terms, exact=False), d[0][:, 0], d[1][:, 0])
         return val, dr.iv_add(*der, -der_tail, der_tail)
 
-    def _tails(self, r, s_lo):
+    @staticmethod
+    def _tails(r, s_lo, absw):
         """Upper bounds of the value and derivative tails of each box, from
-        its radius r and lower bounds s_lo of every s_k; every step rounds up."""
+        its radius r, lower bounds s_lo of every s_k and the |w_k| of its
+        candidate; every step rounds up."""
         p = EXPANSION_DEGREE
         root_s = dr.next_down(np.sqrt(s_lo))
         rho = dr.next_up(r[:, None] / root_s)
@@ -244,8 +272,20 @@ class EdgeKernel(BoxEvaluator):
             rho_p = dr.next_up(rho_p * rho)
         val = dr.next_up(dr.next_up(rho_p * rho) / dr.next_down((p + 1) * one_minus))
         der = dr.next_up(dr.next_up(rho_p / root_s) / one_minus)
-        absw = np.abs(self.weights)
-        return tuple(dr.next_up(dr.iv_dot(absw, x, x)[1] * INV_2PI.hi) for x in (val, der))
+        x = np.stack((val, der))
+        return dr.next_up(dr.iv_dot(absw, x, x)[1] * INV_2PI.hi)
+
+
+def _edge_geometry(a, b, k: int, points) -> tuple[list, list, list]:
+    """t*, delta^2 and q of each point along the edge from a to b, as
+    (lo, hi) pairs; every coordinate is an integer, the float times 2^k."""
+    (ax, ay), (bx, by) = a, b
+    vx, vy = bx - ax, by - ay
+    n2 = vx * vx + vy * vy
+    cross2 = [((sx - ax) * vy - (sy - ay) * vx) ** 2 for sx, sy in points]
+    return ([rational((sx - ax) * vx + (sy - ay) * vy, n2) for sx, sy in points],
+            [rational(c2, n2 << 2 * k) for c2 in cross2],
+            [rational(c2, n2 * n2) for c2 in cross2])
 
 
 def _scaled_ints(values) -> tuple[list, int]:
@@ -274,15 +314,25 @@ class BoundaryExtrema(MinMaxResult):
 MAX_DEPTH = 48  # halvings of [0, 1]: far below any box a tol needs
 
 
-def boundary_extrema(tf0: TestFunction2D, poly: Polygon, tol: float) -> BoundaryExtrema:
-    """Rigorous enclosures (m, M) of min/max of phi^0 over the boundary.
+def boundary_extrema(candidates: Sequence[TestFunction2D], poly: Polygon,
+                     tol: float) -> list:
+    """Rigorous enclosures (m, M) of min/max of phi^0 over the boundary, for
+    each of several candidates that share their exterior sources.
 
-    One branch-and-bound runs over all edges together, each parameterized
-    by t in [0, 1] through :class:`EdgeKernel`; the slope of phi^0 along
-    the edge on expanded boxes finalizes monotone ones by their endpoints.
+    Each candidate gets one branch-and-bound over all edges together,
+    each parameterized by t in [0, 1]; the slope of phi^0 along the edge
+    on expanded boxes finalizes monotone ones by their endpoints.  One
+    :class:`EdgeKernel` serves all candidates, and ``lockstep_min_max``
+    steps their searches together, one kernel call per step.  Entry i is
+    candidate i's :class:`BoundaryExtrema`, bit for bit that of its search
+    alone, or the exception its search raised.
     """
-    kernel = EdgeKernel(tf0, poly)
-    res = subdivide_min_max(kernel, kernel.roots, tol=tol, max_depth=MAX_DEPTH,
-                            max_evals=MAX_EVALS)
-    return BoundaryExtrema(res.m, res.M, res.converged, res.evaluations, res.depth,
-                           kernel.expanded_boxes, kernel.natural_boxes)
+    if not candidates:
+        return []
+    kernel = EdgeKernel(candidates, poly)
+    results = lockstep_min_max(kernel, [kernel.roots] * len(candidates), tol=tol,
+                               max_depth=MAX_DEPTH, max_evals=MAX_EVALS)
+    return [res if isinstance(res, Exception) else
+            BoundaryExtrema(res.m, res.M, res.converged, res.evaluations, res.depth,
+                            int(kernel.expanded_boxes[i]), int(kernel.natural_boxes[i]))
+            for i, res in enumerate(results)]

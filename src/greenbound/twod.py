@@ -21,7 +21,10 @@ parts are only certified and f_minus integrated once.
 Only the candidate's weights depend on the evaluation point: the sign
 certificate, I_minus, the collocation system and the exterior
 source-kernel terms of the pairing are computed once per call by
-``_DomainPlan`` and shared by every point of a batch.
+``_DomainPlan`` and shared by every point of a batch.  The boundary
+searches of a batch's points run as one: a single ``mfs.EdgeKernel``
+holds the exact source geometry for all of them, and each level of every
+search is one kernel call (``mfs.boundary_extrema``).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .expr import Bin, Num, SourceExpr
 from .fundsol import TestFunction2D
 from .geometry import CornerRefine, Polygon, Triangle, \
     amano_sources, discretize_boundary, _ear_clip
-from .interval import Interval
+from .interval import Interval, _attempt
 from .quad import QuadConfig, integrate_source, pair_f_phi, source_kernel_terms
 
 __all__ = [
@@ -240,8 +243,9 @@ class _DomainPlan:
     certificate or split verification with I_minus = integral(f_minus),
     the collocation points and sources, the collocation matrix with its
     condition estimate, and the source-kernel terms of f.  Per point,
-    ``enclose`` solves for the coefficients, bounds the candidate on the
-    boundary and integrates the interior-kernel fan.
+    ``enclose`` solves for the coefficients and integrates the
+    interior-kernel fan; the candidates of all its points are bounded on
+    the boundary by one stepped-together search.
     """
 
     def __init__(self, poly: Polygon, f: SourceExpr, split: Optional[SignedSplit],
@@ -268,11 +272,34 @@ class _DomainPlan:
         self.system = _mfs.collocation_system(self.collocation, self.sources)
         self.source_terms = source_kernel_terms(f, self.sources, poly, quad_cfg)
 
-    def enclose(self, s_int) -> EnclosureResult:
+    def enclose(self, points) -> list:
+        """One outcome per point: its EnclosureResult, or the exception its
+        interior check, solve, boundary search or pairing raised.
+
+        The boundary searches of all points run together
+        (``mfs.boundary_extrema``); everything else is per point, and each
+        point's outcome is the one it gets alone."""
+        out = [_attempt(self._candidate, s_int) for s_int in points]
+        solved = [i for i, o in enumerate(out) if not isinstance(o, Exception)]
+        extrema = _attempt(_mfs.boundary_extrema, [out[i][0] for i in solved], self.poly,
+                           self.mfs_cfg.tol)
+        if isinstance(extrema, Exception):  # nothing of one point: all fail alike
+            extrema = [extrema] * len(solved)
+        for i, ext in zip(solved, extrema):
+            out[i] = ext if isinstance(ext, Exception) else _attempt(self._pair, *out[i], ext)
+        return out
+
+    def _candidate(self, s_int) -> tuple:
+        """The MFS candidate at an interior point, with the collocation
+        residual and condition estimate."""
+        _check_interior(self.poly, s_int)
         coeffs, residual, cond = _mfs.solve_coefficients(
             self.collocation, self.sources, s_int, system=self.system)
-        tf0 = TestFunction2D(s_int, self.sources, coeffs)
-        ext = _mfs.boundary_extrema(tf0, self.poly, tol=self.mfs_cfg.tol)
+        return TestFunction2D(s_int, self.sources, coeffs), residual, cond
+
+    def _pair(self, tf0: TestFunction2D, residual: float, cond: float,
+              ext) -> EnclosureResult:
+        """The enclosure at tf0.s_int from its candidate's boundary extrema."""
         m, M = ext.m, ext.M
         diagnostics = {
             "mfs_residual": residual,
@@ -294,7 +321,7 @@ class _DomainPlan:
                                   ((-m.lo, gap), (-M.hi, -gap)), self.source_terms)
         if lower.lo > upper.hi:
             raise DomainError("crossed enclosure; rigor violated upstream")
-        return EnclosureResult.from_bound(s_int, Interval(lower.lo, upper.hi),
+        return EnclosureResult.from_bound(tf0.s_int, Interval(lower.lo, upper.hi),
                                           diagnostics)
 
 
@@ -318,7 +345,10 @@ def enclose_point(
     """
     _check_interior(poly, s_int)
     plan = _DomainPlan(poly, f, split, mfs_cfg or MfsConfig(), quad_cfg or QuadConfig())
-    return plan.enclose(s_int)
+    (outcome,) = plan.enclose([s_int])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +364,19 @@ class BatchItem:
     needs_split: bool = False
 
 
-def _batch_worker(args) -> BatchItem:
-    """One point; ``plan`` is the domain plan (which holds f, the split and
-    both configs) or the error building it raised, which every interior
-    point reports."""
-    poly, point, plan = args
-    try:
-        _check_interior(poly, point)
-        if isinstance(plan, Exception):
-            raise plan.with_traceback(None)
-        return BatchItem(point=tuple(point), result=plan.enclose(point))
-    except NeedsSplitError as e:
-        return BatchItem(point=tuple(point), result=None, error=str(e),
-                         needs_split=True)
-    except Exception as e:  # per-point failures recorded, batch continues
-        return BatchItem(point=tuple(point), result=None, error=str(e))
+def _batch_worker(args) -> list:
+    """The items of a run of points; ``plan`` is the domain plan (which
+    holds f, the split and both configs) or the error building it raised,
+    which every interior point reports."""
+    poly, points, plan = args
+    if isinstance(plan, Exception):
+        outcomes = [_attempt(_check_interior, poly, p) or plan for p in points]
+    else:
+        outcomes = plan.enclose(points)
+    return [BatchItem(point=tuple(p), result=o) if isinstance(o, EnclosureResult) else
+            BatchItem(point=tuple(p), result=None, error=str(o),
+                      needs_split=isinstance(o, NeedsSplitError))
+            for p, o in zip(points, outcomes)]
 
 
 def enclose_batch(
@@ -364,11 +392,13 @@ def enclose_batch(
 
     The domain plan (sign certificate or split check, collocation system,
     source-kernel terms) is built once; each point then solves for its own
-    candidate test function, bounds it on the boundary and pairs it.
-    Worker processes receive the plan.  Per-point errors are recorded and
-    the batch continues; a failure to build the plan is recorded on every
-    interior point.  Results keep the input order regardless of thread
-    count.
+    candidate test function and pairs it, and the boundary searches of
+    all points of one run are stepped together.  With ``threads`` > 1,
+    each worker process receives the plan once with one run of
+    consecutive points.  Per-point errors are recorded and the batch
+    continues; a failure to build the plan is recorded on every interior
+    point.  Results keep the input order and are the same for every
+    thread count.
     """
     points = [(float(p[0]), float(p[1])) for p in points]
     if not points:
@@ -379,11 +409,12 @@ def enclose_batch(
         plan = _DomainPlan(poly, f, split, mfs_cfg, quad_cfg)
     except Exception as e:
         plan = e
-    jobs = [(poly, p, plan) for p in points]
-    if threads <= 1 or len(jobs) <= 1 or isinstance(plan, Exception):
-        return [_batch_worker(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_batch_worker, jobs))
+    if threads <= 1 or len(points) <= 1 or isinstance(plan, Exception):
+        return _batch_worker((poly, points, plan))
+    size = -(-len(points) // threads)  # ceil: at most ``threads`` runs
+    jobs = [(poly, points[i:i + size], plan) for i in range(0, len(points), size)]
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        return [item for items in pool.map(_batch_worker, jobs) for item in items]
 
 
 def batch_csv(items) -> str:

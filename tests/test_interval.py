@@ -19,6 +19,7 @@ from greenbound.interval import (
     _midpoints,
     hull,
     intersect,
+    lockstep_min_max,
     mean_value_form,
     rational,
     subdivide_min_max,
@@ -250,6 +251,38 @@ class _Parabolas(BoxEvaluator):
         return out + (2.0 * dlo, 2.0 * dhi)
 
 
+class _Humps(BoxEvaluator):
+    """s_r (t - t^2) + e_r on root r, natural extension."""
+
+    def __init__(self, scale, offset):
+        self.s, self.e = np.asarray(scale, dtype=float), np.asarray(offset, dtype=float)
+        self.calls = 0
+
+    def value(self, root, lo, hi):
+        q = dr.iv_sub(lo, hi, *dr.iv_mul(lo, hi, lo, hi))
+        return dr.iv_add(*dr.iv_mul(*q, self.s[root], self.s[root]),
+                         self.e[root], self.e[root])
+
+    def __call__(self, root, lo, hi):
+        self.calls += 1
+        mid = _midpoints(lo, hi)
+        s = self.s[root]
+        slope = dr.iv_mul(*dr.iv_sub(1.0, 1.0, 2.0 * lo, 2.0 * hi), s, s)
+        return self.value(root, lo, hi) + self.value(root, mid, mid) + slope
+
+
+class _Failing(BoxEvaluator):
+    """``g`` on every root but ``bad``, whose boxes raise DomainError."""
+
+    def __init__(self, g, bad):
+        self.g, self.bad = g, bad
+
+    def __call__(self, root, lo, hi):
+        if np.any((root == self.bad) & (lo < hi)):
+            raise DomainError("a box of the bad root")
+        return self.g(root, lo, hi)
+
+
 class TestBatchedMinMax:
     ROOTS = [Interval(0, 1), Interval(-2, 0.5), Interval(3, 3.5)]
     CENTERS = [0.3, -1.0, 3.1]
@@ -278,23 +311,8 @@ class TestBatchedMinMax:
     def test_root_inside_the_range_stops_refining(self):
         """A root whose values cannot move m or M is dropped at once."""
 
-        class Humps(BoxEvaluator):  # s_r (t - t^2) + e_r, natural extension
-            def __init__(self, scale, offset):
-                self.s, self.e = np.asarray(scale), np.asarray(offset)
-
-            def value(self, root, lo, hi):
-                q = dr.iv_sub(lo, hi, *dr.iv_mul(lo, hi, lo, hi))
-                return dr.iv_add(*dr.iv_mul(*q, self.s[root], self.s[root]),
-                                 self.e[root], self.e[root])
-
-            def __call__(self, root, lo, hi):
-                mid = _midpoints(lo, hi)
-                s = self.s[root]
-                slope = dr.iv_mul(*dr.iv_sub(1.0, 1.0, 2.0 * lo, 2.0 * hi), s, s)
-                return self.value(root, lo, hi) + self.value(root, mid, mid) + slope
-
-        lone = subdivide_min_max(Humps([1.0], [0.0]), [Interval(0, 1)], tol=1e-9)
-        both = subdivide_min_max(Humps([1.0, 0.1], [0.0, 0.1]),
+        lone = subdivide_min_max(_Humps([1.0], [0.0]), [Interval(0, 1)], tol=1e-9)
+        both = subdivide_min_max(_Humps([1.0, 0.1], [0.0, 0.1]),
                                  [Interval(0, 1), Interval(0.3, 0.7)], tol=1e-9)
         assert lone.depth > 10
         assert both.evaluations <= lone.evaluations + 4  # 2 points and the root box
@@ -311,6 +329,51 @@ class TestBatchedMinMax:
         assert full.converged and not capped.converged
         assert 20 <= capped.evaluations < full.evaluations
         assert capped.m.encloses(full.m) and capped.M.encloses(full.M)
+
+    SEARCHES = [  # (roots, centres or scales, offsets) of each search
+        ([Interval(0, 1), Interval(-2, 0.5)], [0.3, -1.0], [0.5, -0.25]),
+        ([Interval(3, 3.5)], [3.1], [0.0]),
+        ([Interval(-1, 1), Interval(0.25, 0.25), Interval(2, 4)], [0.0, 0.1, 2.5], [1.0, 2.0, -3.0]),
+        ([Interval(0, 1), Interval(0.3, 0.7)], [1.0, 0.1], [0.0, 0.1]),
+    ]
+
+    def _joined(self, k):
+        """Field k of every search, in root order across the searches."""
+        return [x for s in self.SEARCHES for x in s[k]]
+
+    @pytest.mark.parametrize("evaluator, tol, max_evals", [
+        (_Parabolas, 1e-12, 10_000_000),
+        (_Humps, 1e-9, 10_000_000),
+        (_Parabolas, 1e-12, 25),  # budgets stop some searches early
+    ])
+    def test_lockstep_equals_solo_runs(self, evaluator, tol, max_evals):
+        """Searches stepped together, their roots numbered across them, each
+        return the result of their solo run bit for bit, with one evaluator
+        call per step: as many calls as the longest solo run."""
+        g = evaluator(self._joined(1), self._joined(2))
+        together = lockstep_min_max(g, [s[0] for s in self.SEARCHES], tol=tol,
+                                    max_depth=60, max_evals=max_evals)
+        solo_calls = []
+        for (roots, a, b), got in zip(self.SEARCHES, together):
+            alone = evaluator(a, b)
+            want = subdivide_min_max(alone, roots, tol=tol, max_depth=60, max_evals=max_evals)
+            assert repr(got) == repr(want) and got == want
+            solo_calls.append(alone.calls)
+        assert g.calls == max(solo_calls)
+
+    def test_lockstep_keeps_a_failing_search_apart(self):
+        """A search whose boxes raise ends with its own exception; the merged
+        call it was in is evaluated request by request, and the others keep
+        their solo results."""
+        g = _Failing(_Parabolas(self._joined(1), self._joined(2)), bad=2)  # root 0 of search 1
+        got = lockstep_min_max(g, [s[0] for s in self.SEARCHES], tol=1e-12, max_depth=60)
+        assert isinstance(got[1], DomainError)
+        for k in (0, 2, 3):
+            roots, a, b = self.SEARCHES[k]
+            want = subdivide_min_max(_Parabolas(a, b), roots, tol=1e-12, max_depth=60)
+            assert repr(got[k]) == repr(want)
+        with pytest.raises(DomainError, match="bad root"):
+            subdivide_min_max(_Failing(_Parabolas([3.1], [0.0]), bad=0), [Interval(3, 3.5)])
 
     def test_scalar_and_point_roots_mix(self):
         res = subdivide_min_max(lambda t: t.sqr(), [Interval(2, 2), Interval(-1, 1)],
@@ -521,6 +584,33 @@ def test_ragged_row_sums_match_padded_rows(seed, length):
         assert got[0][r] <= s <= got[1][r] and want[0][r] <= s <= want[1][r], (r, len(row))
         if want[0][r] == want[1][r]:
             assert got[0][r] == got[1][r] == want[0][r], (r, len(row))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_iv_dot_rows_with_own_weights_match_each_row_alone(seed):
+    """``iv_dot`` of stacked rows, each with its own weight row (2-D
+    weights, and weights broadcast over a middle axis as the boundary
+    kernel's expansion sums them), equals the dot of one row at a time,
+    bit for bit and sign of zero included; weights of 0 and +-1 and sums
+    that cancel are among them."""
+    rng = np.random.default_rng(seed)
+    n, p, k = 7, 4, int(rng.integers(1, 80))
+    w = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-8, 8, (n, k))
+    w[rng.random((n, k)) < 0.2] = rng.choice([0.0, -0.0, 1.0, -1.0])
+    lo = rng.standard_normal((n, p, k)) * 10.0 ** rng.integers(-10, 10, (n, p, k))
+    lo[rng.random((n, p, k)) < 0.1] = -0.0
+    hi = lo + np.abs(rng.standard_normal((n, p, k))) * 1e-6
+    hi[..., -1] = lo[..., -1] = -np.sum(lo[..., :-1] * w[:, None, :-1], axis=-1) / np.where(
+        w[:, None, -1] == 0.0, 1.0, w[:, None, -1])
+    got = dr.iv_dot(w[:, None, :], lo, hi)
+    flat = dr.iv_dot(w, lo[:, 0], hi[:, 0])
+    for r in range(n):
+        alone = dr.iv_dot(w[r], lo[r], hi[r])  # 1-D weights, p rows
+        for g, want in zip(got, alone):
+            assert g[r].tobytes() == want.tobytes(), (r, k)
+        for g, want in zip(flat, dr.iv_dot(w[r], lo[r, 0], hi[r, 0])):
+            assert _bits(g[r]) == _bits(want), (r, k)
 
 
 def test_trig_of_points_match_scalar():

@@ -27,7 +27,7 @@ def solve(poly, pts, src, s_int, tol=1e-9):
     """The candidate phi^0 for s_int with its boundary extrema m and M."""
     coeffs, _, _ = solve_coefficients(pts, src, s_int)
     tf0 = TestFunction2D(s_int, src, coeffs)
-    res = boundary_extrema(tf0, poly, tol=tol)
+    (res,) = boundary_extrema([tf0], poly, tol=tol)
     return SimpleNamespace(tf0=tf0, m=res.m, M=res.M)
 
 
@@ -64,7 +64,7 @@ class TestBoundaryExtrema:
         tf0 = TestFunction2D(
             (0.0, 0.0), np.zeros((0, 2)), np.zeros(0)
         )
-        res = boundary_extrema(tf0, centered_square, tol=1e-10)
+        (res,) = boundary_extrema([tf0], centered_square, tol=1e-10)
         m, M, converged = res.m, res.M, res.converged
         want_max = float(-mp.log(0.5) / (2 * mp.pi))
         want_min = float(-mp.log(mp.sqrt(2) / 2) / (2 * mp.pi))
@@ -90,8 +90,8 @@ class TestBoundaryExtrema:
         enclose those of the unlimited search."""
         pts, src = square_setup(centered_square, n=33)
         tf0 = solve(centered_square, pts, src, (0.1, -0.2), tol=1e-9).tf0
-        full = boundary_extrema(tf0, centered_square, tol=1e-9)
-        kernel = EdgeKernel(tf0, centered_square)
+        (full,) = boundary_extrema([tf0], centered_square, tol=1e-9)
+        kernel = EdgeKernel([tf0], centered_square)
         capped = subdivide_min_max(kernel, kernel.roots, tol=1e-9, max_depth=48,
                                    max_evals=100)
         assert full.converged and not capped.converged
@@ -117,7 +117,7 @@ class TestBoundaryExtrema:
             poly, tf0 = centered_square, solve(centered_square, pts, src, (0.0, 0.0)).tf0
         else:
             poly, tf0 = _candidate("lshape", lshape)
-        res = boundary_extrema(tf0, poly, tol=twod.MfsConfig().tol)
+        (res,) = boundary_extrema([tf0], poly, tol=twod.MfsConfig().tol)
         assert res.converged
         assert (res.m.lo, res.m.hi, res.M.lo, res.M.hi) == want
         assert res.evaluations <= 0.55 * parent_evals
@@ -126,6 +126,74 @@ class TestBoundaryExtrema:
         pts, src = square_setup(centered_square, n=69)
         sol = solve(centered_square, pts, src, (0.0, 0.0), tol=1e-9)
         assert sol.M.hi - sol.m.lo <= 1e-3
+
+
+TRIANGLE = Polygon([[-0.6, -0.4], [0.7, -0.2], [0.1, 0.8]])  # no edge axis-aligned
+
+
+def _plan_candidates(poly, points, n, corner=None):
+    """The MFS candidates of several points that share one plan's sources."""
+    cfg = twod.MfsConfig(n=n, corner=corner)
+    refine = None if corner is None else twod.CornerRefine(corner=corner)
+    pts = discretize_boundary(poly, n, refine)
+    src = amano_sources(poly, pts, cfg.r_rule())
+    return [TestFunction2D(p, src, solve_coefficients(pts, src, p)[0]) for p in points]
+
+
+class TestSearchesTogether:
+    @pytest.mark.parametrize("domain, points, n, corner", [
+        ("centered_square", [(0.0, 0.0), (0.25, 0.25), (-0.2, 0.1), (0.0, 0.0)], 69, None),
+        ("lshape", [(-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5)], 69, (0.0, 0.0)),
+        ("triangle", [(0.05, 0.0), (-0.3, -0.25), (0.1, 0.5)], 33, None),
+    ])
+    def test_each_candidate_equals_its_search_alone(self, request, domain, points, n,
+                                                    corner):
+        """Every field of each BoundaryExtrema (m, M, converged, evaluations,
+        depth and both box counts) equals that of the candidate's solo
+        search, bit for bit, and each level of every search is one kernel
+        call."""
+        poly = TRIANGLE if domain == "triangle" else request.getfixturevalue(domain)
+        tfs = _plan_candidates(poly, points, n, corner)
+        tol = twod.MfsConfig().tol
+        together = boundary_extrema(tfs, poly, tol=tol)
+        for tf0, got in zip(tfs, together):
+            (want,) = boundary_extrema([tf0], poly, tol=tol)
+            assert want.converged and want.expanded_boxes > 0
+            assert repr(got) == repr(want) and got == want
+
+    def test_kernel_calls_follow_the_longest_search(self, centered_square, monkeypatch):
+        tfs = _plan_candidates(centered_square, [(0.0, 0.0), (0.25, 0.25)], 33)
+        calls = []
+        call = EdgeKernel.__call__
+        monkeypatch.setattr(EdgeKernel, "__call__",
+                            lambda self, *a: calls.append(len(a[0])) or call(self, *a))
+        boundary_extrema(tfs, centered_square, tol=1e-9)
+        together = len(calls)
+        alone = []
+        for tf0 in tfs:
+            calls.clear()
+            boundary_extrema([tf0], centered_square, tol=1e-9)
+            alone.append(len(calls))
+        assert together == max(alone) < sum(alone)
+
+    def test_a_failing_search_leaves_the_others_alone(self, centered_square):
+        """A candidate whose kernel point lies on an edge gets the DomainError
+        its search raises alone; the others keep their solo results."""
+        good = _plan_candidates(centered_square, [(0.0, 0.0), (0.1, -0.2)], 33)
+        bad = TestFunction2D((0.5, 0.1), good[0].sources, good[0].coeffs)
+        got = boundary_extrema([good[0], bad, good[1]], centered_square, tol=1e-9)
+        assert isinstance(got[1], DomainError)
+        with pytest.raises(DomainError, match="passes through a kernel point"):
+            EdgeKernel([bad], centered_square)(np.arange(4), np.zeros(4), np.ones(4))
+        for tf0, res in zip(good, (got[0], got[2])):
+            assert repr(res) == repr(boundary_extrema([tf0], centered_square, tol=1e-9)[0])
+
+    def test_candidates_must_share_their_sources(self, centered_square):
+        a, b = _plan_candidates(centered_square, [(0.0, 0.0)], 17) + \
+            _plan_candidates(centered_square, [(0.0, 0.0)], 21)
+        with pytest.raises(DomainError, match="share their sources"):
+            EdgeKernel([a, b], centered_square)
+        assert boundary_extrema([], centered_square, tol=1e-9) == []
 
 
 class TestEnclosurePair:
@@ -204,11 +272,11 @@ class TestEdgeKernel:
     def test_axis_aligned_overlaps_and_no_wider_than_box_forms(self, centered_square):
         pts, src = square_setup(centered_square, n=33)
         tf0 = solve(centered_square, pts, src, (0.1, -0.2)).tf0
-        kernel = EdgeKernel(tf0, centered_square)
+        kernel = EdgeKernel([tf0], centered_square)
         e, lo, hi = _edge_boxes(centered_square, np.random.default_rng(3), 200)
         glo, ghi, _clo, _chi, dlo, dhi = kernel(e, lo, hi)
         sloped = np.isfinite(dlo)  # expanded boxes; points and wide boxes have none
-        assert sloped.sum() == kernel.expanded_boxes > 0
+        assert sloped.sum() == kernel.expanded_boxes[0] > 0
         for k, (bx, by, vx, vy) in enumerate(_edge_point_boxes(centered_square, e, lo, hi)):
             val = tf0.phi0_box(bx, by)
             new_val = Interval(glo[k], ghi[k])
@@ -221,7 +289,7 @@ class TestEdgeKernel:
 
     def test_slanted_edges_contain_mpmath_values(self):
         hexagon, tf0 = _candidate("hexagon", None)
-        kernel = EdgeKernel(tf0, hexagon)
+        kernel = EdgeKernel([tf0], hexagon)
         rng = np.random.default_rng(4)
         e = rng.integers(0, 6, 200)
         t = rng.random(200)
@@ -234,11 +302,11 @@ class TestEdgeKernel:
                 assert mp.mpf(glo[k]) <= val <= mp.mpf(ghi[k])
                 if np.isfinite(dlo[k]):  # expanded boxes only
                     assert mp.mpf(dlo[k]) <= der <= mp.mpf(dhi[k])
-        assert kernel.expanded_boxes > 0
+        assert kernel.expanded_boxes[0] > 0
 
     def test_source_on_an_edge_is_a_domain_error(self, centered_square):
         tf0 = TestFunction2D((0.0, 0.0), np.array([[0.5, 0.1]]), np.array([0.3]))
-        kernel = EdgeKernel(tf0, centered_square)
+        kernel = EdgeKernel([tf0], centered_square)
         e = np.arange(4)
         with pytest.raises(DomainError):
             kernel(e, np.zeros(4), np.ones(4))
@@ -262,9 +330,9 @@ class TestEdgeKernel:
         pts, src = square_setup(centered_square, n=33)
         tf0 = solve(centered_square, pts, src, (0.0, 0.0)).tf0
         e, lo, hi = _edge_boxes(centered_square, np.random.default_rng(5), 300)
-        whole = EdgeKernel(tf0, centered_square)
+        whole = EdgeKernel([tf0], centered_square)
         whole.chunk = 300
-        chunked = EdgeKernel(tf0, centered_square)
+        chunked = EdgeKernel([tf0], centered_square)
         assert chunked.chunk < 300
         for x, y in zip(whole(e, lo, hi), chunked(e, lo, hi)):
             assert np.array_equal(x, y)
@@ -336,10 +404,10 @@ class TestExpansion:
     @pytest.mark.parametrize("name", ["hexagon", "lshape"])
     def test_contains_mpmath_values_across_each_box(self, name, lshape):
         poly, tf0 = _candidate(name, lshape)
-        kernel = EdgeKernel(tf0, poly)
+        kernel = EdgeKernel([tf0], poly)
         e, lo, hi = _boxes_at_half_rho(poly, tf0, np.random.default_rng(7), 12)
         glo, ghi, _clo, _chi, dlo, dhi = kernel(e, lo, hi)
-        assert kernel.expanded_boxes == len(e) and kernel.natural_boxes == 0
+        assert kernel.expanded_boxes[0] == len(e) and kernel.natural_boxes[0] == 0
         kernels = _mp_kernels(tf0)
         for k in range(len(e)):
             edge = _mp_edge(poly, e[k])
@@ -353,7 +421,7 @@ class TestExpansion:
         """|phi^0 - (c_0 + sum_j c_j h^j)| and the derivative's error, with
         the c_j from complex powers in mpmath, stay below the tails."""
         poly, tf0 = _candidate(name, lshape)
-        kernel = EdgeKernel(tf0, poly)
+        kernel = EdgeKernel([tf0], poly)
         e, lo, hi = _boxes_at_half_rho(poly, tf0, np.random.default_rng(8), 6)
         kernels = _mp_kernels(tf0)
         p = mfs.EXPANSION_DEGREE
@@ -365,7 +433,8 @@ class TestExpansion:
                  for j in range(1, p + 1)]
             s = np.array([float(abs(zk) ** 2) for _w, zk in z])
             r = max(float(tm) - lo[k], hi[k] - float(tm))
-            val_tail, der_tail = kernel._tails(np.array([r]), np.nextafter(s, 0)[None])
+            val_tail, der_tail = kernel._tails(np.array([r]), np.nextafter(s, 0)[None],
+                                                np.abs(kernel.weights))
             c0 = _mp_phi(kernels, edge, tm)[0]
             for t in np.linspace(lo[k], hi[k], 20):
                 h = mp.mpf(float(t)) - tm
@@ -380,11 +449,11 @@ class TestExpansion:
         c_j is positive, so at h = r the truncated polynomial falls short
         of phi^0 and phi^0' by nearly the whole tail."""
         tf0 = TestFunction2D((0.7, -0.5), np.zeros((0, 2)), np.zeros(0))
-        kernel = EdgeKernel(tf0, centered_square)
+        kernel = EdgeKernel([tf0], centered_square)
         r = 0.499 * 0.6
         lo, hi = np.array([0.6 - r]), np.array([0.6 + r])
         glo, ghi, _clo, _chi, dlo, dhi = kernel(np.zeros(1, dtype=int), lo, hi)
-        assert kernel.expanded_boxes == 1
+        assert kernel.expanded_boxes[0] == 1
         edge = _mp_edge(centered_square, 0)
         kernels = _mp_kernels(tf0)
         for t in np.linspace(lo[0], hi[0], 20):
@@ -403,8 +472,8 @@ class TestExpansion:
         moved = TestFunction2D(flip(*tf0.s_int), np.array([flip(*p) for p in tf0.sources]),
                                tf0.coeffs)
         square = Polygon([flip(*v) for v in centered_square.vertices])
-        base = boundary_extrema(tf0, centered_square, tol=tol)
-        other = boundary_extrema(moved, square, tol=tol)
+        (base,) = boundary_extrema([tf0], centered_square, tol=tol)
+        (other,) = boundary_extrema([moved], square, tol=tol)
         assert base.converged and other.converged
         assert base.expanded_boxes > 0 and other.expanded_boxes > 0
         for a, b in ((base.m, other.m), (base.M, other.M)):
@@ -414,12 +483,12 @@ class TestExpansion:
     def test_point_witnesses_keep_the_natural_form(self, lshape):
         """Points are evaluated exactly as by the natural form alone."""
         poly, tf0 = _candidate("lshape", lshape)
-        kernel = EdgeKernel(tf0, poly)
+        kernel = EdgeKernel([tf0], poly)
         rng = np.random.default_rng(9)
         e = rng.integers(0, len(poly.vertices), 300)
         t = rng.random(300)
         got = kernel(e, t, t)
-        assert kernel.expanded_boxes == kernel.natural_boxes == 0
+        assert kernel.expanded_boxes[0] == kernel.natural_boxes[0] == 0
         for x, y in zip(got[:2], _natural_reference(kernel, e, t, t)):
             assert np.array_equal(x, y)
 
@@ -429,11 +498,11 @@ class TestExpansion:
         a separate evaluation at _midpoints(lo, hi), bit for bit."""
         poly, tf0 = _candidate(name, lshape)
         e, lo, hi = _boxes_at_half_rho(poly, tf0, np.random.default_rng(10), 12)
-        kernel = EdgeKernel(tf0, poly)
+        kernel = EdgeKernel([tf0], poly)
         _glo, _ghi, clo, chi, _dlo, _dhi = kernel(e, lo, hi)
-        assert kernel.expanded_boxes == len(e)
+        assert kernel.expanded_boxes[0] == len(e)
         tm = _midpoints(lo, hi)
-        vlo, vhi = EdgeKernel(tf0, poly)(e, tm, tm)[:2]
+        vlo, vhi = EdgeKernel([tf0], poly)(e, tm, tm)[:2]
         assert np.array_equal(clo, vlo) and np.array_equal(chi, vhi)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from greenbound import twod
-from greenbound.errors import GeometryError, InputError, NeedsSplitError
+from greenbound.errors import DomainError, GeometryError, InputError, NeedsSplitError, SolveError
 from greenbound.expr import parse
 from greenbound.geometry import Polygon
 from greenbound.quad import QuadConfig
@@ -201,30 +201,62 @@ class TestBatch:
         assert len(csv.strip().splitlines()) == 2  # header + one good row
 
     def test_parallel_matches_serial(self, centered_square):
-        pts = [(0.0, 0.0), (0.2, -0.1)]
+        """Two worker processes, each with a run of points (one of them not
+        interior), give the BatchItems of one process."""
+        pts = [(0.0, 0.0), (0.2, -0.1), (0.5, 0.0)]
         serial = enclose_batch(centered_square, parse("1"), pts,
                                mfs_cfg=FAST_MFS, threads=1)
         parallel = enclose_batch(centered_square, parse("1"), pts,
                                  mfs_cfg=FAST_MFS, threads=2)
+        assert serial == parallel
         assert batch_csv(serial) == batch_csv(parallel)
-        for a, b in zip(serial, parallel):
-            assert a.result.bound == b.result.bound
-            assert a.result.diagnostics == b.result.diagnostics
+        assert serial[2].result is None and "must be interior" in serial[2].error
+
+    @pytest.mark.parametrize("stage", ["solve", "search"])
+    def test_failing_point_keeps_its_error(self, centered_square, monkeypatch, stage):
+        """A point whose solve, or whose boundary search, raises reports its
+        own error; the other points of its plan keep their results bit for
+        bit, although their searches ran in the same kernel calls."""
+        pts = [(0.0, 0.0), (0.1, 0.2), (-0.2, 0.1)]
+        clean = enclose_batch(centered_square, parse("1"), pts, mfs_cfg=FAST_MFS)
+        if stage == "solve":
+            solve = twod._mfs.solve_coefficients
+
+            def failing(collocation, sources, s_int, system=None):
+                if tuple(s_int) == pts[1]:
+                    raise SolveError("no candidate here")
+                return solve(collocation, sources, s_int, system=system)
+
+            monkeypatch.setattr(twod._mfs, "solve_coefficients", failing)
+        else:
+            call = twod._mfs.EdgeKernel.__call__
+
+            def failing(self, root, lo, hi):  # candidate 1's boxes raise
+                if np.any((root // self.edges == 1) & (lo < hi)):
+                    raise DomainError("no bound here")
+                return call(self, root, lo, hi)
+
+            monkeypatch.setattr(twod._mfs.EdgeKernel, "__call__", failing)
+        items = enclose_batch(centered_square, parse("1"), pts, mfs_cfg=FAST_MFS)
+        assert items[1].result is None and not items[1].needs_split
+        assert items[1].error == ("no candidate here" if stage == "solve" else "no bound here")
+        assert [items[0], items[2]] == [clean[0], clean[2]]
 
     @pytest.mark.parametrize("domain, corner, points", [
         ("centered_square", None, [(0.0, 0.0), (0.25, 0.25), (-0.2, 0.1)]),
         ("lshape", (0.0, 0.0), [(-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5)]),
     ])
     def test_batch_matches_single_points(self, request, domain, corner, points):
-        """The shared domain plan changes no bit of any bound or of m, M."""
+        """The shared domain plan and the stepped-together boundary searches
+        change no bit of any bound or diagnostic (m, M and the search's
+        evaluations, depth, convergence and box counts among them)."""
         poly = request.getfixturevalue(domain)
         cfg = MfsConfig(n=69, corner=corner)
         items = enclose_batch(poly, parse("1"), points, mfs_cfg=cfg)
         for p, item in zip(points, items):
             single = enclose_point(poly, parse("1"), p, mfs_cfg=cfg)
             assert item.result.bound == single.bound
-            assert item.result.diagnostics["m"] == single.diagnostics["m"]
-            assert item.result.diagnostics["M"] == single.diagnostics["M"]
+            assert item.result.diagnostics == single.diagnostics
 
     @pytest.mark.parametrize("split", [None, ("x+1", "0")])
     def test_exterior_fans_once_per_batch(self, centered_square, monkeypatch, split):
