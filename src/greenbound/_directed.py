@@ -1,8 +1,14 @@
 """Interval arrays: (lo, hi) float64 ndarray pairs, rounded outward.
 
 The one module that knows how an interval array is stored and rounded:
-endpoints are nudged outward with ``np.nextafter``, so exact arithmetic
-stays exact.
+endpoints are nudged outward by one ulp, so exact arithmetic stays exact.
+The nudge equals ``np.nextafter`` bit for bit.  On arrays of at least
+``_ULP_STEP_MIN`` elements it is an integer step on the int64 view (a
+float's neighbour is the next integer, toward or away from zero by its
+sign), with ``np.nextafter`` only where that step does not move the float
+the right way: at -0.0, the infinities and NaN.  TwoSum-compensated sums
+nudge only where the rounding error is nonzero, which implies a finite
+nonzero sum, so there the step is a plain integer add.
 
 * The plain ops ``iv_add``, ``iv_sub``, ``iv_mul``, ``iv_div``, ``iv_sqr``,
   ``iv_log`` and ``iv_dot`` take the endpoints as separate arrays.  The
@@ -13,12 +19,22 @@ stays exact.
   operation bit for bit: its exact-0 and exact-1 rules, sign rules and
   libm per element.  ``taylor`` and ``quad`` call them, so that a member
   of a batch, or a fan of an array pass, gets the bits it would get alone.
+  They broadcast: flags such as the exact-0 and exact-1 tests are taken on
+  the operands before broadcasting, so an outer product of two short
+  coefficient lists tests each coefficient once.
 * Every sum of many terms is one rigorous row sum, ``_row_sums``: running
   sums with their exact TwoSum errors, and an a-priori bound on the sum of
   those errors.  A row's bounds depend only on its own terms, whatever
-  else shares the array: ``iv_dot`` (weighted rows), ``_iv_sums``
-  (interval rows) and ``_ragged_row_sums`` (rows of different lengths)
-  all go through it.
+  else shares the array: ``iv_dot`` (weighted rows) and ``_iv_sums``
+  (interval rows) go through it.  Rows of at most 8 terms are summed one
+  position at a time across all rows, in the order numpy's own sums use.
+  Rows of different lengths share one pass when ``_width_classes`` puts
+  them in one class: padded with trailing -0.0 to the longest of the class
+  and given their own lengths, they keep their bits.
+
+Products form their four endpoint products in three buffers, and no op
+uses a masked ufunc (``where=``), which numpy runs several times slower
+than the plain op it masks.
 """
 
 from __future__ import annotations
@@ -34,17 +50,47 @@ _INF = np.inf
 _NP_LIBM_ULPS = 4
 _ETA = 5e-324  # smallest positive subnormal
 
+# Below this many elements one np.nextafter call is faster than the
+# integer step's five passes.
+_ULP_STEP_MIN = 600
+
+
+def _ulp_step(x: np.ndarray, down: bool) -> np.ndarray:
+    """``np.nextafter(x, -inf)`` (``down``) or ``np.nextafter(x, inf)``,
+    bit for bit, on the int64 view: b + 1 moves a float with the sign bit
+    clear away from zero and one with it set toward zero, so the step is
+    b -/+ (1 | (b >> 63)).  Where the stepped value does not lie strictly
+    beyond x (x NaN, -0.0 up, +0.0 down, or an infinity stepped outward)
+    np.nextafter decides."""
+    b = x.view(np.int64)
+    step = b >> 63
+    step |= 1
+    if down:
+        np.subtract(b, step, out=step)
+    else:
+        step += b
+    y = step.view(np.float64)
+    ok = y < x if down else y > x
+    if not ok.all():
+        bad = ~ok
+        y[bad] = np.nextafter(x[bad], -_INF if down else _INF)
+    return y
+
 
 def next_down(x: np.ndarray) -> np.ndarray:
     if not _iv._outward_rounding:
         return x
-    return np.nextafter(x, -_INF)
+    if not isinstance(x, np.ndarray) or x.size < _ULP_STEP_MIN:
+        return np.nextafter(x, -_INF)
+    return _ulp_step(x, down=True)
 
 
 def next_up(x: np.ndarray) -> np.ndarray:
     if not _iv._outward_rounding:
         return x
-    return np.nextafter(x, _INF)
+    if not isinstance(x, np.ndarray) or x.size < _ULP_STEP_MIN:
+        return np.nextafter(x, _INF)
+    return _ulp_step(x, down=False)
 
 
 _INF_BITS = 0x7FF0_0000_0000_0000  # +inf viewed as int64
@@ -90,19 +136,44 @@ def _up_n(x: np.ndarray, n: int) -> np.ndarray:
     return _step_n(x, n, down=False)
 
 
+def _sum_nudged(a, b, down: bool):
+    """fl(a + b) moved one ulp toward -inf (``down``) or +inf where the
+    TwoSum error of the sum points that way.  A nonzero error means a
+    finite nonzero sum, whose neighbour is the int64 view plus or minus
+    one (``_ulp_step``), so on large arrays no NaN or infinity check is
+    needed."""
+    s = np.add(a, b)
+    if not isinstance(s, np.ndarray) or s.size < _ULP_STEP_MIN:
+        bv = s - a
+        err = (a - (s - bv)) + (b - bv)
+        if down:
+            return np.where(err < 0.0, next_down(s), s)
+        return np.where(err > 0.0, next_up(s), s)
+    # err = (a - (s - bv)) + (b - bv) with bv = s - a, in two buffers
+    bv = s - a
+    err = s - bv
+    np.subtract(a, err, out=err)
+    np.subtract(b, bv, out=bv)
+    err += bv
+    del bv
+    if not _iv._outward_rounding:
+        return s
+    inexact = err < 0.0 if down else err > 0.0
+    bits, step = s.view(np.int64), err.view(np.int64)
+    np.right_shift(bits, 63, out=step)
+    step |= 1
+    step *= inexact  # a multiply: a masked ufunc (where=) is several times slower
+    (np.subtract if down else np.add)(bits, step, out=bits)
+    return s
+
+
 def _sum_down(a, b):
     """Largest float array <= a + b elementwise (TwoSum-compensated)."""
-    s = a + b
-    bv = s - a
-    err = (a - (s - bv)) + (b - bv)
-    return np.where(err < 0.0, next_down(s), s)
+    return _sum_nudged(a, b, down=True)
 
 
 def _sum_up(a, b):
-    s = a + b
-    bv = s - a
-    err = (a - (s - bv)) + (b - bv)
-    return np.where(err > 0.0, next_up(s), s)
+    return _sum_nudged(a, b, down=False)
 
 
 def iv_add(alo, ahi, blo, bhi):
@@ -114,12 +185,20 @@ def iv_sub(alo, ahi, blo, bhi):
 
 
 def iv_mul(alo, ahi, blo, bhi):
-    p1 = alo * blo
-    p2 = alo * bhi
-    p3 = ahi * blo
-    p4 = ahi * bhi
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    """Interval product: the extremes of the four endpoint products, formed
+    in three buffers (lo and hi of each operand share a shape)."""
+    lo, r = alo * blo, alo * bhi
+    if not isinstance(lo, np.ndarray):  # scalar operands
+        lo, r = np.array(lo), np.array(r)
+    hi = np.maximum(lo, r, out=np.empty_like(lo))
+    np.minimum(lo, r, out=lo)
+    np.multiply(ahi, blo, out=r)
+    np.minimum(lo, r, out=lo)
+    np.maximum(hi, r, out=hi)
+    np.multiply(ahi, bhi, out=r)
+    np.minimum(lo, r, out=lo)
+    np.maximum(hi, r, out=hi)
+    del r
     return next_down(lo), next_up(hi)
 
 
@@ -179,16 +258,31 @@ def _iv_sub_exact0(a, b):
 def _iv_mul_exact01(a, b):
     """``Interval.__mul__``: a product by an exact point 0 or 1 is exact,
     and the lower end of a product of two factors of one sign is at least
-    0."""
+    0.  The operands may broadcast against each other; each rule is
+    tested on the operands as given."""
     (alo, ahi), (blo, bhi) = a, b
     lo, hi = iv_mul(alo, ahi, blo, bhi)
-    same_sign = ((alo >= 0.0) & (blo >= 0.0)) | ((ahi <= 0.0) & (bhi <= 0.0))
-    lo = np.where(same_sign, np.maximum(lo, 0.0), lo)
-    zero = ((alo == 0.0) & (ahi == 0.0)) | ((blo == 0.0) & (bhi == 0.0))
-    a1, b1 = (alo == 1.0) & (ahi == 1.0), (blo == 1.0) & (bhi == 1.0)
-    lo = np.where(zero, 0.0, np.where(b1, alo, np.where(a1, blo, lo)))
-    hi = np.where(zero, 0.0, np.where(b1, ahi, np.where(a1, bhi, hi)))
+    # max(lo, 0) for factors of one sign: lo <= 0 there only after a zero
+    # or underflowing product, so it is rarely needed
+    fix = (lo <= 0.0) & (((alo >= 0.0) & (blo >= 0.0)) | ((ahi <= 0.0) & (bhi <= 0.0)))
+    if fix.any():
+        lo = np.where(fix, 0.0, lo)
+    del fix
+    # later rules win: a factor of exactly 1 (b before a), then one of 0
+    zero_a, zero_b = _point(a, 0.0), _point(b, 0.0)
+    zero = zero_a if zero_b is None else zero_b if zero_a is None else zero_a | zero_b
+    for hit, vlo, vhi in ((_point(a, 1.0), blo, bhi), (_point(b, 1.0), alo, ahi),
+                          (zero, 0.0, 0.0)):
+        if hit is not None:
+            lo, hi = np.where(hit, vlo, lo), np.where(hit, vhi, hi)
     return lo, hi
+
+
+def _point(a, v: float):
+    """Where the interval array a = (lo, hi) is the point v, or None where
+    it nowhere is."""
+    hit = np.equal(a[0], v)
+    return (hit & np.equal(a[1], v)) if hit.any() else None
 
 
 def _iv_div(a, b):
@@ -299,7 +393,8 @@ def _sum_error_factor(n: int) -> float:
     return math.nextafter(x * math.nextafter(1.0 + 3.0 * x, _INF), _INF)
 
 
-def _row_sums(x: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _row_sums(x: np.ndarray, exact: bool = False,
+              lengths=None) -> tuple[np.ndarray, np.ndarray]:
     """Float bounds (lower, upper) of the exact sum of each row of x.
 
     ``np.cumsum`` forms the running sums c_i = fl(c_(i-1) + x_i) in order
@@ -310,12 +405,40 @@ def _row_sums(x: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarra
     ``exact``, a row whose e_i are all zero returns its sum c_n as both
     bounds, so a row with a single nonzero entry stays that entry.  Rows
     are independent: a row's bounds are those it gets alone.
+
+    ``lengths`` (integers broadcasting against the rows) gives each row's
+    own number of terms, when rows of one ``_width_classes`` class come
+    padded with trailing -0.0: each row then gets the bits it gets alone,
+    unpadded.
     """
-    if not x.shape[-1]:
+    w = x.shape[-1]
+    if not w:
         z = np.zeros(x.shape[:-1])
         return z, z
-    if exact and x.shape[-1] == 1:  # a single term is its own sum
+    if exact and w == 1:  # a single term is its own sum
         return x[..., 0], x[..., 0]
+    short = w <= 8 and x.size >= 256 * w  # below 256 rows numpy's loop per row is faster
+    top, es, abs_err = (_short_row_errors if short else _row_errors)(x)
+    if not _iv._outward_rounding:
+        return top + es, top + es
+    if lengths is None:
+        factor = _sum_error_factor(w - 1)
+    else:
+        factor = np.array([_sum_error_factor(n - 1) for n in np.ravel(lengths).tolist()])
+        factor = factor.reshape(np.shape(lengths))
+    eb = next_up(factor * abs_err) + _ETA
+    lo, hi = _sum_down(top, next_down(es - eb)), _sum_up(top, next_up(es + eb))
+    if exact:
+        clean = abs_err == 0.0
+        if lengths is not None:  # a padded single term: c_n is that term, also an infinite one
+            clean |= np.equal(lengths, 1)
+        return np.where(clean, top, lo), np.where(clean, top, hi)
+    return lo, hi
+
+
+def _row_errors(x):
+    """(c_n, sum e_i, sum |e_i|) of the rows of x, as ``_row_sums``
+    describes them, the sums by numpy's pairwise ``sum``."""
     c = x.cumsum(axis=-1)
     a, b, s = c[..., :-1], x[..., 1:], c[..., 1:]
     # err = (a - (s - bv)) + (b - bv) with bv = s - a, in two buffers
@@ -325,51 +448,59 @@ def _row_sums(x: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarra
     np.subtract(b, bv, out=bv)
     err += bv
     del bv
-    top, es = c[..., -1], err.sum(axis=-1)
-    if not _iv._outward_rounding:
-        return top + es, top + es
-    abs_err = np.abs(err, out=err).sum(axis=-1)
-    eb = next_up(_sum_error_factor(err.shape[-1]) * abs_err) + _ETA
-    lo, hi = _sum_down(top, next_down(es - eb)), _sum_up(top, next_up(es + eb))
-    if exact:
-        clean = abs_err == 0.0
-        return np.where(clean, top, lo), np.where(clean, top, hi)
-    return lo, hi
+    es = err.sum(axis=-1)
+    return c[..., -1], es, np.abs(err, out=err).sum(axis=-1)
 
 
-def _iv_sums(a, exact: bool = True):
+def _short_row_errors(x):
+    """``_row_errors`` of rows of at most 8 terms, bit for bit, formed one
+    position at a time across all rows: numpy sums fewer than 8 errors in
+    order, and a pass over every row per position avoids its slow loop
+    per short row."""
+    cols = np.moveaxis(x, -1, 0)
+    top, es, abs_err = cols[0].copy(), None, None
+    for b in cols[1:]:
+        s = top + b
+        bv = s - top
+        err = (top - (s - bv)) + (b - bv)
+        if es is None:
+            es, abs_err = err, np.abs(err)
+        else:
+            es += err
+            abs_err += np.abs(err)
+        top = s
+    if es is None:  # rows of one term: no errors
+        es = abs_err = np.zeros(top.shape)
+    return top, es, abs_err
+
+
+def _iv_sums(a, exact: bool = True, lengths=None):
     """Bounds of the sums of the interval array a = (lo, hi) over its last
-    axis: ``_row_sums(..., exact)`` of the rows of lo and of hi, in one
-    pass."""
-    lower, upper = _row_sums(np.asarray(a), exact)
+    axis: ``_row_sums(..., exact, lengths)`` of the rows of lo and of hi,
+    in one pass."""
+    lower, upper = _row_sums(np.asarray(a), exact, lengths)
     return lower[0], upper[1]
 
 
-def _ragged_row_sums(lo, hi, row, counts, budget: int):
-    """``_row_sums(..., exact=True)`` of ragged rows: the lower bound of
-    the sum of ``lo`` and the upper bound of the sum of ``hi`` per row.
+def _width_classes(lengths) -> list:
+    """Indices of the rows of ``lengths`` terms (those with at least one),
+    grouped so that every row of a group, padded with trailing -0.0 to the
+    group's longest, sums by ``_row_sums(..., lengths=...)`` to the bits it
+    gets alone.
 
-    Terms come grouped by row, in summation order (``row`` nondecreasing),
-    and row r holds ``counts[r]`` of them.  Rows of one count are summed
-    together at that width, in passes of at most ``budget`` elements, so
-    each row gets the bits it gets alone.  Empty rows sum to 0.0."""
-    order = np.argsort(counts[row], kind="stable")  # rows of one count side by side
-    terms = np.stack((lo[order], hi[order]))
-    rows = np.argsort(counts, kind="stable")
-    widths, first = np.unique(counts[rows], return_index=True)
-    ends = first.tolist()[1:] + [len(rows)]
-    out = np.zeros((2, len(counts)))
-    t0 = 0
-    for w, a, b in zip(widths.tolist(), first.tolist(), ends):
-        if not w:
-            continue  # empty rows sum to 0.0
-        step = max(1, budget // (2 * w))
-        for s0 in range(a, b, step):
-            chunk = rows[s0:min(s0 + step, b)]
-            t1 = t0 + len(chunk) * w
-            out[0, chunk], out[1, chunk] = _iv_sums(terms[:, t0:t1].reshape(2, len(chunk), w))
-            t0 = t1
-    return out[0], out[1]
+    Padding appends +0.0 error terms, and numpy sums a row of L error
+    terms pairwise: below 8 terms in order, from 8 to 128 terms in eight
+    interleaved partial sums over the first 8 (L // 8) terms and then in
+    order, and above 128 by halving.  So trailing zeros change no bit of
+    a sum with L < 8, nor within one block 8 q <= L < 8 q + 8 (q <= 16),
+    and a longer row keeps its own width.  (The sum of zeros may turn a
+    -0.0 error sum into +0.0, which the outward bound ignores.)
+    """
+    lengths = np.asarray(lengths)
+    errs = lengths - 1
+    key = np.where(errs < 8, 0, np.where(errs <= 128, errs // 8, lengths + 16))
+    key = np.where(lengths > 0, key, -1)
+    return [np.flatnonzero(key == k) for k in sorted(set(key.tolist())) if k >= 0]
 
 
 def iv_dot(weights, lo, hi):

@@ -18,20 +18,30 @@ The batch axis comes first: coefficients are (lo, hi) grids of shape
 (P, a+1, b+1) for truncation degrees (m, n), a <= m and b <= n (past the
 highest degrees an operation can make nonzero every coefficient is 0 and
 is not stored), and the boxes are endpoint arrays of length P
-(:class:`Boxes`, which also holds the powers that bound their monomial
-ranges).  Every operation is a few array passes over the batch, each over
-at most ``_BATCH_ELEMS`` elements.  Each member's result equals, bit for
-bit, the same model built alone (a batch of one): a member keeps its own
-nonzero coefficients, and a product sums that member's terms per
-coefficient, in the same order, by one TwoSum-compensated row sum per
-coefficient.  The truncated terms, each bounded by its monomial range,
-form a row of their own, folded into the constant coefficient.  A row's
-bounds depend only on its own terms: rows of one length are summed
-together, at that length (``_directed._ragged_row_sums``).
+(:class:`Boxes`, which also holds the powers and the monomial ranges
+that bound its members' terms).  Every operation is a few array passes
+over the batch, each over at most ``_BATCH_ELEMS`` elements.  Each
+member's result equals, bit for bit, the same model built alone (a batch
+of one): a member keeps its own nonzero coefficients, and a product sums
+that member's terms per coefficient, in the same order, by one
+TwoSum-compensated row sum per coefficient.  The truncated terms, each
+bounded by its monomial range, form a row of their own, folded into the
+constant coefficient.
+
+Members with the same nonzero pattern share one way to lay out their
+terms (``_product_plan``, kept per pattern): the outer product of their
+coefficient lists in one broadcast pass, and one row-sum pass per width
+class of coefficients (``_directed._width_classes``), whose rows are
+padded to a common length without moving a bit.  A batch whose members
+differ in pattern is taken group by group.  The ranges of the truncated
+monomials are computed once per boxes and list of monomials, and reused
+by every later product on the same patterns, such as the Horner steps of
+a composition.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -55,17 +65,21 @@ MAX_DEGREE = 32
 _SQRT_RATIOS = [None] + [Interval(*rational(3 - 2 * p, 2 * p))
                          for p in range(1, MAX_DEGREE + 1)]
 
-# Elements per array pass over a batch.  Longer passes save numpy calls,
-# but every live temporary of a pass raises the heap's high-water mark.
-_BATCH_ELEMS = 1 << 12
+# Elements (members times terms, or padded row terms) per array pass over
+# a batch.  Longer passes save numpy calls, but every live temporary of a
+# pass raises the heap's high-water mark: a product pass holds its (lo, hi)
+# terms, two arrays of this many floats, and while it sums one width class
+# about four more.
+_BATCH_ELEMS = 1 << 14
 
 
 class Boxes:
     """The (u, k) boxes of a batch of models as endpoint arrays, one entry
-    per member, with the powers of k, u and k u that bound their monomial
-    ranges, built on first use and shared by every model on these boxes."""
+    per member, with the powers of k, u and k u and the monomial ranges
+    that bound its members' terms, built on first use and shared by every
+    model on these boxes."""
 
-    __slots__ = ("ulo", "uhi", "klo", "khi", "_powers")
+    __slots__ = ("ulo", "uhi", "klo", "khi", "_powers", "_ranges")
 
     def __init__(self, ulo, uhi, klo, khi):
         self.ulo, self.uhi, self.klo, self.khi = (
@@ -74,7 +88,7 @@ class Boxes:
         if not (np.all(np.isfinite(ends)) and np.all(self.ulo <= self.uhi)
                 and np.all(self.klo <= self.khi)):
             raise DomainError("every box needs finite endpoints lo <= hi")
-        self._powers = {}
+        self._powers, self._ranges = {}, {}
 
     @staticmethod
     def of(box: Box2) -> "Boxes":
@@ -106,16 +120,30 @@ class Boxes:
         return have
 
     def ranges(self, at, i, j):
-        """Ranges of k^i u^j over the boxes of members ``at`` (a slice), for
-        index arrays i, j: the coupled form (k u)^i u^(j-i), or
-        (k u)^j k^(i-j), intersected with k^i u^j.  Powers follow
-        ``Interval.pow_int`` and products ``Interval.__mul__``, so each
-        entry equals the scalar bound bit for bit."""
+        """Ranges of k^i u^j over the boxes of members ``at`` (a slice or
+        an index array), for index arrays i, j: the coupled form
+        (k u)^i u^(j-i), or (k u)^j k^(i-j), intersected with k^i u^j.
+        Powers follow ``Interval.pow_int`` and products
+        ``Interval.__mul__``, so each entry equals the scalar bound bit for
+        bit.  The ranges of each distinct (i, j) are computed once, for
+        every member, and kept for the next request of the same lists."""
+        key = (i.tobytes(), j.tobytes())
+        have = self._ranges.get(key)
+        if have is None:
+            have = self._ranges[key] = self._monomial_ranges(i, j)
+        lo, hi, which = have
+        return lo[at][:, which], hi[at][:, which]
+
+    def _monomial_ranges(self, i, j):
+        """(lo, hi, which): the ranges (P, U) of the U distinct monomials
+        of the lists i, j, and which of them each list entry is."""
+        ij, which = np.unique(np.stack((i, j)), axis=1, return_inverse=True)
+        i, j = ij
         w = np.minimum(i, j)
         up, eu, ek = j >= i, np.maximum(j - i, 0), np.maximum(i - j, 0)
-        klo, khi = (a[at] for a in self._power_table("k", int(i.max(initial=0))))
-        ulo, uhi = (a[at] for a in self._power_table("u", int(j.max(initial=0))))
-        wlo, whi = (a[at] for a in self._power_table("ku", int(w.max(initial=0))))
+        klo, khi = self._power_table("k", int(i.max(initial=0)))
+        ulo, uhi = self._power_table("u", int(j.max(initial=0)))
+        wlo, whi = self._power_table("ku", int(w.max(initial=0)))
         clo, chi = dr._iv_mul_exact01((wlo[:, w], whi[:, w]),
                                       (np.where(up, ulo[:, eu], klo[:, ek]),
                                        np.where(up, uhi[:, eu], khi[:, ek])))
@@ -123,21 +151,78 @@ class Boxes:
         lo, hi = np.maximum(clo, dlo), np.minimum(chi, dhi)
         if np.any(lo > hi):
             raise DomainError("disjoint monomial enclosures: rigor violated upstream")
-        return lo, hi
+        return lo, hi, which.reshape(-1)
 
 
 def _as_boxes(box) -> Boxes:
     return box if isinstance(box, Boxes) else Boxes.of(box)
 
 
-def _cell_sums(act, cell, plo, phi, cells: int):
-    """Rigorous sums of each member's active terms (``act``, (P, T)) per
-    cell: terms [plo, phi] (P, T) sorted by ``cell`` (T,) < ``cells``."""
-    p, t = np.nonzero(act)
-    row = p * cells + cell[t]
-    counts = np.bincount(row, minlength=len(act) * cells)
-    lo, hi = dr._ragged_row_sums(plo[p, t], phi[p, t], row, counts, _BATCH_ELEMS)
-    return lo.reshape(-1, cells), hi.reshape(-1, cells)
+def _pattern_groups(*masks):
+    """The members of a batch grouped by their nonzero patterns: per group,
+    (members, columns), members a slice (the whole batch) or an index
+    array, and per mask (P, K) the columns nonzero in those members."""
+    joint = np.concatenate(masks, axis=1)
+    if joint.all():
+        return [(slice(None), [np.arange(m.shape[1]) for m in masks])]
+    patterns, inverse = np.unique(joint, axis=0, return_inverse=True)
+    splits = np.cumsum([m.shape[1] for m in masks])[:-1]
+    inverse = inverse.reshape(-1)
+    return [(np.flatnonzero(inverse == g), [np.flatnonzero(c) for c in np.split(pattern, splits)])
+            for g, pattern in enumerate(patterns)]
+
+
+def _passes(rows, size: int, step: int):
+    """The members of each pass of ``step`` members over a group of
+    ``_pattern_groups`` in a batch of ``size``: slices of the batch, or
+    index arrays."""
+    for s0 in range(0, size if isinstance(rows, slice) else len(rows), step):
+        yield slice(s0, s0 + step) if isinstance(rows, slice) else rows[s0:s0 + step]
+
+
+@dataclass(frozen=True, eq=False)
+class _ProductPlan:
+    """How the terms of a product of two coefficient patterns are summed.
+
+    Term t multiplies coefficient t // Kb of the first pattern by t % Kb
+    of the second (the outer product, row-major).  The kept grid has
+    ``gk`` x ``gu`` cells; cell ``gk * gu`` collects the ``over`` terms,
+    past the degrees, whose monomials are ``mono``.  Each entry of
+    ``classes`` is (cells, idx, lengths): idx[r] lists the terms of cell
+    cells[r] in (first, second) order, padded with the index Kb * Ka of a
+    -0.0 column to a common width, and lengths[r] counts them.  A pass
+    holds ``width`` elements per member in its largest array: the terms,
+    or the (lo, hi) rows of one class."""
+
+    gk: int
+    gu: int
+    over: np.ndarray
+    mono: tuple
+    classes: list
+    width: int
+
+
+@functools.lru_cache(maxsize=64)
+def _product_plan(ua: bytes, ub: bytes, a_cols: int, b_cols: int, m: int, n: int) -> _ProductPlan:
+    """The plan of a product of the nonzero flat coefficients ua (bytes of
+    an intp array, grid width a_cols) by ub, truncated at degrees (m, n)."""
+    ai, aj = np.divmod(np.frombuffer(ua, dtype=np.intp), a_cols)
+    bi, bj = np.divmod(np.frombuffer(ub, dtype=np.intp), b_cols)
+    ti, tj = (ai[:, None] + bi).reshape(-1), (aj[:, None] + bj).reshape(-1)
+    over = (ti > m) | (tj > n)
+    gk, gu = int(ti[~over].max(initial=0)) + 1, int(tj[~over].max(initial=0)) + 1
+    cell = np.where(over, gk * gu, ti * gu + tj)
+    order = np.argsort(cell, kind="stable")
+    lengths = np.bincount(cell, minlength=gk * gu + 1)
+    starts = np.cumsum(lengths) - lengths
+    classes = []
+    for cells in dr._width_classes(lengths):
+        pos = np.arange(int(lengths[cells].max()))
+        take = np.minimum(starts[cells, None] + pos, len(cell) - 1)
+        idx = np.where(pos < lengths[cells, None], order[take], len(cell))
+        classes.append((cells, idx, lengths[cells]))
+    width = max([len(cell), gk * gu + 1] + [2 * idx.size for _, idx, _ in classes])
+    return _ProductPlan(gk, gu, np.flatnonzero(over), (ti[over], tj[over]), classes, width)
 
 
 @dataclass(slots=True, eq=False)
@@ -261,16 +346,16 @@ class TaylorModel2:
         """(lo, hi) arrays over the batch: per member, an interval containing
         every value of the model over its box."""
         mask, clo, chi, nz = self._support()
-        i, j = self._ij(nz)
-        lo, hi = np.empty(len(self)), np.empty(len(self))
-        step = max(1, _BATCH_ELEMS // max(len(i), 1))
-        for s0 in range(0, len(self), step):
-            at = slice(s0, s0 + step)
-            plo, phi = dr._iv_mul_exact01((clo[at][:, nz], chi[at][:, nz]),
-                                          self.boxes.ranges(at, i, j))
-            p, t = np.nonzero(mask[at][:, nz])
-            counts = np.bincount(p, minlength=len(plo))
-            lo[at], hi[at] = dr._ragged_row_sums(plo[p, t], phi[p, t], p, counts, _BATCH_ELEMS)
+        lo, hi = np.zeros(len(self)), np.zeros(len(self))
+        for rows, (cols,) in _pattern_groups(mask[:, nz]):
+            flat = nz[cols]
+            if not flat.size:
+                continue  # a zero member: its range is 0
+            i, j = self._ij(flat)
+            for at in _passes(rows, len(self), max(1, _BATCH_ELEMS // len(flat))):
+                terms = dr._iv_mul_exact01((clo[at][:, flat], chi[at][:, flat]),
+                                           self.boxes.ranges(at, i, j))
+                lo[at], hi[at] = dr._iv_sums(terms)
         bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)))
         if bad.size:
             raise DomainError(f"invalid range enclosure [{lo[bad[0]]}, {hi[bad[0]]}]")
@@ -346,36 +431,44 @@ class TaylorModel2:
         self._check_compatible(other)
         m = max(self.deg_k, other.deg_k)
         n = max(self.deg_u, other.deg_u)
-        amask, alo, ahi, ua = self._support()
-        bmask, blo, bhi, ub = other._support()
-        # term t multiplies coefficient ta of a by tb of b; terms go by cell,
-        # in (a, b) order within a cell; cell `size` collects the truncated
-        # terms, bounded over the box
-        ta, tb = np.repeat(ua, len(ub)), np.tile(ub, len(ua))
-        (ai, aj), (bi, bj) = self._ij(ta), other._ij(tb)
-        ti, tj = ai + bi, aj + bj
-        over = (ti > m) | (tj > n)
-        gk, gu = int(ti[~over].max(initial=0)) + 1, int(tj[~over].max(initial=0)) + 1
-        size = gk * gu
-        cell = np.where(over, size, ti * gu + tj)
-        order = np.argsort(cell, kind="stable")
-        ta, tb, ti, tj, over, cell = (v[order] for v in (ta, tb, ti, tj, over, cell))
-        ri, rj = ti[over], tj[over]
-        lo, hi = np.empty((2, len(self), gk, gu))
-        step = max(1, _BATCH_ELEMS // max(len(cell), size + 1))
-        for s0 in range(0, len(self), step):
-            at = slice(s0, s0 + step)
-            plo, phi = dr._iv_mul_exact01((alo[at][:, ta], ahi[at][:, ta]),
-                                          (blo[at][:, tb], bhi[at][:, tb]))
-            if ri.size:
-                plo[:, over], phi[:, over] = dr._iv_mul_exact01(
-                    (plo[:, over], phi[:, over]), self.boxes.ranges(at, ri, rj))
-            slo, shi = _cell_sums(amask[at][:, ta] & bmask[at][:, tb], cell, plo, phi, size + 1)
-            fold = (slo[:, size] != 0.0) | (shi[:, size] != 0.0)
-            flo, fhi = dr.iv_add(slo[:, 0], shi[:, 0], slo[:, size], shi[:, size])
-            slo[:, 0], shi[:, 0] = np.where(fold, flo, slo[:, 0]), np.where(fold, fhi, shi[:, 0])
-            lo[at], hi[at] = slo[:, :size].reshape(-1, gk, gu), shi[:, :size].reshape(-1, gk, gu)
+        (amask, alo, ahi, ua), (bmask, blo, bhi, ub) = self._support(), other._support()
+        cols = (self.clo.shape[2], other.clo.shape[2], m, n)
+        grid = _product_plan(ua.tobytes(), ub.tobytes(), *cols)
+        lo, hi = np.zeros((2, len(self), grid.gk, grid.gu))
+        for rows, (ga, gb) in _pattern_groups(amask[:, ua], bmask[:, ub]):
+            fa, fb = ua[ga], ub[gb]
+            plan = _product_plan(fa.tobytes(), fb.tobytes(), *cols)
+            for at in _passes(rows, len(self), max(1, _BATCH_ELEMS // plan.width)):
+                a = alo[at][:, fa], ahi[at][:, fa]
+                b = blo[at][:, fb], bhi[at][:, fb]
+                lo[at, :plan.gk, :plan.gu], hi[at, :plan.gk, :plan.gu] = \
+                    self._product_sums(plan, a, b, at)
         return self._like(lo, hi, (m, n))
+
+    def _product_sums(self, plan: _ProductPlan, a, b, members):
+        """(2, p, gk, gu) coefficient sums of the product of the coefficient
+        lists a (p, Ka) and b (p, Kb) of members ``members`` by ``plan``."""
+        p, t = len(a[0]), a[0].shape[1] * b[0].shape[1]
+        prod = dr._iv_mul_exact01((a[0][:, :, None], a[1][:, :, None]),
+                                  (b[0][:, None, :], b[1][:, None, :]))
+        terms = np.empty((2, p, t + 1))
+        terms[0, :, :t], terms[1, :, :t] = prod[0].reshape(p, t), prod[1].reshape(p, t)
+        terms[:, :, t] = -0.0
+        del prod
+        if plan.over.size:
+            ov = plan.over
+            terms[0][:, ov], terms[1][:, ov] = dr._iv_mul_exact01(
+                (terms[0][:, ov], terms[1][:, ov]), self.boxes.ranges(members, *plan.mono))
+        size = plan.gk * plan.gu
+        sums = np.zeros((2, p, size + 1))
+        for cells, idx, lengths in plan.classes:
+            sums[0][:, cells], sums[1][:, cells] = dr._iv_sums(terms[:, :, idx], lengths=lengths)
+        del terms
+        fold = (sums[0, :, size] != 0.0) | (sums[1, :, size] != 0.0)
+        flo, fhi = dr.iv_add(sums[0, :, 0], sums[1, :, 0], sums[0, :, size], sums[1, :, size])
+        sums[0, :, 0] = np.where(fold, flo, sums[0, :, 0])
+        sums[1, :, 0] = np.where(fold, fhi, sums[1, :, 0])
+        return sums[:, :, :size].reshape(2, p, plan.gk, plan.gu)
 
     __rmul__ = __mul__
 

@@ -1,0 +1,23 @@
+"""The committed output fingerprints of the benchmark workloads.
+
+``scripts/fingerprint.py`` hashes every bound and nodal value of one
+benchmark round.  A change that moves any bit of them fails here, and
+needs a deliberate refresh of ``scripts/fingerprints.json``.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["poly-const", "square-trig"])
+def test_outputs_match_committed_fingerprints(workload):
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "fingerprint.py"), "--workload", workload,
+         "--seeds", "0", "--check", str(ROOT / "scripts" / "fingerprints.json")],
+        capture_output=True, text=True, timeout=300, cwd=ROOT)
+    assert out.returncode == 0, out.stdout + out.stderr

@@ -526,14 +526,10 @@ def test_pair_ops_match_scalar(a, b):
     assert _bits(_midpoints(*pa)[0]) == _bits(a.mid())
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 9, 40, 129, 300, 1100]))
-def test_ragged_row_sums_match_each_row_alone(seed, longest):
-    """Each ragged row's bounds equal, bit for bit and sign of zero
-    included, those ``_row_sums(exact=True)`` gives that row alone, also
-    where a row's sum cancels and the rounding errors decide, and for rows
-    of -0.0; empty rows sum to 0.0."""
-    rng = np.random.default_rng(seed)
+def _random_rows(rng, longest):
+    """12 rows of 0 to ``longest`` terms of wide magnitudes: some mostly
+    -0.0, some whose running sum cancels, so that the rounding errors
+    decide the sum."""
     counts = rng.integers(0, longest + 1, 12)
     counts[rng.integers(12)] = longest
     terms = []
@@ -544,46 +540,83 @@ def test_ragged_row_sums_match_each_row_alone(seed, longest):
         elif k > 1 and rng.random() < 0.5:  # the running sum cancels: errors decide
             row[-1] = -np.cumsum(row[:-1])[-1]
         terms.append(row)
+    return terms
+
+
+def _class_sums(rows, hi_rows):
+    """Bounds of the sums of ``rows`` (lower) and ``hi_rows`` (upper),
+    each class of ``_width_classes`` padded with -0.0 to its longest row
+    and summed in one pass; None for empty rows."""
+    lengths = np.array([len(row) for row in rows])
+    out = [None] * len(rows)
+    classes = dr._width_classes(lengths)
+    assert sorted(np.concatenate(classes).tolist()) == np.flatnonzero(lengths).tolist()
+    for members in classes:
+        grid = np.full((2, len(members), int(lengths[members].max())), -0.0)
+        for r, m in enumerate(members.tolist()):
+            grid[0, r, :lengths[m]], grid[1, r, :lengths[m]] = rows[m], hi_rows[m]
+        lo, hi = dr._iv_sums(grid, lengths=lengths[members])
+        for r, m in enumerate(members.tolist()):
+            out[m] = (lo[r], hi[r])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_short_rows_sum_their_errors_as_numpy_does(seed, width):
+    """Rows of at most 8 terms form their running sums and error sums one
+    position at a time; the results equal numpy's ``cumsum`` and pairwise
+    ``sum`` of each row bit for bit, sign of zero included."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, 9, width)) * 10.0 ** rng.integers(-20, 20, (2, 9, width))
+    x[0, :3] = np.where(rng.random((3, width)) < 0.6, -0.0, x[0, :3])
+    x[1, :3, -1] = -np.cumsum(x[1, :3, :-1], axis=-1)[:, -1] if width > 1 else 0.0
+    for got, want in zip(dr._short_row_errors(x), dr._row_errors(x)):
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 8, 9, 16, 17, 40, 129, 130, 300, 1100]))
+def test_width_class_rows_match_each_row_alone(seed, longest):
+    """Rows of one ``_width_classes`` class, padded to a common length and
+    summed in one pass, get the bounds ``_row_sums(exact=True)`` gives
+    each row alone, bit for bit and sign of zero included, also where a
+    row's sum cancels and the rounding errors decide, and for rows of
+    -0.0."""
+    rng = np.random.default_rng(seed)
+    terms = _random_rows(rng, longest)
     terms[rng.integers(12)] = np.full(rng.integers(1, longest + 1), -0.0)
-    counts = np.array([len(row) for row in terms])
-    flat = np.concatenate(terms)
-    got = dr._ragged_row_sums(flat, -flat, np.repeat(np.arange(12), counts), counts, 64)
+    got = _class_sums(terms, [-row for row in terms])
     for r, row in enumerate(terms):
+        if not len(row):
+            assert got[r] is None
+            continue
         want = dr._row_sums(np.stack((row, -row)), exact=True)
-        for g, w in ((got[0][r], want[0][0]), (got[1][r], want[1][1])):
+        for g, w in ((got[r][0], want[0][0]), (got[r][1], want[1][1])):
             assert g == w and np.signbit(g) == np.signbit(w), (r, len(row))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 9, 40, 129, 300, 1100]))
-def test_ragged_row_sums_match_padded_rows(seed, length):
-    """Trailing zeros add no rounding error, so a compact ragged row and
-    the same row zero-padded to ``length`` and summed by ``_iv_sums`` both
-    enclose the exact sum, and are equal wherever the sum is exact.  (Other
-    bits may differ: the a-priori factor and numpy's pairwise grouping of
-    the error sum depend on the row width.)"""
+def test_width_class_rows_match_zero_padded_rows(seed, length):
+    """Trailing zeros add no rounding error, so a row summed in its width
+    class and the same row zero-padded to ``length`` and summed by
+    ``_iv_sums`` both enclose the exact sum, and are equal wherever the
+    sum is exact.  (Other bits may differ: the a-priori factor and numpy's
+    pairwise grouping of the error sum depend on the row width.)"""
     rng = np.random.default_rng(seed)
-    counts = rng.integers(0, length + 1, 12)
-    counts[rng.integers(12)] = length
-    terms = []
-    for k in counts.tolist():
-        row = rng.standard_normal(k) * 10.0 ** rng.integers(-20, 20, k)
-        if rng.random() < 0.3:
-            row = np.where(rng.random(k) < 0.7, -0.0, row)
-        elif k > 1 and rng.random() < 0.5:  # the running sum cancels: errors decide
-            row[-1] = -np.cumsum(row[:-1])[-1]
-        terms.append(row)
-    flat = np.concatenate(terms)
-    got = dr._ragged_row_sums(flat, flat, np.repeat(np.arange(12), counts), counts, 64)
+    terms = _random_rows(rng, length)
+    got = _class_sums(terms, terms)
     grid = np.zeros((2, 12, length))
     for r, row in enumerate(terms):
         grid[:, r, :len(row)] = row
     want = dr._iv_sums(grid)
     for r, row in enumerate(terms):
         s = math.fsum(row.tolist())  # correctly rounded, so lo <= s <= hi holds for bounds
-        assert got[0][r] <= s <= got[1][r] and want[0][r] <= s <= want[1][r], (r, len(row))
+        lo, hi = got[r] if got[r] is not None else (0.0, 0.0)
+        assert lo <= s <= hi and want[0][r] <= s <= want[1][r], (r, len(row))
         if want[0][r] == want[1][r]:
-            assert got[0][r] == got[1][r] == want[0][r], (r, len(row))
+            assert lo == hi == want[0][r], (r, len(row))
 
 
 @settings(max_examples=40, deadline=None)
@@ -621,3 +654,96 @@ def test_trig_of_points_match_scalar():
         for x, a, b in zip(t.tolist(), lo.tolist(), hi.tolist()):
             want = getattr(Interval.point(x), name)()
             assert (a, b) == (want.lo, want.hi), (name, x)
+
+
+# ---------------------------------------------------------------------------
+# Integer ulp steps and constants
+# ---------------------------------------------------------------------------
+
+
+def _special_floats():
+    """Bit patterns a one-ulp step treats specially: both zeros, the
+    infinities, NaNs of either sign with the smallest, largest and some
+    quiet and signaling payloads, the subnormal and normal extremes, and
+    +-1."""
+    bits = [0, 1, 2, 0x000F_FFFF_FFFF_FFFF, 0x0010_0000_0000_0000, 0x3FF0_0000_0000_0000,
+            0x7FEF_FFFF_FFFF_FFFF, 0x7FF0_0000_0000_0000, 0x7FF0_0000_0000_0001,
+            0x7FF4_0000_0000_0000, 0x7FF8_0000_0000_0000, 0x7FF8_0000_0000_0001,
+            0x7FFF_FFFF_FFFF_FFFF]
+    bits += [b | (1 << 63) for b in bits]
+    return np.array(bits, dtype=np.uint64).view(np.int64)
+
+
+@pytest.mark.parametrize("size", [40, dr._ULP_STEP_MIN - 1, dr._ULP_STEP_MIN, 3000])
+@pytest.mark.parametrize("outward", [True, False])
+def test_ulp_steps_equal_nextafter(size, outward):
+    """``next_down``/``next_up`` equal ``np.nextafter`` bit for bit below
+    and above the size where they switch to the integer step, on every
+    special pattern and on random int64 bit patterns; with outward
+    rounding off they return x itself."""
+    rng = np.random.default_rng(size)
+    special = _special_floats()
+    bits = np.concatenate([special, rng.integers(-2**63, 2**63 - 1, size, dtype=np.int64,
+                                                 endpoint=True)])[:max(size, len(special))]
+    bits[:len(special)] = special
+    x = rng.permutation(bits).view(np.float64)
+    before = x.copy()
+    _set_outward_rounding(outward)
+    try:
+        for fn, target in ((dr.next_down, -np.inf), (dr.next_up, np.inf)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = fn(x)
+                want = np.nextafter(x, target) if outward else x
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    finally:
+        _set_outward_rounding(True)
+    assert before.view(np.int64).tolist() == x.view(np.int64).tolist()  # x itself is kept
+
+
+@pytest.mark.parametrize("size", [40, 3000])
+def test_nudged_sums_equal_nextafter_of_inexact_sums(size):
+    """``_sum_down``/``_sum_up`` step an inexact sum with an integer add;
+    the result is the ``np.nextafter`` step wherever the TwoSum error
+    points outward, also for sums that overflow, cancel to zero or land
+    among the subnormals."""
+    rng = np.random.default_rng(size)
+    mags = 10.0 ** rng.integers(-320, 309, (2, size))
+    a, b = rng.standard_normal((2, size)) * mags
+    b[::7] = -a[::7]  # exact zero sums
+    b[1::7] = np.where(np.abs(a[1::7]) > 1e300, a[1::7], 1e308)  # overflows
+    b[2::7] = a[2::7] * -(1.0 - 2.0**-52)  # subnormal and tiny differences
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a + b
+        bv = s - a
+        err = (a - (s - bv)) + (b - bv)
+        want_lo = np.where(err < 0.0, np.nextafter(s, -np.inf), s)
+        want_hi = np.where(err > 0.0, np.nextafter(s, np.inf), s)
+        got_lo, got_hi = dr._sum_down(a, b), dr._sum_up(a, b)
+    assert got_lo.view(np.int64).tolist() == want_lo.view(np.int64).tolist()
+    assert got_hi.view(np.int64).tolist() == want_hi.view(np.int64).tolist()
+
+
+def _ulps_apart(lo: float, hi: float) -> int:
+    return int(np.array(hi).view(np.int64)) - int(np.array(lo).view(np.int64))
+
+
+def test_rigorous_constants_contain_their_values():
+    """Each constant built inline contains its 50-digit value, and the pi
+    family is one ulp wide: a constant rounded to nearest, or nudged the
+    wrong way, fails here."""
+    from greenbound import fundsol, interval, mfs
+
+    with mp.workdps(50):
+        pi = +mp.pi
+        cases = [(interval.PI, pi), (interval.TWO_PI, 2 * pi), (interval.HALF_PI, pi / 2),
+                 (fundsol.INV_2PI, 1 / (2 * pi)), (fundsol.INV_4PI, 1 / (4 * pi)),
+                 (fundsol.NEG_INV_2PI, -1 / (2 * pi)), (fundsol.NEG_INV_4PI, -1 / (4 * pi))]
+        for j in range(1, mfs.EXPANSION_DEGREE + 1):
+            cases.append((Interval(mfs._VALUE_COEFS[0][j - 1], mfs._VALUE_COEFS[1][j - 1]),
+                          (-1) ** j / (2 * pi * j)))
+            cases.append((Interval(mfs._DERIV_COEFS[0][j - 1], mfs._DERIV_COEFS[1][j - 1]),
+                          (-1) ** j / (2 * pi)))
+        for c, exact in cases:
+            assert mp.mpf(c.lo) < exact < mp.mpf(c.hi), (c, exact)
+    for c in (interval.PI, interval.TWO_PI, interval.HALF_PI):
+        assert _ulps_apart(c.lo, c.hi) == 1, c

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenbound import interval as iv
+from greenbound import taylor
 from greenbound.errors import DomainError, UnsupportedError
 from greenbound.expr import parse
 from greenbound.interval import Box2, Interval, intersect
@@ -452,3 +453,31 @@ def test_batch_rows_keep_their_members_error_factor():
     assert prod.clo[0, 0, 2] < prod.chi[0, 0, 2] < 0.0  # the cancelling cell
     for p in range(2):
         assert _same_member(prod, p, a.member(p) * b.member(p))
+
+
+@pytest.mark.parametrize("grazing", [False, True])
+def test_batch_budget_changes_no_bit(monkeypatch, grazing):
+    """Products, compositions and range bounds of a batch of mixed nonzero
+    patterns give the same bits in passes of one member, of the default
+    size and of the whole batch."""
+    rng = np.random.default_rng(7)
+    a = _random_batch(rng, 12, (6, 6), grazing, 0.3)
+    b = _random_batch(rng, 12, (5, 7), grazing, 0.3)
+    b = TaylorModel2(b.clo, b.chi, a.boxes, b.degrees)
+    shift = float(np.max(np.abs(np.concatenate(a.range_bounds())))) + 1.0
+
+    def outputs():
+        prod = a * b
+        return [prod.grids(), (a * a).grids(), tm_compose_elem("sin", a).grids(),
+                tm_compose_elem("cos", prod).grids(), (1.0 / (a + shift)).grids(),
+                a.range_bounds(), prod.range_bounds()]
+
+    def bits(out):
+        return [np.asarray(v).view(np.int64).tolist() for pair in out for v in pair]
+
+    want = bits(outputs())
+    patterns = {m.tobytes() for m in a._support()[0]}
+    assert len(patterns) > 1  # members differ in their nonzero patterns
+    for budget in (1, 1 << 20):
+        monkeypatch.setattr(taylor, "_BATCH_ELEMS", budget)
+        assert bits(outputs()) == want, budget

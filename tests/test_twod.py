@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import greenbound
 from greenbound import twod
 from greenbound.errors import DomainError, GeometryError, InputError, NeedsSplitError, SolveError
 from greenbound.expr import parse
@@ -211,6 +216,15 @@ class TestBatch:
         assert serial == parallel
         assert batch_csv(serial) == batch_csv(parallel)
         assert serial[2].result is None and "must be interior" in serial[2].error
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        """Only a run with threads > 1 loads the process pool, which costs a
+        single-thread run memory and start-up time."""
+        src = Path(greenbound.__file__).resolve().parent.parent
+        code = "import sys, greenbound; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("stage", ["solve", "search"])
     def test_failing_point_keeps_its_error(self, centered_square, monkeypatch, stage):
