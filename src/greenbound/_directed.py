@@ -26,11 +26,10 @@ nonzero sum, so there the step is a plain integer add.
   sums with their exact TwoSum errors, and an a-priori bound on the sum of
   those errors.  A row's bounds depend only on its own terms, whatever
   else shares the array: ``iv_dot`` (weighted rows) and ``_iv_sums``
-  (interval rows) go through it.  Rows of at most 8 terms are summed one
-  position at a time across all rows, in the order numpy's own sums use.
-  Rows of different lengths share one pass when ``_width_classes`` puts
-  them in one class: padded with trailing -0.0 to the longest of the class
-  and given their own lengths, they keep their bits.
+  (interval rows) go through it.  Rows of different lengths share one
+  pass when ``_width_classes`` puts them in one class: padded with
+  trailing -0.0 to the longest of the class and given their own lengths,
+  they keep their bits.
 
 Products form their four endpoint products in three buffers, and no op
 uses a masked ufunc (``where=``), which numpy runs several times slower
@@ -140,15 +139,12 @@ def _sum_nudged(a, b, down: bool):
     """fl(a + b) moved one ulp toward -inf (``down``) or +inf where the
     TwoSum error of the sum points that way.  A nonzero error means a
     finite nonzero sum, whose neighbour is the int64 view plus or minus
-    one (``_ulp_step``), so on large arrays no NaN or infinity check is
-    needed."""
+    one (``_ulp_step``), so no NaN or infinity check is needed.  a or b
+    is an array of at least one dimension, so that the sum is an array
+    the step can write into."""
     s = np.add(a, b)
-    if not isinstance(s, np.ndarray) or s.size < _ULP_STEP_MIN:
-        bv = s - a
-        err = (a - (s - bv)) + (b - bv)
-        if down:
-            return np.where(err < 0.0, next_down(s), s)
-        return np.where(err > 0.0, next_up(s), s)
+    if not _iv._outward_rounding:
+        return s
     # err = (a - (s - bv)) + (b - bv) with bv = s - a, in two buffers
     bv = s - a
     err = s - bv
@@ -156,8 +152,6 @@ def _sum_nudged(a, b, down: bool):
     np.subtract(b, bv, out=bv)
     err += bv
     del bv
-    if not _iv._outward_rounding:
-        return s
     inexact = err < 0.0 if down else err > 0.0
     bits, step = s.view(np.int64), err.view(np.int64)
     np.right_shift(bits, 63, out=step)
@@ -417,8 +411,7 @@ def _row_sums(x: np.ndarray, exact: bool = False,
         return z, z
     if exact and w == 1:  # a single term is its own sum
         return x[..., 0], x[..., 0]
-    short = w <= 8 and x.size >= 256 * w  # below 256 rows numpy's loop per row is faster
-    top, es, abs_err = (_short_row_errors if short else _row_errors)(x)
+    top, es, abs_err = _row_errors(x)
     if not _iv._outward_rounding:
         return top + es, top + es
     if lengths is None:
@@ -450,28 +443,6 @@ def _row_errors(x):
     del bv
     es = err.sum(axis=-1)
     return c[..., -1], es, np.abs(err, out=err).sum(axis=-1)
-
-
-def _short_row_errors(x):
-    """``_row_errors`` of rows of at most 8 terms, bit for bit, formed one
-    position at a time across all rows: numpy sums fewer than 8 errors in
-    order, and a pass over every row per position avoids its slow loop
-    per short row."""
-    cols = np.moveaxis(x, -1, 0)
-    top, es, abs_err = cols[0].copy(), None, None
-    for b in cols[1:]:
-        s = top + b
-        bv = s - top
-        err = (top - (s - bv)) + (b - bv)
-        if es is None:
-            es, abs_err = err, np.abs(err)
-        else:
-            es += err
-            abs_err += np.abs(err)
-        top = s
-    if es is None:  # rows of one term: no errors
-        es = abs_err = np.zeros(top.shape)
-    return top, es, abs_err
 
 
 def _iv_sums(a, exact: bool = True, lengths=None):

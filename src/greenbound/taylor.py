@@ -202,15 +202,32 @@ class _ProductPlan:
     width: int
 
 
-@functools.lru_cache(maxsize=64)
-def _product_plan(ua: bytes, ub: bytes, a_cols: int, b_cols: int, m: int, n: int) -> _ProductPlan:
-    """The plan of a product of the nonzero flat coefficients ua (bytes of
-    an intp array, grid width a_cols) by ub, truncated at degrees (m, n)."""
+def _term_degrees(ua: bytes, ub: bytes, a_cols: int, b_cols: int):
+    """Degrees (in k, in u) of the terms of the outer product of the nonzero
+    flat coefficients ua (bytes of an intp array, grid width a_cols) by ub
+    (grid width b_cols), in row-major order."""
     ai, aj = np.divmod(np.frombuffer(ua, dtype=np.intp), a_cols)
     bi, bj = np.divmod(np.frombuffer(ub, dtype=np.intp), b_cols)
-    ti, tj = (ai[:, None] + bi).reshape(-1), (aj[:, None] + bj).reshape(-1)
+    return (ai[:, None] + bi).reshape(-1), (aj[:, None] + bj).reshape(-1)
+
+
+@functools.lru_cache(maxsize=64)
+def _kept_grid(ua: bytes, ub: bytes, a_cols: int, b_cols: int, m: int, n: int) -> tuple:
+    """(gk, gu): the grid of the terms of degree <= (m, n) of a product of
+    the nonzero flat coefficients ua by ub (as ``_term_degrees`` takes
+    them)."""
+    ti, tj = _term_degrees(ua, ub, a_cols, b_cols)
+    kept = (ti <= m) & (tj <= n)
+    return int(ti[kept].max(initial=0)) + 1, int(tj[kept].max(initial=0)) + 1
+
+
+@functools.lru_cache(maxsize=64)
+def _product_plan(ua: bytes, ub: bytes, a_cols: int, b_cols: int, m: int, n: int) -> _ProductPlan:
+    """The plan of a product of the nonzero flat coefficients ua by ub (as
+    ``_term_degrees`` takes them), truncated at degrees (m, n)."""
+    ti, tj = _term_degrees(ua, ub, a_cols, b_cols)
     over = (ti > m) | (tj > n)
-    gk, gu = int(ti[~over].max(initial=0)) + 1, int(tj[~over].max(initial=0)) + 1
+    gk, gu = _kept_grid(ua, ub, a_cols, b_cols, m, n)
     cell = np.where(over, gk * gu, ti * gu + tj)
     order = np.argsort(cell, kind="stable")
     lengths = np.bincount(cell, minlength=gk * gu + 1)
@@ -433,8 +450,7 @@ class TaylorModel2:
         n = max(self.deg_u, other.deg_u)
         (amask, alo, ahi, ua), (bmask, blo, bhi, ub) = self._support(), other._support()
         cols = (self.clo.shape[2], other.clo.shape[2], m, n)
-        grid = _product_plan(ua.tobytes(), ub.tobytes(), *cols)
-        lo, hi = np.zeros((2, len(self), grid.gk, grid.gu))
+        lo, hi = np.zeros((2, len(self), *_kept_grid(ua.tobytes(), ub.tobytes(), *cols)))
         for rows, (ga, gb) in _pattern_groups(amask[:, ua], bmask[:, ub]):
             fa, fb = ua[ga], ub[gb]
             plan = _product_plan(fa.tobytes(), fb.tobytes(), *cols)
