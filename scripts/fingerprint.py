@@ -5,10 +5,11 @@ For every seed in the range, runs one round of a perfbench workload
 (``perfbench/workloads.py``, imported and never modified) on this
 checkout's ``src/greenbound`` and prints one sha256 of the reprs of
 ``OpResult.output()`` over all ops of the round, and of each 2D op's
-boundary-search diagnostics (``SEARCH_KEYS``: m, M, evaluations, depth
-and converged).  Two checkouts whose hashes agree produce bit-identical
-bounds and nodal values, so every width metric of the benchmark agrees
-too, and their boundary searches did the same work.
+boundary-search diagnostics (``SEARCH_KEYS``: m, M, evaluations, depth,
+converged and the box count of each bounding form).  Two checkouts whose
+hashes agree produce bit-identical bounds and nodal values, so every
+width metric of the benchmark agrees too, and their boundary searches
+did the same work.
 
 Usage: python3 scripts/fingerprint.py --workload poly-const --seeds 0-3
 
@@ -42,7 +43,8 @@ def seed_range(text: str) -> range:
 
 
 # EnclosureResult.diagnostics of a 2D op that the hash covers
-SEARCH_KEYS = ("m", "M", "extrema_evaluations", "extrema_depth", "extrema_converged")
+SEARCH_KEYS = ("m", "M", "extrema_evaluations", "extrema_depth", "extrema_converged",
+               "extrema_expanded_boxes", "extrema_natural_boxes")
 
 
 def fingerprint(gb, workload: str, seed: int) -> str:
