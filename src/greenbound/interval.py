@@ -450,13 +450,19 @@ def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 class _Search:
     """One branch-and-bound over the roots of one domain, as a generator.
 
-    ``run`` yields each evaluator request ``(root, lo, hi)``, with roots
-    numbered within this search, is sent back the evaluator's columns
-    for it, and returns the :class:`MinMaxResult`; :func:`lockstep_min_max`
-    steps any number of these together.  ``sup_wit``/``inf_wit`` are
-    values g provably reaches (some point has g >= sup_wit, some point
-    has g <= inf_wit); ``final_sup``/``final_inf`` bound g over boxes that
-    left the search without being split.
+    ``run`` yields one evaluator request ``(root, lo, hi)`` per level, with
+    roots numbered within this search, is sent back the evaluator's
+    columns for it, and returns the :class:`MinMaxResult`;
+    :func:`lockstep_min_max` steps any number of these together.
+    ``sup_wit``/``inf_wit`` are values g provably reaches (some point has
+    g >= sup_wit, some point has g <= inf_wit); ``final_sup``/``final_inf``
+    bound g over boxes that left the search without being split.
+
+    Each open box carries g at its two endpoints.  Either is a root end,
+    evaluated as a point in the first request, or the centre of the
+    ancestor box whose split made it, which the evaluator returned, bit
+    for bit the point value there.  So a monotone box is finalized without
+    a request of its own, and every carried value is already a witness.
     """
 
     def __init__(self, roots: Sequence[Interval], tol: float, max_depth: int,
@@ -477,51 +483,56 @@ class _Search:
             self.sup_wit = max(self.sup_wit, float(vlo.max()))
             self.inf_wit = min(self.inf_wit, float(vhi.min()))
 
-    def points(self, root: np.ndarray, t: np.ndarray):
-        """Values at points; every one is a witness."""
-        self.evals += t.size
-        vlo, vhi = (yield root, t, t)[:2]
-        self.witness(vlo, vhi)
-        return vlo, vhi
-
-    def boxes(self, root, lo, hi):
-        """Evaluate boxes (lo < hi).
+    def settle(self, box, cols):
+        """Take the evaluator's columns for the boxes ``box`` = (root, lo,
+        hi, elo, ehi), with elo/ehi the (n, 2) bounds of g at lo and hi.
 
         A box on which g is strictly monotone is finalized by its endpoint
-        values; every other box gives the value at its centre as a witness.
-        Returns the boxes still open as (root, lo, hi, glo, ghi).
+        values, which count as two evaluations; every other box gives the
+        value at its centre as a witness.  Returns the boxes still open as
+        (root, lo, hi, glo, ghi, vlo, vhi), with vlo/vhi the (n, 3) bounds
+        of g at lo, the centre and hi.
         """
-        if not root.size:
-            return root, lo, hi, lo, hi
-        self.evals += root.size
-        glo, ghi, clo, chi, dlo, dhi = yield root, lo, hi
+        root, lo, hi, elo, ehi = box
+        glo, ghi, clo, chi, dlo, dhi = cols
         mono = (dlo > 0.0) | (dhi < 0.0)
         if mono.any():
-            rm = root[mono]
-            self.finalize(*(yield from self.points(np.concatenate((rm, rm)),
-                                                   np.concatenate((lo[mono], hi[mono])))))
+            self.evals += 2 * int(mono.sum())
+            self.finalize(elo[mono], ehi[mono])
         keep = ~mono
         self.witness(clo[keep], chi[keep])
-        return root[keep], lo[keep], hi[keep], glo[keep], ghi[keep]
+        vlo, vhi = (np.column_stack((e[keep, 0], c[keep], e[keep, 1]))
+                    for e, c in ((elo, clo), (ehi, chi)))
+        return _select((root, lo, hi, glo, ghi), keep) + (vlo, vhi)
 
     def run(self):
         """The level loop of :func:`subdivide_min_max`."""
+        nr = len(self.roots)
         rlo = np.array([r.lo for r in self.roots], dtype=float)
         rhi = np.array([r.hi for r in self.roots], dtype=float)
-        ridx = np.arange(len(self.roots))
+        ridx = np.arange(nr)
         flat = rlo == rhi
-        vlo, vhi = yield from self.points(np.concatenate((ridx, ridx[~flat])),
-                                          np.concatenate((rlo, rhi[~flat])))
-        self.finalize(vlo[:len(self.roots)][flat], vhi[:len(self.roots)][flat])  # point roots
-        root, lo, hi, glo, ghi = yield from self.boxes(ridx[~flat], rlo[~flat], rhi[~flat])
+        # the first request: every root end as a point, then the root boxes
+        pr, pt = np.concatenate((ridx, ridx[~flat])), np.concatenate((rlo, rhi[~flat]))
+        br, blo, bhi = ridx[~flat], rlo[~flat], rhi[~flat]
+        self.evals += pr.size + br.size
+        cols = yield (np.concatenate((pr, br)), np.concatenate((pt, blo)),
+                      np.concatenate((pt, bhi)))
+        npts = pr.size
+        vlo, vhi = cols[0][:npts], cols[1][:npts]
+        self.witness(vlo, vhi)
+        self.finalize(vlo[:nr][flat], vhi[:nr][flat])  # point roots
+        ends = tuple(np.column_stack((v[:nr][~flat], v[nr:])) for v in (vlo, vhi))
+        box = self.settle((br, blo, bhi) + ends, tuple(c[npts:] for c in cols))
 
         def bounds():
+            ghi, glo = box[4], box[3]
             sup_hi = max(self.final_sup, self.sup_wit, float(ghi.max()) if ghi.size else -_INF)
             inf_lo = min(self.final_inf, self.inf_wit, float(glo.min()) if glo.size else _INF)
             return sup_hi, inf_lo
 
-        def useful(glo, ghi):
-            return (ghi > self.sup_wit) | (glo < self.inf_wit)
+        def useful(box):
+            return (box[4] > self.sup_wit) | (box[3] < self.inf_wit)
 
         tol = self.tol
         depth = 0
@@ -531,29 +542,35 @@ class _Search:
             if sup_hi - self.sup_wit <= tol and self.inf_wit - inf_lo <= tol:
                 converged = True
                 break
-            if not root.size or self.evals >= self.max_evals:
+            if not box[0].size or self.evals >= self.max_evals:
                 break
             depth += 1
-            live = useful(glo, ghi)
-            root, lo, hi, glo, ghi = root[live], lo[live], hi[live], glo[live], ghi[live]
+            box = _select(box, useful(box))
+            root, lo, hi, glo, ghi, vlo, vhi = box
             mid = _midpoints(lo, hi)
             split = (lo < mid) & (mid < hi)
             self.finalize(glo[~split], ghi[~split])
-            root, lo, hi, mid = root[split], lo[split], hi[split], mid[split]
-            # children (lo, mid) and (mid, hi) of each parent, side by side
-            root, lo, hi, glo, ghi = yield from self.boxes(
-                np.repeat(root, 2),
-                np.stack((lo, mid), axis=1).ravel(),
-                np.stack((mid, hi), axis=1).ravel(),
-            )
-            live = useful(glo, ghi)
-            root, lo, hi, glo, ghi = root[live], lo[live], hi[live], glo[live], ghi[live]
-            if root.size > MAX_BOXES:
+            root, lo, hi, mid, vlo, vhi = _select((root, lo, hi, mid, vlo, vhi), split)
+            if root.size:
+                # children (lo, mid) and (mid, hi) of each parent, side by
+                # side; the parent's centre value is an end of each
+                self.evals += 2 * root.size
+                children = (np.repeat(root, 2), np.stack((lo, mid), axis=1).ravel(),
+                            np.stack((mid, hi), axis=1).ravel())
+                cols = yield children
+                ends = tuple(np.stack((v[:, 0:2], v[:, 1:3]), axis=1).reshape(-1, 2)
+                             for v in (vlo, vhi))
+                box = self.settle(children + ends, cols)
+            else:
+                box = _select(box, split)  # empty: no box could be split
+            box = _select(box, useful(box))
+            if box[0].size > MAX_BOXES:
+                glo, ghi = box[3], box[4]
                 gain = np.maximum(ghi - self.sup_wit, self.inf_wit - glo)
                 order = np.argsort(gain, kind="stable")
-                drop, keep = order[: root.size - MAX_BOXES], order[root.size - MAX_BOXES:]
+                drop, keep = order[: gain.size - MAX_BOXES], order[gain.size - MAX_BOXES:]
                 self.finalize(glo[drop], ghi[drop])
-                root, lo, hi, glo, ghi = root[keep], lo[keep], hi[keep], glo[keep], ghi[keep]
+                box = _select(box, keep)
 
         sup_hi, inf_lo = bounds()
         if not converged:
@@ -565,6 +582,11 @@ class _Search:
             evaluations=self.evals,
             depth=depth,
         )
+
+
+def _select(arrays: tuple, index) -> tuple:
+    """Every array of a tuple, indexed alike (a mask or indices)."""
+    return tuple(a[index] for a in arrays)
 
 
 # Total of box and point evaluations of one search when the caller sets
