@@ -141,17 +141,27 @@ class EdgeKernel(BoxEvaluator):
     Wider boxes, points (``lo == hi``) and every centre take the *natural
     form* with d^2 = |a + v T - s|^2 = |v|^2 (T - t*)^2 + delta^2,
 
-        phi^0 = -(1/(4 pi)) sum_k w_k log d_k^2,
+        phi^0 = -(1/(4 pi)) sum_k w_k log d_k^2.
 
-    all of them in one kernel sum per chunk.  ``expanded_boxes`` and
-    ``natural_boxes`` count, per candidate, the boxes (not the points)
-    each form bounded.  Boxes are evaluated in chunks of about
-    ``CHUNK_ELEMS`` (box, kernel) elements so the temporaries stay small;
-    every box's bounds depend only on its own root and endpoints, whatever
-    else a call or chunk holds.
+    ``expanded_boxes`` and ``natural_boxes`` count, per candidate, the
+    boxes (not the points) each form bounded.
+
+    The candidates of a plan search the same boxes in their first levels,
+    so a call's rows repeat (edge, lo, hi).  Everything but the weights and
+    the own s_int kernel depends on the box alone: tau, s, the logs, the
+    u_j and the tail terms of the sources are formed once per distinct
+    box, those of each row's s_int once per row, in one pass, and each
+    row's weighted sums gather them.  Distinct boxes are evaluated in
+    chunks of about ``CHUNK_ELEMS`` (box, source) elements so the
+    temporaries stay small; every box's bounds depend only on its own root
+    and endpoints, whatever else a call or chunk holds.
     """
 
     CHUNK_ELEMS = 2048
+    # sums per iv_dot, in chunks of rows: with the element arrays of an
+    # evaluation, 3 keep its peak temporaries below those of one chunk of
+    # per-row (box, kernel) arrays (1.2 against 1.4 MB on poly-const)
+    DOT_ROWS = 3
 
     def __init__(self, candidates: Sequence[TestFunction2D], poly: Polygon):
         tfs = list(candidates)
@@ -160,6 +170,7 @@ class EdgeKernel(BoxEvaluator):
             raise DomainError("the candidates of one EdgeKernel must share their sources")
         self.edges = len(poly.vertices)
         self.weights = np.array([np.concatenate(([1.0], tf.coeffs)) for tf in tfs])
+        self.weight_table = np.vstack((self.weights, np.abs(self.weights)))
         self.roots = [Interval(0.0, 1.0)] * self.edges
         self.chunk = max(1, self.CHUNK_ELEMS // self.weights.shape[1])
         self.expanded_boxes = np.zeros(len(tfs), dtype=int)
@@ -175,105 +186,195 @@ class EdgeKernel(BoxEvaluator):
                      _edge_geometry((ax, ay), (bx, by), k, own),
                      _edge_geometry((ax, ay), (bx, by), k, shared))
                     for (ax, ay), (bx, by) in zip(a, a[1:] + a[:1])]
-        # row p E + e: along edge e, the s_int of candidate p, then the sources
-        rows = [(v2, *(mine[p:p + 1] + theirs for mine, theirs in zip(own_g, shared_g)))
-                for p in range(len(tfs)) for v2, own_g, shared_g in per_edge]
-        self.v2, self.tstar, self.delta2, self.q = (
-            tuple(np.moveaxis(np.array(x), -1, 0)) for x in zip(*rows))
+        # the geometry of every element of _eval: source k along edge e at
+        # e S + k, then the s_int of candidate c along edge e at E S + c E + e
+        self.sources = S = len(sources)
+        elements = ([(v2, *(x[k] for x in theirs)) for v2, _mine, theirs in per_edge
+                     for k in range(S)] +
+                    [(v2, *(x[c] for x in mine)) for c in range(len(tfs))
+                     for v2, mine, _theirs in per_edge])
+        self.geometry = {name: tuple(np.array(x, dtype=float).reshape(-1, 2).T)
+                         for name, x in zip(("v2", "tstar", "delta2", "q"), zip(*elements))}
 
     def __call__(self, root, lo, hi):
-        c = self.chunk
-        parts = [self._eval(root[i:i + c], lo[i:i + c], hi[i:i + c])
-                 for i in range(0, len(root), c)]
-        out, near, wide = (np.concatenate(x, axis=-1) for x in zip(*parts))
+        # the distinct (edge, lo, hi) of the call, numbered by first row;
+        # the candidates of a plan share most boxes of their first levels
+        ids = {}
+        box = np.array([ids.setdefault(key, len(ids)) for key in zip(
+            (root % self.edges).tolist(), lo.view(np.int64).tolist(),
+            hi.view(np.int64).tolist())], dtype=np.intp)
+        groups = [(a, min(a + self.chunk, len(ids))) for a in range(0, len(ids), self.chunk)]
+        if len(groups) == 1:
+            out, near, wide = self._eval(root, lo, hi, box)
+        else:
+            out, near, wide = np.empty((6, len(root))), *np.zeros((2, len(root)), dtype=bool)
+            for a, b in groups:
+                rows = np.flatnonzero((box >= a) & (box < b))
+                out[:, rows], near[rows], wide[rows] = self._eval(
+                    root[rows], lo[rows], hi[rows], box[rows] - a)
         # counted once the whole call succeeded
         cand, n = root // self.edges, len(self.weights)
         self.expanded_boxes += np.bincount(cand[near], minlength=n)
         self.natural_boxes += np.bincount(cand[wide], minlength=n)
         return tuple(out)
 
-    def _eval(self, root, lo, hi):
-        w = self.weights[root // self.edges]
+    def _eval(self, root, lo, hi, box):
+        """The rows (root, lo, hi), whose distinct (edge, lo, hi) ``box``
+        numbers 0..U-1 in order of first row.
+
+        Every (box, source) is one element, and so is the s_int kernel of
+        every row: tau, s, the logs, the u_j and the tail terms are formed
+        once per element, so a box that several candidates share costs its
+        sources once.  The weighted sums of the rows then gather their
+        elements, ``DOT_ROWS`` chunks of sums to one ``iv_dot``."""
+        E, S, n = self.edges, self.sources, len(root)
+        p = EXPANSION_DEGREE
+        # box numbers appear in increasing order, so a row is the first of
+        # its box where its number exceeds every earlier one
+        first = np.flatnonzero(box > np.concatenate(([-1], np.maximum.accumulate(box)[:-1])))
+        u = len(first)
         tm = _midpoints(lo, hi)  # a point is its own centre
         h = dr.iv_sub(lo, hi, tm, tm)
         r = np.maximum(-h[0], h[1])
-        tau = dr.iv_sub(tm[:, None], tm[:, None], self.tstar[0][root], self.tstar[1][root])
+        ks = np.arange(S)
+        # element u S + k is source k of box u, element U S + i the s_int of
+        # row i; ``row`` is a row of each element's box, ``geo`` its
+        # geometry and cols[i, k] the element of kernel k of row i
+        row = np.concatenate((np.repeat(first, S), np.arange(n)))
+        geo = np.concatenate((((root[first] % E * S)[:, None] + ks).ravel(), E * S + root))
+        cols = np.column_stack((u * S + np.arange(n), (box * S)[:, None] + ks))
+        g = {name: (x[0][geo], x[1][geo]) for name, x in self.geometry.items()}
+        tmr = tm[row]
+        tau = dr.iv_sub(tmr, tmr, *g["tstar"])
         tau2 = dr.iv_sqr(*tau)
-        s = dr.iv_add(*tau2, self.q[0][root], self.q[1][root])
+        s = dr.iv_add(*tau2, *g["q"])
         # selects the form only: the tails use a rigorous rho_k, which this
         # float test keeps within a few ulps of EXPANSION_RHO < 1
-        box = lo < hi
-        near = box & np.all(r[:, None] <= EXPANSION_RHO * np.sqrt(s[0]), axis=1)
-        wide = box & ~near
-        # the natural form at every centre and over every wide box, in one sum
-        tw2 = dr.iv_sqr(*dr.iv_sub(lo[wide, None], hi[wide, None],
-                                   self.tstar[0][root[wide]], self.tstar[1][root[wide]]))
-        nat = self._log_sum(np.concatenate((root, root[wide])), np.concatenate((w, w[wide])),
-                            *(np.concatenate(x) for x in zip(tau2, tw2)))
-        n = len(root)
+        fits = r[row] <= EXPANSION_RHO * np.sqrt(s[0])
+        isbox = lo < hi
+        near = isbox & np.all(fits[cols], axis=1)
+        wide = isbox & ~near
+        wel, wcols = _elements(wide, box, u, S, cols)
+        nel, ncols = _elements(near, box, u, S, cols)
+        # the terms of the sums, per element: the logs of d^2 at every
+        # centre and over every wide box, then on expanded boxes u_1..u_p
+        # and the value and derivative tail terms
+        F, Fw, Fn = row.size, wel.size, nel.size
+        terms = np.empty((2, F + Fw + (p + 2) * Fn))
+        wrow = row[wel]
+        tw2 = dr.iv_sqr(*dr.iv_sub(lo[wrow], hi[wrow], *dr._take(g["tstar"], wel)))
+        v2, delta2 = (dr._join(x, dr._take(x, wel)) for x in (g["v2"], g["delta2"]))
+        d2lo, d2hi = dr.iv_add(*dr.iv_mul(*v2, *dr._join(tau2, tw2)), *delta2)
+        if np.any(d2lo <= 0.0):
+            raise DomainError("a polygon edge passes through a kernel point")
+        terms[0, :F + Fw], terms[1, :F + Fw] = dr.iv_log(d2lo, d2hi)
+        base = F + Fw
+        if Fn:
+            _powers(dr._take(tau, nel), dr._take(s, nel),
+                    terms[:, base:base + p * Fn].reshape(2, p, Fn))
+            terms[:, base + p * Fn:] = _tail_terms(r[row[nel]], s[0][nel]).ravel()
+        del g, tau, tau2, s, tw2, v2, delta2, d2lo, d2hi, fits  # before the sums' temporaries
+        # the sums, one per line: the centre of every row, every wide box,
+        # then on expanded boxes sum_k w_k u_kj for j = 1..p and the two
+        # tails with |w_k|; a line takes the elements of row ``line`` of
+        # ``at`` (plus ``offset``) and row ``weight`` of the weight table
+        nw, nn = int(wide.sum()), int(near.sum())
+        cand, nrows = root // E, np.flatnonzero(near)
+        at = np.concatenate((cols, F + wcols, base + ncols))
+        line = np.concatenate((np.arange(n + nw), np.tile(np.arange(n + nw, n + nw + nn), p + 2)))
+        offset = np.concatenate((np.zeros(n + nw, dtype=np.intp),
+                                 np.repeat(np.arange(p + 2) * Fn, nn)))
+        weight = np.concatenate((cand, cand[wide], np.tile(cand[nrows], p),
+                                 np.tile(cand[nrows] + len(self.weights), 2)))
+        size = self.DOT_ROWS * self.chunk
+        sums = np.empty((2, line.size))
+        for a in range(0, line.size, size):
+            take = at[line[a:a + size]] + offset[a:a + size, None]
+            sums[:, a:a + size] = dr.iv_dot(self.weight_table[weight[a:a + size]],
+                                            terms[0][take], terms[1][take])
+        m = n + nw
+        nat = dr.iv_mul(sums[0][:m], sums[1][:m], NEG_INV_4PI.lo, NEG_INV_4PI.hi)
         out = np.empty((6, n))
         out[0:2] = out[2:4] = nat[0][:n], nat[1][:n]
         out[0:2, wide] = nat[0][n:], nat[1][n:]
         out[4], out[5] = -np.inf, np.inf  # the natural form gives no slope
-        if near.any():
-            val, der = self._expansion(r[near], (out[2, near], out[3, near]),
-                                       *((x[0][near], x[1][near]) for x in (h, tau, s)),
-                                       w[near])
+        if nn:
+            coef = tuple(x[m:m + p * nn].reshape(p, nn).T for x in sums)  # (row, j)
+            tail = dr.next_up(sums[1][m + p * nn:].reshape(2, nn) * INV_2PI.hi)
+            val, der = _expansion((out[2, near], out[3, near]), (h[0][near], h[1][near]),
+                                  coef, *tail)
             out[0:2, near], out[4:6, near] = val, der
         return out, near, wide
 
-    def _log_sum(self, root, w, tau2_lo, tau2_hi):
-        """-(1/(4 pi)) sum_k w_k log d_k^2 from (T - t*)^2, with the weight
-        rows w of the boxes."""
-        d2lo, d2hi = dr.iv_add(*dr.iv_mul(self.v2[0][root, None], self.v2[1][root, None],
-                                          tau2_lo, tau2_hi),
-                               self.delta2[0][root], self.delta2[1][root])
-        if np.any(d2lo <= 0.0):
-            raise DomainError("a polygon edge passes through a kernel point")
-        sums = dr.iv_dot(w, *dr.iv_log(d2lo, d2hi))
-        return dr.iv_mul(*sums, NEG_INV_4PI.lo, NEG_INV_4PI.hi)
 
-    def _expansion(self, r, c0, h, tau, s, w):
-        """Value and slope of each box from its centre value c_0."""
-        p = EXPANSION_DEGREE
-        # u_j = a_j / s^j: u_0 = 1, u_1 = tau / s, u_(j+1) = (2 tau u_j - u_(j-1)) / s
-        inv_s = dr.iv_div(1.0, 1.0, *s)
-        two_tau = (2.0 * tau[0], 2.0 * tau[1])
-        prev, u = (1.0, 1.0), dr.iv_mul(*tau, *inv_s)
-        ulo, uhi = np.empty((2, len(r), p, w.shape[1]))  # u_1..u_p of every (box, kernel)
-        ulo[:, 0], uhi[:, 0] = u
-        for j in range(1, p):
-            prev, u = u, dr.iv_mul(*dr.iv_sub(*dr.iv_mul(*two_tau, *u), *prev), *inv_s)
-            ulo[:, j], uhi[:, j] = u
-        sums = dr.iv_dot(w[:, None, :], ulo, uhi)  # (box, j) for j = 1..p
-        hp = [None, h]  # H^j, even powers by squaring
-        for j in range(2, p + 1):
-            hp.append(dr.iv_sqr(*hp[j // 2]) if j % 2 == 0 else dr.iv_mul(*hp[j - 1], *h))
-        val_tail, der_tail = self._tails(r, s[0], np.abs(w))
-        terms = dr.iv_mul(*dr.iv_mul(*sums, *_VALUE_COEFS), *dr._stack(hp[1:]))
-        val = dr.iv_add(*c0, *dr._iv_sums(terms, exact=False))
-        val = dr.iv_add(*val, -val_tail, val_tail)
-        d = dr.iv_mul(*sums, *_DERIV_COEFS)  # j c_j
-        terms = dr.iv_mul(d[0][:, 1:], d[1][:, 1:], *dr._stack(hp[1:p]))
-        der = dr.iv_add(*dr._iv_sums(terms, exact=False), d[0][:, 0], d[1][:, 0])
-        return val, dr.iv_add(*der, -der_tail, der_tail)
+def _powers(tau, s, out):
+    """u_j = a_j / s^j for j = 1..p into out[0] (lower) and out[1] (upper),
+    (p, F) arrays: u_0 = 1, u_1 = tau / s, u_(j+1) = (2 tau u_j - u_(j-1)) / s."""
+    p = EXPANSION_DEGREE
+    inv_s = dr.iv_div(1.0, 1.0, *s)
+    two_tau = (2.0 * tau[0], 2.0 * tau[1])
+    prev, u = (1.0, 1.0), dr.iv_mul(*tau, *inv_s)
+    out[0, 0], out[1, 0] = u
+    for j in range(1, p):
+        prev, u = u, dr.iv_mul(*dr.iv_sub(*dr.iv_mul(*two_tau, *u), *prev), *inv_s)
+        out[0, j], out[1, j] = u
 
-    @staticmethod
-    def _tails(r, s_lo, absw):
-        """Upper bounds of the value and derivative tails of each box, from
-        its radius r, lower bounds s_lo of every s_k and the |w_k| of its
-        candidate; every step rounds up."""
-        p = EXPANSION_DEGREE
-        root_s = dr.next_down(np.sqrt(s_lo))
-        rho = dr.next_up(r[:, None] / root_s)
-        one_minus = dr.next_down(1.0 - rho)
-        rho_p = rho
-        for _ in range(p - 1):
-            rho_p = dr.next_up(rho_p * rho)
-        val = dr.next_up(dr.next_up(rho_p * rho) / dr.next_down((p + 1) * one_minus))
-        der = dr.next_up(dr.next_up(rho_p / root_s) / one_minus)
-        x = np.stack((val, der))
-        return dr.next_up(dr.iv_dot(absw, x, x)[1] * INV_2PI.hi)
+
+def _tail_terms(r, s_lo):
+    """Upper bounds of rho^(p+1) / ((p+1)(1 - rho)) and s^(-1/2) rho^p /
+    (1 - rho), with rho = r / sqrt(s), per element of its box radius r and
+    lower bound s_lo of its s, as one (2, F) array; every step rounds up.
+    Summed with weights |w_k| and times 1/(2 pi), they bound the value
+    and derivative tails."""
+    p = EXPANSION_DEGREE
+    root_s = dr.next_down(np.sqrt(s_lo))
+    rho = dr.next_up(r / root_s)
+    one_minus = dr.next_down(1.0 - rho)
+    rho_p = rho
+    for _ in range(p - 1):
+        rho_p = dr.next_up(rho_p * rho)
+    val = dr.next_up(dr.next_up(rho_p * rho) / dr.next_down((p + 1) * one_minus))
+    der = dr.next_up(dr.next_up(rho_p / root_s) / one_minus)
+    return np.stack((val, der))
+
+
+def _expansion(c0, h, sums, val_tail, der_tail):
+    """Value and slope of each box from its centre value c_0, its offsets
+    h = T - t_m, the weighted sums sum_k w_k u_kj (box, j) and the tails."""
+    p = EXPANSION_DEGREE
+    hp = [None, h]  # H^j, even powers by squaring
+    for j in range(2, p + 1):
+        hp.append(dr.iv_sqr(*hp[j // 2]) if j % 2 == 0 else dr.iv_mul(*hp[j - 1], *h))
+    terms = dr.iv_mul(*dr.iv_mul(*sums, *_VALUE_COEFS), *dr._stack(hp[1:]))
+    val = dr.iv_add(*c0, *dr._iv_sums(terms, exact=False))
+    val = dr.iv_add(*val, -val_tail, val_tail)
+    d = dr.iv_mul(*sums, *_DERIV_COEFS)  # j c_j
+    terms = dr.iv_mul(d[0][:, 1:], d[1][:, 1:], *dr._stack(hp[1:p]))
+    der = dr.iv_add(*dr._iv_sums(terms, exact=False), d[0][:, 0], d[1][:, 0])
+    return val, dr.iv_add(*der, -der_tail, der_tail)
+
+
+def _groups(counts: list, limit: int) -> list:
+    """[a, b) ranges of consecutive boxes, the rows of each range (counts
+    per box) at most ``limit``, or those of one box."""
+    bounds, rows = [0], 0
+    for i, c in enumerate(counts):
+        if rows and rows + c > limit:
+            bounds.append(i)
+            rows = 0
+        rows += c
+    bounds.append(len(counts))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _elements(rows, box, u: int, S: int, cols):
+    """The elements of the rows selected by the mask ``rows`` (the sources
+    of their boxes and their own kernels), and cols[rows] renumbered
+    among them."""
+    used = np.zeros(u, dtype=bool)
+    used[box[rows]] = True
+    mask = np.concatenate((np.repeat(used, S), rows))
+    return np.flatnonzero(mask), (np.cumsum(mask) - 1)[cols[rows]]
 
 
 def _edge_geometry(a, b, k: int, points) -> tuple[list, list, list]:

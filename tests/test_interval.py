@@ -15,6 +15,7 @@ from greenbound.interval import (
     PI,
     BoxEvaluator,
     Interval,
+    _ScalarEvaluator,
     _set_outward_rounding,
     _midpoints,
     hull,
@@ -303,10 +304,10 @@ class TestBatchedMinMax:
             single = subdivide_min_max(lambda t: (t - c).sqr() + e, self.ROOTS[r],
                                        tol=1e-10, g_prime=lambda t: (t - c) * 2.0)
             assert whole.m.lo <= single.m.hi and whole.M.hi >= single.M.lo
-        # one evaluator call per level (boxes, then points), not per box
+        # one evaluator call per level, not per box
         g = _Parabolas(self.CENTERS, self.OFFSETS)
         res = subdivide_min_max(g, self.ROOTS, tol=1e-10)
-        assert g.calls <= 2 * res.depth + 3
+        assert g.calls == res.depth + 1
 
     def test_root_inside_the_range_stops_refining(self):
         """A root whose values cannot move m or M is dropped at once."""
@@ -361,6 +362,24 @@ class TestBatchedMinMax:
             solo_calls.append(alone.calls)
         assert g.calls == max(solo_calls)
 
+    @pytest.mark.parametrize("evaluator, tol", [(_Parabolas, 1e-12), (_Humps, 1e-9)])
+    def test_lockstep_makes_one_call_per_level(self, evaluator, tol):
+        """Searches stepped together make one evaluator call per level of the
+        deepest: the first holds every root end as a point, the later ones
+        boxes alone, whose end values are carried from earlier calls."""
+        points = []
+
+        class Spy(evaluator):
+            def __call__(self, root, lo, hi):
+                points.append(int(np.sum(lo == hi)))
+                return super().__call__(root, lo, hi)
+
+        g = Spy(self._joined(1), self._joined(2))
+        got = lockstep_min_max(g, [s[0] for s in self.SEARCHES], tol=tol, max_depth=60)
+        assert g.calls == len(points) == 1 + max(res.depth for res in got)
+        ends = sum(2 - (r.lo == r.hi) for r in self._joined(0))
+        assert points[0] == ends and not any(points[1:])
+
     def test_lockstep_keeps_a_failing_search_apart(self):
         """A search whose boxes raise ends with its own exception; the merged
         call it was in is evaluated request by request, and the others keep
@@ -396,6 +415,22 @@ def test_mean_value_form_encloses_and_never_widens(s):
         t = min(max(t, s.lo), s.hi)
         exact = mp.exp(t) * mp.sin(3 * mp.mpf(t)) - mp.mpf(t) ** 2
         assert mp.mpf(form.lo) <= exact <= mp.mpf(form.hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(intervals())
+def test_scalar_box_centre_is_the_point_value(s):
+    """The centre value ``_ScalarEvaluator`` returns for a box (the g(m) of
+    ``mean_value_form``) equals its value at the point _midpoints(lo, hi),
+    bit for bit."""
+    g = lambda t: t.exp() * (t * 3.0).sin() - t.sqr()
+    dg = lambda t: t.exp() * ((t * 3.0).sin() + (t * 3.0).cos() * 3.0) - t * 2.0
+    ev = _ScalarEvaluator(g, dg)
+    lo, hi = np.array([s.lo]), np.array([s.hi])
+    m = _midpoints(lo, hi)
+    box, point = ev(np.zeros(1, dtype=int), lo, hi), ev(np.zeros(1, dtype=int), m, m)
+    assert (box[2][0], box[3][0]) == (point[0][0], point[1][0])
+    assert m[0] == s.mid()
 
 
 def test_mean_value_form_removes_the_dependency_at_a_vertex():

@@ -176,6 +176,19 @@ class TestSearchesTogether:
             alone.append(len(calls))
         assert together == max(alone) < sum(alone)
 
+    def test_one_kernel_call_per_level(self, centered_square, monkeypatch):
+        """Three points of a square plan: the first call holds every root end
+        as a point and the root boxes, and each later level is one call of
+        boxes alone."""
+        tfs = _plan_candidates(centered_square, [(0.0, 0.0), (0.25, 0.25), (-0.2, 0.1)], 69)
+        points = []
+        call = EdgeKernel.__call__
+        monkeypatch.setattr(EdgeKernel, "__call__", lambda self, root, lo, hi: points.append(
+            int(np.sum(lo == hi))) or call(self, root, lo, hi))
+        got = boundary_extrema(tfs, centered_square, tol=twod.MfsConfig().tol)
+        assert len(points) == 1 + max(res.depth for res in got)
+        assert points[0] == 3 * 2 * len(centered_square.vertices) and not any(points[1:])
+
     def test_a_failing_search_leaves_the_others_alone(self, centered_square):
         """A candidate whose kernel point lies on an edge gets the DomainError
         its search raises alone; the others keep their solo results."""
@@ -327,15 +340,41 @@ class TestEdgeKernel:
             assert hi == np.nextafter(lo, np.inf)
 
     def test_chunked_evaluation_is_bit_identical(self, centered_square):
-        pts, src = square_setup(centered_square, n=33)
-        tf0 = solve(centered_square, pts, src, (0.0, 0.0)).tf0
-        e, lo, hi = _edge_boxes(centered_square, np.random.default_rng(5), 300)
-        whole = EdgeKernel([tf0], centered_square)
-        whole.chunk = 300
-        chunked = EdgeKernel([tf0], centered_square)
-        assert chunked.chunk < 300
-        for x, y in zip(whole(e, lo, hi), chunked(e, lo, hi)):
-            assert np.array_equal(x, y)
+        """Each row of a call gets the bits and box counts of its candidate's
+        own call on its boxes alone, at chunk sizes 1, the default and
+        unbounded: for one candidate, and for three candidates of one plan
+        that ask for the same (edge, lo, hi) boxes, points among them, in
+        shuffled rows, so that the sources of a box are evaluated once for
+        several rows."""
+        tfs = _plan_candidates(centered_square, [(0.0, 0.0), (0.25, 0.2), (-0.1, 0.3)], 33)
+        edges = len(centered_square.vertices)
+        for shared in (False, True):
+            rng = np.random.default_rng(5)
+            e, lo, hi = _edge_boxes(centered_square, rng, 300)
+            cand = np.zeros(300, dtype=int)
+            if shared:  # every candidate on each box, and some rows twice over
+                cand = rng.integers(0, 3, 300)
+                cand[:200] = np.arange(200) % 3
+                e[:200], lo[:200], hi[:200] = (np.repeat(x[:67], 3)[:200] for x in (e, lo, hi))
+                for x in (cand, e, lo, hi):
+                    x[200:220] = x[:20]
+                order = rng.permutation(300)
+                cand, e, lo, hi = cand[order], e[order], lo[order], hi[order]
+            kernels = [EdgeKernel(tfs if shared else tfs[:1], centered_square)
+                       for _ in range(3)]
+            assert 1 < kernels[1].chunk < 300
+            kernels[0].chunk, kernels[2].chunk = 1, 10_000
+            for kernel in kernels:
+                got = kernel(cand * edges + e, lo, hi)
+                for c in range(len(kernel.weights)):
+                    rows = cand == c
+                    alone = EdgeKernel([tfs[c]], centered_square)
+                    alone.chunk = 10_000
+                    want = alone(e[rows], lo[rows], hi[rows])
+                    for x, y in zip(got, want):
+                        assert np.array_equal(x[rows], y)
+                    assert kernel.expanded_boxes[c] == alone.expanded_boxes[0] > 0
+                    assert kernel.natural_boxes[c] == alone.natural_boxes[0] > 0
 
 
 HEXAGON = Polygon([[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)] for k in range(6)])
@@ -433,16 +472,18 @@ class TestExpansion:
                  for j in range(1, p + 1)]
             s = np.array([float(abs(zk) ** 2) for _w, zk in z])
             r = max(float(tm) - lo[k], hi[k] - float(tm))
-            val_tail, der_tail = kernel._tails(np.array([r]), np.nextafter(s, 0)[None],
-                                                np.abs(kernel.weights))
+            terms = mfs._tail_terms(np.full(s.size, r), np.nextafter(s, 0))
+            val_tail, der_tail = (mp.fsum(abs(mp.mpf(w)) * mp.mpf(x)
+                                          for w, x in zip(kernel.weights[0], row)) / (2 * mp.pi)
+                                  for row in terms)
             c0 = _mp_phi(kernels, edge, tm)[0]
             for t in np.linspace(lo[k], hi[k], 20):
                 h = mp.mpf(float(t)) - tm
                 val, der = _mp_phi(kernels, edge, mp.mpf(float(t)))
                 poly_val = c0 + sum(c[j - 1] * h**j for j in range(1, p + 1))
                 poly_der = sum(j * c[j - 1] * h ** (j - 1) for j in range(1, p + 1))
-                assert abs(val - poly_val) <= val_tail[0]
-                assert abs(der - poly_der) <= der_tail[0]
+                assert abs(val - poly_val) <= val_tail
+                assert abs(der - poly_der) <= der_tail
 
     def test_tails_close_the_gap_of_one_signed_coefficients(self, centered_square):
         """A kernel on the line of edge 0, at t* = 1.2: from t_m = 0.6 every
@@ -494,16 +535,22 @@ class TestExpansion:
 
     @pytest.mark.parametrize("name", ["hexagon", "lshape"])
     def test_expanded_box_centre_is_the_point_value(self, name, lshape):
-        """The c_0 an expanded box returns as its centre equals the value of
-        a separate evaluation at _midpoints(lo, hi), bit for bit."""
+        """The centre value of an expanded box (its c_0) and of a natural-form
+        (wide) box equals the value of a separate evaluation at
+        _midpoints(lo, hi), bit for bit: the BoxEvaluator contract that lets
+        a search carry the centre as an endpoint value of the halves."""
         poly, tf0 = _candidate(name, lshape)
-        e, lo, hi = _boxes_at_half_rho(poly, tf0, np.random.default_rng(10), 12)
-        kernel = EdgeKernel([tf0], poly)
-        _glo, _ghi, clo, chi, _dlo, _dhi = kernel(e, lo, hi)
-        assert kernel.expanded_boxes[0] == len(e)
-        tm = _midpoints(lo, hi)
-        vlo, vhi = EdgeKernel([tf0], poly)(e, tm, tm)[:2]
-        assert np.array_equal(clo, vlo) and np.array_equal(chi, vhi)
+        rng = np.random.default_rng(10)
+        near = _boxes_at_half_rho(poly, tf0, rng, 12)
+        lo = rng.uniform(0.0, 0.4, 12)
+        wide = (rng.integers(0, len(poly.vertices), 12), lo, lo + rng.uniform(0.4, 0.6, 12))
+        for (e, lo, hi), form in ((near, "expanded_boxes"), (wide, "natural_boxes")):
+            kernel = EdgeKernel([tf0], poly)
+            _glo, _ghi, clo, chi, _dlo, _dhi = kernel(e, lo, hi)
+            assert getattr(kernel, form)[0] == len(e)
+            tm = _midpoints(lo, hi)
+            vlo, vhi = EdgeKernel([tf0], poly)(e, tm, tm)[:2]
+            assert np.array_equal(clo, vlo) and np.array_equal(chi, vhi)
 
 
 def _natural_reference(kernel, e, lo, hi):
@@ -511,10 +558,13 @@ def _natural_reference(kernel, e, lo, hi):
     from greenbound import _directed as dr
     from greenbound.fundsol import NEG_INV_4PI
 
-    tau = dr.iv_sub(lo[:, None], hi[:, None], kernel.tstar[0][e], kernel.tstar[1][e])
-    d2 = dr.iv_add(*dr.iv_mul(kernel.v2[0][e, None], kernel.v2[1][e, None],
-                              *dr.iv_sqr(*tau)),
-                   kernel.delta2[0][e], kernel.delta2[1][e])
+    E, S = kernel.edges, kernel.sources
+    # root e's kernels: its s_int, then the sources along edge e % E
+    idx = np.column_stack((E * S + e, (e % E * S)[:, None] + np.arange(S)))
+    tstar, v2, delta2 = ((x[0][idx], x[1][idx]) for x in
+                         (kernel.geometry[k] for k in ("tstar", "v2", "delta2")))
+    tau = dr.iv_sub(lo[:, None], hi[:, None], *tstar)
+    d2 = dr.iv_add(*dr.iv_mul(*v2, *dr.iv_sqr(*tau)), *delta2)
     val = dr.iv_mul(*dr.iv_dot(kernel.weights, *dr.iv_log(*d2)),
                     NEG_INV_4PI.lo, NEG_INV_4PI.hi)
     return val
