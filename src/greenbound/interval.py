@@ -399,7 +399,12 @@ class BoxEvaluator:
     It returns ``(glo, ghi, clo, chi, dlo, dhi)`` enclosing g over the box
     (in whatever bounding form the evaluator owns), g at the centre
     ``_midpoints(lo, hi)`` (a point is its own centre) and g' over the
-    box, ``(-inf, inf)`` where no slope is known."""
+    box, ``(-inf, inf)`` where no slope is known.
+
+    The centre value must equal, bit for bit, the value (``glo, ghi``) the
+    evaluator returns for the point ``_midpoints(lo, hi)`` itself, whatever
+    else either call holds: the search carries it as an endpoint value of
+    both halves of the box and settles monotone boxes from such values."""
 
     def __call__(self, root, lo, hi):
         raise NotImplementedError
@@ -589,9 +594,11 @@ def _select(arrays: tuple, index) -> tuple:
     return tuple(a[index] for a in arrays)
 
 
-# Total of box and point evaluations of one search when the caller sets
-# no budget of its own (mfs and oned do): the largest such search of the
-# tests takes 240, the largest budgeted one 6,663.
+# Total evaluations of one search when the caller sets no budget of its
+# own (mfs and oned do): the largest such search of the tests takes 240,
+# the largest budgeted one 6,663.  An evaluation is a value the search
+# takes: a box, a root end, or either end of a monotone box (carried from
+# an earlier request, so counted but not evaluated again).
 MAX_EVALS = 10_000_000
 MAX_BOXES = 20_000  # open boxes per level; the least promising excess is finalized
 
@@ -619,10 +626,11 @@ def subdivide_min_max(
     true infimum and supremum are contained in the returned ``m`` and
     ``M``; ``converged`` reports whether both widths reached ``tol``
     within ``max_depth`` levels, with at most ``MAX_BOXES`` boxes kept
-    open per level.  No new level starts once ``max_evals`` box and point
-    evaluations are spent; the bounds reached so far are returned, still
-    sound.  This is the one-search case of :func:`lockstep_min_max`, and
-    raises what the search raises.
+    open per level.  No new level starts once ``max_evals`` evaluations
+    (boxes, root ends and the end values of monotone boxes) are spent; the
+    bounds reached so far are returned, still sound.  This is the
+    one-search case of :func:`lockstep_min_max`, and raises what the
+    search raises.
     """
     if not isinstance(g, BoxEvaluator):
         g = _ScalarEvaluator(g, g_prime)
@@ -641,10 +649,10 @@ def lockstep_min_max(g: BoxEvaluator, domains: Sequence[Sequence[Interval]],
 
     Roots are numbered across the searches: root j of search i is root
     j + (the root count of searches 0..i-1) to ``g``.  Each step makes one
-    ``g`` call over every unfinished search's next request (its boxes of
-    a level, or the points of its monotone boxes), so with an evaluator
-    whose boxes do not depend on the other boxes of a call, each search
-    gets the bits of its solo run.  Entry i is search i's
+    ``g`` call over every unfinished search's next level (the first: its
+    root ends as points and its root boxes), so with an evaluator whose
+    boxes do not depend on the other boxes of a call, each search gets the
+    bits of its solo run.  Entry i is search i's
     :class:`MinMaxResult`, or the exception it raised: when a merged call
     raises, each request of the step is evaluated alone, and a search
     whose own request raises ends with that exception while the others

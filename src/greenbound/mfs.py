@@ -13,9 +13,10 @@ weights out of the box bound (:class:`EdgeKernel`).
 
 The candidates of one domain plan share their exterior sources, so one
 :class:`EdgeKernel` holds the exact source geometry once for all of them,
-and their searches are stepped together: each step is one kernel call
-over the pending boxes of every search, and each candidate's result is
-bit for bit that of its search alone.
+and their searches are stepped together: each level is one kernel call
+over the pending boxes of every search, the per-source work of a box
+the searches share is done once, and each candidate's result is bit for
+bit that of its search alone.
 """
 
 from __future__ import annotations
@@ -158,9 +159,9 @@ class EdgeKernel(BoxEvaluator):
     """
 
     CHUNK_ELEMS = 2048
-    # sums per iv_dot, in chunks of rows: with the element arrays of an
-    # evaluation, 3 keep its peak temporaries below those of one chunk of
-    # per-row (box, kernel) arrays (1.2 against 1.4 MB on poly-const)
+    # sums per iv_dot, in chunks of rows: 3 keep the peak temporaries of an
+    # evaluation, its element arrays included, below those of the p sums
+    # of one chunk of rows alone (1.2 against 1.4 MB on poly-const)
     DOT_ROWS = 3
 
     def __init__(self, candidates: Sequence[TestFunction2D], poly: Polygon):
@@ -232,17 +233,17 @@ class EdgeKernel(BoxEvaluator):
         # box numbers appear in increasing order, so a row is the first of
         # its box where its number exceeds every earlier one
         first = np.flatnonzero(box > np.concatenate(([-1], np.maximum.accumulate(box)[:-1])))
-        u = len(first)
+        nbox = len(first)
         tm = _midpoints(lo, hi)  # a point is its own centre
         h = dr.iv_sub(lo, hi, tm, tm)
         r = np.maximum(-h[0], h[1])
         ks = np.arange(S)
-        # element u S + k is source k of box u, element U S + i the s_int of
+        # element b S + k is source k of box b, element U S + i the s_int of
         # row i; ``row`` is a row of each element's box, ``geo`` its
         # geometry and cols[i, k] the element of kernel k of row i
         row = np.concatenate((np.repeat(first, S), np.arange(n)))
         geo = np.concatenate((((root[first] % E * S)[:, None] + ks).ravel(), E * S + root))
-        cols = np.column_stack((u * S + np.arange(n), (box * S)[:, None] + ks))
+        cols = np.column_stack((nbox * S + np.arange(n), (box * S)[:, None] + ks))
         g = {name: (x[0][geo], x[1][geo]) for name, x in self.geometry.items()}
         tmr = tm[row]
         tau = dr.iv_sub(tmr, tmr, *g["tstar"])
@@ -254,8 +255,8 @@ class EdgeKernel(BoxEvaluator):
         isbox = lo < hi
         near = isbox & np.all(fits[cols], axis=1)
         wide = isbox & ~near
-        wel, wcols = _elements(wide, box, u, S, cols)
-        nel, ncols = _elements(near, box, u, S, cols)
+        wel, wcols = _elements(wide, box, nbox, S, cols)
+        nel, ncols = _elements(near, box, nbox, S, cols)
         # the terms of the sums, per element: the logs of d^2 at every
         # centre and over every wide box, then on expanded boxes u_1..u_p
         # and the value and derivative tail terms
@@ -367,11 +368,11 @@ def _groups(counts: list, limit: int) -> list:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _elements(rows, box, u: int, S: int, cols):
+def _elements(rows, box, nbox: int, S: int, cols):
     """The elements of the rows selected by the mask ``rows`` (the sources
     of their boxes and their own kernels), and cols[rows] renumbered
     among them."""
-    used = np.zeros(u, dtype=bool)
+    used = np.zeros(nbox, dtype=bool)
     used[box[rows]] = True
     mask = np.concatenate((np.repeat(used, S), rows))
     return np.flatnonzero(mask), (np.cumsum(mask) - 1)[cols[rows]]
@@ -399,7 +400,10 @@ def _scaled_ints(values) -> tuple[list, int]:
 # Total evaluations of one boundary search: 400x the 372 of the largest
 # search any problem file, test or benchmark input makes (664 while box
 # centres were evaluated twice, 11,858 before the local expansion), so
-# only searches far beyond any measured one stop early (still sound).
+# only searches far beyond any measured one stop early (still sound).  An
+# evaluation is a value the search takes: a box, an edge end, or either
+# end value of a monotone box, though the kernel computes each end value
+# once (an edge end, or the centre of an earlier box).
 MAX_EVALS = 150_000
 
 
@@ -424,7 +428,7 @@ def boundary_extrema(candidates: Sequence[TestFunction2D], poly: Polygon,
     each parameterized by t in [0, 1]; the slope of phi^0 along the edge
     on expanded boxes finalizes monotone ones by their endpoints.  One
     :class:`EdgeKernel` serves all candidates, and ``lockstep_min_max``
-    steps their searches together, one kernel call per step.  Entry i is
+    steps their searches together, one kernel call per level.  Entry i is
     candidate i's :class:`BoundaryExtrema`, bit for bit that of its search
     alone, or the exception its search raised.
     """

@@ -74,7 +74,7 @@ MAX_SPLIT_DEPTH = 6
 # and of 2 + sin(3x), and 0.2% above it for exp(x) sin(3x) + 2.
 SUP_PARTS = 256
 
-# Box and point evaluations of one optimal-constant search.  A converged
+# Evaluations of one optimal-constant search (see interval.MAX_EVALS).  A converged
 # search of 1, 5, exp(x), x(1 - x) or -3 at tol 1e-10 takes at most 141;
 # 2 + sin(3x), whose degree-12 model has a width floor above that tol,
 # would run to interval.MAX_EVALS and stops (unconverged, still sound)
