@@ -119,7 +119,7 @@ class EdgeKernel(BoxEvaluator):
     so no bounding box of the edge enters: both forms below are exact for
     slanted edges too.  |v|^2, and t*, delta^2 and q of every source, are
     computed once for all candidates in exact integer arithmetic and
-    rounded outward once (each s_int adds one kernel row per edge), so
+    rounded outward once (each s_int adds one more per edge), so
     T - t* loses nothing to rounding of t* beyond one ulp.
 
     A box T = [t_m - r, t_m + r] is bounded by a *local expansion* when
