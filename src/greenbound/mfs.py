@@ -204,15 +204,11 @@ class EdgeKernel(BoxEvaluator):
         box = np.array([ids.setdefault(key, len(ids)) for key in zip(
             (root % self.edges).tolist(), lo.view(np.int64).tolist(),
             hi.view(np.int64).tolist())], dtype=np.intp)
-        groups = [(a, min(a + self.chunk, len(ids))) for a in range(0, len(ids), self.chunk)]
-        if len(groups) == 1:
-            out, near, wide = self._eval(root, lo, hi, box)
-        else:
-            out, near, wide = np.empty((6, len(root))), *np.zeros((2, len(root)), dtype=bool)
-            for a, b in groups:
-                rows = np.flatnonzero((box >= a) & (box < b))
-                out[:, rows], near[rows], wide[rows] = self._eval(
-                    root[rows], lo[rows], hi[rows], box[rows] - a)
+        out, near, wide = np.empty((6, len(root))), *np.zeros((2, len(root)), dtype=bool)
+        for a in range(0, len(ids), self.chunk):
+            rows = np.flatnonzero((box >= a) & (box < a + self.chunk))
+            out[:, rows], near[rows], wide[rows] = self._eval(
+                root[rows], lo[rows], hi[rows], box[rows] - a)
         # counted once the whole call succeeded
         cand, n = root // self.edges, len(self.weights)
         self.expanded_boxes += np.bincount(cand[near], minlength=n)
@@ -282,11 +278,11 @@ class EdgeKernel(BoxEvaluator):
         nw, nn = int(wide.sum()), int(near.sum())
         cand, nrows = root // E, np.flatnonzero(near)
         at = np.concatenate((cols, F + wcols, base + ncols))
-        line = np.concatenate((np.arange(n + nw), np.tile(np.arange(n + nw, n + nw + nn), p + 2)))
+        line = np.concatenate([np.arange(n + nw)] + [np.arange(n + nw, n + nw + nn)] * (p + 2))
         offset = np.concatenate((np.zeros(n + nw, dtype=np.intp),
                                  np.repeat(np.arange(p + 2) * Fn, nn)))
-        weight = np.concatenate((cand, cand[wide], np.tile(cand[nrows], p),
-                                 np.tile(cand[nrows] + len(self.weights), 2)))
+        weight = np.concatenate([cand, cand[wide]] + [cand[nrows]] * p +
+                                [cand[nrows] + len(self.weights)] * 2)
         size = self.DOT_ROWS * self.chunk
         sums = np.empty((2, line.size))
         for a in range(0, line.size, size):
@@ -300,7 +296,7 @@ class EdgeKernel(BoxEvaluator):
         out[0:2, wide] = nat[0][n:], nat[1][n:]
         out[4], out[5] = -np.inf, np.inf  # the natural form gives no slope
         if nn:
-            coef = tuple(x[m:m + p * nn].reshape(p, nn).T for x in sums)  # (row, j)
+            coef = [x[m:m + p * nn].reshape(p, nn).T for x in sums]  # (row, j)
             tail = dr.next_up(sums[1][m + p * nn:].reshape(2, nn) * INV_2PI.hi)
             val, der = _expansion((out[2, near], out[3, near]), (h[0][near], h[1][near]),
                                   coef, *tail)
@@ -353,19 +349,6 @@ def _expansion(c0, h, sums, val_tail, der_tail):
     terms = dr.iv_mul(d[0][:, 1:], d[1][:, 1:], *dr._stack(hp[1:p]))
     der = dr.iv_add(*dr._iv_sums(terms, exact=False), d[0][:, 0], d[1][:, 0])
     return val, dr.iv_add(*der, -der_tail, der_tail)
-
-
-def _groups(counts: list, limit: int) -> list:
-    """[a, b) ranges of consecutive boxes, the rows of each range (counts
-    per box) at most ``limit``, or those of one box."""
-    bounds, rows = [0], 0
-    for i, c in enumerate(counts):
-        if rows and rows + c > limit:
-            bounds.append(i)
-            rows = 0
-        rows += c
-    bounds.append(len(counts))
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _elements(rows, box, nbox: int, S: int, cols):
