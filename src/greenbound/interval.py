@@ -684,9 +684,10 @@ def lockstep_min_max(g: BoxEvaluator, domains: Sequence[Sequence[Interval]],
         step, requests = list(pending), list(pending.values())
         pending.clear()
         try:
-            cols = g(*(np.concatenate(x) for x in zip(*requests)))
+            # star-arguments from lists, not generators (see _select)
+            cols = g(*[np.concatenate(x) for x in zip(*requests)])
             cuts = np.cumsum([len(r[0]) for r in requests])[:-1]
-            parts = list(zip(*(np.split(c, cuts) for c in cols)))
+            parts = list(zip(*[np.split(c, cuts) for c in cols]))
         except Exception as e:
             parts = [e] if len(step) == 1 else [_attempt(g, *r) for r in requests]
         for i, part in zip(step, parts):
