@@ -2,13 +2,16 @@
 
 The one module that knows how an interval array is stored and rounded:
 endpoints are nudged outward by one ulp, so exact arithmetic stays exact.
-The nudge equals ``np.nextafter`` bit for bit.  On arrays of at least
-``_ULP_STEP_MIN`` elements it is an integer step on the int64 view (a
-float's neighbour is the next integer, toward or away from zero by its
-sign), with ``np.nextafter`` only where that step does not move the float
-the right way: at -0.0, the infinities and NaN.  TwoSum-compensated sums
-nudge only where the rounding error is nonzero, which implies a finite
-nonzero sum, so there the step is a plain integer add.
+The nudge equals ``np.nextafter`` bit for bit.  One stepper,
+``_ulp_step``, moves floats n ulps at once by an integer step on the
+int64 view (a float's neighbour is the next integer, toward or away from
+zero by its sign), with n ``np.nextafter`` passes only where that step
+does not move the float the right way: across zero, past an infinity and
+at NaN.  It serves the one-ulp nudges on arrays of at least
+``_ULP_STEP_MIN`` elements and the n-ulp libm nudges of every size.
+TwoSum-compensated sums nudge only where the rounding error is nonzero,
+which implies a finite nonzero sum, so there the step is a plain integer
+add.
 
 * The plain ops ``iv_add``, ``iv_sub``, ``iv_mul``, ``iv_div``, ``iv_sqr``,
   ``iv_log`` and ``iv_dot`` take the endpoints as separate arrays.  The
@@ -54,25 +57,28 @@ _ETA = 5e-324  # smallest positive subnormal
 _ULP_STEP_MIN = 600
 
 
-def _ulp_step(x: np.ndarray, down: bool) -> np.ndarray:
-    """``np.nextafter(x, -inf)`` (``down``) or ``np.nextafter(x, inf)``,
-    bit for bit, on the int64 view: b + 1 moves a float with the sign bit
-    clear away from zero and one with it set toward zero, so the step is
-    b -/+ (1 | (b >> 63)).  Where the stepped value does not lie strictly
-    beyond x (x NaN, -0.0 up, +0.0 down, or an infinity stepped outward)
-    np.nextafter decides."""
+def _ulp_step(x: np.ndarray, n: int) -> np.ndarray:
+    """x moved |n| ulps toward +inf (n > 0) or -inf (n < 0), bit for bit
+    as |n| ``np.nextafter`` passes, on the int64 view of an array x of at
+    least one dimension: b + 1 moves a float with the sign bit clear away
+    from zero and one with it set toward zero, so the step is
+    b + n (1 | (b >> 63)).  A step across zero or past an infinity lands
+    on a NaN pattern, so where the stepped value does not lie strictly
+    beyond x (x NaN too) the passes decide."""
     b = x.view(np.int64)
     step = b >> 63
     step |= 1
-    if down:
-        np.subtract(b, step, out=step)
-    else:
-        step += b
+    if abs(n) != 1:
+        step *= abs(n)
+    (np.add if n > 0 else np.subtract)(b, step, out=step)
     y = step.view(np.float64)
-    ok = y < x if down else y > x
+    ok = y > x if n > 0 else y < x
     if not ok.all():
         bad = ~ok
-        y[bad] = np.nextafter(x[bad], -_INF if down else _INF)
+        z, target = x[bad], _INF if n > 0 else -_INF
+        for _ in range(abs(n)):
+            z = np.nextafter(z, target)
+        y[bad] = z
     return y
 
 
@@ -81,7 +87,7 @@ def next_down(x: np.ndarray) -> np.ndarray:
         return x
     if not isinstance(x, np.ndarray) or x.size < _ULP_STEP_MIN:
         return np.nextafter(x, -_INF)
-    return _ulp_step(x, down=True)
+    return _ulp_step(x, -1)
 
 
 def next_up(x: np.ndarray) -> np.ndarray:
@@ -89,50 +95,15 @@ def next_up(x: np.ndarray) -> np.ndarray:
         return x
     if not isinstance(x, np.ndarray) or x.size < _ULP_STEP_MIN:
         return np.nextafter(x, _INF)
-    return _ulp_step(x, down=False)
-
-
-_INF_BITS = 0x7FF0_0000_0000_0000  # +inf viewed as int64
-_SIGN_BITS = -(1 << 63)  # -0.0 viewed as int64
-_NEG_INF_BITS = _SIGN_BITS + _INF_BITS
-
-
-def _step_n(x: np.ndarray, n: int, down: bool) -> np.ndarray:
-    """x moved n ulps toward -inf (``down``) or +inf, bit-identical to n
-    ``np.nextafter`` passes.
-
-    Viewed as int64, a positive float moves by -n (down) or +n (up) and a
-    negative one by +n or -n.  Elements where that integer step would
-    cross zero or pass an infinity, and NaNs, take the nextafter loop.
-    """
-    x = np.asarray(x, dtype=float)
-    if not _iv._outward_rounding or n == 0:
-        return x
-    b = x.view(np.int64)
-    pos = b >= 0
-    if down:
-        r = b + np.where(pos, -n, n)
-        ok = np.where(pos, (b >= n) & (b <= _INF_BITS), b <= _NEG_INF_BITS - n)
-    else:
-        r = b + np.where(pos, n, -n)
-        ok = np.where(pos, b <= _INF_BITS - n,
-                      (b >= _SIGN_BITS + n) & (b <= _NEG_INF_BITS))
-    out = np.where(ok, r, b).view(np.float64)
-    bad = ~ok
-    if bad.any():
-        y, target = x[bad], -_INF if down else _INF
-        for _ in range(n):
-            y = np.nextafter(y, target)
-        out[bad] = y
-    return out
+    return _ulp_step(x, 1)
 
 
 def _down_n(x: np.ndarray, n: int) -> np.ndarray:
-    return _step_n(x, n, down=True)
+    return _ulp_step(x, -n) if _iv._outward_rounding else x
 
 
 def _up_n(x: np.ndarray, n: int) -> np.ndarray:
-    return _step_n(x, n, down=False)
+    return _ulp_step(x, n) if _iv._outward_rounding else x
 
 
 def _sum_nudged(a, b, down: bool):

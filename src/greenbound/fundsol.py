@@ -35,6 +35,13 @@ def _as_interval(v) -> Interval:
     return v if isinstance(v, Interval) else Interval.point(float(v))
 
 
+def log_kernel(d2: np.ndarray) -> np.ndarray:
+    """Plain float64 Gamma from squared distances: -(1/(4 pi)) log d2.
+    Off the rigorous path: the MFS collocation system and ``phi0_points``
+    use it."""
+    return (-0.25 / np.pi) * np.log(d2)
+
+
 def gamma(s, x) -> Interval:
     """Rigorous enclosure of Gamma(s, x); x may be a point or a box."""
     sx, sy = float(s[0]), float(s[1])
@@ -118,10 +125,9 @@ class TestFunction2D:
         """Plain float64 phi^0 at an (m, 2) array of points."""
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         d2_int = np.sum((pts - np.asarray(self.s_int)) ** 2, axis=1)
-        vals = (-0.25 / np.pi) * np.log(d2_int)
+        vals = log_kernel(d2_int)
         if self.sources.shape[0]:
             diff = pts[:, None, :] - self.sources[None, :, :]
-            d2 = np.sum(diff**2, axis=2)
-            vals = vals + (-0.25 / np.pi) * (np.log(d2) @ self.coeffs)
+            vals = vals + log_kernel(np.sum(diff**2, axis=2)) @ self.coeffs
         return vals
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _directed as dr
 from .errors import DomainError, SolveError
-from .fundsol import INV_2PI, NEG_INV_2PI, NEG_INV_4PI, TestFunction2D
+from .fundsol import INV_2PI, NEG_INV_2PI, NEG_INV_4PI, TestFunction2D, log_kernel
 from .geometry import Polygon
 # subdivide_min_max is no longer called here; the name stays importable
 # from this module, where the benchmark tracer wraps it
@@ -52,7 +52,7 @@ def collocation_system(collocation: np.ndarray, sources: np.ndarray) -> tuple:
     d2 = np.sum(diff * diff, axis=2)
     if np.any(d2 <= 0.0):
         raise SolveError("a source point coincides with a collocation point")
-    G = (-0.25 / np.pi) * np.log(d2)
+    G = log_kernel(d2)
     try:
         cond = float(np.linalg.cond(G))
     except np.linalg.LinAlgError:
@@ -73,7 +73,7 @@ def solve_coefficients(
     G, cond = system or collocation_system(collocation, sources)
     x = np.asarray(collocation, dtype=float).reshape(-1, 2)
     d2_int = np.sum((x - np.asarray(s_int, dtype=float)) ** 2, axis=1)
-    rhs = -(-0.25 / np.pi) * np.log(d2_int)
+    rhs = -log_kernel(d2_int)
     try:
         a = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError as e:

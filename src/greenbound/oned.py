@@ -214,8 +214,8 @@ def _build_cumulatives(segments) -> tuple:
             anti = _weighted_antiderivative(coeffs, wc, ws)
             polys[k].append(anti)
             cums[k].append(cums[k][-1] + _polyval(anti, w))
-    bounds = (0.0,) + tuple(seg[1] for seg in segments)
-    return tuple(_Cumulative(bounds, tuple(p), tuple(c)) for p, c in zip(polys, cums))
+    bounds = tuple([0.0] + [seg[1] for seg in segments])
+    return tuple([_Cumulative(bounds, tuple(p), tuple(c)) for p, c in zip(polys, cums)])
 
 
 def _build_reversed_tail(segments) -> tuple:

@@ -24,9 +24,10 @@ integrals over the whole polygon for an arbitrary vertex point (inside or
 outside), which covers both the evaluation-point kernel and the smooth
 exterior-source kernels with one code path, ``_fans``: every fan of a call
 (all exterior sources of a domain, say) is one pass over endpoint arrays.
-The Taylor models of f on the fans' angular parts are batches
-(``taylor.TaylorModel2``): one tree walk of f per nonzero pattern of the
-parts' models of x and y, not one per part.
+The Taylor models of f on the fans' angular parts are one batch
+(``taylor.TaylorModel2``), built in one tree walk of f, and the parts
+whose models share a nonzero pattern (``taylor._pattern_groups``) take
+their moments together.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import DomainError
 from .fundsol import NEG_INV_4PI, TestFunction2D
 from .geometry import Polygon, Triangle
 from .interval import PI, Interval, rational
-from .taylor import MAX_DEGREE, Boxes, TaylorModel2
+from .taylor import MAX_DEGREE, Boxes, TaylorModel2, _passes, _pattern_groups
 
 __all__ = ["QuadConfig", "singular_triangle", "pair_f_phi", "source_kernel_terms",
            "integrate_source"]
@@ -216,70 +217,55 @@ def _part_integrals(f: _expr.SourceExpr, cfg: QuadConfig, c, d, nx, ny, ex, ey, 
     (lo, hi) arrays over the parts, fan-major, 0 where f's model is zero
     (None where not wanted).
 
-    Each part gets its own (u, k) box and Taylor model of f, built in one
-    ``expr.eval_tm`` batch per nonzero pattern of the parts' models of x
-    and y; the parts whose models of f share their nonzero (i, j) pattern
-    then go through ``_part_moments`` together, in chunks of about
-    ``_CHUNK_TERMS`` terms."""
+    Each part gets its own (u, k) box and Taylor model of f, all built in
+    one ``expr.eval_tm`` batch; the parts whose models of f share their
+    nonzero (i, j) pattern (``taylor._pattern_groups``) then go through
+    ``_part_moments`` together, in chunks of about ``_CHUNK_TERMS``
+    terms."""
     # angular (k-range) cuts: exact because the frame is shared
     splits = cfg.fan_splits
     span = dr._iv_sub_exact0(y2, y1)
     cuts = [y1] + [dr._iv_add_exact0(y1, dr._iv_mul_exact01(span, (q / splits, q / splits)))
                    for q in range(1, splits)] + [y2]
-    ya, yb = (tuple(e.ravel() for e in dr._stack(ends)) for ends in (cuts[:-1], cuts[1:]))
+    ya, yb = ([e.ravel() for e in dr._stack(ends)] for ends in (cuts[:-1], cuts[1:]))
     part_fan = np.repeat(np.arange(len(c)), splits)
+    size = len(part_fan)
+    part_log, part_plain = (np.zeros((2, size)) if want else None
+                            for want in (want_log, want_plain))
+    if not size:
+        return part_log, part_plain
     d_part = dr._take(d, part_fan)
     ka, kb = dr._iv_div(ya, d_part), dr._iv_div(yb, d_part)
     klo, khi = np.minimum(ka[0], kb[0]), np.maximum(ka[1], kb[1])
 
-    # one batch of models per nonzero pattern of (x, y): x = cx + nx u + ex
-    # (k u), y = cy + ny u + ey (k u), on the parts' (u, k) boxes
-    boxes = Boxes(np.zeros(len(part_fan)), d[1][part_fan], klo, khi)
+    # x = cx + nx u + ex (k u), y = cy + ny u + ey (k u) on the parts'
+    # (u, k) boxes
+    boxes = Boxes(np.zeros(size), d[1][part_fan], klo, khi)
     cx, cy = c[part_fan, 0], c[part_fan, 1]
-    xy = [(cx, cx), dr._take(nx, part_fan), dr._take(ex, part_fan),
-          (cy, cy), dr._take(ny, part_fan), dr._take(ey, part_fan)]
-    pattern = sum(((lo != 0.0) | (hi != 0.0)) << q for q, (lo, hi) in enumerate(xy))
-    models = []
-    for key in sorted(set(pattern.tolist())):
-        batch = np.flatnonzero(pattern == key)
-        ends = [dr._take(v, batch) for v in xy]
-        on = boxes.take(batch)
-        models.append((batch, _expr.eval_tm(f, TaylorModel2.affine(on, cfg.tm_degrees, *ends[:3]),
-                                            TaylorModel2.affine(on, cfg.tm_degrees, *ends[3:]))))
-    m, n = cfg.tm_degrees
-    flo, fhi = np.empty((2, len(part_fan), m + 1, n + 1))
-    for batch, tm in models:
-        flo[batch], fhi[batch] = tm.grids()
-
-    groups = {}  # nonzero pattern -> (i, j, parts, coefficient rows)
-    for p in range(len(part_fan)):
+    tm = _expr.eval_tm(f, TaylorModel2.affine(boxes, cfg.tm_degrees, (cx, cx),
+                                              dr._take(nx, part_fan), dr._take(ex, part_fan)),
+                       TaylorModel2.affine(boxes, cfg.tm_degrees, (cy, cy),
+                                           dr._take(ny, part_fan), dr._take(ey, part_fan)))
+    mask, flo, fhi, nz = tm._support()
+    log_d = dr._iv_libm(math.log, d) if want_log else None
+    for rows, (cols,) in _pattern_groups(mask[:, nz]):
+        if not cols.size:
+            continue  # f's model is zero on these parts
+        flat = nz[cols]
         # the (u, k u) substitution keeps i <= j + 1 in every product,
         # composition and truncation
-        i, j = np.nonzero((flo[p] != 0.0) | (fhi[p] != 0.0))
-        if i.size:
-            group = groups.setdefault((i.tobytes(), j.tobytes()), (i, j, [], [], []))
-            group[2].append(p)
-            group[3].append(flo[p, i, j])
-            group[4].append(fhi[p, i, j])
-
-    part_log, part_plain = (np.zeros((2, len(part_fan))) if want else None
-                            for want in (want_log, want_plain))
-    log_d = dr._iv_libm(math.log, d) if want_log else None
-    for i, j, parts, clo, chi in groups.values():
+        i, j = tm._ij(flat)
         if np.any(i > j + 1):
             raise DomainError("fan moments need coefficients with i <= j + 1")
-        parts, clo, chi = np.array(parts), np.array(clo), np.array(chi)
-        step = max(1, _CHUNK_TERMS // i.size)
-        for s0 in range(0, len(parts), step):
-            chunk = parts[s0:s0 + step]
-            fans = part_fan[chunk]
+        for at in _passes(rows, size, max(1, _CHUNK_TERMS // flat.size)):
+            fans = part_fan[at]
             log, plain = _part_moments(
-                i, j, clo[s0:s0 + step], chi[s0:s0 + step], dr._take(d, fans),
+                i, j, flo[at][:, flat], fhi[at][:, flat], dr._take(d, fans),
                 dr._take(log_d, fans) if want_log else None,
-                dr._take(ya, chunk), dr._take(yb, chunk), want_log, want_plain)
+                dr._take(ya, at), dr._take(yb, at), want_log, want_plain)
             for out, ends in ((part_log, log), (part_plain, plain)):
                 if out is not None:
-                    out[0][chunk], out[1][chunk] = ends
+                    out[0][at], out[1][at] = ends
     return part_log, part_plain
 
 
@@ -308,14 +294,14 @@ def _fans(f: _expr.SourceExpr, centers, edges, cfg: QuadConfig,
     w = _edge_vectors(c, v1, v2)
     cross = w[4]
     reg = np.flatnonzero((cross[0] > 0.0) | (cross[1] < 0.0))
-    frame = _frames(*(dr._take(v, reg) for v in w[:4]))
+    frame = _frames(*[dr._take(v, reg) for v in w[:4]])
     framed = frame[0][0] > 0.0  # d.lo > 0
     reg = reg[framed]
     slivers = {r: _sliver_bounds(f, c[r], v1[r], v2[r],
-                                 *(Interval(float(v[0][r]), float(v[1][r])) for v in w))
+                                 *[Interval(float(v[0][r]), float(v[1][r])) for v in w])
                for r in sorted(set(range(len(c))).difference(reg.tolist()))}
 
-    parts = _part_integrals(f, cfg, c[reg], *(dr._take(v, framed) for v in frame),
+    parts = _part_integrals(f, cfg, c[reg], *[dr._take(v, framed) for v in frame],
                             want_log, want_plain)
     clockwise = cross[0][reg] <= 0.0  # these fans count negatively
     out = []
@@ -409,5 +395,5 @@ def pair_f_phi(
     if source_terms is None:
         source_terms = source_kernel_terms(f, tf0.sources, poly, cfg)
     ends = np.array([(term.lo, term.hi) for term in source_terms]).reshape(-1, 2)
-    weighted = Interval(*(float(e) for e in dr.iv_dot(tf0.coeffs, ends[:, 0], ends[:, 1])))
+    weighted = Interval(*[float(e) for e in dr.iv_dot(tf0.coeffs, ends[:, 0], ends[:, 1])])
     return [interior + Interval.point(c) * plain_int + d + weighted for c, d in offsets]

@@ -161,15 +161,23 @@ def _as_boxes(box) -> Boxes:
 def _pattern_groups(*masks):
     """The members of a batch grouped by their nonzero patterns: per group,
     (members, columns), members a slice (the whole batch) or an index
-    array, and per mask (P, K) the columns nonzero in those members."""
+    array, and per mask (P, K) the columns nonzero in those members.  An
+    empty batch has no group.
+
+    A member's key is its joint mask packed into one byte string, so
+    grouping is one ``np.unique`` over P keys; the packed rows must be
+    contiguous for the view as one void item each."""
     joint = np.concatenate(masks, axis=1)
+    if not len(joint):
+        return []
     if joint.all():
         return [(slice(None), [np.arange(m.shape[1]) for m in masks])]
-    patterns, inverse = np.unique(joint, axis=0, return_inverse=True)
+    packed = np.ascontiguousarray(np.packbits(joint, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     splits = np.cumsum([m.shape[1] for m in masks])[:-1]
-    inverse = inverse.reshape(-1)
-    return [(np.flatnonzero(inverse == g), [np.flatnonzero(c) for c in np.split(pattern, splits)])
-            for g, pattern in enumerate(patterns)]
+    return [(np.flatnonzero(inverse == g), [np.flatnonzero(c) for c in np.split(joint[p], splits)])
+            for g, p in enumerate(first.tolist())]
 
 
 def _passes(rows, size: int, step: int):

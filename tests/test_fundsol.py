@@ -198,18 +198,21 @@ class TestUlpSteps:
 
     @staticmethod
     def loop(x, n, target):
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(n):
                 x = np.nextafter(x, target)
         return x
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
     def test_bit_identical_to_nextafter_loop(self, n):
+        """Also on random int64 bit patterns: NaN payloads of both signs,
+        and steps that cross zero or pass an infinity."""
         rng = np.random.default_rng(10)
         size = 10**5
         rand = np.exp(rng.uniform(-745.0, 709.0, size)) * rng.choice([-1.0, 1.0], size)
-        for x in (self.SPECIAL, rand):
-            with np.errstate(over="ignore"):
+        bits = rng.integers(-2**63, 2**63 - 1, size, dtype=np.int64, endpoint=True)
+        for x in (self.SPECIAL, rand, bits.view(np.float64)):
+            with np.errstate(over="ignore", invalid="ignore"):
                 down, up = dr._down_n(x, n), dr._up_n(x, n)
             assert np.array_equal(down.view(np.int64),
                                   self.loop(x, n, -np.inf).view(np.int64))

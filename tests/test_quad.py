@@ -300,18 +300,17 @@ class TestBatchedFans:
             for (lo, hi), (ccw_lo, ccw_hi) in zip(cw, ccw):  # the log and the plain integral
                 assert (lo[0], hi[0]) == (-ccw_hi[0], -ccw_lo[0])
 
-    def test_models_of_f_batched_per_pattern(self, centered_square, monkeypatch):
+    def test_models_of_f_in_one_batch(self, centered_square, monkeypatch):
         """The 276 fan parts of the plan's sources take one batched
-        Taylor-model evaluation per nonzero pattern of their x and y
-        models: at most 4, where each part once took its own."""
+        Taylor-model evaluation, whatever the nonzero patterns of their
+        models of x and y."""
         calls = []
         real = quad._expr.eval_tm
         monkeypatch.setattr(quad._expr, "eval_tm",
                             lambda *args: calls.append(len(args[1])) or real(*args))
         source_kernel_terms(parse(TRIG), _plan_sources(centered_square, None), centered_square,
                             QuadConfig(tm_degrees=(6, 6)))
-        assert len(calls) <= 4
-        assert sum(calls) == 69 * 4
+        assert calls == [69 * 4]
 
     def test_interior_pairing_pinned(self, centered_square):
         """Both the log and the plain integral of the interior fan, with
@@ -353,6 +352,22 @@ class TestBatchedFans:
         monkeypatch.setattr(quad, "_CHUNK_TERMS", 1)
         chunked = source_kernel_terms(f, self.SOURCES, centered_square, cfg)
         assert [(t.lo, t.hi) for t in chunked] == [(t.lo, t.hi) for t in batch]
+
+        # slanted and axis-aligned edges, and sources with a zero coordinate,
+        # whose fan parts' models of x or y have no constant term: one batch
+        # of parts whose models of x and y differ in nonzero pattern
+        poly = Polygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.2], [0.1, 0.6], [-0.5, 0.5]])
+        sources = [(1.3, 0.2), (0.0, -1.3), (0.6, 0.9), (-0.9, 0.0)]
+        models = []
+        real_eval = quad._expr.eval_tm
+        monkeypatch.setattr(quad._expr, "eval_tm",
+                            lambda *args: models.append(args[1:]) or real_eval(*args))
+        mixed = source_kernel_terms(f, sources, poly, cfg)
+        ((x, y),) = models
+        assert len(taylor._pattern_groups(x._support()[0], y._support()[0])) == 3
+        for s, term in zip(sources, mixed):
+            (single,) = source_kernel_terms(f, [s], poly, cfg)
+            assert (single.lo, single.hi) == (term.lo, term.hi)
 
 
 def _rational_tables():

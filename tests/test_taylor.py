@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenbound import interval as iv
@@ -384,6 +384,29 @@ _BATCH_OPS = {
     "sin": lambda a, b: tm_compose_elem("sin", a),
     "cos": lambda a, b: tm_compose_elem("cos", a * b),
 }
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 20), st.integers(0, 20),
+       st.booleans())
+@example(0, 0, 5, 3, False)
+def test_pattern_groups_partition_members_by_pattern(seed, size, ka, kb, fortran):
+    """Members with equal joint masks, and only those, share a group, whose
+    columns are the nonzero ones of each mask, whatever the masks' memory
+    layout.  An empty batch has no group."""
+    rng = np.random.default_rng(seed)
+    joint = (rng.random((3, ka + kb)) < 0.5)[rng.integers(0, 3, size)]
+    if fortran:
+        joint = np.asfortranarray(joint)
+    want = {}
+    for p, row in enumerate(joint.tolist()):
+        want.setdefault(tuple(row), []).append(p)
+    got = {}
+    for rows, (ca, cb) in taylor._pattern_groups(joint[:, :ka], joint[:, ka:]):
+        pattern = np.zeros(ka + kb, dtype=bool)
+        pattern[ca], pattern[ka + cb] = True, True
+        got[tuple(pattern.tolist())] = np.arange(size)[rows].tolist()
+    assert got == want
 
 
 @settings(max_examples=25, deadline=None)
