@@ -44,6 +44,7 @@ __all__ = [
     "MinMaxResult",
     "BoxEvaluator",
     "mean_value_form",
+    "centred_form",
     "rational",
 ]
 
@@ -422,9 +423,18 @@ def mean_value_form(g, g_prime, s: Interval) -> tuple[Interval, Interval, Interv
     val = g(s)
     m = Interval.point(s.mid())
     centre, slope = g(m), g_prime(s)
+    return centred_form(val, centre, slope, s, m), centre, slope
+
+
+def centred_form(val: Interval, centre: Interval, slope: Interval, s: Interval,
+                 m: Interval) -> Interval:
+    """val, an enclosure of g over s, intersected with the centred form
+    centre + slope (s - m) from enclosures of g(m) and of g' over s (val
+    alone should the two not meet): :func:`mean_value_form` for callers
+    that have g and g' from one evaluation."""
     centred = centre + slope * (s - m)
     lo, hi = max(val.lo, centred.lo), min(val.hi, centred.hi)
-    return (Interval(lo, hi) if lo <= hi else val), centre, slope
+    return Interval(lo, hi) if lo <= hi else val
 
 
 class _ScalarEvaluator(BoxEvaluator):

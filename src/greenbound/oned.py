@@ -40,9 +40,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import interval as _iv
 from .errors import CertificationError, DomainError
 from .expr import PiecewiseSource1D, SourceExpr
-from .interval import Interval, hull, mean_value_form, subdivide_min_max
+from .interval import Interval, centred_form, hull, subdivide_min_max
 from .taylor import Boxes, TaylorModel2
 
 __all__ = [
@@ -127,11 +128,59 @@ def _segment_models(f: Source1D, c: float) -> list:
     return sorted(out, key=lambda seg: seg[0])
 
 
-def _polyval(coeffs: list, t: Interval) -> Interval:
-    acc = Interval(0.0, 0.0)
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
+def _descending(coeffs: list) -> tuple:
+    """The (lo, hi) endpoints of interval coefficients c_0..c_n, highest
+    degree first: the form :func:`_polyval` takes."""
+    return tuple([(c.lo, c.hi) for c in reversed(coeffs)])
+
+
+def _polyval(poly: tuple, t: Interval) -> Interval:
+    """Horner's rule acc = acc * t + c from acc = [0, 0] over the
+    coefficients ``poly`` (see :func:`_descending`), on float endpoints and
+    bit for bit as on Intervals: each step repeats ``Interval.__mul__``
+    (the exact [0, 0] and [1, 1] rules, min/max in the same order, the
+    clamp of a product of one-signed factors at 0) and ``Interval.__add__``
+    (the exact [0, 0] rules, TwoSum nudges), nudging only under
+    ``interval._outward_rounding``, and raises DomainError where an
+    Interval of the loop would be unbounded."""
+    nudge = _iv._outward_rounding
+    tlo, thi = t.lo, t.hi
+    t_zero = tlo == 0.0 and thi == 0.0
+    t_one = tlo == 1.0 and thi == 1.0
+    t_nonneg, t_nonpos = tlo >= 0.0, thi <= 0.0
+    nextafter, inf = math.nextafter, math.inf
+    alo = ahi = 0.0
+    for clo, chi in poly:
+        if t_zero or (alo == 0.0 and ahi == 0.0):
+            plo = phi = 0.0
+        elif t_one:
+            plo, phi = alo, ahi
+        elif alo == 1.0 and ahi == 1.0:
+            plo, phi = tlo, thi
+        else:
+            p1, p2, p3, p4 = alo * tlo, alo * thi, ahi * tlo, ahi * thi
+            plo, phi = min(p1, p2, p3, p4), max(p1, p2, p3, p4)
+            if nudge:
+                plo, phi = nextafter(plo, -inf), nextafter(phi, inf)
+            if (alo >= 0.0 and t_nonneg) or (ahi <= 0.0 and t_nonpos):
+                plo = max(plo, 0.0)
+        if clo == 0.0 and chi == 0.0:
+            alo, ahi = plo, phi
+        elif plo == 0.0 and phi == 0.0:
+            alo, ahi = clo, chi
+        else:
+            alo, ahi = plo + clo, phi + chi
+            if nudge:  # TwoSum: nudge only a rounded sum on the wrong side
+                bv = alo - plo
+                if (plo - (alo - bv)) + (clo - bv) < 0.0:
+                    alo = nextafter(alo, -inf)
+                bv = ahi - phi
+                if (phi - (ahi - bv)) + (chi - bv) > 0.0:
+                    ahi = nextafter(ahi, inf)
+    # t and the coefficients are finite, so an endpoint that overflows
+    # stays infinite or NaN through every later step, and the last
+    # Interval raises the DomainError an Interval step would have
+    return Interval(alo, ahi)
 
 
 def _models_on(expr: SourceExpr, consts: list, slope: float, widths: list) -> list:
@@ -170,7 +219,7 @@ class _Cumulative:
     antiderivative polynomials in local coordinates."""
 
     bounds: tuple  # segment boundaries, len nseg+1, bounds[0] = 0.0
-    polys: tuple  # per segment: antiderivative coefficient list
+    polys: tuple  # per segment: antiderivative coefficients (_descending)
     cums: tuple  # interval cumulative values at segment starts; [-1] = total
 
     def eval(self, s: Interval) -> Interval:
@@ -197,7 +246,7 @@ class _Cumulative:
         the antiderivative has no constant or linear offset)."""
         if s.hi > self.bounds[1] or s.lo < 0.0:
             raise DomainError("factored evaluation outside the first segment")
-        return _polyval(self.polys[0][1:], s)
+        return _polyval(self.polys[0][:-1], s)
 
 
 def _build_cumulatives(segments) -> tuple:
@@ -211,7 +260,7 @@ def _build_cumulatives(segments) -> tuple:
         w = Interval.point(hi) - x0  # encloses the exact width hi - lo
         # with x = lo + t the weights are x = x0 + t and 1 - x = (1 - x0) - t
         for k, (wc, ws) in enumerate(((x0, one), (one - x0, -one))):
-            anti = _weighted_antiderivative(coeffs, wc, ws)
+            anti = _descending(_weighted_antiderivative(coeffs, wc, ws))
             polys[k].append(anti)
             cums[k].append(cums[k][-1] + _polyval(anti, w))
     bounds = tuple([0.0] + [seg[1] for seg in segments])
@@ -228,7 +277,7 @@ def _build_reversed_tail(segments) -> tuple:
     w = math.nextafter(1.0 - lo, math.inf)
     (coeffs,) = _models_on(piece, [1.0], -1.0, [w])
     anti = _weighted_antiderivative(coeffs, Interval(0.0, 0.0), Interval(1.0, 1.0))
-    return anti, w
+    return _descending(anti), w
 
 
 class GreenEvaluator:
@@ -252,13 +301,18 @@ class GreenEvaluator:
         return self._C.total() - self._C.eval(s)
 
     def u(self, s: Interval) -> Interval:
-        lo = min(max(s.lo, 0.0), 1.0)
-        s = Interval(lo, min(max(s.hi, lo), 1.0))
-        one_minus = Interval(1.0, 1.0) - s
-        return one_minus * self.A(s) + s * self.B(s)
+        return self.u_du(s)[0]
 
     def du(self, s: Interval) -> Interval:
         return self.B(s) - self.A(s)
+
+    def u_du(self, s: Interval) -> tuple[Interval, Interval]:
+        """u(s) and u'(s) = B(s) - A(s) from one evaluation of A and B at s
+        (clamped to [0, 1]): for s in [0, 1], the bits of du(s)."""
+        lo = min(max(s.lo, 0.0), 1.0)
+        s = Interval(lo, min(max(s.hi, lo), 1.0))
+        a, b = self.A(s), self.B(s)
+        return (Interval(1.0, 1.0) - s) * a + s * b, b - a
 
     def u_over_s(self, s: Interval) -> Interval:
         """u(s)/s continued through s = 0; s must sit in the first segment."""
@@ -270,7 +324,7 @@ class GreenEvaluator:
         tau = Interval(1.0, 1.0) - s
         if tau.hi > self._tail_width or tau.lo < 0.0:
             raise DomainError("factored evaluation outside the last segment")
-        b_over = _polyval(self._tail[1:], tau)
+        b_over = _polyval(self._tail[:-1], tau)
         return self.A(s) + s * b_over
 
     def sup_abs_source(self) -> float:
@@ -369,11 +423,8 @@ def _check(
     def signed(v: Interval) -> Interval:
         return v if sign > 0 else -v  # exact; a product by -1 would nudge
 
-    def plain(s: Interval) -> Interval:
-        return signed(g_lo + slope * (s - x_lo) - ev.u(s))
-
-    def plain_prime(s: Interval) -> Interval:
-        return signed(slope - ev.du(s))
+    def plain(s: Interval, u_s: Interval) -> Interval:  # given u_s = u_f(s)
+        return signed(g_lo + slope * (s - x_lo) - u_s)
 
     # at c = 0 the condition vanishes at the end node; there g = slope * s
     # (first subinterval) or g = -slope * (1-s) (last), so the condition
@@ -382,7 +433,10 @@ def _check(
     use_right = end == 0.0 and i == grid.n_intervals - 1
 
     def forms(s: Interval):
-        yield mean_value_form(plain, plain_prime, s)[0]
+        # the mean-value form, with u_f and u_f' at s from one A/B evaluation
+        m = Interval.point(s.mid())
+        u_s, du_s = ev.u_du(s)
+        yield centred_form(plain(s, u_s), plain(m, ev.u(m)), signed(slope - du_s), s, m)
         if use_left and s.lo == lo and s.hi <= ev._first_seg_hi:
             yield signed(slope - ev.u_over_s(s))
         if use_right and s.hi == hi and 1.0 - s.lo <= ev._tail_width:

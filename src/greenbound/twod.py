@@ -106,7 +106,7 @@ def certify_sign(f: SourceExpr, poly: Polygon) -> SignVerdict:
     """
     tris = [Triangle(np.array([poly.vertices[i] for i in t]))
             for t in _ear_clip(poly)]
-    queue = [tuple(map(tuple, t.vertices)) for t in tris]
+    queue = [tuple([tuple(v) for v in t.vertices]) for t in tris]
     has_pos = has_neg = False
     all_nonneg = all_nonpos = True
     exhausted = False

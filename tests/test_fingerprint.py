@@ -15,11 +15,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 # interval-1d pins the 1D source models, whose libm nudges go through the
-# same ulp stepper as the 2D boundary search
-@pytest.mark.parametrize("workload", ["poly-const", "square-trig", "interval-1d"])
+# same ulp stepper as the 2D boundary search, and the check's polynomial
+# kernel; seed 1 draws other jump breakpoints than seed 0
+SEEDS = {"poly-const": "0", "square-trig": "0", "interval-1d": "0-1"}
+
+
+@pytest.mark.parametrize("workload", list(SEEDS))
 def test_outputs_match_committed_fingerprints(workload):
     out = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "fingerprint.py"), "--workload", workload,
-         "--seeds", "0", "--check", str(ROOT / "scripts" / "fingerprints.json")],
+         "--seeds", SEEDS[workload], "--check", str(ROOT / "scripts" / "fingerprints.json")],
         capture_output=True, text=True, timeout=300, cwd=ROOT)
     assert out.returncode == 0, out.stdout + out.stderr

@@ -7,11 +7,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from greenbound import expr as expr_module
+from greenbound import oned
 from greenbound.errors import CertificationError, DomainError
 from greenbound.expr import PiecewiseSource1D, parse
-from greenbound.interval import Interval
+from greenbound.interval import Interval, _set_outward_rounding
 from greenbound.oned import (
     GreenEvaluator,
     GridFunction1D,
@@ -135,6 +138,85 @@ class TestSegmentModels:
         assert calls == [2**d for d in range(segments.bit_length())] + [1]
         if c > 0.0:
             assert ev.u(Interval.point(0.9)).width() < c / 8
+
+
+def _interval_horner(coeffs, t):
+    acc = Interval(0.0, 0.0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _bits(fn, *args):
+    """The endpoint bits fn returns (-0.0 apart from 0.0), or "DomainError"."""
+    try:
+        v = fn(*args)
+    except DomainError:
+        return "DomainError"
+    return v.lo.hex(), v.hi.hex()
+
+
+_ENDS = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, -2.5, 5e-324, -5e-324, 2.2250738585072014e-308,
+         1e-160, 1e300, -1e300, 1.7976931348623157e308]
+
+
+@st.composite
+def _intervals(draw):
+    ends = st.one_of(st.sampled_from(_ENDS), st.floats(-4.0, 4.0),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    a, b = draw(ends), draw(ends)
+    return Interval(min(a, b), max(a, b))
+
+
+_ZERO, _ONE_IV = Interval(0.0, 0.0), Interval(1.0, 1.0)
+_MIXED = [_ONE_IV, Interval(-0.5, 0.75), _ZERO, Interval(0.25, 2.0), Interval(-3.0, -1.0),
+          Interval(5e-324, 1e-310), Interval(-0.0, 0.0), Interval(-1e-320, 5e-324), _ONE_IV]
+
+
+class TestPolyvalKernel:
+    """``oned._polyval`` (float endpoints) against the Interval Horner loop."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(st.just(_ZERO), st.just(_ONE_IV), _intervals()), max_size=16),
+           _intervals(), st.booleans())
+    @example(_MIXED, _ZERO, True)
+    @example(_MIXED, _ONE_IV, True)
+    @example(_MIXED, Interval(0.0, 0.125), True)
+    @example(_MIXED, Interval(-0.75, -0.25), True)
+    @example(_MIXED, Interval(-0.5, 0.25), True)
+    @example(_MIXED, Interval(5e-324, 1e-300), False)
+    @example(_MIXED, Interval(-0.0, 1e-300), False)
+    @example(_MIXED, Interval(-0.5, 0.25), False)
+    # un-nudged products that tie at 0.0 and -0.0: min and max keep the first
+    @example([Interval(-0.0, 0.0), Interval(-0.0, 1.0)], Interval(0.0, 1.0), False)
+    @example([Interval(-0.0, 0.0), Interval(-1.0, 0.0)], Interval(0.0, 1.0), False)
+    @example([Interval(-2.0, 1e300)] * 3, Interval(1e10, 1e10), True)  # product overflows
+    @example([Interval(1e308, 1.7e308)] * 2, _ONE_IV, True)  # sum overflows
+    @example([Interval(1e308, 1.7e308)] * 2, _ONE_IV, False)
+    @example([], Interval(0.5, 2.0), True)
+    def test_bits_match_the_interval_loop(self, coeffs, t, outward):
+        _set_outward_rounding(outward)
+        try:
+            want = _bits(_interval_horner, coeffs, t)
+            got = _bits(oned._polyval, oned._descending(coeffs), t)
+        finally:
+            _set_outward_rounding(True)
+        assert got == want
+
+
+class TestCheckWork:
+    def test_deciding_first_form_walks_each_cumulative_once_per_argument(self, monkeypatch):
+        """The mean-value form takes u_f and u_f' at s from one A/B walk,
+        and u_f at the centre from one more: 4 cumulative walks, not 6."""
+        ev = GreenEvaluator(ONE, 1.0)
+        assert len(ev._A.polys) == 1
+        walks = []
+        real = oned._Cumulative.eval
+        monkeypatch.setattr(oned._Cumulative, "eval",
+                            lambda self, s: walks.append(s) or real(self, s))
+        grid = GridFunction1D(0.5, np.full(3, 1.0))  # far above u_f <= 1/8
+        assert check_super(grid, ONE, 0, evaluator=ev) is Verdict.HOLDS
+        assert walks == [Interval(0.0, 0.5)] * 2 + [Interval(0.25, 0.25)] * 2
 
 
 class TestOptimalConstants:
