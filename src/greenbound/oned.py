@@ -22,13 +22,16 @@ u_f(s) = (1-s) A(s) + s B(s) then reduces it exactly to
     sign * (g(s) - u_f(s)) >= 0   for all s in (0,1),
 
 decided per subinterval by interval bisection with the mean-value form,
-whose derivative is sign * (slope - u_f'(s)).  When c = 0 the condition
-degenerates at the boundary; the boundary subintervals are then decided
-through the exactly factored forms sign * (slope - u_f(s)/s) and
-sign * (-slope - u_f(s)/(1-s)), whose antiderivative factors divide out
-symbolically.  The sub-solution check decides the negated condition on the
-same evaluator of f (negation is exact), and the sub-solution is the
-negated super-solution build of -f.
+whose derivative is sign * (slope - u_f'(s)).  A form takes u_f and u_f'
+over the subinterval from one evaluation of A and B there and u_f at its
+centre from one more, so it walks each cumulative polynomial twice; a
+walk is Horner's rule on float endpoints with the bits of the Interval
+loop (``_polyval``).  When c = 0 the condition degenerates at the
+boundary; the boundary subintervals are then decided through the exactly
+factored forms sign * (slope - u_f(s)/s) and sign * (-slope - u_f(s)/(1-s)),
+whose antiderivative factors divide out symbolically.  The sub-solution
+check decides the negated condition on the same evaluator of f (negation
+is exact), and the sub-solution is the negated super-solution build of -f.
 """
 
 from __future__ import annotations

@@ -206,8 +206,9 @@ class TestPolyvalKernel:
 
 class TestCheckWork:
     def test_deciding_first_form_walks_each_cumulative_once_per_argument(self, monkeypatch):
-        """The mean-value form takes u_f and u_f' at s from one A/B walk,
-        and u_f at the centre from one more: 4 cumulative walks, not 6."""
+        """The mean-value form takes u_f and u_f' over s from one walk of A
+        and of B there, and u_f at the centre from one more: 4 cumulative
+        walks, not 6."""
         ev = GreenEvaluator(ONE, 1.0)
         assert len(ev._A.polys) == 1
         walks = []
