@@ -28,7 +28,7 @@ from .geometry import (
     amano_sources,
     discretize_boundary,
 )
-from .interval import Box2, Interval, subdivide_min_max
+from .interval import Interval, subdivide_min_max
 from .mfs import boundary_extrema, solve_coefficients
 from .oned import (
     BuildResult,

@@ -7,7 +7,8 @@ Subcommands
     nodal table (x, lower, upper) and a gap summary.  ``--sweep`` runs the
     mesh study over ``oned.sweep_h`` instead and writes (h, c, eps,
     iterations, max_gap) rows; there ``--c`` fixes c for every mesh and
-    ``--h`` is an input error.
+    ``--h`` is an input error.  Both are ``oned.sweep``, the single pair
+    over a list of one mesh, and print one summary line per mesh.
 
 ``greenbound enclose2d problem.json [--out PATH] [--threads N]``
     Pointwise enclosures on a polygon; writes CSV rows
@@ -204,56 +205,41 @@ def _cmd_enclose1d(args) -> int:
     cfg = problem.get("oned", {})
     with _problem_input():
         f = _parse_source_1d(problem["source"])
+        if args.sweep and args.h is not None:
+            raise InputError("--h does not apply to --sweep; set oned.sweep_h instead")
         # each mode reads one of oned.h and oned.sweep_h; both are checked
-        for h in cfg.get("sweep_h", []) + ([cfg["h"]] if "h" in cfg else []):
+        for h in (cfg.get("sweep_h", []) + ([cfg["h"]] if "h" in cfg else [])
+                  + ([args.h] if args.h is not None else [])):
             _oned._node_count(h)
-        if args.sweep:
-            if args.h is not None:
-                raise InputError("--h does not apply to --sweep; set oned.sweep_h instead")
-            h_list = cfg.get("sweep_h", _DEFAULT_SWEEP_H)
-        else:
-            h_list = [args.h if args.h is not None else cfg.get("h", 2.0**-5)]
-        for h in h_list:
-            _oned._node_count(h)
-    supf = _oned.GreenEvaluator(f).sup_abs_source()
-    eps_factor = cfg.get("eps_factor", 0.25)
     c = args.c if args.c is not None else cfg.get("c")
-    if c is None and not args.sweep:
-        c = 0.2 * supf * h * h
     if c is not None and not 0.0 <= c < math.inf:
         raise InputError(f"boundary shift c must be nonnegative and finite, got {c}")
-
     if args.sweep:
-        rows = _oned.sweep(
-            f,
-            h_list,
-            c_rule=(lambda h, sf: c) if c is not None else None,
-            eps_rule=lambda h, sf: eps_factor * h * sf,
-        )
-        _write_out(_oned.sweep_csv(rows), args.out)
-        for r in rows:
-            print(
-                f"h={r.h:.6g} c={r.c:.3e} eps={r.eps:.3e} "
-                f"iterations={r.iterations} max_gap={r.max_gap:.6e}",
-                file=sys.stderr,
-            )
-        return 0
-
-    (h,) = h_list
-    eps = eps_factor * h * supf
-    upper = _oned.build_super(f, h, c, eps=eps)
-    lower = _oned.build_sub(f, h, c, eps=eps)
-    lines = ["x,lower,upper"]
-    gap = 0.0
-    for i, (lo_v, hi_v) in enumerate(zip(lower.grid.values, upper.grid.values)):
-        lines.append(f"{i * h!r},{float(lo_v)!r},{float(hi_v)!r}")
-        gap = max(gap, float(hi_v) - float(lo_v))
-    _write_out("\n".join(lines) + "\n", args.out)
-    print(
-        f"h={h:.6g} c={c:.3e} eps={eps:.3e} "
-        f"iterations={max(upper.iterations, lower.iterations)} max_gap={gap:.6e}",
-        file=sys.stderr,
+        h_list = cfg.get("sweep_h", _DEFAULT_SWEEP_H)
+    else:
+        h_list = [args.h if args.h is not None else cfg.get("h", 2.0**-5)]
+    eps_factor = cfg.get("eps_factor", _oned.EPS_FACTOR)
+    rows = _oned.sweep(
+        f,
+        h_list,
+        c_rule=(lambda h, sf: c) if c is not None else None,
+        eps_rule=lambda h, sf: eps_factor * h * sf,
     )
+    if args.sweep:
+        _write_out(_oned.sweep_csv(rows), args.out)
+    else:
+        (row,) = rows
+        lines = ["x,lower,upper"] + [
+            f"{i * row.h!r},{float(lo_v)!r},{float(hi_v)!r}"
+            for i, (lo_v, hi_v) in enumerate(zip(row.lower.grid.values, row.upper.grid.values))
+        ]
+        _write_out("\n".join(lines) + "\n", args.out)
+    for r in rows:
+        print(
+            f"h={r.h:.6g} c={r.c:.3e} eps={r.eps:.3e} "
+            f"iterations={r.iterations} max_gap={r.max_gap:.6e}",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -310,7 +296,7 @@ def _cmd_selftest(_args) -> int:
     from .oned import green_value
     from .quad import singular_triangle
     from .geometry import Triangle, amano_sources, discretize_boundary
-    from .taylor import TaylorModel2, tm_from_expr
+    from .taylor import Boxes, TaylorModel2, tm_from_expr
     from .fundsol import TestFunction2D
     from .mfs import boundary_extrema, solve_coefficients
     import numpy as np
@@ -366,7 +352,7 @@ def _cmd_selftest(_args) -> int:
     report("sin-quadrant-max", s.hi >= 1.0 and s.lo <= 0.0)
 
     # Taylor-model products (exact rational coefficients) and compositions
-    bx = iv.Box2(Interval(0.0, 0.5), Interval(-2.0, 2.0))
+    bx = Boxes(0.0, 0.5, -2.0, 2.0)
     a, b = (1 / 3, 1 / 7, 1 / 11), (1 / 5, 1 / 13, 1 / 17)
     prod = (TaylorModel2.affine(bx, (4, 4), *map(Interval.point, a))
             * TaylorModel2.affine(bx, (4, 4), *map(Interval.point, b)))

@@ -33,7 +33,7 @@ from .errors import DomainError, ParseError, UnsupportedError
 from .interval import Interval
 from .taylor import TaylorModel2, tm_compose_elem
 
-__all__ = ["SourceExpr", "PiecewiseSource1D", "parse", "eval_point", "eval_interval", "eval_tm"]
+__all__ = ["SourceExpr", "PiecewiseSource1D", "parse", "eval_tm"]
 
 
 # -- syntax tree -------------------------------------------------------------
@@ -97,13 +97,13 @@ class SourceExpr:
         return {node.name for node in _nodes(self.root) if isinstance(node, Var)}
 
     def eval_point(self, x: float, y: Optional[float] = None) -> float:
-        return eval_point(self, x, y)
+        try:
+            return _PointWalk(float(x), None if y is None else float(y)).walk(self.root)
+        except (ArithmeticError, ValueError) as e:  # division by zero, overflow, log(-1)
+            raise DomainError(f"point evaluation: {e}") from None
 
     def eval_interval(self, x: Interval, y: Optional[Interval] = None) -> Interval:
-        return eval_interval(self, x, y)
-
-    def eval_tm(self, x: TaylorModel2, y: Optional[TaylorModel2] = None) -> TaylorModel2:
-        return eval_tm(self, x, y)
+        return _IntervalWalk(x, y).walk(self.root)
 
 
 @dataclass(frozen=True)
@@ -392,18 +392,9 @@ class _TaylorWalk(_Walk):
         return tm_compose_elem(fn, args[0])
 
 
-def eval_point(f: SourceExpr, x: float, y: Optional[float] = None) -> float:
-    try:
-        return _PointWalk(float(x), None if y is None else float(y)).walk(f.root)
-    except (ArithmeticError, ValueError) as e:  # division by zero, overflow, log(-1)
-        raise DomainError(f"point evaluation: {e}") from None
-
-
-def eval_interval(f: SourceExpr, x: Interval, y: Optional[Interval] = None) -> Interval:
-    return _IntervalWalk(x, y).walk(f.root)
-
-
 def eval_tm(
     f: SourceExpr, x: TaylorModel2, y: Optional[TaylorModel2] = None
 ) -> TaylorModel2:
+    """The Taylor-model backend, the one entry to it: f over the models x
+    and y."""
     return _TaylorWalk(x, y).walk(f.root)

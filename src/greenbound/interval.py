@@ -33,17 +33,14 @@ from .errors import DomainError
 
 __all__ = [
     "Interval",
-    "Box2",
     "PI",
     "TWO_PI",
     "HALF_PI",
     "hull",
-    "intersect",
     "subdivide_min_max",
     "lockstep_min_max",
     "MinMaxResult",
     "BoxEvaluator",
-    "mean_value_form",
     "centred_form",
     "rational",
 ]
@@ -164,9 +161,6 @@ class Interval:
 
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
@@ -362,22 +356,6 @@ def hull(a: Interval, b: Interval) -> Interval:
     return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
 
 
-def intersect(a: Interval, b: Interval) -> Interval:
-    """Intersection of two enclosures of the same quantity."""
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    if lo > hi:
-        raise DomainError(f"disjoint enclosures {a} and {b}: rigor violated upstream")
-    return Interval(lo, hi)
-
-
-@dataclass(frozen=True, slots=True)
-class Box2:
-    """Axis-aligned box in the transformed (u, k) coordinates."""
-
-    u: Interval
-    k: Interval
-
-
 # ---------------------------------------------------------------------------
 # Rigorous range bounding over an interval domain
 # ---------------------------------------------------------------------------
@@ -411,45 +389,17 @@ class BoxEvaluator:
         raise NotImplementedError
 
 
-def mean_value_form(g, g_prime, s: Interval) -> tuple[Interval, Interval, Interval]:
-    """The mean-value (centred) form of a scalar interval function g over s.
-
-    With m = s.mid(), returns g(s) intersected with g(m) + g'(s) (s - m)
-    (g(s) alone should the two not meet), followed by g(m) and g'(s); at
-    a point s = m that is g(s), g(s), g'(s).  The form kills the
-    first-order dependency overestimate of g(s) (Neumaier, *Interval
-    Methods for Systems of Equations*, 1990).
-    """
-    val = g(s)
-    m = Interval.point(s.mid())
-    centre, slope = g(m), g_prime(s)
-    return centred_form(val, centre, slope, s, m), centre, slope
-
-
 def centred_form(val: Interval, centre: Interval, slope: Interval, s: Interval,
                  m: Interval) -> Interval:
     """val, an enclosure of g over s, intersected with the centred form
     centre + slope (s - m) from enclosures of g(m) and of g' over s (val
-    alone should the two not meet): :func:`mean_value_form` for callers
-    that have g and g' from one evaluation."""
+    alone should the two not meet).  This is the mean-value form when
+    slope encloses g' over s and m is a point of s; it kills the
+    first-order dependency overestimate of g(s) (Neumaier, *Interval
+    Methods for Systems of Equations*, 1990)."""
     centred = centre + slope * (s - m)
     lo, hi = max(val.lo, centred.lo), min(val.hi, centred.hi)
     return Interval(lo, hi) if lo <= hi else val
-
-
-class _ScalarEvaluator(BoxEvaluator):
-    """Scalar interval functions g and g' as a BoxEvaluator: the mean-value
-    form of every box, point by point."""
-
-    def __init__(self, g, g_prime):
-        if g_prime is None:
-            raise DomainError("a scalar g needs g_prime, an interval extension of g'")
-        self.g, self.g_prime = g, g_prime
-
-    def __call__(self, root, lo, hi):
-        forms = [mean_value_form(self.g, self.g_prime, Interval(a, b))
-                 for a, b in zip(lo.tolist(), hi.tolist())]
-        return tuple(np.array([[v.lo, v.hi] for f in forms for v in f]).reshape(-1, 6).T)
 
 
 def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -617,19 +567,15 @@ MAX_BOXES = 20_000  # open boxes per level; the least promising excess is finali
 
 
 def subdivide_min_max(
-    g: BoxEvaluator | Callable[[Interval], Interval],
+    g: BoxEvaluator,
     domain: Interval | Sequence[Interval],
     tol: float = 1e-12,
     max_depth: int = 40,
-    g_prime: Optional[Callable[[Interval], Interval]] = None,
     max_evals: int = MAX_EVALS,
 ) -> MinMaxResult:
     """Rigorous enclosures of inf g and sup g over the union of the roots.
 
-    ``domain`` is one root Interval or a sequence of them.  ``g`` is either
-    a :class:`BoxEvaluator` or a scalar interval function, in which case
-    ``g_prime`` must give a scalar interval extension of g' and boxes are
-    bounded by :func:`mean_value_form`.
+    ``domain`` is one root Interval or a sequence of them.
 
     Level-synchronous branch-and-bound: each level halves every open box
     of every root and evaluates all children in one evaluator call.  A box
@@ -645,8 +591,6 @@ def subdivide_min_max(
     one-search case of :func:`lockstep_min_max`, and raises what the
     search raises.
     """
-    if not isinstance(g, BoxEvaluator):
-        g = _ScalarEvaluator(g, g_prime)
     roots = [domain] if isinstance(domain, Interval) else list(domain)
     (res,) = lockstep_min_max(g, [roots], tol, max_depth, max_evals)
     if isinstance(res, Exception):

@@ -32,6 +32,11 @@ factored forms sign * (slope - u_f(s)/s) and sign * (-slope - u_f(s)/(1-s)),
 whose antiderivative factors divide out symbolically.  The sub-solution
 check decides the negated condition on the same evaluator of f (negation
 is exact), and the sub-solution is the negated super-solution build of -f.
+
+Drivers.  ``sweep`` builds the certified pair on each mesh of a list with
+the default rules for c and eps, and is the one path of ``enclose1d``.
+``optimal_constant_bounds`` runs the range search of ``interval`` on u,
+its boxes bounded by the same mean-value form as the check.
 """
 
 from __future__ import annotations
@@ -43,10 +48,11 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import expr as _expr
 from . import interval as _iv
 from .errors import CertificationError, DomainError
 from .expr import PiecewiseSource1D, SourceExpr
-from .interval import Interval, centred_form, hull, subdivide_min_max
+from .interval import BoxEvaluator, Interval, centred_form, hull, subdivide_min_max
 from .taylor import Boxes, TaylorModel2
 
 __all__ = [
@@ -86,6 +92,14 @@ SUP_PARTS = 256
 MAX_EVALS = 5_000
 
 CHECK_EVALS = 6_000  # subintervals one check may try before it answers UNDECIDED
+
+MAX_SWEEPS = 500  # sweeps of one build before it gives up
+
+# The default rules of a sweep, from the constant-source parameter study:
+# c = C_FACTOR |f| h^2 and eps = EPS_FACTOR h |f|, with |f| the bound of
+# GreenEvaluator.sup_abs_source.
+C_FACTOR = 0.2
+EPS_FACTOR = 0.25
 
 Source1D = Union[SourceExpr, PiecewiseSource1D]
 
@@ -193,7 +207,7 @@ def _models_on(expr: SourceExpr, consts: list, slope: float, widths: list) -> li
     consts, zeros = np.array(consts, dtype=float), np.zeros(len(consts))
     boxes = Boxes(zeros, widths, zeros, zeros)
     x = TaylorModel2.affine(boxes, (1, _DEG), const=(consts, consts), coef_u=(slope, slope))
-    lo, hi = expr.eval_tm(x).grids()
+    lo, hi = _expr.eval_tm(expr, x).grids()
     return [[Interval(a, b) for a, b in zip(lo[p, 0].tolist(), hi[p, 0].tolist())]
             for p in range(len(consts))]
 
@@ -306,6 +320,8 @@ class GreenEvaluator:
     def u(self, s: Interval) -> Interval:
         return self.u_du(s)[0]
 
+    # du has no caller in the library; the name stays, where the benchmark
+    # tracer wraps it
     def du(self, s: Interval) -> Interval:
         return self.B(s) - self.A(s)
 
@@ -350,14 +366,33 @@ def green_value(f: Source1D, s) -> Interval:
     return GreenEvaluator(f).u(s_iv)
 
 
+class _RangeOfU(BoxEvaluator):
+    """u over boxes of [0, 1] for the range search: the mean-value form of
+    each box from one ``u_du`` walk over it and ``u`` at its centre, as
+    ``_check`` forms it."""
+
+    def __init__(self, ev: GreenEvaluator):
+        self.ev = ev
+
+    def __call__(self, root, lo, hi):
+        ends = []
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            s = Interval(a, b)
+            m = Interval.point(s.mid())
+            u_s, du_s = self.ev.u_du(s)
+            centre = self.ev.u(m)
+            for v in (centred_form(u_s, centre, du_s, s, m), centre, du_s):
+                ends += (v.lo, v.hi)
+        return tuple(np.array(ends).reshape(-1, 6).T)
+
+
 def optimal_constant_bounds(
     f: Source1D, tol: float = 1e-10
 ) -> tuple[Interval, Interval]:
     """Enclosures of inf u and sup u over the domain: the optimal constant
     sub- and super-solution levels."""
-    ev = GreenEvaluator(f)
-    res = subdivide_min_max(ev.u, Interval(0.0, 1.0), tol=tol, max_depth=60,
-                            g_prime=ev.du, max_evals=MAX_EVALS)
+    res = subdivide_min_max(_RangeOfU(GreenEvaluator(f)), Interval(0.0, 1.0), tol=tol,
+                            max_depth=60, max_evals=MAX_EVALS)
     return res.m, res.M
 
 
@@ -532,7 +567,7 @@ def _fd_solve(fbar: np.ndarray, h: float) -> np.ndarray:
 
 
 def _build(f: Source1D, h: float, c: float, eps: Optional[float],
-           max_iters: int, sign: float) -> BuildResult:
+           sign: float) -> BuildResult:
     """Certified super- (sign +1) or sub-solution (sign -1) on the uniform
     grid; the sub-solution is the negated super-solution of -f, checked
     against the evaluator of f."""
@@ -541,13 +576,13 @@ def _build(f: Source1D, h: float, c: float, eps: Optional[float],
         raise DomainError("boundary shift c must be nonnegative")
     ev = GreenEvaluator(f, c)
     if eps is None:
-        eps = 0.25 * h * ev.sup_abs_source()
+        eps = EPS_FACTOR * h * ev.sup_abs_source()
     if eps == 0.0 and ev.sup_abs_source() == 0.0:
         grid = GridFunction1D(h, np.full(n + 2, sign * c))
         return BuildResult(grid=grid, iterations=0, eps=eps, c=c)
     nodes = np.arange(1, n + 1) * h
     fbar = sign * np.array([f.eval_point(x) for x in nodes])
-    for it in range(max_iters):
+    for it in range(MAX_SWEEPS):
         interior = _fd_solve(fbar, h)
         grid = GridFunction1D(h, sign * np.concatenate(([c], interior + c, [c])))
         bad = [
@@ -568,49 +603,48 @@ def _build(f: Source1D, h: float, c: float, eps: Optional[float],
             if 1 <= i + 1 <= n:
                 fbar[i] += eps
     raise CertificationError(
-        f"no certified {'super' if sign > 0 else 'sub'}-solution after {max_iters} sweeps "
-        f"(h={h}, c={c}, eps={eps}); raise c or the iteration budget"
+        f"no certified {'super' if sign > 0 else 'sub'}-solution after {MAX_SWEEPS} sweeps "
+        f"(h={h}, c={c}, eps={eps}); raise c or eps"
     )
 
 
-def build_super(
-    f: Source1D,
-    h: float,
-    c: float,
-    eps: Optional[float] = None,
-    max_iters: int = 500,
-) -> BuildResult:
+def build_super(f: Source1D, h: float, c: float, eps: Optional[float] = None) -> BuildResult:
     """Certified piecewise-linear super-solution on the uniform grid.
 
     Starts from the finite-difference solution lifted by c, then repeatedly
-    increments the discrete source next to every subinterval where the
-    rigorous check fails (undecided counts as failed), until every
-    subinterval certifies.  All increments of a sweep are applied before
-    the re-solve.  With eps = 0 a failed sweep would only repeat itself,
-    so it raises at once; a source with sup |f| = 0 then gets the exact
-    constant super-solution c.
+    increments the discrete source by eps (default EPS_FACTOR h sup |f|)
+    next to every subinterval where the rigorous check fails (undecided
+    counts as failed), until every subinterval certifies, for at most
+    MAX_SWEEPS sweeps.  All increments of a sweep are applied before the
+    re-solve.  With eps = 0 a failed sweep would only repeat itself, so it
+    raises at once; a source with sup |f| = 0 then gets the exact constant
+    super-solution c.
     """
-    return _build(f, h, c, eps, max_iters, +1.0)
+    return _build(f, h, c, eps, +1.0)
 
 
-def build_sub(
-    f: Source1D,
-    h: float,
-    c: float,
-    eps: Optional[float] = None,
-    max_iters: int = 500,
-) -> BuildResult:
+def build_sub(f: Source1D, h: float, c: float, eps: Optional[float] = None) -> BuildResult:
     """Certified sub-solution: the negated :func:`build_super` of -f."""
-    return _build(f, h, c, eps, max_iters, -1.0)
+    return _build(f, h, c, eps, -1.0)
 
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One mesh of a sweep: its parameters and the certified pair."""
+
     h: float
     c: float
     eps: float
-    iterations: int
-    max_gap: float
+    upper: BuildResult
+    lower: BuildResult
+
+    @property
+    def iterations(self) -> int:
+        return max(self.upper.iterations, self.lower.iterations)
+
+    @property
+    def max_gap(self) -> float:
+        return float(np.max(self.upper.grid.values - self.lower.grid.values))
 
 
 def sweep(
@@ -619,29 +653,17 @@ def sweep(
     c_rule: Optional[Callable[[float, float], float]] = None,
     eps_rule: Optional[Callable[[float, float], float]] = None,
 ) -> list:
-    """Super/sub pairs over a mesh list; reports the maximal nodal gap.
-
-    Default rules follow the constant-source parameter study:
-    c = 0.2 |f| h^2 and eps = 0.25 h |f|.
+    """The certified super/sub pair on each mesh of a list, one SweepRow
+    per mesh.  ``c_rule(h, sup_f)`` and ``eps_rule(h, sup_f)`` give c and
+    eps; the defaults are C_FACTOR sup_f h^2 and the eps of the builds.
     """
-    ev = GreenEvaluator(f)
-    supf = ev.sup_abs_source()
+    supf = GreenEvaluator(f).sup_abs_source()
     rows = []
     for h in h_list:
-        c = c_rule(h, supf) if c_rule else 0.2 * supf * h * h
-        eps = eps_rule(h, supf) if eps_rule else 0.25 * h * supf
+        c = c_rule(h, supf) if c_rule else C_FACTOR * supf * h * h
+        eps = eps_rule(h, supf) if eps_rule else None
         upper = build_super(f, h, c, eps=eps)
-        lower = build_sub(f, h, c, eps=eps)
-        gap = float(np.max(upper.grid.values - lower.grid.values))
-        rows.append(
-            SweepRow(
-                h=h,
-                c=c,
-                eps=eps,
-                iterations=max(upper.iterations, lower.iterations),
-                max_gap=gap,
-            )
-        )
+        rows.append(SweepRow(h, c, upper.eps, upper, build_sub(f, h, c, eps=eps)))
     return rows
 
 

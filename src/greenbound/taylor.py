@@ -50,7 +50,7 @@ import numpy as np
 
 from . import _directed as dr
 from .errors import DomainError, UnsupportedError
-from .interval import Box2, Interval, _midpoints, rational
+from .interval import Interval, _midpoints, rational
 
 __all__ = ["TaylorModel2", "Boxes", "tm_from_expr", "tm_compose_elem"]
 
@@ -90,16 +90,8 @@ class Boxes:
             raise DomainError("every box needs finite endpoints lo <= hi")
         self._powers, self._ranges = {}, {}
 
-    @staticmethod
-    def of(box: Box2) -> "Boxes":
-        return Boxes(box.u.lo, box.u.hi, box.k.lo, box.k.hi)
-
     def __len__(self) -> int:
         return len(self.ulo)
-
-    def box(self, p: int) -> Box2:
-        return Box2(Interval(float(self.ulo[p]), float(self.uhi[p])),
-                    Interval(float(self.klo[p]), float(self.khi[p])))
 
     def take(self, idx) -> "Boxes":
         return Boxes(self.ulo[idx], self.uhi[idx], self.klo[idx], self.khi[idx])
@@ -152,10 +144,6 @@ class Boxes:
         if np.any(lo > hi):
             raise DomainError("disjoint monomial enclosures: rigor violated upstream")
         return lo, hi, which.reshape(-1)
-
-
-def _as_boxes(box) -> Boxes:
-    return box if isinstance(box, Boxes) else Boxes.of(box)
 
 
 def _pattern_groups(*masks):
@@ -261,9 +249,8 @@ class TaylorModel2:
     grids stop at the highest (i, j) an operation can make nonzero, and
     every coefficient past them is 0 (default: the grids' own extents).
     Instances are treated as immutable values.  A single model is a batch
-    of one; the scalar queries (``box``, ``coefficient``,
-    ``nonzero_terms``, ``eval``) need one, and ``member`` takes one out of
-    a batch.
+    of one; the scalar queries (``coefficient``, ``nonzero_terms``,
+    ``eval``) need one, and ``member`` takes one out of a batch.
     """
 
     clo: np.ndarray
@@ -303,46 +290,31 @@ class TaylorModel2:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def constant(c, box, degrees=_DEFAULT_DEGREES) -> "TaylorModel2":
+    def constant(c, boxes: Boxes, degrees=_DEFAULT_DEGREES) -> "TaylorModel2":
         """The constant c (an Interval, or (lo, hi) arrays over the batch)
-        on ``box``: a Box2 (a batch of one) or :class:`Boxes`."""
-        boxes = _as_boxes(box)
+        on ``boxes``."""
         clo, chi = np.zeros((2, len(boxes), 1, 1))
         clo[:, 0, 0], chi[:, 0, 0] = dr._ends(c)
         return TaylorModel2(clo, chi, boxes, tuple(degrees))
 
     @staticmethod
-    def affine(box, degrees=_DEFAULT_DEGREES, const=Interval(0.0, 0.0),
+    def affine(boxes: Boxes, degrees=_DEFAULT_DEGREES, const=Interval(0.0, 0.0),
                coef_u=Interval(0.0, 0.0), coef_ku=Interval(0.0, 0.0)) -> "TaylorModel2":
-        """Model of const + coef_u * u + coef_ku * (k u); each coefficient
-        an Interval or (lo, hi) arrays over the batch."""
+        """Model of const + coef_u * u + coef_ku * (k u) on ``boxes``; each
+        coefficient an Interval or (lo, hi) arrays over the batch."""
         m, n = degrees
         if m < 1 or n < 1:
             raise DomainError("affine models need degrees >= (1, 1)")
-        boxes = _as_boxes(box)
         clo, chi = np.zeros((2, len(boxes), 2, 2))
         for (i, j), c in (((0, 0), const), ((0, 1), coef_u), ((1, 1), coef_ku)):
             clo[:, i, j], chi[:, i, j] = dr._ends(c)
         return TaylorModel2(clo, chi, boxes, tuple(degrees))
-
-    @staticmethod
-    def variable_u(box, degrees=_DEFAULT_DEGREES) -> "TaylorModel2":
-        return TaylorModel2.affine(box, degrees, coef_u=Interval(1.0, 1.0))
-
-    @staticmethod
-    def variable_ku(box, degrees=_DEFAULT_DEGREES) -> "TaylorModel2":
-        return TaylorModel2.affine(box, degrees, coef_ku=Interval(1.0, 1.0))
 
     # -- queries ----------------------------------------------------------
 
     def _single(self) -> None:
         if len(self) != 1:
             raise DomainError(f"a query of one model on a batch of {len(self)}; take member(p)")
-
-    @property
-    def box(self) -> Box2:
-        self._single()
-        return self.boxes.box(0)
 
     def coefficient(self, i: int, j: int) -> Interval:
         self._single()
@@ -625,14 +597,13 @@ def _compose_series(model: TaylorModel2, fn: str) -> TaylorModel2:
 # ---------------------------------------------------------------------------
 
 
-def tm_from_expr(f, box, degrees=_DEFAULT_DEGREES) -> TaylorModel2:
-    """Model of (u, k) -> f(u, k*u) over the box (substitution x=u, y=k*u):
-    a Box2 (a batch of one) or :class:`Boxes`."""
+def tm_from_expr(f, boxes: Boxes, degrees=_DEFAULT_DEGREES) -> TaylorModel2:
+    """Models of (u, k) -> f(u, k*u) over ``boxes`` (substitution x=u, y=k*u)."""
     from . import expr as _expr
 
-    boxes = _as_boxes(box)
-    x = TaylorModel2.variable_u(boxes, degrees)
-    y = TaylorModel2.variable_ku(boxes, degrees)
+    one = Interval(1.0, 1.0)
+    x = TaylorModel2.affine(boxes, degrees, coef_u=one)
+    y = TaylorModel2.affine(boxes, degrees, coef_ku=one)
     return _expr.eval_tm(f, x, y)
 
 

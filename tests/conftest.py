@@ -25,3 +25,8 @@ def assert_contains(interval, value, msg=""):
     assert interval.lo <= value <= interval.hi, (
         f"{value} not in [{interval.lo}, {interval.hi}] {msg}"
     )
+
+
+def overlaps(a, b):
+    """Whether two intervals share a point, as two enclosures of one value must."""
+    return a.lo <= b.hi and b.lo <= a.hi

@@ -13,7 +13,7 @@ import pytest
 
 from greenbound.expr import PiecewiseSource1D, parse
 from greenbound.geometry import Polygon, Triangle
-from greenbound.interval import Box2, Interval
+from greenbound.interval import Interval
 from greenbound.oned import (
     GreenEvaluator,
     Verdict,
@@ -24,7 +24,7 @@ from greenbound.oned import (
     optimal_constant_bounds,
 )
 from greenbound.quad import singular_triangle
-from greenbound.taylor import tm_from_expr
+from greenbound.taylor import Boxes, tm_from_expr
 from greenbound.twod import MfsConfig, enclose_point, shift_split
 
 mp.mp.dps = 40
@@ -200,11 +200,11 @@ def test_criterion_7_interval_soundness():
             f = parse(texts[trial % len(texts)])
             u_hi = rng.uniform(0.1, 1.0)
             k_lo = rng.uniform(-1.0, 0.5)
-            box = Box2(Interval(0.0, u_hi), Interval(k_lo, k_lo + rng.uniform(0.1, 1.0)))
-            tm = tm_from_expr(f, box, (5, 5))
+            k_hi = k_lo + rng.uniform(0.1, 1.0)
+            tm = tm_from_expr(f, Boxes(0.0, u_hi, k_lo, k_hi), (5, 5))
             for _ in range(20):
-                u = rng.uniform(box.u.lo, box.u.hi)
-                k = rng.uniform(box.k.lo, box.k.hi)
+                u = rng.uniform(0.0, u_hi)
+                k = rng.uniform(k_lo, k_hi)
                 val = f.eval_point(u, k * u)
                 enc = tm.eval(Interval.point(u), Interval.point(k))
                 if not (enc.lo <= val <= enc.hi):

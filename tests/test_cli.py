@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,6 +7,8 @@ import pytest
 
 from greenbound import interval as iv
 from greenbound.cli import main
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def write(tmp_path, name, payload):
@@ -173,6 +176,26 @@ class TestEnclose1D:
         path.write_text(payload.replace('"C"', number))
         assert main(["enclose1d", str(path)]) == 2
         assert "non-finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem, flags, digests", [
+        ("interval_f1.json", [],
+         ("527b232cea783183220091c4476778fd8267d171861c6773e4d7fefdd238a82b",
+          "4cb3f39d2ba0fd97820f142ce46545feefb0ca9ec02ff92a2df47b1a0275ad93")),
+        ("interval_f1.json", ["--sweep"],
+         ("bc5a76edad977f63767f77987c52865aecce993c256f30ac2bbe9d35443fdd9b",
+          "3fa28bfe206d251aea1f7d26287bd0a3ca5fe3ffb24d790c7a98cc5a0eac4b2c")),
+        ("interval_jump.json", [],
+         ("c27a8879e7615c14938a88313087f6140e45694583292ab40d855c7bf66a0906",
+          "eedcc9e607d0551c5cee5b4e44b53bb38d56589e496b68caf5c6e255c0986c0c")),
+        ("interval_jump.json", ["--sweep"],
+         ("b1493a946eabe9067d71a7aaebd87acb6a721d6e179ac648db5f58f9c6b16bb0",
+          "bb013e6937582897d59a3d635f78c096bee44bc3e8c842e6b3189f9e6670137d")),
+    ], ids=["f1", "f1-sweep", "jump", "jump-sweep"])
+    def test_outputs_pinned(self, capsys, problem, flags, digests):
+        """sha256 of stdout and of stderr for the committed 1D problems."""
+        assert main(["enclose1d", str(PROBLEMS / problem), *flags]) == 0
+        out, err = capsys.readouterr()
+        assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in (out, err)) == digests
 
     def test_zero_source_gives_zero_table_quickly(self, tmp_path):
         import time

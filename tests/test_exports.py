@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,22 @@ def test_package_imports_exist():
     assert imports
     for module, name in imports:
         assert hasattr(importlib.import_module(f"greenbound.{module}"), name), (module, name)
+
+
+def test_benchmark_wraps_resolve(monkeypatch):
+    """Every name the benchmark tracer wraps (``perfbench/instrument.py``)
+    still exists: instrumenting the package installs all its wraps, and
+    uninstalling puts every original back."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # import perfbench/ read-only
+    instrument, spans = importlib.import_module("instrument"), importlib.import_module("spans")
+    tracer = spans.Tracer()
+    try:
+        instrument.instrument(tracer, greenbound)
+        wrapped = list(tracer._restore)
+    finally:
+        tracer.uninstall()
+    assert wrapped
+    for owner, attr, original in wrapped:
+        now = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        assert now is original, (owner, attr)

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenbound.errors import DomainError, ParseError, UnsupportedError
-from greenbound.expr import Bin, Call, Num, PiecewiseSource1D, Pow, Var, parse
-from greenbound.interval import Box2, Interval
-from greenbound.taylor import TaylorModel2
+from greenbound.expr import Bin, Call, Num, PiecewiseSource1D, Pow, Var, eval_tm, parse
+from greenbound.interval import Interval
+from greenbound.taylor import Boxes, TaylorModel2
+
+ONE = Interval(1.0, 1.0)
 
 from conftest import assert_contains
 
@@ -97,11 +99,11 @@ class TestBackends:
 
     def test_tm_backend_rejects_nonsmooth(self):
         f = parse("min(x, y)")
-        b = Box2(Interval(0, 1), Interval(0, 1))
-        x = TaylorModel2.variable_u(b, (4, 4))
-        y = TaylorModel2.variable_ku(b, (4, 4))
+        b = Boxes(0.0, 1.0, 0.0, 1.0)
+        x = TaylorModel2.affine(b, (4, 4), coef_u=ONE)
+        y = TaylorModel2.affine(b, (4, 4), coef_ku=ONE)
         with pytest.raises(UnsupportedError):
-            f.eval_tm(x, y)
+            eval_tm(f, x, y)
 
     def test_interval_min_max(self):
         f = parse("min(x, y)")
@@ -141,14 +143,14 @@ def test_backend_consistency_tm(text, u, k):
     """Point value lies inside the Taylor-model range at the same point;
     the Taylor-model backend is the one that rejects abs/min/max."""
     f = parse(text)
-    b = Box2(Interval(0.0, 0.5), Interval(-0.5, 0.5))
-    x = TaylorModel2.variable_u(b, (6, 6))
-    y = TaylorModel2.variable_ku(b, (6, 6))
+    b = Boxes(0.0, 0.5, -0.5, 0.5)
+    x = TaylorModel2.affine(b, (6, 6), coef_u=ONE)
+    y = TaylorModel2.affine(b, (6, 6), coef_ku=ONE)
     if text.startswith("max"):
         with pytest.raises(UnsupportedError):
-            f.eval_tm(x, y)
+            eval_tm(f, x, y)
         return
-    tm = f.eval_tm(x, y)
+    tm = eval_tm(f, x, y)
     p = f.eval_point(u, k * u)
     enc = tm.eval(Interval.point(u), Interval.point(k))
     assert enc.lo <= p <= enc.hi

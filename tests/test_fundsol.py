@@ -10,7 +10,7 @@ from greenbound.errors import DomainError
 from greenbound.fundsol import TestFunction2D, gamma
 from greenbound.interval import Interval
 
-from conftest import assert_contains
+from conftest import assert_contains, overlaps
 
 
 def tf_single(a1=1.0, src=(3.0, 0.0)):
@@ -42,7 +42,7 @@ class TestGamma:
                 continue
             a = gamma(s, tuple(x))
             b = gamma(x, tuple(s))
-            assert a.intersects(b)
+            assert overlaps(a, b)
 
 
 class TestEvalPhi:
@@ -53,7 +53,7 @@ class TestEvalPhi:
         )
         got = tf.phi0_box(Interval.point(0.5), Interval.point(0.5))
         want = gamma((0.0, 0.0), (0.5, 0.5))
-        assert got.intersects(want)
+        assert overlaps(got, want)
 
 
 class TestVectorAgainstScalar:
@@ -74,7 +74,7 @@ class TestVectorAgainstScalar:
             want = gamma((0.1, -0.2), (bx, by))
             for s, a in zip(sources, coeffs):
                 want = want + gamma(tuple(s), (bx, by)) * float(a)
-            assert got.intersects(want)
+            assert overlaps(got, want)
             # the true range is inside both enclosures
             mid = tf.phi0_points(np.array([c]))[0]
             assert got.lo - 1e-12 <= mid <= got.hi + 1e-12

@@ -15,13 +15,11 @@ from greenbound.interval import (
     PI,
     BoxEvaluator,
     Interval,
-    _ScalarEvaluator,
     _set_outward_rounding,
     _midpoints,
+    centred_form,
     hull,
-    intersect,
     lockstep_min_max,
-    mean_value_form,
     rational,
     subdivide_min_max,
 )
@@ -179,19 +177,39 @@ def test_elem_inclusion_monotonicity(a):
         assert fn(a).encloses(fn(mid))
 
 
+def mean_value_form(g, g_prime, s: Interval) -> tuple:
+    """The mean-value form of a scalar interval function g over s, with m =
+    s.mid(): ``centred_form`` of g(s), g(m) and g'(s), then g(m) and g'(s)."""
+    m = Interval.point(s.mid())
+    centre, slope = g(m), g_prime(s)
+    return centred_form(g(s), centre, slope, s, m), centre, slope
+
+
+class _Scalar(BoxEvaluator):
+    """Scalar interval functions g and g' as a BoxEvaluator: the mean-value
+    form of every box, point by point."""
+
+    def __init__(self, g, g_prime):
+        self.g, self.g_prime = g, g_prime
+
+    def __call__(self, root, lo, hi):
+        forms = [mean_value_form(self.g, self.g_prime, Interval(a, b))
+                 for a, b in zip(lo.tolist(), hi.tolist())]
+        return tuple(np.array([[v.lo, v.hi] for f in forms for v in f]).reshape(-1, 6).T)
+
+
 class TestSubdivideMinMax:
     def test_constant(self):
-        res = subdivide_min_max(lambda t: Interval(5, 5), Interval(0, 1),
-                                g_prime=lambda t: Interval(0, 0))
+        res = subdivide_min_max(_Scalar(lambda t: Interval(5, 5), lambda t: Interval(0, 0)),
+                                Interval(0, 1))
         assert res.m == Interval(5, 5) and res.M == Interval(5, 5)
         assert res.converged
 
     def test_parabola(self):
         res = subdivide_min_max(
-            lambda t: t * (1.0 - t),
+            _Scalar(lambda t: t * (1.0 - t), lambda t: 1.0 - t * 2.0),
             Interval(0, 1),
             tol=1e-10,
-            g_prime=lambda t: 1.0 - t * 2.0,
         )
         assert_contains(res.M, 0.25)
         assert_contains(res.m, 0.0)
@@ -200,7 +218,7 @@ class TestSubdivideMinMax:
 
     def test_sine(self):
         res = subdivide_min_max(
-            lambda t: t.sin(), Interval(0, 1), tol=1e-12, g_prime=lambda t: t.cos()
+            _Scalar(lambda t: t.sin(), lambda t: t.cos()), Interval(0, 1), tol=1e-12
         )
         assert_contains(res.M, float(mp.sin(1)))
         assert res.M.width() <= 1e-12
@@ -209,7 +227,7 @@ class TestSubdivideMinMax:
     def test_sandwich_property(self):
         g = lambda t: (t * 3.0).sin() + t.sqr()
         dg = lambda t: (t * 3.0).cos() * 3.0 + t * 2.0
-        res = subdivide_min_max(g, Interval(0, 2), tol=1e-8, max_depth=30, g_prime=dg)
+        res = subdivide_min_max(_Scalar(g, dg), Interval(0, 2), tol=1e-8, max_depth=30)
         for k in range(101):
             t = 2.0 * k / 100
             v = g(Interval.point(t))
@@ -217,21 +235,16 @@ class TestSubdivideMinMax:
 
     def test_domain_error_propagates(self):
         with pytest.raises(DomainError):
-            subdivide_min_max(lambda t: t.log(), Interval(0, 1), g_prime=lambda t: 1.0 / t)
+            subdivide_min_max(_Scalar(lambda t: t.log(), lambda t: 1.0 / t), Interval(0, 1))
 
     def test_degenerate_domain(self):
-        res = subdivide_min_max(lambda t: t.sqr(), Interval(2, 2),
-                                g_prime=lambda t: t * 2.0)
+        res = subdivide_min_max(_Scalar(lambda t: t.sqr(), lambda t: t * 2.0), Interval(2, 2))
         assert_contains(res.M, 4.0)
 
     def test_tol_validation(self):
         with pytest.raises(DomainError):
-            subdivide_min_max(lambda t: t, Interval(0, 1), tol=0.0,
-                              g_prime=lambda t: Interval(1, 1))
-
-    def test_scalar_g_without_derivative_is_rejected(self):
-        with pytest.raises(DomainError, match="g_prime"):
-            subdivide_min_max(lambda t: t.sqr(), Interval(0, 1))
+            subdivide_min_max(_Scalar(lambda t: t, lambda t: Interval(1, 1)), Interval(0, 1),
+                              tol=0.0)
 
 
 class _Parabolas(BoxEvaluator):
@@ -301,8 +314,9 @@ class TestBatchedMinMax:
         whole = subdivide_min_max(_Parabolas(self.CENTERS, self.OFFSETS), self.ROOTS,
                                   tol=1e-10)
         for r, (c, e) in enumerate(zip(self.CENTERS, self.OFFSETS)):
-            single = subdivide_min_max(lambda t: (t - c).sqr() + e, self.ROOTS[r],
-                                       tol=1e-10, g_prime=lambda t: (t - c) * 2.0)
+            single = subdivide_min_max(_Scalar(lambda t: (t - c).sqr() + e,
+                                               lambda t: (t - c) * 2.0),
+                                       self.ROOTS[r], tol=1e-10)
             assert whole.m.lo <= single.m.hi and whole.M.hi >= single.M.lo
         # one evaluator call per level, not per box
         g = _Parabolas(self.CENTERS, self.OFFSETS)
@@ -395,8 +409,8 @@ class TestBatchedMinMax:
             subdivide_min_max(_Failing(_Parabolas([3.1], [0.0]), bad=0), [Interval(3, 3.5)])
 
     def test_scalar_and_point_roots_mix(self):
-        res = subdivide_min_max(lambda t: t.sqr(), [Interval(2, 2), Interval(-1, 1)],
-                                g_prime=lambda t: t * 2.0, tol=1e-12)
+        res = subdivide_min_max(_Scalar(lambda t: t.sqr(), lambda t: t * 2.0),
+                                [Interval(2, 2), Interval(-1, 1)], tol=1e-12)
         assert_contains(res.M, 4.0)
         assert_contains(res.m, 0.0)
 
@@ -420,12 +434,12 @@ def test_mean_value_form_encloses_and_never_widens(s):
 @settings(max_examples=200, deadline=None)
 @given(intervals())
 def test_scalar_box_centre_is_the_point_value(s):
-    """The centre value ``_ScalarEvaluator`` returns for a box (the g(m) of
+    """The centre value ``_Scalar`` returns for a box (the g(m) of
     ``mean_value_form``) equals its value at the point _midpoints(lo, hi),
     bit for bit."""
     g = lambda t: t.exp() * (t * 3.0).sin() - t.sqr()
     dg = lambda t: t.exp() * ((t * 3.0).sin() + (t * 3.0).cos() * 3.0) - t * 2.0
-    ev = _ScalarEvaluator(g, dg)
+    ev = _Scalar(g, dg)
     lo, hi = np.array([s.lo]), np.array([s.hi])
     m = _midpoints(lo, hi)
     box, point = ev(np.zeros(1, dtype=int), lo, hi), ev(np.zeros(1, dtype=int), m, m)
@@ -472,12 +486,9 @@ def test_rational_memo_follows_outward_rounding():
     assert rational(1, 3)[0] < rational(1, 3)[1]
 
 
-def test_hull_intersect():
+def test_hull():
     a, b = Interval(0, 2), Interval(1, 3)
     assert hull(a, b) == Interval(0, 3)
-    assert intersect(a, b) == Interval(1, 2)
-    with pytest.raises(DomainError):
-        intersect(Interval(0, 1), Interval(2, 3))
 
 
 class TestSignedProducts:

@@ -14,7 +14,7 @@ from greenbound.interval import Interval, _midpoints, subdivide_min_max
 from greenbound.geometry import Polygon
 from greenbound.mfs import EdgeKernel, boundary_extrema, solve_coefficients
 
-from conftest import assert_contains
+from conftest import assert_contains, overlaps
 
 
 def square_setup(centered_square, n=33, R=1.2):
@@ -293,11 +293,11 @@ class TestEdgeKernel:
         for k, (bx, by, vx, vy) in enumerate(_edge_point_boxes(centered_square, e, lo, hi)):
             val = tf0.phi0_box(bx, by)
             new_val = Interval(glo[k], ghi[k])
-            assert new_val.intersects(val)
+            assert overlaps(new_val, val)
             assert new_val.width() <= val.width() + 4 * np.spacing(val.mag())
             if sloped[k]:
                 der, new_der = tf0.phi0_dir_deriv(bx, by, vx, vy), Interval(dlo[k], dhi[k])
-                assert new_der.intersects(der)
+                assert overlaps(new_der, der)
                 assert new_der.width() <= der.width() + 4 * np.spacing(der.mag())
 
     def test_slanted_edges_contain_mpmath_values(self):
@@ -518,7 +518,7 @@ class TestExpansion:
         assert base.converged and other.converged
         assert base.expanded_boxes > 0 and other.expanded_boxes > 0
         for a, b in ((base.m, other.m), (base.M, other.M)):
-            assert a.intersects(b)
+            assert overlaps(a, b)
             assert abs(a.lo - b.lo) <= tol and abs(a.hi - b.hi) <= tol
 
     def test_point_witnesses_keep_the_natural_form(self, lshape):

@@ -35,6 +35,7 @@ from conftest import assert_contains
 ONE = parse("1")
 FIVE = parse("5")
 JUMP = PiecewiseSource1D((0.25,), (parse("1"), parse("1.125")))
+MIXED = PiecewiseSource1D((0.5,), (parse("2*x"), parse("-1")))
 
 
 def jump_exact(s, a=0.25, d=0.125):
@@ -252,6 +253,37 @@ class TestOptimalConstants:
         assert time.perf_counter() - t0 < 10.0
         assert mp.mpf(M.lo) <= umax <= mp.mpf(M.hi)
 
+    @pytest.mark.parametrize("name, reprs", [
+        ('1',
+         ('([-6.661338147750939e-16, 0.0], [0.12499999999999967, 0.12500000002910433])',
+          '([-6.661338147750939e-16, 0.0], [0.12499999999999967, 0.12500000046566878])')),
+        ('5',
+         ('([-4.440892098500626e-15, 0.0], [0.6249999999999979, 0.625000000036382])',
+          '([-4.440892098500626e-15, 0.0], [0.6249999999999979, 0.6250000005820833])')),
+        ('exp(x)',
+         ('([-1.6819878823071122e-13, 0.0], [0.2118668325154474, 0.21186683254644836])',
+          '([-1.6819878823071122e-13, 0.0], [0.21186683250137786, 0.21186683317026278])')),
+        ('x*(1-x)',
+         ('([-6.938893903907228e-16, 0.0], [0.02604166666666647, 0.02604166670789855])',
+          '([-6.938893903907228e-16, 0.0], [0.02604166666666647, 0.026041667326429558])')),
+        ('-3',
+         ('([-0.375000000087313, -0.3749999999999989], [0.0, 2.220446049250313e-15])',
+          '([-0.3750000003492498, -0.3749999999999989], [0.0, 2.220446049250313e-15])')),
+        ('2+sin(3*x)',
+         ('([-9.376215182044234e-08, 0.0], [0.3530031477064813, 0.35300321852286043])',
+          '([-9.376215182044234e-08, 0.0], [0.3530031477064813, 0.35300321852286043])')),
+        ('jump',
+         ('([-1.1102230246251565e-15, 0.0], [0.13867865668362309, 0.13867865677298136])',
+          '([-1.1102230246251565e-15, 0.0], [0.13867865665815723, 0.1386786571174468])')),
+        ('mixed',
+         ('([-0.042534722308726375, -0.04253472221898797], [0.005670115145312298, 0.005670115173261528])',
+          '([-0.04253472256823019, -0.042534722209286696], [0.005670115134382226, 0.0056701152879830895])')),
+    ], ids=["one", "five", "exp", "x(1-x)", "minus-three", "2+sin(3x)", "jump", "mixed"])
+    def test_bounds_pinned(self, name, reprs):
+        """repr((m, M)) at tol 1e-10 and 1e-9, bit for bit."""
+        f = {"jump": JUMP, "mixed": MIXED}.get(name) or parse(name)
+        assert tuple(repr(optimal_constant_bounds(f, tol=tol)) for tol in (1e-10, 1e-9)) == reprs
+
 
 def _mp_sup_abs(f):
     """max |f| over [0, 1] in mpmath: the best of a 2001-point grid,
@@ -437,9 +469,10 @@ class TestBuild:
                  + s * mp.quad(lambda x: (1 - x) * exact_f(x), [s, 1]))
             assert lo.grid.values[i] <= u <= up.grid.values[i], (i, u)
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(oned, "MAX_SWEEPS", 1)
         with pytest.raises(CertificationError):
-            build_super(ONE, 2.0**-4, 0.0, max_iters=1)
+            build_super(ONE, 2.0**-4, 0.0)
 
     def test_zero_source_exact_zero_pair_quickly(self):
         t0 = time.perf_counter()
@@ -476,3 +509,15 @@ class TestSweep:
         )
         assert rows[0].c == 0.3 * 2.0**-8
         assert rows[0].eps == 0.5 * 2.0**-4
+
+    def test_rows_carry_the_certified_pair(self):
+        """Each row holds the builds at its c and eps, which by default are
+        those of build_super and build_sub with eps unset."""
+        h = 2.0**-4
+        (row,) = sweep(JUMP, [h])
+        assert row.c == oned.C_FACTOR * GreenEvaluator(JUMP).sup_abs_source() * h * h
+        for got, want in ((row.upper, build_super(JUMP, h, row.c)),
+                          (row.lower, build_sub(JUMP, h, row.c))):
+            assert got.eps == want.eps == row.eps
+            assert np.array_equal(got.grid.values, want.grid.values)
+        assert row.iterations == max(row.upper.iterations, row.lower.iterations)

@@ -19,6 +19,8 @@ from greenbound.geometry import Polygon
 from greenbound.interval import Interval
 from greenbound.twod import MfsConfig, enclose_point
 
+from conftest import overlaps
+
 
 ONE = parse("1")
 H = math.sqrt(3) / 2
@@ -79,14 +81,14 @@ def test_rigid_motions_and_relabelling_overlap(quad_bound, transform):
         vertices = QUAD[2:] + QUAD[:2]
     else:
         vertices = QUAD[::-1]
-    assert enclose(vertices, point).intersects(quad_bound)
+    assert overlaps(enclose(vertices, point), quad_bound)
 
 
 def test_scaling_by_L_scales_by_L_squared(quad_bound):
     L = 3.0
     scaled = enclose([[L * px, L * py] for px, py in QUAD],
                      (L * QUAD_POINT[0], L * QUAD_POINT[1]))
-    assert scaled.intersects(quad_bound * Interval.point(L * L))
+    assert overlaps(scaled, quad_bound * Interval.point(L * L))
 
 
 @pytest.mark.parametrize("vertices, point", [

@@ -12,7 +12,7 @@ from greenbound import interval as iv
 from greenbound import taylor
 from greenbound.errors import DomainError, UnsupportedError
 from greenbound.expr import parse
-from greenbound.interval import Box2, Interval, intersect
+from greenbound.interval import Interval
 from greenbound.taylor import (MAX_DEGREE, Boxes, TaylorModel2, _factorial, _series_and_remainder,
                               tm_compose_elem, tm_from_expr)
 
@@ -20,7 +20,18 @@ from conftest import assert_contains
 
 
 def box(u_hi=0.5, k_lo=0.0, k_hi=1.0):
-    return Box2(Interval(0.0, u_hi), Interval(k_lo, k_hi))
+    return Boxes(0.0, u_hi, k_lo, k_hi)
+
+
+def sides(b):
+    """The u and k sides of a batch of one box, as Intervals."""
+    return (Interval(float(b.ulo[0]), float(b.uhi[0])),
+            Interval(float(b.klo[0]), float(b.khi[0])))
+
+
+def var_u(b, degrees):
+    """The model of u on the boxes b."""
+    return TaylorModel2.affine(b, degrees, coef_u=Interval(1.0, 1.0))
 
 
 def range_of(tm):
@@ -33,8 +44,9 @@ def sample_ok(tm, fn, n=100, seed=0):
     """fn(u, k) must lie inside the model evaluation at (u, k)."""
     rng = random.Random(seed)
     for _ in range(n):
-        u = rng.uniform(tm.box.u.lo, tm.box.u.hi)
-        k = rng.uniform(tm.box.k.lo, tm.box.k.hi)
+        bu, bk = sides(tm.boxes)
+        u = rng.uniform(bu.lo, bu.hi)
+        k = rng.uniform(bk.lo, bk.hi)
         val = fn(u, k)
         enc = tm.eval(Interval.point(u), Interval.point(k))
         assert enc.lo <= val <= enc.hi, (u, k, val, enc)
@@ -93,25 +105,25 @@ class TestCompose:
         assert_contains(range_of(e), 1.0)
 
     def test_sin_of_u(self):
-        tm = tm_compose_elem("sin", TaylorModel2.variable_u(box(1.0), (8, 8)))
+        tm = tm_compose_elem("sin", var_u(box(1.0), (8, 8)))
         enc = tm.eval(Interval.point(0.3), Interval.point(0.5))
         assert_contains(enc, float(mp.sin(mp.mpf("0.3"))))
         # Lagrange remainder at order 8 over [0,1]: (1/2)^9/9! ~ 5e-9
         assert enc.width() < 1e-7
 
     def test_log_requires_positive_range(self):
-        tm = TaylorModel2.variable_u(box(1.0), (4, 4))
+        tm = var_u(box(1.0), (4, 4))
         with pytest.raises(DomainError):
             tm_compose_elem("log", tm)
 
     def test_order_above_the_series_tables_rejected(self):
-        tm = TaylorModel2.variable_u(box(1.0), (1, MAX_DEGREE + 1)) + 2.0
+        tm = var_u(box(1.0), (1, MAX_DEGREE + 1)) + 2.0
         with pytest.raises(DomainError, match="MAX_DEGREE"):
             tm_compose_elem("sqrt", tm)
 
     def test_sqrt(self):
         tm = tm_compose_elem(
-            "sqrt", TaylorModel2.variable_u(box(1.0), (8, 8)) + Interval(4.0, 4.0)
+            "sqrt", var_u(box(1.0), (8, 8)) + Interval(4.0, 4.0)
         )
         sample_ok(tm, lambda u, k: math.sqrt(4.0 + u))
 
@@ -159,12 +171,13 @@ _EXPRS = [
 def test_enclosure_property_grid(text, u_hi, k_lo, k_span):
     """Spec invariant: 30x30 sample grid lies inside every constructed model."""
     f = parse(text)
-    b = Box2(Interval(0.0, u_hi), Interval(k_lo, k_lo + k_span))
+    b = box(u_hi, k_lo, k_lo + k_span)
     tm = tm_from_expr(f, b, (8, 8))
+    bu, bk = sides(b)
     for i in range(30):
         for j in range(30):
-            u = b.u.lo + (b.u.hi - b.u.lo) * i / 29
-            k = b.k.lo + (b.k.hi - b.k.lo) * j / 29
+            u = bu.lo + (bu.hi - bu.lo) * i / 29
+            k = bk.lo + (bk.hi - bk.lo) * j / 29
             val = f.eval_point(u, k * u)
             enc = tm.eval(Interval.point(u), Interval.point(k))
             assert enc.lo <= val <= enc.hi
@@ -185,19 +198,21 @@ def test_degree_increase_keeps_enclosure_and_shrinks():
 # Independent oracles for the array core
 # ---------------------------------------------------------------------------
 
-GRAZING = Box2(Interval(0.0, 1e-3), Interval(-1e3, 1e3))
+GRAZING = box(1e-3, -1e3, 1e3)
 
 
 def _monomial_range_ref(b, i, j):
     """Scalar coupled-and-decoupled range of k^i u^j (the per-monomial form)."""
     if i == 0 and j == 0:
         return Interval(1.0, 1.0)
-    ku = b.k * b.u
+    bu, bk = sides(b)
+    ku = bk * bu
     if j >= i:
-        coupled = ku.pow_int(i) * b.u.pow_int(j - i)
+        coupled = ku.pow_int(i) * bu.pow_int(j - i)
     else:
-        coupled = ku.pow_int(j) * b.k.pow_int(i - j)
-    return intersect(coupled, b.k.pow_int(i) * b.u.pow_int(j))
+        coupled = ku.pow_int(j) * bk.pow_int(i - j)
+    apart = bk.pow_int(i) * bu.pow_int(j)
+    return Interval(max(coupled.lo, apart.lo), min(coupled.hi, apart.hi))
 
 
 def _point_model(rng, b, deg, top):
@@ -207,7 +222,7 @@ def _point_model(rng, b, deg, top):
         for j in range(top[1] + 1):
             if rng.random() < 0.8:
                 clo[i, j] = rng.uniform(-2.0, 2.0)
-    return TaylorModel2(clo[None], clo[None].copy(), Boxes.of(b))
+    return TaylorModel2(clo[None], clo[None].copy(), b)
 
 
 def _convolution_violations(seed, b, top):
@@ -241,12 +256,13 @@ def _grid_violations(b):
               (tm_compose_elem("cos", a * a), lambda u, y: mp.cos(
                   (mp.sin(u * y) + u - mp.mpf("0.3")) ** 2))]
     bad = 0
+    bu, bk = sides(b)
     with mp.workdps(30):
         for tm, fn in models:
             for p in range(30):
                 for q in range(30):
-                    u = b.u.lo + (b.u.hi - b.u.lo) * p / 29
-                    k = b.k.lo + (b.k.hi - b.k.lo) * q / 29
+                    u = bu.lo + (bu.hi - bu.lo) * p / 29
+                    k = bk.lo + (bk.hi - bk.lo) * q / 29
                     enc = tm.eval(Interval.point(u), Interval.point(k))
                     want = fn(mp.mpf(u), mp.mpf(k) * u)
                     bad += not (mp.mpf(enc.lo) <= want <= mp.mpf(enc.hi))
@@ -270,10 +286,10 @@ class TestArrayCore:
         assert over.mean() > 0.5
 
     @pytest.mark.parametrize("b", [box(0.5, -1.0, 1.0), GRAZING,
-                                   Box2(Interval(0.0, 0.25), Interval(0.0, 0.0))])
+                                   box(0.25, 0.0, 0.0)])
     def test_table_matches_scalar_ranges(self, b):
         i, j = (v.ravel() for v in np.indices((13, 13)))
-        lo, hi = Boxes.of(b).ranges(slice(None), i, j)
+        lo, hi = b.ranges(slice(None), i, j)
         for t in range(13 * 13):
             assert Interval(lo[0, t], hi[0, t]) == _monomial_range_ref(b, i[t], j[t])
 
@@ -286,7 +302,8 @@ class TestArrayCore:
             ref = ref + c * _monomial_range_ref(b, i, j)
         got = range_of(tm)
         assert got.width() <= ref.width()
-        for u, k in [(b.u.lo, b.k.lo), (b.u.hi, b.k.hi), (b.u.hi / 3, b.k.lo / 7)]:
+        bu, bk = sides(b)
+        for u, k in [(bu.lo, bk.lo), (bu.hi, bk.hi), (bu.hi / 3, bk.lo / 7)]:
             assert_contains(got, parse(text).eval_point(u, k * u))
 
     def test_outward_rounding_is_what_makes_products_contain(self):
@@ -470,7 +487,7 @@ def test_batch_rows_keep_their_members_error_factor():
     clo[0, 0, :] = [0.1, 0.2, -(0.1 + 0.2)]
     clo[1] = np.arange(1.0, 10.0).reshape(3, 3) / 7.0
     ones = np.ones((2, 1, 3))  # b = 1 + u + u^2: products by an exact 1
-    boxes = Boxes(*(np.full(2, v) for v in (b0.u.lo, b0.u.hi, b0.k.lo, b0.k.hi)))
+    boxes = Boxes(*(np.repeat(v, 2) for v in (b0.ulo, b0.uhi, b0.klo, b0.khi)))
     a, b = TaylorModel2(clo, clo.copy(), boxes), TaylorModel2(ones, ones.copy(), boxes)
     prod = a * b
     assert prod.clo[0, 0, 2] < prod.chi[0, 0, 2] < 0.0  # the cancelling cell

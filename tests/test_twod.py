@@ -27,7 +27,7 @@ from greenbound.twod import (
     shift_split,
 )
 
-from conftest import assert_contains
+from conftest import assert_contains, overlaps
 
 FAST_MFS = MfsConfig(n=33, tol=1e-8)
 SQUARE_CENTER_TRUTH = 0.07367135328151381  # eigenfunction double series
@@ -144,7 +144,7 @@ class TestEnclosePoint:
             centered_square, parse("1"), (0.0, 0.0),
             split=SignedSplit(parse("1"), parse("0")), mfs_cfg=FAST_MFS,
         )
-        assert direct.bound.intersects(via_split.bound)
+        assert overlaps(direct.bound, via_split.bound)
 
     @pytest.mark.parametrize("source, split, passes", [
         ("1", None, 1),
@@ -171,7 +171,7 @@ class TestEnclosePoint:
                                mfs_cfg=MfsConfig(n=33, tol=1e-9))
         fine = enclose_point(centered_square, parse("1"), (0.0, 0.0),
                              mfs_cfg=MfsConfig(n=69, tol=1e-9))
-        assert coarse.bound.intersects(fine.bound)
+        assert overlaps(coarse.bound, fine.bound)
         assert fine.width <= coarse.width
 
 
