@@ -450,6 +450,22 @@ class TestBuild:
         )
         assert got == digests
 
+    def test_c_zero_nodal_values_pinned(self):
+        """sha256 of repr(tuple(values)) of the c = 0 super and sub builds of
+        the 0.375/1.5 jump at h = 2^-5 and the default eps: their end
+        subintervals are decided by the factored forms u(s)/s and
+        u(s)/(1-s), which the c > 0 pins never reach."""
+        jump = PiecewiseSource1D((0.375,), (parse("1"), parse("1.5")))
+        up, lo = build_super(jump, 2.0**-5, 0.0), build_sub(jump, 2.0**-5, 0.0)
+        assert (up.iterations, lo.iterations) == (53, 1)
+        got = tuple(
+            hashlib.sha256(repr(tuple(float(v) for v in res.grid.values)).encode())
+            .hexdigest()
+            for res in (up, lo)
+        )
+        assert got == ("b9ab2adf1b531ec5a608816041ea9d2c9573f649ec831b41c860ea022a2eb560",
+                       "68187adae2ad7d00386a4e0e2c84fc797aed0161b9aabce75480e4816d5c923c")
+
     @pytest.mark.parametrize("text, exact_f", [
         ("exp(x)*sin(3*x)+2", lambda x: mp.exp(x) * mp.sin(3 * x) + 2),
         ("x*sin(3*x)+2", lambda x: x * mp.sin(3 * x) + 2),
