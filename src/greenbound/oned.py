@@ -23,15 +23,18 @@ u_f(s) = (1-s) A(s) + s B(s) then reduces it exactly to
 
 decided per subinterval by interval bisection with the mean-value form,
 whose derivative is sign * (slope - u_f'(s)).  A form takes u_f and u_f'
-over the subinterval from one evaluation of A and B there and u_f at its
-centre from one more, so it walks each cumulative polynomial twice; a
-walk is Horner's rule on float endpoints with the bits of the Interval
-loop (``_polyval``).  When c = 0 the condition degenerates at the
-boundary; the boundary subintervals are then decided through the exactly
-factored forms sign * (slope - u_f(s)/s) and sign * (-slope - u_f(s)/(1-s)),
-whose antiderivative factors divide out symbolically.  The sub-solution
-check decides the negated condition on the same evaluator of f (negation
-is exact), and the sub-solution is the negated super-solution build of -f.
+over the subinterval from one walk of A and of C there and u_f at its
+centre from one more, each walk Horner's rule per segment (``_polyval``).
+The whole form runs on float endpoint pairs with the bits of the
+Interval composition it replaces (``_add``, ``_mul``, ``_centred``),
+including the DomainError where an Interval step would be unbounded, and
+honours ``interval._outward_rounding``.  When c = 0 the condition
+degenerates at the boundary; the boundary subintervals are then decided
+through the exactly factored forms sign * (slope - u_f(s)/s) and
+sign * (-slope - u_f(s)/(1-s)), whose antiderivative factors divide out
+symbolically.  The sub-solution check decides the negated condition on
+the same evaluator of f (negation is exact), and the sub-solution is the
+negated super-solution build of -f.
 
 Drivers.  ``sweep`` builds the certified pair on each mesh of a list with
 the default rules for c and eps, and is the one path of ``enclose1d``.
@@ -52,7 +55,7 @@ from . import expr as _expr
 from . import interval as _iv
 from .errors import CertificationError, DomainError
 from .expr import PiecewiseSource1D, SourceExpr
-from .interval import BoxEvaluator, Interval, centred_form, hull, subdivide_min_max
+from .interval import BoxEvaluator, Interval, subdivide_min_max
 from .taylor import Boxes, TaylorModel2
 
 __all__ = [
@@ -151,17 +154,71 @@ def _descending(coeffs: list) -> tuple:
     return tuple([(c.lo, c.hi) for c in reversed(coeffs)])
 
 
-def _polyval(poly: tuple, t: Interval) -> Interval:
+def _bounded(lo: float, hi: float) -> tuple:
+    """(lo, hi), or the DomainError the Interval [lo, hi] raises: the check
+    the endpoint kernels make where a later step (a hull, an intersection,
+    an exact-zero rule, a comparison) could drop an infinity or a NaN."""
+    if -math.inf < lo <= hi < math.inf:
+        return lo, hi
+    raise DomainError(f"unbounded enclosure [{lo}, {hi}]")
+
+
+def _add(alo: float, ahi: float, blo: float, bhi: float) -> tuple:
+    """``Interval.__add__`` of [alo, ahi] and [blo, bhi] on endpoints, bit
+    for bit: the exact [0, 0] rules, then the TwoSum-nudged sum."""
+    if blo == 0.0 and bhi == 0.0:
+        return alo, ahi
+    if alo == 0.0 and ahi == 0.0:
+        return blo, bhi
+    return _iv._add_down(alo, blo), _iv._add_up(ahi, bhi)
+
+
+def _mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple:
+    """``Interval.__mul__`` of [alo, ahi] and [blo, bhi] on endpoints, bit
+    for bit (the order of the factors sets which of tied signed zeros
+    min and max keep)."""
+    if (alo == 0.0 and ahi == 0.0) or (blo == 0.0 and bhi == 0.0):
+        return 0.0, 0.0
+    if blo == 1.0 and bhi == 1.0:
+        return alo, ahi
+    if alo == 1.0 and ahi == 1.0:
+        return blo, bhi
+    p1, p2, p3, p4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    lo = _iv._next_down(min(p1, p2, p3, p4))
+    if (alo >= 0.0 and blo >= 0.0) or (ahi <= 0.0 and bhi <= 0.0):
+        lo = max(lo, 0.0)
+    return lo, _iv._next_up(max(p1, p2, p3, p4))
+
+
+def _clamp01(lo: float, hi: float) -> tuple:
+    """[lo, hi] clamped to [0, 1] (a point at 0 or 1 when it lies outside)."""
+    lo = min(max(lo, 0.0), 1.0)
+    return lo, min(max(hi, lo), 1.0)
+
+
+def _centred(val: tuple, centre: tuple, slope: tuple, slo: float, shi: float,
+             m: float) -> tuple:
+    """``interval.centred_form`` on endpoint pairs, bit for bit: val meets
+    centre + slope (s - m) over s = [slo, shi] (val alone should the two
+    not meet)."""
+    vlo, vhi = _bounded(*val)
+    clo, chi = _bounded(*centre)
+    dlo, dhi = _bounded(*slope)
+    clo, chi = _bounded(*_add(clo, chi, *_mul(dlo, dhi, *_add(slo, shi, -m, -m))))
+    lo, hi = max(vlo, clo), min(vhi, chi)
+    return (lo, hi) if lo <= hi else (vlo, vhi)
+
+
+def _polyval(poly: tuple, tlo: float, thi: float) -> tuple:
     """Horner's rule acc = acc * t + c from acc = [0, 0] over the
-    coefficients ``poly`` (see :func:`_descending`), on float endpoints and
-    bit for bit as on Intervals: each step repeats ``Interval.__mul__``
-    (the exact [0, 0] and [1, 1] rules, min/max in the same order, the
-    clamp of a product of one-signed factors at 0) and ``Interval.__add__``
-    (the exact [0, 0] rules, TwoSum nudges), nudging only under
-    ``interval._outward_rounding``, and raises DomainError where an
-    Interval of the loop would be unbounded."""
+    coefficients ``poly`` (see :func:`_descending`) for t = [tlo, thi], on
+    float endpoints and bit for bit as on Intervals: each step repeats
+    ``Interval.__mul__`` (the exact [0, 0] and [1, 1] rules, min/max in the
+    same order, the clamp of a product of one-signed factors at 0) and
+    ``Interval.__add__`` (the exact [0, 0] rules, TwoSum nudges), nudging
+    only under ``interval._outward_rounding``.  Returns the endpoints, and
+    raises DomainError where an Interval of the loop would be unbounded."""
     nudge = _iv._outward_rounding
-    tlo, thi = t.lo, t.hi
     t_zero = tlo == 0.0 and thi == 0.0
     t_one = tlo == 1.0 and thi == 1.0
     t_nonneg, t_nonpos = tlo >= 0.0, thi <= 0.0
@@ -195,9 +252,9 @@ def _polyval(poly: tuple, t: Interval) -> Interval:
                 if (phi - (ahi - bv)) + (chi - bv) > 0.0:
                     ahi = nextafter(ahi, inf)
     # t and the coefficients are finite, so an endpoint that overflows
-    # stays infinite or NaN through every later step, and the last
-    # Interval raises the DomainError an Interval step would have
-    return Interval(alo, ahi)
+    # stays infinite or NaN through every later step, and the last check
+    # raises the DomainError an Interval step would have
+    return _bounded(alo, ahi)
 
 
 def _models_on(expr: SourceExpr, consts: list, slope: float, widths: list) -> list:
@@ -235,35 +292,35 @@ class _Cumulative:
     """Rigorous evaluator of t -> integral_0^t g with per-segment
     antiderivative polynomials in local coordinates."""
 
-    bounds: tuple  # segment boundaries, len nseg+1, bounds[0] = 0.0
+    bounds: tuple  # segment boundaries, len nseg+1, bounds[0] = 0.0, bounds[-1] = 1.0
     polys: tuple  # per segment: antiderivative coefficients (_descending)
-    cums: tuple  # interval cumulative values at segment starts; [-1] = total
+    cums: tuple  # (lo, hi) cumulative values at segment starts; [-1] = total
 
-    def eval(self, s: Interval) -> Interval:
-        s = Interval(max(s.lo, 0.0), min(max(s.hi, 0.0), self.bounds[-1]))
-        out: Optional[Interval] = None
-        for k in range(len(self.polys)):
-            lo, hi = self.bounds[k], self.bounds[k + 1]
-            if s.hi < lo or s.lo > hi:
+    def walk(self, slo: float, shi: float) -> tuple:
+        """Endpoints of the enclosure of integral_0^s g over s = [slo, shi]
+        within [0, 1]: per segment [lo, hi] that s meets, the cumulative
+        value at lo plus Horner over t = (s within the segment) - lo,
+        clamped at 0, hulled over the segments; the bits of the Interval
+        composition.  The segments tile [0, 1], so s meets one."""
+        bounds, out = self.bounds, None
+        for k, poly in enumerate(self.polys):
+            lo, hi = bounds[k], bounds[k + 1]
+            if shi < lo:
+                break
+            if slo > hi:
                 continue
-            t = Interval(max(s.lo, lo), min(s.hi, hi)) - Interval.point(lo)
-            t = Interval(max(t.lo, 0.0), t.hi)
-            val = self.cums[k] + _polyval(self.polys[k], t)
-            out = val if out is None else hull(out, val)
-        if out is None:  # single point at a boundary
-            k = 0 if s.hi <= self.bounds[0] else len(self.polys) - 1
-            out = self.cums[k if s.hi <= self.bounds[0] else k + 1]
+            tlo, thi = _add(max(slo, lo), min(shi, hi), -lo, -lo)
+            val = _bounded(*_add(*self.cums[k], *_polyval(poly, max(tlo, 0.0), thi)))
+            out = val if out is None else (min(out[0], val[0]), max(out[1], val[1]))
         return out
 
-    def total(self) -> Interval:
-        return self.cums[-1]
-
-    def eval_over_t(self, s: Interval) -> Interval:
-        """(integral_0^s g)/s for s inside the first segment (exact factoring:
-        the antiderivative has no constant or linear offset)."""
-        if s.hi > self.bounds[1] or s.lo < 0.0:
+    def over_t(self, slo: float, shi: float) -> tuple:
+        """(integral_0^s g)/s for s = [slo, shi] inside the first segment
+        (exact factoring: the antiderivative has no constant or linear
+        offset)."""
+        if shi > self.bounds[1] or slo < 0.0:
             raise DomainError("factored evaluation outside the first segment")
-        return _polyval(self.polys[0][:-1], s)
+        return _polyval(self.polys[0][:-1], slo, shi)
 
 
 def _build_cumulatives(segments) -> tuple:
@@ -279,9 +336,10 @@ def _build_cumulatives(segments) -> tuple:
         for k, (wc, ws) in enumerate(((x0, one), (one - x0, -one))):
             anti = _descending(_weighted_antiderivative(coeffs, wc, ws))
             polys[k].append(anti)
-            cums[k].append(cums[k][-1] + _polyval(anti, w))
+            cums[k].append(cums[k][-1] + Interval(*_polyval(anti, w.lo, w.hi)))
     bounds = tuple([0.0] + [seg[1] for seg in segments])
-    return tuple([_Cumulative(bounds, tuple(p), tuple(c)) for p, c in zip(polys, cums)])
+    return tuple([_Cumulative(bounds, tuple(p), tuple([(v.lo, v.hi) for v in c]))
+                  for p, c in zip(polys, cums)])
 
 
 def _build_reversed_tail(segments) -> tuple:
@@ -301,7 +359,11 @@ class GreenEvaluator:
     """Shared rigorous evaluator for u(s), u'(s) and the factored boundary
     forms, built once per source term.  ``c`` is the boundary shift its
     values are checked against, which sets how finely smooth sources are
-    split (``_segment_models``)."""
+    split (``_segment_models``).
+
+    The kernel works on float endpoint pairs with the bits of the Interval
+    composition and raises the DomainError it would raise; the methods
+    that take and return Intervals wrap it."""
 
     def __init__(self, f: Source1D, c: float = 0.0):
         self.source = f
@@ -311,11 +373,43 @@ class GreenEvaluator:
         self._first_seg_hi = segments[0][1]
 
     # A(s) = int_0^s x f;  B(s) = int_s^1 (1-x) f = C(1) - C(s)
+    def _b(self, slo: float, shi: float) -> tuple:
+        clo, chi = self._C.walk(slo, shi)
+        return _add(*self._C.cums[-1], -chi, -clo)
+
+    def _u(self, slo: float, shi: float) -> tuple:
+        """u = (1-s) A + s B, A and B over s = [slo, shi] within [0, 1],
+        from one walk of A and one of C."""
+        a, b = self._A.walk(slo, shi), self._b(slo, shi)
+        return _add(*_mul(*_add(1.0, 1.0, -shi, -slo), *a), *_mul(slo, shi, *b)), a, b
+
+    def _mean_value_terms(self, slo: float, shi: float) -> tuple:
+        """(u over s, u' over s, the centre m, u at m) for s = [slo, shi]
+        within [0, 1]: the terms of the mean-value form of u, from one walk
+        of A and of C over s and one at m.  u' at m is not formed; it lies
+        in u' over s, so it is bounded wherever that is."""
+        m = min(max(0.5 * (slo + shi), slo), shi)  # Interval.mid
+        u, (alo, ahi), b = self._u(slo, shi)
+        return u, _add(*b, -ahi, -alo), m, self._u(m, m)[0]
+
+    def _u_over_s(self, slo: float, shi: float) -> tuple:
+        a_part = self._A.over_t(slo, shi)  # s lies in the first segment
+        return _add(*_mul(*_add(1.0, 1.0, -shi, -slo), *a_part), *self._b(slo, shi))
+
+    def _u_over_1ms(self, slo: float, shi: float) -> tuple:
+        tau_lo, tau_hi = _add(1.0, 1.0, -shi, -slo)
+        if tau_hi > self._tail_width or tau_lo < 0.0:
+            raise DomainError("factored evaluation outside the last segment")
+        b_over = _polyval(self._tail[:-1], tau_lo, tau_hi)
+        return _add(*self._A.walk(*_clamp01(slo, shi)), *_mul(slo, shi, *b_over))
+
     def A(self, s: Interval) -> Interval:
-        return self._A.eval(s)
+        """A(s), s clamped to [0, 1]."""
+        return Interval(*self._A.walk(*_clamp01(s.lo, s.hi)))
 
     def B(self, s: Interval) -> Interval:
-        return self._C.total() - self._C.eval(s)
+        """B(s), s clamped to [0, 1]."""
+        return Interval(*self._b(*_clamp01(s.lo, s.hi)))
 
     def u(self, s: Interval) -> Interval:
         return self.u_du(s)[0]
@@ -323,28 +417,21 @@ class GreenEvaluator:
     # du has no caller in the library; the name stays, where the benchmark
     # tracer wraps it
     def du(self, s: Interval) -> Interval:
-        return self.B(s) - self.A(s)
+        return self.u_du(s)[1]
 
     def u_du(self, s: Interval) -> tuple[Interval, Interval]:
         """u(s) and u'(s) = B(s) - A(s) from one evaluation of A and B at s
-        (clamped to [0, 1]): for s in [0, 1], the bits of du(s)."""
-        lo = min(max(s.lo, 0.0), 1.0)
-        s = Interval(lo, min(max(s.hi, lo), 1.0))
-        a, b = self.A(s), self.B(s)
-        return (Interval(1.0, 1.0) - s) * a + s * b, b - a
+        (clamped to [0, 1])."""
+        u, (alo, ahi), b = self._u(*_clamp01(s.lo, s.hi))
+        return Interval(*u), Interval(*_add(*b, -ahi, -alo))
 
     def u_over_s(self, s: Interval) -> Interval:
         """u(s)/s continued through s = 0; s must sit in the first segment."""
-        a_part = self._A.eval_over_t(s)
-        return (Interval(1.0, 1.0) - s) * a_part + self.B(s)
+        return Interval(*self._u_over_s(s.lo, s.hi))
 
     def u_over_1ms(self, s: Interval) -> Interval:
         """u(s)/(1-s) continued through s = 1 (within the last segment)."""
-        tau = Interval(1.0, 1.0) - s
-        if tau.hi > self._tail_width or tau.lo < 0.0:
-            raise DomainError("factored evaluation outside the last segment")
-        b_over = _polyval(self._tail[:-1], tau)
-        return self.A(s) + s * b_over
+        return Interval(*self._u_over_1ms(s.lo, s.hi))
 
     def sup_abs_source(self) -> float:
         """Rigorous upper bound of sup |f| over (0,1): the largest magnitude
@@ -368,8 +455,7 @@ def green_value(f: Source1D, s) -> Interval:
 
 class _RangeOfU(BoxEvaluator):
     """u over boxes of [0, 1] for the range search: the mean-value form of
-    each box from one ``u_du`` walk over it and ``u`` at its centre, as
-    ``_check`` forms it."""
+    each box from the kernel ``_check`` uses."""
 
     def __init__(self, ev: GreenEvaluator):
         self.ev = ev
@@ -377,12 +463,9 @@ class _RangeOfU(BoxEvaluator):
     def __call__(self, root, lo, hi):
         ends = []
         for a, b in zip(lo.tolist(), hi.tolist()):
-            s = Interval(a, b)
-            m = Interval.point(s.mid())
-            u_s, du_s = self.ev.u_du(s)
-            centre = self.ev.u(m)
-            for v in (centred_form(u_s, centre, du_s, s, m), centre, du_s):
-                ends += (v.lo, v.hi)
+            u, du, m, centre = self.ev._mean_value_terms(a, b)
+            for v in (_centred(u, centre, du, a, b, m), centre, du):
+                ends += v
         return tuple(np.array(ends).reshape(-1, 6).T)
 
 
@@ -434,15 +517,11 @@ class GridFunction1D:
         ) / dx
 
 
-def _check(
-    grid: GridFunction1D,
-    ev: GreenEvaluator,
-    i: int,
-    sign: float,
-) -> Verdict:
-    """Decide sign * (g(s) - u_f(s)) >= 0 on the i-th subinterval for the
-    interpolant g, whose nodes must end at 1 and whose end values must be
-    one value sign * c, c >= 0."""
+def _check_forms(grid: GridFunction1D, ev: GreenEvaluator, i: int, sign: float):
+    """``forms(a, b)``: the enclosures of sign * (g(s) - u_f(s)) over s in
+    [a, b], within the i-th subinterval, that ``_check`` tries in turn, as
+    lazily yielded endpoint pairs.  g is the interpolant, whose nodes must
+    end at 1 and whose end values must be one value sign * c, c >= 0."""
     last = grid.node(grid.n_intervals)
     if last != 1.0:
         raise DomainError(f"grid must end at node 1.0, not {last!r}")
@@ -455,14 +534,15 @@ def _check(
     lo = grid.node(i)
     hi = grid.node(i + 1)
     slope = grid.slope(i)
-    g_lo = Interval.point(float(grid.values[i]))
-    x_lo = Interval.point(lo)
+    klo, khi = slope.lo, slope.hi
+    g_lo = float(grid.values[i])
 
-    def signed(v: Interval) -> Interval:
-        return v if sign > 0 else -v  # exact; a product by -1 would nudge
+    def signed(v: tuple) -> tuple:
+        return v if sign > 0 else (-v[1], -v[0])  # exact; a product by -1 would nudge
 
-    def plain(s: Interval, u_s: Interval) -> Interval:  # given u_s = u_f(s)
-        return signed(g_lo + slope * (s - x_lo) - u_s)
+    def plain(slo: float, shi: float, u: tuple) -> tuple:  # given u = u_f(s)
+        g = _add(g_lo, g_lo, *_mul(klo, khi, *_add(slo, shi, -lo, -lo)))
+        return signed(_add(*g, -u[1], -u[0]))
 
     # at c = 0 the condition vanishes at the end node; there g = slope * s
     # (first subinterval) or g = -slope * (1-s) (last), so the condition
@@ -470,27 +550,41 @@ def _check(
     use_left = end == 0.0 and i == 0
     use_right = end == 0.0 and i == grid.n_intervals - 1
 
-    def forms(s: Interval):
-        # the mean-value form, with u_f and u_f' at s from one A/B evaluation
-        m = Interval.point(s.mid())
-        u_s, du_s = ev.u_du(s)
-        yield centred_form(plain(s, u_s), plain(m, ev.u(m)), signed(slope - du_s), s, m)
-        if use_left and s.lo == lo and s.hi <= ev._first_seg_hi:
-            yield signed(slope - ev.u_over_s(s))
-        if use_right and s.hi == hi and 1.0 - s.lo <= ev._tail_width:
-            yield signed(-slope - ev.u_over_1ms(s))
+    def forms(a: float, b: float):
+        # the mean-value form, whose derivative is sign * (slope - u_f')
+        u, du, m, u_m = ev._mean_value_terms(a, b)
+        yield _centred(plain(a, b, u), plain(m, m, u_m),
+                       signed(_add(klo, khi, -du[1], -du[0])), a, b, m)
+        if use_left and a == lo and b <= ev._first_seg_hi:
+            v = ev._u_over_s(a, b)
+            yield signed(_bounded(*_add(klo, khi, -v[1], -v[0])))
+        if use_right and b == hi and 1.0 - a <= ev._tail_width:
+            v = ev._u_over_1ms(a, b)
+            yield signed(_bounded(*_add(-khi, -klo, -v[1], -v[0])))
 
+    return forms
+
+
+def _check(
+    grid: GridFunction1D,
+    ev: GreenEvaluator,
+    i: int,
+    sign: float,
+) -> Verdict:
+    """Decide sign * (g(s) - u_f(s)) >= 0 on the i-th subinterval for the
+    interpolant g, by bisection until one of ``_check_forms`` decides."""
+    forms = _check_forms(grid, ev, i, sign)
     evals = 0
-    stack = [(lo, hi)]
+    stack = [(grid.node(i), grid.node(i + 1))]
     while stack:
         a, b = stack.pop()
         if evals >= CHECK_EVALS:
             return Verdict.UNDECIDED
         evals += 1
-        for val in forms(Interval(a, b)):  # until one decides
-            if val.hi < 0.0:
+        for vlo, vhi in forms(a, b):  # until one decides
+            if vhi < 0.0:
                 return Verdict.VIOLATED
-            if val.lo >= 0.0:
+            if vlo >= 0.0:
                 break
         else:
             mid = 0.5 * (a + b)
@@ -572,8 +666,10 @@ def _build(f: Source1D, h: float, c: float, eps: Optional[float],
     grid; the sub-solution is the negated super-solution of -f, checked
     against the evaluator of f."""
     n = _node_count(h)
-    if c < 0.0:
-        raise DomainError("boundary shift c must be nonnegative")
+    if not 0.0 <= c < math.inf:
+        raise DomainError(f"boundary shift c must be finite and nonnegative, got {c!r}")
+    if eps is not None and not 0.0 <= eps < math.inf:
+        raise DomainError(f"source increment eps must be finite and nonnegative, got {eps!r}")
     ev = GreenEvaluator(f, c)
     if eps is None:
         eps = EPS_FACTOR * h * ev.sup_abs_source()
@@ -618,7 +714,8 @@ def build_super(f: Source1D, h: float, c: float, eps: Optional[float] = None) ->
     MAX_SWEEPS sweeps.  All increments of a sweep are applied before the
     re-solve.  With eps = 0 a failed sweep would only repeat itself, so it
     raises at once; a source with sup |f| = 0 then gets the exact constant
-    super-solution c.
+    super-solution c.  A c or eps that is negative, infinite or NaN is a
+    DomainError.
     """
     return _build(f, h, c, eps, +1.0)
 
@@ -655,15 +752,16 @@ def sweep(
 ) -> list:
     """The certified super/sub pair on each mesh of a list, one SweepRow
     per mesh.  ``c_rule(h, sup_f)`` and ``eps_rule(h, sup_f)`` give c and
-    eps; the defaults are C_FACTOR sup_f h^2 and the eps of the builds.
+    eps; the defaults are C_FACTOR sup_f h^2 and EPS_FACTOR h sup_f, the
+    eps of the builds, with sup_f bounded once for all meshes.
     """
     supf = GreenEvaluator(f).sup_abs_source()
     rows = []
     for h in h_list:
         c = c_rule(h, supf) if c_rule else C_FACTOR * supf * h * h
-        eps = eps_rule(h, supf) if eps_rule else None
+        eps = eps_rule(h, supf) if eps_rule else EPS_FACTOR * h * supf
         upper = build_super(f, h, c, eps=eps)
-        rows.append(SweepRow(h, c, upper.eps, upper, build_sub(f, h, c, eps=eps)))
+        rows.append(SweepRow(h, c, eps, upper, build_sub(f, h, c, eps=eps)))
     return rows
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import time
@@ -14,7 +15,7 @@ from greenbound import expr as expr_module
 from greenbound import oned
 from greenbound.errors import CertificationError, DomainError
 from greenbound.expr import PiecewiseSource1D, parse
-from greenbound.interval import Interval, _set_outward_rounding
+from greenbound.interval import Interval, _set_outward_rounding, centred_form, hull
 from greenbound.oned import (
     GreenEvaluator,
     GridFunction1D,
@@ -149,12 +150,14 @@ def _interval_horner(coeffs, t):
 
 
 def _bits(fn, *args):
-    """The endpoint bits fn returns (-0.0 apart from 0.0), or "DomainError"."""
+    """The endpoint bits of the Interval or (lo, hi) pair fn returns (-0.0
+    apart from 0.0), or "DomainError"."""
     try:
         v = fn(*args)
     except DomainError:
         return "DomainError"
-    return v.lo.hex(), v.hi.hex()
+    lo, hi = (v.lo, v.hi) if isinstance(v, Interval) else v
+    return lo.hex(), hi.hex()
 
 
 _ENDS = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, -2.5, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -199,10 +202,242 @@ class TestPolyvalKernel:
         _set_outward_rounding(outward)
         try:
             want = _bits(_interval_horner, coeffs, t)
-            got = _bits(oned._polyval, oned._descending(coeffs), t)
+            got = _bits(oned._polyval, oned._descending(coeffs), t.lo, t.hi)
         finally:
             _set_outward_rounding(True)
         assert got == want
+
+
+# The Interval composition the check kernel replaced: GreenEvaluator's
+# A, B, u_du, u_over_s and u_over_1ms, _Cumulative.eval, _check's forms and
+# _RangeOfU's form, on the evaluator's data and the Interval Horner loop.
+
+
+def _ascending(poly):
+    return [Interval(lo, hi) for lo, hi in reversed(poly)]
+
+
+def _ref_eval(cum, s):
+    s = Interval(max(s.lo, 0.0), min(max(s.hi, 0.0), cum.bounds[-1]))
+    out = None
+    for k in range(len(cum.polys)):
+        lo, hi = cum.bounds[k], cum.bounds[k + 1]
+        if s.hi < lo or s.lo > hi:
+            continue
+        t = Interval(max(s.lo, lo), min(s.hi, hi)) - Interval.point(lo)
+        t = Interval(max(t.lo, 0.0), t.hi)
+        val = Interval(*cum.cums[k]) + _interval_horner(_ascending(cum.polys[k]), t)
+        out = val if out is None else hull(out, val)
+    assert out is not None
+    return out
+
+
+class _RefEvaluator:
+    def __init__(self, ev):
+        self.ev = ev
+
+    def A(self, s):
+        return _ref_eval(self.ev._A, s)
+
+    def B(self, s):
+        return Interval(*self.ev._C.cums[-1]) - _ref_eval(self.ev._C, s)
+
+    def u(self, s):
+        return self.u_du(s)[0]
+
+    def du(self, s):
+        return self.B(s) - self.A(s)
+
+    def u_du(self, s):
+        lo = min(max(s.lo, 0.0), 1.0)
+        s = Interval(lo, min(max(s.hi, lo), 1.0))
+        a, b = self.A(s), self.B(s)
+        return (Interval(1.0, 1.0) - s) * a + s * b, b - a
+
+    def u_over_s(self, s):
+        if s.hi > self.ev._A.bounds[1] or s.lo < 0.0:
+            raise DomainError("factored evaluation outside the first segment")
+        a_part = _interval_horner(_ascending(self.ev._A.polys[0][:-1]), s)
+        return (Interval(1.0, 1.0) - s) * a_part + self.B(s)
+
+    def u_over_1ms(self, s):
+        tau = Interval(1.0, 1.0) - s
+        if tau.hi > self.ev._tail_width or tau.lo < 0.0:
+            raise DomainError("factored evaluation outside the last segment")
+        b_over = _interval_horner(_ascending(self.ev._tail[:-1]), tau)
+        return self.A(s) + s * b_over
+
+
+def _ref_forms(grid, ev, i, sign):
+    ref = _RefEvaluator(ev)
+    end = float(grid.values[0])
+    lo = grid.node(i)
+    hi = grid.node(i + 1)
+    slope = grid.slope(i)
+    g_lo = Interval.point(float(grid.values[i]))
+    x_lo = Interval.point(lo)
+
+    def signed(v):
+        return v if sign > 0 else -v
+
+    def plain(s, u_s):
+        return signed(g_lo + slope * (s - x_lo) - u_s)
+
+    use_left = end == 0.0 and i == 0
+    use_right = end == 0.0 and i == grid.n_intervals - 1
+
+    def forms(s):
+        m = Interval.point(s.mid())
+        u_s, du_s = ref.u_du(s)
+        yield centred_form(plain(s, u_s), plain(m, ref.u(m)), signed(slope - du_s), s, m)
+        if use_left and s.lo == lo and s.hi <= ev._first_seg_hi:
+            yield signed(slope - ref.u_over_s(s))
+        if use_right and s.hi == hi and 1.0 - s.lo <= ev._tail_width:
+            yield signed(-slope - ref.u_over_1ms(s))
+
+    return forms
+
+
+def _ref_range(ev, a, b):
+    ref = _RefEvaluator(ev)
+    s = Interval(a, b)
+    m = Interval.point(s.mid())
+    u_s, du_s = ref.u_du(s)
+    centre = ref.u(m)
+    return (centred_form(u_s, centre, du_s, s, m), centre, du_s)
+
+
+# (source, c of its evaluator): breakpoints on and off the nodes of h = 1/8,
+# smooth sources in one and in several segments, and a constant so close to
+# the float maximum that u over [0, 1] overflows
+_SOURCES = [
+    (ONE, 0.0),
+    (JUMP, 1e-3),
+    (MIXED, 0.0),
+    (PiecewiseSource1D((0.3, 0.5, 0.7), tuple(map(parse, ("1", "-2*x", "x^2", "3")))), 0.0),
+    (parse("2+sin(3*x)"), 1e-8),
+    (parse("exp(x)*sin(3*x)+2"), 7.4e-4),
+    (parse("1.797693134862315e308"), 0.0),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _evaluator(k):
+    return GreenEvaluator(*_SOURCES[k])
+
+
+def _all_bits(make):
+    """The endpoint bits of every enclosure make() yields, then
+    "DomainError" should one raise."""
+    out = []
+    try:
+        for v in make():
+            out.append(_bits(lambda: v))
+    except DomainError:
+        out.append("DomainError")
+    return out
+
+
+def _subinterval(data, ev, lo, hi):
+    """[a, b] within [lo, hi]: ends at the nodes (0 also as -0.0), the
+    centre, the segment bounds inside (so it may touch or straddle a
+    breakpoint) or anywhere; a point when the two ends agree."""
+    cuts = [x for x in ev._A.bounds if lo <= x <= hi]
+    inside = [x for x in cuts if lo < x < hi]
+    if inside and data.draw(st.booleans()):
+        x = data.draw(st.sampled_from(inside))
+        return data.draw(st.floats(lo, x)), data.draw(st.floats(x, hi))
+    zero = [-0.0] if lo == 0.0 else []  # the Interval code keeps its sign
+    ends = st.one_of(st.sampled_from([lo, hi, 0.5 * (lo + hi), *cuts, *zero]),
+                     st.floats(lo, hi))
+    a, b = data.draw(ends), data.draw(ends)
+    return min(a, b), max(a, b)
+
+
+_GRID_VALUES = st.one_of(st.floats(-0.5, 0.5), st.sampled_from(
+    [0.0, 1e-3, -1e-3, 0.125, 1e300, -1e300, 1.7e308, -1.7e308]))
+
+
+def _forms_bits(k, n, sign, end, inner, i, a, b, outward):
+    """(kernel, reference) bits of the check forms of source k over [a, b]
+    in the i-th subinterval of the grid [end, *inner, end] with h = 1/n."""
+    ev = _evaluator(k)
+    grid = GridFunction1D(1.0 / n, np.array([end, *inner, end]))
+    _set_outward_rounding(outward)
+    try:
+        return (_all_bits(lambda: oned._check_forms(grid, ev, i, sign)(a, b)),
+                _all_bits(lambda: _ref_forms(grid, ev, i, sign)(Interval(a, b))))
+    finally:
+        _set_outward_rounding(True)
+
+
+def _range_bits(k, a, b, outward):
+    """(kernel, reference) bits of the range-search form over [a, b] and of
+    the Interval methods of GreenEvaluator at [a, b]."""
+    ev, s = _evaluator(k), Interval(a, b)
+    ref = _RefEvaluator(ev)
+    _set_outward_rounding(outward)
+    try:
+        got = _all_bits(lambda: [(float(lo), float(hi)) for lo, hi in np.reshape(
+            oned._RangeOfU(ev)(np.zeros(1), np.array([a]), np.array([b])), (3, 2))])
+        want = _all_bits(lambda: _ref_range(ev, a, b))
+        for name in ("A", "B", "u", "du", "u_over_s", "u_over_1ms"):
+            got.append(_bits(getattr(ev, name), s))
+            want.append(_bits(getattr(ref, name), s))
+        return got, want
+    finally:
+        _set_outward_rounding(True)
+
+
+class TestCheckKernel:
+    """The float-endpoint kernel of the check and the range search against
+    the Interval composition it replaced, bit for bit, DomainErrors
+    included, with outward rounding on and off."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_check_forms_match_the_interval_composition(self, data):
+        k = data.draw(st.integers(0, len(_SOURCES) - 1))
+        n = data.draw(st.sampled_from([2, 3, 4, 5, 8]))
+        sign = data.draw(st.sampled_from([1.0, -1.0]))
+        end = sign * data.draw(st.sampled_from([0.0, 1e-3]))
+        inner = data.draw(st.lists(_GRID_VALUES, min_size=n - 1, max_size=n - 1))
+        i = data.draw(st.sampled_from([0, n - 1, *range(n)]))
+        h = 1.0 / n  # the nodes of GridFunction1D: i h
+        a, b = _subinterval(data, _evaluator(k), i * h, (i + 1) * h)
+        got, want = _forms_bits(k, n, sign, end, inner, i, a, b, data.draw(st.booleans()))
+        assert got == want
+
+    @pytest.mark.parametrize("args, outcome", [
+        # g - u overflows: g near minus the float maximum, u near +1e307
+        ((6, 2, 1.0, 0.0, [-1.7e308], 0, 0.0, 0.5, True), "DomainError"),
+        # c = 0: u(s)/s on the first subinterval, u(s)/(1-s) on the last
+        ((1, 4, 1.0, 0.0, [0.01, 0.02, 0.01], 0, 0.0, 0.25, True), 2),
+        ((3, 4, -1.0, 0.0, [-0.01, -0.02, -0.01], 3, 0.8, 1.0, False), 2),
+        # straddling and touching a breakpoint, and a point on one
+        ((3, 5, 1.0, 1e-3, [0.1, 0.2, 0.2, 0.1], 1, 0.25, 0.35, True), 1),
+        ((1, 2, -1.0, -1e-3, [-0.1], 0, 0.25, 0.5, False), 1),
+        ((1, 2, 1.0, 1e-3, [0.1], 0, 0.25, 0.25, True), 1),
+    ])
+    def test_check_forms_cases(self, args, outcome):
+        got, want = _forms_bits(*args)
+        assert got == want
+        assert got[-1] == outcome if outcome == "DomainError" else len(got) == outcome
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_range_form_and_wrappers_match_the_interval_composition(self, data):
+        k = data.draw(st.integers(0, len(_SOURCES) - 1))
+        a, b = _subinterval(data, _evaluator(k), 0.0, 1.0)
+        got, want = _range_bits(k, a, b, data.draw(st.booleans()))
+        assert got == want
+
+    @pytest.mark.parametrize("k, a, b", [(6, 0.0, 1.0), (1, 0.25, 0.25), (3, 0.0, 0.3)])
+    @pytest.mark.parametrize("outward", [True, False])
+    def test_range_form_and_wrappers_cases(self, k, a, b, outward):
+        got, want = _range_bits(k, a, b, outward)
+        assert got == want
+        assert (got[0] == "DomainError") == (k == 6)
 
 
 class TestCheckWork:
@@ -213,12 +448,12 @@ class TestCheckWork:
         ev = GreenEvaluator(ONE, 1.0)
         assert len(ev._A.polys) == 1
         walks = []
-        real = oned._Cumulative.eval
-        monkeypatch.setattr(oned._Cumulative, "eval",
-                            lambda self, s: walks.append(s) or real(self, s))
+        real = oned._Cumulative.walk
+        monkeypatch.setattr(oned._Cumulative, "walk",
+                            lambda self, lo, hi: walks.append((lo, hi)) or real(self, lo, hi))
         grid = GridFunction1D(0.5, np.full(3, 1.0))  # far above u_f <= 1/8
         assert check_super(grid, ONE, 0, evaluator=ev) is Verdict.HOLDS
-        assert walks == [Interval(0.0, 0.5)] * 2 + [Interval(0.25, 0.25)] * 2
+        assert walks == [(0.0, 0.5)] * 2 + [(0.25, 0.25)] * 2
 
 
 class TestOptimalConstants:
@@ -507,6 +742,21 @@ class TestBuild:
         assert time.perf_counter() - t0 < 5.0
 
 
+    @pytest.mark.parametrize("build", [build_super, build_sub])
+    @pytest.mark.parametrize("c, eps", [
+        (1e-6, -0.01), (1e-6, math.nan), (1e-6, math.inf), (1e-6, -math.inf),
+        (math.nan, None), (math.inf, None),
+    ], ids=["eps-negative", "eps-nan", "eps-inf", "eps-minus-inf", "c-nan", "c-inf"])
+    def test_invalid_c_or_eps_is_domain_error_at_once(self, build, c, eps):
+        """Such a c or eps is rejected before any sweep: a negative eps
+        would lower the grid each sweep and run all MAX_SWEEPS."""
+        jump = PiecewiseSource1D((0.375,), (parse("1"), parse("1.5")))
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="must be finite and nonnegative"):
+            build(jump, 2.0**-5, c, eps=eps)
+        assert time.perf_counter() - t0 < 1.0
+
+
 class TestSweep:
     def test_gap_monotone_f1(self):
         rows = sweep(ONE, [2.0**-4, 2.0**-5, 2.0**-6])
@@ -537,3 +787,12 @@ class TestSweep:
             assert got.eps == want.eps == row.eps
             assert np.array_equal(got.grid.values, want.grid.values)
         assert row.iterations == max(row.upper.iterations, row.lower.iterations)
+
+    def test_sup_bound_once(self, monkeypatch):
+        """sup |f| is bounded once per sweep, not again in each build."""
+        calls = []
+        real = GreenEvaluator.sup_abs_source
+        monkeypatch.setattr(GreenEvaluator, "sup_abs_source",
+                            lambda self: calls.append(self) or real(self))
+        sweep(JUMP, [2.0**-3, 2.0**-4])
+        assert len(calls) == 1
