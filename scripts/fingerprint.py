@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fingerprint the outputs of one benchmark round per seed.
 
-For every seed in the range, runs one round of a perfbench workload
+For every seed of the list, runs one round of a perfbench workload
 (``perfbench/workloads.py``, imported and never modified) on this
 checkout's ``src/greenbound`` and prints one sha256 of the reprs of
 ``OpResult.output()`` over all ops of the round, and of each 2D op's
@@ -11,7 +11,7 @@ hashes agree produce bit-identical bounds and nodal values, so every
 width metric of the benchmark agrees too, and their boundary searches
 did the same work.
 
-Usage: python3 scripts/fingerprint.py --workload poly-const --seeds 0-3
+Usage: python3 scripts/fingerprint.py --workload interval-1d --seeds 0-1,4,8
 
 ``--save FILE`` also writes the hashes to FILE (JSON, keyed by workload
 and seed); ``--check FILE`` compares them with the hashes FILE holds for
@@ -36,10 +36,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 
-def seed_range(text: str) -> range:
-    """'A-B' (inclusive) or a single seed 'A'."""
-    a, _, b = text.partition("-")
-    return range(int(a), int(b or a) + 1)
+def seed_list(text: str) -> list:
+    """A comma list of inclusive ranges 'A-B' and single seeds 'A', such
+    as '0-1,4,8'."""
+    seeds = []
+    for part in text.split(","):
+        a, _, b = part.partition("-")
+        seeds.extend(range(int(a), int(b or a) + 1))
+    return seeds
 
 
 # EnclosureResult.diagnostics of a 2D op that the hash covers
@@ -61,8 +65,9 @@ def fingerprint(gb, workload: str, seed: int) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
-    ap.add_argument("--seeds", type=seed_range, default=range(1),
-                    help="inclusive seed range A-B, or one seed (default 0)")
+    ap.add_argument("--seeds", type=seed_list, default=[0],
+                    help="comma list of inclusive ranges A-B and seeds, such as "
+                         "0-1,4,8 (default 0)")
     ap.add_argument("--save", metavar="FILE", type=Path,
                     help="also write the hashes to FILE, merged with those it holds")
     ap.add_argument("--check", metavar="FILE", type=Path,

@@ -36,12 +36,10 @@ __all__ = [
     "PI",
     "TWO_PI",
     "HALF_PI",
-    "hull",
     "subdivide_min_max",
     "lockstep_min_max",
     "MinMaxResult",
     "BoxEvaluator",
-    "centred_form",
     "rational",
 ]
 
@@ -352,10 +350,6 @@ def _crit_in(x: Interval, base: Interval) -> bool:
     return False
 
 
-def hull(a: Interval, b: Interval) -> Interval:
-    return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
-
-
 # ---------------------------------------------------------------------------
 # Rigorous range bounding over an interval domain
 # ---------------------------------------------------------------------------
@@ -387,19 +381,6 @@ class BoxEvaluator:
 
     def __call__(self, root, lo, hi):
         raise NotImplementedError
-
-
-def centred_form(val: Interval, centre: Interval, slope: Interval, s: Interval,
-                 m: Interval) -> Interval:
-    """val, an enclosure of g over s, intersected with the centred form
-    centre + slope (s - m) from enclosures of g(m) and of g' over s (val
-    alone should the two not meet).  This is the mean-value form when
-    slope encloses g' over s and m is a point of s; it kills the
-    first-order dependency overestimate of g(s) (Neumaier, *Interval
-    Methods for Systems of Equations*, 1990)."""
-    centred = centre + slope * (s - m)
-    lo, hi = max(val.lo, centred.lo), min(val.hi, centred.hi)
-    return Interval(lo, hi) if lo <= hi else val
 
 
 def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

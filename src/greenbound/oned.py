@@ -25,6 +25,9 @@ decided per subinterval by interval bisection with the mean-value form,
 whose derivative is sign * (slope - u_f'(s)).  A form takes u_f and u_f'
 over the subinterval from one walk of A and of C there and u_f at its
 centre from one more, each walk Horner's rule per segment (``_polyval``).
+Horner's argument t is never negative, so each step forms only the two
+endpoint products that the signs of the accumulator's ends pick, where
+the general interval product forms four and takes their min and max.
 The whole form runs on float endpoint pairs with the bits of the
 Interval composition it replaces (``_add``, ``_mul``, ``_centred``),
 including the DomainError where an Interval step would be unbounded, and
@@ -198,9 +201,10 @@ def _clamp01(lo: float, hi: float) -> tuple:
 
 def _centred(val: tuple, centre: tuple, slope: tuple, slo: float, shi: float,
              m: float) -> tuple:
-    """``interval.centred_form`` on endpoint pairs, bit for bit: val meets
-    centre + slope (s - m) over s = [slo, shi] (val alone should the two
-    not meet)."""
+    """The centred form on endpoint pairs, with the bits of its Interval
+    composition: val, an enclosure of g over s = [slo, shi], meets
+    centre + slope (s - m) (val alone should the two not meet); the
+    mean-value form when slope encloses g' over s and m lies in s."""
     vlo, vhi = _bounded(*val)
     clo, chi = _bounded(*centre)
     dlo, dhi = _bounded(*slope)
@@ -211,17 +215,23 @@ def _centred(val: tuple, centre: tuple, slope: tuple, slo: float, shi: float,
 
 def _polyval(poly: tuple, tlo: float, thi: float) -> tuple:
     """Horner's rule acc = acc * t + c from acc = [0, 0] over the
-    coefficients ``poly`` (see :func:`_descending`) for t = [tlo, thi], on
-    float endpoints and bit for bit as on Intervals: each step repeats
-    ``Interval.__mul__`` (the exact [0, 0] and [1, 1] rules, min/max in the
-    same order, the clamp of a product of one-signed factors at 0) and
+    coefficients ``poly`` (see :func:`_descending`) for t = [tlo, thi] with
+    0 <= tlo <= thi, on float endpoints and bit for bit as on Intervals:
+    each step repeats ``Interval.__mul__`` (the exact [0, 0] and [1, 1]
+    rules, the clamp of a product of one-signed factors at 0) and
     ``Interval.__add__`` (the exact [0, 0] rules, TwoSum nudges), nudging
-    only under ``interval._outward_rounding``.  Returns the endpoints, and
-    raises DomainError where an Interval of the loop would be unbounded."""
+    only under ``interval._outward_rounding``.  As t >= 0, the sign of each
+    end of acc picks the one of the four endpoint products that min or max
+    would return (Moore, Kearfott and Cloud, Introduction to Interval
+    Analysis, 2009, sec. 2.3): acc >= 0 gives [alo tlo, ahi thi], acc <= 0
+    [alo thi, ahi tlo], and acc straddling 0 [alo thi, ahi thi].  Returns
+    the endpoints, and raises DomainError where an Interval of the loop
+    would be unbounded, or for t not within [0, inf)."""
+    if not 0.0 <= tlo <= thi:
+        raise DomainError(f"Horner kernel needs 0 <= t, got [{tlo}, {thi}]")
     nudge = _iv._outward_rounding
     t_zero = tlo == 0.0 and thi == 0.0
     t_one = tlo == 1.0 and thi == 1.0
-    t_nonneg, t_nonpos = tlo >= 0.0, thi <= 0.0
     nextafter, inf = math.nextafter, math.inf
     alo = ahi = 0.0
     for clo, chi in poly:
@@ -232,12 +242,17 @@ def _polyval(poly: tuple, tlo: float, thi: float) -> tuple:
         elif alo == 1.0 and ahi == 1.0:
             plo, phi = tlo, thi
         else:
-            p1, p2, p3, p4 = alo * tlo, alo * thi, ahi * tlo, ahi * thi
-            plo, phi = min(p1, p2, p3, p4), max(p1, p2, p3, p4)
+            # min and max keep the first of tied values, and alo * tlo is the
+            # first of the four products: where a picked product is a zero,
+            # alo * tlo may be a zero too, and is then what min or max keeps
+            plo = alo * (tlo if alo >= 0.0 else thi) or alo * tlo
+            phi = ahi * (thi if ahi > 0.0 else tlo)
+            if not phi and alo * tlo >= phi:
+                phi = alo * tlo
             if nudge:
                 plo, phi = nextafter(plo, -inf), nextafter(phi, inf)
-            if (alo >= 0.0 and t_nonneg) or (ahi <= 0.0 and t_nonpos):
-                plo = max(plo, 0.0)
+            if plo < 0.0 <= alo:  # max(plo, 0.0): the clamp of acc >= 0 times t
+                plo = 0.0
         if clo == 0.0 and chi == 0.0:
             alo, ahi = plo, phi
         elif plo == 0.0 and phi == 0.0:
@@ -317,8 +332,8 @@ class _Cumulative:
     def over_t(self, slo: float, shi: float) -> tuple:
         """(integral_0^s g)/s for s = [slo, shi] inside the first segment
         (exact factoring: the antiderivative has no constant or linear
-        offset)."""
-        if shi > self.bounds[1] or slo < 0.0:
+        offset); _polyval raises for s below 0."""
+        if shi > self.bounds[1]:
             raise DomainError("factored evaluation outside the first segment")
         return _polyval(self.polys[0][:-1], slo, shi)
 
@@ -398,7 +413,7 @@ class GreenEvaluator:
 
     def _u_over_1ms(self, slo: float, shi: float) -> tuple:
         tau_lo, tau_hi = _add(1.0, 1.0, -shi, -slo)
-        if tau_hi > self._tail_width or tau_lo < 0.0:
+        if tau_hi > self._tail_width:  # _polyval raises for tau below 0
             raise DomainError("factored evaluation outside the last segment")
         b_over = _polyval(self._tail[:-1], tau_lo, tau_hi)
         return _add(*self._A.walk(*_clamp01(slo, shi)), *_mul(slo, shi, *b_over))

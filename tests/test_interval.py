@@ -17,14 +17,12 @@ from greenbound.interval import (
     Interval,
     _set_outward_rounding,
     _midpoints,
-    centred_form,
-    hull,
     lockstep_min_max,
     rational,
     subdivide_min_max,
 )
 
-from conftest import assert_contains
+from conftest import assert_contains, centred_form
 
 
 class TestArith:
@@ -484,11 +482,6 @@ def test_rational_memo_follows_outward_rounding():
     finally:
         _set_outward_rounding(True)
     assert rational(1, 3)[0] < rational(1, 3)[1]
-
-
-def test_hull():
-    a, b = Interval(0, 2), Interval(1, 3)
-    assert hull(a, b) == Interval(0, 3)
 
 
 class TestSignedProducts:

@@ -15,7 +15,7 @@ from greenbound import expr as expr_module
 from greenbound import oned
 from greenbound.errors import CertificationError, DomainError
 from greenbound.expr import PiecewiseSource1D, parse
-from greenbound.interval import Interval, _set_outward_rounding, centred_form, hull
+from greenbound.interval import Interval, _set_outward_rounding
 from greenbound.oned import (
     GreenEvaluator,
     GridFunction1D,
@@ -31,7 +31,7 @@ from greenbound.oned import (
 )
 from greenbound.taylor import TaylorModel2
 
-from conftest import assert_contains
+from conftest import assert_contains, centred_form
 
 ONE = parse("1")
 FIVE = parse("5")
@@ -177,23 +177,59 @@ _MIXED = [_ONE_IV, Interval(-0.5, 0.75), _ZERO, Interval(0.25, 2.0), Interval(-3
           Interval(5e-324, 1e-310), Interval(-0.0, 0.0), Interval(-1e-320, 5e-324), _ONE_IV]
 
 
+# Horner's argument t: the kernel's domain is t >= 0, -0.0 included (walk's
+# max(tlo, 0.0) passes it through)
+_T_ENDS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-160, 1e-170, 0.5, 1.0, 3.0,
+           1e10, 1e300]
+
+
+@st.composite
+def _t_intervals(draw):
+    ends = st.one_of(st.sampled_from(_T_ENDS), st.floats(0.0, 4.0))
+    a, b = draw(ends), draw(ends)
+    return Interval(min(a, b), max(a, b))
+
+
+def _times(acc):
+    """Coefficients c_0 = [0, 0] and c_1 = acc: Horner's second step
+    multiplies acc by t and adds nothing, so the kernel returns that
+    product."""
+    return [_ZERO, acc]
+
+
 class TestPolyvalKernel:
     """``oned._polyval`` (float endpoints) against the Interval Horner loop."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.one_of(st.just(_ZERO), st.just(_ONE_IV), _intervals()), max_size=16),
-           _intervals(), st.booleans())
+           _t_intervals(), st.booleans())
     @example(_MIXED, _ZERO, True)
     @example(_MIXED, _ONE_IV, True)
     @example(_MIXED, Interval(0.0, 0.125), True)
-    @example(_MIXED, Interval(-0.75, -0.25), True)
-    @example(_MIXED, Interval(-0.5, 0.25), True)
     @example(_MIXED, Interval(5e-324, 1e-300), False)
     @example(_MIXED, Interval(-0.0, 1e-300), False)
-    @example(_MIXED, Interval(-0.5, 0.25), False)
+    # each sign of the accumulator, and accumulators with one zero end
+    @example(_times(Interval(0.25, 2.0)), Interval(0.5, 3.0), True)
+    @example(_times(Interval(-3.0, -1.0)), Interval(0.5, 3.0), True)
+    @example(_times(Interval(-0.5, 0.75)), Interval(0.5, 3.0), True)
+    @example(_times(Interval(-0.0, 1.0)), Interval(0.5, 3.0), False)
+    @example(_times(Interval(0.0, 1.0)), Interval(-0.0, 3.0), False)
+    @example(_times(Interval(-1.0, -0.0)), Interval(0.5, 3.0), False)
+    @example(_times(Interval(-1.0, 0.0)), Interval(0.0, 3.0), False)
+    @example(_times(Interval(-1.0, 0.0)), Interval(-0.0, 3.0), False)
     # un-nudged products that tie at 0.0 and -0.0: min and max keep the first
     @example([Interval(-0.0, 0.0), Interval(-0.0, 1.0)], Interval(0.0, 1.0), False)
     @example([Interval(-0.0, 0.0), Interval(-1.0, 0.0)], Interval(0.0, 1.0), False)
+    # products that underflow to +-0, un-nudged and nudged
+    @example(_times(Interval(1e-200, 1e-170)), Interval(-0.0, 1e-160), False)
+    @example(_times(Interval(1e-200, 1e-170)), Interval(-0.0, 1e-160), True)
+    @example(_times(Interval(5e-324, 1e-170)), Interval(1e-170, 1e-160), False)
+    @example(_times(Interval(-1e-170, -0.0)), Interval(1e-170, 1e-160), False)
+    @example(_times(Interval(-1e-170, 0.0)), Interval(1e-200, 1.0), False)
+    @example(_times(Interval(-1e-170, -1e-200)), Interval(1e-170, 1e-160), True)
+    @example(_times(Interval(-1e-170, 1e-170)), Interval(-0.0, 1e-160), False)
+    @example(_times(Interval(-1e-170, 1e-170)), Interval(1e-170, 1e-160), False)
+    @example(_times(Interval(-1e-170, 1e-170)), Interval(-0.0, 1e-160), True)
     @example([Interval(-2.0, 1e300)] * 3, Interval(1e10, 1e10), True)  # product overflows
     @example([Interval(1e308, 1.7e308)] * 2, _ONE_IV, True)  # sum overflows
     @example([Interval(1e308, 1.7e308)] * 2, _ONE_IV, False)
@@ -206,6 +242,12 @@ class TestPolyvalKernel:
         finally:
             _set_outward_rounding(True)
         assert got == want
+
+    @pytest.mark.parametrize("tlo, thi", [(-0.5, 1.0), (-5e-324, 0.0), (-1.0, -0.5),
+                                          (math.nan, 1.0), (0.0, math.nan), (1.0, 0.5)])
+    def test_t_off_the_domain_raises(self, tlo, thi):
+        with pytest.raises(DomainError):
+            oned._polyval(oned._descending(_MIXED), tlo, thi)
 
 
 # The Interval composition the check kernel replaced: GreenEvaluator's
@@ -227,7 +269,7 @@ def _ref_eval(cum, s):
         t = Interval(max(s.lo, lo), min(s.hi, hi)) - Interval.point(lo)
         t = Interval(max(t.lo, 0.0), t.hi)
         val = Interval(*cum.cums[k]) + _interval_horner(_ascending(cum.polys[k]), t)
-        out = val if out is None else hull(out, val)
+        out = val if out is None else Interval(min(out.lo, val.lo), max(out.hi, val.hi))
     assert out is not None
     return out
 
