@@ -5,8 +5,9 @@ Runs the full pipeline (n = 69 collocation/source points) for the constant,
 polynomial, and trigonometric sources at the tabulated evaluation points and
 prints one row per (domain, source, point).  Each case is one
 ``enclose_batch`` call; its rows show the case's seconds.  The whole script
-takes about 1.5 s on a 2-core Xeon host, 1 s of it for the trigonometric
-source, whose Taylor models need the angular fan subdivision.
+takes 1.1-1.8 s on a 2-core Xeon host, depending on its load, two thirds
+of it for the trigonometric source, whose Taylor models need the angular
+fan subdivision.
 
 Usage: python scripts/reproduce_tables.py [--fast]
 """

@@ -219,12 +219,7 @@ def _cmd_enclose1d(args) -> int:
     else:
         h_list = [args.h if args.h is not None else cfg.get("h", 2.0**-5)]
     eps_factor = cfg.get("eps_factor", _oned.EPS_FACTOR)
-    rows = _oned.sweep(
-        f,
-        h_list,
-        c_rule=(lambda h, sf: c) if c is not None else None,
-        eps_rule=lambda h, sf: eps_factor * h * sf,
-    )
+    rows = _oned.sweep(f, h_list, c, eps_factor)
     if args.sweep:
         _write_out(_oned.sweep_csv(rows), args.out)
     else:

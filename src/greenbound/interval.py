@@ -4,7 +4,9 @@ Every operation returns an interval that is guaranteed to contain the exact
 real-valued image of its input intervals.  Outward rounding is realized by
 next-representable-value nudging after each floating-point operation instead
 of switching the hardware rounding mode, so the module is safe under
-unrestricted parallel use.
+unrestricted parallel use.  The scalar rules are functions of endpoint
+floats (``_add``, ``_mul``, ``_div``, ``_mid``); the ``Interval``
+operators wrap them, and the 1D engine calls them on (lo, hi) pairs.
 
 Rounding policy
 ---------------
@@ -106,6 +108,52 @@ def _add_up(a: float, b: float) -> float:
     return s
 
 
+def _add(alo: float, ahi: float, blo: float, bhi: float) -> tuple:
+    """[alo, ahi] + [blo, bhi] on endpoints: an exact [0, 0] operand gives
+    the other one back, else the TwoSum-nudged sum."""
+    if blo == 0.0 and bhi == 0.0:
+        return alo, ahi
+    if alo == 0.0 and ahi == 0.0:
+        return blo, bhi
+    return _add_down(alo, blo), _add_up(ahi, bhi)
+
+
+def _mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple:
+    """[alo, ahi] * [blo, bhi] on endpoints: exact for a [0, 0] or [1, 1]
+    operand, else the nudged hull of the four endpoint products, clamped
+    at 0 when the factors prove the product nonnegative.  The order of the
+    factors sets which of tied signed zeros min and max keep."""
+    if (alo == 0.0 and ahi == 0.0) or (blo == 0.0 and bhi == 0.0):
+        return 0.0, 0.0
+    if blo == 1.0 and bhi == 1.0:
+        return alo, ahi
+    if alo == 1.0 and ahi == 1.0:
+        return blo, bhi
+    p1, p2, p3, p4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    lo = _next_down(min(p1, p2, p3, p4))
+    if (alo >= 0.0 and blo >= 0.0) or (ahi <= 0.0 and bhi <= 0.0):
+        lo = max(lo, 0.0)
+    return lo, _next_up(max(p1, p2, p3, p4))
+
+
+def _div(alo: float, ahi: float, blo: float, bhi: float) -> tuple:
+    """[alo, ahi] / [blo, bhi] on endpoints: the nudged hull of the four
+    endpoint quotients; a divisor that contains 0 is a DomainError."""
+    if blo <= 0.0 <= bhi:
+        raise DomainError(f"division by interval containing zero: [{blo!r}, {bhi!r}]")
+    q1, q2, q3, q4 = alo / blo, alo / bhi, ahi / blo, ahi / bhi
+    return _next_down(min(q1, q2, q3, q4)), _next_up(max(q1, q2, q3, q4))
+
+
+def _mid(lo: float, hi: float) -> float:
+    """A float centre of [lo, hi], within it."""
+    m = 0.5 * (lo + hi)
+    if not math.isfinite(m):
+        m = 0.5 * lo + 0.5 * hi
+    # Clamp: midpoint of adjacent floats can round outside.
+    return min(max(m, lo), hi)
+
+
 @functools.lru_cache(maxsize=4096)
 def rational(p: int, q: int) -> tuple[float, float]:
     """Tightest float interval (lo, hi) around the rational p / q, q > 0:
@@ -141,11 +189,7 @@ class Interval:
     # -- queries ------------------------------------------------------
 
     def mid(self) -> float:
-        m = 0.5 * (self.lo + self.hi)
-        if not math.isfinite(m):
-            m = 0.5 * self.lo + 0.5 * self.hi
-        # Clamp: midpoint of adjacent floats can round outside.
-        return min(max(m, self.lo), self.hi)
+        return _mid(self.lo, self.hi)
 
     def width(self) -> float:
         return self.hi - self.lo
@@ -177,11 +221,7 @@ class Interval:
         o = Interval._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.lo == 0.0 and o.hi == 0.0:
-            return self
-        if self.lo == 0.0 and self.hi == 0.0:
-            return o
-        return Interval(_add_down(self.lo, o.lo), _add_up(self.hi, o.hi))
+        return Interval(*_add(self.lo, self.hi, o.lo, o.hi))
 
     __radd__ = __add__
 
@@ -192,32 +232,19 @@ class Interval:
         o = Interval._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return Interval(*_add(self.lo, self.hi, -o.hi, -o.lo))
 
     def __rsub__(self, other) -> "Interval":
         o = Interval._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o + (-self)
+        return Interval(*_add(o.lo, o.hi, -self.hi, -self.lo))
 
     def __mul__(self, other) -> "Interval":
         o = Interval._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if (self.lo == 0.0 and self.hi == 0.0) or (o.lo == 0.0 and o.hi == 0.0):
-            return _ZERO
-        if o.lo == 1.0 and o.hi == 1.0:
-            return self
-        if self.lo == 1.0 and self.hi == 1.0:
-            return o
-        p1 = self.lo * o.lo
-        p2 = self.lo * o.hi
-        p3 = self.hi * o.lo
-        p4 = self.hi * o.hi
-        lo = _next_down(min(p1, p2, p3, p4))
-        if (self.lo >= 0.0 and o.lo >= 0.0) or (self.hi <= 0.0 and o.hi <= 0.0):
-            lo = max(lo, 0.0)  # the factors prove the product nonnegative
-        return Interval(lo, _next_up(max(p1, p2, p3, p4)))
+        return Interval(*_mul(self.lo, self.hi, o.lo, o.hi))
 
     __rmul__ = __mul__
 
@@ -225,13 +252,7 @@ class Interval:
         o = Interval._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.lo <= 0.0 <= o.hi:
-            raise DomainError(f"division by interval containing zero: {o}")
-        q1 = self.lo / o.lo
-        q2 = self.lo / o.hi
-        q3 = self.hi / o.lo
-        q4 = self.hi / o.hi
-        return Interval(_next_down(min(q1, q2, q3, q4)), _next_up(max(q1, q2, q3, q4)))
+        return Interval(*_div(self.lo, self.hi, o.lo, o.hi))
 
     def __rtruediv__(self, other) -> "Interval":
         o = Interval._coerce(other)

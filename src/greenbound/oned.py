@@ -28,21 +28,24 @@ centre from one more, each walk Horner's rule per segment (``_polyval``).
 Horner's argument t is never negative, so each step forms only the two
 endpoint products that the signs of the accumulator's ends pick, where
 the general interval product forms four and takes their min and max.
-The whole form runs on float endpoint pairs with the bits of the
-Interval composition it replaces (``_add``, ``_mul``, ``_centred``),
-including the DomainError where an Interval step would be unbounded, and
-honours ``interval._outward_rounding``.  When c = 0 the condition
-degenerates at the boundary; the boundary subintervals are then decided
-through the exactly factored forms sign * (slope - u_f(s)/s) and
+The whole engine, from the segment models to the check, runs on float
+endpoint pairs through the scalar ops that the Interval operators wrap
+(``interval._add``, ``_mul``, ``_div``, ``_mid``), so it has the bits of
+the Interval composition, raises the DomainError where an Interval step
+would be unbounded, and honours ``interval._outward_rounding``; Intervals
+appear only at the public methods.  When c = 0 the condition degenerates
+at the boundary; the boundary subintervals are then decided through the
+exactly factored forms sign * (slope - u_f(s)/s) and
 sign * (-slope - u_f(s)/(1-s)), whose antiderivative factors divide out
 symbolically.  The sub-solution check decides the negated condition on
 the same evaluator of f (negation is exact), and the sub-solution is the
 negated super-solution build of -f.
 
-Drivers.  ``sweep`` builds the certified pair on each mesh of a list with
-the default rules for c and eps, and is the one path of ``enclose1d``.
-``optimal_constant_bounds`` runs the range search of ``interval`` on u,
-its boxes bounded by the same mean-value form as the check.
+Drivers.  ``sweep`` builds the certified pair on each mesh of a list, c
+fixed or C_FACTOR sup|f| h^2 and eps = eps_factor h sup|f|, and is the one
+path of ``enclose1d``.  ``optimal_constant_bounds`` runs the range search
+of ``interval`` on u, its boxes bounded by the same mean-value form as the
+check.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -58,7 +61,7 @@ from . import expr as _expr
 from . import interval as _iv
 from .errors import CertificationError, DomainError
 from .expr import PiecewiseSource1D, SourceExpr
-from .interval import BoxEvaluator, Interval, subdivide_min_max
+from .interval import BoxEvaluator, Interval, _add, _div, _mid, _mul, subdivide_min_max
 from .taylor import Boxes, TaylorModel2
 
 __all__ = [
@@ -123,11 +126,6 @@ def _source_segments(f: Source1D):
     return [(0.0, 1.0, f)]
 
 
-def _width(lo: float, hi: float) -> float:
-    """Upper end of the enclosure of the exact width hi - lo."""
-    return (Interval.point(hi) - Interval.point(lo)).hi
-
-
 def _segment_models(f: Source1D, c: float) -> list:
     """(lo, hi, piece, coefficients) per segment, in order: each piece of
     f on its own segment, halved while its model is wider than
@@ -136,11 +134,11 @@ def _segment_models(f: Source1D, c: float) -> list:
     for lo, hi, piece in _source_segments(f):
         todo = [(lo, hi)]
         for depth in range(MAX_SPLIT_DEPTH + 1):
-            widths = [_width(a, b) for a, b in todo]
+            widths = [_add(b, b, -a, -a)[1] for a, b in todo]  # >= the exact b - a
             models = _models_on(piece, [a for a, _b in todo], 1.0, widths)
             split = []
             for (a, b), w, coeffs in zip(todo, widths, models):
-                spread = sum((cf.hi - cf.lo) * w**j for j, cf in enumerate(coeffs))
+                spread = sum((chi - clo) * w**j for j, (clo, chi) in enumerate(coeffs))
                 if depth < MAX_SPLIT_DEPTH and c > 0.0 and spread > SPLIT_FRACTION * c:
                     split += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
                 else:
@@ -151,12 +149,6 @@ def _segment_models(f: Source1D, c: float) -> list:
     return sorted(out, key=lambda seg: seg[0])
 
 
-def _descending(coeffs: list) -> tuple:
-    """The (lo, hi) endpoints of interval coefficients c_0..c_n, highest
-    degree first: the form :func:`_polyval` takes."""
-    return tuple([(c.lo, c.hi) for c in reversed(coeffs)])
-
-
 def _bounded(lo: float, hi: float) -> tuple:
     """(lo, hi), or the DomainError the Interval [lo, hi] raises: the check
     the endpoint kernels make where a later step (a hull, an intersection,
@@ -164,33 +156,6 @@ def _bounded(lo: float, hi: float) -> tuple:
     if -math.inf < lo <= hi < math.inf:
         return lo, hi
     raise DomainError(f"unbounded enclosure [{lo}, {hi}]")
-
-
-def _add(alo: float, ahi: float, blo: float, bhi: float) -> tuple:
-    """``Interval.__add__`` of [alo, ahi] and [blo, bhi] on endpoints, bit
-    for bit: the exact [0, 0] rules, then the TwoSum-nudged sum."""
-    if blo == 0.0 and bhi == 0.0:
-        return alo, ahi
-    if alo == 0.0 and ahi == 0.0:
-        return blo, bhi
-    return _iv._add_down(alo, blo), _iv._add_up(ahi, bhi)
-
-
-def _mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple:
-    """``Interval.__mul__`` of [alo, ahi] and [blo, bhi] on endpoints, bit
-    for bit (the order of the factors sets which of tied signed zeros
-    min and max keep)."""
-    if (alo == 0.0 and ahi == 0.0) or (blo == 0.0 and bhi == 0.0):
-        return 0.0, 0.0
-    if blo == 1.0 and bhi == 1.0:
-        return alo, ahi
-    if alo == 1.0 and ahi == 1.0:
-        return blo, bhi
-    p1, p2, p3, p4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
-    lo = _iv._next_down(min(p1, p2, p3, p4))
-    if (alo >= 0.0 and blo >= 0.0) or (ahi <= 0.0 and bhi <= 0.0):
-        lo = max(lo, 0.0)
-    return lo, _iv._next_up(max(p1, p2, p3, p4))
 
 
 def _clamp01(lo: float, hi: float) -> tuple:
@@ -215,7 +180,8 @@ def _centred(val: tuple, centre: tuple, slope: tuple, slo: float, shi: float,
 
 def _polyval(poly: tuple, tlo: float, thi: float) -> tuple:
     """Horner's rule acc = acc * t + c from acc = [0, 0] over the
-    coefficients ``poly`` (see :func:`_descending`) for t = [tlo, thi] with
+    coefficients ``poly`` (highest degree first, as
+    :func:`_weighted_antiderivative` returns them) for t = [tlo, thi] with
     0 <= tlo <= thi, on float endpoints and bit for bit as on Intervals:
     each step repeats ``Interval.__mul__`` (the exact [0, 0] and [1, 1]
     rules, the clamp of a product of one-signed factors at 0) and
@@ -273,33 +239,32 @@ def _polyval(poly: tuple, tlo: float, thi: float) -> tuple:
 
 
 def _models_on(expr: SourceExpr, consts: list, slope: float, widths: list) -> list:
-    """Per segment, the coefficients c_0..c_DEG (intervals) of the Taylor
-    model of expr(const + slope * t) on t in [0, width]: one batched
+    """Per segment, the coefficients c_0..c_DEG ((lo, hi) pairs) of the
+    Taylor model of expr(const + slope * t) on t in [0, width]: one batched
     Taylor-model evaluation for all segments."""
     consts, zeros = np.array(consts, dtype=float), np.zeros(len(consts))
     boxes = Boxes(zeros, widths, zeros, zeros)
     x = TaylorModel2.affine(boxes, (1, _DEG), const=(consts, consts), coef_u=(slope, slope))
     lo, hi = _expr.eval_tm(expr, x).grids()
-    return [[Interval(a, b) for a, b in zip(lo[p, 0].tolist(), hi[p, 0].tolist())]
+    return [[_bounded(a, b) for a, b in zip(lo[p, 0].tolist(), hi[p, 0].tolist())]
             for p in range(len(consts))]
 
 
-def _weighted_antiderivative(coeffs_f: list, weight_const: Interval,
-                             weight_slope: Interval) -> list:
+def _weighted_antiderivative(coeffs_f: list, weight_const: tuple,
+                             weight_slope: tuple) -> tuple:
     """Antiderivative coefficients of (weight_const + weight_slope t) f(t).
 
-    Input: coefficients of f in t; output: coefficients of the
-    antiderivative polynomial (zero constant term) valid on the segment.
+    Input: coefficients c_0..c_n of f in t and the two weights, as (lo, hi)
+    pairs; output: those of the antiderivative polynomial (zero constant
+    term) valid on the segment, highest degree first, the form
+    :func:`_polyval` takes.
     """
-    n = len(coeffs_f)
-    prod = [Interval(0.0, 0.0)] * (n + 1)
+    prod = [(0.0, 0.0)] * (len(coeffs_f) + 1)
     for j, c in enumerate(coeffs_f):
-        prod[j] = prod[j] + c * weight_const
-        prod[j + 1] = prod[j + 1] + c * weight_slope
-    anti = [Interval(0.0, 0.0)]
-    for q, c in enumerate(prod):
-        anti.append(c / float(q + 1))
-    return anti
+        prod[j] = _add(*prod[j], *_mul(*c, *weight_const))
+        prod[j + 1] = _add(*prod[j + 1], *_mul(*c, *weight_slope))
+    anti = [_bounded(*_div(*c, q + 1.0, q + 1.0)) for q, c in enumerate(prod)]
+    return tuple(anti[::-1]) + ((0.0, 0.0),)
 
 
 @dataclass(frozen=True)
@@ -308,7 +273,7 @@ class _Cumulative:
     antiderivative polynomials in local coordinates."""
 
     bounds: tuple  # segment boundaries, len nseg+1, bounds[0] = 0.0, bounds[-1] = 1.0
-    polys: tuple  # per segment: antiderivative coefficients (_descending)
+    polys: tuple  # per segment: antiderivative coefficients, highest degree first
     cums: tuple  # (lo, hi) cumulative values at segment starts; [-1] = total
 
     def walk(self, slo: float, shi: float) -> tuple:
@@ -341,20 +306,18 @@ class _Cumulative:
 def _build_cumulatives(segments) -> tuple:
     """Evaluators of s -> int_0^s x f(x) dx and s -> int_0^s (1-x) f(x) dx,
     both from the one Taylor model of f per segment."""
-    one = Interval(1.0, 1.0)
     polys = ([], [])
-    cums = ([Interval(0.0, 0.0)], [Interval(0.0, 0.0)])
+    cums = ([(0.0, 0.0)], [(0.0, 0.0)])
     for lo, hi, _piece, coeffs in segments:
-        x0 = Interval.point(lo)
-        w = Interval.point(hi) - x0  # encloses the exact width hi - lo
-        # with x = lo + t the weights are x = x0 + t and 1 - x = (1 - x0) - t
-        for k, (wc, ws) in enumerate(((x0, one), (one - x0, -one))):
-            anti = _descending(_weighted_antiderivative(coeffs, wc, ws))
+        w = _add(hi, hi, -lo, -lo)  # encloses the exact width hi - lo
+        # with x = lo + t the weights are x = lo + t and 1 - x = (1 - lo) - t
+        for k, weights in enumerate((((lo, lo), (1.0, 1.0)),
+                                     (_add(1.0, 1.0, -lo, -lo), (-1.0, -1.0)))):
+            anti = _weighted_antiderivative(coeffs, *weights)
             polys[k].append(anti)
-            cums[k].append(cums[k][-1] + Interval(*_polyval(anti, w.lo, w.hi)))
+            cums[k].append(_bounded(*_add(*cums[k][-1], *_polyval(anti, *w))))
     bounds = tuple([0.0] + [seg[1] for seg in segments])
-    return tuple([_Cumulative(bounds, tuple(p), tuple([(v.lo, v.hi) for v in c]))
-                  for p, c in zip(polys, cums)])
+    return tuple([_Cumulative(bounds, tuple(p), tuple(c)) for p, c in zip(polys, cums)])
 
 
 def _build_reversed_tail(segments) -> tuple:
@@ -366,8 +329,7 @@ def _build_reversed_tail(segments) -> tuple:
     lo, _hi, piece, _coeffs = segments[-1]
     w = math.nextafter(1.0 - lo, math.inf)
     (coeffs,) = _models_on(piece, [1.0], -1.0, [w])
-    anti = _weighted_antiderivative(coeffs, Interval(0.0, 0.0), Interval(1.0, 1.0))
-    return _descending(anti), w
+    return _weighted_antiderivative(coeffs, (0.0, 0.0), (1.0, 1.0)), w
 
 
 class GreenEvaluator:
@@ -403,7 +365,7 @@ class GreenEvaluator:
         within [0, 1]: the terms of the mean-value form of u, from one walk
         of A and of C over s and one at m.  u' at m is not formed; it lies
         in u' over s, so it is bounded wherever that is."""
-        m = min(max(0.5 * (slo + shi), slo), shi)  # Interval.mid
+        m = _mid(slo, shi)
         u, (alo, ahi), b = self._u(slo, shi)
         return u, _add(*b, -ahi, -alo), m, self._u(m, m)[0]
 
@@ -522,21 +484,20 @@ class GridFunction1D:
     def node(self, i: int) -> float:
         return i * self.h
 
-    def slope(self, i: int) -> Interval:
+    def slope(self, i: int) -> tuple:
+        """(lo, hi) enclosing the slope of the interpolant on the i-th
+        subinterval."""
         # divide by the actual float node spacing so the interpolant is
         # exactly continuous across nodes
-        dx = Interval.point(self.node(i + 1)) - Interval.point(self.node(i))
-        return (
-            Interval.point(float(self.values[i + 1]))
-            - Interval.point(float(self.values[i]))
-        ) / dx
+        x0, x1 = self.node(i), self.node(i + 1)
+        v0, v1 = float(self.values[i]), float(self.values[i + 1])
+        return _bounded(*_div(*_add(v1, v1, -v0, -v0), *_add(x1, x1, -x0, -x0)))
 
 
-def _check_forms(grid: GridFunction1D, ev: GreenEvaluator, i: int, sign: float):
-    """``forms(a, b)``: the enclosures of sign * (g(s) - u_f(s)) over s in
-    [a, b], within the i-th subinterval, that ``_check`` tries in turn, as
-    lazily yielded endpoint pairs.  g is the interpolant, whose nodes must
-    end at 1 and whose end values must be one value sign * c, c >= 0."""
+def _check_grid_ends(grid: GridFunction1D, sign: float) -> None:
+    """The contract of a checked grid: its nodes end at 1 and its end
+    values are one value sign * c, c >= 0 (``_build``'s grids meet it by
+    construction)."""
     last = grid.node(grid.n_intervals)
     if last != 1.0:
         raise DomainError(f"grid must end at node 1.0, not {last!r}")
@@ -546,10 +507,17 @@ def _check_forms(grid: GridFunction1D, ev: GreenEvaluator, i: int, sign: float):
             f"grid end values must be equal and {'>=' if sign > 0 else '<='} 0, "
             f"got {end!r} and {float(grid.values[-1])!r}"
         )
+
+
+def _check_forms(grid: GridFunction1D, ev: GreenEvaluator, i: int, sign: float):
+    """``forms(a, b)``: the enclosures of sign * (g(s) - u_f(s)) over s in
+    [a, b], within the i-th subinterval, that ``_check`` tries in turn, as
+    lazily yielded endpoint pairs.  g is the interpolant of a grid that
+    meets :func:`_check_grid_ends`."""
+    end = float(grid.values[0])
     lo = grid.node(i)
     hi = grid.node(i + 1)
-    slope = grid.slope(i)
-    klo, khi = slope.lo, slope.hi
+    klo, khi = grid.slope(i)
     g_lo = float(grid.values[i])
 
     def signed(v: tuple) -> tuple:
@@ -617,6 +585,7 @@ def check_super(
     """Super-solution condition on the i-th subinterval, decided rigorously.
 
     The grid's end values must be one value c >= 0."""
+    _check_grid_ends(ubar, +1.0)
     return _check(ubar, evaluator or GreenEvaluator(f, float(ubar.values[0])), i, +1.0)
 
 
@@ -627,6 +596,7 @@ def check_sub(
     """Sub-solution condition on the i-th subinterval (mirror sign).
 
     The grid's end values must be one value -c <= 0."""
+    _check_grid_ends(usub, -1.0)
     return _check(usub, evaluator or GreenEvaluator(f, -float(usub.values[0])), i, -1.0)
 
 
@@ -759,24 +729,20 @@ class SweepRow:
         return float(np.max(self.upper.grid.values - self.lower.grid.values))
 
 
-def sweep(
-    f: Source1D,
-    h_list,
-    c_rule: Optional[Callable[[float, float], float]] = None,
-    eps_rule: Optional[Callable[[float, float], float]] = None,
-) -> list:
+def sweep(f: Source1D, h_list, c: Optional[float] = None,
+          eps_factor: float = EPS_FACTOR) -> list:
     """The certified super/sub pair on each mesh of a list, one SweepRow
-    per mesh.  ``c_rule(h, sup_f)`` and ``eps_rule(h, sup_f)`` give c and
-    eps; the defaults are C_FACTOR sup_f h^2 and EPS_FACTOR h sup_f, the
-    eps of the builds, with sup_f bounded once for all meshes.
+    per mesh, with eps = eps_factor h sup_f and the boundary shift c on
+    every mesh (by default C_FACTOR sup_f h^2), sup_f bounded once for all
+    meshes.  The default eps is that of the builds.
     """
     supf = GreenEvaluator(f).sup_abs_source()
     rows = []
     for h in h_list:
-        c = c_rule(h, supf) if c_rule else C_FACTOR * supf * h * h
-        eps = eps_rule(h, supf) if eps_rule else EPS_FACTOR * h * supf
-        upper = build_super(f, h, c, eps=eps)
-        rows.append(SweepRow(h, c, eps, upper, build_sub(f, h, c, eps=eps)))
+        c_h = C_FACTOR * supf * h * h if c is None else c
+        eps = eps_factor * h * supf
+        upper = build_super(f, h, c_h, eps=eps)
+        rows.append(SweepRow(h, c_h, eps, upper, build_sub(f, h, c_h, eps=eps)))
     return rows
 
 

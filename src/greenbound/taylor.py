@@ -472,10 +472,10 @@ class TaylorModel2:
         if isinstance(other, (int, float, Interval)):
             c = Interval._coerce(other)
             return self.scale(Interval(1.0, 1.0) / c)
-        return self * _compose_series(other, "recip")
+        return self * tm_compose_elem("recip", other)
 
     def __rtruediv__(self, other) -> "TaylorModel2":
-        rec = _compose_series(self, "recip")
+        rec = tm_compose_elem("recip", self)
         return rec * other
 
     def pow_int(self, n: int) -> "TaylorModel2":
@@ -578,13 +578,15 @@ def _series_and_remainder(fn: str, t0, r, order: int):
     return coeffs, rem
 
 
-def _compose_series(model: TaylorModel2, fn: str) -> TaylorModel2:
-    r = model.range_bounds()
+def tm_compose_elem(fn: str, a: TaylorModel2) -> TaylorModel2:
+    """The model of fn(a): the series of fn about the centre of a's range,
+    with its remainder, composed with a by Horner's rule."""
+    r = a.range_bounds()
     t0 = _midpoints(*r)
-    order = max(model.deg_k, model.deg_u)
+    order = max(a.deg_k, a.deg_u)
     coeffs, remainder = _series_and_remainder(fn, t0, r, order)
-    shifted = model._shift(-t0, -t0)
-    acc = TaylorModel2.constant(coeffs[order], model.boxes, (model.deg_k, model.deg_u))
+    shifted = a._shift(-t0, -t0)
+    acc = TaylorModel2.constant(coeffs[order], a.boxes, (a.deg_k, a.deg_u))
     for p in range(order - 1, -1, -1):
         acc = acc * shifted
         acc.clo[:, 0, 0], acc.chi[:, 0, 0] = dr.iv_add(  # acc is a new product: add in place
@@ -605,7 +607,3 @@ def tm_from_expr(f, boxes: Boxes, degrees=_DEFAULT_DEGREES) -> TaylorModel2:
     x = TaylorModel2.affine(boxes, degrees, coef_u=one)
     y = TaylorModel2.affine(boxes, degrees, coef_ku=one)
     return _expr.eval_tm(f, x, y)
-
-
-def tm_compose_elem(fn: str, a: TaylorModel2) -> TaylorModel2:
-    return _compose_series(a, fn)

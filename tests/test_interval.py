@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenbound import _directed as dr
+from greenbound import interval as iv
 from greenbound.errors import DomainError
 from greenbound.interval import (
     HALF_PI,
@@ -23,6 +24,11 @@ from greenbound.interval import (
 )
 
 from conftest import assert_contains, centred_form
+
+
+def _signed(ends) -> tuple:
+    """Endpoint floats with the sign of each zero made visible."""
+    return tuple(x.hex() for x in ends)
 
 
 class TestArith:
@@ -57,6 +63,60 @@ class TestArith:
             Interval(0.0, math.inf)
         with pytest.raises(DomainError):
             Interval(2.0, 1.0)
+
+    # The endpoint ops that the Interval operators and the 1D engine share,
+    # against their own rules, with no Interval in the oracle.
+
+    @pytest.mark.parametrize("zero", [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0)])
+    def test_exact_zero_operand(self, zero):
+        """An exact [0, 0] operand, of either sign, gives the other operand of
+        a sum back with its signed zeros (the left one when both are zero),
+        and a product of +0.0 ends."""
+        for other in [(-0.0, 1.0), (0.1, 0.3), (-2.0, 0.0)]:
+            assert _signed(iv._add(*zero, *other)) == _signed(other)
+            assert _signed(iv._add(*other, *zero)) == _signed(other)
+        assert _signed(iv._add(*zero, -0.0, 0.0)) == _signed(zero)
+        for other in [(-3.0, -1.0), (0.1, 0.3), (-0.0, 2.0)]:
+            assert _signed(iv._mul(*zero, *other)) == _signed((0.0, 0.0))
+            assert _signed(iv._mul(*other, *zero)) == _signed((0.0, 0.0))
+        # the TwoSum sum alone would turn -0.0 + 0.0 into 0.0
+        assert _signed(iv._add(-0.0, 1.0, 0.0, 0.0)) == _signed((-0.0, 1.0))
+
+    @pytest.mark.parametrize("x", [(0.1, 0.3), (-0.0, 0.7), (-2.5, -0.0), (5e-324, 1e300)])
+    def test_exact_one_operand(self, x):
+        """[1, 1] times x is x itself, unnudged, on either side."""
+        assert _signed(iv._mul(1.0, 1.0, *x)) == _signed(x)
+        assert _signed(iv._mul(*x, 1.0, 1.0)) == _signed(x)
+        # the general product would nudge both ends outward
+        assert iv._mul(1.0, 1.0 + 2**-52, *x) != x
+
+    @pytest.mark.parametrize("a, b", [((1e-200, 1e-190), (1e-200, 1e-190)),
+                                      ((-1e-190, -1e-200), (-1e-190, -1e-200)),
+                                      ((0.0, 1e-200), (5e-324, 1e-200))])
+    def test_underflowing_one_signed_product_clamped_at_zero(self, a, b):
+        """A product of one-signed factors that underflows keeps its lower
+        end at 0 (the nudge alone would take it to -5e-324); the upper end
+        still lies above the exact product."""
+        lo, hi = iv._mul(*a, *b)
+        assert _signed((lo,)) == _signed((0.0,))
+        assert Fraction(hi) >= max(Fraction(x) * Fraction(y) for x in a for y in b)
+        # factors of mixed sign are not clamped
+        assert iv._mul(-a[1], -a[0], *b)[0] == -5e-324
+
+    @pytest.mark.parametrize("d", [(-1.0, 1.0), (0.0, 1.0), (-0.0, 2.0), (-1.0, -0.0),
+                                   (0.0, 0.0), (-5e-324, 5e-324)])
+    def test_divisor_containing_zero(self, d):
+        with pytest.raises(DomainError, match="containing zero"):
+            iv._div(1.0, 2.0, *d)
+        with pytest.raises(DomainError, match="containing zero"):
+            Interval(1.0, 2.0) / Interval(*d)
+
+    def test_mid_within_and_finite(self):
+        for lo, hi in [(5e-324, 1e-323), (-1.7e308, 1.7e308), (1.7e308, 1.7976931348623157e308),
+                       (-0.0, 0.0), (0.1, 0.1)]:
+            m = iv._mid(lo, hi)
+            assert lo <= m <= hi and math.isfinite(m)
+            assert Interval(lo, hi).mid() == m
 
 
 class TestElem:
@@ -121,8 +181,22 @@ def intervals(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(intervals(), intervals())
+@example(Interval(-0.0, 0.0), Interval(-3.0, 2.0))
+@example(Interval(1.0, 1.0), Interval(-0.1, 0.3))
+@example(Interval(1e-30, 3e-30), Interval(-7e-300, -1e-300))
 def test_containment_random(a, b):
-    """Midpoint arithmetic in extended precision lies inside the result."""
+    """Midpoint arithmetic in extended precision lies inside the result,
+    and the exact (Fraction) value of every endpoint op at every corner of
+    a and b lies inside the op's result with outward rounding on: the
+    range of +, -, * and / over a box is the hull of its corner values."""
+    assert iv._outward_rounding
+    corners = [(Fraction(x), Fraction(y)) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    for name, op in _OPS.items():
+        if name == "div" and (b.contains(0.0) or min(abs(b.lo), abs(b.hi)) < 1e-300):
+            continue  # no quotient, or one that may overflow
+        lo, hi = _endpoint_op(name, a, b)
+        assert all(Fraction(lo) <= op(x, y) <= Fraction(hi) for x, y in corners), name
+        assert op(a, b) == Interval(lo, hi)  # the Interval operator wraps the op
     x, y = mp.mpf(a.mid()), mp.mpf(b.mid())
     am, bm = Interval.point(a.mid()), Interval.point(b.mid())
     assert_contains(am + bm, float(x + y))
@@ -142,6 +216,18 @@ def test_containment_random(a, b):
         assert mp.mpf(r.lo) <= mp.log(x) <= mp.mpf(r.hi)
         r = am.sqrt()
         assert mp.mpf(r.lo) <= mp.sqrt(x) <= mp.mpf(r.hi)
+
+
+_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+        "div": operator.truediv}
+
+
+def _endpoint_op(name, a: Interval, b: Interval) -> tuple:
+    """The shared endpoint op ``name`` on the ends of a and b (sub adds the
+    negated b)."""
+    if name == "sub":
+        return iv._add(a.lo, a.hi, -b.hi, -b.lo)
+    return getattr(iv, f"_{name}")(a.lo, a.hi, b.lo, b.hi)
 
 
 def _sub_interval(a: Interval, s: float, t: float) -> Interval:

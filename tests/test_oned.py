@@ -190,6 +190,12 @@ def _t_intervals(draw):
     return Interval(min(a, b), max(a, b))
 
 
+def _descending(coeffs):
+    """Interval coefficients c_0..c_n as the (lo, hi) pairs, highest degree
+    first, that ``oned._polyval`` takes."""
+    return tuple([(c.lo, c.hi) for c in reversed(coeffs)])
+
+
 def _times(acc):
     """Coefficients c_0 = [0, 0] and c_1 = acc: Horner's second step
     multiplies acc by t and adds nothing, so the kernel returns that
@@ -238,7 +244,7 @@ class TestPolyvalKernel:
         _set_outward_rounding(outward)
         try:
             want = _bits(_interval_horner, coeffs, t)
-            got = _bits(oned._polyval, oned._descending(coeffs), t.lo, t.hi)
+            got = _bits(oned._polyval, _descending(coeffs), t.lo, t.hi)
         finally:
             _set_outward_rounding(True)
         assert got == want
@@ -247,12 +253,15 @@ class TestPolyvalKernel:
                                           (math.nan, 1.0), (0.0, math.nan), (1.0, 0.5)])
     def test_t_off_the_domain_raises(self, tlo, thi):
         with pytest.raises(DomainError):
-            oned._polyval(oned._descending(_MIXED), tlo, thi)
+            oned._polyval(_descending(_MIXED), tlo, thi)
 
 
 # The Interval composition the check kernel replaced: GreenEvaluator's
 # A, B, u_du, u_over_s and u_over_1ms, _Cumulative.eval, _check's forms and
 # _RangeOfU's form, on the evaluator's data and the Interval Horner loop.
+# Single ops share their code (interval._add, _mul, ...) with the Interval
+# operators, so these compare compositions; test_interval's TestArith and
+# test_containment_random check the ops themselves.
 
 
 def _ascending(poly):
@@ -315,7 +324,7 @@ def _ref_forms(grid, ev, i, sign):
     end = float(grid.values[0])
     lo = grid.node(i)
     hi = grid.node(i + 1)
-    slope = grid.slope(i)
+    slope = Interval(*grid.slope(i))
     g_lo = Interval.point(float(grid.values[i]))
     x_lo = Interval.point(lo)
 
@@ -434,7 +443,8 @@ def _range_bits(k, a, b, outward):
 class TestCheckKernel:
     """The float-endpoint kernel of the check and the range search against
     the Interval composition it replaced, bit for bit, DomainErrors
-    included, with outward rounding on and off."""
+    included, with outward rounding on and off: the order of the ops, the
+    clamps, hulls and intersections, and the DomainError checks."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
@@ -496,6 +506,21 @@ class TestCheckWork:
         grid = GridFunction1D(0.5, np.full(3, 1.0))  # far above u_f <= 1/8
         assert check_super(grid, ONE, 0, evaluator=ev) is Verdict.HOLDS
         assert walks == [(0.0, 0.5)] * 2 + [(0.25, 0.25)] * 2
+
+
+class TestBuildWork:
+    def test_build_makes_no_interval_per_subinterval(self, monkeypatch):
+        """A certified build runs on (lo, hi) pairs: it makes as many
+        Interval objects at h = 2^-6 (64 subintervals) as at h = 2^-4."""
+        made = []
+        real = Interval.__post_init__
+        monkeypatch.setattr(Interval, "__post_init__", lambda self: made.append(1) or real(self))
+        counts = []
+        for h in (2.0**-4, 2.0**-6):
+            made.clear()
+            build_super(ONE, h, 0.2 * h * h, eps=0.25 * h)
+            counts.append(len(made))
+        assert counts[0] == counts[1]
 
 
 class TestOptimalConstants:
@@ -809,14 +834,11 @@ class TestSweep:
         assert len(csv.splitlines()) == 4
 
     def test_custom_rules(self):
-        rows = sweep(
-            ONE,
-            [2.0**-4],
-            c_rule=lambda h, sf: 0.3 * h * h,
-            eps_rule=lambda h, sf: 0.5 * h,
-        )
-        assert rows[0].c == 0.3 * 2.0**-8
-        assert rows[0].eps == 0.5 * 2.0**-4
+        (row,) = sweep(ONE, [2.0**-4], c=0.3 * 2.0**-8, eps_factor=0.5)
+        assert row.c == 0.3 * 2.0**-8
+        assert row.eps == 0.5 * 2.0**-4  # sup |f| = 1
+        assert row.upper.c == row.lower.c == row.c
+        assert row.upper.eps == row.lower.eps == row.eps
 
     def test_rows_carry_the_certified_pair(self):
         """Each row holds the builds at its c and eps, which by default are
