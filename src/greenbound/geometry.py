@@ -95,28 +95,36 @@ class Polygon:
         return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
     def locate(self, p, tol: Optional[float] = None) -> int:
-        """+1 strictly inside, 0 on the boundary (within tol), -1 outside."""
+        """+1 strictly inside, 0 on the boundary (within tol), -1 outside:
+        the one-row case of :meth:`locate_many`."""
+        return int(self.locate_many([p], tol)[0])
+
+    def locate_many(self, points, tol: Optional[float] = None) -> np.ndarray:
+        """Per point of an (N, 2) array: +1 strictly inside, 0 within tol
+        (default 1e-12 times the diameter) of the boundary, -1 outside.
+
+        Both tests run on (point, edge) arrays: the distance to each edge
+        segment, and the crossings of the rightward ray from the point
+        with the edges that straddle its height (even-odd rule)."""
         if tol is None:
             tol = 1e-12 * self.diameter()
-        px, py = float(p[0]), float(p[1])
-        v = self.vertices
-        m = len(v)
-        inside = False
-        for i in range(m):
-            ax, ay = v[i]
-            bx, by = v[(i + 1) % m]
-            # distance to the segment
-            ex, ey = bx - ax, by - ay
-            L2 = ex * ex + ey * ey
-            t = max(0.0, min(1.0, ((px - ax) * ex + (py - ay) * ey) / L2))
+        p = np.asarray(points, dtype=float).reshape(-1, 2)
+        px, py = p[:, :1], p[:, 1:]
+        a = self.vertices
+        b = np.roll(a, -1, axis=0)
+        ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+        ex, ey = bx - ax, by - ay
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the projection parameter clamped to [0, 1], a NaN to 1
+            t = ((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey)
+            t = np.where(t < 1.0, t, 1.0)
+            t = np.where(t > 0.0, t, 0.0)
             dx, dy = px - (ax + t * ex), py - (ay + t * ey)
-            if dx * dx + dy * dy <= tol * tol:
-                return 0
-            if (ay > py) != (by > py):
-                xi = ax + (py - ay) / (by - ay) * (bx - ax)
-                if px < xi:
-                    inside = not inside
-        return 1 if inside else -1
+            on_edge = (dx * dx + dy * dy <= tol * tol).any(axis=1)
+            straddle = (ay > py) != (by > py)
+            xi = ax + (py - ay) / (by - ay) * (bx - ax)
+        inside = np.count_nonzero(straddle & (px < xi), axis=1) % 2 == 1
+        return np.where(on_edge, 0, np.where(inside, 1, -1))
 
 
 @dataclass(frozen=True)
@@ -216,11 +224,12 @@ def amano_sources(
         chord = x[(k + 1) % n] - x[(k - 1) % n]
         sources[k, 0] = x[k, 0] + 0.5 * r * chord[1]
         sources[k, 1] = x[k, 1] - 0.5 * r * chord[0]
-    for s in sources:
-        if poly.locate(s) != -1:
-            raise PlacementError(
-                f"source {tuple(s)} is not strictly exterior; adjust the R rule"
-            )
+    outside = poly.locate_many(sources) == -1
+    if not outside.all():
+        s = sources[np.argmin(outside)]
+        raise PlacementError(
+            f"source {tuple(s)} is not strictly exterior; adjust the R rule"
+        )
     return sources
 
 

@@ -365,8 +365,8 @@ def _crit_in(x: Interval, base: Interval) -> bool:
     k_lo = math.floor((x.lo - base.hi) / TWO_PI.lo) - 1
     k_hi = math.ceil((x.hi - base.lo) / TWO_PI.lo) + 1
     for k in range(k_lo, k_hi + 1):
-        crit = base + TWO_PI * float(k)
-        if crit.hi >= x.lo and crit.lo <= x.hi:
+        lo, hi = _add(base.lo, base.hi, *_mul(TWO_PI.lo, TWO_PI.hi, float(k), float(k)))
+        if hi >= x.lo and lo <= x.hi:
             return True
     return False
 
@@ -467,9 +467,11 @@ class _Search:
             self.evals += 2 * int(mono.sum())
             self.finalize(elo[mono], ehi[mono])
         keep = ~mono
-        self.witness(clo[keep], chi[keep])
-        vlo, vhi = (np.column_stack((e[keep, 0], c[keep], e[keep, 1]))
-                    for e, c in ((elo, clo), (ehi, chi)))
+        clo, chi = clo[keep], chi[keep]
+        self.witness(clo, chi)
+        vlo, vhi = np.empty((2, clo.size, 3))
+        for v, e, c in ((vlo, elo, clo), (vhi, ehi, chi)):
+            v[:, 0::2], v[:, 1] = e[keep], c
         return _select((root, lo, hi, glo, ghi), keep) + (vlo, vhi)
 
     def run(self):
@@ -489,8 +491,10 @@ class _Search:
         vlo, vhi = cols[0][:npts], cols[1][:npts]
         self.witness(vlo, vhi)
         self.finalize(vlo[:nr][flat], vhi[:nr][flat])  # point roots
-        ends = tuple([np.column_stack((v[:nr][~flat], v[nr:])) for v in (vlo, vhi)])
-        box = self.settle((br, blo, bhi) + ends, [c[npts:] for c in cols])
+        ends = np.empty((2, br.size, 2))
+        for e, v in zip(ends, (vlo, vhi)):
+            e[:, 0], e[:, 1] = v[:nr][~flat], v[nr:]
+        box = self.settle((br, blo, bhi, *ends), [c[npts:] for c in cols])
 
         def bounds():
             ghi, glo = box[4], box[3]
@@ -522,12 +526,14 @@ class _Search:
                 # children (lo, mid) and (mid, hi) of each parent, side by
                 # side; the parent's centre value is an end of each
                 self.evals += 2 * root.size
-                children = (np.repeat(root, 2), np.stack((lo, mid), axis=1).ravel(),
-                            np.stack((mid, hi), axis=1).ravel())
+                clo, chi = np.empty((2, 2 * root.size))
+                clo[0::2], clo[1::2], chi[0::2], chi[1::2] = lo, mid, mid, hi
+                children = (np.repeat(root, 2), clo, chi)
                 cols = yield children
-                ends = tuple([np.stack((v[:, 0:2], v[:, 1:3]), axis=1).reshape(-1, 2)
-                              for v in (vlo, vhi)])
-                box = self.settle(children + ends, cols)
+                ends = np.empty((2, 2 * root.size, 2))
+                for e, v in zip(ends, (vlo, vhi)):
+                    e[0::2], e[1::2] = v[:, 0:2], v[:, 1:3]
+                box = self.settle((*children, *ends), cols)
             else:
                 box = _select(box, split)  # empty: no box could be split
             box = _select(box, useful(box))
@@ -642,8 +648,8 @@ def lockstep_min_max(g: BoxEvaluator, domains: Sequence[Sequence[Interval]],
         try:
             # star-arguments from lists, not generators (see _select)
             cols = g(*[np.concatenate(x) for x in zip(*requests)])
-            cuts = np.cumsum([len(r[0]) for r in requests])[:-1]
-            parts = list(zip(*[np.split(c, cuts) for c in cols]))
+            cuts = np.cumsum([0] + [len(r[0]) for r in requests]).tolist()
+            parts = [tuple([c[a:b] for c in cols]) for a, b in zip(cuts, cuts[1:])]
         except Exception as e:
             parts = [e] if len(step) == 1 else [_attempt(g, *r) for r in requests]
         for i, part in zip(step, parts):

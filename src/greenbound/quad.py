@@ -23,7 +23,8 @@ of such triangles over the polygon edges, signed by orientation, evaluates
 integrals over the whole polygon for an arbitrary vertex point (inside or
 outside), which covers both the evaluation-point kernel and the smooth
 exterior-source kernels with one code path, ``_fans``: every fan of a call
-(all exterior sources of a domain, say) is one pass over endpoint arrays.
+(all exterior sources and all evaluation points of a domain, in
+``kernel_terms``) is one pass over endpoint arrays.
 The Taylor models of f on the fans' angular parts are one batch
 (``taylor.TaylorModel2``), built in one tree walk of f, and the parts
 whose models share a nonzero pattern (``taylor._pattern_groups``) take
@@ -43,10 +44,10 @@ from . import expr as _expr
 from .errors import DomainError
 from .fundsol import NEG_INV_4PI, TestFunction2D
 from .geometry import Polygon, Triangle
-from .interval import PI, Interval, rational
+from .interval import PI, Interval, _attempt, rational
 from .taylor import MAX_DEGREE, Boxes, TaylorModel2, _passes, _pattern_groups
 
-__all__ = ["QuadConfig", "singular_triangle", "pair_f_phi", "source_kernel_terms",
+__all__ = ["QuadConfig", "singular_triangle", "pair_f_phi", "kernel_terms",
            "integrate_source"]
 
 
@@ -354,18 +355,42 @@ def integrate_source(
     return _first(_fans(f, [center], poly.edges(), cfg, want_log=False, want_plain=True)[1])
 
 
-def source_kernel_terms(
-    f: _expr.SourceExpr, sources, poly: Polygon, cfg: Optional[QuadConfig] = None
-) -> list:
-    """Enclosures of -(1/(4 pi)) integral f log|x - s_k|^2 over the polygon,
-    one per exterior source s_k.
+def kernel_terms(
+    f: _expr.SourceExpr, sources, points, poly: Polygon, cfg: Optional[QuadConfig] = None
+) -> tuple:
+    """The kernel terms of f on one domain, all from one fan pass: per
+    exterior source s_k, -(1/(4 pi)) integral f log|x - s_k|^2, and per
+    point s of ``points``, its interior terms
+    (-(1/(4 pi)) integral f log|x - s|^2, integral f).  They depend on
+    f, the polygon and the centres only, so a caller pairing several
+    candidates on one domain computes them once.
 
-    They depend on f, the polygon and the sources only, so a caller pairing
-    several candidates on one domain computes them once."""
+    Every fan's bits are those of its own pass.  If the merged pass
+    raises, the sources run alone (what they raise propagates) and each
+    point alone; a point whose own pass raises gets that exception in
+    place of its terms."""
     cfg = cfg or QuadConfig()
-    logs, _ = _fans(f, sources, poly.edges(), cfg, want_log=True, want_plain=False)
-    lo, hi = dr._iv_mul_exact01(logs, dr._ends(NEG_INV_4PI))
-    return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    sources = np.asarray(sources, dtype=float).reshape(-1, 2)
+    n, n_pts = len(sources), len(points)
+    if not n + n_pts:
+        return [], []
+    centers = np.concatenate((sources, np.asarray(points, dtype=float).reshape(-1, 2)))
+    try:
+        logs, plains = _fans(f, centers, poly.edges(), cfg, want_log=True,
+                             want_plain=n_pts > 0)
+    except Exception:
+        if (n > 0) + n_pts <= 1:  # nothing to isolate
+            raise
+        source_terms = kernel_terms(f, sources, [], poly, cfg)[0]
+        return source_terms, [_attempt(lambda p: kernel_terms(f, [], [p], poly, cfg)[1][0], p)
+                              for p in points]
+    lo, hi = dr._iv_mul_exact01(dr._take(logs, slice(None, n)), dr._ends(NEG_INV_4PI))
+    source_terms = [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    if not n_pts:
+        return source_terms, []
+    (llo, lhi), (plo, phi) = ([e[n:].tolist() for e in ends] for ends in (logs, plains))
+    return source_terms, [(Interval(a, b) * NEG_INV_4PI, Interval(c, d))
+                          for a, b, c, d in zip(llo, lhi, plo, phi)]
 
 
 def pair_f_phi(
@@ -375,6 +400,7 @@ def pair_f_phi(
     cfg: Optional[QuadConfig] = None,
     offsets: Sequence[tuple] = ((0.0, 0.0),),
     source_terms: Optional[Sequence[Interval]] = None,
+    point_terms: Optional[tuple] = None,
 ) -> list:
     """Rigorous enclosures of the pairings of f with phi^0 + c over the
     polygon, plus d, one for each offset (c, d) in ``offsets``.
@@ -383,17 +409,25 @@ def pair_f_phi(
     source kernel are integrated by the signed singular fan (each kernel's
     own point is a fan vertex, where the machinery is exact), and c
     contributes c * integral(f), with integral(f) from the evaluation
-    point's fan.  d is a float or an Interval.  ``source_terms`` are the
-    :func:`source_kernel_terms` of f and ``tf0.sources``, computed here
-    when the caller does not already have them; their weighted sum is one
-    rigorous dot product.  Each result sums the interior term,
-    c * integral(f), d and that weighted sum, in this order.
+    point's fan.  d is a float or an Interval.  ``source_terms`` and
+    ``point_terms`` are the :func:`kernel_terms` of f for ``tf0.sources``
+    and for ``tf0.s_int`` (its interior term and integral(f), or the
+    exception their fan pass raised, which is raised here); a caller
+    pairing several points on one domain has them from one fan pass, and
+    what the caller does not pass is computed here, in one such pass.
+    The weighted sum of the source terms is one rigorous dot product.
+    Each result sums the interior term, c * integral(f), d and that
+    weighted sum, in this order.
     """
     cfg = cfg or QuadConfig()
-    log, plain = _fans(f, [tf0.s_int], poly.edges(), cfg, want_log=True, want_plain=True)
-    interior, plain_int = _first(log) * NEG_INV_4PI, _first(plain)
-    if source_terms is None:
-        source_terms = source_kernel_terms(f, tf0.sources, poly, cfg)
+    if source_terms is None or point_terms is None:
+        own = kernel_terms(f, tf0.sources if source_terms is None else [],
+                           [tf0.s_int] if point_terms is None else [], poly, cfg)
+        source_terms = own[0] if source_terms is None else source_terms
+        point_terms = own[1][0] if point_terms is None else point_terms
+    if isinstance(point_terms, Exception):
+        raise point_terms
+    interior, plain_int = point_terms
     ends = np.array([(term.lo, term.hi) for term in source_terms]).reshape(-1, 2)
     weighted = Interval(*[float(e) for e in dr.iv_dot(tf0.coeffs, ends[:, 0], ends[:, 1])])
     return [interior + Interval.point(c) * plain_int + d + weighted for c, d in offsets]

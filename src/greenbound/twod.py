@@ -21,10 +21,12 @@ parts are only certified and f_minus integrated once.
 Only the candidate's weights depend on the evaluation point: the sign
 certificate, I_minus, the collocation system and the exterior
 source-kernel terms of the pairing are computed once per call by
-``_DomainPlan`` and shared by every point of a batch.  The boundary
-searches of a batch's points run as one: a single ``mfs.EdgeKernel``
-holds the exact source geometry for all of them, and each level of every
-search is one kernel call (``mfs.boundary_extrema``).
+``_DomainPlan`` and shared by every point of a batch.  The plan also
+locates all points in one pass and integrates every point's
+interior-kernel fan in the same fan pass as the source kernels.  The
+boundary searches of a batch's points run as one: a single
+``mfs.EdgeKernel`` holds the exact source geometry for all of them, and
+each level of every search is one kernel call (``mfs.boundary_extrema``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .fundsol import TestFunction2D
 from .geometry import CornerRefine, Polygon, Triangle, \
     amano_sources, discretize_boundary, _ear_clip
 from .interval import Interval, _attempt
-from .quad import QuadConfig, integrate_source, pair_f_phi, source_kernel_terms
+from .quad import QuadConfig, integrate_source, kernel_terms, pair_f_phi
 
 __all__ = [
     "MfsConfig",
@@ -236,19 +238,22 @@ class EnclosureResult:
 
 class _DomainPlan:
     """The work of one ``enclose_point``/``enclose_batch`` call that depends
-    on (polygon, source or split, configs) but not on the evaluation point.
+    on (polygon, source or split, configs), and the kernel terms of its
+    points.
 
     Built once per call and shipped to the worker processes: the sign
     certificate or split verification with I_minus = integral(f_minus),
     the collocation points and sources, the collocation matrix with its
-    condition estimate, and the source-kernel terms of f.  Per point,
-    ``enclose`` solves for the coefficients and integrates the
-    interior-kernel fan; the candidates of all its points are bounded on
-    the boundary by one stepped-together search.
+    condition estimate, and, from one location pass and one fan pass
+    (``quad.kernel_terms``), which points are interior, the source-kernel
+    terms of f and each interior point's interior-kernel term and
+    integral(f).  Per point, ``enclose`` solves for the coefficients; the
+    candidates of all its points are bounded on the boundary by one
+    stepped-together search, and each is paired from the finished terms.
     """
 
     def __init__(self, poly: Polygon, f: SourceExpr, split: Optional[SignedSplit],
-                 mfs_cfg: MfsConfig, quad_cfg: QuadConfig):
+                 mfs_cfg: MfsConfig, quad_cfg: QuadConfig, points):
         self.poly, self.f, self.mfs_cfg, self.quad_cfg = poly, f, mfs_cfg, quad_cfg
         if split is not None:
             split.verify(f, poly)
@@ -269,36 +274,45 @@ class _DomainPlan:
         self.collocation = discretize_boundary(poly, mfs_cfg.n, refine)
         self.sources = amano_sources(poly, self.collocation, mfs_cfg.r_rule())
         self.system = _mfs.collocation_system(self.collocation, self.sources)
-        self.source_terms = source_kernel_terms(f, self.sources, poly, quad_cfg)
+        self.points = list(points)
+        self.outside = _check_interior(poly, self.points)
+        interior = [p for p, e in zip(self.points, self.outside) if e is None]
+        self.source_terms, terms = kernel_terms(f, self.sources, interior, poly, quad_cfg)
+        terms = iter(terms)
+        self.point_terms = [next(terms) if e is None else None for e in self.outside]
 
-    def enclose(self, points) -> list:
-        """One outcome per point: its EnclosureResult, or the exception its
-        interior check, solve, boundary search or pairing raised.
+    def enclose(self, at: slice = slice(None)) -> list:
+        """One outcome per point of the run ``at`` of the plan's points: its
+        EnclosureResult, or the exception its interior check, solve,
+        boundary search or pairing raised.
 
         The boundary searches of all points run together
         (``mfs.boundary_extrema``); everything else is per point, and each
         point's outcome is the one it gets alone."""
-        out = [_attempt(self._candidate, s_int) for s_int in points]
+        terms = self.point_terms[at]
+        out = [e or _attempt(self._candidate, s_int)
+               for s_int, e in zip(self.points[at], self.outside[at])]
         solved = [i for i, o in enumerate(out) if not isinstance(o, Exception)]
         extrema = _attempt(_mfs.boundary_extrema, [out[i][0] for i in solved], self.poly,
                            self.mfs_cfg.tol)
         if isinstance(extrema, Exception):  # nothing of one point: all fail alike
             extrema = [extrema] * len(solved)
         for i, ext in zip(solved, extrema):
-            out[i] = ext if isinstance(ext, Exception) else _attempt(self._pair, *out[i], ext)
+            out[i] = (ext if isinstance(ext, Exception) else
+                      _attempt(self._pair, *out[i], terms[i], ext))
         return out
 
     def _candidate(self, s_int) -> tuple:
         """The MFS candidate at an interior point, with the collocation
         residual and condition estimate."""
-        _check_interior(self.poly, s_int)
         coeffs, residual, cond = _mfs.solve_coefficients(
             self.collocation, self.sources, s_int, system=self.system)
         return TestFunction2D(s_int, self.sources, coeffs), residual, cond
 
-    def _pair(self, tf0: TestFunction2D, residual: float, cond: float,
+    def _pair(self, tf0: TestFunction2D, residual: float, cond: float, terms,
               ext) -> EnclosureResult:
-        """The enclosure at tf0.s_int from its candidate's boundary extrema."""
+        """The enclosure at tf0.s_int from its candidate's boundary extrema
+        and its kernel terms (or the exception their fan pass raised)."""
         m, M = ext.m, ext.M
         diagnostics = {
             "mfs_residual": residual,
@@ -317,16 +331,18 @@ class _DomainPlan:
         # [m.lo I - G I_minus, M.hi I + G I_minus]
         gap = Interval.point((M - m).hi) * self.minus_mass
         upper, lower = pair_f_phi(self.f, tf0, self.poly, self.quad_cfg,
-                                  ((-m.lo, gap), (-M.hi, -gap)), self.source_terms)
+                                  ((-m.lo, gap), (-M.hi, -gap)), self.source_terms, terms)
         if lower.lo > upper.hi:
             raise DomainError("crossed enclosure; rigor violated upstream")
         return EnclosureResult.from_bound(tf0.s_int, Interval(lower.lo, upper.hi),
                                           diagnostics)
 
 
-def _check_interior(poly: Polygon, s_int) -> None:
-    if poly.locate(s_int) != 1:
-        raise GeometryError(f"evaluation point {tuple(s_int)} must be interior")
+def _check_interior(poly: Polygon, points) -> list:
+    """Per point, None when it is strictly interior, else the GeometryError
+    that it is not: one ``Polygon.locate_many`` pass."""
+    return [None if w == 1 else GeometryError(f"evaluation point {tuple(p)} must be interior")
+            for p, w in zip(points, poly.locate_many(points))]
 
 
 def enclose_point(
@@ -342,9 +358,12 @@ def enclose_point(
     f must be certified nonnegative or nonpositive, or a verified
     SignedSplit must be supplied.
     """
-    _check_interior(poly, s_int)
-    plan = _DomainPlan(poly, f, split, mfs_cfg or MfsConfig(), quad_cfg or QuadConfig())
-    (outcome,) = plan.enclose([s_int])
+    (outside,) = _check_interior(poly, [s_int])
+    if outside is not None:
+        raise outside
+    plan = _DomainPlan(poly, f, split, mfs_cfg or MfsConfig(), quad_cfg or QuadConfig(),
+                       [s_int])
+    (outcome,) = plan.enclose()
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -364,18 +383,20 @@ class BatchItem:
 
 
 def _batch_worker(args) -> list:
-    """The items of a run of points; ``plan`` is the domain plan (which
-    holds f, the split and both configs) or the error building it raised,
-    which every interior point reports."""
-    poly, points, plan = args
+    """The items of the run ``points[at]`` of a batch; ``plan`` is the
+    domain plan of all of ``points`` (which holds f, the split, both
+    configs and the points' kernel terms) or the error building it
+    raised, which every interior point reports."""
+    poly, points, plan, at = args
+    run = points[at]
     if isinstance(plan, Exception):
-        outcomes = [_attempt(_check_interior, poly, p) or plan for p in points]
+        outcomes = [e or plan for e in _check_interior(poly, run)]
     else:
-        outcomes = plan.enclose(points)
+        outcomes = plan.enclose(at)
     return [BatchItem(point=tuple(p), result=o) if isinstance(o, EnclosureResult) else
             BatchItem(point=tuple(p), result=None, error=str(o),
                       needs_split=isinstance(o, NeedsSplitError))
-            for p, o in zip(points, outcomes)]
+            for p, o in zip(run, outcomes)]
 
 
 def enclose_batch(
@@ -390,14 +411,15 @@ def enclose_batch(
     """Independent enclosures for a list of interior points.
 
     The domain plan (sign certificate or split check, collocation system,
-    source-kernel terms) is built once; each point then solves for its own
-    candidate test function and pairs it, and the boundary searches of
-    all points of one run are stepped together.  With ``threads`` > 1,
-    each worker process receives the plan once with one run of
-    consecutive points.  Per-point errors are recorded and the batch
-    continues; a failure to build the plan is recorded on every interior
-    point.  Results keep the input order and are the same for every
-    thread count.
+    and from one location pass and one fan pass the source-kernel terms
+    and every interior point's interior-kernel terms) is built once; each
+    point then solves for its own candidate test function and pairs it,
+    and the boundary searches of all points of one run are stepped
+    together.  With ``threads`` > 1, each worker process receives the
+    finished plan with one run of consecutive points.  Per-point errors
+    are recorded and the batch continues; a failure to build the plan is
+    recorded on every interior point.  Results keep the input order and
+    are the same for every thread count.
     """
     points = [(float(p[0]), float(p[1])) for p in points]
     if not points:
@@ -405,13 +427,13 @@ def enclose_batch(
     mfs_cfg = mfs_cfg or MfsConfig()
     quad_cfg = quad_cfg or QuadConfig()
     try:
-        plan = _DomainPlan(poly, f, split, mfs_cfg, quad_cfg)
+        plan = _DomainPlan(poly, f, split, mfs_cfg, quad_cfg, points)
     except Exception as e:
         plan = e
     if threads <= 1 or len(points) <= 1 or isinstance(plan, Exception):
-        return _batch_worker((poly, points, plan))
+        return _batch_worker((poly, points, plan, slice(None)))
     size = -(-len(points) // threads)  # ceil: at most ``threads`` runs
-    jobs = [(poly, points[i:i + size], plan) for i in range(0, len(points), size)]
+    jobs = [(poly, points, plan, slice(i, i + size)) for i in range(0, len(points), size)]
     # imported here: loading the process pool costs every single-thread
     # run about 2 MB of memory and 16 ms of start-up
     from concurrent.futures import ProcessPoolExecutor

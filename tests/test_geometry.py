@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenbound.errors import GeometryError, PlacementError
 from greenbound.geometry import (
@@ -40,6 +42,88 @@ class TestPolygon:
         assert abs(lshape.area() - 3.0) < 1e-12
         assert abs(unit_square.area() - 1.0) < 1e-12
         assert abs(unit_square.diameter() - math.sqrt(2)) < 1e-12
+
+
+def _locate_loop(poly, p, tol=None) -> int:
+    """The edge-by-edge loop ``Polygon.locate_many`` runs on arrays: the
+    reference it must equal bit for bit."""
+    if tol is None:
+        tol = 1e-12 * poly.diameter()
+    px, py = float(p[0]), float(p[1])
+    v = poly.vertices
+    m = len(v)
+    inside = False
+    for i in range(m):
+        ax, ay = v[i]
+        bx, by = v[(i + 1) % m]
+        ex, ey = bx - ax, by - ay
+        L2 = ex * ex + ey * ey
+        t = max(0.0, min(1.0, ((px - ax) * ex + (py - ay) * ey) / L2))
+        dx, dy = px - (ax + t * ex), py - (ay + t * ey)
+        if dx * dx + dy * dy <= tol * tol:
+            return 0
+        if (ay > py) != (by > py):
+            xi = ax + (py - ay) / (by - ay) * (bx - ax)
+            if px < xi:
+                inside = not inside
+    return 1 if inside else -1
+
+
+_C, _S = math.cos(0.3), math.sin(0.3)
+LOCATE_POLYGONS = {
+    "square": Polygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]),
+    "lshape": Polygon([[-1, -1], [1, -1], [1, 0], [0, 0], [0, 1], [-1, 1]]),
+    # a square with a narrow slot cut down from the top edge
+    "notched": Polygon([[-1, -1], [1, -1], [1, 1], [0.1, 1], [0.1, -0.5], [-0.1, -0.5],
+                        [-0.1, 1], [-1, 1]]),
+    "rotated": Polygon([[_C * x - _S * y, _S * x + _C * y]
+                        for x, y in [(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)]]),
+}
+
+
+@st.composite
+def _probe(draw, poly):
+    """A vertex, a point of an edge, a point level with a vertex (so with
+    every horizontal edge), a far point or a point near the polygon."""
+    v = poly.vertices
+    i = draw(st.integers(0, len(v) - 1))
+    a, b = v[i], v[(i + 1) % len(v)]
+    kind = draw(st.sampled_from(["vertex", "edge", "level", "far", "near"]))
+    if kind == "vertex":
+        return float(a[0]), float(a[1])
+    if kind == "edge":
+        p = a + draw(st.floats(0.0, 1.0)) * (b - a)
+        return float(p[0]), float(p[1])
+    if kind == "level":
+        return draw(st.floats(-3.0, 3.0)), float(a[1])
+    if kind == "far":
+        return tuple(draw(st.floats(1e3, 1e300)) * np.array(draw(st.sampled_from(
+            [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)]))).astype(float))
+    return draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))
+
+
+class TestLocateMany:
+    @pytest.mark.parametrize("name", list(LOCATE_POLYGONS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_edge_loop(self, name, data):
+        """locate_many equals the scalar edge loop row by row, and locate is
+        its one-row case, with the default tolerance, none and a wide one."""
+        poly = LOCATE_POLYGONS[name]
+        points = data.draw(st.lists(_probe(poly), min_size=1, max_size=12))
+        tol = data.draw(st.sampled_from([None, 0.0, 1e-3]))
+        with np.errstate(over="ignore"):
+            want = [_locate_loop(poly, p, tol) for p in points]
+        got = poly.locate_many(points, tol)
+        assert got.tolist() == want
+        assert [poly.locate(p, tol) for p in points] == want
+
+    def test_cases(self):
+        poly = LOCATE_POLYGONS["notched"]
+        points = [(0.0, 0.0), (0.0, -0.75), (0.0, 1.0), (0.1, 0.5), (-0.5, 1.0),
+                  (-2.0, 1.0), (0.5, 0.5), (1e300, 0.0)]
+        assert poly.locate_many(points).tolist() == [-1, 1, -1, 0, 0, -1, 1, -1]
+        assert poly.locate_many(np.empty((0, 2))).tolist() == []
 
 
 class TestDiscretize:

@@ -215,9 +215,9 @@ class TestEnclosurePair:
         a nonnegative source adds no f_minus term."""
         seen = []
 
-        def spy(f, tf0, poly, cfg, offsets, source_terms):
+        def spy(f, tf0, poly, cfg, offsets, source_terms, point_terms):
             seen.append(offsets)
-            return real(f, tf0, poly, cfg, offsets, source_terms)
+            return real(f, tf0, poly, cfg, offsets, source_terms, point_terms)
 
         real = twod.pair_f_phi
         monkeypatch.setattr(twod, "pair_f_phi", spy)

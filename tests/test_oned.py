@@ -509,18 +509,36 @@ class TestCheckWork:
 
 
 class TestBuildWork:
-    def test_build_makes_no_interval_per_subinterval(self, monkeypatch):
-        """A certified build runs on (lo, hi) pairs: it makes as many
-        Interval objects at h = 2^-6 (64 subintervals) as at h = 2^-4."""
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Every Interval object made while the test runs."""
         made = []
         real = Interval.__post_init__
         monkeypatch.setattr(Interval, "__post_init__", lambda self: made.append(1) or real(self))
+        return made
+
+    def test_build_makes_no_interval_per_subinterval(self, made):
+        """A certified build runs on (lo, hi) pairs: it makes as many
+        Interval objects at h = 2^-6 (64 subintervals) as at h = 2^-4."""
         counts = []
         for h in (2.0**-4, 2.0**-6):
             made.clear()
             build_super(ONE, h, 0.2 * h * h, eps=0.25 * h)
             counts.append(len(made))
         assert counts[0] == counts[1]
+
+    def test_sup_abs_source_makes_no_interval_per_critical_point(self, made):
+        """sin's test for a critical point in its argument runs on endpoint
+        floats: sup |f| makes as many Intervals for 2 + sin(300 x), whose
+        parts test more candidate points, as for 2 + sin(3 x), at most the
+        7 of the expression's own operations per part."""
+        counts = []
+        for text in ("2+sin(3*x)", "2+sin(300*x)"):
+            ev = GreenEvaluator(parse(text))
+            made.clear()
+            ev.sup_abs_source()
+            counts.append(len(made))
+        assert counts[0] == counts[1] <= 7 * oned.SUP_PARTS
 
 
 class TestOptimalConstants:

@@ -17,9 +17,9 @@ from greenbound.interval import Interval
 from greenbound.quad import (
     QuadConfig,
     integrate_source,
+    kernel_terms,
     pair_f_phi,
     singular_triangle,
-    source_kernel_terms,
 )
 from greenbound.twod import MfsConfig
 
@@ -281,8 +281,8 @@ class TestBatchedFans:
     ], ids=["1-square", "1-lshape", "trig-square", "trig-lshape"])
     def test_source_kernel_terms_pinned(self, request, text, degrees, domain, corner, digest):
         poly = request.getfixturevalue(domain)
-        terms = source_kernel_terms(parse(text), _plan_sources(poly, corner), poly,
-                                    QuadConfig(tm_degrees=degrees))
+        terms, _ = kernel_terms(parse(text), _plan_sources(poly, corner), [], poly,
+                                QuadConfig(tm_degrees=degrees))
         assert len(terms) == 69
         assert _sha(terms) == digest
 
@@ -308,8 +308,8 @@ class TestBatchedFans:
         real = quad._expr.eval_tm
         monkeypatch.setattr(quad._expr, "eval_tm",
                             lambda *args: calls.append(len(args[1])) or real(*args))
-        source_kernel_terms(parse(TRIG), _plan_sources(centered_square, None), centered_square,
-                            QuadConfig(tm_degrees=(6, 6)))
+        kernel_terms(parse(TRIG), _plan_sources(centered_square, None), [], centered_square,
+                     QuadConfig(tm_degrees=(6, 6)))
         assert calls == [69 * 4]
 
     def test_interior_pairing_pinned(self, centered_square):
@@ -324,12 +324,15 @@ class TestBatchedFans:
     # regular exterior sources, and sources on the lines of the bottom and
     # left edges, whose fans to those edges are degenerate slivers
     SOURCES = [(1.3, 0.2), (0.9, -0.5), (-0.9, -1.1), (-0.5, 0.8), (0.2, 1.7)]
+    # interior points, one on an axis
+    POINTS = [(0.1, -0.2), (0.0, 0.3), (-0.37, 0.41)]
 
     @pytest.mark.parametrize("text, degrees", [("x+1", (8, 8)), (TRIG, (6, 6))])
     def test_slivers_and_batch_composition(self, centered_square, monkeypatch, text, degrees):
         """Every term encloses adaptive quadrature, and equals bit for bit
         the term of a one-source call and of a pass cut into one-part
-        chunks: groups and chunks never change a bit."""
+        chunks: groups and chunks never change a bit.  The interior terms
+        of points in the sources' pass equal those of one-point calls."""
         f, cfg = parse(text), QuadConfig(tm_degrees=degrees)
         slivers = []
         real_sliver = quad._sliver_bounds
@@ -339,10 +342,13 @@ class TestBatchedFans:
             return real_sliver(*args)
 
         monkeypatch.setattr(quad, "_sliver_bounds", spy)
-        batch = source_kernel_terms(f, self.SOURCES, centered_square, cfg)
+        batch, points = kernel_terms(f, self.SOURCES, self.POINTS, centered_square, cfg)
         assert sorted(set(slivers)) == [(-0.5, 0.8), (0.9, -0.5)]
+        for p, terms in zip(self.POINTS, points):  # interior fans in the sources' pass
+            (single,) = kernel_terms(f, [], [p], centered_square, cfg)[1]
+            assert [(t.lo, t.hi) for t in single] == [(t.lo, t.hi) for t in terms]
         for s, term in zip(self.SOURCES, batch):
-            (single,) = source_kernel_terms(f, [s], centered_square, cfg)
+            (single,), _ = kernel_terms(f, [s], [], centered_square, cfg)
             assert (single.lo, single.hi) == (term.lo, term.hi)
             want, err = sci.dblquad(
                 lambda y, x: -f.eval_point(x, y) * math.log((x - s[0]) ** 2 + (y - s[1]) ** 2)
@@ -350,7 +356,7 @@ class TestBatchedFans:
             tol = 10 * max(err, 1e-12)
             assert term.lo - tol <= want <= term.hi + tol, (s, term, want)
         monkeypatch.setattr(quad, "_CHUNK_TERMS", 1)
-        chunked = source_kernel_terms(f, self.SOURCES, centered_square, cfg)
+        chunked, _ = kernel_terms(f, self.SOURCES, [], centered_square, cfg)
         assert [(t.lo, t.hi) for t in chunked] == [(t.lo, t.hi) for t in batch]
 
         # slanted and axis-aligned edges, and sources with a zero coordinate,
@@ -362,11 +368,11 @@ class TestBatchedFans:
         real_eval = quad._expr.eval_tm
         monkeypatch.setattr(quad._expr, "eval_tm",
                             lambda *args: models.append(args[1:]) or real_eval(*args))
-        mixed = source_kernel_terms(f, sources, poly, cfg)
+        mixed, _ = kernel_terms(f, sources, [], poly, cfg)
         ((x, y),) = models
         assert len(taylor._pattern_groups(x._support()[0], y._support()[0])) == 3
         for s, term in zip(sources, mixed):
-            (single,) = source_kernel_terms(f, [s], poly, cfg)
+            (single,), _ = kernel_terms(f, [s], [], poly, cfg)
             assert (single.lo, single.hi) == (term.lo, term.hi)
 
 

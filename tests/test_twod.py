@@ -226,11 +226,12 @@ class TestBatch:
                              timeout=120, check=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert out.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("stage", ["solve", "search"])
+    @pytest.mark.parametrize("stage", ["solve", "search", "pair"])
     def test_failing_point_keeps_its_error(self, centered_square, monkeypatch, stage):
-        """A point whose solve, or whose boundary search, raises reports its
-        own error; the other points of its plan keep their results bit for
-        bit, although their searches ran in the same kernel calls."""
+        """A point whose solve, boundary search or interior fan raises
+        reports its own error; the other points of its plan keep their
+        results bit for bit, although their searches and fans ran in the
+        same kernel calls."""
         pts = [(0.0, 0.0), (0.1, 0.2), (-0.2, 0.1)]
         clean = enclose_batch(centered_square, parse("1"), pts, mfs_cfg=FAST_MFS)
         if stage == "solve":
@@ -242,6 +243,17 @@ class TestBatch:
                 return solve(collocation, sources, s_int, system=system)
 
             monkeypatch.setattr(twod._mfs, "solve_coefficients", failing)
+        elif stage == "pair":
+            from greenbound import quad
+
+            fans = quad._fans
+
+            def failing(f, centers, edges, cfg, want_log=True, want_plain=False):
+                if pts[1] in [tuple(c) for c in np.asarray(centers).reshape(-1, 2)]:
+                    raise DomainError("no pairing here")
+                return fans(f, centers, edges, cfg, want_log, want_plain)
+
+            monkeypatch.setattr(quad, "_fans", failing)
         else:
             call = twod._mfs.EdgeKernel.__call__
 
@@ -253,7 +265,8 @@ class TestBatch:
             monkeypatch.setattr(twod._mfs.EdgeKernel, "__call__", failing)
         items = enclose_batch(centered_square, parse("1"), pts, mfs_cfg=FAST_MFS)
         assert items[1].result is None and not items[1].needs_split
-        assert items[1].error == ("no candidate here" if stage == "solve" else "no bound here")
+        assert items[1].error == {"solve": "no candidate here", "search": "no bound here",
+                                  "pair": "no pairing here"}[stage]
         assert [items[0], items[2]] == [clean[0], clean[2]]
 
     @pytest.mark.parametrize("domain, corner, points", [
@@ -274,16 +287,17 @@ class TestBatch:
 
     @pytest.mark.parametrize("split", [None, ("x+1", "0")])
     def test_exterior_fans_once_per_batch(self, centered_square, monkeypatch, split):
-        """Each exterior source kernel is integrated once per batch, with or
-        without a split, however many points share the domain: all of them
-        in one call of the batched fan kernel."""
+        """Each exterior source kernel and each point's interior kernel is
+        integrated once per batch, with or without a split, however many
+        points share the domain: all of them in one call of the batched
+        fan kernel, the sources first."""
         from greenbound import quad
 
         calls = []
         real = quad._fans
 
         def spy(f, centers, edges, cfg, want_log=True, want_plain=False):
-            if not want_plain:  # only the source kernels skip integral(f)
+            if want_log:  # integrate_source's calls only want integral(f)
                 calls.append([tuple(c) for c in np.asarray(centers).reshape(-1, 2)])
             return real(f, centers, edges, cfg, want_log, want_plain)
 
@@ -297,9 +311,10 @@ class TestBatch:
                                   split=split, mfs_cfg=cfg)
             assert all(item.result is not None for item in items)
             assert len(calls) == 1
-            exterior = calls[0]
-            assert len(exterior) == cfg.n
+            exterior, interior = calls[0][:cfg.n], calls[0][cfg.n:]
             assert len(set(exterior)) == cfg.n
+            assert all(centered_square.locate(s) == -1 for s in exterior)
+            assert interior == points
 
     def test_needs_split_on_every_point(self, centered_square):
         items = enclose_batch(centered_square, parse("(x-0.125)^2+(y-0.25)^3"),
