@@ -10,10 +10,11 @@ Subcommands
     ``--h`` is an input error.  Both are ``oned.sweep``, the single pair
     over a list of one mesh, and print one summary line per mesh.
 
-``greenbound enclose2d problem.json [--out PATH] [--threads N]``
+``greenbound enclose2d problem.json [--out PATH] [--threads 1]``
     Pointwise enclosures on a polygon; writes CSV rows
-    point_x, point_y, lower, upper, width, rel_error.  ``--threads`` runs
-    the points in that many worker processes.
+    point_x, point_y, lower, upper, width, rel_error.  ``--threads``
+    accepts only 1: one process steps the boundary searches of all points
+    together.
 
 ``greenbound selftest``
     Fast containment/identity checks; nonzero exit on any failure.
@@ -402,7 +403,7 @@ def main(argv=None) -> int:
     p2 = sub.add_parser("enclose2d", help="pointwise 2D enclosures")
     p2.add_argument("problem", help="problem file (JSON, schema 1)")
     p2.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p2.add_argument("--threads", type=int, default=1)
+    p2.add_argument("--threads", type=int, default=1, choices=[1])
     p2.set_defaults(fn=_cmd_enclose2d)
 
     p3 = sub.add_parser("selftest", help="fast verification subset")

@@ -20,6 +20,18 @@ Rounding policy
   ``_LIBM_ULPS`` ulps to cover the documented error of glibc's libm.
 * ``sin``/``cos`` locate interior extrema through a rigorous two-interval
   enclosure of pi, so large arguments are handled correctly.
+
+Range bounding
+--------------
+``lockstep_min_max`` runs any number of branch-and-bound searches as one
+array search: the open boxes of all searches are one set of arrays with a
+search-id column, grouped by search, each search's boxes in the order of
+its solo run; witnesses, finalized bounds and evaluation counts hold one
+entry per search.  Each level is one set of array passes and one
+evaluator call, so the evaluator sees each search's solo rows in order.
+When a merged call raises, each search's rows are retried alone, and only
+a search whose own rows raise ends with that exception.
+``subdivide_min_max`` is the one-search case.
 """
 
 from __future__ import annotations
@@ -414,154 +426,11 @@ def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.minimum(hi, np.maximum(lo, m))
 
 
-class _Search:
-    """One branch-and-bound over the roots of one domain, as a generator.
-
-    ``run`` yields one evaluator request ``(root, lo, hi)`` per level, with
-    roots numbered within this search, is sent back the evaluator's
-    columns for it, and returns the :class:`MinMaxResult`;
-    :func:`lockstep_min_max` steps any number of these together.
-    ``sup_wit``/``inf_wit`` are values g provably reaches (some point has
-    g >= sup_wit, some point has g <= inf_wit); ``final_sup``/``final_inf``
-    bound g over boxes that left the search without being split.
-
-    Each open box carries g at its two endpoints.  Either is a root end,
-    evaluated as a point in the first request, or the centre of the
-    ancestor box whose split made it, which the evaluator returned, bit
-    for bit the point value there.  So a monotone box is finalized without
-    a request of its own, and every carried value is already a witness.
-    """
-
-    def __init__(self, roots: Sequence[Interval], tol: float, max_depth: int,
-                 max_evals: int):
-        self.roots = list(roots)
-        self.tol, self.max_depth, self.max_evals = tol, max_depth, max_evals
-        self.evals = 0
-        self.sup_wit, self.inf_wit = -_INF, _INF
-        self.final_sup, self.final_inf = -_INF, _INF
-
-    def finalize(self, glo: np.ndarray, ghi: np.ndarray) -> None:
-        if glo.size:
-            self.final_sup = max(self.final_sup, float(ghi.max()))
-            self.final_inf = min(self.final_inf, float(glo.min()))
-
-    def witness(self, vlo: np.ndarray, vhi: np.ndarray) -> None:
-        if vlo.size:
-            self.sup_wit = max(self.sup_wit, float(vlo.max()))
-            self.inf_wit = min(self.inf_wit, float(vhi.min()))
-
-    def settle(self, box, cols):
-        """Take the evaluator's columns for the boxes ``box`` = (root, lo,
-        hi, elo, ehi), with elo/ehi the (n, 2) bounds of g at lo and hi.
-
-        A box on which g is strictly monotone is finalized by its endpoint
-        values, which count as two evaluations; every other box gives the
-        value at its centre as a witness.  Returns the boxes still open as
-        (root, lo, hi, glo, ghi, vlo, vhi), with vlo/vhi the (n, 3) bounds
-        of g at lo, the centre and hi.
-        """
-        root, lo, hi, elo, ehi = box
-        glo, ghi, clo, chi, dlo, dhi = cols
-        mono = (dlo > 0.0) | (dhi < 0.0)
-        if mono.any():
-            self.evals += 2 * int(mono.sum())
-            self.finalize(elo[mono], ehi[mono])
-        keep = ~mono
-        clo, chi = clo[keep], chi[keep]
-        self.witness(clo, chi)
-        vlo, vhi = np.empty((2, clo.size, 3))
-        for v, e, c in ((vlo, elo, clo), (vhi, ehi, chi)):
-            v[:, 0::2], v[:, 1] = e[keep], c
-        return _select((root, lo, hi, glo, ghi), keep) + (vlo, vhi)
-
-    def run(self):
-        """The level loop of :func:`subdivide_min_max`."""
-        nr = len(self.roots)
-        rlo = np.array([r.lo for r in self.roots], dtype=float)
-        rhi = np.array([r.hi for r in self.roots], dtype=float)
-        ridx = np.arange(nr)
-        flat = rlo == rhi
-        # the first request: every root end as a point, then the root boxes
-        pr, pt = np.concatenate((ridx, ridx[~flat])), np.concatenate((rlo, rhi[~flat]))
-        br, blo, bhi = ridx[~flat], rlo[~flat], rhi[~flat]
-        self.evals += pr.size + br.size
-        cols = yield (np.concatenate((pr, br)), np.concatenate((pt, blo)),
-                      np.concatenate((pt, bhi)))
-        npts = pr.size
-        vlo, vhi = cols[0][:npts], cols[1][:npts]
-        self.witness(vlo, vhi)
-        self.finalize(vlo[:nr][flat], vhi[:nr][flat])  # point roots
-        ends = np.empty((2, br.size, 2))
-        for e, v in zip(ends, (vlo, vhi)):
-            e[:, 0], e[:, 1] = v[:nr][~flat], v[nr:]
-        box = self.settle((br, blo, bhi, *ends), [c[npts:] for c in cols])
-
-        def bounds():
-            ghi, glo = box[4], box[3]
-            sup_hi = max(self.final_sup, self.sup_wit, float(ghi.max()) if ghi.size else -_INF)
-            inf_lo = min(self.final_inf, self.inf_wit, float(glo.min()) if glo.size else _INF)
-            return sup_hi, inf_lo
-
-        def useful(box):
-            return (box[4] > self.sup_wit) | (box[3] < self.inf_wit)
-
-        tol = self.tol
-        depth = 0
-        converged = False
-        while depth < self.max_depth:
-            sup_hi, inf_lo = bounds()
-            if sup_hi - self.sup_wit <= tol and self.inf_wit - inf_lo <= tol:
-                converged = True
-                break
-            if not box[0].size or self.evals >= self.max_evals:
-                break
-            depth += 1
-            box = _select(box, useful(box))
-            root, lo, hi, glo, ghi, vlo, vhi = box
-            mid = _midpoints(lo, hi)
-            split = (lo < mid) & (mid < hi)
-            self.finalize(glo[~split], ghi[~split])
-            root, lo, hi, mid, vlo, vhi = _select((root, lo, hi, mid, vlo, vhi), split)
-            if root.size:
-                # children (lo, mid) and (mid, hi) of each parent, side by
-                # side; the parent's centre value is an end of each
-                self.evals += 2 * root.size
-                clo, chi = np.empty((2, 2 * root.size))
-                clo[0::2], clo[1::2], chi[0::2], chi[1::2] = lo, mid, mid, hi
-                children = (np.repeat(root, 2), clo, chi)
-                cols = yield children
-                ends = np.empty((2, 2 * root.size, 2))
-                for e, v in zip(ends, (vlo, vhi)):
-                    e[0::2], e[1::2] = v[:, 0:2], v[:, 1:3]
-                box = self.settle((*children, *ends), cols)
-            else:
-                box = _select(box, split)  # empty: no box could be split
-            box = _select(box, useful(box))
-            if box[0].size > MAX_BOXES:
-                glo, ghi = box[3], box[4]
-                gain = np.maximum(ghi - self.sup_wit, self.inf_wit - glo)
-                order = np.argsort(gain, kind="stable")
-                drop, keep = order[: gain.size - MAX_BOXES], order[gain.size - MAX_BOXES:]
-                self.finalize(glo[drop], ghi[drop])
-                box = _select(box, keep)
-
-        sup_hi, inf_lo = bounds()
-        if not converged:
-            converged = sup_hi - self.sup_wit <= tol and self.inf_wit - inf_lo <= tol
-        return MinMaxResult(
-            m=Interval(inf_lo, self.inf_wit),
-            M=Interval(self.sup_wit, sup_hi),
-            converged=converged,
-            evaluations=self.evals,
-            depth=depth,
-        )
-
-
 def _select(arrays: tuple, index) -> tuple:
     """Every array of a tuple, indexed alike (a mask or indices)."""
     # built from a list: CPython makes tuple(generator) 10 long and shrinks
     # it, so each one freed joins its size's free list, which grows to
-    # 2,000 tuples (about 0.3 MB for the searches' 5- and 7-tuples)
+    # 2,000 tuples (about 0.3 MB for the search's box tuples)
     return tuple([a[index] for a in arrays])
 
 
@@ -571,7 +440,7 @@ def _select(arrays: tuple, index) -> tuple:
 # takes: a box, a root end, or either end of a monotone box (carried from
 # an earlier request, so counted but not evaluated again).
 MAX_EVALS = 10_000_000
-MAX_BOXES = 20_000  # open boxes per level; the least promising excess is finalized
+MAX_BOXES = 20_000  # open boxes per search and level; the least promising excess is finalized
 
 
 def subdivide_min_max(
@@ -610,54 +479,198 @@ def lockstep_min_max(g: BoxEvaluator, domains: Sequence[Sequence[Interval]],
                      tol: float = 1e-12, max_depth: int = 40,
                      max_evals: int = MAX_EVALS) -> list:
     """:func:`subdivide_min_max` over each root sequence of ``domains``, all
-    searches stepped together.
+    searches stepped together as one array search (see the module notes).
 
     Roots are numbered across the searches: root j of search i is root
-    j + (the root count of searches 0..i-1) to ``g``.  Each step makes one
-    ``g`` call over every unfinished search's next level (the first: its
-    root ends as points and its root boxes), so with an evaluator whose
-    boxes do not depend on the other boxes of a call, each search gets the
-    bits of its solo run.  Entry i is search i's
-    :class:`MinMaxResult`, or the exception it raised: when a merged call
-    raises, each request of the step is evaluated alone, and a search
-    whose own request raises ends with that exception while the others
-    go on.
+    j + (the root count of searches 0..i-1) to ``g``.  Each level makes
+    one ``g`` call over every unfinished search's next level (the first:
+    its root ends as points and its root boxes), grouped by search; the
+    per-search witnesses and bounds are folded by max and min, exact in
+    any grouping.  So with an evaluator whose boxes do not depend on the
+    other boxes of a call, each search gets the bits of its solo run.  A
+    search stops on its own tests (converged, no open box, ``max_evals``
+    spent, or ``max_depth`` levels), at the shared depth.  Entry i is
+    search i's :class:`MinMaxResult`, or the exception its own rows raised.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    searches = [_Search(d, tol, max_depth, max_evals) for d in domains]
-    offsets = np.cumsum([0] + [len(s.roots) for s in searches]).tolist()
-    runs = [s.run() for s in searches]
-    out: list = [None] * len(runs)
-    pending = {}
+    n, roots = len(domains), [r for d in domains for r in d]
+    if not n:
+        return []
+    rsid = np.repeat(np.arange(n), [len(d) for d in domains])
+    rlo, rhi = np.array([(r.lo, r.hi) for r in roots], dtype=float).reshape(-1, 2).T
+    # per search: values g provably reaches (some point has g >= sup_wit,
+    # some point has g <= inf_wit), and the bounds of g over boxes that
+    # left the search without being split
+    bounds = np.array([[-_INF], [_INF]] * 2).repeat(n, axis=1)
+    sup_wit, inf_wit, fin_sup, fin_inf = bounds
+    live, out = np.ones(n, dtype=bool), [None] * n
 
-    def send(i, cols):
-        try:
-            root, lo, hi = runs[i].send(cols)
-            pending[i] = (root + offsets[i], lo, hi)
-        except StopIteration as stop:
-            out[i] = stop.value
-        except Exception as e:
-            out[i] = e
+    # the first call: every root end as a point, then the root boxes, each
+    # search's rows together
+    ridx, span = np.arange(len(roots)), rlo < rhi
+    ends = np.concatenate((ridx, ridx[span]))
+    at = np.concatenate((rlo, rhi[span]))
+    rows = (np.concatenate((ends, ridx[span])), np.concatenate((at, rlo[span])),
+            np.concatenate((at, rhi[span])))
+    sid = rsid[rows[0]]
+    order = np.argsort(sid, kind="stable")
+    evals = np.bincount(sid, minlength=n)  # evaluations spent, per search
+    cols = np.empty((6, sid.size))
+    cols[:, order] = _evaluate(g, sid[order], _select(rows, order), out, live)
+    nr, vlo, vhi = len(roots), cols[0][:ends.size], cols[1][:ends.size]
+    _fold(sup_wit, inf_wit, rsid[ends], vlo, vhi)
+    _fold(fin_sup, fin_inf, rsid[~span], vhi[:nr][~span], vlo[:nr][~span])  # point roots
+    elo, ehi = (np.column_stack((v[:nr][span], v[nr:])) for v in (vlo, vhi))
+    box, keep = _settle(bounds, evals, (rsid[span], ridx[span], rlo[span], rhi[span]),
+                        elo, ehi, cols[:, ends.size:], prune=False)
+    box = _select(box, keep & live[box[0]])
 
-    for i in range(len(runs)):
-        send(i, None)
-    while pending:
-        step, requests = list(pending), list(pending.values())
-        pending.clear()
-        try:
-            # star-arguments from lists, not generators (see _select)
-            cols = g(*[np.concatenate(x) for x in zip(*requests)])
-            cuts = np.cumsum([0] + [len(r[0]) for r in requests]).tolist()
-            parts = [tuple([c[a:b] for c in cols]) for a, b in zip(cuts, cuts[1:])]
-        except Exception as e:
-            parts = [e] if len(step) == 1 else [_attempt(g, *r) for r in requests]
-        for i, part in zip(step, parts):
+    depth = 0
+    while True:
+        sid, glo, ghi = box[0], box[4], box[5]
+        sup_hi = np.maximum(np.maximum(_per_search(np.maximum, sid, ghi, n), sup_wit), fin_sup)
+        inf_lo = np.minimum(np.minimum(_per_search(np.minimum, sid, glo, n), inf_wit), fin_inf)
+        # only searches with finite witnesses can converge: the others
+        # (no roots) would subtract inf from inf
+        a = np.flatnonzero(live & np.isfinite(sup_wit) & np.isfinite(inf_wit))
+        conv = np.zeros(n, dtype=bool)
+        conv[a] = (sup_hi[a] - sup_wit[a] <= tol) & (inf_wit[a] - inf_lo[a] <= tol)
+        stop = live & (conv | (np.bincount(sid, minlength=n) == 0) | (evals >= max_evals)
+                       | (depth >= max_depth))
+        if stop.any():
+            for s in np.flatnonzero(stop).tolist():
+                out[s] = _attempt(_result, inf_lo[s], inf_wit[s], sup_wit[s], sup_hi[s],
+                                  conv[s], evals[s], depth)
+            live &= ~stop
+            box = _select(box, live[sid])
+        if not live.any():
+            return out
+        depth += 1
+        # the useful boxes are split where their centre lies strictly
+        # inside, and finalized where it does not
+        sid, root, lo, hi, glo, ghi, vlo, vhi = box
+        use = (ghi > sup_wit[sid]) | (glo < inf_wit[sid])  # may move m or M past the witnesses
+        mid = _midpoints(lo, hi)
+        split = use & (lo < mid) & (mid < hi)
+        end = use & ~split
+        _fold(fin_sup, fin_inf, sid[end], ghi[end], glo[end])
+        sid, root, lo, hi, mid, vlo, vhi = _select((sid, root, lo, hi, mid, vlo, vhi), split)
+        if sid.size:
+            # children (lo, mid) and (mid, hi) of each parent, side by
+            # side; the parent's centre value is an end of each
+            evals += 2 * np.bincount(sid, minlength=n)
+            clo, chi = np.empty((2, 2 * sid.size))
+            clo[0::2], clo[1::2], chi[0::2], chi[1::2] = lo, mid, mid, hi
+            children = (np.repeat(sid, 2), np.repeat(root, 2), clo, chi)
+            cols = _evaluate(g, children[0], children[1:], out, live)
+            ends = np.empty((2, 2 * sid.size, 2))
+            for e, v in zip(ends, (vlo, vhi)):
+                e[0::2], e[1::2] = v[:, 0:2], v[:, 1:3]
+            box, keep = _settle(bounds, evals, children, *ends, cols, prune=True)
+            box = _select(box, keep & live[box[0]])
+        else:
+            box = _select(box, split)  # empty: no box could be split
+        if box[0].size > MAX_BOXES:
+            box = _cap(box, bounds)
+
+
+def _per_search(ufunc, sid, v, n: int) -> np.ndarray:
+    """``ufunc`` (np.maximum or np.minimum) of v over the rows of each of
+    n searches, -inf or inf for a search without rows."""
+    r = np.full(n, -_INF if ufunc is np.maximum else _INF)
+    ufunc.at(r, sid, v)
+    return r
+
+
+def _fold(top, bottom, sid, up, down) -> None:
+    """Raise each search's ``top`` to the max of its ``up``, and lower its
+    ``bottom`` to the min of its ``down``.  As with Python's max and min,
+    a tie keeps the old value (numpy's keep their second argument, which
+    could swap 0.0 and -0.0)."""
+    np.maximum(_per_search(np.maximum, sid, up, top.size), top, out=top)
+    np.minimum(_per_search(np.minimum, sid, down, top.size), bottom, out=bottom)
+
+
+def _evaluate(g, sid, rows, out: list, live: np.ndarray) -> np.ndarray:
+    """g's (6, n) columns over ``rows`` = (root, lo, hi), whose searches
+    ``sid`` are grouped.  When the call raises and holds several searches,
+    each search's rows are evaluated alone; a search whose own rows raise
+    (or the one search of the call) ends with that exception in ``out``
+    and ``live``, its columns left 0."""
+    try:
+        return np.array(g(*rows), dtype=float)
+    except Exception as e:
+        cols, searches = np.zeros((6, sid.size)), np.unique(sid).tolist()
+        for s in searches:
+            at = sid == s
+            part = e if len(searches) == 1 else _attempt(g, *[x[at] for x in rows])
             if isinstance(part, Exception):
-                out[i] = part
+                out[s], live[s] = part, False
             else:
-                send(i, part)
-    return out
+                cols[:, at] = part
+        return cols
+
+
+def _settle(bounds, evals, rows, elo, ehi, cols, prune: bool) -> tuple:
+    """Take the evaluator's columns for the boxes ``rows`` = (sid, root,
+    lo, hi), with elo/ehi the (n, 2) bounds of g at lo and hi; ``bounds``
+    are the rows sup_wit, inf_wit, fin_sup, fin_inf, one entry per search.
+
+    A box on which g is strictly monotone is finalized by its endpoint
+    values, which count as two evaluations; every other box gives the
+    value at its centre as a witness.  Returns every box as (sid, root,
+    lo, hi, glo, ghi, vlo, vhi), with vlo/vhi the (n, 3) bounds of g at
+    lo, the centre and hi, and the mask of those still open: with
+    ``prune``, only those that may still move m or M past the witnesses.
+
+    Each open box carries g at its two endpoints.  Either is a root end,
+    evaluated as a point in the first call, or the centre of the ancestor
+    box whose split made it, which the evaluator returned, bit for bit the
+    point value there.  So a monotone box is finalized without an
+    evaluation of its own, and every carried value is already a witness.
+    """
+    sup_wit, inf_wit, fin_sup, fin_inf = bounds
+    glo, ghi, clo, chi, dlo, dhi = cols
+    sid = rows[0]
+    mono = (dlo > 0.0) | (dhi < 0.0)
+    if mono.any():
+        evals += 2 * np.bincount(sid[mono], minlength=evals.size)
+        _fold(fin_sup, fin_inf, np.repeat(sid[mono], 2), ehi[mono].ravel(), elo[mono].ravel())
+    keep = ~mono
+    _fold(sup_wit, inf_wit, sid[keep], clo[keep], chi[keep])
+    if prune:
+        keep &= (ghi > sup_wit[sid]) | (glo < inf_wit[sid])
+    vlo, vhi = np.empty((2, sid.size, 3))
+    for v, e, c in ((vlo, elo, clo), (vhi, ehi, chi)):
+        v[:, 0::2], v[:, 1] = e, c
+    return (*rows, glo, ghi, vlo, vhi), keep
+
+
+def _cap(box, bounds) -> tuple:
+    """The boxes with at most ``MAX_BOXES`` per search.  A search over the
+    cap finalizes its least promising boxes and keeps the rest in the
+    order of a stable argsort of their gain; every other search's boxes
+    stay as they are."""
+    sid, glo, ghi = box[0], box[4], box[5]
+    sup_wit, inf_wit, fin_sup, fin_inf = bounds
+    counts = np.bincount(sid)
+    stops = np.cumsum(counts)
+    take, at = [], 0
+    for s in np.flatnonzero(counts > MAX_BOXES).tolist():
+        a, b = stops[s] - counts[s], stops[s]
+        gain = np.maximum(ghi[a:b] - sup_wit[s], inf_wit[s] - glo[a:b])
+        order = a + np.argsort(gain, kind="stable")
+        drop = order[:b - a - MAX_BOXES]
+        _fold(fin_sup, fin_inf, sid[drop], ghi[drop], glo[drop])
+        take += [np.arange(at, a), order[b - a - MAX_BOXES:]]
+        at = b
+    return _select(box, np.concatenate(take + [np.arange(at, sid.size)]))
+
+
+def _result(inf_lo, inf_wit, sup_wit, sup_hi, conv, evals, depth: int) -> MinMaxResult:
+    return MinMaxResult(Interval(float(inf_lo), float(inf_wit)),
+                        Interval(float(sup_wit), float(sup_hi)), bool(conv), int(evals), depth)
 
 
 def _attempt(fn, *args):

@@ -13,10 +13,10 @@ weights out of the box bound (:class:`EdgeKernel`).
 
 The candidates of one domain plan share their exterior sources, so one
 :class:`EdgeKernel` holds the exact source geometry once for all of them,
-and their searches are stepped together: each level is one kernel call
-over the pending boxes of every search, the per-source work of a box
-the searches share is done once, and each candidate's result is bit for
-bit that of its search alone.
+and their searches run as one array search: each level is one kernel call
+over the pending boxes of every search, in near-equal chunks (at most 1.5
+``CHUNK_ELEMS``), the per-source work of a box the searches share is done
+once, and each candidate's result is bit for bit that of its search alone.
 """
 
 from __future__ import annotations
@@ -152,10 +152,12 @@ class EdgeKernel(BoxEvaluator):
     the own s_int kernel depends on the box alone: tau, s, the logs, the
     u_j and the tail terms of the sources are formed once per distinct
     box, those of each row's s_int once per row, in one pass, and each
-    row's weighted sums gather them.  Distinct boxes are evaluated in
-    chunks of about ``CHUNK_ELEMS`` (box, source) elements so the
-    temporaries stay small; every box's bounds depend only on its own root
-    and endpoints, whatever else a call or chunk holds.
+    row's weighted sums gather them.  The U distinct boxes are evaluated
+    in k = max(1, round(U / chunk)) near-equal chunks of at most 1.5
+    ``CHUNK_ELEMS`` (box, source) elements: the temporaries stay small, and
+    no remainder of a few boxes costs a pass of its own.  Every box's
+    bounds depend only on its own root and endpoints, whatever else a call
+    or chunk holds.
     """
 
     CHUNK_ELEMS = 2048
@@ -205,8 +207,9 @@ class EdgeKernel(BoxEvaluator):
             (root % self.edges).tolist(), lo.view(np.int64).tolist(),
             hi.view(np.int64).tolist())], dtype=np.intp)
         out, near, wide = np.empty((6, len(root))), *np.zeros((2, len(root)), dtype=bool)
-        for a in range(0, len(ids), self.chunk):
-            rows = np.flatnonzero((box >= a) & (box < a + self.chunk))
+        k = max(1, round(len(ids) / self.chunk))  # near-equal chunks, none over 1.5 chunk
+        for a, b in ((len(ids) * i // k, len(ids) * (i + 1) // k) for i in range(k)):
+            rows = np.flatnonzero((box >= a) & (box < b))
             out[:, rows], near[rows], wide[rows] = self._eval(
                 root[rows], lo[rows], hi[rows], box[rows] - a)
         # counted once the whole call succeeded
@@ -258,10 +261,13 @@ class EdgeKernel(BoxEvaluator):
         # and the value and derivative tail terms
         F, Fw, Fn = row.size, wel.size, nel.size
         terms = np.empty((2, F + Fw + (p + 2) * Fn))
-        wrow = row[wel]
-        tw2 = dr.iv_sqr(*dr.iv_sub(lo[wrow], hi[wrow], *dr._take(g["tstar"], wel)))
-        v2, delta2 = (dr._join(x, dr._take(x, wel)) for x in (g["v2"], g["delta2"]))
-        d2lo, d2hi = dr.iv_add(*dr.iv_mul(*v2, *dr._join(tau2, tw2)), *delta2)
+        v2, delta2, t2 = g["v2"], g["delta2"], tau2
+        if Fw:  # every tail level has no wide box
+            wrow = row[wel]
+            t2 = dr._join(tau2, dr.iv_sqr(*dr.iv_sub(lo[wrow], hi[wrow],
+                                                     *dr._take(g["tstar"], wel))))
+            v2, delta2 = (dr._join(x, dr._take(x, wel)) for x in (v2, delta2))
+        d2lo, d2hi = dr.iv_add(*dr.iv_mul(*v2, *t2), *delta2)
         if np.any(d2lo <= 0.0):
             raise DomainError("a polygon edge passes through a kernel point")
         terms[0, :F + Fw], terms[1, :F + Fw] = dr.iv_log(d2lo, d2hi)
@@ -270,7 +276,7 @@ class EdgeKernel(BoxEvaluator):
             _powers(dr._take(tau, nel), dr._take(s, nel),
                     terms[:, base:base + p * Fn].reshape(2, p, Fn))
             terms[:, base + p * Fn:] = _tail_terms(r[row[nel]], s[0][nel]).ravel()
-        del g, tau, tau2, s, tw2, v2, delta2, d2lo, d2hi, fits  # before the sums' temporaries
+        del g, tau, tau2, s, t2, v2, delta2, d2lo, d2hi, fits  # before the sums' temporaries
         # the sums, one per line: the centre of every row, every wide box,
         # then on expanded boxes sum_k w_k u_kj for j = 1..p and the two
         # tails with |w_k|; a line takes the elements of row ``line`` of

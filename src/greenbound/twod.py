@@ -241,15 +241,15 @@ class _DomainPlan:
     on (polygon, source or split, configs), and the kernel terms of its
     points.
 
-    Built once per call and shipped to the worker processes: the sign
-    certificate or split verification with I_minus = integral(f_minus),
-    the collocation points and sources, the collocation matrix with its
-    condition estimate, and, from one location pass and one fan pass
-    (``quad.kernel_terms``), which points are interior, the source-kernel
-    terms of f and each interior point's interior-kernel term and
-    integral(f).  Per point, ``enclose`` solves for the coefficients; the
-    candidates of all its points are bounded on the boundary by one
-    stepped-together search, and each is paired from the finished terms.
+    Built once per call: the sign certificate or split verification with
+    I_minus = integral(f_minus), the collocation points and sources, the
+    collocation matrix with its condition estimate, and, from one location
+    pass and one fan pass (``quad.kernel_terms``), which points are
+    interior, the source-kernel terms of f and each interior point's
+    interior-kernel term and integral(f).  Per point, ``enclose`` solves
+    for the coefficients; the candidates of all its points are bounded on
+    the boundary by one stepped-together search, and each is paired from
+    the finished terms.
     """
 
     def __init__(self, poly: Polygon, f: SourceExpr, split: Optional[SignedSplit],
@@ -281,17 +281,17 @@ class _DomainPlan:
         terms = iter(terms)
         self.point_terms = [next(terms) if e is None else None for e in self.outside]
 
-    def enclose(self, at: slice = slice(None)) -> list:
-        """One outcome per point of the run ``at`` of the plan's points: its
-        EnclosureResult, or the exception its interior check, solve,
-        boundary search or pairing raised.
+    def enclose(self) -> list:
+        """One outcome per point of the plan: its EnclosureResult, or the
+        exception its interior check, solve, boundary search or pairing
+        raised.
 
         The boundary searches of all points run together
         (``mfs.boundary_extrema``); everything else is per point, and each
         point's outcome is the one it gets alone."""
-        terms = self.point_terms[at]
+        terms = self.point_terms
         out = [e or _attempt(self._candidate, s_int)
-               for s_int, e in zip(self.points[at], self.outside[at])]
+               for s_int, e in zip(self.points, self.outside)]
         solved = [i for i, o in enumerate(out) if not isinstance(o, Exception)]
         extrema = _attempt(_mfs.boundary_extrema, [out[i][0] for i in solved], self.poly,
                            self.mfs_cfg.tol)
@@ -382,23 +382,6 @@ class BatchItem:
     needs_split: bool = False
 
 
-def _batch_worker(args) -> list:
-    """The items of the run ``points[at]`` of a batch; ``plan`` is the
-    domain plan of all of ``points`` (which holds f, the split, both
-    configs and the points' kernel terms) or the error building it
-    raised, which every interior point reports."""
-    poly, points, plan, at = args
-    run = points[at]
-    if isinstance(plan, Exception):
-        outcomes = [e or plan for e in _check_interior(poly, run)]
-    else:
-        outcomes = plan.enclose(at)
-    return [BatchItem(point=tuple(p), result=o) if isinstance(o, EnclosureResult) else
-            BatchItem(point=tuple(p), result=None, error=str(o),
-                      needs_split=isinstance(o, NeedsSplitError))
-            for p, o in zip(run, outcomes)]
-
-
 def enclose_batch(
     poly: Polygon,
     f: SourceExpr,
@@ -414,32 +397,29 @@ def enclose_batch(
     and from one location pass and one fan pass the source-kernel terms
     and every interior point's interior-kernel terms) is built once; each
     point then solves for its own candidate test function and pairs it,
-    and the boundary searches of all points of one run are stepped
-    together.  With ``threads`` > 1, each worker process receives the
-    finished plan with one run of consecutive points.  Per-point errors
-    are recorded and the batch continues; a failure to build the plan is
-    recorded on every interior point.  Results keep the input order and
-    are the same for every thread count.
+    and the boundary searches of all points are stepped together, one
+    kernel call per level.  ``threads`` must be 1: points split over
+    processes would lose those shared calls.  Per-point errors are
+    recorded and the batch continues; a failure to build the plan (which
+    holds f, the split, both configs and the points' kernel terms) is
+    recorded on every interior point.  Results keep the input order.
     """
+    if threads != 1:
+        raise InputError(f"threads must be 1, got {threads}")
     points = [(float(p[0]), float(p[1])) for p in points]
     if not points:
         return []
-    mfs_cfg = mfs_cfg or MfsConfig()
-    quad_cfg = quad_cfg or QuadConfig()
     try:
-        plan = _DomainPlan(poly, f, split, mfs_cfg, quad_cfg, points)
+        plan = _DomainPlan(poly, f, split, mfs_cfg or MfsConfig(), quad_cfg or QuadConfig(),
+                           points)
     except Exception as e:
-        plan = e
-    if threads <= 1 or len(points) <= 1 or isinstance(plan, Exception):
-        return _batch_worker((poly, points, plan, slice(None)))
-    size = -(-len(points) // threads)  # ceil: at most ``threads`` runs
-    jobs = [(poly, points, plan, slice(i, i + size)) for i in range(0, len(points), size)]
-    # imported here: loading the process pool costs every single-thread
-    # run about 2 MB of memory and 16 ms of start-up
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        return [item for items in pool.map(_batch_worker, jobs) for item in items]
+        outcomes = [err or e for err in _check_interior(poly, points)]
+    else:
+        outcomes = plan.enclose()
+    return [BatchItem(point=p, result=o) if isinstance(o, EnclosureResult) else
+            BatchItem(point=p, result=None, error=str(o),
+                      needs_split=isinstance(o, NeedsSplitError))
+            for p, o in zip(points, outcomes)]
 
 
 def batch_csv(items) -> str:

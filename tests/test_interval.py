@@ -492,11 +492,86 @@ class TestBatchedMinMax:
         with pytest.raises(DomainError, match="bad root"):
             subdivide_min_max(_Failing(_Parabolas([3.1], [0.0]), bad=0), [Interval(3, 3.5)])
 
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_box_cap_keeps_solo_bits_and_soundness(self, monkeypatch, cap):
+        """With at most ``cap`` open boxes per search and level, searches
+        stepped together still return their solo results bit for bit, and
+        every m and M encloses the exact extrema: a box the cap drops is
+        finalized, not lost.  The parabolas come without slopes, so that
+        no box is finalized as monotone and more of them stay open."""
+
+        class Rows(_Parabolas):
+            def __call__(self, root, lo, hi):
+                self.rows = getattr(self, "rows", []) + [len(root)]
+                return super().__call__(root, lo, hi)[:4] + (np.full(len(root), -np.inf),
+                                                             np.full(len(root), np.inf))
+
+        def widest(roots, a, b):
+            """The most rows of a call after the first, of a solo run."""
+            g = Rows(a, b)
+            res = subdivide_min_max(g, roots, tol=1e-12, max_depth=60)
+            return res, max(g.rows[1:], default=0)
+
+        assert any(widest(*s)[1] > 2 * cap for s in self.SEARCHES)  # the cap binds
+        monkeypatch.setattr(iv, "MAX_BOXES", cap)
+        got = lockstep_min_max(Rows(self._joined(1), self._joined(2)),
+                               [s[0] for s in self.SEARCHES], tol=1e-12, max_depth=60)
+        for (roots, cs, es), res in zip(self.SEARCHES, got):
+            want, rows = widest(roots, cs, es)
+            assert repr(res) == repr(want) and rows <= 2 * cap
+            ends = [[(Fraction(t) - Fraction(c)) ** 2 + Fraction(e) for t in (r.lo, r.hi)]
+                    for r, c, e in zip(roots, cs, es)]
+            low = min(Fraction(e) if r.lo <= c <= r.hi else min(v)
+                      for r, c, e, v in zip(roots, cs, es, ends))
+            high = max(max(v) for v in ends)
+            assert Fraction(res.m.lo) <= low <= Fraction(res.m.hi)
+            assert Fraction(res.M.lo) <= high <= Fraction(res.M.hi)
+
     def test_scalar_and_point_roots_mix(self):
         res = subdivide_min_max(_Scalar(lambda t: t.sqr(), lambda t: t * 2.0),
                                 [Interval(2, 2), Interval(-1, 1)], tol=1e-12)
         assert_contains(res.M, 4.0)
         assert_contains(res.m, 0.0)
+
+
+_roots = st.one_of(
+    st.floats(-4, 4).map(lambda x: Interval(x, x)),
+    st.tuples(st.floats(-4, 4), st.floats(-4, 4)).map(lambda p: Interval(min(p), max(p))))
+# each search: 0-3 roots, each with the centre and offset of its parabola
+_searches = st.lists(st.lists(st.tuples(_roots, st.floats(-4, 4), st.floats(-2, 2)),
+                              max_size=3), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_searches, st.floats(1e-12, 1e-3), st.integers(0, 30), st.integers(1, 400), st.data())
+def test_lockstep_equals_solo_runs_on_random_searches(searches, tol, max_depth, max_evals,
+                                                      data):
+    """Random searches (point roots among them, any tol, depth and budget)
+    stepped together each return their solo result bit for bit, in as many
+    evaluator calls as the longest solo run; a search without roots ends
+    with the error of its solo run.  With the boxes of one root failing,
+    each search still ends as it does alone: with that error, or with its
+    result."""
+    domains = [[r for r, _c, _e in s] for s in searches]
+    starts = np.cumsum([0] + [len(d) for d in domains]).tolist()
+    joined = [x for s in searches for x in s]
+    kw = dict(tol=tol, max_depth=max_depth, max_evals=max_evals)
+
+    def solo(i, bad):
+        g = _Parabolas([c for _r, c, _e in searches[i]], [e for _r, _c, e in searches[i]])
+        try:
+            return subdivide_min_max(_Failing(g, bad - starts[i]), domains[i], **kw), g.calls
+        except DomainError as err:
+            return err, g.calls
+
+    for bad in (-1, data.draw(st.integers(-1, len(joined) - 1))):
+        g = _Parabolas([c for _r, c, _e in joined], [e for _r, _c, e in joined])
+        got = lockstep_min_max(_Failing(g, bad), domains, **kw)
+        want = [solo(i, bad if starts[i] <= bad < starts[i + 1] else -1)
+                for i in range(len(domains))]
+        assert [repr(x) for x in got] == [repr(w) for w, _calls in want]
+        if bad < 0:
+            assert g.calls == max(calls for _w, calls in want)
 
 
 @settings(max_examples=200, deadline=None)

@@ -376,6 +376,24 @@ class TestEdgeKernel:
                     assert kernel.expanded_boxes[c] == alone.expanded_boxes[0] > 0
                     assert kernel.natural_boxes[c] == alone.natural_boxes[0] > 0
 
+    def test_balanced_chunks_make_no_remainder_pass(self, centered_square, monkeypatch):
+        """A call with chunk + 1 distinct boxes is one chunk (none exceeds
+        1.5 chunks), so one ``_eval`` pass, and each row gets the bits of
+        its own one-box call."""
+        pts, src = square_setup(centered_square, n=33)
+        tf0 = solve(centered_square, pts, src, (0.1, -0.2)).tf0
+        kernel, alone = EdgeKernel([tf0], centered_square), EdgeKernel([tf0], centered_square)
+        n = kernel.chunk + 1
+        e, lo, hi = _edge_boxes(centered_square, np.random.default_rng(6), n)
+        assert len(set(zip(e.tolist(), lo.tolist(), hi.tolist()))) == n
+        passes, run = [], kernel._eval
+        monkeypatch.setattr(kernel, "_eval", lambda *a: passes.append(len(a[0])) or run(*a))
+        got = np.array(kernel(e, lo, hi))
+        assert passes == [n]
+        for k in range(n):
+            want = np.array(alone(e[k:k + 1], lo[k:k + 1], hi[k:k + 1]))
+            assert got[:, k].tobytes() == want[:, 0].tobytes()
+
 
 HEXAGON = Polygon([[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)] for k in range(6)])
 

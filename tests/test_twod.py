@@ -11,6 +11,7 @@ import pytest
 
 import greenbound
 from greenbound import twod
+from greenbound.cli import main
 from greenbound.errors import DomainError, GeometryError, InputError, NeedsSplitError, SolveError
 from greenbound.expr import parse
 from greenbound.geometry import Polygon
@@ -205,21 +206,21 @@ class TestBatch:
         csv = batch_csv(items)
         assert len(csv.strip().splitlines()) == 2  # header + one good row
 
-    def test_parallel_matches_serial(self, centered_square):
-        """Two worker processes, each with a run of points (one of them not
-        interior), give the BatchItems of one process."""
-        pts = [(0.0, 0.0), (0.2, -0.1), (0.5, 0.0)]
-        serial = enclose_batch(centered_square, parse("1"), pts,
-                               mfs_cfg=FAST_MFS, threads=1)
-        parallel = enclose_batch(centered_square, parse("1"), pts,
-                                 mfs_cfg=FAST_MFS, threads=2)
-        assert serial == parallel
-        assert batch_csv(serial) == batch_csv(parallel)
-        assert serial[2].result is None and "must be interior" in serial[2].error
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_threads_other_than_one_rejected(self, centered_square, threads):
+        """One process steps the boundary searches of all points together:
+        the library rejects any other thread count, and the CLI exits 2."""
+        with pytest.raises(InputError, match="threads must be 1"):
+            enclose_batch(centered_square, parse("1"), [(0.0, 0.0)], mfs_cfg=FAST_MFS,
+                          threads=threads)
+        problem = Path(__file__).resolve().parent.parent / "problems" / "square_f1.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["enclose2d", str(problem), "--threads", str(threads)])
+        assert exc.value.code == 2
 
     def test_import_leaves_the_process_pool_unloaded(self):
-        """Only a run with threads > 1 loads the process pool, which costs a
-        single-thread run memory and start-up time."""
+        """Nothing loads the process pool, which would cost every run
+        memory and start-up time."""
         src = Path(greenbound.__file__).resolve().parent.parent
         code = "import sys, greenbound; print('concurrent.futures.process' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
